@@ -525,14 +525,8 @@ def candidate_from_solution(solution, kind: str, growth_constant: float) -> Cand
     """Interpolated solver value with the extracted argmax rule as companion."""
     from .solver import extract_policy
 
-    times, values, grid = solution.times, solution.values, solution.grid
-
     def evaluator(t, X):
-        n = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1))
-        if grid.dim == 1:
-            return np.interp(X[:, 0], grid.axes[0], values[n])
-        gf = solution.slice_at(n)
-        return np.array([gf.interpolate(pt) for pt in X])
+        return solution.slice_at(solution.time_index(t)).interpolate(X)
 
     policy = extract_policy(solution)
     return CandidateFunction(

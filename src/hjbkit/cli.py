@@ -136,14 +136,21 @@ def _run_oracle(cfg, out_dir):
     return EXIT_OK
 
 
+def _facelift(problem, g, method="auto", tol=1e-8):
+    """Face-lift of the payoff g: the exact hull for G = -M in 1-D unless method
+    is "relax", g itself for a positive constant G, the relaxation otherwise."""
+    if problem.constraint.family == "neg_second" and g.grid.dim == 1 and method != "relax":
+        return concave_envelope(g)
+    if problem.constraint.family == "positive_const":
+        return g
+    return facelift_general(g, problem, tol=tol)
+
+
 def _run_facelift(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
     grid = specio.load_grid(cfg["grid"])
     g = _payoff_values(problem, grid)
-    if problem.constraint.family == "neg_second" and grid.dim == 1 and cfg.get("method", "auto") != "relax":
-        ghat = concave_envelope(g)
-    else:
-        ghat = facelift_general(g, problem, tol=cfg.get("tol", 1e-8))
+    ghat = _facelift(problem, g, cfg.get("method", "auto"), cfg.get("tol", 1e-8))
     out = os.path.join(out_dir, cfg["out"])
     specio.atomic_write_text(out, ghat.to_csv())
     specio.write_manifest(out_dir, "facelift", cfg, [cfg["problem"], cfg["grid"]], cfg.get("seed"), [cfg["out"]])
@@ -152,30 +159,23 @@ def _run_facelift(cfg, out_dir):
 
 
 def _scheme_config(cfg) -> SchemeConfig:
+    if cfg.get("upwind", True) is not True:
+        raise ConfigurationError('"upwind": false is not supported; the drift is always upwinded')
     return SchemeConfig(
         n_time_nodes=int(cfg.get("time_nodes", 101)),
         dt=cfg.get("dt"),
         control_grid_resolution=int(cfg.get("control_res", 41)),
         constraint_mode=cfg.get("mode", "auto"),
         penalty_weight=cfg.get("penalty_weight"),
-        upwind=bool(cfg.get("upwind", True)),
     )
 
 
 def _run_solve(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
     grid = specio.load_grid(cfg["grid"])
-    g = _payoff_values(problem, grid)
-    if cfg.get("terminal", "facelift") == "facelift":
-        if problem.constraint.family == "neg_second" and grid.dim == 1:
-            terminal = concave_envelope(g)
-        elif problem.constraint.family == "positive_const":
-            terminal = g
-        else:
-            terminal = facelift_general(g, problem)
-    else:
-        terminal = g
     config = _scheme_config(cfg)
+    g = _payoff_values(problem, grid)
+    terminal = _facelift(problem, g) if cfg.get("terminal", "facelift") == "facelift" else g
     sol = solve_hjb(problem, terminal, config)
     out = os.path.join(out_dir, cfg["out"])
     specio.atomic_write_text(out, sol.to_csv())
@@ -287,7 +287,7 @@ def _run_bracket(cfg, out_dir):
         pts = [
             (float(parts[0]), [float(v) for v in parts[1:]])
             for parts in (ln.split(",") for ln in fh.read().strip().splitlines() if ln.strip())
-            if parts[0].replace(".", "").replace("-", "").strip().isdigit() or _is_float(parts[0])
+            if _is_float(parts[0])
         ]
     bc = BracketConfig(
         n_paths=int(cfg.get("paths", 20_000)),
@@ -357,6 +357,7 @@ def _run_pipeline(cfg, out_dir):
     report: dict = {"stages": {}}
     out = os.path.join(out_dir, spec.get("out", "pipeline-report.json"))
     seed = int(spec.get("seed", 0))
+    config = _scheme_config(spec)
 
     def _fail(stage, exc, code):
         report["stages"][stage] = f"failed: {exc}"
@@ -368,12 +369,7 @@ def _run_pipeline(cfg, out_dir):
     g = _payoff_values(problem, grid)
     # stage 1: face-lift
     try:
-        if problem.constraint.family == "neg_second" and grid.dim == 1:
-            ghat = concave_envelope(g)
-        elif problem.constraint.family == "positive_const":
-            ghat = g
-        else:
-            ghat = facelift_general(g, problem)
+        ghat = _facelift(problem, g)
         report["facelift_sup_distance"] = float(np.max(ghat.values - g.values))
         report["stages"]["facelift"] = "ok"
     except (ConfigurationError, ConvergenceError) as exc:
@@ -382,7 +378,6 @@ def _run_pipeline(cfg, out_dir):
     # stage 2: solve
     try:
         terminal = ghat if spec.get("terminal", "facelift") == "facelift" else g
-        config = _scheme_config(spec)
         sol = solve_hjb(problem, terminal, config)
         report["solver_value_at_points"] = [sol.value_at(t, x) for t, x in points]
         report["stages"]["solve"] = "ok"
@@ -468,8 +463,7 @@ _HANDLERS = {
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hjbkit", description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1, help="reserved; recorded in the manifest")
-    ap.add_argument("--out-dir", default=".")
+    ap.add_argument("--out-dir", default=None, help="artifact directory (default: .; oracle writes none)")
     ap.add_argument("--manifest", default=None, help="re-run from a recorded manifest")
     sub = ap.add_subparsers(dest="subcommand")
 
@@ -537,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> dict:
-    skip = {"subcommand", "out_dir", "manifest", "threads"}
+    skip = {"subcommand", "out_dir", "manifest"}
     cfg = {k: v for k, v in vars(args).items() if k not in skip}
     if args.subcommand == "oracle":
         cfg["params"] = _parse_params(cfg.get("params", ""))
@@ -581,7 +575,8 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         subcommand = args.subcommand
 
-    out_dir = args.out_dir
+    # oracle only prints its value; it writes a manifest only into an explicit --out-dir
+    out_dir = args.out_dir if args.out_dir is not None or subcommand == "oracle" else "."
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     try:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError
-from .grids import GridFunction
+from .grids import GridFunction, mixed_second
 
 __all__ = [
     "concave_envelope",
@@ -100,68 +100,25 @@ def concave_envelope(g_grid: GridFunction) -> GridFunction:
     return g_grid.with_values(out)
 
 
-def _grid_derivatives_1d(x, w):
-    """Central first/second differences, one-sided at the edges."""
-    n = x.size
-    p = np.empty(n)
-    m = np.empty(n)
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    p[1:-1] = (w[2:] - w[:-2]) / (hm + hp)
-    p[0] = (w[1] - w[0]) / (x[1] - x[0])
-    p[-1] = (w[-1] - w[-2]) / (x[-1] - x[-2])
-    m[1:-1] = 2.0 * (
-        w[:-2] / (hm * (hm + hp)) - w[1:-1] / (hm * hp) + w[2:] / (hp * (hm + hp))
-    )
-    # shifted 3-point stencil at the edges
-    m[0] = _one_sided_second(x[0], x[1], x[2], w[0], w[1], w[2])
-    m[-1] = _one_sided_second(x[-3], x[-2], x[-1], w[-3], w[-2], w[-1])
-    return p, m
-
-
-def _one_sided_second(x0, x1, x2, w0, w1, w2):
-    h0, h1 = x1 - x0, x2 - x1
-    return 2.0 * (w0 / (h0 * (h0 + h1)) - w1 / (h0 * h1) + w2 / (h1 * (h0 + h1)))
-
-
 def _constraint_on_grid(problem, grid, w):
     """G(T, x, Dw, D2w) at every node (1-D or 2-D grids)."""
-    T = problem.horizon
-    if grid.dim == 1:
-        x = grid.axes[0]
-        p, m = _grid_derivatives_1d(x, w)
-        X = x[:, None]
-        P = p[:, None]
-        M = m[:, None, None]
-        return problem.constraint.on_nodes(T, X, P, M)
-    if grid.dim == 2:
-        ax, ay = grid.axes
-        nx, ny = w.shape
-        px = np.empty_like(w)
-        mxx = np.empty_like(w)
-        for j in range(ny):
-            px[:, j], mxx[:, j] = _grid_derivatives_1d(ax, w[:, j])
-        py = np.empty_like(w)
-        myy = np.empty_like(w)
-        for i in range(nx):
-            py[i, :], myy[i, :] = _grid_derivatives_1d(ay, w[i, :])
+    if grid.dim > 2:
+        raise ValueError("facelift supports 1-D and 2-D grids only")
+    d = grid.dim
+    P = np.empty(w.shape + (d,))
+    M = np.zeros(w.shape + (d, d))
+    for k, stencil in enumerate(grid.stencils):
+        # swapaxes brings axis k to the front (the same as moveaxis for d <= 2)
+        stencil.derivatives(w.swapaxes(k, 0), P[..., k].swapaxes(k, 0), M[..., k, k].swapaxes(k, 0))
+    if d == 2:
         # mixed second derivative: central, copied inward at edges
-        mxy = np.zeros_like(w)
-        dx = ax[2:] - ax[:-2]
-        dy = ay[2:] - ay[:-2]
-        mxy[1:-1, 1:-1] = (
-            w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]
-        ) / (dx[:, None] * dy[None, :])
+        mxy = M[..., 0, 1]
+        mxy[1:-1, 1:-1] = mixed_second(w, grid.axes)
         mxy[0, :], mxy[-1, :] = mxy[1, :], mxy[-2, :]
         mxy[:, 0], mxy[:, -1] = mxy[:, 1], mxy[:, -2]
-        X = grid.nodes()
-        P = np.stack([px.ravel(), py.ravel()], axis=-1)
-        M = np.empty((X.shape[0], 2, 2))
-        M[:, 0, 0] = mxx.ravel()
-        M[:, 1, 1] = myy.ravel()
-        M[:, 0, 1] = M[:, 1, 0] = mxy.ravel()
-        return problem.constraint.on_nodes(T, X, P, M).reshape(w.shape)
-    raise ValueError("facelift supports 1-D and 2-D grids only")
+        M[..., 1, 0] = mxy
+    G = problem.constraint.on_nodes(problem.horizon, grid.nodes(), P.reshape(-1, d), M.reshape(-1, d, d))
+    return G.reshape(w.shape)
 
 
 def _auto_relaxation(problem, grid):
@@ -203,12 +160,7 @@ def facelift_general(
         relaxation = _auto_relaxation(problem, grid)
     g = g_grid.values
     w = np.array(g, dtype=float)
-    interior = np.ones(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        for edge in (0, -1):
-            sl[d] = edge
-            interior[tuple(sl)] = False
+    interior = grid.interior_mask()
 
     prev_update = None
     for it in range(max_iters):
@@ -270,13 +222,7 @@ def verify_facelift(
     comp_defect = float(np.max(np.abs(comp)))
     complementarity = comp_defect <= tol
 
-    interior = np.ones(w.grid.shape, dtype=bool)
-    for d in range(w.grid.dim):
-        sl = [slice(None)] * w.grid.dim
-        for edge in (0, -1):
-            sl[d] = edge
-            interior[tuple(sl)] = False
-    lifted = np.argwhere(interior & (wv > gv + tol))
+    lifted = np.argwhere(w.grid.interior_mask() & (wv > gv + tol))
     nonminimal = 0
     for idx in map(tuple, lifted):
         w_pert = np.array(wv)

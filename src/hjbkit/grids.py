@@ -1,14 +1,17 @@
-"""Rectangular spatial lattices and grid functions.
+"""Rectangular spatial lattices, grid functions and the finite-difference stencil.
 
 A SpatialGrid is the product of per-dimension node arrays inside a truncation
 box; a GridFunction attaches one real value per node.  These are the currency
-passed between the face-lift, the solver and the file formats.
+passed between the face-lift, the solver and the file formats.  AxisStencil is
+the one 3-point non-uniform stencil that the discrete generator, the explicit
+step and the face-lift constraint G_h all difference with.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +22,72 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+class AxisStencil:
+    """3-point finite differences along one axis of a strictly increasing node array.
+
+    The difference methods take values whose first array axis runs along the
+    nodes (np.moveaxis the stencil axis to the front) and return the n - 2
+    interior rows.  `trailing` is the number of array axes after the stencil
+    axis; the spacings are shaped to broadcast against them.
+    """
+
+    def __init__(self, a, trailing: int = 0):
+        shape = (-1,) + (1,) * trailing
+        self.hm = (a[1:-1] - a[:-2]).reshape(shape)
+        self.hp = (a[2:] - a[1:-1]).reshape(shape)
+        # denominators of the non-uniform second difference, one per neighbour
+        self.dm = self.hm * (self.hm + self.hp)
+        self.d0 = self.hm * self.hp
+        self.dp = self.hp * (self.hm + self.hp)
+
+    def backward(self, v):
+        return (v[1:-1] - v[:-2]) / self.hm
+
+    def forward(self, v):
+        return (v[2:] - v[1:-1]) / self.hp
+
+    def central(self, v):
+        return (v[2:] - v[:-2]) / (self.hm + self.hp)
+
+    def second(self, v):
+        return 2.0 * (v[:-2] / self.dm - v[1:-1] / self.d0 + v[2:] / self.dp)
+
+    def weights(self, b, s2):
+        """Coefficients (wm, w0, wp) of v[i-1], v[i], v[i+1] in  b v' + 1/2 s2 v''.
+
+        The drift is upwinded by its sign, so wm, wp >= 0 and the explicit
+        step is monotone whenever 1 + dt w0 >= 0.
+        """
+        bp = np.maximum(b, 0.0)
+        bm = np.minimum(b, 0.0)
+        wm = s2 / self.dm - bm / self.hm
+        wp = s2 / self.dp + bp / self.hp
+        w0 = -(s2 / self.d0) - bp / self.hp + bm / self.hm
+        return wm, w0, wp
+
+    def derivatives(self, v, p, m):
+        """First and second differences at every node along the axis, into p and m.
+
+        Central in the interior; at each edge a one-sided first difference and
+        the second difference of the shifted stencil, i.e. that of the nearest
+        interior node.
+        """
+        p[1:-1] = self.central(v)
+        p[0] = (v[1] - v[0]) / self.hm[0]
+        p[-1] = (v[-1] - v[-2]) / self.hp[-1]
+        m[1:-1] = self.second(v)
+        m[0] = m[1]
+        m[-1] = m[-2]
+
+
+def mixed_second(v, axes):
+    """Central cross difference d2v / dx0 dx1 at the interior nodes of a 2-D grid."""
+    ax, ay = axes
+    dx = (ax[2:] - ax[:-2])[:, None]
+    dy = (ay[2:] - ay[:-2])[None, :]
+    return (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (dx * dy)
 
 
 @dataclass(frozen=True)
@@ -94,22 +163,28 @@ class SpatialGrid:
         return int(np.prod(self.shape))
 
     def nodes(self) -> np.ndarray:
-        """All nodes as an (n_nodes, dim) array, C-order."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """All nodes as a read-only (n_nodes, dim) array, C-order."""
+        return self._nodes
 
-    def nearest_index(self, x) -> tuple:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = []
-        for a, xi in zip(self.axes, x):
-            j = int(np.searchsorted(a, xi))
-            if j == 0:
-                idx.append(0)
-            elif j >= a.size:
-                idx.append(a.size - 1)
-            else:
-                idx.append(j if a[j] - xi < xi - a[j - 1] else j - 1)
-        return tuple(idx)
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return _frozen(np.stack([m.ravel() for m in mesh], axis=-1))
+
+    @property
+    def interior(self) -> tuple:
+        """Index of the nodes off every edge, where a 3-point stencil fits on each axis."""
+        return (slice(1, -1),) * self.dim
+
+    def interior_mask(self) -> np.ndarray:
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.interior] = True
+        return mask
+
+    @cached_property
+    def stencils(self) -> tuple:
+        """One AxisStencil per axis, for values with that axis moved to the front."""
+        return tuple(AxisStencil(a, trailing=self.dim - 1) for a in self.axes)
 
     def refine(self) -> "SpatialGrid":
         """Dyadic refinement: insert midpoints, keeping all current nodes."""
@@ -163,19 +238,31 @@ class GridFunction:
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, np.asarray(values, dtype=float))
 
-    def interpolate(self, x) -> float:
-        """Multilinear interpolation, clamped to the box."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.grid.dim == 1:
-            return float(np.interp(x[0], self.grid.axes[0], self.values))
-        # d-linear interpolation via successive 1-d passes
-        vals = self.values
-        for d, a in enumerate(self.grid.axes):
-            xi = min(max(x[d], a[0]), a[-1])
-            j = int(np.clip(np.searchsorted(a, xi) - 1, 0, a.size - 2))
-            t = (xi - a[j]) / (a[j + 1] - a[j])
-            vals = (1 - t) * np.take(vals, j, axis=0) + t * np.take(vals, j + 1, axis=0)
-        return float(vals)
+    def interpolate(self, x):
+        """Multilinear interpolation, clamped to the box.
+
+        A single point gives a float; an (n, d) array of points gives n values.
+        """
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        axes = self.grid.axes
+        if len(axes) == 1:
+            vals = np.interp(pts[:, 0], axes[0], self.values)
+        else:
+            cells, ts = [], []
+            for a, xd in zip(axes, pts.T):
+                xi = np.clip(xd, a[0], a[-1])
+                j = np.clip(np.searchsorted(a, xi) - 1, 0, a.size - 2)
+                cells.append(j)
+                ts.append((xi - a[j]) / (a[j + 1] - a[j]))
+            # values at the 2^d cell corners, then one linear pass per axis
+            corners = np.indices((2,) * len(axes)).reshape(len(axes), -1)
+            vals = self.values[tuple(j[:, None] + c for j, c in zip(cells, corners))]
+            vals = vals.reshape((-1,) + (2,) * len(axes))
+            for t in ts:
+                t = t.reshape((-1,) + (1,) * (vals.ndim - 2))
+                vals = (1 - t) * vals[:, 0] + t * vals[:, 1]
+        return float(vals[0]) if x.ndim < 2 else vals
 
     def to_csv(self) -> str:
         coords = self.grid.nodes()

@@ -71,15 +71,10 @@ def power_gauge(p: float) -> ScalarField:
 
 def table_payoff(gf) -> ScalarField:
     """Payoff defined by linear interpolation of a grid function."""
-    if gf.grid.dim == 1:
-        ax, val = gf.grid.axes[0], gf.values
 
-        def fn(x):
-            return np.interp(x[..., 0], ax, val)
-    else:
-        def fn(x):
-            flat = x.reshape(-1, x.shape[-1])
-            return np.array([gf.interpolate(pt) for pt in flat]).reshape(x.shape[:-1])
+    def fn(x):
+        return gf.interpolate(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
+
     return ScalarField(fn, "table", ())
 
 

@@ -5,16 +5,19 @@ Backward in time from the terminal slice:
     v(t_n) = v(t_{n+1}) + dt * max_u  L^u v(t_{n+1}),
     L^u v  = b(t,x,u) . D_h v + 1/2 Tr(sigma sigma^T D2_h v),
 
-with the drift upwinded by its sign and the diffusion on central (3-point,
-non-uniform) stencils, followed by a constraint step that keeps the slice on
-the G >= 0 side: either projection onto concave functions (G = -M, 1-D) or a
-one-sided penalization.  All stencil weights are non-negative under the CFL
-bound, so the scheme is monotone and discrete comparison holds slice by slice.
+with the drift always upwinded by its sign and the diffusion on central
+(3-point, non-uniform) stencils, all taken from grids.AxisStencil, followed by
+a constraint step that keeps the slice on the G >= 0 side: either projection
+onto concave functions (G = -M, 1-D) or a one-sided penalization.  All
+stencil weights are non-negative under the CFL bound, so the scheme is
+monotone and discrete comparison holds slice by slice.  One stepper serves 1-D
+and 2-D grids; in 2-D the diffusion must be diagonal.
 
 Output time nodes are decoupled from the internal step: each output interval
 is subdivided until the CFL bound is met (an explicitly supplied dt must
 already satisfy it).  Truncation-box edges hold Dirichlet values taken from
-the terminal slice.
+the terminal slice; only nodes off every edge are stepped, and the argmax
+policy at an edge node is copied from its nearest interior node.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .facelift import _constraint_on_grid
-from .grids import GridFunction, SpatialGrid
+from .facelift import _auto_relaxation, _constraint_on_grid
+from .grids import AxisStencil, GridFunction, SpatialGrid, mixed_second
 
 __all__ = [
     "SchemeConfig",
@@ -52,7 +55,6 @@ class SchemeConfig:
     control_grid_resolution: int = 41
     constraint_mode: str = "auto"      # auto | project | penalize | off
     penalty_weight: float | None = None
-    upwind: bool = True
     cfl_safety: float = 1.0
 
     def __post_init__(self):
@@ -80,10 +82,13 @@ class SpaceTimeSolution:
     def slice_at(self, n: int) -> GridFunction:
         return GridFunction(self.grid, self.values[n])
 
-    def value_at(self, t: float, x) -> float:
+    def time_index(self, t: float) -> int:
+        """Index of the latest time node <= t, clamped to the table."""
         n = int(np.searchsorted(self.times, t, side="right") - 1)
-        n = min(max(n, 0), len(self.times) - 1)
-        return GridFunction(self.grid, self.values[n]).interpolate(x)
+        return min(max(n, 0), len(self.times) - 1)
+
+    def value_at(self, t: float, x) -> float:
+        return self.slice_at(self.time_index(t)).interpolate(x)
 
     def to_csv(self) -> str:
         dim = self.grid.dim
@@ -132,50 +137,29 @@ def discrete_generator(problem, u, v_slice: GridFunction, t: float) -> Generator
     u = np.atleast_1d(np.asarray(u, dtype=float))
     grid = v_slice.grid
     v = v_slice.values
-    nodes = grid.nodes()
-    b, sst = _coeff_arrays(problem, nodes, u[None, :], t)
+    b, sst = _coeff_arrays(problem, grid.nodes(), u[None, :], t)
     b = b[0].reshape(grid.shape + (grid.dim,))
     sst = sst[0].reshape(grid.shape + (grid.dim, grid.dim))
 
     out = np.zeros(grid.shape)
-    one_sided = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        a = grid.axes[d]
+    for d, stencil in enumerate(grid.stencils):
         vm = np.moveaxis(v, d, 0)
         bm = np.moveaxis(b[..., d], d, 0)
         s2 = np.moveaxis(sst[..., d, d], d, 0)
-        res = np.zeros_like(vm)
-        hm = (a[1:-1] - a[:-2]).reshape((-1,) + (1,) * (grid.dim - 1))
-        hp = (a[2:] - a[1:-1]).reshape((-1,) + (1,) * (grid.dim - 1))
-        fwd = (vm[2:] - vm[1:-1]) / hp
-        bwd = (vm[1:-1] - vm[:-2]) / hm
-        second = 2.0 * (vm[:-2] / (hm * (hm + hp)) - vm[1:-1] / (hm * hp) + vm[2:] / (hp * (hm + hp)))
-        drift_term = np.maximum(bm[1:-1], 0.0) * fwd + np.minimum(bm[1:-1], 0.0) * bwd
+        second = stencil.second(vm)
+        res = np.empty_like(vm)
+        bi = bm[1:-1]
+        drift_term = np.maximum(bi, 0.0) * stencil.forward(vm) + np.minimum(bi, 0.0) * stencil.backward(vm)
         res[1:-1] = drift_term + 0.5 * s2[1:-1] * second
         # one-sided fallback where the stencil would leave the box
-        res[0] = bm[0] * (vm[1] - vm[0]) / (a[1] - a[0]) + 0.5 * s2[0] * _edge_second(a, vm, True)
-        res[-1] = bm[-1] * (vm[-1] - vm[-2]) / (a[-1] - a[-2]) + 0.5 * s2[-1] * _edge_second(
-            a, vm, False
-        )
+        res[0] = bm[0] * (vm[1] - vm[0]) / stencil.hm[0] + 0.5 * s2[0] * second[0]
+        res[-1] = bm[-1] * (vm[-1] - vm[-2]) / stencil.hp[-1] + 0.5 * s2[-1] * second[-1]
         out += np.moveaxis(res, 0, d)
-        mask = np.zeros_like(vm, dtype=bool)
-        mask[0] = mask[-1] = True
-        one_sided |= np.moveaxis(mask, 0, d)
     if grid.dim == 2 and np.any(np.abs(sst[..., 0, 1]) > 0):
-        dx = (grid.axes[0][2:] - grid.axes[0][:-2])[:, None]
-        dy = (grid.axes[1][2:] - grid.axes[1][:-2])[None, :]
         mixed = np.zeros(grid.shape)
-        mixed[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (dx * dy)
+        mixed[1:-1, 1:-1] = mixed_second(v, grid.axes)
         out += sst[..., 0, 1] * mixed
-    return GeneratorResult(GridFunction(grid, out), one_sided)
-
-
-def _edge_second(a, vm, left: bool):
-    if left:
-        h0, h1 = a[1] - a[0], a[2] - a[1]
-        return 2.0 * (vm[0] / (h0 * (h0 + h1)) - vm[1] / (h0 * h1) + vm[2] / (h1 * (h0 + h1)))
-    h0, h1 = a[-2] - a[-3], a[-1] - a[-2]
-    return 2.0 * (vm[-3] / (h0 * (h0 + h1)) - vm[-2] / (h0 * h1) + vm[-1] / (h1 * (h0 + h1)))
+    return GeneratorResult(GridFunction(grid, out), ~grid.interior_mask())
 
 
 def _float_upper_envelope(x, v):
@@ -199,146 +183,65 @@ def _float_upper_envelope(x, v):
     return out
 
 
-class _Stepper1D:
-    """Precomputed per-control stencil weights for the 1-D explicit step."""
+class _Stepper:
+    """Per-control stencil weights at the interior nodes of a 1-D or 2-D grid.
 
-    def __init__(self, problem, grid, controls, upwind):
+    Only nodes off every edge are stepped (the edges hold Dirichlet data), and
+    neighbours are read by slicing, so no value wraps around the box.
+    """
+
+    def __init__(self, problem, grid, controls):
         self.problem = problem
-        self.x = grid.axes[0]
         self.controls = controls
-        self.upwind = upwind
-        n = self.x.size
-        self.hm = self.x[1:-1] - self.x[:-2]
-        self.hp = self.x[2:] - self.x[1:-1]
-        self.interior_pts = self.x[1:-1, None]
-        self._weights_cache = None
-
-    def weights(self, t):
-        if self._weights_cache is not None and not self.problem.time_dependent:
-            return self._weights_cache
-        b, sst = _coeff_arrays(self.problem, self.interior_pts, self.controls, t)
-        b = b[..., 0]
-        s2 = sst[..., 0, 0]
-        hm, hp = self.hm, self.hp
-        if self.upwind:
-            bp = np.maximum(b, 0.0)
-            bm = np.minimum(b, 0.0)
-            wm = s2 / (hm * (hm + hp)) - bm / hm
-            wp = s2 / (hp * (hm + hp)) + bp / hp
-            w0 = -(s2 / (hm * hp)) - bp / hp + bm / hm
-        else:
-            wm = s2 / (hm * (hm + hp)) - b / (hm + hp)
-            wp = s2 / (hp * (hm + hp)) + b / (hm + hp)
-            w0 = -(s2 / (hm * hp))
-        w = (wm, w0, wp)
-        if not self.problem.time_dependent:
-            self._weights_cache = w
-        return w
-
-    def rate(self, t):
-        return float(np.max(-self.weights(t)[1]))
-
-    def apply(self, v, t, dt, out):
-        wm, w0, wp = self.weights(t)
-        np.multiply(w0, v[1:-1], out=out)
-        out += wm * v[:-2]
-        out += wp * v[2:]
-        out *= dt
-        out += v[1:-1]
-        return out
-
-    def argmax(self, v, t):
-        wm, w0, wp = self.weights(t)
-        vals = w0 * v[1:-1] + wm * v[:-2] + wp * v[2:]
-        idx = np.argmax(vals, axis=0)
-        full = np.empty(v.size, dtype=int)
-        full[1:-1] = idx
-        full[0] = idx[0]
-        full[-1] = idx[-1]
-        return self.controls[full]
-
-
-class _StepperND:
-    """Dimension-split stencil weights for 2-D grids (diagonal diffusion)."""
-
-    def __init__(self, problem, grid, controls, upwind):
-        self.problem = problem
-        self.grid = grid
-        self.controls = controls
-        self.upwind = upwind
-        nodes = grid.nodes()
-        self.inner = np.ones(grid.shape, dtype=bool)
-        for d in range(grid.dim):
-            sl = [slice(None)] * grid.dim
-            for edge in (0, -1):
-                sl[d] = edge
-                self.inner[tuple(sl)] = False
-        self.nodes = nodes
+        dim = grid.dim
+        self.core = grid.interior
+        self.points = grid.nodes().reshape(grid.shape + (dim,))[self.core].reshape(-1, dim)
+        self.stencils = [AxisStencil(a, trailing=dim - 1 - d) for d, a in enumerate(grid.axes)]
+        self.lower = [self.core[:d] + (slice(None, -2),) + self.core[d + 1 :] for d in range(dim)]
+        self.upper = [self.core[:d] + (slice(2, None),) + self.core[d + 1 :] for d in range(dim)]
+        self.buf = np.empty((controls.shape[0],) + tuple(n - 2 for n in grid.shape))
         self._cache = None
 
     def weights(self, t):
         if self._cache is not None and not self.problem.time_dependent:
             return self._cache
-        grid, controls = self.grid, self.controls
-        m = controls.shape[0]
-        b, sst = _coeff_arrays(self.problem, self.nodes, controls, t)
-        shape = (m,) + grid.shape
-        off = np.abs(sst[..., 0, 1]) if grid.dim == 2 else np.zeros(1)
-        if grid.dim == 2 and np.max(off) > 1e-14:
+        shape = self.buf.shape
+        dim = len(self.stencils)
+        b, sst = _coeff_arrays(self.problem, self.points, self.controls, t)
+        if dim > 1 and np.max(np.abs(sst[..., ~np.eye(dim, dtype=bool)])) > 1e-14:
             raise ConfigurationError("2-D solver supports diagonal diffusion only")
-        b = b.reshape(shape + (grid.dim,))
-        w0 = np.zeros(shape)
         neigh = []
-        for d in range(grid.dim):
-            a = grid.axes[d]
-            hm = np.ones(grid.shape)
-            hp = np.ones(grid.shape)
-            sl_h = [None] * grid.dim
-            sh = [1] * grid.dim
-            sh[d] = a.size - 2
-            hm_core = (a[1:-1] - a[:-2]).reshape(sh)
-            hp_core = (a[2:] - a[1:-1]).reshape(sh)
-            core = [slice(1, -1) if dd == d else slice(None) for dd in range(grid.dim)]
-            hm[tuple(core)] = hm_core
-            hp[tuple(core)] = hp_core
-            s2 = sst.reshape(shape + (grid.dim, grid.dim))[..., d, d]
-            bd = b[..., d]
-            bp = np.maximum(bd, 0.0)
-            bm = np.minimum(bd, 0.0)
-            wm = s2 / (hm * (hm + hp)) - bm / hm
-            wp = s2 / (hp * (hm + hp)) + bp / hp
-            w0 += -(s2 / (hm * hp)) - bp / hp + bm / hm
-            neigh.append((d, wm, wp))
+        for d, stencil in enumerate(self.stencils):
+            wm, w0_d, wp = stencil.weights(b[..., d].reshape(shape), sst[..., d, d].reshape(shape))
+            w0 = w0_d if d == 0 else w0 + w0_d
+            neigh.append((wm, wp))
         w = (w0, neigh)
         if not self.problem.time_dependent:
             self._cache = w
         return w
 
     def rate(self, t):
-        w0, _ = self.weights(t)
-        return float(np.max(-w0[:, self.inner]))
+        return float(np.max(-self.weights(t)[0]))
 
-    def step_max(self, v, t, dt):
+    def _generator(self, v, t, out):
         w0, neigh = self.weights(t)
-        acc = v[None, ...] + dt * w0 * v[None, ...]
-        for d, wm, wp in neigh:
-            vm = np.roll(v, 1, axis=d)
-            vp = np.roll(v, -1, axis=d)
-            acc = acc + dt * (wm * vm[None, ...] + wp * vp[None, ...])
-        new = acc.max(axis=0)
-        out = v.copy()
-        out[self.inner] = new[self.inner]
+        np.multiply(w0, v[self.core], out=out)
+        for (wm, wp), lo, hi in zip(neigh, self.lower, self.upper):
+            out += wm * v[lo]
+            out += wp * v[hi]
+        return out
+
+    def step(self, v, t, dt):
+        """v + dt L^u v at the interior nodes, one row per control (a reused buffer)."""
+        out = self._generator(v, t, self.buf)
+        out *= dt
+        out += v[self.core]
         return out
 
     def argmax(self, v, t):
-        w0, neigh = self.weights(t)
-        acc = w0 * v[None, ...]
-        for d, wm, wp in neigh:
-            vm = np.roll(v, 1, axis=d)
-            vp = np.roll(v, -1, axis=d)
-            acc = acc + wm * vm[None, ...] + wp * vp[None, ...]
-        idx = acc.argmax(axis=0)
-        return self.controls[idx]
+        """Argmax control per node; each edge node copies its nearest interior node."""
+        idx = np.argmax(self._generator(v, t, np.empty_like(self.buf)), axis=0)
+        return self.controls[np.pad(idx, 1, mode="edge")]
 
 
 def _resolve_mode(config, problem, grid):
@@ -368,11 +271,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     times = np.linspace(0.0, T, config.n_time_nodes)
     dt_out = times[1] - times[0]
 
-    stepper = (
-        _Stepper1D(problem, grid, controls, config.upwind)
-        if grid.dim == 1
-        else _StepperND(problem, grid, controls, config.upwind)
-    )
+    stepper = _Stepper(problem, grid, controls)
     rate = stepper.rate(T)
     dt_max = config.cfl_safety / rate if rate > 0 else math.inf
     if config.dt is not None:
@@ -389,8 +288,6 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     # penalty weight: strong enough to enforce G_h >= -tol, small enough to stay monotone
     rho = config.penalty_weight
     if mode == "penalize" and rho is None:
-        from .facelift import _auto_relaxation
-
         rho = 0.9 * _auto_relaxation(problem, grid) / dt
 
     n_times = len(times)
@@ -399,48 +296,33 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     policies = np.empty((n_times,) + grid.shape + (k,))
     v = np.array(terminal.values, dtype=float)
     values[-1] = v
-    policies[-1] = stepper.argmax(v, T).reshape(grid.shape + (k,))
+    policies[-1] = stepper.argmax(v, T)
 
     scale = max(1.0, float(np.max(np.abs(v))))
     projections = 0
     t_wall = _time.time()
-    if grid.dim == 1:
+    core = grid.interior
+    if mode == "project":
         x = grid.axes[0]
-        buf = np.empty((controls.shape[0], x.size - 2))
-        hm = x[1:-1] - x[:-2]
-        hp = x[2:] - x[1:-1]
-        for n in range(n_times - 2, -1, -1):
-            for s in range(m_sub):
-                t_from = times[n + 1] - s * dt
-                stepper.apply(v, t_from, dt, buf)
-                v[1:-1] = buf.max(axis=0)
-                if mode == "project":
-                    # trigger only on a real convexity defect (cheap vectorized test)
-                    defect = v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp
-                    if np.max(defect) > _PROJECT_TRIGGER * scale:
-                        v = _float_upper_envelope(x, v)
-                        projections += 1
-                elif mode == "penalize":
-                    gh = _constraint_on_grid(problem, grid, v)
-                    lifted = v - (dt * rho) * gh
-                    v[1:-1] = np.maximum(v, lifted)[1:-1]
-            if not np.all(np.isfinite(v)):
-                raise NumericalError("non-finite values in slice", slice_index=n)
-            values[n] = v
-            policies[n] = stepper.argmax(v, times[n]).reshape(grid.shape + (k,))
-    else:
-        for n in range(n_times - 2, -1, -1):
-            for s in range(m_sub):
-                t_from = times[n + 1] - s * dt
-                v = stepper.step_max(v, t_from, dt)
-                if mode == "penalize":
-                    gh = _constraint_on_grid(problem, grid, v)
-                    lifted = v - (dt * rho) * gh
-                    v[stepper.inner] = np.maximum(v, lifted)[stepper.inner]
-            if not np.all(np.isfinite(v)):
-                raise NumericalError("non-finite values in slice", slice_index=n)
-            values[n] = v
-            policies[n] = stepper.argmax(v, times[n]).reshape(grid.shape + (k,))
+        hm, hp = grid.stencils[0].hm, grid.stencils[0].hp
+    for n in range(n_times - 2, -1, -1):
+        for s in range(m_sub):
+            t_from = times[n + 1] - s * dt
+            v[core] = stepper.step(v, t_from, dt).max(axis=0)
+            if mode == "project":
+                # trigger only on a real convexity defect (cheap vectorized test)
+                defect = v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp
+                if np.max(defect) > _PROJECT_TRIGGER * scale:
+                    v = _float_upper_envelope(x, v)
+                    projections += 1
+            elif mode == "penalize":
+                gh = _constraint_on_grid(problem, grid, v)
+                lifted = v - (dt * rho) * gh
+                v[core] = np.maximum(v, lifted)[core]
+        if not np.all(np.isfinite(v)):
+            raise NumericalError("non-finite values in slice", slice_index=n)
+        values[n] = v
+        policies[n] = stepper.argmax(v, times[n])
 
     raw = GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
     meta = {
@@ -466,14 +348,12 @@ def extract_policy(solution: SpaceTimeSolution):
     """Feedback rule: argmax control at the nearest node, latest time node <= t."""
     from .simulate import FeedbackPolicy
 
-    times = solution.times
     policies = solution.policies
     axes = solution.grid.axes
     bound = float(np.max(np.abs(policies)))
 
     def rule(t, x):
-        n = int(np.searchsorted(times, t, side="right") - 1)
-        n = min(max(n, 0), len(times) - 1)
+        n = solution.time_index(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
         idx = tuple(_nearest_indices(axes[d], x[:, d]) for d in range(len(axes)))
         return policies[n][idx]
@@ -525,9 +405,7 @@ def convergence_study(
                 if resample:
                     fv = problem.payoff(fine.nodes()).reshape(fine.shape)
                 else:
-                    fv = np.array(
-                        [term.interpolate(pt) for pt in fine.nodes()]
-                    ).reshape(fine.shape)
+                    fv = term.interpolate(fine.nodes()).reshape(fine.shape)
                 term = GridFunction(fine, fv)
     elif mode == "time":
         base = solve_hjb(problem, terminal, config)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -236,12 +236,11 @@ def candidate_from_spec(spec: dict, base_dir: str = ".") -> CandidateFunction:
             gf = grid_function_from_csv(fh.read())
         if gf.grid.dim != 1:
             raise ConfigurationError("grid-table candidates are one-dimensional")
-        ax, vals = gf.grid.axes[0], gf.values
         policy = policy_from_spec(spec["policy"], base_dir) if "policy" in spec else None
         if side == "sub" and policy is None:
             policy = constant_policy([0.0])
         return CandidateFunction(
-            evaluator=lambda t, X: np.interp(X[:, 0], ax, vals),
+            evaluator=lambda t, X: gf.interpolate(X),
             kind=side,
             growth_constant=spec["growth_constant"],
             policy_factory=(lambda tau, xi: policy) if side == "sub" else None,
@@ -262,9 +261,10 @@ TOOL_VERSION = "0.1.0"
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write text to path through a temporary file and a rename; mode 0o666 & ~umask."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

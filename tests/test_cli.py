@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
 
+from hjbkit import specio
 from hjbkit.cli import main
 
 MERTON_SPEC = {
@@ -49,6 +51,45 @@ def test_oracle_heat(capsys):
     rc = main(["oracle", "--family", "heat", "--params", "sigma=1,T=1", "--eval", "0,0"])
     assert rc == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
+
+
+def test_oracle_writes_nothing_without_out_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["oracle", "--family", "heat", "--params", "sigma=1,T=1", "--eval", "0,0"])
+    assert rc == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_artifacts_take_the_umask_mode(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        specio.atomic_write_text(str(tmp_path / "a.txt"), "x\n")
+        rc = main(["--out-dir", str(tmp_path / "run"), "oracle", "--family", "heat",
+                   "--params", "sigma=1,T=1", "--eval", "0,0"])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "run"]
+    for path in (tmp_path / "a.txt", tmp_path / "run" / "manifest.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_centred_drift_request_exits_2(tmp_path, capsys):
+    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [21]})
+    rc = main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid,
+               "--time-nodes", "5", "--control-res", "5"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"]["upwind"] = False
+    mpath = write(tmp_path / "centred-manifest.json", manifest)
+    assert main(["--out-dir", str(tmp_path / "replay"), "--manifest", mpath]) == 2
+
+    spec = {"problem": "prob.json", "grid": {"box": [[0.0, 2.0]], "n": [21]},
+            "points": [[0.0, 1.0]], "upwind": False}
+    spath = write(tmp_path / "pipeline.json", spec)
+    assert main(["--out-dir", str(tmp_path / "pipe"), "pipeline", "--spec", spath]) == 2
+    assert "upwind" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit.errors import ConvergenceError, GridMismatchError
-from hjbkit.facelift import exact_concavity_repair
-from hjbkit.problem import positive_constraint
+from hjbkit.facelift import _constraint_on_grid, exact_concavity_repair
+from hjbkit.problem import Constraint, positive_constraint
 
 
 def brute_force_upper_hull(x, v):
@@ -212,3 +213,80 @@ class TestVerifyFacelift:
         g2 = gf(np.linspace(0, 2, 11), np.zeros(11))
         with pytest.raises(GridMismatchError):
             hk.verify_facelift(g1, g2, neg_second_problem)
+
+
+def _reference_derivatives_1d(x, w):
+    """Central first/second differences, one-sided at the edges: the per-line
+    stencil that AxisStencil replaced, kept as the reference."""
+    n = x.size
+    p = np.empty(n)
+    m = np.empty(n)
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    p[1:-1] = (w[2:] - w[:-2]) / (hm + hp)
+    p[0] = (w[1] - w[0]) / (x[1] - x[0])
+    p[-1] = (w[-1] - w[-2]) / (x[-1] - x[-2])
+    m[1:-1] = 2.0 * (
+        w[:-2] / (hm * (hm + hp)) - w[1:-1] / (hm * hp) + w[2:] / (hp * (hm + hp))
+    )
+    for k, (i0, i1, i2) in ((0, (0, 1, 2)), (-1, (-3, -2, -1))):
+        h0, h1 = x[i1] - x[i0], x[i2] - x[i1]
+        m[k] = 2.0 * (w[i0] / (h0 * (h0 + h1)) - w[i1] / (h0 * h1) + w[i2] / (h1 * (h0 + h1)))
+    return p, m
+
+
+def _reference_derivatives_2d(ax, ay, w):
+    """The per-column / per-row loop that the vectorized G_h replaced."""
+    nx, ny = w.shape
+    px, mxx, py, myy = (np.empty_like(w) for _ in range(4))
+    for j in range(ny):
+        px[:, j], mxx[:, j] = _reference_derivatives_1d(ax, w[:, j])
+    for i in range(nx):
+        py[i, :], myy[i, :] = _reference_derivatives_1d(ay, w[i, :])
+    mxy = np.zeros_like(w)
+    dx = ax[2:] - ax[:-2]
+    dy = ay[2:] - ay[:-2]
+    mxy[1:-1, 1:-1] = (w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]) / (dx[:, None] * dy[None, :])
+    mxy[0, :], mxy[-1, :] = mxy[1, :], mxy[-2, :]
+    mxy[:, 0], mxy[:, -1] = mxy[:, 1], mxy[:, -2]
+    return px, py, mxx, myy, mxy
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestConstraintOnGrid:
+    def _derivatives(self, grid, w):
+        """The (P, M) arrays G_h hands to the constraint."""
+        seen = []
+
+        class Recording(Constraint):
+            def on_nodes(self, t, X, P, M):
+                seen.append((P.copy(), M.copy()))
+                return np.zeros(X.shape[0])
+
+        prob = dataclasses.replace(hk.heat_problem(dim=grid.dim), constraint=Recording(None))
+        _constraint_on_grid(prob, grid, w)
+        return seen[0]
+
+    def test_two_d_matches_column_loop_bitwise(self):
+        rng = np.random.default_rng(31)
+        ax = np.sort(np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 13)]))
+        ay = np.sort(np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 9)]))
+        grid = hk.SpatialGrid((ax, ay))
+        w = rng.normal(size=grid.shape)
+        P, M = self._derivatives(grid, w)
+        px, py, mxx, myy, mxy = _reference_derivatives_2d(ax, ay, w)
+        for got, want in ((P[:, 0], px), (P[:, 1], py), (M[:, 0, 0], mxx), (M[:, 1, 1], myy),
+                          (M[:, 0, 1], mxy), (M[:, 1, 0], mxy)):
+            assert np.array_equal(_bits(got), _bits(want.ravel()))
+
+    def test_one_d_matches_reference_bitwise(self):
+        rng = np.random.default_rng(32)
+        x = np.sort(np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 20)]))
+        w = rng.normal(size=x.size)
+        P, M = self._derivatives(hk.SpatialGrid((x,)), w)
+        p, m = _reference_derivatives_1d(x, w)
+        assert np.array_equal(_bits(P[:, 0]), _bits(p))
+        assert np.array_equal(_bits(M[:, 0, 0]), _bits(m))

@@ -6,7 +6,15 @@ import pytest
 import hjbkit as hk
 from hjbkit.errors import ConfigurationError
 from hjbkit.oracles import heat_value, merton_value
-from hjbkit.problem import abs_payoff, constant_payoff
+from hjbkit.problem import (
+    ControlProblem,
+    ScalarField,
+    abs_payoff,
+    box_control_set,
+    constant_payoff,
+    one_plus_square_gauge,
+    positive_constraint,
+)
 from hjbkit.solver import discrete_generator
 
 
@@ -37,11 +45,17 @@ class TestDiscreteGenerator:
 
     def test_two_d_quadratic(self):
         prob = hk.heat_problem(dim=2)
-        grid = hk.uniform_grid([-1, -1], [1, 1], [11, 11])
-        X = grid.nodes()
-        vals = (X[:, 0] ** 2 + X[:, 1] ** 2).reshape(grid.shape)
-        res = discrete_generator(prob, [0.0], hk.GridFunction(grid, vals), 0.0)
-        assert np.max(np.abs(res.values.values - 2.0)) < 1e-10
+        # the 3-point second difference is exact on quadratics for any spacing,
+        # so a graded grid checks the non-uniform stencil along both axes
+        graded = hk.SpatialGrid((
+            -1.0 + 2.0 * np.linspace(0.0, 1.0, 11) ** 1.5,
+            np.sinh(np.linspace(-2.0, 2.0, 9)) / np.sinh(2.0),
+        ))
+        for grid in (hk.uniform_grid([-1, -1], [1, 1], [11, 11]), graded):
+            X = grid.nodes()
+            vals = (X[:, 0] ** 2 + X[:, 1] ** 2).reshape(grid.shape)
+            res = discrete_generator(prob, [0.0], hk.GridFunction(grid, vals), 0.0)
+            assert np.max(np.abs(res.values.values - 2.0)) < 1e-10
 
 
 class TestSolveHJB:
@@ -152,6 +166,30 @@ class TestSolveHJB:
         closed = (X**2).sum(axis=1).reshape(grid.shape) + 2.0
         err = np.abs(sol.values[0] - closed)
         assert np.max(err[trust]) < 0.05
+
+    def test_two_d_edge_policy_copies_nearest_interior(self):
+        # drift (u, 0) on v = x0: every interior argmax is u = +1; an edge node
+        # must copy its nearest interior node, not read values wrapped around
+        # from the opposite side of the box
+        def drift(t, x, u):
+            b = np.zeros(x.shape)
+            b[..., 0] = u[..., 0]
+            return b
+
+        def diffusion(t, x, u):
+            return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
+
+        prob = ControlProblem(
+            drift=drift, diffusion=diffusion, state_dim=2, noise_dim=2, control_dim=1,
+            control_bound=1.0, control_set=box_control_set([-1.0], [1.0]),
+            state_domain=hk.Box(np.full(2, -np.inf), np.full(2, np.inf)), horizon=0.5,
+            payoff=ScalarField(lambda x: x[..., 0], "x0"), gauge=one_plus_square_gauge(),
+            gauge_constant=2.0, constraint=positive_constraint(1.0),
+        )
+        grid = hk.uniform_grid([-1, -1], [1, 1], [9, 9])
+        term = hk.GridFunction(grid, grid.nodes()[:, 0].reshape(grid.shape))
+        sol = hk.solve_hjb(prob, term, hk.SchemeConfig(n_time_nodes=5, control_grid_resolution=5))
+        assert np.all(sol.policies == 1.0)
 
 
 class TestTerminalLayer:
