@@ -32,7 +32,7 @@ from .certify import (
 )
 from .errors import ConfigurationError, ConvergenceError, NumericalError
 from .facelift import concave_envelope, facelift_general
-from .grids import Box, GridFunction
+from .grids import Box, GridFunction, box_from_pairs
 from .oracles import heat_value, merton_value
 from .simulate import estimate_value, simulate_paths
 from .solver import SchemeConfig, convergence_study, extract_policy, solve_hjb
@@ -103,10 +103,6 @@ def _report_from_json(doc: dict) -> CertificationReport:
         seed=doc["seed"],
         adversary_class=doc.get("adversary_class", ""),
     )
-
-
-def _box_from_pairs(pairs) -> Box:
-    return Box(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,7 @@ def _run_simulate(cfg, out_dir):
     with open(cfg["policy"]) as fh:
         policy_spec = json.load(fh)
     policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(cfg["policy"]) or ".")
-    box = _box_from_pairs(cfg["simulation_box"]) if cfg.get("simulation_box") else None
+    box = box_from_pairs(cfg["simulation_box"]) if cfg.get("simulation_box") else None
     ens = simulate_paths(
         problem, policy, cfg["t0"], cfg["x0"], int(cfg["paths"]), int(cfg["steps"]),
         int(cfg["seed"]), box,
@@ -231,7 +227,7 @@ def _run_simulate(cfg, out_dir):
 
 def _certify_config(cfg, problem) -> CertifyConfig:
     if cfg.get("start_box"):
-        box = _box_from_pairs(cfg["start_box"])
+        box = box_from_pairs(cfg["start_box"])
     else:
         lo = np.where(np.isfinite(problem.state_domain.lo), problem.state_domain.lo, -1.0)
         hi = np.where(np.isfinite(problem.state_domain.hi), problem.state_domain.hi, 1.0)
@@ -359,12 +355,12 @@ def _run_pipeline(cfg, out_dir):
     seed = int(spec.get("seed", 0))
     config = _scheme_config(spec)
 
-    def _fail(stage, exc, code):
+    def _fail(stage, exc):
         report["stages"][stage] = f"failed: {exc}"
         specio.atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         specio.write_manifest(out_dir, "pipeline", cfg, [cfg["spec"]], seed, [spec.get("out", "pipeline-report.json")])
         print(f"pipeline failed at stage {stage}: {exc}")
-        return code
+        return EXIT_CONFIG if isinstance(exc, ConfigurationError) else EXIT_NUMERIC
 
     g = _payoff_values(problem, grid)
     # stage 1: face-lift
@@ -373,7 +369,7 @@ def _run_pipeline(cfg, out_dir):
         report["facelift_sup_distance"] = float(np.max(ghat.values - g.values))
         report["stages"]["facelift"] = "ok"
     except (ConfigurationError, ConvergenceError) as exc:
-        return _fail("facelift", exc, EXIT_NUMERIC)
+        return _fail("facelift", exc)
 
     # stage 2: solve
     try:
@@ -382,7 +378,7 @@ def _run_pipeline(cfg, out_dir):
         report["solver_value_at_points"] = [sol.value_at(t, x) for t, x in points]
         report["stages"]["solve"] = "ok"
     except (ConfigurationError, NumericalError) as exc:
-        return _fail("solve", exc, EXIT_NUMERIC)
+        return _fail("solve", exc)
 
     # stage 3: policy extraction + simulation at the first point
     policy = extract_policy(sol)
@@ -554,32 +550,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
-    if args.manifest:
-        try:
-            manifest = specio.load_manifest(args.manifest)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot load manifest: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        sub = manifest["subcommand"]
-        if args.subcommand and args.subcommand != sub:
-            print(f"manifest records subcommand {sub!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = manifest["config"]
-        subcommand = sub
-    else:
-        if not args.subcommand:
-            parser.print_usage()
-            return EXIT_CONFIG
-        cfg = _config_from_args(args)
-        if "seed" not in cfg or cfg.get("seed") is None:
-            cfg["seed"] = args.seed
-        subcommand = args.subcommand
-
-    # oracle only prints its value; it writes a manifest only into an explicit --out-dir
-    out_dir = args.out_dir if args.out_dir is not None or subcommand == "oracle" else "."
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     try:
+        if args.manifest:
+            manifest = specio.load_manifest(args.manifest)
+            subcommand = manifest["subcommand"]
+            if args.subcommand and args.subcommand != subcommand:
+                print(f"manifest records subcommand {subcommand!r}", file=sys.stderr)
+                return EXIT_CONFIG
+            cfg = manifest["config"]
+        else:
+            if not args.subcommand:
+                parser.print_usage()
+                return EXIT_CONFIG
+            cfg = _config_from_args(args)
+            if "seed" not in cfg or cfg.get("seed") is None:
+                cfg["seed"] = args.seed
+            subcommand = args.subcommand
+
+        # oracle only prints its value; it writes a manifest only into an explicit --out-dir
+        out_dir = args.out_dir if args.out_dir is not None or subcommand == "oracle" else "."
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
         return _HANDLERS[subcommand](cfg, out_dir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -127,6 +127,13 @@ class Box:
         return 0.5 * (lo + hi)
 
 
+def box_from_pairs(pairs) -> Box:
+    """Box from one (lo, hi) pair per dimension; None is an infinite edge."""
+    lo = [-np.inf if a is None else float(a) for a, _ in pairs]
+    hi = [np.inf if b is None else float(b) for _, b in pairs]
+    return Box(np.array(lo), np.array(hi))
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Strictly increasing node arrays per dimension plus the truncation box."""

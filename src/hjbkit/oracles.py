@@ -13,8 +13,6 @@ same quadratic is used as an independent cross-check in the tests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import replace
 
@@ -84,62 +82,21 @@ def heat_value(
     raise ValueError(f"unsupported payoff tag {payoff!r}")
 
 
-_REFERENCE_CACHE: dict = {}
-
-
-def _problem_cache_key(problem, terminal, fine_factor, config):
-    if problem.family == "custom":
-        return None
-    blob = json.dumps(
-        {
-            "family": problem.family,
-            "params": problem.params,
-            "horizon": problem.horizon,
-            "bound": problem.control_bound,
-            "fine_factor": fine_factor,
-            "config": (
-                config.n_time_nodes,
-                config.control_grid_resolution,
-                config.constraint_mode,
-            ),
-        },
-        sort_keys=True,
-    ).encode()
-    h = hashlib.sha256(blob)
-    for a in terminal.grid.axes:
-        h.update(a.tobytes())
-    h.update(terminal.values.tobytes())
-    return h.hexdigest()
-
-
 def dense_reference(problem, terminal: GridFunction, fine_factor: int = 2, config=None) -> GridFunction:
     """Solve on a fine_factor-refined grid, restricted back to the coarse nodes.
 
-    Results are cached on a content hash of the problem spec and inputs so
-    repeated acceptance runs do not re-pay the fine solve.
+    The fine terminal comes from `solver.refined_terminals`: the payoff
+    resampled when the terminal equals it, the terminal interpolated otherwise.
     """
-    from .solver import SchemeConfig, solve_hjb
+    from .solver import SchemeConfig, refined_terminals, solve_hjb
 
     if fine_factor < 2 or fine_factor & (fine_factor - 1):
         raise ValueError("fine_factor must be a power of two >= 2")
     if config is None:
         config = SchemeConfig()
-    key = _problem_cache_key(problem, terminal, fine_factor, config)
-    if key is not None and key in _REFERENCE_CACHE:
-        return _REFERENCE_CACHE[key]
-
     levels = fine_factor.bit_length() - 1
-    grid = terminal.grid
-    vals = terminal.values
-    for _ in range(levels):
-        fine = grid.refine()
-        vals = problem.payoff(fine.nodes()).reshape(fine.shape)
-        grid = fine
-    fine_term = GridFunction(grid, vals)
+    fine_term = refined_terminals(problem, terminal, levels)[-1]
     fine_config = replace(config, n_time_nodes=(config.n_time_nodes - 1) * fine_factor + 1)
     sol = solve_hjb(problem, fine_term, fine_config)
-    stride = tuple(slice(None, None, fine_factor) for _ in range(grid.dim))
-    out = GridFunction(terminal.grid, sol.values[0][stride])
-    if key is not None:
-        _REFERENCE_CACHE[key] = out
-    return out
+    stride = tuple(slice(None, None, fine_factor) for _ in range(terminal.grid.dim))
+    return GridFunction(terminal.grid, sol.values[0][stride])

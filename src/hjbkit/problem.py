@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
-from .grids import Box
+from .errors import ConfigurationError, DomainError
+from .grids import Box, box_from_pairs
 
 DIVERGENCE_TOL_REL = 1e-3   # relative growth per bound doubling that flags H = +inf
 COMPAT_TOL = 1e-9           # absolute slack in the H-finite <=> G >= 0 checks
@@ -51,7 +52,7 @@ def abs_payoff(center: float = 1.0) -> ScalarField:
     return ScalarField(lambda x: np.abs(x[..., 0] - center), "abs", (("center", center),))
 
 
-def affine_payoff(slope: float, intercept: float = 0.0) -> ScalarField:
+def affine_payoff(slope: float = 1.0, intercept: float = 0.0) -> ScalarField:
     return ScalarField(
         lambda x: slope * x[..., 0] + intercept, "affine", (("slope", slope), ("intercept", intercept))
     )
@@ -67,15 +68,6 @@ def one_plus_square_gauge() -> ScalarField:
 
 def power_gauge(p: float) -> ScalarField:
     return ScalarField(lambda x: np.maximum(x[..., 0], 1e-300) ** p, "power", (("p", p),))
-
-
-def table_payoff(gf) -> ScalarField:
-    """Payoff defined by linear interpolation of a grid function."""
-
-    def fn(x):
-        return gf.interpolate(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
-
-    return ScalarField(fn, "table", ())
 
 
 @dataclass(frozen=True)
@@ -423,35 +415,24 @@ def probe_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# Built-in coefficient families
+# Built-in coefficient families and the one problem builder
 # ---------------------------------------------------------------------------
 
-def _linear_drift_maps(mu, sigma):
+def _control_scaled_maps(scale, mu, sigma):
+    """b = u mu scale(x) and sigma = u sigma scale(x), one state and one noise dimension."""
+    mu, sigma = float(mu), float(sigma)
+
     def drift(t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return mu * u[..., :1] * x
+        return mu * u[..., :1] * scale(x)
 
     def diffusion(t, x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        return (sigma * u[..., :1] * x)[..., None]
+        return (sigma * u[..., :1] * scale(x))[..., None]
 
-    return drift, diffusion
-
-
-def _proportional_control_maps(mu, sigma):
-    def drift(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return mu * u[..., :1] * np.ones_like(x)
-
-    def diffusion(t, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return (sigma * u[..., :1] * np.ones_like(x))[..., None]
-
-    return drift, diffusion
+    return drift, diffusion, (1, 1), {"mu": mu, "sigma": sigma}
 
 
 def _constant_maps(b0, s0):
@@ -464,11 +445,62 @@ def _constant_maps(b0, s0):
 
     def diffusion(t, x, u):
         x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1] + (1, 1)) * s0 if s0.shape == (1, 1) else np.broadcast_to(
-            s0, x.shape[:-1] + s0.shape
-        ).copy()
+        return np.broadcast_to(s0, x.shape[:-1] + s0.shape).copy()
 
-    return drift, diffusion
+    return drift, diffusion, (b0.size, s0.shape[1]), {"b0": b0.tolist(), "s0": s0.tolist()}
+
+
+# family -> maps(**params) -> (drift, diffusion, (state_dim, noise_dim), params as floats)
+_COEFFICIENT_FAMILIES = {
+    "linear_drift": partial(_control_scaled_maps, lambda x: x),
+    "proportional_control": partial(_control_scaled_maps, np.ones_like),
+    "constant": _constant_maps,
+}
+
+
+def build_problem(
+    family: str,
+    params: dict,
+    state_domain,
+    control_bound: float,
+    horizon: float,
+    payoff: ScalarField,
+    gauge: ScalarField,
+    gauge_constant: float,
+    constraint: Constraint,
+    control_set=None,
+) -> ControlProblem:
+    """A problem with built-in coefficients: the one place a ControlProblem is made.
+
+    ``state_domain`` holds one (lo, hi) pair per state dimension and
+    ``control_set`` a list of boxes in the same form, with None for an
+    infinite edge.  The state and noise dimensions follow from the family and
+    its parameters; the control set defaults to {0} for ``constant``
+    coefficients and to the whole line otherwise.
+    """
+    if family not in _COEFFICIENT_FAMILIES:
+        raise ConfigurationError(f"unknown coefficient family {family!r}")
+    drift, diffusion, (state_dim, noise_dim), params = _COEFFICIENT_FAMILIES[family](**params)
+    if control_set is None:
+        control_set = [[(0.0, 0.0)]] if family == "constant" else [[(None, None)]]
+    cset = ControlSet(tuple(box_from_pairs(pairs) for pairs in control_set))
+    return ControlProblem(
+        drift=drift,
+        diffusion=diffusion,
+        state_dim=state_dim,
+        noise_dim=noise_dim,
+        control_dim=cset.dim,
+        control_bound=float(control_bound),
+        control_set=cset,
+        state_domain=box_from_pairs(state_domain),
+        horizon=float(horizon),
+        payoff=payoff,
+        gauge=gauge,
+        gauge_constant=float(gauge_constant),
+        constraint=constraint,
+        family=family,
+        params=params,
+    )
 
 
 def merton_problem(
@@ -483,23 +515,16 @@ def merton_problem(
     The control is the proportion of wealth at risk, so the state never leaves
     the domain for any bounded control.
     """
-    drift, diffusion = _linear_drift_maps(mu, sigma)
-    return ControlProblem(
-        drift=drift,
-        diffusion=diffusion,
-        state_dim=1,
-        noise_dim=1,
-        control_dim=1,
+    return build_problem(
+        family="linear_drift",
+        params={"mu": mu, "sigma": sigma},
+        state_domain=[(0.0, None)],
         control_bound=bound,
-        control_set=full_control_space(1),
-        state_domain=Box(np.array([0.0]), np.array([np.inf])),
         horizon=horizon,
         payoff=power_payoff(p),
         gauge=power_gauge(p),
         gauge_constant=1.0,
         constraint=neg_second_constraint(),
-        family="linear_drift",
-        params={"mu": mu, "sigma": sigma, "p": p, "bound": bound},
     )
 
 
@@ -512,23 +537,16 @@ def proportional_control_problem(
     constraint: Constraint | None = None,
 ) -> ControlProblem:
     """Additive control model on the whole line: dX = u mu dt + u sigma dW."""
-    drift, diffusion = _proportional_control_maps(mu, sigma)
-    return ControlProblem(
-        drift=drift,
-        diffusion=diffusion,
-        state_dim=1,
-        noise_dim=1,
-        control_dim=1,
+    return build_problem(
+        family="proportional_control",
+        params={"mu": mu, "sigma": sigma},
+        state_domain=[(None, None)],
         control_bound=bound,
-        control_set=full_control_space(1),
-        state_domain=Box(np.array([-np.inf]), np.array([np.inf])),
         horizon=horizon,
         payoff=payoff if payoff is not None else quadratic_payoff(),
         gauge=one_plus_square_gauge(),
         gauge_constant=2.0,
         constraint=constraint if constraint is not None else neg_second_constraint(),
-        family="proportional_control",
-        params={"mu": mu, "sigma": sigma, "bound": bound},
     )
 
 
@@ -539,24 +557,7 @@ def heat_problem(
     dim: int = 1,
 ) -> ControlProblem:
     """Uncontrolled diffusion dX = sigma dW with a compact (singleton) control set."""
-    drift, diffusion = _constant_maps(np.zeros(dim), sigma * np.eye(dim))
-    return ControlProblem(
-        drift=drift,
-        diffusion=diffusion,
-        state_dim=dim,
-        noise_dim=dim,
-        control_dim=1,
-        control_bound=0.0,
-        control_set=box_control_set([0.0], [0.0]),
-        state_domain=Box(np.full(dim, -np.inf), np.full(dim, np.inf)),
-        horizon=horizon,
-        payoff=payoff if payoff is not None else quadratic_payoff(),
-        gauge=one_plus_square_gauge(),
-        gauge_constant=1.0,
-        constraint=positive_constraint(1.0),
-        family="constant",
-        params={"sigma": sigma, "dim": dim},
-    )
+    return constant_coefficient_problem(np.zeros(dim), sigma * np.eye(dim), horizon, payoff)
 
 
 def constant_coefficient_problem(
@@ -566,24 +567,14 @@ def constant_coefficient_problem(
     payoff: ScalarField | None = None,
     constraint: Constraint | None = None,
 ) -> ControlProblem:
-    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-    s0 = np.atleast_2d(np.asarray(s0, dtype=float))
-    d = b0.size
-    drift, diffusion = _constant_maps(b0, s0)
-    return ControlProblem(
-        drift=drift,
-        diffusion=diffusion,
-        state_dim=d,
-        noise_dim=s0.shape[1],
-        control_dim=1,
+    return build_problem(
+        family="constant",
+        params={"b0": b0, "s0": s0},
+        state_domain=[(None, None)] * np.size(b0),
         control_bound=0.0,
-        control_set=box_control_set([0.0], [0.0]),
-        state_domain=Box(np.full(d, -np.inf), np.full(d, np.inf)),
         horizon=horizon,
         payoff=payoff if payoff is not None else quadratic_payoff(),
         gauge=one_plus_square_gauge(),
         gauge_constant=1.0,
         constraint=constraint if constraint is not None else positive_constraint(1.0),
-        family="constant",
-        params={"b0": b0.tolist(), "s0": s0.tolist()},
     )

@@ -55,7 +55,6 @@ class SchemeConfig:
     control_grid_resolution: int = 41
     constraint_mode: str = "auto"      # auto | project | penalize | off
     penalty_weight: float | None = None
-    cfl_safety: float = 1.0
 
     def __post_init__(self):
         if self.n_time_nodes < 2:
@@ -273,7 +272,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
 
     stepper = _Stepper(problem, grid, controls)
     rate = stepper.rate(T)
-    dt_max = config.cfl_safety / rate if rate > 0 else math.inf
+    dt_max = 1.0 / rate if rate > 0 else math.inf
     if config.dt is not None:
         if config.dt > dt_max * (1 + 1e-12):
             raise ConfigurationError(
@@ -368,6 +367,23 @@ class ConvergenceStudy:
     orders: tuple
 
 
+def refined_terminals(problem, terminal: GridFunction, levels: int) -> list:
+    """The terminal followed by its data on `levels` successive dyadic refinements.
+
+    The payoff is resampled on the fine nodes when the terminal equals it on
+    the coarse nodes, so interpolation error does not floor a refinement
+    study; any other terminal (a face-lift, say) is interpolated.
+    """
+    g_vals = problem.payoff(terminal.grid.nodes()).reshape(terminal.grid.shape)
+    resample = np.allclose(g_vals, terminal.values, rtol=1e-12, atol=1e-12)
+    terms = [terminal]
+    for _ in range(levels):
+        fine = terms[-1].grid.refine()
+        source = problem.payoff if resample else terms[-1].interpolate
+        terms.append(GridFunction(fine, source(fine.nodes()).reshape(fine.shape)))
+    return terms
+
+
 def convergence_study(
     problem,
     terminal: GridFunction,
@@ -379,34 +395,21 @@ def convergence_study(
 
     mode="space" refines the grid (internal dt follows the CFL bound);
     mode="time" keeps the grid and halves dt below a CFL-valid base.  The
-    terminal data is resampled from the problem payoff when it matches it on
-    the coarse nodes, so interpolation error does not floor the estimate.
+    refined terminals come from `refined_terminals`.
     """
     if refinements < 2:
         raise ConfigurationError("refinements must be >= 2")
     if config is None:
         config = SchemeConfig()
-    g_vals = problem.payoff(terminal.grid.nodes()).reshape(terminal.grid.shape)
-    resample = np.allclose(g_vals, terminal.values, rtol=1e-12, atol=1e-12)
 
     slices = []
     shapes = []
     if mode == "space":
-        grid = terminal.grid
-        term = terminal
-        for level in range(refinements + 1):
+        for level, term in enumerate(refined_terminals(problem, terminal, refinements)):
             sol = solve_hjb(problem, term, config)
-            stride = 2**level
-            sl = tuple(slice(None, None, stride) for _ in range(grid.dim))
+            sl = tuple(slice(None, None, 2**level) for _ in range(term.grid.dim))
             slices.append(sol.values[0][sl])
             shapes.append(sol.grid.shape)
-            if level < refinements:
-                fine = term.grid.refine()
-                if resample:
-                    fv = problem.payoff(fine.nodes()).reshape(fine.shape)
-                else:
-                    fv = term.interpolate(fine.nodes()).reshape(fine.shape)
-                term = GridFunction(fine, fv)
     elif mode == "time":
         base = solve_hjb(problem, terminal, config)
         dt0 = base.metadata["dt_internal"]

@@ -19,19 +19,13 @@ import numpy as np
 
 from .certify import CandidateFunction, candidate_from_solution, constant_candidate, merton_candidate
 from .errors import ConfigurationError
-from .grids import Box, GridFunction, SpatialGrid, grid_function_from_csv, log_grid, uniform_grid
+from .grids import GridFunction, SpatialGrid, grid_function_from_csv, log_grid, uniform_grid
 from .problem import (
     ControlProblem,
-    ControlSet,
-    ScalarField,
-    _constant_maps,
-    _linear_drift_maps,
-    _proportional_control_maps,
     abs_payoff,
     affine_payoff,
-    box_control_set,
+    build_problem,
     constant_payoff,
-    full_control_space,
     neg_second_constraint,
     neg_trace_constraint,
     one_plus_square_gauge,
@@ -45,98 +39,53 @@ from .solver import SpaceTimeSolution
 
 
 # ---------------------------------------------------------------------------
-# scalar fields / constraints
+# problems and grids: the boundary for documents from outside the program
 # ---------------------------------------------------------------------------
 
-def payoff_from_spec(spec: dict) -> ScalarField:
-    fam = spec["family"]
-    pr = spec.get("params", {})
-    if fam == "power":
-        return power_payoff(pr["p"])
-    if fam == "quadratic":
-        return quadratic_payoff()
-    if fam == "abs":
-        return abs_payoff(pr.get("center", 1.0))
-    if fam == "affine":
-        return affine_payoff(pr.get("slope", 1.0), pr.get("intercept", 0.0))
-    if fam == "constant":
-        return constant_payoff(pr["c"])
-    raise ConfigurationError(f"unknown payoff family {fam!r}")
+PAYOFFS = {
+    "power": power_payoff,
+    "quadratic": quadratic_payoff,
+    "abs": abs_payoff,
+    "affine": affine_payoff,
+    "constant": constant_payoff,
+}
+GAUGES = {"power": power_gauge, "one_plus_square": one_plus_square_gauge}
+CONSTRAINTS = {
+    "neg_second": neg_second_constraint,
+    "neg_trace": neg_trace_constraint,
+    "positive_const": positive_constraint,
+}
+
+# what a malformed document raises on its way through the builders
+_MALFORMED = (AttributeError, LookupError, TypeError, ValueError)
 
 
-def gauge_from_spec(spec: dict) -> ScalarField:
-    fam = spec["family"]
-    pr = spec.get("params", {})
-    if fam == "power":
-        return power_gauge(pr["p"])
-    if fam == "one_plus_square":
-        return one_plus_square_gauge()
-    raise ConfigurationError(f"unknown gauge family {fam!r}")
-
-
-def constraint_from_spec(spec: dict):
-    fam = spec["family"]
-    pr = spec.get("params", {})
-    if fam == "neg_second":
-        return neg_second_constraint()
-    if fam == "neg_trace":
-        return neg_trace_constraint()
-    if fam == "positive_const":
-        return positive_constraint(pr.get("c", 1.0))
-    raise ConfigurationError(f"unknown constraint family {fam!r}")
-
-
-def _edges(pairs):
-    lo = np.array([(-np.inf if a is None else float(a)) for a, _ in pairs])
-    hi = np.array([(np.inf if b is None else float(b)) for _, b in pairs])
-    return lo, hi
+def _from_table(table: dict, spec: dict, what: str):
+    """The factory named by spec["family"], called with spec["params"] as floats."""
+    if spec["family"] not in table:
+        raise ConfigurationError(f"unknown {what} family {spec['family']!r}")
+    params = {name: float(value) for name, value in spec.get("params", {}).items()}
+    return table[spec["family"]](**params)
 
 
 def problem_from_spec(spec: dict) -> ControlProblem:
-    fam = spec["family"]
-    pr = dict(spec.get("params", {}))
-    if fam == "linear_drift":
-        drift, diffusion = _linear_drift_maps(pr["mu"], pr["sigma"])
-        d = dprime = k = 1
-    elif fam == "proportional_control":
-        drift, diffusion = _proportional_control_maps(pr["mu"], pr["sigma"])
-        d = dprime = k = 1
-    elif fam == "constant":
-        b0 = np.atleast_1d(np.asarray(pr["b0"], dtype=float))
-        s0 = np.atleast_2d(np.asarray(pr["s0"], dtype=float))
-        drift, diffusion = _constant_maps(b0, s0)
-        d, dprime, k = b0.size, s0.shape[1], 1
-    else:
-        raise ConfigurationError(f"unknown coefficient family {fam!r}")
-
-    lo, hi = _edges(spec["state_domain"])
-    if "control_set" in spec:
-        boxes = tuple(Box(*_edges(bx)) for bx in spec["control_set"])
-        cset = ControlSet(boxes)
-        k = cset.dim
-    elif fam == "constant":
-        cset = box_control_set([0.0], [0.0])
-    else:
-        cset = full_control_space(k)
-
-    gauge_spec = spec["gauge"]
-    return ControlProblem(
-        drift=drift,
-        diffusion=diffusion,
-        state_dim=d,
-        noise_dim=dprime,
-        control_dim=k,
-        control_bound=float(spec["control_bound"]),
-        control_set=cset,
-        state_domain=Box(lo, hi),
-        horizon=float(spec["horizon"]),
-        payoff=payoff_from_spec(spec["payoff"]),
-        gauge=gauge_from_spec(gauge_spec),
-        gauge_constant=float(gauge_spec.get("constant", 1.0)),
-        constraint=constraint_from_spec(spec["constraint"]),
-        family=fam,
-        params=pr,
-    )
+    try:
+        return build_problem(
+            family=spec["family"],
+            params=spec.get("params", {}),
+            state_domain=spec["state_domain"],
+            control_bound=spec["control_bound"],
+            horizon=spec["horizon"],
+            payoff=_from_table(PAYOFFS, spec["payoff"], "payoff"),
+            gauge=_from_table(GAUGES, spec["gauge"], "gauge"),
+            gauge_constant=spec["gauge"].get("constant", 1.0),
+            constraint=_from_table(CONSTRAINTS, spec["constraint"], "constraint"),
+            control_set=spec.get("control_set"),
+        )
+    except ConfigurationError:
+        raise
+    except _MALFORMED as exc:
+        raise ConfigurationError(f"malformed problem document: {exc!r}") from exc
 
 
 def load_problem(path: str) -> ControlProblem:
@@ -145,20 +94,25 @@ def load_problem(path: str) -> ControlProblem:
 
 
 def grid_from_spec(spec: dict) -> SpatialGrid:
-    if "nodes" in spec:
-        return SpatialGrid(tuple(np.asarray(a, dtype=float) for a in spec["nodes"]))
-    box = spec["box"]
-    n = spec["n"]
-    spacing = spec.get("spacing", "uniform")
-    if spacing == "uniform":
-        lo = [b[0] for b in box]
-        hi = [b[1] for b in box]
-        return uniform_grid(lo, hi, n)
-    if spacing == "log":
-        if len(box) != 1:
-            raise ConfigurationError("log spacing is one-dimensional")
-        return log_grid(box[0][0], box[0][1], n if np.isscalar(n) else n[0])
-    raise ConfigurationError(f"unknown spacing {spacing!r}")
+    try:
+        if "nodes" in spec:
+            return SpatialGrid(tuple(np.asarray(a, dtype=float) for a in spec["nodes"]))
+        box = spec["box"]
+        n = spec["n"]
+        spacing = spec.get("spacing", "uniform")
+        if spacing == "uniform":
+            lo = [b[0] for b in box]
+            hi = [b[1] for b in box]
+            return uniform_grid(lo, hi, n)
+        if spacing == "log":
+            if len(box) != 1:
+                raise ConfigurationError("log spacing is one-dimensional")
+            return log_grid(box[0][0], box[0][1], n if np.isscalar(n) else n[0])
+        raise ConfigurationError(f"unknown spacing {spacing!r}")
+    except ConfigurationError:
+        raise
+    except _MALFORMED as exc:
+        raise ConfigurationError(f"malformed grid document: {exc!r}") from exc
 
 
 def load_grid(path: str) -> SpatialGrid:

@@ -273,3 +273,54 @@ def test_pipeline_small_merton(tmp_path):
     assert doc["facelift_sup_distance"] == 0.0
     gap_frac = doc["bracket"]["points"][0]["gap_fraction"]
     assert gap_frac < 0.03
+
+
+MALFORMED_PROBLEMS = {
+    "constraint-string": dict(KINK_SPEC, constraint="neg_second"),
+    "payoff-string": dict(KINK_SPEC, payoff="abs"),
+    "params-list": dict(KINK_SPEC, params=[1, 2]),
+    "params-not-numbers": dict(KINK_SPEC, params={"mu": "a", "sigma": 1.0}),
+    "unknown-coefficient-parameter": dict(KINK_SPEC, params={"mu": 1.0, "sigma": 1.0, "nu": 1.0}),
+    "unknown-payoff-parameter": dict(KINK_SPEC, payoff={"family": "abs", "params": {"centre": 1.0}}),
+    "domain-without-pairs": dict(KINK_SPEC, state_domain=[0.0]),
+    "horizon-null": dict(KINK_SPEC, horizon=None),
+    "document-list": [KINK_SPEC],
+}
+GOOD_GRID = {"box": [[0.0, 2.0]], "n": [21]}
+
+
+@pytest.mark.parametrize(
+    "problem, grid",
+    [(doc, GOOD_GRID) for doc in MALFORMED_PROBLEMS.values()] + [(KINK_SPEC, {"box": "x", "n": [21]})],
+    ids=list(MALFORMED_PROBLEMS) + ["grid-box-string"],
+)
+def test_malformed_document_exits_2(tmp_path, capsys, problem, grid):
+    prob = write(tmp_path / "prob.json", problem)
+    grid = write(tmp_path / "grid.json", grid)
+    rc = main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid,
+               "--time-nodes", "3", "--control-res", "5"])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--family", "merton", "--params", "mu", "--eval", "0,1"],
+    ["oracle", "--family", "merton", "--eval", "0"],
+    ["oracle", "--family", "merton", "--params", "mu=x", "--eval", "0,1"],
+    ["certify", "--problem", "prob.json", "--candidate", "cand.json", "--start-box", "a,b"],
+])
+def test_malformed_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_pipeline_configuration_error_exits_2_with_partial_report(tmp_path, capsys):
+    write(tmp_path / "prob.json", KINK_SPEC)
+    spec = {"problem": "prob.json", "grid": GOOD_GRID, "points": [[0.0, 1.0]],
+            "dt": 0.5, "time_nodes": 3}
+    spath = write(tmp_path / "pipeline.json", spec)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
+    assert stages["facelift"] == "ok"
+    assert stages["solve"].startswith("failed: dt=0.5 violates the CFL bound")

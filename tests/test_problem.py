@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
+from hjbkit import specio
 from hjbkit.errors import DomainError
 from hjbkit.grids import Box
 from hjbkit.problem import (
@@ -187,3 +188,81 @@ def test_hamiltonian_matches_scalar_maximization(p, m):
     brute = float(np.max(us * p + 0.5 * us**2 * m))
     h = hk.hamiltonian(prob, 0.0, [0.0], [p], [[m]], 2001)
     assert h.value == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+
+def _doc(family, params, domain, bound, payoff, gauge, gauge_constant, constraint):
+    return {
+        "family": family, "params": params, "state_domain": domain, "control_bound": bound,
+        "horizon": 1.0, "payoff": payoff, "gauge": dict(gauge, constant=gauge_constant),
+        "constraint": constraint,
+    }
+
+
+# each constructor, the problem document that describes the same problem, and a small grid
+ONE_BUILDER_CASES = {
+    "merton": (
+        lambda: hk.merton_problem(),
+        _doc("linear_drift", {"mu": 0.1, "sigma": 0.2}, [[0.0, None]], 10.0,
+             {"family": "power", "params": {"p": 0.5}}, {"family": "power", "params": {"p": 0.5}},
+             1.0, {"family": "neg_second"}),
+        lambda: hk.log_grid(0.2, 5.0, 30),
+    ),
+    "proportional": (
+        lambda: hk.proportional_control_problem(payoff=hk.problem.abs_payoff(1.0)),
+        _doc("proportional_control", {"mu": 1.0, "sigma": 1.0}, [[None, None]], 1.0,
+             {"family": "abs", "params": {"center": 1.0}}, {"family": "one_plus_square"},
+             2.0, {"family": "neg_second"}),
+        lambda: hk.uniform_grid([0.0], [2.0], [21]),
+    ),
+    "heat-2d": (
+        lambda: hk.heat_problem(dim=2),
+        _doc("constant", {"b0": [0.0, 0.0], "s0": [[1.0, 0.0], [0.0, 1.0]]},
+             [[None, None], [None, None]], 0.0, {"family": "quadratic"}, {"family": "one_plus_square"},
+             1.0, {"family": "positive_const", "params": {"c": 1.0}}),
+        lambda: hk.uniform_grid([-1.0, -1.0], [1.0, 1.0], [9, 9]),
+    ),
+    "constant": (
+        lambda: hk.constant_coefficient_problem([0.3], [[0.5]]),
+        _doc("constant", {"b0": [0.3], "s0": [[0.5]]}, [[None, None]], 0.0,
+             {"family": "quadratic"}, {"family": "one_plus_square"},
+             1.0, {"family": "positive_const", "params": {"c": 1.0}}),
+        lambda: hk.uniform_grid([-2.0], [2.0], [21]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_BUILDER_CASES))
+def test_constructor_and_document_build_one_problem(case):
+    make, doc, make_grid = ONE_BUILDER_CASES[case]
+    built, read = make(), specio.problem_from_spec(doc)
+    for name in ("state_dim", "noise_dim", "control_dim", "control_bound", "horizon",
+                 "gauge_constant", "family", "params"):
+        assert getattr(read, name) == getattr(built, name), name
+    for a, b in [(read.state_domain, built.state_domain)] + list(
+        zip(read.control_set.boxes, built.control_set.boxes, strict=True)
+    ):
+        np.testing.assert_array_equal(a.lo, b.lo)
+        np.testing.assert_array_equal(a.hi, b.hi)
+    for name in ("payoff", "gauge", "constraint"):
+        assert (getattr(read, name).family, getattr(read, name).params) == (
+            getattr(built, name).family, getattr(built, name).params
+        ), name
+
+    grid = make_grid()
+    config = hk.SchemeConfig(n_time_nodes=5, control_grid_resolution=11)
+    sols = [
+        hk.solve_hjb(p, hk.GridFunction(grid, p.payoff(grid.nodes()).reshape(grid.shape)), config)
+        for p in (built, read)
+    ]
+    np.testing.assert_array_equal(sols[0].values, sols[1].values)
+    np.testing.assert_array_equal(sols[0].policies, sols[1].policies)
+
+
+def test_constructor_and_document_simulate_the_same_merton_paths():
+    _, doc, _ = ONE_BUILDER_CASES["merton"]
+    policy = hk.constant_policy([5.0])
+    paths = [
+        hk.simulate_paths(p, policy, 0.0, [1.0], 500, 20, seed=3).states
+        for p in (hk.merton_problem(), specio.problem_from_spec(doc))
+    ]
+    np.testing.assert_array_equal(paths[0], paths[1])
