@@ -30,7 +30,7 @@ from .certify import (
     certify_subsolution,
     certify_supersolution,
 )
-from .errors import ConfigurationError, ConvergenceError, NumericalError
+from .errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
 from .facelift import concave_envelope, facelift_general
 from .grids import Box, GridFunction, box_from_pairs
 from .oracles import heat_value, merton_value
@@ -109,23 +109,21 @@ def _report_from_json(doc: dict) -> CertificationReport:
 # subcommand handlers (each takes the resolved config dict)
 # ---------------------------------------------------------------------------
 
+_ORACLES = {
+    "merton": (merton_value, specio.MERTON_PARAMS),
+    "heat": (heat_value, {"sigma": "sigma_const", "T": "horizon"}),
+}
+
+
 def _run_oracle(cfg, out_dir):
-    params = cfg["params"]
     t, x = cfg["eval"]
-    if cfg["family"] == "merton":
-        val = merton_value(
-            t, x,
-            mu=params.get("mu", 0.1), sigma=params.get("sigma", 0.2),
-            p=params.get("p", 0.5), horizon=params.get("T", 1.0),
-            bound=params.get("B", 10.0),
-        )
-    elif cfg["family"] == "heat":
-        val = heat_value(
-            t, x, sigma_const=params.get("sigma", 1.0),
-            payoff=cfg.get("payoff", "x2"), horizon=params.get("T", 1.0),
-        )
-    else:
+    if cfg["family"] not in _ORACLES:
         raise ConfigurationError(f"unknown oracle family {cfg['family']!r}")
+    value, names = _ORACLES[cfg["family"]]
+    params = specio.keyword_params(cfg["params"], names, f"{cfg['family']} oracle")
+    if cfg["family"] == "heat":
+        params["payoff"] = cfg.get("payoff", "x2")
+    val = value(t, x, **params)
     print(f"{val!r}")
     if out_dir:
         specio.write_manifest(out_dir, "oracle", cfg, [], cfg.get("seed"), [])
@@ -134,7 +132,8 @@ def _run_oracle(cfg, out_dir):
 
 def _facelift(problem, g, method="auto", tol=1e-8):
     """Face-lift of the payoff g: the exact hull for G = -M in 1-D unless method
-    is "relax", g itself for a positive constant G, the relaxation otherwise."""
+    is "relax", g itself for a positive constant G, facelift_general otherwise
+    (policy iteration for G linear in M, the relaxation for a custom G)."""
     if problem.constraint.family == "neg_second" and g.grid.dim == 1 and method != "relax":
         return concave_envelope(g)
     if problem.constraint.family == "positive_const":
@@ -248,8 +247,9 @@ def _run_certify(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
     with open(cfg["candidate"]) as fh:
         candidate_spec = json.load(fh)
-    candidate_spec["side"] = cfg.get("kind") or candidate_spec.get("side")
-    candidate = specio.candidate_from_spec(candidate_spec, base_dir=os.path.dirname(cfg["candidate"]) or ".")
+    candidate = specio.candidate_from_spec(
+        candidate_spec, base_dir=os.path.dirname(cfg["candidate"]) or ".", side=cfg.get("kind"))
+    candidate_spec = {**candidate_spec, "side": candidate.kind}
     config = _certify_config(cfg, problem)
     if candidate.kind == "sub":
         report = certify_subsolution(candidate, problem, config)
@@ -339,6 +339,10 @@ def _run_convergence(cfg, out_dir):
     return EXIT_OK
 
 
+# what a pipeline stage reports in the partial report instead of raising
+_STAGE_ERRORS = (ConfigurationError, DomainError, ConvergenceError, NumericalError)
+
+
 def _run_pipeline(cfg, out_dir):
     with open(cfg["spec"]) as fh:
         spec = json.load(fh)
@@ -355,12 +359,16 @@ def _run_pipeline(cfg, out_dir):
     seed = int(spec.get("seed", 0))
     config = _scheme_config(spec)
 
-    def _fail(stage, exc):
-        report["stages"][stage] = f"failed: {exc}"
+    def _write_report():
         specio.atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         specio.write_manifest(out_dir, "pipeline", cfg, [cfg["spec"]], seed, [spec.get("out", "pipeline-report.json")])
+
+    def _fail(stage, exc):
+        """Write the partial report; exit 2 for a configuration fault, 3 for a numerical one."""
+        report["stages"][stage] = f"failed: {exc}"
+        _write_report()
         print(f"pipeline failed at stage {stage}: {exc}")
-        return EXIT_CONFIG if isinstance(exc, ConfigurationError) else EXIT_NUMERIC
+        return EXIT_CONFIG if isinstance(exc, (ConfigurationError, DomainError)) else EXIT_NUMERIC
 
     g = _payoff_values(problem, grid)
     # stage 1: face-lift
@@ -368,7 +376,7 @@ def _run_pipeline(cfg, out_dir):
         ghat = _facelift(problem, g)
         report["facelift_sup_distance"] = float(np.max(ghat.values - g.values))
         report["stages"]["facelift"] = "ok"
-    except (ConfigurationError, ConvergenceError) as exc:
+    except _STAGE_ERRORS as exc:
         return _fail("facelift", exc)
 
     # stage 2: solve
@@ -377,52 +385,68 @@ def _run_pipeline(cfg, out_dir):
         sol = solve_hjb(problem, terminal, config)
         report["solver_value_at_points"] = [sol.value_at(t, x) for t, x in points]
         report["stages"]["solve"] = "ok"
-    except (ConfigurationError, NumericalError) as exc:
+    except _STAGE_ERRORS as exc:
         return _fail("solve", exc)
 
     # stage 3: policy extraction + simulation at the first point
-    policy = extract_policy(sol)
-    t0, x0 = points[0]
-    box = grid.box if spec.get("absorb_at_truncation", True) else None
-    ens = simulate_paths(
-        problem, policy, t0, x0, int(spec.get("mc_paths", 100_000)),
-        int(spec.get("mc_steps", 200)), seed, box,
-    )
-    est = estimate_value(ens, problem.payoff)
-    report["mc_estimate_at_first_point"] = {
-        "mean": est.mean, "half_width_95": est.half_width_95, "exit_fraction": est.exit_fraction,
-    }
-    report["stages"]["simulate"] = "ok"
+    try:
+        policy = extract_policy(sol)
+        t0, x0 = points[0]
+        box = grid.box if spec.get("absorb_at_truncation", True) else None
+        ens = simulate_paths(
+            problem, policy, t0, x0, int(spec.get("mc_paths", 100_000)),
+            int(spec.get("mc_steps", 200)), seed, box,
+        )
+        est = estimate_value(ens, problem.payoff)
+        report["mc_estimate_at_first_point"] = {
+            "mean": est.mean, "half_width_95": est.half_width_95, "exit_fraction": est.exit_fraction,
+        }
+        report["stages"]["simulate"] = "ok"
+    except _STAGE_ERRORS as exc:
+        return _fail("simulate", exc)
 
     # stage 4: certification
-    ccfg = _certify_config({**spec, "seed": seed}, problem)
-    sub = specio.candidate_from_spec(spec["sub_candidate"], base)
-    super_ = specio.candidate_from_spec(spec["super_candidate"], base)
-    sub_rep = certify_subsolution(sub, problem, ccfg)
-    adv = AdversaryConfig(extra_policies=(policy,), seed=seed + 1)
-    super_rep = certify_supersolution(super_, problem, ccfg, adv)
-    report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
-    report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
-    if spec.get("certify_solver_candidate", True):
-        solver_cand = candidate_from_solution(sol, "sub", growth_constant=spec.get("solver_growth_constant", 10.0))
-        try:
-            scfg = CertifyConfig(
-                start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
-                tol=float(spec.get("solver_candidate_tol", 5e-3)),
-                seed=seed + 2, simulation_box=grid.box,
-            )
-            srep = certify_subsolution(solver_cand, problem, scfg)
-            report["solver_candidate"] = {"verdict": srep.verdict, "certified": srep.certified}
-        except ValueError as exc:
-            report["solver_candidate"] = {"skipped": str(exc)}
-    report["stages"]["certify"] = "ok"
+    try:
+        ccfg = _certify_config({**spec, "seed": seed}, problem)
+        sub = specio.candidate_from_spec(spec["sub_candidate"], base)
+        super_ = specio.candidate_from_spec(spec["super_candidate"], base)
+        sub_rep = certify_subsolution(sub, problem, ccfg)
+        adv = AdversaryConfig(extra_policies=(policy,), seed=seed + 1)
+        super_rep = certify_supersolution(super_, problem, ccfg, adv)
+        report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
+        report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
+        if spec.get("certify_solver_candidate", True):
+            solver_cand = candidate_from_solution(sol, "sub", growth_constant=spec.get("solver_growth_constant", 10.0))
+            try:
+                scfg = CertifyConfig(
+                    start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
+                    tol=float(spec.get("solver_candidate_tol", 5e-3)),
+                    seed=seed + 2, simulation_box=grid.box,
+                )
+                srep = certify_subsolution(solver_cand, problem, scfg)
+                report["solver_candidate"] = {"verdict": srep.verdict, "certified": srep.certified}
+            except ValueError as exc:
+                report["solver_candidate"] = {"skipped": str(exc)}
+        report["stages"]["certify"] = "ok"
+    except _STAGE_ERRORS as exc:
+        return _fail("certify", exc)
 
-    # stage 5: sandwich
-    bc = BracketConfig(
-        n_paths=int(spec.get("mc_paths", 100_000)), n_steps=int(spec.get("mc_steps", 200)),
-        seed=seed, extra_policies=(policy,), simulation_box=box,
-    )
-    brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep)
+    # stage 5: sandwich, only between certified candidates
+    uncertified = [side for side, rep in (("sub", sub_rep), ("super", super_rep)) if not rep.certified]
+    if uncertified:
+        report["bracket"] = f"skipped: {' and '.join(uncertified)} candidate not certified"
+        report["stages"]["bracket"] = "skipped"
+        _write_report()
+        print(f"pipeline complete; bracket {report['bracket']}")
+        return EXIT_CERTIFY_FAIL
+    try:
+        bc = BracketConfig(
+            n_paths=int(spec.get("mc_paths", 100_000)), n_steps=int(spec.get("mc_steps", 200)),
+            seed=seed, extra_policies=(policy,), simulation_box=box,
+        )
+        brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep)
+    except _STAGE_ERRORS as exc:
+        return _fail("bracket", exc)
     report["bracket"] = {
         "ok": brep.ok,
         "max_gap": brep.max_gap,
@@ -437,11 +461,9 @@ def _run_pipeline(cfg, out_dir):
     }
     report["stages"]["bracket"] = "ok"
 
-    specio.atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    specio.write_manifest(out_dir, "pipeline", cfg, [cfg["spec"]], seed, [spec.get("out", "pipeline-report.json")])
-    ok = sub_rep.certified and super_rep.certified and brep.ok
+    _write_report()
     print(f"pipeline complete; certification gap at first point = {brep.points[0].gap!r}")
-    return EXIT_OK if ok else EXIT_CERTIFY_FAIL
+    return EXIT_OK if brep.ok else EXIT_CERTIFY_FAIL
 
 
 _HANDLERS = {

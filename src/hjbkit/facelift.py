@@ -3,8 +3,10 @@
 The face-lift of a payoff g is the smallest function above g that is a
 supersolution of G = 0 at the terminal time.  For the concavity constraint
 G = -M in one dimension this is the least concave majorant, computed here as
-an upper convex hull.  For general G a clamped relaxation drives the discrete
-complementarity system  min(w - g, G_h(w)) = 0  to its fixed point.
+an upper convex hull.  On the grid the face-lift is the solution of the
+discrete obstacle problem  min(w - g, G_h(w)) = 0.  For G linear in M
+(`neg_second`, `neg_trace`) policy iteration solves it exactly; for any other
+G a clamped relaxation drives it to its fixed point.
 
 The hull route runs in exact rational arithmetic and canonicalizes its float
 output to have non-positive second differences exactly; this makes
@@ -15,6 +17,7 @@ property suite asserts without tolerances.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,24 +61,34 @@ def exact_concavity_repair(x, v) -> np.ndarray:
     """Smallest float array >= v whose second differences are exactly <= 0.
 
     Correctly-rounded chord values can sit an ulp on the convex side of their
-    neighbors; this sweep lifts such nodes by the minimal representable amount
-    (rational comparisons, so the result is canonical).
+    neighbors; this lifts such nodes by the minimal representable amount
+    (rational comparisons, so the result is canonical).  A lift can only
+    break concavity at the two neighbours, so only they are checked again.
+    The lift is monotone in the neighbours, so any order of lifts ends at the
+    same least fixed point.
     """
     out = np.array(v, dtype=float)
     n = out.size
-    changed = True
-    while changed:
-        changed = False
-        for k in range(1, n - 1):
-            xa, xk, xb = Fraction(float(x[k - 1])), Fraction(float(x[k])), Fraction(float(x[k + 1]))
-            va, vk, vb = Fraction(out[k - 1]), Fraction(out[k]), Fraction(out[k + 1])
-            chord = va + (vb - va) * (xk - xa) / (xb - xa)
-            if vk < chord:
-                m = float(chord)
-                if Fraction(m) < chord:
-                    m = math.nextafter(m, math.inf)
-                out[k] = m
-                changed = True
+    xf = [Fraction(float(t)) for t in x]
+    vf = [Fraction(t) for t in out.tolist()]
+    # position of each interior node between its neighbours, in [0, 1]
+    ratio = [None] + [(xf[k] - xf[k - 1]) / (xf[k + 1] - xf[k - 1]) for k in range(1, n - 1)]
+    pending = deque(range(1, n - 1))
+    queued = [False] + [True] * (n - 2) + [False]
+    while pending:
+        k = pending.popleft()
+        queued[k] = False
+        chord = vf[k - 1] + (vf[k + 1] - vf[k - 1]) * ratio[k]
+        if vf[k] < chord:
+            m = float(chord)
+            if Fraction(m) < chord:
+                m = math.nextafter(m, math.inf)
+            out[k] = m
+            vf[k] = Fraction(m)
+            for j in (k - 1, k + 1):
+                if not queued[j] and 0 < j < n - 1:
+                    queued[j] = True
+                    pending.append(j)
     return out
 
 
@@ -138,6 +151,117 @@ def _auto_relaxation(problem, grid):
     return hmin * hmin / (2.0 * coef)
 
 
+# a node switches rows only when the other row is smaller by more than this
+# many ulps of max|g|; rounding-level ties otherwise make the policy cycle
+_SWITCH_ULPS = 64
+
+
+def _second_difference_axes(family, dim):
+    """The axes k of G = -(sum over k of d2w/dx_k^2) for a family linear in M, else None."""
+    return {"neg_second": (0,), "neg_trace": tuple(range(dim))}.get(family)
+
+
+def _shifted(a, k, s):
+    """a at the interior nodes moved by s along axis k."""
+    index = [slice(1, -1)] * a.ndim
+    index[k] = slice(1 + s, a.shape[k] - 1 + s)
+    return a[tuple(index)]
+
+
+def _block_tridiagonal_solve(diag, lower, upper, left, right, rhs):
+    """Solve a linear system on an (L, m) array of unknowns (a 1-D one is one line).
+
+    Row (i, j) reads  left u[i-1, j] + lower u[i, j-1] + diag u[i, j]
+    + upper u[i, j+1] + right u[i+1, j] = rhs  (couplings off the array are
+    zero).  Block elimination along the first axis factors one dense m x m
+    block per line, so the full (L m)^2 matrix is never formed.
+    """
+    diag, lower, upper, left, right, rhs = map(np.atleast_2d, (diag, lower, upper, left, right, rhs))
+    n_lines, m = diag.shape
+    line = np.arange(m)
+    carried = []  # per line: (block^-1 diag(right), block^-1 rhs) after elimination
+    for i in range(n_lines):
+        block = np.zeros((m, m))
+        block[line, line] = diag[i]
+        block[line[1:], line[:-1]] = lower[i, 1:]
+        block[line[:-1], line[1:]] = upper[i, :-1]
+        f = np.array(rhs[i])
+        if i:
+            x_prev, y_prev = carried[-1]
+            block -= left[i][:, None] * x_prev
+            f -= left[i] * y_prev
+        if i + 1 < n_lines:
+            sol = np.linalg.solve(block, np.column_stack([np.diag(right[i]), f]))
+            carried.append((sol[:, :m], sol[:, m]))
+        else:
+            carried.append((None, np.linalg.solve(block, f)))
+    u = np.empty((n_lines, m))
+    u[-1] = carried[-1][1]
+    for i in range(n_lines - 2, -1, -1):
+        x, y = carried[i]
+        u[i] = y - x @ u[i + 1]
+    return u
+
+
+def _policy_iteration(g_grid, problem, axes, max_iters):
+    """Howard's policy iteration for min(w - g, G_h(w)) = 0, G = -sum_k d2w/dx_k^2.
+
+    Each interior node takes either the obstacle row w = g or the operator row
+    G_h(w) = 0; the edges hold g.  The policy starts on the operator row
+    everywhere, and after each linear solve a node switches to whichever row is
+    smaller there (the operator row divided by its diagonal, so both are in
+    value units).  The iterates rise monotonically to the discrete solution
+    (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).
+    """
+    grid = g_grid.grid
+    g = g_grid.values
+    inner = grid.interior
+    shape = g[inner].shape
+    # per axis, the weights of w[p - e_k], w[p], w[p + e_k] in d2w/dx_k^2 at interior p
+    weights = {}
+    for k in axes:
+        view = [1] * grid.dim
+        view[k] = -1
+        weights[k] = [np.broadcast_to(c.reshape(view), shape) for c in grid.stencils[k].weights(0.0, 2.0)]
+    centre = -sum(w0 for _, w0, _ in weights.values())  # diagonal of the rows of G_h
+    margin = _SWITCH_ULPS * np.finfo(float).eps * float(np.max(np.abs(g)))
+    operator = np.ones(shape, dtype=bool)
+    w = np.array(g, dtype=float)
+    residual = None
+    for _ in range(max_iters):
+        # policy evaluation: unknowns on operator rows, g everywhere else
+        on_row = np.zeros(grid.shape, dtype=bool)
+        on_row[inner] = operator
+        known = np.where(on_row, 0.0, g)
+        rhs = np.where(operator, 0.0, g[inner])
+        coupling = {}
+        for k, (wm, _, wp) in weights.items():
+            rhs += np.where(operator, wm * _shifted(known, k, -1) + wp * _shifted(known, k, 1), 0.0)
+            coupling[k] = [np.where(operator & _shifted(on_row, k, s), -c, 0.0)
+                           for s, c in ((-1, wm), (1, wp))]
+        # lines run along the last axis; in 2-D, axis 0 couples the lines
+        zero = (np.zeros(shape),) * 2
+        lower, upper = coupling.get(grid.dim - 1, zero)
+        left, right = coupling.get(0, zero) if grid.dim == 2 else zero
+        diag = np.where(operator, centre, 1.0)
+        u = _block_tridiagonal_solve(diag, lower, upper, left, right, rhs)
+        w[inner] = np.where(operator, u.reshape(shape), g[inner])
+        # policy improvement
+        gh = _constraint_on_grid(problem, grid, w)[inner]
+        gap = w[inner] - g[inner]
+        slack = gh / centre
+        residual = float(np.max(np.abs(np.minimum(gap, gh))))
+        switch = np.where(operator, gap < slack - margin, slack < gap - margin)
+        if not switch.any():
+            return g_grid.with_values(np.maximum(w, g))  # the edges already hold g
+        operator ^= switch
+    raise ConvergenceError(
+        f"facelift policy iteration did not converge in {max_iters} iterations",
+        last_iterate=g_grid.with_values(w),
+        residual=residual,
+    )
+
+
 def facelift_general(
     g_grid: GridFunction,
     problem,
@@ -145,17 +269,25 @@ def facelift_general(
     max_iters: int = 2_000_000,
     tol: float = 1e-8,
 ) -> GridFunction:
-    """Fixed point of the clamped obstacle relaxation for min(w-g, G_h(w)) = 0.
+    """Solution of the discrete obstacle problem min(w - g, G_h(w)) = 0.
 
-    Each sweep applies  w <- max(g, w - relaxation * G_h(w))  on the interior
-    (a Jacobi update: violations G_h < 0 push w up, slack G_h > 0 relaxes it
-    down onto the obstacle), with the box edges clamped to g.  The iteration
-    stops when the geometric-decay extrapolation of the update norm bounds the
-    remaining distance to the fixed point by tol.
+    For G linear in M (`neg_second`, `neg_trace`) Howard's policy iteration
+    solves it exactly, up to rounding, in at most max_iters iterations; the
+    result dominates g exactly and equals g on the box edges.  Any other G
+    goes through the clamped relaxation: each sweep applies
+    w <- max(g, w - relaxation * G_h(w))  on the interior (a Jacobi update:
+    violations G_h < 0 push w up, slack G_h > 0 relaxes it down onto the
+    obstacle), with the box edges clamped to g.  It stops when the
+    geometric-decay extrapolation of the update norm bounds the remaining
+    distance to the fixed point by tol, or when the update reaches the
+    rounding floor of w; tol and relaxation apply to the relaxation only.
     """
     grid = g_grid.grid
     if grid.dim > 2:
         raise ValueError("facelift supports 1-D and 2-D grids only")
+    axes = _second_difference_axes(problem.constraint.family, grid.dim)
+    if axes is not None:
+        return _policy_iteration(g_grid, problem, axes, max_iters)
     if relaxation is None:
         relaxation = _auto_relaxation(problem, grid)
     g = g_grid.values
@@ -168,7 +300,8 @@ def facelift_general(
         w_new = np.where(interior, np.maximum(g, w - relaxation * gh), g)
         update = float(np.max(np.abs(w_new - w)))
         w = w_new
-        if update == 0.0:
+        # at the rounding floor the update can repeat forever without shrinking
+        if update <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(w))):
             return g_grid.with_values(w)
         if prev_update is not None and update < prev_update:
             q = update / prev_update

@@ -10,6 +10,7 @@ sufficient to reproduce the outputs bitwise.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -59,6 +60,36 @@ CONSTRAINTS = {
 # what a malformed document raises on its way through the builders
 _MALFORMED = (AttributeError, LookupError, TypeError, ValueError)
 
+# closed-form Merton parameter names in documents and flags -> keyword names
+MERTON_PARAMS = {"mu": "mu", "sigma": "sigma", "p": "p", "T": "horizon", "B": "bound"}
+
+
+def _document(what: str):
+    """Make a builder the boundary for `what` documents: whatever a malformed
+    document raises on its way through becomes a ConfigurationError."""
+
+    def wrap(build):
+        @functools.wraps(build)
+        def boundary(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except ConfigurationError:
+                raise
+            except _MALFORMED as exc:
+                raise ConfigurationError(f"malformed {what} document: {exc!r}") from exc
+
+        return boundary
+
+    return wrap
+
+
+def keyword_params(params: dict, names: dict, what: str) -> dict:
+    """Document parameters renamed to keywords by `names`, as floats; unknown names are refused."""
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} parameter(s) {', '.join(map(repr, unknown))}")
+    return {names[name]: float(value) for name, value in params.items()}
+
 
 def _from_table(table: dict, spec: dict, what: str):
     """The factory named by spec["family"], called with spec["params"] as floats."""
@@ -68,24 +99,20 @@ def _from_table(table: dict, spec: dict, what: str):
     return table[spec["family"]](**params)
 
 
+@_document("problem")
 def problem_from_spec(spec: dict) -> ControlProblem:
-    try:
-        return build_problem(
-            family=spec["family"],
-            params=spec.get("params", {}),
-            state_domain=spec["state_domain"],
-            control_bound=spec["control_bound"],
-            horizon=spec["horizon"],
-            payoff=_from_table(PAYOFFS, spec["payoff"], "payoff"),
-            gauge=_from_table(GAUGES, spec["gauge"], "gauge"),
-            gauge_constant=spec["gauge"].get("constant", 1.0),
-            constraint=_from_table(CONSTRAINTS, spec["constraint"], "constraint"),
-            control_set=spec.get("control_set"),
-        )
-    except ConfigurationError:
-        raise
-    except _MALFORMED as exc:
-        raise ConfigurationError(f"malformed problem document: {exc!r}") from exc
+    return build_problem(
+        family=spec["family"],
+        params=spec.get("params", {}),
+        state_domain=spec["state_domain"],
+        control_bound=spec["control_bound"],
+        horizon=spec["horizon"],
+        payoff=_from_table(PAYOFFS, spec["payoff"], "payoff"),
+        gauge=_from_table(GAUGES, spec["gauge"], "gauge"),
+        gauge_constant=spec["gauge"].get("constant", 1.0),
+        constraint=_from_table(CONSTRAINTS, spec["constraint"], "constraint"),
+        control_set=spec.get("control_set"),
+    )
 
 
 def load_problem(path: str) -> ControlProblem:
@@ -93,26 +120,22 @@ def load_problem(path: str) -> ControlProblem:
         return problem_from_spec(json.load(fh))
 
 
+@_document("grid")
 def grid_from_spec(spec: dict) -> SpatialGrid:
-    try:
-        if "nodes" in spec:
-            return SpatialGrid(tuple(np.asarray(a, dtype=float) for a in spec["nodes"]))
-        box = spec["box"]
-        n = spec["n"]
-        spacing = spec.get("spacing", "uniform")
-        if spacing == "uniform":
-            lo = [b[0] for b in box]
-            hi = [b[1] for b in box]
-            return uniform_grid(lo, hi, n)
-        if spacing == "log":
-            if len(box) != 1:
-                raise ConfigurationError("log spacing is one-dimensional")
-            return log_grid(box[0][0], box[0][1], n if np.isscalar(n) else n[0])
-        raise ConfigurationError(f"unknown spacing {spacing!r}")
-    except ConfigurationError:
-        raise
-    except _MALFORMED as exc:
-        raise ConfigurationError(f"malformed grid document: {exc!r}") from exc
+    if "nodes" in spec:
+        return SpatialGrid(tuple(np.asarray(a, dtype=float) for a in spec["nodes"]))
+    box = spec["box"]
+    n = spec["n"]
+    spacing = spec.get("spacing", "uniform")
+    if spacing == "uniform":
+        lo = [b[0] for b in box]
+        hi = [b[1] for b in box]
+        return uniform_grid(lo, hi, n)
+    if spacing == "log":
+        if len(box) != 1:
+            raise ConfigurationError("log spacing is one-dimensional")
+        return log_grid(box[0][0], box[0][1], n if np.isscalar(n) else n[0])
+    raise ConfigurationError(f"unknown spacing {spacing!r}")
 
 
 def load_grid(path: str) -> SpatialGrid:
@@ -154,6 +177,7 @@ def load_solution(path: str) -> SpaceTimeSolution:
 # policies and candidates
 # ---------------------------------------------------------------------------
 
+@_document("policy")
 def policy_from_spec(spec: dict, base_dir: str = ".") -> FeedbackPolicy:
     kind = spec["kind"]
     if kind == "constant":
@@ -166,22 +190,16 @@ def policy_from_spec(spec: dict, base_dir: str = ".") -> FeedbackPolicy:
     raise ConfigurationError(f"unknown policy kind {kind!r}")
 
 
-def candidate_from_spec(spec: dict, base_dir: str = ".") -> CandidateFunction:
+@_document("candidate")
+def candidate_from_spec(spec: dict, base_dir: str = ".", side: str | None = None) -> CandidateFunction:
+    """The candidate a document describes; `side`, when given, overrides its "side"."""
     kind = spec["kind"]
-    side = spec["side"]
+    side = side or spec["side"]
     if kind == "closed-form":
         if spec["family"] != "merton":
             raise ConfigurationError(f"unknown closed form {spec['family']!r}")
-        pr = spec.get("params", {})
-        return merton_candidate(
-            side,
-            mu=pr.get("mu", 0.1),
-            sigma=pr.get("sigma", 0.2),
-            p=pr.get("p", 0.5),
-            horizon=pr.get("T", 1.0),
-            bound=pr.get("B", 10.0),
-            exponent_shift=pr.get("exponent_shift", 0.0),
-        )
+        names = dict(MERTON_PARAMS, exponent_shift="exponent_shift")
+        return merton_candidate(side, **keyword_params(spec.get("params", {}), names, "merton candidate"))
     if kind == "constant":
         policy = policy_from_spec(spec["policy"], base_dir) if "policy" in spec else None
         return constant_candidate(spec["value"], side, spec["growth_constant"], policy)

@@ -8,6 +8,7 @@ import pytest
 
 from hjbkit import specio
 from hjbkit.cli import main
+from hjbkit.errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
 
 MERTON_SPEC = {
     "family": "linear_drift",
@@ -324,3 +325,115 @@ def test_pipeline_configuration_error_exits_2_with_partial_report(tmp_path, caps
     stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
     assert stages["facelift"] == "ok"
     assert stages["solve"].startswith("failed: dt=0.5 violates the CFL bound")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--family", "merton", "--params", "sgima=5", "--eval", "0,1"],
+    ["oracle", "--family", "heat", "--params", "mu=1", "--eval", "0,1"],
+], ids=["merton-sgima", "heat-mu"])
+def test_oracle_unknown_parameter_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "unknown" in captured.err and captured.out == ""
+
+
+MERTON_SUB = {"kind": "closed-form", "family": "merton", "side": "sub",
+              "params": {"mu": 0.1, "sigma": 0.2, "p": 0.5, "T": 1.0, "B": 10.0}}
+MALFORMED_CANDIDATES = {
+    "document-list": ["x"],
+    "unknown-closed-form-parameter": dict(MERTON_SUB, params={"sgima": 5.0}),
+    "params-not-numbers": dict(MERTON_SUB, params={"mu": "a"}),
+    "no-side": {k: v for k, v in MERTON_SUB.items() if k != "side"},
+    "constant-without-value": {"kind": "constant", "side": "super", "growth_constant": 1.0},
+    "policy-string": {"kind": "constant", "side": "sub", "value": 1.0, "growth_constant": 1.0,
+                      "policy": "constant"},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_CANDIDATES.values(), ids=list(MALFORMED_CANDIDATES))
+def test_malformed_candidate_document_is_a_configuration_error(doc):
+    with pytest.raises(specio.ConfigurationError):
+        specio.candidate_from_spec(doc)
+
+
+@pytest.mark.parametrize("doc", [["x"], {"kind": "constant"}, {"value": [1.0]}],
+                         ids=["document-list", "constant-without-value", "no-kind"])
+def test_malformed_policy_document_is_a_configuration_error(doc):
+    with pytest.raises(specio.ConfigurationError):
+        specio.policy_from_spec(doc)
+
+
+@pytest.mark.parametrize("kind", [None, "sub"])
+@pytest.mark.parametrize("doc", [["x"], dict(MERTON_SUB, params={"sgima": 5.0})],
+                         ids=["document-list", "unknown-closed-form-parameter"])
+def test_certify_malformed_candidate_exits_2(tmp_path, capsys, doc, kind):
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    cand = write(tmp_path / "cand.json", doc)
+    argv = ["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+            "--budget", "1000"] + (["--kind", kind] if kind else [])
+    assert main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def small_pipeline(tmp_path, **changes):
+    """A Merton pipeline small enough for a unit test (seconds, not minutes)."""
+    write(tmp_path / "prob.json", MERTON_SPEC)
+    spec = {
+        "problem": "prob.json",
+        "grid": {"box": [[0.2, 5.0]], "n": [40], "spacing": "log"},
+        "points": [[0.0, 1.0]],
+        "sub_candidate": MERTON_SUB,
+        "super_candidate": dict(MERTON_SUB, side="super",
+                                params=dict(MERTON_SUB["params"], exponent_shift=0.02)),
+        "time_nodes": 20, "control_res": 21, "mc_paths": 2000, "mc_steps": 40, "budget": 5000,
+        "start_box": [[0.5, 2.0]], "certify_solver_candidate": False, "seed": 3,
+    }
+    spec.update(changes)
+    return write(tmp_path / "pipeline.json", spec)
+
+
+def test_pipeline_uncertified_candidate_exits_4_with_report(tmp_path, capsys):
+    inflated = dict(MERTON_SUB, params=dict(MERTON_SUB["params"], exponent_shift=0.5))
+    spath = small_pipeline(tmp_path, sub_candidate=inflated)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 4
+    doc = json.loads((tmp_path / "pipeline-report.json").read_text())
+    assert doc["certify_sub"]["certified"] is False
+    assert doc["certify_super"]["certified"] is True
+    assert doc["bracket"].startswith("skipped: sub candidate not certified")
+    assert doc["stages"]["certify"] == "ok"
+    assert (tmp_path / "manifest.json").exists()
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize("stage, target, exc, code", [
+    ("simulate", "simulate_paths", NumericalError("non-finite values"), 3),
+    ("simulate", "extract_policy", DomainError("outside the domain"), 2),
+    ("certify", "certify_subsolution", ConvergenceError("no convergence"), 3),
+    ("certify", "certify_supersolution", ConfigurationError("bad box"), 2),
+    ("bracket", "bracket_report", NumericalError("non-finite values"), 3),
+    ("bracket", "bracket_report", DomainError("outside the domain"), 2),
+])
+def test_pipeline_late_stage_failure_writes_partial_report(tmp_path, monkeypatch, capsys,
+                                                           stage, target, exc, code):
+    monkeypatch.setattr(f"hjbkit.cli.{target}", _raise(exc))
+    spath = small_pipeline(tmp_path, mc_paths=200, budget=500)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == code
+    stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
+    assert stages[stage] == f"failed: {exc}"
+    assert all(stages[s] == "ok" for s in ("facelift", "solve"))
+    assert f"pipeline failed at stage {stage}" in capsys.readouterr().out
+
+
+def test_pipeline_malformed_candidate_exits_2_with_partial_report(tmp_path, capsys):
+    spath = small_pipeline(tmp_path, sub_candidate=dict(MERTON_SUB, params={"sgima": 5.0}))
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
+    assert stages["simulate"] == "ok"
+    assert stages["certify"].startswith("failed: unknown merton candidate parameter")

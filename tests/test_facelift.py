@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
+from hjbkit import facelift
 from hjbkit.errors import ConvergenceError, GridMismatchError
 from hjbkit.facelift import _constraint_on_grid, exact_concavity_repair
-from hjbkit.problem import Constraint, positive_constraint
+from hjbkit.problem import Constraint, neg_trace_constraint, positive_constraint
 
 
 def brute_force_upper_hull(x, v):
@@ -42,6 +44,57 @@ def gf(x, v):
 @pytest.fixture(scope="module")
 def neg_second_problem():
     return hk.proportional_control_problem(mu=1.0, sigma=1.0, bound=1.0)
+
+
+class VectorisedTrace(Constraint):
+    """G = -trace(M) under the family "custom", so facelift_general relaxes it,
+    with the vectorised on_nodes that "neg_trace" has."""
+
+    def on_nodes(self, t, X, P, M):
+        return -np.trace(M, axis1=1, axis2=2)
+
+
+def relaxed(problem):
+    return dataclasses.replace(problem, constraint=VectorisedTrace(lambda t, x, p, M: -np.trace(M)))
+
+
+@pytest.fixture(scope="module")
+def relaxed_problem(neg_second_problem):
+    return relaxed(neg_second_problem)
+
+
+@pytest.fixture(scope="module")
+def neg_trace_problem():
+    return dataclasses.replace(hk.heat_problem(dim=2), constraint=neg_trace_constraint())
+
+
+def a3_payoff(rng, x):
+    """A3's random piecewise-linear payoff: 4-8 breakpoints on [0, 2], values in [-1, 1]."""
+    n_break = int(rng.integers(4, 9))
+    bx = np.sort(rng.uniform(0.0, 2.0, n_break))
+    bx[0], bx[-1] = 0.0, 2.0
+    return np.interp(x, bx, rng.uniform(-1.0, 1.0, n_break))
+
+
+def a3_corpus():
+    """The ten 61-node payoffs of acceptance test A3."""
+    grid = hk.uniform_grid([0.0], [2.0], [61])
+    rng = np.random.default_rng(20260810)
+    return [hk.GridFunction(grid, a3_payoff(rng, grid.axes[0])) for _ in range(10)]
+
+
+def jittered_grids(seed, count, n=40):
+    """Random non-uniform grids on [0, 2]: uniform nodes moved by up to 40% of a step.
+
+    Spacing ratios stay below 9: policy iteration's linear solves lose accuracy
+    in proportion to the ratio of the largest to the smallest spacing.
+    """
+    rng = np.random.default_rng(seed)
+    base = np.linspace(0.0, 2.0, n)
+    for _ in range(count):
+        x = base.copy()
+        x[1:-1] += rng.uniform(-0.4, 0.4, n - 2) * (base[1] - base[0])
+        yield rng, hk.SpatialGrid((x,))
 
 
 class TestConcaveEnvelope:
@@ -163,11 +216,11 @@ class TestFaceliftGeneral:
         assert np.all(f2.values >= v2 - 1e-12)
         assert np.all(f1.values <= f2.values + 1e-8)
 
-    def test_no_convergence_carries_iterate(self, neg_second_problem):
+    def test_no_convergence_carries_iterate(self, relaxed_problem):
         x = np.linspace(0.0, 2.0, 61)
         g = gf(x, np.abs(x - 1.0))
         with pytest.raises(ConvergenceError) as exc:
-            hk.facelift_general(g, neg_second_problem, tol=1e-12, max_iters=5)
+            hk.facelift_general(g, relaxed_problem, tol=1e-12, max_iters=5)
         assert exc.value.last_iterate is not None
         assert exc.value.residual is not None
 
@@ -183,6 +236,127 @@ class TestFaceliftGeneral:
         g = hk.GridFunction(grid, np.zeros((3, 3, 3)))
         with pytest.raises(ValueError):
             hk.facelift_general(g, neg_second_problem)
+
+
+class TestPolicyIteration:
+    """facelift_general on G = -M and G = -trace(M): Howard's policy iteration."""
+
+    def test_matches_hull_on_a3_corpus(self, neg_second_problem):
+        for g in a3_corpus():
+            out = hk.facelift_general(g, neg_second_problem)
+            env = hk.concave_envelope(g)
+            assert np.max(np.abs(out.values - env.values)) <= 1e-12 * np.max(np.abs(g.values))
+
+    def test_matches_hull_on_random_non_uniform_grids(self, neg_second_problem):
+        for k, (rng, grid) in enumerate(jittered_grids(41, 12)):
+            x = grid.axes[0]
+            v = a3_payoff(rng, x) if k % 2 else rng.normal(size=x.size)
+            g = hk.GridFunction(grid, v * 2.0 ** int(rng.integers(-20, 20)))
+            out = hk.facelift_general(g, neg_second_problem)
+            env = hk.concave_envelope(g)
+            assert np.max(np.abs(out.values - env.values)) <= 1e-12 * np.max(np.abs(g.values))
+
+    def test_dominates_exactly_and_keeps_the_edges(self, neg_second_problem, neg_trace_problem):
+        rng = np.random.default_rng(12)
+        grid2 = hk.uniform_grid([0.0, 0.0], [1.0, 1.0], [9, 11])
+        for prob, g in ((neg_second_problem, gf(np.linspace(0.0, 1.0, 31), rng.normal(size=31))),
+                        (neg_trace_problem, hk.GridFunction(grid2, rng.normal(size=(9, 11))))):
+            out = hk.facelift_general(g, prob).values
+            assert np.all(out >= g.values)
+            edges = ~g.grid.interior_mask()
+            assert np.array_equal(out[edges], g.values[edges])
+
+    def test_agrees_with_relaxation_on_a3_corpus(self, neg_second_problem, relaxed_problem):
+        tol = 1e-8
+        for g in a3_corpus():
+            howard = hk.facelift_general(g, neg_second_problem, tol=tol)
+            relaxation = hk.facelift_general(g, relaxed_problem, tol=tol)
+            assert np.max(np.abs(howard.values - relaxation.values)) <= 10 * tol
+
+    def test_agrees_with_relaxation_in_two_d(self, neg_trace_problem):
+        tol = 1e-8
+        grid = hk.uniform_grid([0.0, 0.0], [2.0, 2.0], [13, 13])
+        x = grid.axes[0]
+        rng = np.random.default_rng([20260810, 2])
+        g = hk.GridFunction(grid, a3_payoff(rng, x)[:, None] + a3_payoff(rng, x)[None, :])
+        howard = hk.facelift_general(g, neg_trace_problem, tol=tol)
+        relaxation = hk.facelift_general(g, relaxed(neg_trace_problem), tol=tol)
+        assert np.max(howard.values - g.values) > 0.1
+        assert np.max(np.abs(howard.values - relaxation.values)) <= 10 * tol
+
+    def test_kink_converges_in_two_iterations(self, neg_second_problem):
+        x = np.linspace(0.0, 2.0, 61)
+        out = hk.facelift_general(gf(x, np.abs(x - 1.0)), neg_second_problem, max_iters=2)
+        assert np.max(np.abs(out.values - 1.0)) <= 1e-12
+
+    def test_iteration_cap_raises_with_iterate(self, neg_second_problem):
+        g = a3_corpus()[3]
+        assert hk.facelift_general(g, neg_second_problem, max_iters=100) is not None
+        with pytest.raises(ConvergenceError) as exc:
+            hk.facelift_general(g, neg_second_problem, max_iters=1)
+        assert exc.value.last_iterate.grid == g.grid
+        assert exc.value.residual > 0.0
+
+
+class TestRelaxation:
+    def test_stops_at_the_rounding_floor(self, relaxed_problem):
+        """A3's generator, seed 7, draw 17: the update cycles at about 1.7 eps max|w|."""
+        rng = np.random.default_rng(7)
+        x = np.linspace(0.0, 2.0, 61)
+        g = gf(x, [a3_payoff(rng, x) for _ in range(18)][-1])
+        tol = 1e-8
+        out = hk.facelift_general(g, relaxed_problem, tol=tol, max_iters=6 * x.size ** 2)
+        assert np.max(np.abs(out.values - hk.concave_envelope(g).values)) <= 10 * tol
+
+
+def _reference_concavity_repair(x, v):
+    """The repeated full sweeps that the worklist in exact_concavity_repair replaced."""
+    out = np.array(v, dtype=float)
+    n = out.size
+    changed = True
+    while changed:
+        changed = False
+        for k in range(1, n - 1):
+            xa, xk, xb = Fraction(float(x[k - 1])), Fraction(float(x[k])), Fraction(float(x[k + 1]))
+            va, vk, vb = Fraction(out[k - 1]), Fraction(out[k]), Fraction(out[k + 1])
+            chord = va + (vb - va) * (xk - xa) / (xb - xa)
+            if vk < chord:
+                m = float(chord)
+                if Fraction(m) < chord:
+                    m = math.nextafter(m, math.inf)
+                out[k] = m
+                changed = True
+    return out
+
+
+class TestConcavityRepair:
+    def _repair_inputs(self, monkeypatch, payoffs):
+        """What concave_envelope hands to exact_concavity_repair: the rounded chords."""
+        seen = []
+
+        def record(x, v):
+            seen.append((x, np.array(v)))
+            return exact_concavity_repair(x, v)
+
+        monkeypatch.setattr(facelift, "exact_concavity_repair", record)
+        for g in payoffs:
+            hk.concave_envelope(g)
+        return seen
+
+    def _assert_same_as_sweeps(self, inputs):
+        for x, v in inputs:
+            assert np.array_equal(_bits(exact_concavity_repair(x, v)), _bits(_reference_concavity_repair(x, v)))
+
+    def test_a3_corpus_bitwise(self, monkeypatch):
+        self._assert_same_as_sweeps(self._repair_inputs(monkeypatch, a3_corpus()))
+
+    def test_random_non_uniform_grids_bitwise(self, monkeypatch):
+        payoffs = [hk.GridFunction(grid, rng.normal(size=grid.shape)) for rng, grid in jittered_grids(77, 20)]
+        inputs = self._repair_inputs(monkeypatch, payoffs)
+        rng = np.random.default_rng(78)
+        # also inputs that need many lifts: raw random values on random grids
+        inputs += [(grid.axes[0], rng.normal(size=grid.shape)) for _, grid in jittered_grids(79, 3, n=12)]
+        self._assert_same_as_sweeps(inputs)
 
 
 class TestVerifyFacelift:

@@ -59,3 +59,16 @@ def test_counting_constraint_gives_the_same_g_h(tracer_module, problem, shape):
         facelift._constraint_on_grid(counted, grid, w), facelift._constraint_on_grid(problem, grid, w)
     )
     assert dict(tracer.counts) == {"on_nodes@None": 1}
+
+
+def test_one_policy_iteration_counts_each_iteration_once(tracer_module):
+    """`facelift.relax_sweeps` counts on_nodes calls: one per policy-iteration step."""
+    problem = hk.proportional_control_problem()
+    grid = hk.uniform_grid([0.0], [2.0], [31])
+    x = grid.axes[0]
+    g = hk.GridFunction(grid, np.maximum(np.abs(x - 0.7), 0.5 - (x - 1.4) ** 2))
+    tracer = tracer_module.Tracer()
+    counted = replace(problem, constraint=tracer_module.counting_constraint(problem.constraint, tracer))
+    w = facelift.facelift_general(g, counted)
+    np.testing.assert_array_equal(w.values, facelift.facelift_general(g, problem).values)
+    assert 1 <= tracer.counts["on_nodes@None"] <= (x.size - 2) + 1
