@@ -49,6 +49,7 @@ __all__ = [
     "bracket_report",
     "BracketReport",
     "merton_candidate",
+    "companion_candidate",
     "constant_candidate",
     "candidate_from_solution",
 ]
@@ -83,6 +84,13 @@ class CandidateFunction:
         return float(vals[0]) if single else vals
 
 
+_BALL_RADIUS_FRACTION = 0.25   # of the start box's widest side
+_TERMINAL_CHECK_NODES = 101    # per dimension of the start box
+_GROWTH_CHECK_POINTS = 64
+_STAIRCASE_PIECES = 4
+_BRACKET_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class CertifyConfig:
     """Battery configuration; budget is the number of paths per policy sweep."""
@@ -93,11 +101,8 @@ class CertifyConfig:
     tol: float = 1e-9
     n_starts: int = 3
     steps_per_record: int = 48
-    ball_radius_fraction: float = 0.25
     seed: int = 0
     simulation_box: Box | None = None
-    terminal_check_nodes: int = 101
-    growth_check_points: int = 64
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,6 @@ class AdversaryConfig:
 
     include_corners: bool = True
     n_random: int = 3
-    n_pieces: int = 4
     extra_policies: tuple = ()
     seed: int = 1
 
@@ -187,7 +191,7 @@ def _evaluate_at_stops(candidate, ensemble, idx):
 def _martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
     """direction +1: submartingale test E[w(rho)] >= w(tau); -1: supermartingale."""
     T = problem.horizon
-    radius = config.ball_radius_fraction * float(
+    radius = _BALL_RADIUS_FRACTION * float(
         np.max(config.start_box.hi - config.start_box.lo)
     )
     taus = _taus(T)
@@ -241,7 +245,7 @@ def _martingale_records(candidate, problem, config, policy_for, adversary_tag, d
 
 def _terminal_record(candidate, problem, config, direction):
     axes = [
-        np.linspace(lo, hi, config.terminal_check_nodes)
+        np.linspace(lo, hi, _TERMINAL_CHECK_NODES)
         for lo, hi in zip(config.start_box.lo, config.start_box.hi)
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -258,16 +262,16 @@ def _terminal_record(candidate, problem, config, direction):
 def _growth_record(candidate, problem, config):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.seed, 0x9701))))
     pts = rng.uniform(
-        config.start_box.lo, config.start_box.hi, (config.growth_check_points, config.start_box.dim)
+        config.start_box.lo, config.start_box.hi, (_GROWTH_CHECK_POINTS, config.start_box.dim)
     )
-    ts = rng.uniform(0.0, problem.horizon, config.growth_check_points)
+    ts = rng.uniform(0.0, problem.horizon, _GROWTH_CHECK_POINTS)
     worst = np.inf
     for t, x in zip(ts, pts):
         bound = candidate.growth_constant * float(problem.gauge(x[None, :])[0])
         worst = min(worst, bound - abs(candidate(t, x)))
     return TestRecord(
         "growth", 0.0, "-", (), "-", float(worst), 0.0,
-        config.growth_check_points, worst >= -config.tol,
+        _GROWTH_CHECK_POINTS, worst >= -config.tol,
     )
 
 
@@ -301,9 +305,9 @@ def _build_adversaries(problem, adv: AdversaryConfig):
             policies.append((f"corner {c.tolist()}", constant_policy(c)))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((adv.seed, 0xAD5))))
     for j in range(adv.n_random):
-        bps = np.sort(rng.uniform(0.0, problem.horizon, adv.n_pieces))
+        bps = np.sort(rng.uniform(0.0, problem.horizon, _STAIRCASE_PIECES))
         bps[0] = 0.0
-        vals = rng.uniform(-B, B, (adv.n_pieces, k))
+        vals = rng.uniform(-B, B, (_STAIRCASE_PIECES, k))
         policies.append((f"random-staircase-{j}", piecewise_constant_policy(bps, vals)))
     for j, pol in enumerate(adv.extra_policies):
         policies.append((f"extra-{j} ({pol.tag})", pol))
@@ -384,7 +388,6 @@ class BracketConfig:
     n_paths: int = 20_000
     n_steps: int = 64
     seed: int = 0
-    tol: float = 1e-9
     extra_policies: tuple = ()
     simulation_box: Box | None = None
 
@@ -461,9 +464,9 @@ def bracket_report(
                 sub_value=sv,
                 super_value=pv,
                 mc=best,
-                sub_below_mc=sv <= best.mean + best.half_width_95 + sim_config.tol,
-                mc_below_super=best.mean <= pv + best.half_width_95 + sim_config.tol,
-                ordered=sv <= pv + sim_config.tol,
+                sub_below_mc=sv <= best.mean + best.half_width_95 + _BRACKET_TOL,
+                mc_below_super=best.mean <= pv + best.half_width_95 + _BRACKET_TOL,
+                ordered=sv <= pv + _BRACKET_TOL,
                 gap=pv - sv,
             )
         )
@@ -490,35 +493,34 @@ def merton_candidate(
     def evaluator(t, X):
         return np.maximum(X[:, 0], 0.0) ** p * np.exp(lam * (horizon - t))
 
-    policy = constant_policy([u_star])
     shift_tag = f"{exponent_shift:+g}" if exponent_shift else ""
-    return CandidateFunction(
-        evaluator=evaluator,
-        kind=kind,
-        growth_constant=float(np.exp(max(lam * horizon, 0.0))),
-        policy_factory=(lambda tau, xi: policy) if kind == "sub" else None,
-        policy_bound=abs(u_star),
-        name=f"merton{shift_tag}",
-    )
+    growth = float(np.exp(max(lam * horizon, 0.0)))
+    return companion_candidate(evaluator, kind, growth, constant_policy([u_star]), f"merton{shift_tag}")
 
 
-def constant_candidate(
-    c: float, kind: str, growth_constant: float, policy: FeedbackPolicy | None = None
+def companion_candidate(
+    evaluator, kind: str, growth_constant: float, policy: FeedbackPolicy | None, name: str
 ) -> CandidateFunction:
+    """A candidate whose sub side follows one fixed companion policy (u = 0 when none is given)."""
     if kind == "sub" and policy is None:
         policy = constant_policy([0.0])
-
-    def evaluator(t, X):
-        return np.full(X.shape[0], float(c))
-
     return CandidateFunction(
         evaluator=evaluator,
         kind=kind,
         growth_constant=growth_constant,
         policy_factory=(lambda tau, xi: policy) if kind == "sub" else None,
         policy_bound=policy.bound if policy is not None else 0.0,
-        name=f"constant({c:g})",
+        name=name,
     )
+
+
+def constant_candidate(
+    c: float, kind: str, growth_constant: float, policy: FeedbackPolicy | None = None
+) -> CandidateFunction:
+    def evaluator(t, X):
+        return np.full(X.shape[0], float(c))
+
+    return companion_candidate(evaluator, kind, growth_constant, policy, f"constant({c:g})")
 
 
 def candidate_from_solution(solution, kind: str, growth_constant: float) -> CandidateFunction:
@@ -528,12 +530,4 @@ def candidate_from_solution(solution, kind: str, growth_constant: float) -> Cand
     def evaluator(t, X):
         return solution.slice_at(solution.time_index(t)).interpolate(X)
 
-    policy = extract_policy(solution)
-    return CandidateFunction(
-        evaluator=evaluator,
-        kind=kind,
-        growth_constant=growth_constant,
-        policy_factory=(lambda tau, xi: policy) if kind == "sub" else None,
-        policy_bound=policy.bound,
-        name=f"from-solution({kind})",
-    )
+    return companion_candidate(evaluator, kind, growth_constant, extract_policy(solution), f"from-solution({kind})")

@@ -85,6 +85,21 @@ def _report_to_json(report: CertificationReport, candidate_spec) -> dict:
     }
 
 
+def _bracket_to_json(rep) -> dict:
+    return {
+        "ok": rep.ok,
+        "max_gap": rep.max_gap,
+        "points": [
+            {
+                "t": p.t, "x": list(p.x), "sub": p.sub_value, "super": p.super_value,
+                "mc_mean": p.mc.mean, "mc_half_width": p.mc.half_width_95,
+                "gap": p.gap, "ok": p.ok,
+            }
+            for p in rep.points
+        ],
+    }
+
+
 def _report_from_json(doc: dict) -> CertificationReport:
     records = tuple(
         TestRecord(
@@ -130,22 +145,23 @@ def _run_oracle(cfg, out_dir):
     return EXIT_OK
 
 
-def _facelift(problem, g, method="auto", tol=1e-8):
-    """Face-lift of the payoff g: the exact hull for G = -M in 1-D unless method
-    is "relax", g itself for a positive constant G, facelift_general otherwise
-    (policy iteration for G linear in M, the relaxation for a custom G)."""
-    if problem.constraint.family == "neg_second" and g.grid.dim == 1 and method != "relax":
+def _facelift(problem, g):
+    """Face-lift of the payoff g: the exact hull for G = -M in 1-D, facelift_general
+    otherwise (policy iteration for G linear in M, g itself for a positive constant G)."""
+    if problem.constraint.family == "neg_second" and g.grid.dim == 1:
         return concave_envelope(g)
-    if problem.constraint.family == "positive_const":
-        return g
-    return facelift_general(g, problem, tol=tol)
+    return facelift_general(g, problem)
 
 
 def _run_facelift(cfg, out_dir):
+    # older manifests hold "method": "auto" and a "tol" that reached no documented constraint
+    if cfg.get("method", "auto") != "auto":
+        raise ConfigurationError(
+            f'"method": {cfg["method"]!r} is not supported; the facelift --method flag was removed')
     problem = specio.load_problem(cfg["problem"])
     grid = specio.load_grid(cfg["grid"])
     g = _payoff_values(problem, grid)
-    ghat = _facelift(problem, g, cfg.get("method", "auto"), cfg.get("tol", 1e-8))
+    ghat = _facelift(problem, g)
     out = os.path.join(out_dir, cfg["out"])
     specio.atomic_write_text(out, ghat.to_csv())
     specio.write_manifest(out_dir, "facelift", cfg, [cfg["problem"], cfg["grid"]], cfg.get("seed"), [cfg["out"]])
@@ -156,12 +172,13 @@ def _run_facelift(cfg, out_dir):
 def _scheme_config(cfg) -> SchemeConfig:
     if cfg.get("upwind", True) is not True:
         raise ConfigurationError('"upwind": false is not supported; the drift is always upwinded')
+    if cfg.get("penalty_weight") is not None:
+        raise ConfigurationError('"penalty_weight" is not supported; the penalty weight follows the CFL step')
     return SchemeConfig(
         n_time_nodes=int(cfg.get("time_nodes", 101)),
         dt=cfg.get("dt"),
         control_grid_resolution=int(cfg.get("control_res", 41)),
         constraint_mode=cfg.get("mode", "auto"),
-        penalty_weight=cfg.get("penalty_weight"),
     )
 
 
@@ -197,8 +214,7 @@ def _run_solve(cfg, out_dir):
 
 def _run_simulate(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
-    with open(cfg["policy"]) as fh:
-        policy_spec = json.load(fh)
+    policy_spec = specio.load_json(cfg["policy"])
     policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(cfg["policy"]) or ".")
     box = box_from_pairs(cfg["simulation_box"]) if cfg.get("simulation_box") else None
     ens = simulate_paths(
@@ -245,8 +261,7 @@ def _certify_config(cfg, problem) -> CertifyConfig:
 
 def _run_certify(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
-    with open(cfg["candidate"]) as fh:
-        candidate_spec = json.load(fh)
+    candidate_spec = specio.load_json(cfg["candidate"])
     candidate = specio.candidate_from_spec(
         candidate_spec, base_dir=os.path.dirname(cfg["candidate"]) or ".", side=cfg.get("kind"))
     candidate_spec = {**candidate_spec, "side": candidate.kind}
@@ -273,10 +288,8 @@ def _run_certify(cfg, out_dir):
 
 def _run_bracket(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
-    with open(cfg["sub"]) as fh:
-        sub_doc = json.load(fh)
-    with open(cfg["super"]) as fh:
-        super_doc = json.load(fh)
+    sub_doc = specio.load_json(cfg["sub"])
+    super_doc = specio.load_json(cfg["super"])
     sub = specio.candidate_from_spec(sub_doc["candidate"], base_dir=os.path.dirname(cfg["sub"]) or ".")
     super_ = specio.candidate_from_spec(super_doc["candidate"], base_dir=os.path.dirname(cfg["super"]) or ".")
     with open(cfg["points"]) as fh:
@@ -293,18 +306,7 @@ def _run_bracket(cfg, out_dir):
     rep = bracket_report(
         sub, super_, problem, pts, bc, _report_from_json(sub_doc), _report_from_json(super_doc)
     )
-    doc = {
-        "ok": rep.ok,
-        "max_gap": rep.max_gap,
-        "points": [
-            {
-                "t": p.t, "x": list(p.x), "sub": p.sub_value, "super": p.super_value,
-                "mc_mean": p.mc.mean, "mc_half_width": p.mc.half_width_95,
-                "gap": p.gap, "ok": p.ok,
-            }
-            for p in rep.points
-        ],
-    }
+    doc = _bracket_to_json(rep)
     out = os.path.join(out_dir, cfg["out"])
     specio.atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     specio.write_manifest(
@@ -342,11 +344,24 @@ def _run_convergence(cfg, out_dir):
 # what a pipeline stage reports in the partial report instead of raising
 _STAGE_ERRORS = (ConfigurationError, DomainError, ConvergenceError, NumericalError)
 
+# every key a pipeline spec may hold: the ones _run_pipeline, _scheme_config
+# and _certify_config read
+_PIPELINE_KEYS = frozenset({
+    "problem", "grid", "points", "out", "seed", "terminal", "absorb_at_truncation",
+    "mc_paths", "mc_steps", "sub_candidate", "super_candidate", "certify_solver_candidate",
+    "solver_growth_constant", "solver_candidate_tol",
+    "upwind", "penalty_weight", "time_nodes", "dt", "control_res", "mode",
+    "start_box", "budget", "z", "tol", "n_starts", "steps",
+})
 
-def _run_pipeline(cfg, out_dir):
-    with open(cfg["spec"]) as fh:
-        spec = json.load(fh)
-    base = os.path.dirname(cfg["spec"]) or "."
+
+@specio._document("pipeline spec")
+def _pipeline_inputs(spec, base: str):
+    """The problem, grid and evaluation points of a pipeline spec; a key nothing
+    reads is refused, since a typo would otherwise silently take a default."""
+    unknown = sorted(set(spec.keys()) - _PIPELINE_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown pipeline spec key(s) {', '.join(map(repr, unknown))}")
     problem = (
         specio.load_problem(os.path.join(base, spec["problem"]))
         if isinstance(spec["problem"], str)
@@ -354,6 +369,15 @@ def _run_pipeline(cfg, out_dir):
     )
     grid = specio.grid_from_spec(spec["grid"])
     points = [(float(p[0]), [float(v) for v in p[1:]]) for p in spec["points"]]
+    if not points:
+        raise ConfigurationError("a pipeline spec needs at least one point")
+    return problem, grid, points
+
+
+def _run_pipeline(cfg, out_dir):
+    spec = specio.load_json(cfg["spec"])
+    base = os.path.dirname(cfg["spec"]) or "."
+    problem, grid, points = _pipeline_inputs(spec, base)
     report: dict = {"stages": {}}
     out = os.path.join(out_dir, spec.get("out", "pipeline-report.json"))
     seed = int(spec.get("seed", 0))
@@ -447,18 +471,9 @@ def _run_pipeline(cfg, out_dir):
         brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep)
     except _STAGE_ERRORS as exc:
         return _fail("bracket", exc)
-    report["bracket"] = {
-        "ok": brep.ok,
-        "max_gap": brep.max_gap,
-        "points": [
-            {
-                "t": p.t, "x": list(p.x), "sub": p.sub_value, "super": p.super_value,
-                "mc_mean": p.mc.mean, "mc_half_width": p.mc.half_width_95,
-                "gap": p.gap, "gap_fraction": p.gap / max(abs(p.mc.mean), 1e-300), "ok": p.ok,
-            }
-            for p in brep.points
-        ],
-    }
+    report["bracket"] = _bracket_to_json(brep)
+    for doc, p in zip(report["bracket"]["points"], brep.points):
+        doc["gap_fraction"] = p.gap / max(abs(p.mc.mean), 1e-300)
     report["stages"]["bracket"] = "ok"
 
     _write_report()
@@ -494,8 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--out", default="ghat.csv")
-    p.add_argument("--method", default="auto", choices=["auto", "relax"])
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("solve")
     p.add_argument("--problem", required=True)
@@ -574,7 +587,7 @@ def main(argv=None) -> int:
 
     try:
         if args.manifest:
-            manifest = specio.load_manifest(args.manifest)
+            manifest = specio.load_json(args.manifest)
             subcommand = manifest["subcommand"]
             if args.subcommand and args.subcommand != subcommand:
                 print(f"manifest records subcommand {subcommand!r}", file=sys.stderr)

@@ -8,10 +8,10 @@ discrete obstacle problem  min(w - g, G_h(w)) = 0.  For G linear in M
 (`neg_second`, `neg_trace`) policy iteration solves it exactly; for any other
 G a clamped relaxation drives it to its fixed point.
 
-The hull route runs in exact rational arithmetic and canonicalizes its float
-output to have non-positive second differences exactly; this makes
-idempotence, dominance and monotonicity hold to the last bit, which the
-property suite asserts without tolerances.
+The hull route takes exact rational chords between float hull vertices and
+canonicalizes its float output to have non-positive second differences
+exactly; this makes idempotence, dominance and monotonicity hold to the last
+bit, which the property suite asserts without tolerances.
 """
 
 from __future__ import annotations
@@ -37,20 +37,20 @@ __all__ = [
 
 
 def upper_hull_indices(x, v) -> list:
-    """Nodes on the exact upper convex hull of (x_i, v_i), collinear kept.
+    """Nodes on the upper convex hull of (x_i, v_i), collinear kept.
 
-    Cross products are evaluated in rational arithmetic so near-collinear
-    float data cannot flip a hull decision.
+    Andrew's monotone chain in float arithmetic.  A near-collinear node may
+    land on either side of a chord; concave_envelope's exact chords and
+    repair make its output independent of that choice.
     """
-    xf = [Fraction(float(t)) for t in x]
-    vf = [Fraction(float(t)) for t in v]
-    hull: list = []
-    for k in range(len(xf)):
+    x = np.asarray(x, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist()
+    hull = [0]
+    for k in range(1, len(x)):
         while len(hull) >= 2:
             i, j = hull[-2], hull[-1]
-            cross = (xf[j] - xf[i]) * (vf[k] - vf[i]) - (vf[j] - vf[i]) * (xf[k] - xf[i])
-            if cross > 0:  # j strictly below chord i-k
-                hull.pop()
+            if (x[j] - x[i]) * (v[k] - v[i]) - (v[j] - v[i]) * (x[k] - x[i]) > 0.0:
+                hull.pop()  # j strictly below chord i-k
             else:
                 break
         hull.append(k)
@@ -109,6 +109,9 @@ def concave_envelope(g_grid: GridFunction) -> GridFunction:
         for k in range(a + 1, b):
             t = (xf[k] - xf[a]) / (xf[b] - xf[a])
             out[k] = float(vf[a] + (vf[b] - vf[a]) * t)
+    # exact chords lie below the real hull, so the repair starts between g and
+    # its least fixed point whichever near-collinear nodes the hull kept
+    np.maximum(out, v, out=out)
     out = exact_concavity_repair(x, out)
     return g_grid.with_values(out)
 
@@ -265,7 +268,6 @@ def _policy_iteration(g_grid, problem, axes, max_iters):
 def facelift_general(
     g_grid: GridFunction,
     problem,
-    relaxation: float | None = None,
     max_iters: int = 2_000_000,
     tol: float = 1e-8,
 ) -> GridFunction:
@@ -275,12 +277,13 @@ def facelift_general(
     solves it exactly, up to rounding, in at most max_iters iterations; the
     result dominates g exactly and equals g on the box edges.  Any other G
     goes through the clamped relaxation: each sweep applies
-    w <- max(g, w - relaxation * G_h(w))  on the interior (a Jacobi update:
-    violations G_h < 0 push w up, slack G_h > 0 relaxes it down onto the
-    obstacle), with the box edges clamped to g.  It stops when the
-    geometric-decay extrapolation of the update norm bounds the remaining
+    w <- max(g, w - r G_h(w))  on the interior, r = h^2 / (2 |dG/dM|) (a
+    Jacobi update: violations G_h < 0 push w up, slack G_h > 0 relaxes it
+    down onto the obstacle), with the box edges clamped to g.  It stops when
+    the geometric-decay extrapolation of the update norm bounds the remaining
     distance to the fixed point by tol, or when the update reaches the
-    rounding floor of w; tol and relaxation apply to the relaxation only.
+    rounding floor of w (at once, for a positive constant G); tol applies to
+    the relaxation only.
     """
     grid = g_grid.grid
     if grid.dim > 2:
@@ -288,8 +291,7 @@ def facelift_general(
     axes = _second_difference_axes(problem.constraint.family, grid.dim)
     if axes is not None:
         return _policy_iteration(g_grid, problem, axes, max_iters)
-    if relaxation is None:
-        relaxation = _auto_relaxation(problem, grid)
+    relaxation = _auto_relaxation(problem, grid)
     g = g_grid.values
     w = np.array(g, dtype=float)
     interior = grid.interior_mask()
@@ -315,6 +317,9 @@ def facelift_general(
     )
 
 
+_MINIMALITY_PROBE_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class FaceliftVerification:
     dominates: bool
@@ -334,15 +339,15 @@ def verify_facelift(
     g_grid: GridFunction,
     problem,
     tol: float = 1e-8,
-    probe_delta: float = 1e-6,
 ) -> FaceliftVerification:
     """Check the three defining properties of a computed face-lift.
 
     (a) w >= g - tol pointwise; (b) discrete complementarity
-    min(w - g, G_h(w)) in [-tol, tol] at every node; (c) minimality probe:
-    lowering any interior node with w > g + tol by probe_delta must break the
-    supersolution property somewhere.  Complementarity is measured in G units,
-    which scale like (value tolerance) / h^2 for iteratively computed inputs.
+    min(w - g, G_h(w)) in [-tol, tol] at every interior node (the edges hold
+    w = g by construction); (c) minimality probe: lowering any interior node
+    with w > g + tol by a small step must break the supersolution property
+    somewhere.  Complementarity is measured in G units, which scale like
+    (value tolerance) / h^2 for iteratively computed inputs.
     """
     if w.grid != g_grid.grid:
         raise GridMismatchError("face-lift and payoff must share one grid")
@@ -351,7 +356,7 @@ def verify_facelift(
     dominates = dom_defect <= tol
 
     gh = _constraint_on_grid(problem, w.grid, wv)
-    comp = np.minimum(wv - gv, gh)
+    comp = np.minimum(wv - gv, gh)[w.grid.interior]
     comp_defect = float(np.max(np.abs(comp)))
     complementarity = comp_defect <= tol
 
@@ -359,7 +364,7 @@ def verify_facelift(
     nonminimal = 0
     for idx in map(tuple, lifted):
         w_pert = np.array(wv)
-        w_pert[idx] -= probe_delta
+        w_pert[idx] -= _MINIMALITY_PROBE_STEP
         still_super = np.all(w_pert >= gv - tol) and np.all(
             _constraint_on_grid(problem, w.grid, w_pert) >= -tol
         )

@@ -9,7 +9,6 @@ step and the face-lift constraint G_h all difference with.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -165,10 +164,6 @@ class SpatialGrid:
     def shape(self) -> tuple:
         return tuple(a.size for a in self.axes)
 
-    @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.shape))
-
     def nodes(self) -> np.ndarray:
         """All nodes as a read-only (n_nodes, dim) array, C-order."""
         return self._nodes
@@ -272,30 +267,43 @@ class GridFunction:
         return float(vals[0]) if x.ndim < 2 else vals
 
     def to_csv(self) -> str:
-        coords = self.grid.nodes()
-        out = io.StringIO()
-        dim = self.grid.dim
-        out.write(",".join(f"x{i}" for i in range(dim)) + ",value\n")
-        flat = self.values.ravel()
-        for row, val in zip(coords, flat):
-            out.write(",".join(repr(float(c)) for c in row) + f",{float(val)!r}\n")
-        return out.getvalue()
+        header = [f"x{i}" for i in range(self.grid.dim)] + ["value"]
+        return write_grid_csv(header, np.column_stack([self.grid.nodes(), self.values.ravel()]))
+
+
+def write_grid_csv(header, rows) -> str:
+    """The one grid-CSV writer: a header line, then one line of repr(float) cells per row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def read_grid_csv(text: str):
+    """The one grid-CSV reader: (key axes, data of shape (*key shape, n columns)).
+
+    The key columns are the ones before `value` (a solution's time, then the
+    coordinates); the value and later columns are data.  Rows may come in any
+    order but must fill the tensor grid of the key values exactly once.
+    """
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    header = lines[0].split(",")
+    n_keys = header.index("value")
+    rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    if rows.ndim != 2 or rows.shape[1] != len(header):
+        raise ValueError(f"CSV rows must have the {len(header)} columns of the header")
+    keys = rows[:, :n_keys].T
+    axes = tuple(np.unique(k) for k in keys)
+    shape = tuple(a.size for a in axes)
+    flat = np.ravel_multi_index(tuple(np.searchsorted(a, k) for a, k in zip(axes, keys)), shape)
+    if len(rows) != int(np.prod(shape)) or np.unique(flat).size != len(rows):
+        raise ValueError("CSV rows do not fill the tensor grid exactly once")
+    data = np.empty((len(rows), rows.shape[1] - n_keys))
+    data[flat] = rows[:, n_keys:]
+    return axes, data.reshape(shape + (-1,))
 
 
 def grid_function_from_csv(text: str) -> GridFunction:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    dim = len(header) - 1
-    rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    coords, vals = rows[:, :dim], rows[:, dim]
-    axes = tuple(np.unique(coords[:, d]) for d in range(dim))
-    shape = tuple(a.size for a in axes)
-    if int(np.prod(shape)) != len(vals):
-        raise ValueError("CSV rows do not form a full tensor grid")
-    # rows may come in any order; sort into C order
-    keys = np.zeros(len(vals), dtype=int)
-    for d in range(dim):
-        keys = keys * shape[d] + np.searchsorted(axes[d], coords[:, d])
-    values = np.empty(int(np.prod(shape)))
-    values[keys] = vals
-    return GridFunction(SpatialGrid(axes), values.reshape(shape))
+    axes, data = read_grid_csv(text)
+    if data.shape[-1] != 1:
+        raise ValueError("a grid-function CSV ends with its value column")
+    return GridFunction(SpatialGrid(axes), data[..., 0])

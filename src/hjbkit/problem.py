@@ -199,9 +199,8 @@ class ControlProblem:
         if not self.state_domain.contains(x):
             raise DomainError(f"state {x} outside the open domain")
 
-    def control_grid(self, resolution: int, bound: float | None = None) -> np.ndarray:
-        b = self.control_bound if bound is None else bound
-        return self.control_set.grid(resolution, b)
+    def control_grid(self, resolution: int) -> np.ndarray:
+        return self.control_set.grid(resolution, self.control_bound)
 
     def check_growth(self, points) -> bool:
         """|g| <= C psi on the probed points (the declared growth constant)."""

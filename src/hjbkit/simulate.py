@@ -116,14 +116,13 @@ def simulate_paths(
     n_steps: int,
     seed: int,
     simulation_box=None,
-    t_end: float | None = None,
 ) -> PathEnsemble:
-    """Euler-Maruyama ensemble from (t0, x0) to the horizon (or t_end)."""
+    """Euler-Maruyama ensemble from (t0, x0) to the horizon."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     problem.require_inside(x0)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    T = problem.horizon if t_end is None else t_end
+    T = problem.horizon
     if not t0 < T:
         raise ValueError("t0 must precede the end time")
     dt = (T - t0) / n_steps
@@ -190,14 +189,6 @@ class ValueEstimate:
     half_width_95: float
     exit_fraction: float
     n_paths: int
-
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width_95
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width_95
 
 
 def estimate_value(ensemble: PathEnsemble, payoff) -> ValueEstimate:

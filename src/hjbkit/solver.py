@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .facelift import _auto_relaxation, _constraint_on_grid
-from .grids import AxisStencil, GridFunction, SpatialGrid, mixed_second
+from .facelift import _auto_relaxation, _constraint_on_grid, upper_hull_indices
+from .grids import AxisStencil, GridFunction, SpatialGrid, mixed_second, write_grid_csv
 
 __all__ = [
     "SchemeConfig",
@@ -54,7 +54,6 @@ class SchemeConfig:
     dt: float | None = None
     control_grid_resolution: int = 41
     constraint_mode: str = "auto"      # auto | project | penalize | off
-    penalty_weight: float | None = None
 
     def __post_init__(self):
         if self.n_time_nodes < 2:
@@ -71,12 +70,7 @@ class SpaceTimeSolution:
     times: np.ndarray
     values: np.ndarray          # (n_times, *grid.shape)
     policies: np.ndarray        # (n_times, *grid.shape, k)
-    raw_payoff: GridFunction    # g sampled on the grid (terminal may be face-lifted)
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def terminal(self) -> GridFunction:
-        return GridFunction(self.grid, self.values[-1])
 
     def slice_at(self, n: int) -> GridFunction:
         return GridFunction(self.grid, self.values[n])
@@ -90,27 +84,17 @@ class SpaceTimeSolution:
         return self.slice_at(self.time_index(t)).interpolate(x)
 
     def to_csv(self) -> str:
-        dim = self.grid.dim
-        k = self.policies.shape[-1]
-        head = (
-            "t,"
-            + ",".join(f"x{i}" for i in range(dim))
-            + ",value,"
-            + ",".join(f"u{i}" for i in range(k))
-        )
-        rows = [head]
+        """The grid CSV with a leading time column and trailing argmax-control columns."""
         nodes = self.grid.nodes()
-        for n, t in enumerate(self.times):
-            vals = self.values[n].ravel()
-            pols = self.policies[n].reshape(-1, k)
-            for node, v, u in zip(nodes, vals, pols):
-                rows.append(
-                    f"{float(t)!r},"
-                    + ",".join(repr(float(c)) for c in node)
-                    + f",{float(v)!r},"
-                    + ",".join(repr(float(c)) for c in u)
-                )
-        return "\n".join(rows) + "\n"
+        k = self.policies.shape[-1]
+        header = ["t"] + [f"x{i}" for i in range(self.grid.dim)] + ["value"] + [f"u{i}" for i in range(k)]
+        rows = np.column_stack([
+            np.repeat(self.times, len(nodes)),
+            np.tile(nodes, (len(self.times), 1)),
+            self.values.reshape(-1),
+            self.policies.reshape(-1, k),
+        ])
+        return write_grid_csv(header, rows)
 
 
 @dataclass(frozen=True)
@@ -162,17 +146,8 @@ def discrete_generator(problem, u, v_slice: GridFunction, t: float) -> Generator
 
 
 def _float_upper_envelope(x, v):
-    """Fast float upper concave envelope (monotone chain + chord interpolation)."""
-    n = x.size
-    hull = [0]
-    for k in range(1, n):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (x[j] - x[i]) * (v[k] - v[i]) - (v[j] - v[i]) * (x[k] - x[i]) > 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(k)
+    """Fast float upper concave envelope (facelift's hull chain + float chords)."""
+    hull = upper_hull_indices(x, v)
     out = v.copy()
     for a, b in zip(hull[:-1], hull[1:]):
         if b > a + 1:
@@ -285,8 +260,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     dt = dt_out / m_sub
 
     # penalty weight: strong enough to enforce G_h >= -tol, small enough to stay monotone
-    rho = config.penalty_weight
-    if mode == "penalize" and rho is None:
+    if mode == "penalize":
         rho = 0.9 * _auto_relaxation(problem, grid) / dt
 
     n_times = len(times)
@@ -323,7 +297,6 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         values[n] = v
         policies[n] = stepper.argmax(v, times[n])
 
-    raw = GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
     meta = {
         "mode": mode,
         "dt_internal": dt,
@@ -334,7 +307,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         "edge_treatment": "dirichlet_terminal_boundary",
         "wall_seconds": _time.time() - t_wall,
     }
-    return SpaceTimeSolution(grid, times, values, policies, raw, meta)
+    return SpaceTimeSolution(grid, times, values, policies, meta)
 
 
 def _nearest_indices(axis, xs):

@@ -18,9 +18,15 @@ import uuid
 
 import numpy as np
 
-from .certify import CandidateFunction, candidate_from_solution, constant_candidate, merton_candidate
+from .certify import (
+    CandidateFunction,
+    candidate_from_solution,
+    companion_candidate,
+    constant_candidate,
+    merton_candidate,
+)
 from .errors import ConfigurationError
-from .grids import GridFunction, SpatialGrid, grid_function_from_csv, log_grid, uniform_grid
+from .grids import SpatialGrid, grid_function_from_csv, log_grid, read_grid_csv, uniform_grid
 from .problem import (
     ControlProblem,
     abs_payoff,
@@ -116,8 +122,7 @@ def problem_from_spec(spec: dict) -> ControlProblem:
 
 
 def load_problem(path: str) -> ControlProblem:
-    with open(path) as fh:
-        return problem_from_spec(json.load(fh))
+    return problem_from_spec(load_json(path))
 
 
 @_document("grid")
@@ -139,8 +144,7 @@ def grid_from_spec(spec: dict) -> SpatialGrid:
 
 
 def load_grid(path: str) -> SpatialGrid:
-    with open(path) as fh:
-        return grid_from_spec(json.load(fh))
+    return grid_from_spec(load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -148,24 +152,11 @@ def load_grid(path: str) -> SpatialGrid:
 # ---------------------------------------------------------------------------
 
 def solution_from_csv(text: str) -> SpaceTimeSolution:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    dim = sum(1 for h in header if h.startswith("x"))
-    k = sum(1 for h in header if h.startswith("u"))
-    rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    times = np.unique(rows[:, 0])
-    axes = tuple(np.unique(rows[:, 1 + d]) for d in range(dim))
-    grid = SpatialGrid(axes)
-    shape = (len(times),) + grid.shape
-    values = np.empty(shape)
-    policies = np.empty(shape + (k,))
-    key = np.searchsorted(times, rows[:, 0])
-    for d in range(dim):
-        key = key * grid.shape[d] + np.searchsorted(axes[d], rows[:, 1 + d])
-    values.reshape(-1)[key] = rows[:, 1 + dim]
-    policies.reshape(-1, k)[key] = rows[:, 2 + dim : 2 + dim + k]
-    raw = GridFunction(grid, values[-1])
-    return SpaceTimeSolution(grid, times, values, policies, raw, {"source": "csv"})
+    """A grid CSV keyed by time, then coordinates, with argmax-control columns after the value."""
+    (times, *axes), data = read_grid_csv(text)
+    grid = SpatialGrid(tuple(axes))
+    values, policies = data[..., 0], data[..., 1:]
+    return SpaceTimeSolution(grid, times, values, policies, {"source": "csv"})
 
 
 def load_solution(path: str) -> SpaceTimeSolution:
@@ -182,7 +173,7 @@ def policy_from_spec(spec: dict, base_dir: str = ".") -> FeedbackPolicy:
     kind = spec["kind"]
     if kind == "constant":
         return constant_policy(spec["value"])
-    if kind in ("table", "from-solution"):
+    if kind == "from-solution":
         from .solver import extract_policy
 
         path = os.path.join(base_dir, spec["csv"])
@@ -209,16 +200,8 @@ def candidate_from_spec(spec: dict, base_dir: str = ".", side: str | None = None
         if gf.grid.dim != 1:
             raise ConfigurationError("grid-table candidates are one-dimensional")
         policy = policy_from_spec(spec["policy"], base_dir) if "policy" in spec else None
-        if side == "sub" and policy is None:
-            policy = constant_policy([0.0])
-        return CandidateFunction(
-            evaluator=lambda t, X: gf.interpolate(X),
-            kind=side,
-            growth_constant=spec["growth_constant"],
-            policy_factory=(lambda tau, xi: policy) if side == "sub" else None,
-            policy_bound=policy.bound if policy is not None else 0.0,
-            name="grid-table",
-        )
+        return companion_candidate(
+            lambda t, X: gf.interpolate(X), side, spec["growth_constant"], policy, "grid-table")
     if kind == "from-solution":
         sol = load_solution(os.path.join(base_dir, spec["csv"]))
         return candidate_from_solution(sol, side, spec["growth_constant"])
@@ -270,6 +253,7 @@ def write_manifest(out_dir: str, subcommand: str, config: dict, inputs, seed, ou
     return path
 
 
-def load_manifest(path: str) -> dict:
+def load_json(path: str):
+    """A JSON document: a manifest, or a problem, grid, policy, candidate or pipeline document."""
     with open(path) as fh:
         return json.load(fh)

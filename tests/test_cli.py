@@ -356,8 +356,9 @@ def test_malformed_candidate_document_is_a_configuration_error(doc):
         specio.candidate_from_spec(doc)
 
 
-@pytest.mark.parametrize("doc", [["x"], {"kind": "constant"}, {"value": [1.0]}],
-                         ids=["document-list", "constant-without-value", "no-kind"])
+@pytest.mark.parametrize("doc", [["x"], {"kind": "constant"}, {"value": [1.0]},
+                                 {"kind": "table", "csv": "solution.csv"}],
+                         ids=["document-list", "constant-without-value", "no-kind", "table-kind"])
 def test_malformed_policy_document_is_a_configuration_error(doc):
     with pytest.raises(specio.ConfigurationError):
         specio.policy_from_spec(doc)
@@ -437,3 +438,130 @@ def test_pipeline_malformed_candidate_exits_2_with_partial_report(tmp_path, caps
     stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
     assert stages["simulate"] == "ok"
     assert stages["certify"].startswith("failed: unknown merton candidate parameter")
+
+
+def test_facelift_manifest_from_before_the_method_flag_replays(tmp_path, capsys):
+    """Manifests hold "method": "auto" and "tol" from when facelift had those flags."""
+    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [41]})
+    assert main(["--out-dir", str(tmp_path / "a"), "facelift", "--problem", prob, "--grid", grid]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    manifest["config"].update(method="auto", tol=1e-08)
+    mpath = write(tmp_path / "old-manifest.json", manifest)
+    assert main(["--out-dir", str(tmp_path / "b"), "--manifest", mpath]) == 0
+    assert (tmp_path / "b" / "ghat.csv").read_bytes() == (tmp_path / "a" / "ghat.csv").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand, argv, key, value", [
+    ("facelift", [], "method", "relax"),
+    ("solve", ["--time-nodes", "5", "--control-res", "5"], "penalty_weight", 10.0),
+])
+def test_manifest_with_a_removed_setting_exits_2(tmp_path, capsys, subcommand, argv, key, value):
+    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [21]})
+    assert main(["--out-dir", str(tmp_path), subcommand, "--problem", prob, "--grid", grid] + argv) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"][key] = value
+    mpath = write(tmp_path / "edited-manifest.json", manifest)
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path / "replay"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and key in err
+
+
+def test_facelift_has_no_method_flag(tmp_path, capsys):
+    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [21]})
+    assert main(["--out-dir", str(tmp_path), "facelift", "--problem", prob, "--grid", grid,
+                 "--method", "relax"]) == 2
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"points": 5}, "malformed pipeline spec document"),
+    ({"points": []}, "at least one point"),
+    ({"mc_path": 10}, "'mc_path'"),
+    ({"penalty_weight": 10.0}, "penalty_weight"),
+], ids=["points-int", "points-empty", "unknown-key", "penalty-weight"])
+def test_malformed_pipeline_spec_exits_2(tmp_path, capsys, changes, message):
+    spath = small_pipeline(tmp_path, **changes)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+def test_pipeline_spec_document_list_exits_2(tmp_path, capsys):
+    spath = write(tmp_path / "pipeline.json", [{"problem": "prob.json"}])
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    assert "configuration error: malformed pipeline spec document" in capsys.readouterr().err
+
+
+def test_pipeline_certifies_the_solver_candidate(tmp_path, capsys):
+    spath = small_pipeline(tmp_path, certify_solver_candidate=True)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) in (0, 4)
+    doc = json.loads((tmp_path / "pipeline-report.json").read_text())
+    assert doc["stages"]["certify"] == "ok"
+    assert doc["solver_candidate"]["verdict"] in ("certified (statistical)", "NOT certified")
+    assert isinstance(doc["solver_candidate"]["certified"], bool)
+
+
+@pytest.fixture
+def merton_solution_csv(tmp_path):
+    """`hjbkit solve` on a small Merton problem: the directory holding solution.csv."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.2, 5.0]], "n": [40], "spacing": "log"})
+    assert main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid,
+                 "--time-nodes", "11", "--control-res", "21"]) == 0
+    return tmp_path
+
+
+def test_solve_then_simulate_a_from_solution_policy(merton_solution_csv):
+    d = merton_solution_csv
+    pol = write(d / "pol.json", {"kind": "from-solution", "csv": "solution.csv"})
+    assert main(["--out-dir", str(d / "sim"), "simulate", "--problem", str(d / "prob.json"),
+                 "--policy", pol, "--x0", "1.0", "--paths", "4000", "--steps", "20"]) == 0
+    est = json.loads((d / "sim" / "ensemble-summary.json").read_text())
+    assert est["n_paths"] == 4000
+    assert abs(est["mean"] - math.exp(0.125)) < 4 * est["half_width_95"] + 0.01
+
+
+def test_simulate_policy_csv_with_a_dropped_row_exits_2(merton_solution_csv, capsys):
+    d = merton_solution_csv
+    lines = (d / "solution.csv").read_text().splitlines()
+    (d / "dropped.csv").write_text("\n".join(lines[:7] + lines[8:]) + "\n")
+    pol = write(d / "pol.json", {"kind": "from-solution", "csv": "dropped.csv"})
+    capsys.readouterr()
+    assert main(["--out-dir", str(d / "sim"), "simulate", "--problem", str(d / "prob.json"),
+                 "--policy", pol, "--x0", "1.0", "--paths", "100", "--steps", "4"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (d / "sim" / "ensemble-summary.json").exists()
+
+
+def test_solve_then_certify_a_from_solution_sub_candidate(merton_solution_csv, capsys):
+    d = merton_solution_csv
+    cand = write(d / "cand.json", {"kind": "from-solution", "csv": "solution.csv", "side": "sub",
+                                   "growth_constant": 10.0})
+    assert main(["--out-dir", str(d / "cert"), "certify", "--problem", str(d / "prob.json"),
+                 "--candidate", cand, "--budget", "6000", "--start-box", "0.5,2.0"]) == 0
+    report = json.loads((d / "cert" / "report.json").read_text())
+    assert report["certified"] and report["side"] == "sub"
+    assert report["candidate"]["kind"] == "from-solution"
+
+
+@pytest.mark.parametrize("spec, side, policy", [
+    (KINK_SPEC, "super", None),
+    (MERTON_SPEC, "sub", {"kind": "constant", "value": [0.0]}),
+], ids=["kink-super", "merton-sub-with-policy"])
+def test_facelift_then_certify_a_grid_table_candidate(tmp_path, capsys, spec, side, policy):
+    prob = write(tmp_path / "prob.json", spec)
+    box = [[0.0, 2.0]] if spec is KINK_SPEC else [[0.2, 5.0]]
+    grid = write(tmp_path / "grid.json", {"box": box, "n": [41]})
+    assert main(["--out-dir", str(tmp_path), "facelift", "--problem", prob, "--grid", grid]) == 0
+    doc = {"kind": "grid-table", "csv": "ghat.csv", "side": side, "growth_constant": 10.0}
+    if policy is not None:
+        doc["policy"] = policy
+    cand = write(tmp_path / "cand.json", doc)
+    assert main(["--out-dir", str(tmp_path / "cert"), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", "6000", "--start-box", "0.5,1.5"]) == 0
+    report = json.loads((tmp_path / "cert" / "report.json").read_text())
+    assert report["certified"] and report["side"] == side

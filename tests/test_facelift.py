@@ -127,6 +127,21 @@ class TestConcaveEnvelope:
             env = hk.concave_envelope(gf(x, v))
             assert np.array_equal(env.values, brute_force_upper_hull(x, v))
 
+    @pytest.mark.parametrize("kind", ["integers-on-uniform-grid", "near-affine"])
+    def test_matches_brute_force_hull_on_ties(self, kind):
+        """Exact ties and near-collinear nodes, where the float hull chain may pick
+        other vertices than exact arithmetic would: the output must not move."""
+        rng = np.random.default_rng(5)
+        for _ in range(15):
+            n = int(rng.integers(3, 30))
+            if kind == "integers-on-uniform-grid":
+                x, v = np.arange(n, dtype=float), rng.integers(-4, 5, n).astype(float)
+            else:
+                x = np.linspace(-1.0, 3.0, n)
+                v = 0.3 * x + 1.0 + rng.normal(size=n) * 10.0 ** int(rng.integers(-16, -10))
+            env = hk.concave_envelope(gf(x, v))
+            assert np.array_equal(env.values, brute_force_upper_hull(x, v))
+
     def test_two_d_rejected(self):
         grid = hk.uniform_grid([0, 0], [1, 1], [4, 4])
         g = hk.GridFunction(grid, np.zeros((4, 4)))
@@ -380,6 +395,22 @@ class TestVerifyFacelift:
         rep = hk.verify_facelift(shifted, g, neg_second_problem, tol=1e-8)
         assert not rep.minimal
         assert rep.n_nonminimal_nodes > 0
+        assert not rep.ok
+
+    def test_two_d_neg_trace_facelift_verifies(self, neg_trace_problem):
+        """The edges hold w = g by construction, so complementarity is an interior check."""
+        grid = hk.uniform_grid([0.0, 0.0], [1.0, 1.0], [9, 9])
+        x, y = np.meshgrid(*grid.axes, indexing="ij")
+        g = hk.GridFunction(grid, (x - 0.5) ** 2 + (y - 0.5) ** 2)
+        rep = hk.verify_facelift(hk.facelift_general(g, neg_trace_problem), g, neg_trace_problem)
+        assert rep.ok
+        assert rep.max_complementarity_defect < 1e-12
+
+    def test_convex_payoff_is_not_its_own_facelift(self, neg_second_problem):
+        x = np.linspace(0.0, 2.0, 21)
+        g = gf(x, (x - 1.0) ** 2)
+        rep = hk.verify_facelift(g, g, neg_second_problem, tol=1e-8)
+        assert rep.dominates and not rep.complementarity
         assert not rep.ok
 
     def test_grid_mismatch_rejected(self, neg_second_problem):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hjbkit as hk
+from hjbkit import specio
 
 
 def _reference_interpolate(gf, x):
@@ -35,3 +36,47 @@ def test_batched_interpolation_equals_pointwise_loop(dim):
     assert np.array_equal(batched.view(np.uint64), reference.view(np.uint64))
     single = gf.interpolate(pts[3])
     assert isinstance(single, float) and single == reference[3]
+
+
+def _grid_function_csv(rng):
+    grid = hk.SpatialGrid((_nonuniform_axis(rng, -1.0, 2.0, 5), _nonuniform_axis(rng, 0.0, 1.0, 4)))
+    return hk.GridFunction(grid, rng.normal(size=grid.shape)).to_csv()
+
+
+def _solution_csv(rng):
+    grid = hk.SpatialGrid((_nonuniform_axis(rng, 0.2, 5.0, 11),))
+    times = np.linspace(0.0, 1.0, 4)
+    values = rng.normal(size=(4, 11))
+    policies = rng.uniform(-1.0, 1.0, (4, 11, 1))
+    return hk.SpaceTimeSolution(grid, times, values, policies).to_csv()
+
+
+CSV_FORMATS = {
+    "grid-function": (_grid_function_csv, hk.grids.grid_function_from_csv),
+    "solution": (_solution_csv, specio.solution_from_csv),
+}
+
+
+@pytest.mark.parametrize("fmt", CSV_FORMATS)
+def test_csv_round_trip_is_bitwise_in_any_row_order(fmt):
+    write, read = CSV_FORMATS[fmt]
+    text = write(np.random.default_rng(50))
+    header, *rows = text.splitlines()
+    shuffled = "\n".join([header] + list(np.random.default_rng(51).permutation(rows))) + "\n"
+    assert read(text).to_csv() == text
+    assert read(shuffled).to_csv() == text
+
+
+@pytest.mark.parametrize("defect", ["dropped-row", "duplicate-replaces-missing", "short-row"])
+@pytest.mark.parametrize("fmt", CSV_FORMATS)
+def test_csv_reader_requires_each_node_exactly_once(fmt, defect):
+    write, read = CSV_FORMATS[fmt]
+    header, *rows = write(np.random.default_rng(52)).splitlines()
+    if defect == "dropped-row":
+        rows = rows[:5] + rows[6:]
+    elif defect == "duplicate-replaces-missing":
+        rows = rows[:5] + [rows[4]] + rows[6:]
+    else:
+        rows[5] = rows[5].rsplit(",", 1)[0]
+    with pytest.raises(ValueError):
+        read("\n".join([header] + rows) + "\n")

@@ -8,13 +8,14 @@ than in a traced benchmark run.
 import importlib
 import importlib.util
 import pathlib
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hjbkit as hk
-from hjbkit import facelift
+from hjbkit import cli, facelift
 from hjbkit.problem import neg_trace_constraint
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -72,3 +73,49 @@ def test_one_policy_iteration_counts_each_iteration_once(tracer_module):
     w = facelift.facelift_general(g, counted)
     np.testing.assert_array_equal(w.values, facelift.facelift_general(g, problem).values)
     assert 1 <= tracer.counts["on_nodes@None"] <= (x.size - 2) + 1
+
+
+@pytest.fixture(scope="module")
+def workloads_module(tracer_module):
+    """perfbench/workloads.py, which imports the tracer as a top-level module."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(TRACER_PATH.parent))
+        mp.setitem(sys.modules, "tracer", tracer_module)
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", TRACER_PATH.parent / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_call_shapes(workloads_module):
+    """The calls perfbench/workloads.py makes, with its keywords, at toy sizes."""
+    wl = workloads_module
+    prob = hk.proportional_control_problem(mu=1.0, sigma=1.0, bound=1.0)
+    grid = hk.uniform_grid([0.0], [2.0], [21])
+    g = hk.GridFunction(grid, np.abs(grid.axes[0] - 0.7))
+    hull = facelift.concave_envelope(g)
+    lifted = facelift.facelift_general(g, prob, tol=wl.FACELIFT_TOL, max_iters=wl.SWEEP_BUDGET * 21 ** 2)
+    assert np.max(np.abs(lifted.values - hull.values)) <= 10 * wl.FACELIFT_TOL
+
+    prob2 = replace(hk.heat_problem(dim=2, horizon=wl.SOLVE_2D_HORIZON), constraint=neg_trace_constraint())
+    grid2 = hk.uniform_grid([0.0, 0.0], [2.0, 2.0], [9, 9])
+    a = grid2.axes[0]
+    w = facelift.facelift_general(hk.GridFunction(grid2, np.add.outer(np.abs(a - 0.7), np.abs(a - 1.1))),
+                                  prob2, tol=wl.FACELIFT_TOL, max_iters=wl.SWEEP_BUDGET * 9 ** 2)
+    assert facelift._constraint_on_grid(prob2, w.grid, w.values).shape == (9, 9)
+    hk.solve_hjb(prob2, w, hk.SchemeConfig(n_time_nodes=3, constraint_mode="penalize"))
+
+    merton = hk.merton_problem(mu=0.1, sigma=0.2, p=0.5, horizon=1.0, bound=10.0)
+    config = hk.SchemeConfig(n_time_nodes=200, control_grid_resolution=201, constraint_mode="project")
+    small = hk.log_grid(0.2, 5.0, 20)
+    terminal = hk.GridFunction(small, merton.payoff(small.nodes()).reshape(small.shape))
+    hk.solve_hjb(merton, terminal, replace(config, n_time_nodes=3, control_grid_resolution=5))
+
+
+def test_pipeline_fast_spec_passes_the_unknown_key_check(workloads_module):
+    spec = dict(workloads_module.PIPELINE_FAST_SPEC, problem=workloads_module.PIPELINE_PROBLEM)
+    problem, grid, points = cli._pipeline_inputs(spec, ".")
+    assert grid.shape == (120,) and len(points) == 3
+    with pytest.raises(hk.ConfigurationError, match="'mc_path'"):
+        cli._pipeline_inputs(dict(spec, mc_path=10), ".")
