@@ -292,12 +292,7 @@ def _run_bracket(cfg, out_dir):
     super_doc = specio.load_json(cfg["super"])
     sub = specio.candidate_from_spec(sub_doc["candidate"], base_dir=os.path.dirname(cfg["sub"]) or ".")
     super_ = specio.candidate_from_spec(super_doc["candidate"], base_dir=os.path.dirname(cfg["super"]) or ".")
-    with open(cfg["points"]) as fh:
-        pts = [
-            (float(parts[0]), [float(v) for v in parts[1:]])
-            for parts in (ln.split(",") for ln in fh.read().strip().splitlines() if ln.strip())
-            if _is_float(parts[0])
-        ]
+    pts = _read_points(cfg["points"])
     bc = BracketConfig(
         n_paths=int(cfg.get("paths", 20_000)),
         n_steps=int(cfg.get("steps", 64)),
@@ -317,12 +312,22 @@ def _run_bracket(cfg, out_dir):
     return EXIT_OK if rep.ok else EXIT_CERTIFY_FAIL
 
 
-def _is_float(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+def _read_points(path):
+    """The (t, x) lines `t,x1[,x2...]` of a points file; only the first line may be a header."""
+    with open(path) as fh:
+        lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    pts = []
+    for j, (i, ln) in enumerate(lines):
+        try:
+            t, *x = (float(v) for v in ln.split(","))
+        except ValueError:
+            if j == 0:
+                continue
+            raise ConfigurationError(f"{path} line {i}: {ln!r} is not t,x[,...] numbers") from None
+        if not x:
+            raise ConfigurationError(f"{path} line {i}: {ln!r} has no state coordinates")
+        pts.append((t, x))
+    return pts
 
 
 def _run_convergence(cfg, out_dir):
@@ -355,13 +360,33 @@ _PIPELINE_KEYS = frozenset({
 })
 
 
+# the numeric keys of a pipeline spec and their types ("dt" may also be null)
+_PIPELINE_NUMBERS = {
+    "seed": int, "mc_paths": int, "mc_steps": int, "time_nodes": int, "control_res": int,
+    "budget": int, "n_starts": int, "steps": int,
+    "dt": float, "z": float, "tol": float, "solver_growth_constant": float, "solver_candidate_tol": float,
+}
+
+
 @specio._document("pipeline spec")
 def _pipeline_inputs(spec, base: str):
-    """The problem, grid and evaluation points of a pipeline spec; a key nothing
-    reads is refused, since a typo would otherwise silently take a default."""
+    """The problem, grid and evaluation points of a pipeline spec, whose numeric
+    keys are coerced in place.  A key nothing reads is refused, since a typo
+    would otherwise silently take a default, and so is a number that does not
+    parse, before any stage runs."""
     unknown = sorted(set(spec.keys()) - _PIPELINE_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown pipeline spec key(s) {', '.join(map(repr, unknown))}")
+    if spec.get("absorb_at_truncation", False) is not False:
+        raise ConfigurationError(
+            '"absorb_at_truncation" is not supported; the Monte Carlo stages simulate on the state domain')
+    for key, kind in _PIPELINE_NUMBERS.items():
+        if key not in spec or (key == "dt" and spec[key] is None):
+            continue
+        try:
+            spec[key] = kind(spec[key])
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"pipeline spec key {key!r}: {spec[key]!r} is not a number") from None
     problem = (
         specio.load_problem(os.path.join(base, spec["problem"]))
         if isinstance(spec["problem"], str)
@@ -375,12 +400,13 @@ def _pipeline_inputs(spec, base: str):
 
 
 def _run_pipeline(cfg, out_dir):
-    spec = specio.load_json(cfg["spec"])
     base = os.path.dirname(cfg["spec"]) or "."
+    spec = specio.load_json(cfg["spec"])
     problem, grid, points = _pipeline_inputs(spec, base)
     report: dict = {"stages": {}}
     out = os.path.join(out_dir, spec.get("out", "pipeline-report.json"))
-    seed = int(spec.get("seed", 0))
+    seed = spec.get("seed", 0)
+    mc_paths, mc_steps = spec.get("mc_paths", 100_000), spec.get("mc_steps", 200)
     config = _scheme_config(spec)
 
     def _write_report():
@@ -412,18 +438,22 @@ def _run_pipeline(cfg, out_dir):
     except _STAGE_ERRORS as exc:
         return _fail("solve", exc)
 
-    # stage 3: policy extraction + simulation at the first point
+    # stage 3: policy extraction + simulation at the first point, on the state
+    # domain: stopping at the truncation box would price another policy
     try:
         policy = extract_policy(sol)
         t0, x0 = points[0]
-        box = grid.box if spec.get("absorb_at_truncation", True) else None
-        ens = simulate_paths(
-            problem, policy, t0, x0, int(spec.get("mc_paths", 100_000)),
-            int(spec.get("mc_steps", 200)), seed, box,
-        )
+        ens = simulate_paths(problem, policy, t0, x0, mc_paths, mc_steps, seed)
         est = estimate_value(ens, problem.payoff)
+        left = np.zeros(ens.n_paths, dtype=bool)
+        # one time step at a time: temporaries the size of the ensemble raised
+        # the pipeline's peak resident memory by about 20 MB
+        for x in ens.states.swapaxes(0, 1):
+            left |= np.any((x < grid.box.lo) | (x > grid.box.hi), axis=1)
         report["mc_estimate_at_first_point"] = {
             "mean": est.mean, "half_width_95": est.half_width_95, "exit_fraction": est.exit_fraction,
+            # a diagnostic of the truncation, not a stopping rule
+            "left_box_fraction": float(np.mean(left)),
         }
         report["stages"]["simulate"] = "ok"
     except _STAGE_ERRORS as exc:
@@ -442,9 +472,10 @@ def _run_pipeline(cfg, out_dir):
         if spec.get("certify_solver_candidate", True):
             solver_cand = candidate_from_solution(sol, "sub", growth_constant=spec.get("solver_growth_constant", 10.0))
             try:
+                # stopped at the box: a stopped submartingale is still a submartingale
                 scfg = CertifyConfig(
                     start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
-                    tol=float(spec.get("solver_candidate_tol", 5e-3)),
+                    tol=spec.get("solver_candidate_tol", 5e-3),
                     seed=seed + 2, simulation_box=grid.box,
                 )
                 srep = certify_subsolution(solver_cand, problem, scfg)
@@ -464,10 +495,7 @@ def _run_pipeline(cfg, out_dir):
         print(f"pipeline complete; bracket {report['bracket']}")
         return EXIT_CERTIFY_FAIL
     try:
-        bc = BracketConfig(
-            n_paths=int(spec.get("mc_paths", 100_000)), n_steps=int(spec.get("mc_steps", 200)),
-            seed=seed, extra_policies=(policy,), simulation_box=box,
-        )
+        bc = BracketConfig(n_paths=mc_paths, n_steps=mc_steps, seed=seed, extra_policies=(policy,))
         brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep)
     except _STAGE_ERRORS as exc:
         return _fail("bracket", exc)

@@ -8,10 +8,13 @@ discrete obstacle problem  min(w - g, G_h(w)) = 0.  For G linear in M
 (`neg_second`, `neg_trace`) policy iteration solves it exactly; for any other
 G a clamped relaxation drives it to its fixed point.
 
-The hull route takes exact rational chords between float hull vertices and
+The hull route takes exact chords between float hull vertices and
 canonicalizes its float output to have non-positive second differences
 exactly; this makes idempotence, dominance and monotonicity hold to the last
-bit, which the property suite asserts without tolerances.
+bit, which the property suite asserts without tolerances.  Every float is an
+integer times a power of two, so the exact arithmetic runs on Python ints at
+one power-of-two scale per array, and each chord is rounded to float by one
+correctly rounded int/int division.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,39 +59,54 @@ def upper_hull_indices(x, v) -> list:
     return hull
 
 
+def _scaled_ints(values):
+    """Integers I and an exponent e >= 0 with values[i] == I[i] / 2**e exactly."""
+    ratios = [float(t).as_integer_ratio() for t in values]
+    e = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return [n << (e - d.bit_length() + 1) for n, d in ratios], e
+
+
 def exact_concavity_repair(x, v) -> np.ndarray:
     """Smallest float array >= v whose second differences are exactly <= 0.
 
     Correctly-rounded chord values can sit an ulp on the convex side of their
     neighbors; this lifts such nodes by the minimal representable amount
-    (rational comparisons, so the result is canonical).  A lift can only
-    break concavity at the two neighbours, so only they are checked again.
-    The lift is monotone in the neighbours, so any order of lifts ends at the
-    same least fixed point.
+    (exact comparisons of integers at a power-of-two scale, so the result is
+    canonical).  A lift can only break concavity at the two neighbours, so
+    only they are checked again.  The lift is monotone in the neighbours, so
+    any order of lifts ends at the same least fixed point.
     """
-    out = np.array(v, dtype=float)
-    n = out.size
-    xf = [Fraction(float(t)) for t in x]
-    vf = [Fraction(t) for t in out.tolist()]
-    # position of each interior node between its neighbours, in [0, 1]
-    ratio = [None] + [(xf[k] - xf[k - 1]) / (xf[k + 1] - xf[k - 1]) for k in range(1, n - 1)]
+    out = np.asarray(v, dtype=float).tolist()
+    n = len(out)
+    X, _ = _scaled_ints(x)
+    V, e = _scaled_ints(out)
+    # the chord at k times span is V[k-1] hp + V[k+1] hm (hm, hp: spacings either side)
+    hm = [None] + [X[k] - X[k - 1] for k in range(1, n - 1)]
+    hp = [None] + [X[k + 1] - X[k] for k in range(1, n - 1)]
     pending = deque(range(1, n - 1))
     queued = [False] + [True] * (n - 2) + [False]
     while pending:
         k = pending.popleft()
         queued[k] = False
-        chord = vf[k - 1] + (vf[k + 1] - vf[k - 1]) * ratio[k]
-        if vf[k] < chord:
-            m = float(chord)
-            if Fraction(m) < chord:
+        span = hm[k] + hp[k]
+        num = V[k - 1] * hp[k] + V[k + 1] * hm[k]
+        if V[k] * span < num:
+            m = num / (span << e)  # one correctly rounded division
+            M, d = m.as_integer_ratio()  # m = M / d, d a power of two
+            if (M * span) << e < num * d:
                 m = math.nextafter(m, math.inf)
+                M, d = m.as_integer_ratio()
+            s = d.bit_length() - 1
+            if s > e:  # m is finer than the scale: rescale every value
+                V = [t << (s - e) for t in V]
+                e = s
             out[k] = m
-            vf[k] = Fraction(m)
+            V[k] = M << (e - s)
             for j in (k - 1, k + 1):
                 if not queued[j] and 0 < j < n - 1:
                     queued[j] = True
                     pending.append(j)
-    return out
+    return np.array(out)
 
 
 def concave_envelope(g_grid: GridFunction) -> GridFunction:
@@ -103,12 +120,13 @@ def concave_envelope(g_grid: GridFunction) -> GridFunction:
     v = g_grid.values
     hull = upper_hull_indices(x, v)
     out = np.array(v, dtype=float)
-    xf = [Fraction(float(t)) for t in x]
-    vf = [Fraction(float(t)) for t in v]
+    X, _ = _scaled_ints(x)
+    V, e = _scaled_ints(out.tolist())
     for a, b in zip(hull[:-1], hull[1:]):
+        span = (X[b] - X[a]) << e
         for k in range(a + 1, b):
-            t = (xf[k] - xf[a]) / (xf[b] - xf[a])
-            out[k] = float(vf[a] + (vf[b] - vf[a]) * t)
+            # V[a] + (V[b] - V[a]) (X[k] - X[a]) / (X[b] - X[a]), rounded once
+            out[k] = (V[a] * (X[b] - X[k]) + V[b] * (X[k] - X[a])) / span
     # exact chords lie below the real hull, so the repair starts between g and
     # its least fixed point whichever near-collinear nodes the hull kept
     np.maximum(out, v, out=out)

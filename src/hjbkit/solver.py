@@ -246,7 +246,8 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     dt_out = times[1] - times[0]
 
     stepper = _Stepper(problem, grid, controls)
-    rate = stepper.rate(T)
+    # the CFL bound must hold at every time, not only at the horizon
+    rate = max(map(stepper.rate, times)) if problem.time_dependent else stepper.rate(T)
     dt_max = 1.0 / rate if rate > 0 else math.inf
     if config.dt is not None:
         if config.dt > dt_max * (1 + 1e-12):

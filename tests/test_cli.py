@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 
+import hjbkit as hk
 from hjbkit import specio
 from hjbkit.cli import main
 from hjbkit.errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
@@ -565,3 +566,76 @@ def test_facelift_then_certify_a_grid_table_candidate(tmp_path, capsys, spec, si
                  "--budget", "6000", "--start-box", "0.5,1.5"]) == 0
     report = json.loads((tmp_path / "cert" / "report.json").read_text())
     assert report["certified"] and report["side"] == side
+
+
+def _bracket_inputs(tmp_path, points_text):
+    """A problem, certified sub/super report documents and a points file for `bracket`."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    reports = []
+    for side, params in (("sub", MERTON_SUB["params"]), ("super", dict(MERTON_SUB["params"], exponent_shift=0.05))):
+        doc = {"candidate": dict(MERTON_SUB, side=side, params=params), "side": side, "records": [],
+               "z": 4.0, "tol": 1e-9, "budget": 0, "seed": 0}
+        reports.append(write(tmp_path / f"{side}-report.json", doc))
+    pts = tmp_path / "points.csv"
+    pts.write_text(points_text)
+    return ["--out-dir", str(tmp_path), "bracket", "--problem", prob, "--sub", reports[0],
+            "--super", reports[1], "--points", str(pts), "--paths", "500", "--steps", "8"]
+
+
+@pytest.mark.parametrize("points_text", [
+    "t,x\n0.0,1.0\n0.5;1.5\n",
+    "0.0,1.0\nt,x\n",
+    "t,x\n0.0,1.0\n0.5\n",
+], ids=["semicolon-line", "header-not-first", "no-state"])
+def test_bracket_malformed_points_line_exits_2(tmp_path, capsys, points_text):
+    assert main(_bracket_inputs(tmp_path, points_text)) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not (tmp_path / "bracket.json").exists()
+
+
+def test_bracket_points_header_is_skipped(tmp_path):
+    assert main(_bracket_inputs(tmp_path, "t,x\n0.0,1.0\n\n0.5,1.5\n")) in (0, 4)
+    doc = json.loads((tmp_path / "bracket.json").read_text())
+    assert [(p["t"], p["x"]) for p in doc["points"]] == [(0.0, [1.0]), (0.5, [1.5])]
+
+
+@pytest.mark.parametrize("key", ["mc_paths", "mc_steps", "seed", "solver_candidate_tol", "budget", "z",
+                                 "time_nodes", "dt"])
+def test_pipeline_non_numeric_key_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, **{key: "many"})
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(key) in err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+def test_pipeline_absorption_lever_is_gone(tmp_path, capsys):
+    spath = small_pipeline(tmp_path, absorb_at_truncation=True)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    assert "absorb_at_truncation" in capsys.readouterr().err
+    assert not (tmp_path / "pipeline-report.json").exists()
+    reports = []
+    for name, changes in (("false", {"absorb_at_truncation": False}), ("absent", {})):
+        spath = small_pipeline(tmp_path, mc_paths=500, budget=1000, **changes)
+        assert main(["--out-dir", str(tmp_path / name), "pipeline", "--spec", spath]) in (0, 4)
+        reports.append((tmp_path / name / "pipeline-report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_pipeline_simulates_on_the_state_domain(tmp_path):
+    """Stage 3 is simulate_paths with no box: a path leaving the grid's box is not stopped."""
+    spath = small_pipeline(tmp_path)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) in (0, 4)
+    mc = json.loads((tmp_path / "pipeline-report.json").read_text())["mc_estimate_at_first_point"]
+    spec = json.loads(open(spath).read())
+    problem = specio.problem_from_spec(MERTON_SPEC)
+    grid = specio.grid_from_spec(spec["grid"])
+    g = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+    config = hk.SchemeConfig(n_time_nodes=spec["time_nodes"], control_grid_resolution=spec["control_res"])
+    policy = hk.extract_policy(hk.solve_hjb(problem, hk.concave_envelope(g), config))
+    run = (problem, policy, 0.0, [1.0], spec["mc_paths"], spec["mc_steps"], spec["seed"])
+    est = hk.estimate_value(hk.simulate_paths(*run), problem.payoff)
+    assert (mc["mean"], mc["half_width_95"], mc["exit_fraction"]) == (est.mean, est.half_width_95, est.exit_fraction)
+    assert mc["left_box_fraction"] > 0.0
+    assert hk.estimate_value(hk.simulate_paths(*run, grid.box), problem.payoff).mean != mc["mean"]

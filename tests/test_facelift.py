@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import math
+import pathlib
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -342,6 +345,141 @@ def _reference_concavity_repair(x, v):
                 out[k] = m
                 changed = True
     return out
+
+
+def _fraction_concavity_repair(x, v):
+    """exact_concavity_repair's worklist in Fraction arithmetic, as it was written
+    before the scaled-integer version; kept as the oracle for it."""
+    out = np.array(v, dtype=float)
+    n = out.size
+    xf = [Fraction(float(t)) for t in x]
+    vf = [Fraction(t) for t in out.tolist()]
+    ratio = [None] + [(xf[k] - xf[k - 1]) / (xf[k + 1] - xf[k - 1]) for k in range(1, n - 1)]
+    pending = deque(range(1, n - 1))
+    queued = [False] + [True] * (n - 2) + [False]
+    while pending:
+        k = pending.popleft()
+        queued[k] = False
+        chord = vf[k - 1] + (vf[k + 1] - vf[k - 1]) * ratio[k]
+        if vf[k] < chord:
+            m = float(chord)
+            if Fraction(m) < chord:
+                m = math.nextafter(m, math.inf)
+            out[k] = m
+            vf[k] = Fraction(m)
+            for j in (k - 1, k + 1):
+                if not queued[j] and 0 < j < n - 1:
+                    queued[j] = True
+                    pending.append(j)
+    return out
+
+
+def _fraction_chords(x, v):
+    """What concave_envelope hands to the repair, in Fraction arithmetic: the
+    exact chords on the float hull, each rounded once, and g where it is higher."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    hull = facelift.upper_hull_indices(x, v)
+    out = np.array(v)
+    xf = [Fraction(float(t)) for t in x]
+    vf = [Fraction(float(t)) for t in v]
+    for a, b in zip(hull[:-1], hull[1:]):
+        for k in range(a + 1, b):
+            out[k] = float(vf[a] + (vf[b] - vf[a]) * (xf[k] - xf[a]) / (xf[b] - xf[a]))
+    return np.maximum(out, v)
+
+
+def _fraction_concave_envelope(x, v):
+    """concave_envelope in Fraction arithmetic, as it was written before the
+    scaled-integer version."""
+    return _fraction_concavity_repair(x, _fraction_chords(x, v))
+
+
+@st.composite
+def hull_inputs(draw):
+    """(x, v) of one of five kinds: uniform, jittered or graded grids, integer
+    data, near-affine data."""
+    kind = draw(st.sampled_from(["uniform", "jittered", "graded", "integers", "near-affine"]))
+    n = draw(st.integers(3, 10 if kind == "graded" else 40))
+    if kind == "graded":
+        # spacings from 1e-6 to 1: the repair lifts slowly there, so few nodes
+        steps = draw(st.lists(st.floats(-6.0, 0.0), min_size=n - 1, max_size=n - 1))
+        x = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(steps))])
+    else:
+        x = np.linspace(0.0, 2.0, n)
+    if kind == "jittered":
+        shift = draw(st.lists(st.floats(-0.4, 0.4), min_size=n - 2, max_size=n - 2))
+        x[1:-1] += np.array(shift) * (x[1] - x[0])
+    if kind == "integers":
+        x = np.arange(n, dtype=float)
+        v = np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), dtype=float)
+    elif kind == "near-affine":
+        noise = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        v = 0.3 * x + 1.0 + noise * 10.0 ** draw(st.integers(-16, -10))
+    else:
+        v = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return x, v
+
+
+class TestScaledIntegerHull:
+    """concave_envelope in scaled integers against the Fraction code it replaced."""
+
+    @given(hull_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_fraction_reference(self, xv):
+        x, v = xv
+        assert np.array_equal(_bits(hk.concave_envelope(gf(x, v)).values),
+                              _bits(_fraction_concave_envelope(x, v)))
+
+    def test_subnormal_chords_round_once(self, monkeypatch):
+        """Values near 1e-310 whose chords round in the subnormal range, where a
+        division followed by a power-of-two scaling would round twice.
+
+        The output cannot show a chord rounded the wrong way (the repair lifts
+        every node to the ceiling of its exact chord either way), so the chords
+        handed to the repair are compared as well.
+        """
+        rng = np.random.default_rng(17)
+        cases = []
+        for _, grid in jittered_grids(18, 4, n=25):
+            x = grid.axes[0]
+            for k in range(0, 8, 2):
+                # convex data: every interior node is on one chord
+                cases.append((x, ((x - 1.0) ** 2 + rng.uniform(0.0, 0.01, x.size)) * 1e-310 * 2.0 ** k))
+        chords = []
+        monkeypatch.setattr(facelift, "exact_concavity_repair",
+                            lambda x, v: chords.append(np.array(v)) or exact_concavity_repair(x, v))
+        for x, v in cases:
+            env = hk.concave_envelope(gf(x, v)).values
+            assert np.array_equal(_bits(chords[-1]), _bits(_fraction_chords(x, v)))
+            assert np.array_equal(_bits(env), _bits(_fraction_concavity_repair(x, chords[-1])))
+
+    def test_lifts_finer_than_the_input_scale(self):
+        """Integer data whose chords are thirds: every lifted value is finer than
+        the integers the data was stored at, so the scale has to move."""
+        rng = np.random.default_rng(19)
+        cases = [(np.arange(4.0), np.array([0.0, 0.0, 0.0, 1.0]))]
+        for _ in range(20):
+            n = int(rng.integers(4, 30))
+            v = rng.integers(-6, 7, n).astype(float)
+            v[1:-1:3] -= 20.0  # deep dents: chords across three spacings
+            cases.append((3.0 * np.arange(n), v))
+        for x, v in cases:
+            env = hk.concave_envelope(gf(x, v)).values
+            assert np.any(env != np.round(env))
+            assert np.array_equal(_bits(env), _bits(_fraction_concave_envelope(x, v)))
+            assert np.array_equal(_bits(exact_concavity_repair(x, v)), _bits(_fraction_concavity_repair(x, v)))
+
+    def test_src_imports_no_fractions(self):
+        root = pathlib.Path(hk.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                assert not any(name.split(".")[0] == "fractions" for name in names), path
 
 
 class TestConcavityRepair:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,21 @@ class TestSolveHJB:
         term = gf(grid.axes[0], grid.axes[0] ** 2)
         with pytest.raises(ConfigurationError, match="CFL"):
             hk.solve_hjb(heat_problem, term, hk.SchemeConfig(n_time_nodes=11, dt=0.1))
+
+    def test_cfl_bound_holds_at_every_time(self, heat_problem):
+        """Diffusion 1 + 3(1 - t) is 4x larger at t = 0 than at the horizon: a step
+        sized at the horizon alone makes 1 + dt w0 negative and the solve blow up."""
+
+        def diffusion(t, x, u):
+            return np.broadcast_to(1.0 + 3.0 * (1.0 - np.asarray(t, float)), np.shape(x))
+
+        prob = dataclasses.replace(heat_problem, diffusion=diffusion, time_dependent=True)
+        grid = hk.uniform_grid([-2.0], [2.0], [41])
+        spike = np.zeros(41)
+        spike[20] = 1.0
+        sol = hk.solve_hjb(prob, gf(grid.axes[0], spike),
+                           hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
+        assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
 
     def test_box_outside_domain_rejected(self, merton_problem):
         grid = hk.uniform_grid([-1.0], [1.0], [11])
