@@ -389,7 +389,6 @@ class BracketConfig:
     n_steps: int = 64
     seed: int = 0
     extra_policies: tuple = ()
-    simulation_box: Box | None = None
 
 
 @dataclass(frozen=True)
@@ -451,7 +450,7 @@ def bracket_report(
         for pol in policies:
             ens = simulate_paths(
                 problem, pol, t, x, sim_config.n_paths, sim_config.n_steps,
-                (sim_config.seed, j), sim_config.simulation_box,
+                (sim_config.seed, j),
             )
             est = estimate_value(ens, problem.payoff)
             if best is None or est.mean > best.mean:

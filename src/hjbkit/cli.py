@@ -169,15 +169,24 @@ def _run_facelift(cfg, out_dir):
     return EXIT_OK
 
 
+def _number(cfg, key, kind, default):
+    """cfg[key] as `kind` (int or float), or `default` when the key is absent."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"key {key!r}: {value!r} is not a number") from None
+
+
 def _scheme_config(cfg) -> SchemeConfig:
     if cfg.get("upwind", True) is not True:
         raise ConfigurationError('"upwind": false is not supported; the drift is always upwinded')
     if cfg.get("penalty_weight") is not None:
         raise ConfigurationError('"penalty_weight" is not supported; the penalty weight follows the CFL step')
     return SchemeConfig(
-        n_time_nodes=int(cfg.get("time_nodes", 101)),
-        dt=cfg.get("dt"),
-        control_grid_resolution=int(cfg.get("control_res", 41)),
+        n_time_nodes=_number(cfg, "time_nodes", int, 101),
+        dt=None if cfg.get("dt") is None else _number(cfg, "dt", float, None),
+        control_grid_resolution=_number(cfg, "control_res", int, 41),
         constraint_mode=cfg.get("mode", "auto"),
     )
 
@@ -250,12 +259,12 @@ def _certify_config(cfg, problem) -> CertifyConfig:
         box = Box(lo + 0.25 * width, hi - 0.25 * width)
     return CertifyConfig(
         start_box=box,
-        budget=int(cfg.get("budget", 100_000)),
-        z=float(cfg.get("z", 4.0)),
-        tol=float(cfg.get("tol", 1e-9)),
-        n_starts=int(cfg.get("n_starts", 3)),
-        steps_per_record=int(cfg.get("steps", 48)),
-        seed=int(cfg.get("seed", 0)),
+        budget=_number(cfg, "budget", int, 100_000),
+        z=_number(cfg, "z", float, 4.0),
+        tol=_number(cfg, "tol", float, 1e-9),
+        n_starts=_number(cfg, "n_starts", int, 3),
+        steps_per_record=_number(cfg, "steps", int, 48),
+        seed=_number(cfg, "seed", int, 0),
     )
 
 
@@ -327,6 +336,8 @@ def _read_points(path):
         if not x:
             raise ConfigurationError(f"{path} line {i}: {ln!r} has no state coordinates")
         pts.append((t, x))
+    if not pts:
+        raise ConfigurationError(f"{path} holds no points")
     return pts
 
 
@@ -360,33 +371,16 @@ _PIPELINE_KEYS = frozenset({
 })
 
 
-# the numeric keys of a pipeline spec and their types ("dt" may also be null)
-_PIPELINE_NUMBERS = {
-    "seed": int, "mc_paths": int, "mc_steps": int, "time_nodes": int, "control_res": int,
-    "budget": int, "n_starts": int, "steps": int,
-    "dt": float, "z": float, "tol": float, "solver_growth_constant": float, "solver_candidate_tol": float,
-}
-
-
 @specio._document("pipeline spec")
 def _pipeline_inputs(spec, base: str):
-    """The problem, grid and evaluation points of a pipeline spec, whose numeric
-    keys are coerced in place.  A key nothing reads is refused, since a typo
-    would otherwise silently take a default, and so is a number that does not
-    parse, before any stage runs."""
+    """The problem, grid and evaluation points of a pipeline spec.  A key nothing
+    reads is refused, since a typo would otherwise silently take a default."""
     unknown = sorted(set(spec.keys()) - _PIPELINE_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown pipeline spec key(s) {', '.join(map(repr, unknown))}")
     if spec.get("absorb_at_truncation", False) is not False:
         raise ConfigurationError(
             '"absorb_at_truncation" is not supported; the Monte Carlo stages simulate on the state domain')
-    for key, kind in _PIPELINE_NUMBERS.items():
-        if key not in spec or (key == "dt" and spec[key] is None):
-            continue
-        try:
-            spec[key] = kind(spec[key])
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"pipeline spec key {key!r}: {spec[key]!r} is not a number") from None
     problem = (
         specio.load_problem(os.path.join(base, spec["problem"]))
         if isinstance(spec["problem"], str)
@@ -403,11 +397,15 @@ def _run_pipeline(cfg, out_dir):
     base = os.path.dirname(cfg["spec"]) or "."
     spec = specio.load_json(cfg["spec"])
     problem, grid, points = _pipeline_inputs(spec, base)
+    # every number of the spec is read here, once, so a bad one exits 2 naming
+    # its key before any stage runs
+    config, ccfg = _scheme_config(spec), _certify_config(spec, problem)
+    seed = ccfg.seed
+    mc_paths, mc_steps = _number(spec, "mc_paths", int, 100_000), _number(spec, "mc_steps", int, 200)
+    solver_growth = _number(spec, "solver_growth_constant", float, 10.0)
+    solver_tol = _number(spec, "solver_candidate_tol", float, 5e-3)
     report: dict = {"stages": {}}
     out = os.path.join(out_dir, spec.get("out", "pipeline-report.json"))
-    seed = spec.get("seed", 0)
-    mc_paths, mc_steps = spec.get("mc_paths", 100_000), spec.get("mc_steps", 200)
-    config = _scheme_config(spec)
 
     def _write_report():
         specio.atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -461,7 +459,6 @@ def _run_pipeline(cfg, out_dir):
 
     # stage 4: certification
     try:
-        ccfg = _certify_config({**spec, "seed": seed}, problem)
         sub = specio.candidate_from_spec(spec["sub_candidate"], base)
         super_ = specio.candidate_from_spec(spec["super_candidate"], base)
         sub_rep = certify_subsolution(sub, problem, ccfg)
@@ -470,12 +467,12 @@ def _run_pipeline(cfg, out_dir):
         report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
         report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
         if spec.get("certify_solver_candidate", True):
-            solver_cand = candidate_from_solution(sol, "sub", growth_constant=spec.get("solver_growth_constant", 10.0))
+            solver_cand = candidate_from_solution(sol, "sub", growth_constant=solver_growth)
             try:
                 # stopped at the box: a stopped submartingale is still a submartingale
                 scfg = CertifyConfig(
                     start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
-                    tol=spec.get("solver_candidate_tol", 5e-3),
+                    tol=solver_tol,
                     seed=seed + 2, simulation_box=grid.box,
                 )
                 srep = certify_subsolution(solver_cand, problem, scfg)

@@ -247,7 +247,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
 
     stepper = _Stepper(problem, grid, controls)
     # the CFL bound must hold at every time, not only at the horizon
-    rate = max(map(stepper.rate, times)) if problem.time_dependent else stepper.rate(T)
+    rate = max(map(stepper.rate, times))
     dt_max = 1.0 / rate if rate > 0 else math.inf
     if config.dt is not None:
         if config.dt > dt_max * (1 + 1e-12):

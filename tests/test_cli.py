@@ -586,7 +586,9 @@ def _bracket_inputs(tmp_path, points_text):
     "t,x\n0.0,1.0\n0.5;1.5\n",
     "0.0,1.0\nt,x\n",
     "t,x\n0.0,1.0\n0.5\n",
-], ids=["semicolon-line", "header-not-first", "no-state"])
+    "",
+    "t,x\n",
+], ids=["semicolon-line", "header-not-first", "no-state", "empty", "header-only"])
 def test_bracket_malformed_points_line_exits_2(tmp_path, capsys, points_text):
     assert main(_bracket_inputs(tmp_path, points_text)) == 2
     assert "configuration error:" in capsys.readouterr().err
@@ -599,8 +601,8 @@ def test_bracket_points_header_is_skipped(tmp_path):
     assert [(p["t"], p["x"]) for p in doc["points"]] == [(0.0, [1.0]), (0.5, [1.5])]
 
 
-@pytest.mark.parametrize("key", ["mc_paths", "mc_steps", "seed", "solver_candidate_tol", "budget", "z",
-                                 "time_nodes", "dt"])
+@pytest.mark.parametrize("key", ["mc_paths", "mc_steps", "seed", "solver_candidate_tol", "solver_growth_constant",
+                                 "budget", "z", "tol", "n_starts", "steps", "time_nodes", "control_res", "dt"])
 def test_pipeline_non_numeric_key_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key):
     monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: "many"})
