@@ -23,20 +23,16 @@ from .errors import (
     GridMismatchError,
     NumericalError,
 )
-from .facelift import concave_envelope, facelift_general, verify_facelift
+from .facelift import concave_envelope, facelift_general
 from .grids import Box, GridFunction, SpatialGrid, log_grid, uniform_grid
-from .oracles import dense_reference, heat_value, merton_lambda, merton_optimal_control, merton_value
+from .oracles import heat_value, merton_lambda, merton_optimal_control, merton_value
 from . import problem
 from .problem import (
     ControlProblem,
     ControlSet,
-    HamiltonianValue,
-    check_compatibility,
     constant_coefficient_problem,
-    hamiltonian,
     heat_problem,
     merton_problem,
-    probe_coefficients,
     proportional_control_problem,
 )
 from .simulate import (
@@ -44,15 +40,12 @@ from .simulate import (
     PathEnsemble,
     constant_policy,
     estimate_value,
-    gauge_check,
-    optimize_policy,
     simulate_paths,
 )
 from .solver import (
     SchemeConfig,
     SpaceTimeSolution,
     convergence_study,
-    discrete_generator,
     extract_policy,
     solve_hjb,
 )

@@ -120,6 +120,14 @@ def _report_from_json(doc: dict) -> CertificationReport:
     )
 
 
+@specio._document("certify report")
+def _load_report(path):
+    """The candidate a certify report describes, and the report."""
+    doc = specio.load_json(path)
+    candidate = specio.candidate_from_spec(doc["candidate"], base_dir=os.path.dirname(path) or ".")
+    return candidate, _report_from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each takes the resolved config dict)
 # ---------------------------------------------------------------------------
@@ -131,7 +139,7 @@ _ORACLES = {
 
 
 def _run_oracle(cfg, out_dir):
-    t, x = cfg["eval"]
+    t, x = _float_list(cfg, "eval", 2)
     if cfg["family"] not in _ORACLES:
         raise ConfigurationError(f"unknown oracle family {cfg['family']!r}")
     value, names = _ORACLES[cfg["family"]]
@@ -176,6 +184,18 @@ def _number(cfg, key, kind, default):
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"key {key!r}: {value!r} is not a number") from None
+
+
+def _float_list(cfg, key, length=None):
+    """cfg[key] as a nonempty list of floats, of `length` entries when given."""
+    value = cfg.get(key)
+    try:
+        out = [float(v) for v in value] if isinstance(value, (list, tuple)) else []
+    except (TypeError, ValueError):
+        out = []
+    if not out or (length is not None and len(out) != length):
+        raise ConfigurationError(f"key {key!r}: {value!r} is not a list of {length or 'one or more'} numbers")
+    return out
 
 
 def _scheme_config(cfg) -> SchemeConfig:
@@ -226,9 +246,10 @@ def _run_simulate(cfg, out_dir):
     policy_spec = specio.load_json(cfg["policy"])
     policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(cfg["policy"]) or ".")
     box = box_from_pairs(cfg["simulation_box"]) if cfg.get("simulation_box") else None
+    t0, x0, seed = _number(cfg, "t0", float, 0.0), _float_list(cfg, "x0"), _number(cfg, "seed", int, 0)
     ens = simulate_paths(
-        problem, policy, cfg["t0"], cfg["x0"], int(cfg["paths"]), int(cfg["steps"]),
-        int(cfg["seed"]), box,
+        problem, policy, t0, x0, _number(cfg, "paths", int, 10_000), _number(cfg, "steps", int, 100),
+        seed, box,
     )
     est = estimate_value(ens, problem.payoff)
     summary = {
@@ -236,10 +257,10 @@ def _run_simulate(cfg, out_dir):
         "half_width_95": est.half_width_95,
         "exit_fraction": est.exit_fraction,
         "n_paths": est.n_paths,
-        "seed": int(cfg["seed"]),
+        "seed": seed,
         "policy": policy_spec,
-        "t0": cfg["t0"],
-        "x0": cfg["x0"],
+        "t0": t0,
+        "x0": x0,
         "log_coordinates": ens.log_coordinates,
     }
     out = os.path.join(out_dir, cfg["out"])
@@ -278,7 +299,7 @@ def _run_certify(cfg, out_dir):
     if candidate.kind == "sub":
         report = certify_subsolution(candidate, problem, config)
     else:
-        adv = AdversaryConfig(seed=int(cfg.get("seed", 0)) + 1)
+        adv = AdversaryConfig(seed=config.seed + 1)
         report = certify_supersolution(candidate, problem, config, adv)
     doc = _report_to_json(report, candidate_spec)
     out = os.path.join(out_dir, cfg["out"])
@@ -297,19 +318,15 @@ def _run_certify(cfg, out_dir):
 
 def _run_bracket(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
-    sub_doc = specio.load_json(cfg["sub"])
-    super_doc = specio.load_json(cfg["super"])
-    sub = specio.candidate_from_spec(sub_doc["candidate"], base_dir=os.path.dirname(cfg["sub"]) or ".")
-    super_ = specio.candidate_from_spec(super_doc["candidate"], base_dir=os.path.dirname(cfg["super"]) or ".")
+    sub, sub_rep = _load_report(cfg["sub"])
+    super_, super_rep = _load_report(cfg["super"])
     pts = _read_points(cfg["points"])
     bc = BracketConfig(
-        n_paths=int(cfg.get("paths", 20_000)),
-        n_steps=int(cfg.get("steps", 64)),
-        seed=int(cfg.get("seed", 0)),
+        n_paths=_number(cfg, "paths", int, 20_000),
+        n_steps=_number(cfg, "steps", int, 64),
+        seed=_number(cfg, "seed", int, 0),
     )
-    rep = bracket_report(
-        sub, super_, problem, pts, bc, _report_from_json(sub_doc), _report_from_json(super_doc)
-    )
+    rep = bracket_report(sub, super_, problem, pts, bc, sub_rep, super_rep)
     doc = _bracket_to_json(rep)
     out = os.path.join(out_dir, cfg["out"])
     specio.atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -346,7 +363,7 @@ def _run_convergence(cfg, out_dir):
     grid = specio.load_grid(cfg["grid"])
     terminal = _payoff_values(problem, grid)
     study = convergence_study(
-        problem, terminal, int(cfg.get("refinements", 2)), _scheme_config(cfg),
+        problem, terminal, _number(cfg, "refinements", int, 2), _scheme_config(cfg),
         mode=cfg.get("refine", "space"),
     )
     doc = {"shapes": [list(s) for s in study.shapes], "diffs": list(study.diffs), "orders": list(study.orders)}
@@ -591,8 +608,8 @@ def _config_from_args(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k not in skip}
     if args.subcommand == "oracle":
         cfg["params"] = _parse_params(cfg.get("params", ""))
-        t, x = cfg["eval"].split(",")
-        cfg["eval"] = [float(t), float(x)]
+        cfg["eval"] = cfg["eval"].split(",")
+        cfg["eval"] = _float_list(cfg, "eval", 2)
     if args.subcommand == "certify" and cfg.get("start_box"):
         cfg["start_box"] = [
             [float(v) for v in pair.split(",")] for pair in cfg["start_box"].split(";")

@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GridMismatchError
+from .errors import ConvergenceError
 from .grids import GridFunction, mixed_second
 
 __all__ = [
     "concave_envelope",
     "facelift_general",
-    "verify_facelift",
-    "FaceliftVerification",
     "upper_hull_indices",
     "exact_concavity_repair",
 ]
@@ -332,67 +329,4 @@ def facelift_general(
         f"facelift relaxation did not converge in {max_iters} sweeps",
         last_iterate=g_grid.with_values(w),
         residual=prev_update,
-    )
-
-
-_MINIMALITY_PROBE_STEP = 1e-6
-
-
-@dataclass(frozen=True)
-class FaceliftVerification:
-    dominates: bool
-    complementarity: bool
-    minimal: bool
-    max_dominance_defect: float
-    max_complementarity_defect: float
-    n_nonminimal_nodes: int
-
-    @property
-    def ok(self) -> bool:
-        return self.dominates and self.complementarity and self.minimal
-
-
-def verify_facelift(
-    w: GridFunction,
-    g_grid: GridFunction,
-    problem,
-    tol: float = 1e-8,
-) -> FaceliftVerification:
-    """Check the three defining properties of a computed face-lift.
-
-    (a) w >= g - tol pointwise; (b) discrete complementarity
-    min(w - g, G_h(w)) in [-tol, tol] at every interior node (the edges hold
-    w = g by construction); (c) minimality probe: lowering any interior node
-    with w > g + tol by a small step must break the supersolution property
-    somewhere.  Complementarity is measured in G units, which scale like
-    (value tolerance) / h^2 for iteratively computed inputs.
-    """
-    if w.grid != g_grid.grid:
-        raise GridMismatchError("face-lift and payoff must share one grid")
-    wv, gv = w.values, g_grid.values
-    dom_defect = float(np.max(gv - wv))
-    dominates = dom_defect <= tol
-
-    gh = _constraint_on_grid(problem, w.grid, wv)
-    comp = np.minimum(wv - gv, gh)[w.grid.interior]
-    comp_defect = float(np.max(np.abs(comp)))
-    complementarity = comp_defect <= tol
-
-    lifted = np.argwhere(w.grid.interior_mask() & (wv > gv + tol))
-    nonminimal = 0
-    for idx in map(tuple, lifted):
-        w_pert = np.array(wv)
-        w_pert[idx] -= _MINIMALITY_PROBE_STEP
-        still_super = np.all(w_pert >= gv - tol) and np.all(
-            _constraint_on_grid(problem, w.grid, w_pert) >= -tol
-        )
-        if still_super:
-            nonminimal += 1
-    return FaceliftVerification(
-        dominates=dominates,
-        complementarity=complementarity,
-        minimal=nonminimal == 0,
-        max_dominance_defect=dom_defect,
-        max_complementarity_defect=comp_defect,
-        n_nonminimal_nodes=int(nonminimal),
     )

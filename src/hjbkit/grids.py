@@ -3,8 +3,8 @@
 A SpatialGrid is the product of per-dimension node arrays inside a truncation
 box; a GridFunction attaches one real value per node.  These are the currency
 passed between the face-lift, the solver and the file formats.  AxisStencil is
-the one 3-point non-uniform stencil that the discrete generator, the explicit
-step and the face-lift constraint G_h all difference with.
+the one 3-point non-uniform stencil: the solver's step weights and the
+face-lift constraint G_h both difference with it.
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ class AxisStencil:
         self.dm = self.hm * (self.hm + self.hp)
         self.d0 = self.hm * self.hp
         self.dp = self.hp * (self.hm + self.hp)
-
-    def backward(self, v):
-        return (v[1:-1] - v[:-2]) / self.hm
-
-    def forward(self, v):
-        return (v[2:] - v[1:-1]) / self.hp
 
     def central(self, v):
         return (v[2:] - v[:-2]) / (self.hm + self.hp)
@@ -119,11 +113,6 @@ class Box:
         lo_ok = np.where(np.isfinite(self.lo) & strict, other.lo > self.lo, other.lo >= self.lo)
         hi_ok = np.where(np.isfinite(self.hi) & strict, other.hi < self.hi, other.hi <= self.hi)
         return bool(np.all(lo_ok) and np.all(hi_ok))
-
-    def center(self) -> np.ndarray:
-        lo = np.where(np.isfinite(self.lo), self.lo, -1.0)
-        hi = np.where(np.isfinite(self.hi), self.hi, 1.0)
-        return 0.5 * (lo + hi)
 
 
 def box_from_pairs(pairs) -> Box:

@@ -1,4 +1,4 @@
-"""Closed-form and over-refined reference values anchoring the test suite.
+"""Closed-form reference values: the Merton power-utility value and heat moments.
 
 The power-utility closed form was re-derived from scratch: with wealth
 dynamics dX = u mu X dt + u sigma X dW and payoff x^p, Ito gives
@@ -14,19 +14,16 @@ same quadratic is used as an independent cross-check in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridFunction
 
 __all__ = [
     "merton_optimal_control",
     "merton_lambda",
     "merton_value",
     "heat_value",
-    "dense_reference",
 ]
 
 
@@ -80,23 +77,3 @@ def heat_value(
     if payoff == "affine":
         return float(slope * x[0] + intercept)
     raise ValueError(f"unsupported payoff tag {payoff!r}")
-
-
-def dense_reference(problem, terminal: GridFunction, fine_factor: int = 2, config=None) -> GridFunction:
-    """Solve on a fine_factor-refined grid, restricted back to the coarse nodes.
-
-    The fine terminal comes from `solver.refined_terminals`: the payoff
-    resampled when the terminal equals it, the terminal interpolated otherwise.
-    """
-    from .solver import SchemeConfig, refined_terminals, solve_hjb
-
-    if fine_factor < 2 or fine_factor & (fine_factor - 1):
-        raise ValueError("fine_factor must be a power of two >= 2")
-    if config is None:
-        config = SchemeConfig()
-    levels = fine_factor.bit_length() - 1
-    fine_term = refined_terminals(problem, terminal, levels)[-1]
-    fine_config = replace(config, n_time_nodes=(config.n_time_nodes - 1) * fine_factor + 1)
-    sol = solve_hjb(problem, fine_term, fine_config)
-    stride = tuple(slice(None, None, fine_factor) for _ in range(terminal.grid.dim))
-    return GridFunction(terminal.grid, sol.values[0][stride])

@@ -1,4 +1,4 @@
-"""Control-problem data model, Hamiltonian evaluation and assumption probes.
+"""Control-problem data model, the built-in coefficient families and the problem builder.
 
 A ControlProblem packages the coefficients b and sigma of the controlled
 diffusion dX = b(t,X,u) dt + sigma(t,X,u) dW on an open box domain, the
@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .grids import Box, box_from_pairs
-
-DIVERGENCE_TOL_REL = 1e-3   # relative growth per bound doubling that flags H = +inf
-COMPAT_TOL = 1e-9           # absolute slack in the H-finite <=> G >= 0 checks
 
 
 @dataclass(frozen=True)
@@ -124,10 +121,6 @@ class ControlSet:
     def dim(self) -> int:
         return self.boxes[0].dim
 
-    @property
-    def is_bounded(self) -> bool:
-        return all(np.all(np.isfinite(b.lo)) and np.all(np.isfinite(b.hi)) for b in self.boxes)
-
     def grid(self, resolution: int, bound: float) -> np.ndarray:
         """Uniform grid of (union of boxes) intersected with [-bound, bound]^k."""
         pts = []
@@ -143,19 +136,6 @@ class ControlSet:
             raise ValueError("control set does not intersect the bound box")
         allpts = np.concatenate(pts, axis=0)
         return np.unique(allpts, axis=0)
-
-    def sample(self, rng, n: int, bound: float) -> np.ndarray:
-        out = np.empty((n, self.dim))
-        for i in range(n):
-            b = self.boxes[rng.integers(len(self.boxes))]
-            lo = np.maximum(b.lo, -bound)
-            hi = np.minimum(b.hi, bound)
-            out[i] = rng.uniform(np.minimum(lo, hi), np.maximum(lo, hi))
-        return out
-
-
-def full_control_space(k: int = 1) -> ControlSet:
-    return ControlSet((Box(np.full(k, -np.inf), np.full(k, np.inf)),))
 
 
 def box_control_set(lo, hi) -> ControlSet:
@@ -201,216 +181,6 @@ class ControlProblem:
 
     def control_grid(self, resolution: int) -> np.ndarray:
         return self.control_set.grid(resolution, self.control_bound)
-
-    def check_growth(self, points) -> bool:
-        """|g| <= C psi on the probed points (the declared growth constant)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        g = np.asarray(self.payoff(pts), dtype=float)
-        psi = np.asarray(self.gauge(pts), dtype=float)
-        return bool(np.all(np.abs(g) <= self.gauge_constant * psi + 1e-12))
-
-
-@dataclass(frozen=True)
-class HamiltonianValue:
-    """Extended-real Hamiltonian value; argmax present exactly when finite."""
-
-    value: float
-    argmax_control: np.ndarray | None
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
-def _integrand(problem, t, x, p, M, controls):
-    m = controls.shape[0]
-    X = np.broadcast_to(x, (m, x.size))
-    b = np.asarray(problem.drift(t, X, controls), dtype=float).reshape(m, x.size)
-    s = np.asarray(problem.diffusion(t, X, controls), dtype=float).reshape(
-        m, x.size, problem.noise_dim
-    )
-    sst = np.einsum("mij,mkj->mik", s, s)
-    return b @ p + 0.5 * np.einsum("mik,ik->m", sst, M)
-
-
-def hamiltonian(
-    problem: ControlProblem,
-    t: float,
-    x,
-    p,
-    M,
-    control_grid_resolution: int = 41,
-) -> HamiltonianValue:
-    """Grid maximum of the controlled generator; flags +inf for unbounded sets.
-
-    The value is the max over a uniform grid of U intersected with the
-    admissibility box [-B, B]^k.  When U itself is unbounded, the integrand is
-    re-maximized over boxes with bounds B*2^j, j = 0..6; if every doubling
-    raises the max by more than a relative tolerance the sup is declared +inf.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    problem.require_inside(x)
-    if not (0.0 <= t <= problem.horizon):
-        raise ValueError("t must lie in [0, horizon]")
-    if not np.allclose(M, M.T):
-        raise ValueError("M must be symmetric")
-
-    controls = problem.control_grid(control_grid_resolution)
-    vals = _integrand(problem, t, x, p, M, controls)
-    k_best = int(np.argmax(vals))
-    best = float(vals[k_best])
-
-    if not problem.control_set.is_bounded:
-        base = max(problem.control_bound, 1.0)
-        bounds = [base * 2.0**j for j in range(7)]
-        probe = []
-        for bj in bounds:
-            grid_j = problem.control_set.grid(control_grid_resolution, bj)
-            probe.append(float(np.max(_integrand(problem, t, x, p, M, grid_j))))
-        increments = np.diff(probe)
-        scales = np.maximum(1.0, np.abs(probe[:-1]))
-        if np.all(increments > DIVERGENCE_TOL_REL * scales):
-            # growth may still turn over beyond the last bound: the integrands
-            # in scope are quadratic in the control, so a second divided
-            # difference through the last probes detects downward curvature
-            # (a finite sup with a distant maximizer) exactly
-            s1 = (probe[5] - probe[4]) / (bounds[5] - bounds[4])
-            s2 = (probe[6] - probe[5]) / (bounds[6] - bounds[5])
-            curvature = (s2 - s1) / (bounds[6] - bounds[4])
-            if curvature >= -1e-12 * scales[-1] / bounds[-1] ** 2:
-                return HamiltonianValue(math.inf, None)
-    return HamiltonianValue(best, controls[k_best].copy())
-
-
-@dataclass(frozen=True)
-class CompatibilityViolation:
-    sample_index: int
-    kind: str            # "H_finite_G_negative" | "G_positive_H_infinite"
-    hamiltonian: float
-    constraint: float
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    n_samples: int
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return len(self.violations) == 0
-
-
-def check_compatibility(
-    problem: ControlProblem,
-    samples,
-    control_grid_resolution: int = 41,
-    tol: float = COMPAT_TOL,
-) -> CompatibilityReport:
-    """H finite => G >= -tol  and  G > tol => H finite, on each sample."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    violations = []
-    for i, (t, x, p, M) in enumerate(samples):
-        h = hamiltonian(problem, t, x, p, M, control_grid_resolution)
-        g = problem.constraint(t, x, p, M)
-        if h.is_finite and g < -tol:
-            violations.append(CompatibilityViolation(i, "H_finite_G_negative", h.value, g))
-        if g > tol and not h.is_finite:
-            violations.append(CompatibilityViolation(i, "G_positive_H_infinite", h.value, g))
-    return CompatibilityReport(len(samples), tuple(violations))
-
-
-@dataclass(frozen=True)
-class CoefficientProbeReport:
-    drift_lipschitz: np.ndarray
-    diffusion_lipschitz: np.ndarray
-    drift_growth: np.ndarray
-    diffusion_growth: np.ndarray
-    lipschitz_flags: int
-    growth_flags: int
-
-    @property
-    def ok(self) -> bool:
-        return self.lipschitz_flags == 0 and self.growth_flags == 0
-
-
-def _default_probe_box(domain: Box) -> Box:
-    lo, hi = [], []
-    for a, b in zip(domain.lo, domain.hi):
-        if math.isfinite(a) and math.isfinite(b):
-            w = b - a
-            lo.append(a + 0.1 * w)
-            hi.append(b - 0.1 * w)
-        elif math.isfinite(a):
-            s = max(1.0, abs(a))
-            lo.append(a + 0.25 * s)
-            hi.append(a + 2.25 * s)
-        elif math.isfinite(b):
-            s = max(1.0, abs(b))
-            lo.append(b - 2.25 * s)
-            hi.append(b - 0.25 * s)
-        else:
-            lo.append(-1.5)
-            hi.append(1.5)
-    return Box(np.array(lo), np.array(hi))
-
-
-def probe_coefficients(
-    problem: ControlProblem,
-    n_pairs: int,
-    seed: int,
-    box: Box | None = None,
-    lipschitz_threshold: float | None = None,
-    growth_threshold: float | None = None,
-) -> CoefficientProbeReport:
-    """Empirical Lipschitz and linear-growth ratios of b and sigma.
-
-    Samples (t, u) and point pairs (x, y) in a bounded sub-box of the domain
-    and reports |b(t,x,u)-b(t,y,u)|/|x-y| (drift; Frobenius for sigma) together
-    with |b(t,x0,u)|/(1+|u|) at the box center x0 (standing in for the origin
-    when 0 is outside the domain).  Ratios above the thresholds are counted.
-    """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    if box is None:
-        box = _default_probe_box(problem.state_domain)
-    if not np.all(box.hi > box.lo):
-        raise ValueError("degenerate probe box")
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, problem.horizon, n_pairs)
-    us = problem.control_set.sample(rng, n_pairs, problem.control_bound)
-    xs = rng.uniform(box.lo, box.hi, (n_pairs, box.dim))
-    ys = rng.uniform(box.lo, box.hi, (n_pairs, box.dim))
-    x0 = np.zeros(box.dim) if problem.state_domain.contains(np.zeros(box.dim)) else box.center()
-
-    d_lip = np.empty(n_pairs)
-    s_lip = np.empty(n_pairs)
-    d_gro = np.empty(n_pairs)
-    s_gro = np.empty(n_pairs)
-    for i in range(n_pairs):
-        t, u, x, y = ts[i], us[i], xs[i], ys[i]
-        dist = float(np.linalg.norm(x - y))
-        if dist < 1e-12:
-            d_lip[i] = s_lip[i] = 0.0
-        else:
-            db = np.asarray(problem.drift(t, x, u)) - np.asarray(problem.drift(t, y, u))
-            ds = np.asarray(problem.diffusion(t, x, u)) - np.asarray(problem.diffusion(t, y, u))
-            d_lip[i] = np.linalg.norm(db) / dist
-            s_lip[i] = np.linalg.norm(ds) / dist
-        denom = 1.0 + float(np.linalg.norm(u))
-        d_gro[i] = np.linalg.norm(np.asarray(problem.drift(t, x0, u))) / denom
-        s_gro[i] = np.linalg.norm(np.asarray(problem.diffusion(t, x0, u))) / denom
-
-    lip_flags = 0
-    if lipschitz_threshold is not None:
-        lip_flags = int(np.sum(d_lip > lipschitz_threshold) + np.sum(s_lip > lipschitz_threshold))
-    gro_flags = 0
-    if growth_threshold is not None:
-        gro_flags = int(np.sum(d_gro > growth_threshold) + np.sum(s_gro > growth_threshold))
-    return CoefficientProbeReport(d_lip, s_lip, d_gro, s_gro, lip_flags, gro_flags)
 
 
 # ---------------------------------------------------------------------------

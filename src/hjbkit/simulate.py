@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = [
     "FeedbackPolicy",
     "constant_policy",
@@ -29,9 +27,6 @@ __all__ = [
     "ValueEstimate",
     "simulate_paths",
     "estimate_value",
-    "optimize_policy",
-    "gauge_check",
-    "GaugeReport",
 ]
 
 
@@ -82,8 +77,6 @@ class PathEnsemble:
     times: np.ndarray            # (n_steps+1,)
     states: np.ndarray           # (n_paths, n_steps+1, d)
     exit_step: np.ndarray        # (n_paths,) step index at which the path froze, -1 if none
-    seed: int
-    policy_tag: str
     log_coordinates: bool
 
     @property
@@ -177,8 +170,6 @@ def simulate_paths(
         times=times,
         states=states,
         exit_step=exit_step,
-        seed=seed,
-        policy_tag=policy.tag,
         log_coordinates=log_mode,
     )
 
@@ -198,51 +189,3 @@ def estimate_value(ensemble: PathEnsemble, payoff) -> ValueEstimate:
     mean = float(np.mean(g))
     se = float(np.std(g, ddof=1) / np.sqrt(len(g))) if len(g) > 1 else 0.0
     return ValueEstimate(mean, 1.96 * se, ensemble.exit_fraction, len(g))
-
-
-def optimize_policy(
-    problem,
-    family,
-    t0: float,
-    x0,
-    budget: int,
-    seed: int,
-    n_paths: int = 10_000,
-    n_steps: int = 64,
-    simulation_box=None,
-):
-    """Best member of a finite policy family under common random numbers.
-
-    Every member is admissible, so the returned estimate is a statistical
-    lower bound for the strong value function.  The same seed drives every
-    evaluation, which preserves the ordering statistics of the comparison.
-    """
-    family = list(family)
-    if not family:
-        raise ValueError("policy family must be nonempty")
-    family = family[: max(1, budget)]
-    best_policy, best_est = None, None
-    for pol in family:
-        ens = simulate_paths(problem, pol, t0, x0, n_paths, n_steps, seed, simulation_box)
-        est = estimate_value(ens, problem.payoff)
-        if best_est is None or est.mean > best_est.mean:
-            best_policy, best_est = pol, est
-    return best_policy, best_est
-
-
-@dataclass(frozen=True)
-class GaugeReport:
-    mean_pathwise_sup: float
-    top_percent_ratio: float
-    heavy_tail_flag: bool
-
-
-def gauge_check(ensemble: PathEnsemble, gauge) -> GaugeReport:
-    """Empirical E[sup_t psi(X_t)] with a crude heavy-tail diagnostic."""
-    vals = np.asarray(gauge(ensemble.states), dtype=float)  # (n_paths, n_steps+1)
-    sups = vals.max(axis=1)
-    total = float(np.sum(sups))
-    k = max(1, int(np.ceil(0.01 * len(sups))))
-    top = float(np.sum(np.sort(sups)[-k:]))
-    ratio = top / total if total > 0 else 0.0
-    return GaugeReport(float(np.mean(sups)), ratio, ratio > 0.5)

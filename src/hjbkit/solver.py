@@ -14,8 +14,10 @@ monotone and discrete comparison holds slice by slice.  One stepper serves 1-D
 and 2-D grids; in 2-D the diffusion must be diagonal.
 
 Output time nodes are decoupled from the internal step: each output interval
-is subdivided until the CFL bound is met (an explicitly supplied dt must
-already satisfy it).  Truncation-box edges hold Dirichlet values taken from
+is subdivided until the CFL bound is met at every output time (an explicitly
+supplied dt must already satisfy it); a time-dependent problem whose rate
+peaks between output times is refused at the internal step where the bound
+fails.  Truncation-box edges hold Dirichlet values taken from
 the terminal slice; only nodes off every edge are stepped, and the argmax
 policy at an edge node is copied from its nearest interior node.
 """
@@ -30,13 +32,11 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .facelift import _auto_relaxation, _constraint_on_grid, upper_hull_indices
-from .grids import AxisStencil, GridFunction, SpatialGrid, mixed_second, write_grid_csv
+from .grids import AxisStencil, GridFunction, SpatialGrid, write_grid_csv
 
 __all__ = [
     "SchemeConfig",
     "SpaceTimeSolution",
-    "GeneratorResult",
-    "discrete_generator",
     "solve_hjb",
     "extract_policy",
     "convergence_study",
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _PROJECT_TRIGGER = 1e-13   # relative convexity defect that triggers re-projection
+_CFL_SLACK = 1e-9          # rounding slack of dt * rate against the bound 1
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,6 @@ class SpaceTimeSolution:
         return write_grid_csv(header, rows)
 
 
-@dataclass(frozen=True)
-class GeneratorResult:
-    values: GridFunction
-    one_sided_mask: np.ndarray   # nodes where the stencil fell back to one-sided
-
-
 def _coeff_arrays(problem, x_pts, controls, t):
     """b and sigma sigma^T diag at (controls x points): (m, n) arrays per dim."""
     m, n = controls.shape[0], x_pts.shape[0]
@@ -113,36 +108,6 @@ def _coeff_arrays(problem, x_pts, controls, t):
     s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(m, n, d, problem.noise_dim)
     sst = np.einsum("mnij,mnkj->mnik", s, s)
     return b, sst
-
-
-def discrete_generator(problem, u, v_slice: GridFunction, t: float) -> GeneratorResult:
-    """L^u v on the grid: upwind drift, central diffusion, one-sided at edges."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    grid = v_slice.grid
-    v = v_slice.values
-    b, sst = _coeff_arrays(problem, grid.nodes(), u[None, :], t)
-    b = b[0].reshape(grid.shape + (grid.dim,))
-    sst = sst[0].reshape(grid.shape + (grid.dim, grid.dim))
-
-    out = np.zeros(grid.shape)
-    for d, stencil in enumerate(grid.stencils):
-        vm = np.moveaxis(v, d, 0)
-        bm = np.moveaxis(b[..., d], d, 0)
-        s2 = np.moveaxis(sst[..., d, d], d, 0)
-        second = stencil.second(vm)
-        res = np.empty_like(vm)
-        bi = bm[1:-1]
-        drift_term = np.maximum(bi, 0.0) * stencil.forward(vm) + np.minimum(bi, 0.0) * stencil.backward(vm)
-        res[1:-1] = drift_term + 0.5 * s2[1:-1] * second
-        # one-sided fallback where the stencil would leave the box
-        res[0] = bm[0] * (vm[1] - vm[0]) / stencil.hm[0] + 0.5 * s2[0] * second[0]
-        res[-1] = bm[-1] * (vm[-1] - vm[-2]) / stencil.hp[-1] + 0.5 * s2[-1] * second[-1]
-        out += np.moveaxis(res, 0, d)
-    if grid.dim == 2 and np.any(np.abs(sst[..., 0, 1]) > 0):
-        mixed = np.zeros(grid.shape)
-        mixed[1:-1, 1:-1] = mixed_second(v, grid.axes)
-        out += sst[..., 0, 1] * mixed
-    return GeneratorResult(GridFunction(grid, out), ~grid.interior_mask())
 
 
 def _float_upper_envelope(x, v):
@@ -197,8 +162,8 @@ class _Stepper:
     def rate(self, t):
         return float(np.max(-self.weights(t)[0]))
 
-    def _generator(self, v, t, out):
-        w0, neigh = self.weights(t)
+    def _generator(self, v, w, out):
+        w0, neigh = w
         np.multiply(w0, v[self.core], out=out)
         for (wm, wp), lo, hi in zip(neigh, self.lower, self.upper):
             out += wm * v[lo]
@@ -206,15 +171,27 @@ class _Stepper:
         return out
 
     def step(self, v, t, dt):
-        """v + dt L^u v at the interior nodes, one row per control (a reused buffer)."""
-        out = self._generator(v, t, self.buf)
+        """v + dt L^u v at the interior nodes, one row per control (a reused buffer).
+
+        dt was sized by the rate at the output times; weights rebuilt at an
+        internal time (a time-dependent problem) must keep 1 + dt w0 >= 0 too.
+        """
+        w = self.weights(t)
+        if self.problem.time_dependent:
+            rate = float(np.max(-w[0]))
+            if dt * rate > 1.0 + _CFL_SLACK:
+                raise ConfigurationError(
+                    f"the CFL bound fails between output times: at t={t:g} the step needs "
+                    f"dt<={1.0 / rate:g}, the solve steps dt={dt:g}; add time nodes or pass a smaller dt"
+                )
+        out = self._generator(v, w, self.buf)
         out *= dt
         out += v[self.core]
         return out
 
     def argmax(self, v, t):
         """Argmax control per node; each edge node copies its nearest interior node."""
-        idx = np.argmax(self._generator(v, t, np.empty_like(self.buf)), axis=0)
+        idx = np.argmax(self._generator(v, self.weights(t), np.empty_like(self.buf)), axis=0)
         return self.controls[np.pad(idx, 1, mode="edge")]
 
 

@@ -641,3 +641,63 @@ def test_pipeline_simulates_on_the_state_domain(tmp_path):
     assert (mc["mean"], mc["half_width_95"], mc["exit_fraction"]) == (est.mean, est.half_width_95, est.exit_fraction)
     assert mc["left_box_fraction"] > 0.0
     assert hk.estimate_value(hk.simulate_paths(*run, grid.box), problem.payoff).mean != mc["mean"]
+
+
+NOT_NUMBERS = [
+    ("simulate", "paths", None),
+    ("simulate", "steps", "many"),
+    ("simulate", "seed", None),
+    ("simulate", "t0", None),
+    ("simulate", "x0", 1.0),
+    ("simulate", "x0", ["one"]),
+    ("bracket", "paths", None),
+    ("bracket", "steps", "many"),
+    ("bracket", "seed", None),
+    ("convergence", "refinements", None),
+    ("certify", "seed", None),
+    ("oracle", "eval", 5),
+    ("oracle", "eval", [0.0]),
+]
+
+
+@pytest.mark.parametrize("subcommand, key, value", NOT_NUMBERS, ids=[f"{s}-{k}-{v!r}" for s, k, v in NOT_NUMBERS])
+def test_manifest_number_that_is_not_one_exits_2(tmp_path, capsys, subcommand, key, value):
+    """Each number a subcommand reads from its config names its key when malformed."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    _bracket_inputs(tmp_path, "0.0,1.0\n")
+    configs = {
+        "simulate": {"problem": prob, "policy": write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]}),
+                     "t0": 0.0, "x0": [1.0], "paths": 100, "steps": 4, "seed": 0, "out": "s.json"},
+        "bracket": {"problem": prob, "sub": str(tmp_path / "sub-report.json"),
+                    "super": str(tmp_path / "super-report.json"), "points": str(tmp_path / "points.csv"),
+                    "paths": 100, "steps": 4, "seed": 0, "out": "b.json"},
+        "convergence": {"problem": prob, "grid": write(tmp_path / "grid.json", {"box": [[0.5, 2.0]], "n": [9]}),
+                        "refinements": 2, "time_nodes": 5, "control_res": 5, "out": "c.json", "seed": 0},
+        "certify": {"problem": prob, "candidate": write(tmp_path / "cand.json", MERTON_SUB), "kind": "super",
+                    "budget": 100, "seed": 0, "out": "r.json"},
+        "oracle": {"family": "merton", "params": {}, "eval": [0.0, 1.0]},
+    }
+    mpath = write(tmp_path / "manifest.json", {"subcommand": subcommand,
+                                               "config": dict(configs[subcommand], **{key: value})})
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(key) in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("defect", ["list", "no-records", "record-without-tau"])
+def test_bracket_malformed_certify_report_exits_2(tmp_path, capsys, defect):
+    argv = _bracket_inputs(tmp_path, "0.0,1.0\n")
+    path = tmp_path / "super-report.json"
+    doc = json.loads(path.read_text())
+    if defect == "list":
+        doc = ["x"]
+    elif defect == "no-records":
+        del doc["records"]
+    else:
+        doc["records"] = [{"kind": "martingale", "rho": "terminal", "start": [1.0], "adversary": "corner",
+                           "margin": 0.0, "stderr": 0.0, "n_paths": 10, "passed": True}]
+    write(path, doc)
+    assert main(argv) == 2
+    assert "malformed certify report document" in capsys.readouterr().err
+    assert not (tmp_path / "bracket.json").exists()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit import facelift
-from hjbkit.errors import ConvergenceError, GridMismatchError
+from hjbkit.errors import ConvergenceError
 from hjbkit.facelift import _constraint_on_grid, exact_concavity_repair
 from hjbkit.problem import Constraint, neg_trace_constraint, positive_constraint
 
@@ -248,6 +248,16 @@ class TestFaceliftGeneral:
         prob = hk.heat_problem(dim=2)
         out = hk.facelift_general(hk.GridFunction(grid, vals), prob, tol=1e-10)
         assert np.array_equal(out.values, vals)
+
+    def test_two_d_neg_trace_facelift_verifies(self, neg_trace_problem):
+        """The edges hold w = g by construction, so complementarity is an interior check."""
+        grid = hk.uniform_grid([0.0, 0.0], [1.0, 1.0], [9, 9])
+        x, y = np.meshgrid(*grid.axes, indexing="ij")
+        g = hk.GridFunction(grid, (x - 0.5) ** 2 + (y - 0.5) ** 2)
+        w = hk.facelift_general(g, neg_trace_problem).values
+        assert np.all(w >= g.values)
+        complementarity = np.minimum(w - g.values, _constraint_on_grid(neg_trace_problem, grid, w))
+        assert np.max(np.abs(complementarity[grid.interior])) < 1e-12
 
     def test_three_d_rejected(self, neg_second_problem):
         grid = hk.uniform_grid([0, 0, 0], [1, 1, 1], [3, 3, 3])
@@ -510,52 +520,6 @@ class TestConcavityRepair:
         # also inputs that need many lifts: raw random values on random grids
         inputs += [(grid.axes[0], rng.normal(size=grid.shape)) for _, grid in jittered_grids(79, 3, n=12)]
         self._assert_same_as_sweeps(inputs)
-
-
-class TestVerifyFacelift:
-    def test_envelope_passes_all_checks(self, neg_second_problem):
-        x = np.linspace(0.0, 2.0, 41)
-        g = gf(x, np.abs(x - 1.0))
-        env = hk.concave_envelope(g)
-        rep = hk.verify_facelift(env, g, neg_second_problem, tol=1e-8)
-        assert rep.ok
-
-    def test_concave_payoff_is_its_own_facelift(self, neg_second_problem):
-        x = np.linspace(0.25, 4.0, 41)
-        g = gf(x, np.sqrt(x))
-        rep = hk.verify_facelift(g, g, neg_second_problem, tol=1e-8)
-        assert rep.ok
-
-    def test_shifted_majorant_flagged_nonminimal(self, neg_second_problem):
-        x = np.linspace(0.25, 4.0, 41)
-        g = gf(x, np.sqrt(x))
-        shifted = g.with_values(g.values + 1.0)
-        rep = hk.verify_facelift(shifted, g, neg_second_problem, tol=1e-8)
-        assert not rep.minimal
-        assert rep.n_nonminimal_nodes > 0
-        assert not rep.ok
-
-    def test_two_d_neg_trace_facelift_verifies(self, neg_trace_problem):
-        """The edges hold w = g by construction, so complementarity is an interior check."""
-        grid = hk.uniform_grid([0.0, 0.0], [1.0, 1.0], [9, 9])
-        x, y = np.meshgrid(*grid.axes, indexing="ij")
-        g = hk.GridFunction(grid, (x - 0.5) ** 2 + (y - 0.5) ** 2)
-        rep = hk.verify_facelift(hk.facelift_general(g, neg_trace_problem), g, neg_trace_problem)
-        assert rep.ok
-        assert rep.max_complementarity_defect < 1e-12
-
-    def test_convex_payoff_is_not_its_own_facelift(self, neg_second_problem):
-        x = np.linspace(0.0, 2.0, 21)
-        g = gf(x, (x - 1.0) ** 2)
-        rep = hk.verify_facelift(g, g, neg_second_problem, tol=1e-8)
-        assert rep.dominates and not rep.complementarity
-        assert not rep.ok
-
-    def test_grid_mismatch_rejected(self, neg_second_problem):
-        g1 = gf(np.linspace(0, 1, 11), np.zeros(11))
-        g2 = gf(np.linspace(0, 2, 11), np.zeros(11))
-        with pytest.raises(GridMismatchError):
-            hk.verify_facelift(g1, g2, neg_second_problem)
 
 
 def _reference_derivatives_1d(x, w):

@@ -1,13 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import hjbkit as hk
 from hjbkit.errors import DomainError
-from hjbkit.oracles import dense_reference, heat_value, merton_lambda, merton_value
-from hjbkit.problem import neg_second_constraint
+from hjbkit.oracles import heat_value, merton_lambda, merton_value
 
 
 def lambda_by_grid_search(mu, sigma, p, bound, n=400_001):
@@ -71,58 +68,3 @@ class TestHeatValue:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             heat_value(0.0, 1.0, payoff="x4")
-
-
-class TestDenseReference:
-    def test_constant_payoff(self):
-        prob = hk.heat_problem(payoff=hk.problem.constant_payoff(3.0))
-        grid = hk.uniform_grid([-2.0], [2.0], [21])
-        term = hk.GridFunction(grid, np.full(21, 3.0))
-        ref = dense_reference(prob, term, 2, hk.SchemeConfig(n_time_nodes=11))
-        assert np.max(np.abs(ref.values - 3.0)) < 1e-12
-
-    def test_heat_case_matches_closed_form(self, heat_problem):
-        grid = hk.uniform_grid([-6.0], [6.0], [101])
-        x = grid.axes[0]
-        term = hk.GridFunction(grid, x**2)
-        ref = dense_reference(heat_problem, term, 2, hk.SchemeConfig(n_time_nodes=26))
-        trust = (x >= -3.6) & (x <= 3.6)
-        closed = x**2 + 1.0
-        assert np.max(np.abs(ref.values - closed)[trust]) < 1e-2
-
-    @pytest.mark.parametrize("variant", ["constraint", "dt"])
-    def test_variant_is_solved_not_recalled(self, heat_problem, variant):
-        # a call on the plain problem first, then one differing only in the
-        # constraint or in dt: the second must be its own fine solve
-        grid = hk.uniform_grid([-4.0], [4.0], [41])
-        term = hk.GridFunction(grid, grid.axes[0] ** 2)
-        cfg = hk.SchemeConfig(n_time_nodes=11)
-        dense_reference(heat_problem, term, 2, cfg)
-        prob = heat_problem
-        if variant == "constraint":
-            prob = replace(heat_problem, constraint=neg_second_constraint())
-        else:
-            cfg = replace(cfg, dt=0.001)
-        ref = dense_reference(prob, term, 2, cfg)
-        fine = grid.refine()
-        direct = hk.solve_hjb(
-            prob, hk.GridFunction(fine, fine.axes[0] ** 2), replace(cfg, n_time_nodes=21)
-        )
-        np.testing.assert_array_equal(ref.values, direct.values[0][::2])
-
-    def test_given_terminal_is_refined_not_the_payoff(self, heat_problem):
-        # heat maps an affine terminal to itself; the quadratic payoff would not
-        grid = hk.uniform_grid([-4.0], [4.0], [41])
-        affine = 0.5 * grid.axes[0] + 1.0
-        ref = dense_reference(heat_problem, hk.GridFunction(grid, affine), 2, hk.SchemeConfig(n_time_nodes=11))
-        assert np.max(np.abs(ref.values - affine)) < 1e-12
-
-    def test_merton_within_band(self, merton_problem):
-        grid = hk.log_grid(0.2, 5.0, 81)
-        x = grid.axes[0]
-        term = hk.GridFunction(grid, np.sqrt(x))
-        ref = dense_reference(
-            merton_problem, term, 2, hk.SchemeConfig(n_time_nodes=26, control_grid_resolution=51)
-        )
-        k = int(np.argmin(np.abs(x - 1.0)))
-        assert ref.values[k] == pytest.approx(merton_value(0.0, x[k]), rel=0.02)

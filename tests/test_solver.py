@@ -16,33 +16,42 @@ from hjbkit.problem import (
     one_plus_square_gauge,
     positive_constraint,
 )
-from hjbkit.solver import discrete_generator
+from hjbkit.solver import _Stepper, refined_terminals
 
 
 def gf(x, v):
     return hk.GridFunction(hk.SpatialGrid((np.asarray(x, float),)), np.asarray(v, float))
 
 
+def interior_generator(problem, u, v_slice, t):
+    """L^u v for the one control u at the interior nodes, through the solver's stepper."""
+    stepper = _Stepper(problem, v_slice.grid, np.atleast_2d(np.asarray(u, dtype=float)))
+    return stepper._generator(v_slice.values, stepper.weights(t), np.empty_like(stepper.buf))[0]
+
+
 class TestDiscreteGenerator:
+    """Exactness of AxisStencil.weights: the step's stencil reproduces L^u on
+    data its 3-point differences take exactly."""
+
     def test_affine_slice_pure_drift_exact(self):
         prob = hk.constant_coefficient_problem([2.0], [[0.0]])
         x = np.linspace(-1, 1, 21)
-        res = discrete_generator(prob, [0.0], gf(x, 3.0 * x + 1.0), 0.0)
+        lv = interior_generator(prob, [0.0], gf(x, 3.0 * x + 1.0), 0.0)
         # upwind difference of an affine function is exact: L v = 2 * 3
-        assert np.max(np.abs(res.values.values - 6.0)) < 1e-12
-        assert res.one_sided_mask[0] and res.one_sided_mask[-1]
+        assert lv.shape == (19,)
+        assert np.max(np.abs(lv - 6.0)) < 1e-12
 
     def test_quadratic_slice_pure_diffusion_exact(self):
         prob = hk.constant_coefficient_problem([0.0], [[1.5]])
         x = np.linspace(-2, 2, 31)
-        res = discrete_generator(prob, [0.0], gf(x, x**2), 0.0)
+        lv = interior_generator(prob, [0.0], gf(x, x**2), 0.0)
         # central second difference of x^2 is exactly 2: L v = 1.5^2
-        assert np.max(np.abs(res.values.values - 1.5**2)) < 1e-11
+        assert np.max(np.abs(lv - 1.5**2)) < 1e-11
 
     def test_constant_slice_vanishes(self, merton_problem):
         x = np.geomspace(0.5, 2.0, 17)
-        res = discrete_generator(merton_problem, [3.0], gf(x, np.full(17, 4.0)), 0.3)
-        assert np.max(np.abs(res.values.values)) < 1e-12
+        lv = interior_generator(merton_problem, [3.0], gf(x, np.full(17, 4.0)), 0.3)
+        assert np.max(np.abs(lv)) < 1e-12
 
     def test_two_d_quadratic(self):
         prob = hk.heat_problem(dim=2)
@@ -55,8 +64,9 @@ class TestDiscreteGenerator:
         for grid in (hk.uniform_grid([-1, -1], [1, 1], [11, 11]), graded):
             X = grid.nodes()
             vals = (X[:, 0] ** 2 + X[:, 1] ** 2).reshape(grid.shape)
-            res = discrete_generator(prob, [0.0], hk.GridFunction(grid, vals), 0.0)
-            assert np.max(np.abs(res.values.values - 2.0)) < 1e-10
+            lv = interior_generator(prob, [0.0], hk.GridFunction(grid, vals), 0.0)
+            assert lv.shape == tuple(n - 2 for n in grid.shape)
+            assert np.max(np.abs(lv - 2.0)) < 1e-10
 
 
 class TestSolveHJB:
@@ -106,6 +116,21 @@ class TestSolveHJB:
         sol = hk.solve_hjb(prob, gf(grid.axes[0], spike),
                            hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
         assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
+
+    def test_cfl_bound_holds_between_output_times(self, heat_problem):
+        """Diffusion 1 + 3 sin^2(4 pi t) is 1 at every output time of a 5-node
+        table but 4 in between: a step sized at the output times alone let the
+        spike grow to 1e92, so the solve must refuse it and name the time."""
+
+        def diffusion(t, x, u):
+            return np.broadcast_to(1.0 + 3.0 * np.sin(4.0 * np.pi * np.asarray(t, float)) ** 2, np.shape(x))
+
+        prob = dataclasses.replace(heat_problem, diffusion=diffusion, time_dependent=True)
+        grid = hk.uniform_grid([-2.0], [2.0], [41])
+        spike = np.zeros(41)
+        spike[20] = 1.0
+        with pytest.raises(ConfigurationError, match=r"CFL bound fails between output times: at t="):
+            hk.solve_hjb(prob, gf(grid.axes[0], spike), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
 
     def test_box_outside_domain_rejected(self, merton_problem):
         grid = hk.uniform_grid([-1.0], [1.0], [11])
@@ -272,6 +297,14 @@ class TestExtractPolicy:
 
 
 class TestConvergenceStudy:
+    def test_given_terminal_is_refined_not_the_payoff(self, heat_problem):
+        # heat maps an affine terminal to itself; the quadratic payoff would not
+        grid = hk.uniform_grid([-4.0], [4.0], [41])
+        affine = 0.5 * grid.axes[0] + 1.0
+        fine = refined_terminals(heat_problem, hk.GridFunction(grid, affine), 1)[-1]
+        sol = hk.solve_hjb(heat_problem, fine, hk.SchemeConfig(n_time_nodes=21))
+        assert np.max(np.abs(sol.values[0][::2] - affine)) < 1e-12
+
     def test_constant_terminal_zero_diffs(self, heat_problem):
         import dataclasses
 
