@@ -249,16 +249,6 @@ class TestFaceliftGeneral:
         out = hk.facelift_general(hk.GridFunction(grid, vals), prob, tol=1e-10)
         assert np.array_equal(out.values, vals)
 
-    def test_two_d_neg_trace_facelift_verifies(self, neg_trace_problem):
-        """The edges hold w = g by construction, so complementarity is an interior check."""
-        grid = hk.uniform_grid([0.0, 0.0], [1.0, 1.0], [9, 9])
-        x, y = np.meshgrid(*grid.axes, indexing="ij")
-        g = hk.GridFunction(grid, (x - 0.5) ** 2 + (y - 0.5) ** 2)
-        w = hk.facelift_general(g, neg_trace_problem).values
-        assert np.all(w >= g.values)
-        complementarity = np.minimum(w - g.values, _constraint_on_grid(neg_trace_problem, grid, w))
-        assert np.max(np.abs(complementarity[grid.interior])) < 1e-12
-
     def test_three_d_rejected(self, neg_second_problem):
         grid = hk.uniform_grid([0, 0, 0], [1, 1, 1], [3, 3, 3])
         g = hk.GridFunction(grid, np.zeros((3, 3, 3)))
@@ -520,6 +510,64 @@ class TestConcavityRepair:
         # also inputs that need many lifts: raw random values on random grids
         inputs += [(grid.axes[0], rng.normal(size=grid.shape)) for _, grid in jittered_grids(79, 3, n=12)]
         self._assert_same_as_sweeps(inputs)
+
+
+class TestVerifyFacelift:
+    """The defining properties of a face-lift, checked directly: w >= g, and
+    min(w - g, G_h w) = 0 at the interior nodes (the edges hold w = g by
+    construction)."""
+
+    @staticmethod
+    def _defects(w, g, problem):
+        """max(g - w), and |min(w - g, G_h w)| at each interior node."""
+        comp = np.minimum(w.values - g.values, _constraint_on_grid(problem, w.grid, w.values))
+        return float(np.max(g.values - w.values)), np.abs(comp[w.grid.interior])
+
+    def test_envelope_passes_all_checks(self, neg_second_problem):
+        x = np.linspace(0.0, 2.0, 41)
+        g = gf(x, np.abs(x - 1.0))
+        env = hk.concave_envelope(g)
+        dominance, comp = self._defects(env, g, neg_second_problem)
+        assert dominance <= 1e-8
+        assert np.max(comp) <= 1e-8
+        # minimal: the least such majorant, which policy iteration computes
+        np.testing.assert_allclose(env.values, hk.facelift_general(g, neg_second_problem).values, atol=1e-8)
+
+    def test_concave_payoff_is_its_own_facelift(self, neg_second_problem):
+        x = np.linspace(0.25, 4.0, 41)
+        g = gf(x, np.sqrt(x))
+        dominance, comp = self._defects(g, g, neg_second_problem)
+        assert dominance <= 1e-8
+        assert np.max(comp) <= 1e-8
+        np.testing.assert_allclose(hk.facelift_general(g, neg_second_problem).values, g.values, atol=1e-8)
+
+    def test_shifted_majorant_flagged_nonminimal(self, neg_second_problem):
+        # g + 1 is a supersolution above g, but where G_h g > 0 it has slack on
+        # both sides of the complementarity, so it is not the face-lift
+        x = np.linspace(0.25, 4.0, 41)
+        g = gf(x, np.sqrt(x))
+        shifted = g.with_values(g.values + 1.0)
+        dominance, comp = self._defects(shifted, g, neg_second_problem)
+        assert dominance <= 1e-8
+        assert np.count_nonzero(comp > 1e-8) > 0
+        assert np.max(np.abs(hk.facelift_general(g, neg_second_problem).values - shifted.values)) > 1e-8
+
+    def test_two_d_neg_trace_facelift_verifies(self, neg_trace_problem):
+        """The edges hold w = g by construction, so complementarity is an interior check."""
+        grid = hk.uniform_grid([0.0, 0.0], [1.0, 1.0], [9, 9])
+        x, y = np.meshgrid(*grid.axes, indexing="ij")
+        g = hk.GridFunction(grid, (x - 0.5) ** 2 + (y - 0.5) ** 2)
+        w = hk.facelift_general(g, neg_trace_problem)
+        dominance, comp = self._defects(w, g, neg_trace_problem)
+        assert dominance <= 0.0
+        assert np.max(comp) < 1e-12
+
+    def test_convex_payoff_is_not_its_own_facelift(self, neg_second_problem):
+        x = np.linspace(0.0, 2.0, 21)
+        g = gf(x, (x - 1.0) ** 2)
+        dominance, comp = self._defects(g, g, neg_second_problem)
+        assert dominance <= 1e-8
+        assert np.max(comp) > 1e-8
 
 
 def _reference_derivatives_1d(x, w):

@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hjbkit as hk
 from hjbkit.errors import DomainError
 from hjbkit.oracles import heat_value, merton_lambda, merton_value
+from hjbkit.problem import neg_second_constraint
+from hjbkit.solver import refined_terminals
 
 
 def lambda_by_grid_search(mu, sigma, p, bound, n=400_001):
@@ -68,3 +72,66 @@ class TestHeatValue:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             heat_value(0.0, 1.0, payoff="x4")
+
+
+def refined_reference(problem, terminal, config):
+    """The once-refined solve a convergence study compares against, on the
+    coarse nodes: the terminal from `refined_terminals`, twice the time steps."""
+    fine = refined_terminals(problem, terminal, 1)[-1]
+    sol = hk.solve_hjb(problem, fine, replace(config, n_time_nodes=2 * config.n_time_nodes - 1))
+    return sol.values[0][tuple(slice(None, None, 2) for _ in range(terminal.grid.dim))]
+
+
+class TestDenseReference:
+    def test_constant_payoff(self):
+        prob = hk.heat_problem(payoff=hk.problem.constant_payoff(3.0))
+        grid = hk.uniform_grid([-2.0], [2.0], [21])
+        term = hk.GridFunction(grid, np.full(21, 3.0))
+        ref = refined_reference(prob, term, hk.SchemeConfig(n_time_nodes=11))
+        assert np.max(np.abs(ref - 3.0)) < 1e-12
+
+    def test_heat_case_matches_closed_form(self, heat_problem):
+        grid = hk.uniform_grid([-6.0], [6.0], [101])
+        x = grid.axes[0]
+        term = hk.GridFunction(grid, x**2)
+        ref = refined_reference(heat_problem, term, hk.SchemeConfig(n_time_nodes=26))
+        trust = (x >= -3.6) & (x <= 3.6)
+        closed = x**2 + 1.0
+        assert np.max(np.abs(ref - closed)[trust]) < 1e-2
+
+    @pytest.mark.parametrize("variant", ["constraint", "dt"])
+    def test_variant_is_solved_not_recalled(self, heat_problem, variant):
+        # a solve of the plain problem first, then one differing only in the
+        # constraint or in dt: the second must be its own fine solve
+        grid = hk.uniform_grid([-4.0], [4.0], [41])
+        term = hk.GridFunction(grid, grid.axes[0] ** 2)
+        cfg = hk.SchemeConfig(n_time_nodes=11)
+        refined_reference(heat_problem, term, cfg)
+        prob = heat_problem
+        if variant == "constraint":
+            prob = replace(heat_problem, constraint=neg_second_constraint())
+        else:
+            cfg = replace(cfg, dt=0.001)
+        ref = refined_reference(prob, term, cfg)
+        fine = grid.refine()
+        direct = hk.solve_hjb(
+            prob, hk.GridFunction(fine, fine.axes[0] ** 2), replace(cfg, n_time_nodes=21)
+        )
+        np.testing.assert_array_equal(ref, direct.values[0][::2])
+
+    def test_given_terminal_is_refined_not_the_payoff(self, heat_problem):
+        # heat maps an affine terminal to itself; the quadratic payoff would not
+        grid = hk.uniform_grid([-4.0], [4.0], [41])
+        affine = 0.5 * grid.axes[0] + 1.0
+        ref = refined_reference(heat_problem, hk.GridFunction(grid, affine), hk.SchemeConfig(n_time_nodes=11))
+        assert np.max(np.abs(ref - affine)) < 1e-12
+
+    def test_merton_within_band(self, merton_problem):
+        grid = hk.log_grid(0.2, 5.0, 81)
+        x = grid.axes[0]
+        term = hk.GridFunction(grid, np.sqrt(x))
+        ref = refined_reference(
+            merton_problem, term, hk.SchemeConfig(n_time_nodes=26, control_grid_resolution=51)
+        )
+        k = int(np.argmin(np.abs(x - 1.0)))
+        assert ref[k] == pytest.approx(merton_value(0.0, x[k]), rel=0.02)

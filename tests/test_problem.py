@@ -3,6 +3,76 @@ import pytest
 
 import hjbkit as hk
 from hjbkit import specio
+from hjbkit.certify import _growth_record, companion_candidate
+from hjbkit.grids import Box
+from hjbkit.solver import _Stepper
+
+
+@pytest.fixture(scope="module")
+def utility_model():
+    # b = u*mu, sigma = u*sigma_mkt with unit market coefficients: the
+    # Hamiltonian integrand is u*p + u^2*M/2
+    return hk.proportional_control_problem(mu=1.0, sigma=1.0, bound=10.0)
+
+
+def solver_hamiltonian(problem, t, x, p, m, resolution=41, h=1e-5):
+    """The Hamiltonian the solver maximizes at x: the max over the control grid
+    of the stepper's generator, applied to the quadratic with slope p and
+    curvature m at x on the three nodes x - h, x, x + h."""
+    grid = hk.SpatialGrid((x + h * np.array([-1.0, 0.0, 1.0]),))
+    s = grid.axes[0] - x
+    stepper = _Stepper(problem, grid, problem.control_grid(resolution))
+    lv = stepper._generator(p * s + 0.5 * m * s**2, stepper.weights(t), np.empty_like(stepper.buf))[:, 0]
+    k = int(np.argmax(lv))
+    return float(lv[k]), stepper.controls[k]
+
+
+class TestHamiltonian:
+    def test_scalar_quadratic_maximum(self, utility_model):
+        # calculus: max_u (u*p + u^2 M / 2) = -p^2/(2M) at u = -p/M for M < 0
+        value, argmax = solver_hamiltonian(utility_model, 0.0, 0.3, 1.0, -1.0, 801)
+        assert value == pytest.approx(0.5, abs=1e-4)
+        assert argmax[0] == pytest.approx(1.0, abs=0.05)
+
+    def test_refining_grid_approaches_closed_form(self, utility_model):
+        vals = [solver_hamiltonian(utility_model, 0.0, 0.3, 1.0, -1.0, r)[0] for r in (11, 41, 161, 641)]
+        errs = [abs(v - 0.5) for v in vals]
+        assert errs[-1] < errs[0]
+        assert errs[-1] < 1e-4
+
+    def test_zero_coefficients_zero_value(self):
+        prob = hk.constant_coefficient_problem([0.0], [[0.0]])
+        value, argmax = solver_hamiltonian(prob, 0.3, 2.0, 0.0, 0.0)
+        assert value == 0.0
+        assert argmax is not None
+
+    def test_monotone_in_control_resolution(self, utility_model):
+        # linspace(a, b, r) is a subset of linspace(a, b, 2r-1): sup over superset
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            p, m = rng.normal(), -abs(rng.normal()) - 0.1
+            v1 = solver_hamiltonian(utility_model, 0.0, 0.1, p, m, 21, h=0.1)[0]
+            v2 = solver_hamiltonian(utility_model, 0.0, 0.1, p, m, 41, h=0.1)[0]
+            assert v2 >= v1
+
+    def test_positive_homogeneity(self, utility_model):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            p, m = rng.normal(), -abs(rng.normal()) - 0.1
+            lam = rng.uniform(0.1, 7.0)
+            h1 = solver_hamiltonian(utility_model, 0.0, 0.2, p, m, 101, h=0.1)[0]
+            h2 = solver_hamiltonian(utility_model, 0.0, 0.2, lam * p, lam * m, 101, h=0.1)[0]
+            assert h2 == pytest.approx(lam * h1, rel=1e-12, abs=1e-12)
+
+
+class TestGrowthCheck:
+    def test_merton_payoff_within_gauge(self, merton_problem):
+        # certify's growth record, on the payoff at the problem's declared constant
+        payoff = companion_candidate(
+            lambda t, X: merton_problem.payoff(X), "super", merton_problem.gauge_constant, None, "payoff"
+        )
+        record = _growth_record(payoff, merton_problem, hk.CertifyConfig(start_box=Box([0.1], [5.0])))
+        assert record.passed
 
 
 def _doc(family, params, domain, bound, payoff, gauge, gauge_constant, constraint):

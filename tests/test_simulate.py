@@ -100,6 +100,8 @@ class TestEstimateValue:
         )
         assert abs(e1.mean - e2.mean) < e1.half_width_95 + e2.half_width_95
 
+
+class TestOptimizePolicy:
     def test_hjb_policy_beats_constants(self, merton_problem, coarse_merton_solution):
         # common seed: every policy sees the same noise, so the comparison is paired
         def estimate(policy):

@@ -16,7 +16,7 @@ from hjbkit.problem import (
     one_plus_square_gauge,
     positive_constraint,
 )
-from hjbkit.solver import _Stepper, refined_terminals
+from hjbkit.solver import _Stepper
 
 
 def gf(x, v):
@@ -297,14 +297,6 @@ class TestExtractPolicy:
 
 
 class TestConvergenceStudy:
-    def test_given_terminal_is_refined_not_the_payoff(self, heat_problem):
-        # heat maps an affine terminal to itself; the quadratic payoff would not
-        grid = hk.uniform_grid([-4.0], [4.0], [41])
-        affine = 0.5 * grid.axes[0] + 1.0
-        fine = refined_terminals(heat_problem, hk.GridFunction(grid, affine), 1)[-1]
-        sol = hk.solve_hjb(heat_problem, fine, hk.SchemeConfig(n_time_nodes=21))
-        assert np.max(np.abs(sol.values[0][::2] - affine)) < 1e-12
-
     def test_constant_terminal_zero_diffs(self, heat_problem):
         import dataclasses
 
