@@ -60,15 +60,14 @@ class CandidateFunction:
     """A (t, x) function proposed as a stochastic sub- or super-solution.
 
     evaluator(t, X) must accept X of shape (n, d) and return (n,).  Sub
-    candidates carry a policy factory (tau, xi) -> FeedbackPolicy whose values
-    stay within policy_bound; super candidates need no policy.
+    candidates carry a policy factory (tau, xi) -> FeedbackPolicy; super
+    candidates need no policy.
     """
 
     evaluator: object
     kind: str                      # "sub" | "super"
     growth_constant: float
     policy_factory: object = None
-    policy_bound: float = 0.0
     name: str = "candidate"
 
     def __post_init__(self):
@@ -119,7 +118,7 @@ class AdversaryConfig:
 class TestRecord:
     kind: str                  # "martingale" | "terminal" | "growth"
     tau: float
-    rho_spec: str
+    rho: str                   # the end rule: "plus_eighth" | "terminal" | "ball_exit" | "-"
     start: tuple
     adversary: str
     margin: float
@@ -283,8 +282,6 @@ def certify_subsolution(candidate: CandidateFunction, problem, config: CertifyCo
     """
     if candidate.kind != "sub":
         raise ValueError("certify_subsolution needs a sub candidate")
-    if candidate.policy_factory is None:
-        raise ValueError("sub candidate is missing its companion policy")
     records = _martingale_records(
         candidate, problem, config, candidate.policy_factory, "companion", +1
     )
@@ -362,7 +359,6 @@ def lattice_max(w1: CandidateFunction, w2: CandidateFunction) -> CandidateFuncti
         kind="sub",
         growth_constant=max(w1.growth_constant, w2.growth_constant),
         policy_factory=policy_factory,
-        policy_bound=max(w1.policy_bound, w2.policy_bound),
         name=f"max({w1.name}, {w2.name})",
     )
 
@@ -398,10 +394,22 @@ class BracketPoint:
     sub_value: float
     super_value: float
     mc: ValueEstimate
-    sub_below_mc: bool
-    mc_below_super: bool
-    ordered: bool
-    gap: float
+
+    @property
+    def gap(self) -> float:
+        return self.super_value - self.sub_value
+
+    @property
+    def sub_below_mc(self) -> bool:
+        return self.sub_value <= self.mc.mean + self.mc.half_width_95 + _BRACKET_TOL
+
+    @property
+    def mc_below_super(self) -> bool:
+        return self.mc.mean <= self.super_value + self.mc.half_width_95 + _BRACKET_TOL
+
+    @property
+    def ordered(self) -> bool:
+        return self.sub_value <= self.super_value + _BRACKET_TOL
 
     @property
     def ok(self) -> bool:
@@ -411,8 +419,6 @@ class BracketPoint:
 @dataclass(frozen=True)
 class BracketReport:
     points: tuple
-    sub_name: str
-    super_name: str
 
     @property
     def ok(self) -> bool:
@@ -455,21 +461,8 @@ def bracket_report(
             est = estimate_value(ens, problem.payoff)
             if best is None or est.mean > best.mean:
                 best = est
-        sv, pv = sub(t, x), super_(t, x)
-        out.append(
-            BracketPoint(
-                t=t,
-                x=tuple(x),
-                sub_value=sv,
-                super_value=pv,
-                mc=best,
-                sub_below_mc=sv <= best.mean + best.half_width_95 + _BRACKET_TOL,
-                mc_below_super=best.mean <= pv + best.half_width_95 + _BRACKET_TOL,
-                ordered=sv <= pv + _BRACKET_TOL,
-                gap=pv - sv,
-            )
-        )
-    return BracketReport(tuple(out), sub.name, super_.name)
+        out.append(BracketPoint(t, tuple(x), sub(t, x), super_(t, x), best))
+    return BracketReport(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +501,6 @@ def companion_candidate(
         kind=kind,
         growth_constant=growth_constant,
         policy_factory=(lambda tau, xi: policy) if kind == "sub" else None,
-        policy_bound=policy.bound if policy is not None else 0.0,
         name=name,
     )
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -58,31 +59,7 @@ def _payoff_values(problem, grid) -> GridFunction:
 
 
 def _report_to_json(report: CertificationReport, candidate_spec) -> dict:
-    return {
-        "candidate": candidate_spec,
-        "side": report.side,
-        "certified": report.certified,
-        "verdict": report.verdict,
-        "z": report.z,
-        "tol": report.tol,
-        "budget": report.budget,
-        "seed": report.seed,
-        "adversary_class": report.adversary_class,
-        "records": [
-            {
-                "kind": r.kind,
-                "tau": r.tau,
-                "rho": r.rho_spec,
-                "start": list(r.start),
-                "adversary": r.adversary,
-                "margin": r.margin,
-                "stderr": r.stderr,
-                "n_paths": r.n_paths,
-                "passed": r.passed,
-            }
-            for r in report.records
-        ],
-    }
+    return {**asdict(report), "candidate": candidate_spec, "certified": report.certified, "verdict": report.verdict}
 
 
 def _bracket_to_json(rep) -> dict:
@@ -100,22 +77,15 @@ def _bracket_to_json(rep) -> dict:
     }
 
 
+def _from_fields(cls, doc: dict, **given):
+    """A `cls` whose fields not in `given` are read from `doc` under their own names."""
+    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name not in given}, **given)
+
+
 def _report_from_json(doc: dict) -> CertificationReport:
-    records = tuple(
-        TestRecord(
-            r["kind"], r["tau"], r["rho"], tuple(r["start"]), r["adversary"],
-            r["margin"], r["stderr"], r["n_paths"], r["passed"],
-        )
-        for r in doc["records"]
-    )
-    return CertificationReport(
-        candidate=str(doc["candidate"]),
-        side=doc["side"],
-        records=records,
-        z=doc["z"],
-        tol=doc["tol"],
-        budget=doc["budget"],
-        seed=doc["seed"],
+    records = tuple(_from_fields(TestRecord, r, start=tuple(r["start"])) for r in doc["records"])
+    return _from_fields(
+        CertificationReport, doc, candidate=str(doc["candidate"]), records=records,
         adversary_class=doc.get("adversary_class", ""),
     )
 
@@ -139,7 +109,7 @@ _ORACLES = {
 
 
 def _run_oracle(cfg, out_dir):
-    t, x = _float_list(cfg, "eval", 2)
+    t, x = _read(cfg, "eval", lambda v: _floats(v, 2))
     if cfg["family"] not in _ORACLES:
         raise ConfigurationError(f"unknown oracle family {cfg['family']!r}")
     value, names = _ORACLES[cfg["family"]]
@@ -177,25 +147,26 @@ def _run_facelift(cfg, out_dir):
     return EXIT_OK
 
 
-def _number(cfg, key, kind, default):
-    """cfg[key] as `kind` (int or float), or `default` when the key is absent."""
+def _read(cfg, key, parse, default=None):
+    """parse(cfg[key]), or parse(default) when the key is absent; a value that
+    parse refuses is a configuration error naming the key."""
     value = cfg.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"key {key!r}: {value!r} is not a number") from None
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
 
 
-def _float_list(cfg, key, length=None):
-    """cfg[key] as a nonempty list of floats, of `length` entries when given."""
-    value = cfg.get(key)
-    try:
-        out = [float(v) for v in value] if isinstance(value, (list, tuple)) else []
-    except (TypeError, ValueError):
-        out = []
-    if not out or (length is not None and len(out) != length):
-        raise ConfigurationError(f"key {key!r}: {value!r} is not a list of {length or 'one or more'} numbers")
-    return out
+def _floats(value, length=None):
+    """A nonempty list of floats, of `length` entries when given."""
+    if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
+        raise ValueError(f"not a list of {length or 'one or more'} numbers")
+    return [float(v) for v in value]
+
+
+def _optional_box(value):
+    """A box from (lo, hi) pairs, or None for an absent or empty one."""
+    return box_from_pairs(value) if value else None
 
 
 def _scheme_config(cfg) -> SchemeConfig:
@@ -204,9 +175,9 @@ def _scheme_config(cfg) -> SchemeConfig:
     if cfg.get("penalty_weight") is not None:
         raise ConfigurationError('"penalty_weight" is not supported; the penalty weight follows the CFL step')
     return SchemeConfig(
-        n_time_nodes=_number(cfg, "time_nodes", int, 101),
-        dt=None if cfg.get("dt") is None else _number(cfg, "dt", float, None),
-        control_grid_resolution=_number(cfg, "control_res", int, 41),
+        n_time_nodes=_read(cfg, "time_nodes", int, 101),
+        dt=_read(cfg, "dt", lambda v: None if v is None else float(v)),
+        control_grid_resolution=_read(cfg, "control_res", int, 41),
         constraint_mode=cfg.get("mode", "auto"),
     )
 
@@ -245,47 +216,39 @@ def _run_simulate(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
     policy_spec = specio.load_json(cfg["policy"])
     policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(cfg["policy"]) or ".")
-    box = box_from_pairs(cfg["simulation_box"]) if cfg.get("simulation_box") else None
-    t0, x0, seed = _number(cfg, "t0", float, 0.0), _float_list(cfg, "x0"), _number(cfg, "seed", int, 0)
+    box = _read(cfg, "simulation_box", _optional_box)
+    t0, x0, seed = _read(cfg, "t0", float, 0.0), _read(cfg, "x0", _floats), _read(cfg, "seed", int, 0)
     ens = simulate_paths(
-        problem, policy, t0, x0, _number(cfg, "paths", int, 10_000), _number(cfg, "steps", int, 100),
+        problem, policy, t0, x0, _read(cfg, "paths", int, 10_000), _read(cfg, "steps", int, 100),
         seed, box,
     )
     est = estimate_value(ens, problem.payoff)
     summary = {
-        "mean": est.mean,
-        "half_width_95": est.half_width_95,
-        "exit_fraction": est.exit_fraction,
-        "n_paths": est.n_paths,
-        "seed": seed,
-        "policy": policy_spec,
-        "t0": t0,
-        "x0": x0,
+        **asdict(est), "seed": seed, "policy": policy_spec, "t0": t0, "x0": x0,
         "log_coordinates": ens.log_coordinates,
     }
     out = os.path.join(out_dir, cfg["out"])
     specio.atomic_write_text(out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    specio.write_manifest(out_dir, "simulate", cfg, [cfg["problem"], cfg["policy"]], cfg["seed"], [cfg["out"]])
+    specio.write_manifest(out_dir, "simulate", cfg, [cfg["problem"], cfg["policy"]], cfg.get("seed"), [cfg["out"]])
     print(f"value estimate {est.mean!r} +- {est.half_width_95!r} (exit fraction {est.exit_fraction:.4f})")
     return EXIT_OK
 
 
 def _certify_config(cfg, problem) -> CertifyConfig:
-    if cfg.get("start_box"):
-        box = box_from_pairs(cfg["start_box"])
-    else:
+    box = _read(cfg, "start_box", _optional_box)
+    if box is None:
         lo = np.where(np.isfinite(problem.state_domain.lo), problem.state_domain.lo, -1.0)
         hi = np.where(np.isfinite(problem.state_domain.hi), problem.state_domain.hi, 1.0)
         width = hi - lo
         box = Box(lo + 0.25 * width, hi - 0.25 * width)
     return CertifyConfig(
         start_box=box,
-        budget=_number(cfg, "budget", int, 100_000),
-        z=_number(cfg, "z", float, 4.0),
-        tol=_number(cfg, "tol", float, 1e-9),
-        n_starts=_number(cfg, "n_starts", int, 3),
-        steps_per_record=_number(cfg, "steps", int, 48),
-        seed=_number(cfg, "seed", int, 0),
+        budget=_read(cfg, "budget", int, 100_000),
+        z=_read(cfg, "z", float, 4.0),
+        tol=_read(cfg, "tol", float, 1e-9),
+        n_starts=_read(cfg, "n_starts", int, 3),
+        steps_per_record=_read(cfg, "steps", int, 48),
+        seed=_read(cfg, "seed", int, 0),
     )
 
 
@@ -309,7 +272,7 @@ def _run_certify(cfg, out_dir):
     if not report.certified:
         for r in report.failing():
             print(
-                f"  FAILED {r.kind} tau={r.tau:g} rho={r.rho_spec} adversary={r.adversary} "
+                f"  FAILED {r.kind} tau={r.tau:g} rho={r.rho} adversary={r.adversary} "
                 f"margin={r.margin:.3e} stderr={r.stderr:.3e}"
             )
         return EXIT_CERTIFY_FAIL
@@ -322,9 +285,9 @@ def _run_bracket(cfg, out_dir):
     super_, super_rep = _load_report(cfg["super"])
     pts = _read_points(cfg["points"])
     bc = BracketConfig(
-        n_paths=_number(cfg, "paths", int, 20_000),
-        n_steps=_number(cfg, "steps", int, 64),
-        seed=_number(cfg, "seed", int, 0),
+        n_paths=_read(cfg, "paths", int, 20_000),
+        n_steps=_read(cfg, "steps", int, 64),
+        seed=_read(cfg, "seed", int, 0),
     )
     rep = bracket_report(sub, super_, problem, pts, bc, sub_rep, super_rep)
     doc = _bracket_to_json(rep)
@@ -363,7 +326,7 @@ def _run_convergence(cfg, out_dir):
     grid = specio.load_grid(cfg["grid"])
     terminal = _payoff_values(problem, grid)
     study = convergence_study(
-        problem, terminal, _number(cfg, "refinements", int, 2), _scheme_config(cfg),
+        problem, terminal, _read(cfg, "refinements", int, 2), _scheme_config(cfg),
         mode=cfg.get("refine", "space"),
     )
     doc = {"shapes": [list(s) for s in study.shapes], "diffs": list(study.diffs), "orders": list(study.orders)}
@@ -418,9 +381,9 @@ def _run_pipeline(cfg, out_dir):
     # its key before any stage runs
     config, ccfg = _scheme_config(spec), _certify_config(spec, problem)
     seed = ccfg.seed
-    mc_paths, mc_steps = _number(spec, "mc_paths", int, 100_000), _number(spec, "mc_steps", int, 200)
-    solver_growth = _number(spec, "solver_growth_constant", float, 10.0)
-    solver_tol = _number(spec, "solver_candidate_tol", float, 5e-3)
+    mc_paths, mc_steps = _read(spec, "mc_paths", int, 100_000), _read(spec, "mc_steps", int, 200)
+    solver_growth = _read(spec, "solver_growth_constant", float, 10.0)
+    solver_tol = _read(spec, "solver_candidate_tol", float, 5e-3)
     report: dict = {"stages": {}}
     out = os.path.join(out_dir, spec.get("out", "pipeline-report.json"))
 
@@ -428,34 +391,22 @@ def _run_pipeline(cfg, out_dir):
         specio.atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         specio.write_manifest(out_dir, "pipeline", cfg, [cfg["spec"]], seed, [spec.get("out", "pipeline-report.json")])
 
-    def _fail(stage, exc):
-        """Write the partial report; exit 2 for a configuration fault, 3 for a numerical one."""
-        report["stages"][stage] = f"failed: {exc}"
-        _write_report()
-        print(f"pipeline failed at stage {stage}: {exc}")
-        return EXIT_CONFIG if isinstance(exc, (ConfigurationError, DomainError)) else EXIT_NUMERIC
-
     g = _payoff_values(problem, grid)
-    # stage 1: face-lift
+    stage = "facelift"
     try:
         ghat = _facelift(problem, g)
         report["facelift_sup_distance"] = float(np.max(ghat.values - g.values))
-        report["stages"]["facelift"] = "ok"
-    except _STAGE_ERRORS as exc:
-        return _fail("facelift", exc)
+        report["stages"][stage] = "ok"
 
-    # stage 2: solve
-    try:
+        stage = "solve"
         terminal = ghat if spec.get("terminal", "facelift") == "facelift" else g
         sol = solve_hjb(problem, terminal, config)
         report["solver_value_at_points"] = [sol.value_at(t, x) for t, x in points]
-        report["stages"]["solve"] = "ok"
-    except _STAGE_ERRORS as exc:
-        return _fail("solve", exc)
+        report["stages"][stage] = "ok"
 
-    # stage 3: policy extraction + simulation at the first point, on the state
-    # domain: stopping at the truncation box would price another policy
-    try:
+        # policy extraction + simulation at the first point, on the state
+        # domain: stopping at the truncation box would price another policy
+        stage = "simulate"
         policy = extract_policy(sol)
         t0, x0 = points[0]
         ens = simulate_paths(problem, policy, t0, x0, mc_paths, mc_steps, seed)
@@ -470,12 +421,9 @@ def _run_pipeline(cfg, out_dir):
             # a diagnostic of the truncation, not a stopping rule
             "left_box_fraction": float(np.mean(left)),
         }
-        report["stages"]["simulate"] = "ok"
-    except _STAGE_ERRORS as exc:
-        return _fail("simulate", exc)
+        report["stages"][stage] = "ok"
 
-    # stage 4: certification
-    try:
+        stage = "certify"
         sub = specio.candidate_from_spec(spec["sub_candidate"], base)
         super_ = specio.candidate_from_spec(spec["super_candidate"], base)
         sub_rep = certify_subsolution(sub, problem, ccfg)
@@ -496,23 +444,25 @@ def _run_pipeline(cfg, out_dir):
                 report["solver_candidate"] = {"verdict": srep.verdict, "certified": srep.certified}
             except ValueError as exc:
                 report["solver_candidate"] = {"skipped": str(exc)}
-        report["stages"]["certify"] = "ok"
-    except _STAGE_ERRORS as exc:
-        return _fail("certify", exc)
+        report["stages"][stage] = "ok"
 
-    # stage 5: sandwich, only between certified candidates
-    uncertified = [side for side, rep in (("sub", sub_rep), ("super", super_rep)) if not rep.certified]
-    if uncertified:
-        report["bracket"] = f"skipped: {' and '.join(uncertified)} candidate not certified"
-        report["stages"]["bracket"] = "skipped"
-        _write_report()
-        print(f"pipeline complete; bracket {report['bracket']}")
-        return EXIT_CERTIFY_FAIL
-    try:
+        # sandwich, only between certified candidates
+        uncertified = [side for side, rep in (("sub", sub_rep), ("super", super_rep)) if not rep.certified]
+        if uncertified:
+            report["bracket"] = f"skipped: {' and '.join(uncertified)} candidate not certified"
+            report["stages"]["bracket"] = "skipped"
+            _write_report()
+            print(f"pipeline complete; bracket {report['bracket']}")
+            return EXIT_CERTIFY_FAIL
+        stage = "bracket"
         bc = BracketConfig(n_paths=mc_paths, n_steps=mc_steps, seed=seed, extra_policies=(policy,))
         brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep)
     except _STAGE_ERRORS as exc:
-        return _fail("bracket", exc)
+        # the partial report; exit 2 for a configuration fault, 3 for a numerical one
+        report["stages"][stage] = f"failed: {exc}"
+        _write_report()
+        print(f"pipeline failed at stage {stage}: {exc}")
+        return EXIT_CONFIG if isinstance(exc, (ConfigurationError, DomainError)) else EXIT_NUMERIC
     report["bracket"] = _bracket_to_json(brep)
     for doc, p in zip(report["bracket"]["points"], brep.points):
         doc["gap_fraction"] = p.gap / max(abs(p.mc.mean), 1e-300)
@@ -609,7 +559,7 @@ def _config_from_args(args) -> dict:
     if args.subcommand == "oracle":
         cfg["params"] = _parse_params(cfg.get("params", ""))
         cfg["eval"] = cfg["eval"].split(",")
-        cfg["eval"] = _float_list(cfg, "eval", 2)
+        cfg["eval"] = _read(cfg, "eval", lambda v: _floats(v, 2))
     if args.subcommand == "certify" and cfg.get("start_box"):
         cfg["start_box"] = [
             [float(v) for v in pair.split(",")] for pair in cfg["start_box"].split(";")

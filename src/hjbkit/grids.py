@@ -102,17 +102,14 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x, strict: bool = True) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x lies in the open box."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if strict:
-            return bool(np.all(x > self.lo) and np.all(x < self.hi))
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        return bool(np.all(x > self.lo) and np.all(x < self.hi))
 
-    def contains_box(self, other: "Box", strict: bool = True) -> bool:
-        """Whether `other` sits inside self; strict only where self is finite."""
-        lo_ok = np.where(np.isfinite(self.lo) & strict, other.lo > self.lo, other.lo >= self.lo)
-        hi_ok = np.where(np.isfinite(self.hi) & strict, other.hi < self.hi, other.hi <= self.hi)
-        return bool(np.all(lo_ok) and np.all(hi_ok))
+    def contains_box(self, other: "Box") -> bool:
+        """Whether `other` sits inside the closure of self."""
+        return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
 
 
 def box_from_pairs(pairs) -> Box:
@@ -124,10 +121,9 @@ def box_from_pairs(pairs) -> Box:
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Strictly increasing node arrays per dimension plus the truncation box."""
+    """Strictly increasing node arrays per dimension; their hull is the truncation box."""
 
     axes: tuple
-    box: Box = None
 
     def __post_init__(self):
         axes = tuple(_frozen(np.atleast_1d(a)) for a in self.axes)
@@ -137,13 +133,6 @@ class SpatialGrid:
                 raise ValueError("need at least 3 nodes per dimension")
             if not np.all(np.diff(a) > 0):
                 raise ValueError("nodes must be strictly increasing")
-        if self.box is None:
-            object.__setattr__(
-                self, "box", Box(np.array([a[0] for a in axes]), np.array([a[-1] for a in axes]))
-            )
-        for a, lo, hi in zip(axes, self.box.lo, self.box.hi):
-            if a[0] < lo or a[-1] > hi:
-                raise ValueError("nodes must lie in the closure of the truncation box")
 
     @property
     def dim(self) -> int:
@@ -152,6 +141,10 @@ class SpatialGrid:
     @property
     def shape(self) -> tuple:
         return tuple(a.size for a in self.axes)
+
+    @cached_property
+    def box(self) -> Box:
+        return Box(np.array([a[0] for a in self.axes]), np.array([a[-1] for a in self.axes]))
 
     def nodes(self) -> np.ndarray:
         """All nodes as a read-only (n_nodes, dim) array, C-order."""
@@ -186,7 +179,7 @@ class SpatialGrid:
             merged[0::2] = a
             merged[1::2] = mid
             new_axes.append(merged)
-        return SpatialGrid(tuple(new_axes), self.box)
+        return SpatialGrid(tuple(new_axes))
 
     def __eq__(self, other):
         if not isinstance(other, SpatialGrid):

@@ -50,14 +50,13 @@ def merton_value(
     p: float = 0.5,
     horizon: float = 1.0,
     bound: float = 10.0,
-    exponent_shift: float = 0.0,
 ) -> float:
-    """x^p exp((Lambda_B + shift)(T - t)); the shift builds perturbed candidates."""
+    """x^p exp(Lambda_B (T - t))."""
     if x <= 0:
         raise DomainError("wealth must be positive")
     if not 0 <= t <= horizon:
         raise ValueError("t must lie in [0, horizon]")
-    lam = merton_lambda(mu, sigma, p, bound) + exponent_shift
+    lam = merton_lambda(mu, sigma, p, bound)
     return x**p * math.exp(lam * (horizon - t))
 
 

@@ -138,10 +138,6 @@ class ControlSet:
         return np.unique(allpts, axis=0)
 
 
-def box_control_set(lo, hi) -> ControlSet:
-    return ControlSet((Box(np.atleast_1d(lo), np.atleast_1d(hi)),))
-
-
 @dataclass(frozen=True)
 class ControlProblem:
     """One stochastic optimal-control instance: maximize E[g(X_T)]."""

@@ -214,7 +214,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     if config is None:
         config = SchemeConfig()
     grid = terminal.grid
-    if not problem.state_domain.contains_box(grid.box, strict=False):
+    if not problem.state_domain.contains_box(grid.box):
         raise ConfigurationError("truncation box must lie inside the state domain")
     mode = _resolve_mode(config, problem, grid)
     controls = problem.control_grid(config.control_grid_resolution)
@@ -282,7 +282,6 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         "cfl_dt_max": dt_max,
         "control_grid_size": int(controls.shape[0]),
         "projections": projections,
-        "edge_treatment": "dirichlet_terminal_boundary",
         "wall_seconds": _time.time() - t_wall,
     }
     return SpaceTimeSolution(grid, times, values, policies, meta)
@@ -362,11 +361,12 @@ def convergence_study(
             slices.append(sol.values[0][sl])
             shapes.append(sol.grid.shape)
     elif mode == "time":
-        base = solve_hjb(problem, terminal, config)
-        dt0 = base.metadata["dt_internal"]
+        # the base solve is level 0: dt = dt0 gives it the same substeps and bits
+        sol = solve_hjb(problem, terminal, config)
+        dt0 = sol.metadata["dt_internal"]
         for level in range(refinements + 1):
-            cfg = replace(config, dt=dt0 / 2**level)
-            sol = solve_hjb(problem, terminal, cfg)
+            if level:
+                sol = solve_hjb(problem, terminal, replace(config, dt=dt0 / 2**level))
             slices.append(sol.values[0])
             shapes.append(sol.grid.shape)
     else:

@@ -151,7 +151,6 @@ class TestLattice:
         b = constant_candidate(0.2, "sub", growth_constant=3.0, policy=constant_policy([4.0]))
         m = lattice_max(a, b)
         assert m.growth_constant == 3.0
-        assert m.policy_bound == 4.0
 
 
 class TestBracket:

@@ -8,7 +8,7 @@ import pytest
 
 import hjbkit as hk
 from hjbkit import specio
-from hjbkit.cli import main
+from hjbkit.cli import _load_report, _report_to_json, main
 from hjbkit.errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
 
 MERTON_SPEC = {
@@ -161,6 +161,18 @@ def test_simulate_summary_and_replay_bitwise(tmp_path):
                "--problem", prob, "--policy", pol, "--x0", "1.0"])
     assert rc == 0
     assert (d2 / "ensemble-summary.json").read_bytes() == s1
+
+
+def test_simulate_manifest_without_seed_runs_with_seed_0(tmp_path):
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]})
+    config = {"problem": prob, "policy": pol, "x0": [1.0], "paths": 100, "steps": 4, "out": "s.json"}
+    mpath = write(tmp_path / "manifest.json", {"subcommand": "simulate", "config": config})
+    assert main(["--out-dir", str(tmp_path / "a"), "--manifest", mpath]) == 0
+    assert main(["--out-dir", str(tmp_path / "b"), "simulate", "--problem", prob, "--policy", pol,
+                 "--x0", "1.0", "--paths", "100", "--steps", "4", "--out", "s.json"]) == 0
+    assert (tmp_path / "a" / "s.json").read_bytes() == (tmp_path / "b" / "s.json").read_bytes()
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())["config"] == config
 
 
 def test_certify_inflated_candidate_exits_4(tmp_path, capsys):
@@ -602,7 +614,8 @@ def test_bracket_points_header_is_skipped(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["mc_paths", "mc_steps", "seed", "solver_candidate_tol", "solver_growth_constant",
-                                 "budget", "z", "tol", "n_starts", "steps", "time_nodes", "control_res", "dt"])
+                                 "budget", "z", "tol", "n_starts", "steps", "time_nodes", "control_res", "dt",
+                                 "start_box"])
 def test_pipeline_non_numeric_key_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key):
     monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: "many"})
@@ -655,6 +668,9 @@ NOT_NUMBERS = [
     ("bracket", "seed", None),
     ("convergence", "refinements", None),
     ("certify", "seed", None),
+    ("certify", "start_box", 5),
+    ("certify", "start_box", [[1.0]]),
+    ("simulate", "simulation_box", 5),
     ("oracle", "eval", 5),
     ("oracle", "eval", [0.0]),
 ]
@@ -683,6 +699,29 @@ def test_manifest_number_that_is_not_one_exits_2(tmp_path, capsys, subcommand, k
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and repr(key) in err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_certify_report_roundtrips_through_its_dataclasses(tmp_path):
+    """A written report loads through the bracket's reader and re-serializes to the same bytes."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    cand = write(tmp_path / "cand.json", dict(MERTON_SUB, side="super",
+                                              params=dict(MERTON_SUB["params"], exponent_shift=0.05)))
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", "3000", "--start-box", "0.5,2.0"]) in (0, 4)
+    path = tmp_path / "report.json"
+    raw = path.read_text()
+    doc = json.loads(raw)
+    _, report = _load_report(str(path))
+    assert report.adversary_class.startswith("corner") and len(report.records) == len(doc["records"])
+    assert json.dumps(_report_to_json(report, doc["candidate"]), indent=2, sort_keys=True) + "\n" == raw
+
+    del doc["adversary_class"]
+    doc["note"] = "ignored"
+    doc["records"][0]["note"] = "ignored"
+    write(path, doc)
+    _, older = _load_report(str(path))
+    assert older.adversary_class == ""
+    assert older.records == report.records
 
 
 @pytest.mark.parametrize("defect", ["list", "no-records", "record-without-tau"])

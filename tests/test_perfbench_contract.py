@@ -113,6 +113,15 @@ def test_workload_call_shapes(workloads_module):
     hk.solve_hjb(merton, terminal, replace(config, n_time_nodes=3, control_grid_resolution=5))
 
 
+def test_pipeline_report_holds_every_key_the_workload_judges(workloads_module, tmp_path):
+    """One certify_pipeline op through cli.main: its checker reads every key it needs."""
+    workload = workloads_module.CertifyPipeline(42, str(tmp_path))
+    rc, out_dir = workload._run()
+    assert rc in (0, 4)
+    verdict = workload._judge(rc, out_dir, compare=False)
+    assert set(verdict.figures) == {"value_rel_err", "gap_frac", "bracket_points_failed", "mc_exit_fraction"}
+
+
 def test_pipeline_fast_spec_passes_the_unknown_key_check(workloads_module):
     spec = dict(workloads_module.PIPELINE_FAST_SPEC, problem=workloads_module.PIPELINE_PROBLEM)
     problem, grid, points = cli._pipeline_inputs(spec, ".")

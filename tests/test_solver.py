@@ -10,13 +10,17 @@ from hjbkit.oracles import heat_value, merton_value
 from hjbkit.problem import (
     ControlProblem,
     ScalarField,
+    ControlSet,
     abs_payoff,
-    box_control_set,
     constant_payoff,
     one_plus_square_gauge,
     positive_constraint,
 )
 from hjbkit.solver import _Stepper
+
+
+def box_control_set(lo, hi) -> ControlSet:
+    return ControlSet((hk.Box(np.atleast_1d(lo), np.atleast_1d(hi)),))
 
 
 def gf(x, v):
@@ -324,6 +328,22 @@ class TestConvergenceStudy:
         term = hk.GridFunction(grid, grid.axes[0] ** 4)
         study = hk.convergence_study(prob, term, 3, hk.SchemeConfig(n_time_nodes=11), mode="time")
         assert study.orders[-1] == pytest.approx(1.0, abs=0.35)
+
+    def test_time_mode_base_solve_is_level_zero(self, monkeypatch):
+        """mode="time" solves refinements + 1 times, with the diffs of a separate base solve."""
+        quartic = hk.problem.ScalarField(lambda x: x[..., 0] ** 4, "quartic")
+        prob = hk.heat_problem(payoff=quartic)
+        grid = hk.uniform_grid([-4.0], [4.0], [17])
+        term = hk.GridFunction(grid, grid.axes[0] ** 4)
+        config = hk.SchemeConfig(n_time_nodes=9)
+        solve = hk.solver.solve_hjb
+        dt0 = solve(prob, term, config).metadata["dt_internal"]
+        levels = [solve(prob, term, dataclasses.replace(config, dt=dt0 / 2**k)).values[0] for k in range(3)]
+        calls = []
+        monkeypatch.setattr(hk.solver, "solve_hjb", lambda *a: calls.append(a) or solve(*a))
+        study = hk.convergence_study(prob, term, 2, config, mode="time")
+        assert len(calls) == 3
+        assert study.diffs == tuple(float(np.max(np.abs(a - b))) for a, b in zip(levels, levels[1:]))
 
     def test_merton_differences_shrink(self, merton_problem):
         grid = hk.log_grid(0.3, 3.0, 41)
