@@ -569,6 +569,19 @@ def _config_from_args(args) -> dict:
     return cfg
 
 
+def _read_manifest(path) -> tuple:
+    """The subcommand and config a manifest records; a malformed one is a ConfigurationError."""
+    manifest = specio.load_json(path)
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(f"manifest must be an object, not {type(manifest).__name__}")
+    subcommand, cfg = manifest.get("subcommand"), manifest.get("config")
+    if not (isinstance(subcommand, str) and subcommand in _HANDLERS):
+        raise ConfigurationError(f"manifest key 'subcommand': {subcommand!r} is not a subcommand")
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"manifest key 'config' must be an object, not {type(cfg).__name__}")
+    return subcommand, cfg
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -579,12 +592,10 @@ def main(argv=None) -> int:
 
     try:
         if args.manifest:
-            manifest = specio.load_json(args.manifest)
-            subcommand = manifest["subcommand"]
+            subcommand, cfg = _read_manifest(args.manifest)
             if args.subcommand and args.subcommand != subcommand:
                 print(f"manifest records subcommand {subcommand!r}", file=sys.stderr)
                 return EXIT_CONFIG
-            cfg = manifest["config"]
         else:
             if not args.subcommand:
                 parser.print_usage()

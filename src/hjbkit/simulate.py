@@ -11,7 +11,10 @@ each step exact in distribution for frozen controls.
 Noise is drawn from a counter-based Philox stream keyed by the seed; path p
 consumes the counter block laid out as row p of the (n_paths, n_steps, d')
 normal array, so ensembles are reproducible bit for bit and reductions are
-fixed-order.
+fixed-order.  The draw is taken a block of paths at a time and stored step by
+step, as (n_steps, n_paths, d'), so each Euler step reads one contiguous row.
+States are stored the same way, as (n_steps + 1, n_paths, d); an ensemble
+holds the (n_paths, n_steps + 1, d) view of them.
 """
 
 from __future__ import annotations
@@ -100,6 +103,32 @@ def _use_log_coordinates(problem) -> bool:
     )
 
 
+_NOISE_CHUNK = 1024   # paths per noise draw
+
+
+def _step_major_noise(rng, n_paths: int, n_steps: int, dprime: int) -> np.ndarray:
+    """The (n_paths, n_steps, d') standard normal draw, stored as (n_steps, n_paths, d').
+
+    Drawn a block of paths at a time, so path p still consumes row p's counter
+    block; transposing the whole draw at once would hold a second noise-sized
+    array.
+    """
+    Z = np.empty((n_steps, n_paths, dprime))
+    for a in range(0, n_paths, _NOISE_CHUNK):
+        b = min(a + _NOISE_CHUNK, n_paths)
+        Z[:, a:b] = rng.standard_normal((b - a, n_steps, dprime)).transpose(1, 0, 2)
+    return Z
+
+
+def _all_inside(X, lo, hi, box) -> bool:
+    """Whether every row of X lies in the open domain and the closed box."""
+    mins, maxs = X.min(axis=0), X.max(axis=0)
+    inside = bool(np.all(mins > lo) and np.all(maxs < hi))
+    if box is not None:
+        inside = inside and bool(np.all(mins >= box.lo) and np.all(maxs <= box.hi))
+    return inside
+
+
 def simulate_paths(
     problem,
     policy: FeedbackPolicy,
@@ -123,52 +152,67 @@ def simulate_paths(
     d, dprime = problem.state_dim, problem.noise_dim
     times = t0 + dt * np.arange(n_steps + 1)
 
+    # states before noise: the draw's block temporaries then sit on top of both
+    # arrays, so a second noise-sized buffer shows in the peak memory
+    states = np.empty((n_steps + 1, n_paths, d))
+    states[0] = x0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    Z = rng.standard_normal((n_paths, n_steps, dprime))
+    Z = _step_major_noise(rng, n_paths, n_steps, dprime)
 
     log_mode = _use_log_coordinates(problem)
-    mu = problem.params.get("mu") if log_mode else None
-    sig = problem.params.get("sigma") if log_mode else None
+    if log_mode:
+        mu, sig = problem.params.get("mu"), problem.params.get("sigma")
+        drift, vol, sq = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
 
-    states = np.empty((n_paths, n_steps + 1, d))
-    states[:, 0, :] = x0
     exit_step = np.full(n_paths, -1, dtype=int)
     active = np.ones(n_paths, dtype=bool)
-    X = np.broadcast_to(x0, (n_paths, d)).copy()
+    all_active = True
+    lo, hi = problem.state_domain.lo, problem.state_domain.hi
     B = problem.control_bound
 
     for n in range(n_steps):
         t = times[n]
+        X, X_new = states[n], states[n + 1]
+        X.flags.writeable = False
         U = np.asarray(policy.rule(t, X), dtype=float).reshape(n_paths, -1)
         if np.max(np.abs(U)) > B + 1e-9:
             raise ValueError(
                 f"policy value exceeds the admissibility bound {B} at step {n}"
             )
         if log_mode:
+            # dY = (u mu - 0.5 (u sig)^2) dt + ((u sig) sqdt) Z, in this order
             u = U[:, 0]
-            dY = (u * mu - 0.5 * (u * sig) ** 2) * dt + u * sig * sqdt * Z[:, n, 0]
-            X_new = X * np.exp(dY)[:, None]
+            np.multiply(u, mu, out=drift)
+            np.multiply(u, sig, out=vol)
+            np.square(vol, out=sq)
+            sq *= 0.5
+            drift -= sq
+            drift *= dt
+            vol *= sqdt
+            vol *= Z[n, :, 0]
+            drift += vol
+            np.exp(drift, out=drift)
+            np.multiply(X[:, 0], drift, out=X_new[:, 0])
         else:
             b = np.asarray(problem.drift(t, X, U), dtype=float).reshape(n_paths, d)
             s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(n_paths, d, dprime)
-            X_new = X + b * dt + np.einsum("nij,nj->ni", s, sqdt * Z[:, n, :])
+            np.add(X + b * dt, np.einsum("nij,nj->ni", s, sqdt * Z[n]), out=X_new)
 
-        inside = np.all(X_new > problem.state_domain.lo, axis=1) & np.all(
-            X_new < problem.state_domain.hi, axis=1
-        )
+        if all_active and _all_inside(X_new, lo, hi, simulation_box):
+            continue
+        inside = np.all(X_new > lo, axis=1) & np.all(X_new < hi, axis=1)
         if simulation_box is not None:
             inside &= np.all(X_new >= simulation_box.lo, axis=1) & np.all(
                 X_new <= simulation_box.hi, axis=1
             )
-        newly_exited = active & ~inside
-        exit_step[newly_exited] = n
+        exit_step[active & ~inside] = n
         active &= inside
-        X = np.where(active[:, None], X_new, X)
-        states[:, n + 1, :] = X
+        all_active = False
+        np.copyto(X_new, X, where=~active[:, None])
 
     return PathEnsemble(
         times=times,
-        states=states,
+        states=states.swapaxes(0, 1),
         exit_step=exit_step,
         log_coordinates=log_mode,
     )

@@ -287,10 +287,50 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     return SpaceTimeSolution(grid, times, values, policies, meta)
 
 
-def _nearest_indices(axis, xs):
-    j = np.clip(np.searchsorted(axis, xs), 1, axis.size - 1)
-    use_left = (xs - axis[j - 1]) <= (axis[j] - xs)
-    return np.where(use_left, j - 1, j)
+def _identity(v):
+    return v
+
+
+def _nearest_locator(axis):
+    """Nearest node of `axis` to each x, ties to the left node.
+
+    For a strictly increasing axis this is the rule
+    j = clip(searchsorted(axis, x), 1, n - 1), then j - 1 when
+    x - axis[j-1] <= axis[j] - x.  The cell j is guessed affinely in x, or in
+    log x where that maps the nodes closer to their indices; only the points
+    whose guess misses axis[j-1] < x <= axis[j] are searched.  So the result
+    is exact on any axis, and only its speed depends on the guess.
+    """
+    n = axis.size
+    maps = [_identity] + ([np.log] if axis[0] > 0 else [])
+
+    def misfit(f):
+        pos = (f(axis) - f(axis[0])) * ((n - 1) / (f(axis[-1]) - f(axis[0])))
+        return np.max(np.abs(pos - np.arange(n)))
+
+    f = min(maps, key=misfit)
+    f0, scale = f(axis[0]), (n - 1) / (f(axis[-1]) - f(axis[0]))
+
+    def nearest(xs):
+        # clipped into the axis before the map, since log x needs x > 0; NaN
+        # goes to the last node, where searchsorted puts it.  The clipped
+        # point has the same cell and the same nearest node.
+        xc = np.maximum(xs, axis[0])
+        np.fmin(xc, axis[-1], out=xc)
+        guess = f(xc) - f0      # a new array, also under the identity map
+        guess *= scale
+        j = guess.astype(np.intp)
+        j += 1
+        np.clip(j, 1, n - 1, out=j)
+        left, right = axis[j - 1], axis[j]
+        miss = np.flatnonzero((xc <= left) | (xc > right))
+        if miss.size:
+            j[miss] = np.clip(np.searchsorted(axis, xc[miss]), 1, n - 1)
+            left[miss], right[miss] = axis[j[miss] - 1], axis[j[miss]]
+        j -= (xc - left) <= (right - xc)
+        return j
+
+    return nearest
 
 
 def extract_policy(solution: SpaceTimeSolution):
@@ -298,13 +338,13 @@ def extract_policy(solution: SpaceTimeSolution):
     from .simulate import FeedbackPolicy
 
     policies = solution.policies
-    axes = solution.grid.axes
+    locators = [_nearest_locator(a) for a in solution.grid.axes]
     bound = float(np.max(np.abs(policies)))
 
     def rule(t, x):
         n = solution.time_index(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        idx = tuple(_nearest_indices(axes[d], x[:, d]) for d in range(len(axes)))
+        idx = tuple(nearest(x[:, d]) for d, nearest in enumerate(locators))
         return policies[n][idx]
 
     return FeedbackPolicy(rule=rule, bound=bound, tag="grid-table")

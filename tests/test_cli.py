@@ -701,6 +701,25 @@ def test_manifest_number_that_is_not_one_exits_2(tmp_path, capsys, subcommand, k
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+MALFORMED_MANIFESTS = {
+    "list": (["x"], "manifest must be an object"),
+    "config-list": ({"subcommand": "simulate", "config": ["x"]}, "'config'"),
+    "config-missing": ({"subcommand": "simulate"}, "'config'"),
+    "subcommand-list": ({"subcommand": ["x"], "config": {}}, "'subcommand'"),
+    "subcommand-unknown": ({"subcommand": "simulat", "config": {}}, "'subcommand'"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_MANIFESTS))
+def test_malformed_manifest_exits_2(tmp_path, capsys, name):
+    doc, problem = MALFORMED_MANIFESTS[name]
+    mpath = write(tmp_path / "manifest.json", doc)
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and problem in err
+    assert "Traceback" not in err
+
+
 def test_certify_report_roundtrips_through_its_dataclasses(tmp_path):
     """A written report loads through the bracket's reader and re-serializes to the same bytes."""
     prob = write(tmp_path / "prob.json", MERTON_SPEC)

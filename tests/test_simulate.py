@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hjbkit as hk
 from hjbkit.errors import DomainError
-from hjbkit.simulate import constant_policy, piecewise_constant_policy
+from hjbkit.simulate import (
+    _NOISE_CHUNK,
+    FeedbackPolicy,
+    _use_log_coordinates,
+    constant_policy,
+    piecewise_constant_policy,
+)
 
 
 class TestSimulatePaths:
@@ -67,6 +74,104 @@ class TestSimulatePaths:
             e = ens.exit_step[p]
             upto = ens.states[p, : e + 1, 0] if e >= 0 else ens.states[p, :, 0]
             assert np.all((upto >= 0.8) & (upto <= 1.25))
+
+
+def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed, simulation_box=None):
+    """Reference ensemble: paths stored row by row, (n_paths, n_steps+1, d),
+    one whole (n_paths, n_steps, d') draw, np.where for the frozen paths."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    dt = (problem.horizon - t0) / n_steps
+    sqdt = np.sqrt(dt)
+    d, dprime = problem.state_dim, problem.noise_dim
+    times = t0 + dt * np.arange(n_steps + 1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    Z = rng.standard_normal((n_paths, n_steps, dprime))
+    log_mode = _use_log_coordinates(problem)
+    mu, sig = problem.params.get("mu"), problem.params.get("sigma")
+    states = np.empty((n_paths, n_steps + 1, d))
+    states[:, 0, :] = x0
+    exit_step = np.full(n_paths, -1, dtype=int)
+    active = np.ones(n_paths, dtype=bool)
+    X = np.broadcast_to(x0, (n_paths, d)).copy()
+    for n in range(n_steps):
+        t = times[n]
+        U = np.asarray(policy.rule(t, X), dtype=float).reshape(n_paths, -1)
+        if log_mode:
+            u = U[:, 0]
+            dY = (u * mu - 0.5 * (u * sig) ** 2) * dt + u * sig * sqdt * Z[:, n, 0]
+            X_new = X * np.exp(dY)[:, None]
+        else:
+            b = np.asarray(problem.drift(t, X, U), dtype=float).reshape(n_paths, d)
+            s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(n_paths, d, dprime)
+            X_new = X + b * dt + np.einsum("nij,nj->ni", s, sqdt * Z[:, n, :])
+        inside = np.all(X_new > problem.state_domain.lo, axis=1) & np.all(
+            X_new < problem.state_domain.hi, axis=1
+        )
+        if simulation_box is not None:
+            inside &= np.all(X_new >= simulation_box.lo, axis=1) & np.all(
+                X_new <= simulation_box.hi, axis=1
+            )
+        exit_step[active & ~inside] = n
+        active &= inside
+        X = np.where(active[:, None], X_new, X)
+        states[:, n + 1, :] = X
+    return times, states, exit_step
+
+
+class TestStepMajorStorage:
+    """simulate_paths stores paths step by step and gives the row-major ensemble bit for bit."""
+
+    @pytest.mark.parametrize("n_paths", [100, _NOISE_CHUNK, _NOISE_CHUNK + 1, 2 * _NOISE_CHUNK + 37])
+    @pytest.mark.parametrize("case", ["log-constant", "log-grid-table", "log-box", "generic-2d-noise",
+                                      "generic-2d-box", "generic-control"])
+    def test_equals_the_row_major_loop(self, case, n_paths, merton_problem, coarse_merton_solution):
+        two_noise = hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]])
+        args = {
+            "log-constant": (merton_problem, constant_policy([2.0]), 0.1, [1.2], n_paths, 12, 3),
+            "log-grid-table": (merton_problem, hk.extract_policy(coarse_merton_solution), 0.0, [1.0],
+                               n_paths, 12, 4),
+            "log-box": (merton_problem, hk.extract_policy(coarse_merton_solution), 0.0, [1.0],
+                        n_paths, 12, 5, hk.Box([0.6], [1.6])),
+            "generic-2d-noise": (two_noise, constant_policy([0.0]), 0.0, [0.1, 0.2], n_paths, 7, (7, 1)),
+            "generic-2d-box": (two_noise, constant_policy([0.0]), 0.0, [0.1, 0.2], n_paths, 7, 8,
+                               hk.Box([-0.8, -0.3], [0.8, 0.6])),
+            "generic-control": (hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0),
+                                FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0), 0.0, [0.3], n_paths, 9, 9),
+        }[case]
+        ens = hk.simulate_paths(*args)
+        times, states, exit_step = _row_major_paths(*args)
+        assert ens.states.shape == states.shape
+        assert np.array_equal(ens.states, states)
+        assert np.array_equal(ens.exit_step, exit_step)
+        assert np.array_equal(ens.times, times)
+        if "box" in case:
+            assert 0.0 < ens.exit_fraction < 1.0
+
+    def test_policy_reads_the_current_row_read_only(self, merton_problem):
+        seen = []
+
+        def rule(t, x):
+            seen.append(x.flags.writeable)
+            return np.zeros((x.shape[0], 1))
+
+        hk.simulate_paths(merton_problem, FeedbackPolicy(rule, 1.0), 0.0, [1.0], 10, 5, seed=0)
+        assert seen == [False] * 5
+
+    @pytest.mark.parametrize("grid_table", [False, True], ids=["constant", "grid-table"])
+    def test_peak_memory_is_noise_plus_states(self, grid_table, merton_problem, coarse_merton_solution):
+        # a second noise-sized buffer (a whole-array transpose, say) puts the ratio near 1.5
+        n_paths, n_steps = 20_000, 50
+        policy = hk.extract_policy(coarse_merton_solution) if grid_table else constant_policy([2.0])
+        # a first call imports numpy.random's modules, which tracemalloc would count
+        hk.simulate_paths(merton_problem, policy, 0.0, [1.0], 10, 2, seed=1)
+        tracemalloc.start()
+        try:
+            ens = hk.simulate_paths(merton_problem, policy, 0.0, [1.0], n_paths, n_steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        noise_bytes = n_paths * n_steps * merton_problem.noise_dim * 8
+        assert peak <= 1.15 * (noise_bytes + ens.states.nbytes)
 
 
 class TestEstimateValue:

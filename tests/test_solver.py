@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit.errors import ConfigurationError
@@ -16,7 +18,7 @@ from hjbkit.problem import (
     one_plus_square_gauge,
     positive_constraint,
 )
-from hjbkit.solver import _Stepper
+from hjbkit.solver import _nearest_locator, _Stepper
 
 
 def box_control_set(lo, hi) -> ControlSet:
@@ -298,6 +300,81 @@ class TestExtractPolicy:
     def test_policy_respects_bound(self, coarse_merton_solution):
         pol = hk.extract_policy(coarse_merton_solution)
         assert pol.bound <= 10.0 + 1e-12
+
+
+def _searchsorted_nearest(axis, xs):
+    """The nearest-node rule the locator must reproduce, by binary search."""
+    j = np.clip(np.searchsorted(axis, xs), 1, axis.size - 1)
+    use_left = (xs - axis[j - 1]) <= (axis[j] - xs)
+    return np.where(use_left, j - 1, j)
+
+
+@st.composite
+def locator_axes(draw):
+    """A strictly increasing axis: uniform, geometric, random or graded."""
+    kind = draw(st.sampled_from(["uniform", "log", "random", "graded"]))
+    n = draw(st.integers(3, 60))
+    lo = draw(st.floats(-5.0, 5.0))
+    if kind == "uniform":
+        axis = np.linspace(lo, lo + draw(st.floats(1e-3, 10.0)), n)
+    elif kind == "log":
+        lo = draw(st.floats(1e-3, 2.0))
+        axis = np.geomspace(lo, lo * draw(st.floats(1.5, 1e3)), n)
+    else:
+        if kind == "random":
+            steps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+        else:
+            # spacings from 1e-6 to 1
+            steps = 10.0 ** np.array(draw(st.lists(st.floats(-6.0, 0.0), min_size=n - 1, max_size=n - 1)))
+        axis = lo + np.concatenate([[0.0], np.cumsum(steps)])
+    return axis
+
+
+def _locator_queries(axis, extra):
+    span = axis[-1] - axis[0]
+    edges = [axis[0] - span, axis[0] - 1e-9, axis[-1] + 1e-9, axis[-1] + span,
+             -np.inf, np.inf, np.nan, 0.0, -0.0, -1.0]
+    return np.concatenate([
+        axis,
+        0.5 * (axis[1:] + axis[:-1]),
+        np.nextafter(axis, -np.inf),
+        np.nextafter(axis, np.inf),
+        edges,
+        axis[0] + span * np.asarray(extra),
+    ])
+
+
+class TestNearestLocator:
+    """extract_policy's cell guess and correction give the searchsorted rule exactly."""
+
+    @given(locator_axes(), st.lists(st.floats(-0.5, 1.5), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_searchsorted_rule(self, axis, extra):
+        assume(np.all(np.diff(axis) > 0))
+        xs = _locator_queries(axis, extra)
+        np.testing.assert_array_equal(_nearest_locator(axis)(xs), _searchsorted_nearest(axis, xs))
+
+    @pytest.mark.parametrize("axis", [
+        np.linspace(0.2, 5.0, 120),           # positive and uniform: the affine guess fits
+        np.geomspace(0.2, 5.0, 120),
+        np.linspace(-3.0, 3.0, 61),
+    ], ids=["uniform-positive", "log", "uniform"])
+    def test_equals_the_searchsorted_rule_on_many_points(self, axis):
+        xs = np.random.default_rng(1).uniform(axis[0] - 1.0, axis[-1] + 1.0, 20_000)
+        xs = np.concatenate([xs, _locator_queries(axis, [])])
+        np.testing.assert_array_equal(_nearest_locator(axis)(xs), _searchsorted_nearest(axis, xs))
+
+    def test_grid_table_rule_reads_the_nearest_node(self):
+        # a 2-D table on one uniform and one geometric axis, read at random points
+        rng = np.random.default_rng(2)
+        grid = hk.SpatialGrid((np.linspace(-1.0, 1.0, 9), np.geomspace(0.5, 4.0, 13)))
+        times = np.linspace(0.0, 1.0, 4)
+        policies = rng.uniform(-1.0, 1.0, (4, 9, 13, 2))
+        sol = hk.SpaceTimeSolution(grid, times, np.zeros((4, 9, 13)), policies)
+        x = np.column_stack([rng.uniform(-1.5, 1.5, 500), rng.uniform(0.0, 5.0, 500)])
+        i, j = (_searchsorted_nearest(a, x[:, d]) for d, a in enumerate(grid.axes))
+        for n, t in enumerate(times):
+            np.testing.assert_array_equal(hk.extract_policy(sol).rule(t + 0.01, x), policies[n][i, j])
 
 
 class TestConvergenceStudy:
