@@ -173,7 +173,7 @@ def _scheme_config(cfg) -> SchemeConfig:
     if cfg.get("upwind", True) is not True:
         raise ConfigurationError('"upwind": false is not supported; the drift is always upwinded')
     if cfg.get("penalty_weight") is not None:
-        raise ConfigurationError('"penalty_weight" is not supported; the penalty weight follows the CFL step')
+        raise ConfigurationError('"penalty_weight" is not supported; the penalty weight follows the grid')
     return SchemeConfig(
         n_time_nodes=_read(cfg, "time_nodes", int, 101),
         dt=_read(cfg, "dt", lambda v: None if v is None else float(v)),

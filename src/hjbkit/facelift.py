@@ -25,7 +25,7 @@ from collections import deque
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import GridFunction, mixed_second
+from .grids import GridFunction, mixed_second, solve_tridiagonal
 
 __all__ = [
     "concave_envelope",
@@ -191,11 +191,14 @@ def _block_tridiagonal_solve(diag, lower, upper, left, right, rhs):
 
     Row (i, j) reads  left u[i-1, j] + lower u[i, j-1] + diag u[i, j]
     + upper u[i, j+1] + right u[i+1, j] = rhs  (couplings off the array are
-    zero).  Block elimination along the first axis factors one dense m x m
-    block per line, so the full (L m)^2 matrix is never formed.
+    zero).  One line is one Thomas solve; for more, block elimination along
+    the first axis factors one dense m x m block per line, so the full
+    (L m)^2 matrix is never formed.
     """
     diag, lower, upper, left, right, rhs = map(np.atleast_2d, (diag, lower, upper, left, right, rhs))
     n_lines, m = diag.shape
+    if n_lines == 1:
+        return solve_tridiagonal(lower[0], diag[0], upper[0], rhs[0])[None]
     line = np.arange(m)
     carried = []  # per line: (block^-1 diag(right), block^-1 rhs) after elimination
     for i in range(n_lines):

@@ -4,7 +4,8 @@ A SpatialGrid is the product of per-dimension node arrays inside a truncation
 box; a GridFunction attaches one real value per node.  These are the currency
 passed between the face-lift, the solver and the file formats.  AxisStencil is
 the one 3-point non-uniform stencil: the solver's step weights and the
-face-lift constraint G_h both difference with it.
+face-lift constraint G_h both difference with it, and solve_tridiagonal is
+the one tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class AxisStencil:
     def weights(self, b, s2):
         """Coefficients (wm, w0, wp) of v[i-1], v[i], v[i+1] in  b v' + 1/2 s2 v''.
 
-        The drift is upwinded by its sign, so wm, wp >= 0 and the explicit
-        step is monotone whenever 1 + dt w0 >= 0.
+        The drift is upwinded by its sign, so wm, wp >= 0: the explicit step
+        is monotone whenever 1 + dt w0 >= 0, and I - dt L is an M-matrix for
+        every dt.
         """
         bp = np.maximum(b, 0.0)
         bm = np.minimum(b, 0.0)
@@ -73,6 +75,28 @@ class AxisStencil:
         m[1:-1] = self.second(v)
         m[0] = m[1]
         m[-1] = m[-2]
+
+
+def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the tridiagonal system  lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1] = rhs[i].
+
+    lower[0] and upper[-1] are not read.  Thomas elimination without pivoting,
+    on Python floats (faster than numpy element access for one line); it is
+    stable for the diagonally dominant rows the solver and the face-lift build.
+    """
+    a, b, c, d = (np.asarray(z, dtype=float).tolist() for z in (lower, diag, upper, rhs))
+    n = len(b)
+    cp = [0.0] * n
+    dp = [0.0] * n
+    beta = b[0]
+    dp[0] = d[0] / beta
+    for i in range(1, n):
+        cp[i - 1] = c[i - 1] / beta
+        beta = b[i] - a[i] * cp[i - 1]
+        dp[i] = (d[i] - a[i] * dp[i - 1]) / beta
+    for i in range(n - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
+    return np.array(dp)
 
 
 def mixed_second(v, axes):

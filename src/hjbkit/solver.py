@@ -1,25 +1,35 @@
-"""Monotone explicit solver for the constrained HJB equation.
+"""Monotone solver for the constrained HJB equation.
 
-Backward in time from the terminal slice:
+Backward in time from the terminal slice, with the generator
 
-    v(t_n) = v(t_{n+1}) + dt * max_u  L^u v(t_{n+1}),
     L^u v  = b(t,x,u) . D_h v + 1/2 Tr(sigma sigma^T D2_h v),
 
-with the drift always upwinded by its sign and the diffusion on central
-(3-point, non-uniform) stencils, all taken from grids.AxisStencil, followed by
-a constraint step that keeps the slice on the G >= 0 side: either projection
-onto concave functions (G = -M, 1-D) or a one-sided penalization.  All
-stencil weights are non-negative under the CFL bound, so the scheme is
-monotone and discrete comparison holds slice by slice.  One stepper serves 1-D
-and 2-D grids; in 2-D the diffusion must be diagonal.
+the drift always upwinded by its sign and the diffusion on central (3-point,
+non-uniform) stencils, all taken from grids.AxisStencil.  The step rule
+follows the grid's dimension:
 
-Output time nodes are decoupled from the internal step: each output interval
-is subdivided until the CFL bound is met at every output time (an explicitly
-supplied dt must already satisfy it); a time-dependent problem whose rate
-peaks between output times is refused at the internal step where the bound
-fails.  Truncation-box edges hold Dirichlet values taken from
-the terminal slice; only nodes off every edge are stepped, and the argmax
-policy at an edge node is copied from its nearest interior node.
+- 1-D grids step fully implicitly, one step per output interval (or per
+  internal step of a given dt):
+
+      v(t_n) - dt * max_u  L^u v(t_n) = v(t_{n+1}).
+
+  For every control the rows of  I - dt L^u  form a tridiagonal M-matrix, so
+  the step is monotone with no CFL bound.  Howard's policy iteration solves
+  the max, one Thomas solve per iteration, warm-started from the argmax
+  policy of the previous slice (Forsyth & Labahn, J. Comp. Finance 2007;
+  Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).
+- 2-D grids step explicitly,  v(t_n) = v(t_{n+1}) + dt * max_u  L^u v(t_{n+1}),
+  and the diffusion must be diagonal.  Each output interval is subdivided
+  until the CFL bound is met at every output time (an explicitly supplied dt
+  must already satisfy it); a time-dependent problem whose rate peaks
+  between output times is refused at the internal step where the bound fails.
+
+Each step is followed by a constraint step that keeps the slice on the G >= 0
+side: either projection onto concave functions (G = -M, 1-D) or a one-sided
+penalization.  Discrete comparison holds slice by slice.  Truncation-box
+edges hold Dirichlet values taken from the terminal slice; only nodes off
+every edge are stepped, and the argmax policy at an edge node is copied from
+its nearest interior node.
 """
 
 from __future__ import annotations
@@ -30,9 +40,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
-from .facelift import _auto_relaxation, _constraint_on_grid, upper_hull_indices
-from .grids import AxisStencil, GridFunction, SpatialGrid, write_grid_csv
+from .errors import ConfigurationError, ConvergenceError, NumericalError
+from .facelift import _SWITCH_ULPS, _auto_relaxation, _constraint_on_grid, upper_hull_indices
+from .grids import AxisStencil, GridFunction, SpatialGrid, solve_tridiagonal, write_grid_csv
 
 __all__ = [
     "SchemeConfig",
@@ -45,11 +55,14 @@ __all__ = [
 
 _PROJECT_TRIGGER = 1e-13   # relative convexity defect that triggers re-projection
 _CFL_SLACK = 1e-9          # rounding slack of dt * rate against the bound 1
+_HOWARD_MAX_ITERS = 100    # policy iterations per implicit step (about 2 are typical)
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Explicit-scheme knobs.  dt, when given, must satisfy the CFL bound."""
+    """Scheme knobs.  dt, when given, caps the internal step: each output interval
+    is split into equal steps no longer than dt.  On 2-D grids dt must also
+    satisfy the CFL bound of the explicit step."""
 
     n_time_nodes: int = 101
     dt: float | None = None
@@ -173,8 +186,9 @@ class _Stepper:
     def step(self, v, t, dt):
         """v + dt L^u v at the interior nodes, one row per control (a reused buffer).
 
-        dt was sized by the rate at the output times; weights rebuilt at an
-        internal time (a time-dependent problem) must keep 1 + dt w0 >= 0 too.
+        The explicit step of 2-D grids.  dt was sized by the rate at the output
+        times; weights rebuilt at an internal time (a time-dependent problem)
+        must keep 1 + dt w0 >= 0 too.
         """
         w = self.weights(t)
         if self.problem.time_dependent:
@@ -189,10 +203,47 @@ class _Stepper:
         out += v[self.core]
         return out
 
+    def implicit_step(self, v, t, dt, policy, scale):
+        """The implicit step of 1-D grids: w - dt max_u L^u w = v at the interior nodes.
+
+        The edges of v are Dirichlet data.  Howard's policy iteration starts
+        from `policy` (one control index per interior node): each iteration
+        solves the tridiagonal system of the current policy, then a node
+        switches to its best control only where that raises dt L^u w by more
+        than a margin of _SWITCH_ULPS ulps of `scale` (the size of the values)
+        times the largest absolute row sum of I - dt L^u, the rounding level
+        of dt L^u w; rounding-level ties then cannot make the policy cycle.
+        Returns (w at the interior nodes, the final policy, the iterations).
+        """
+        w = self.weights(t)
+        w0, ((wm, wp),) = w
+        cols = np.arange(w0.shape[1])
+        margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * float(np.max(-w0)))
+        full = np.array(v, dtype=float)
+        for iteration in range(1, _HOWARD_MAX_ITERS + 1):
+            centre, lower, upper = w0[policy, cols], wm[policy, cols], wp[policy, cols]
+            # solve for the increment w - v (zero on the edges): a slice with
+            # L^u v = 0 exactly, a constant say, then stays bitwise unchanged
+            rhs = dt * (centre * v[1:-1] + lower * v[:-2] + upper * v[2:])
+            full[1:-1] = v[1:-1] + solve_tridiagonal(-dt * lower, 1.0 - dt * centre, -dt * upper, rhs)
+            gen = self._generator(full, w, self.buf)
+            best = np.argmax(gen, axis=0)
+            switch = dt * (gen[best, cols] - gen[policy, cols]) > margin
+            if not switch.any():
+                return full[1:-1], policy, iteration
+            policy = np.where(switch, best, policy)
+        raise ConvergenceError(
+            f"Howard policy iteration did not converge in {_HOWARD_MAX_ITERS} iterations at t={t:g}",
+            last_iterate=full,
+        )
+
     def argmax(self, v, t):
-        """Argmax control per node; each edge node copies its nearest interior node."""
-        idx = np.argmax(self._generator(v, self.weights(t), np.empty_like(self.buf)), axis=0)
-        return self.controls[np.pad(idx, 1, mode="edge")]
+        """Argmax control index per interior node, the first of tied controls."""
+        return np.argmax(self._generator(v, self.weights(t), np.empty_like(self.buf)), axis=0)
+
+    def table(self, index):
+        """The controls of an argmax index; each edge node copies its nearest interior node."""
+        return self.controls[np.pad(index, 1, mode="edge")]
 
 
 def _resolve_mode(config, problem, grid):
@@ -210,7 +261,7 @@ def _resolve_mode(config, problem, grid):
 
 
 def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = None) -> SpaceTimeSolution:
-    """Backward explicit solve of min{-v_t - H, G} = 0 with the given terminal data."""
+    """Backward solve of min{-v_t - H, G} = 0 with the given terminal data."""
     if config is None:
         config = SchemeConfig()
     grid = terminal.grid
@@ -223,18 +274,21 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     dt_out = times[1] - times[0]
 
     stepper = _Stepper(problem, grid, controls)
-    # the CFL bound must hold at every time, not only at the horizon
-    rate = max(map(stepper.rate, times))
-    dt_max = 1.0 / rate if rate > 0 else math.inf
-    if config.dt is not None:
-        if config.dt > dt_max * (1 + 1e-12):
+    implicit = grid.dim == 1
+    if implicit:
+        dt_max, m_sub = None, 1  # the implicit step has no CFL bound
+    else:
+        # the CFL bound must hold at every time, not only at the horizon
+        rate = max(map(stepper.rate, times))
+        dt_max = 1.0 / rate if rate > 0 else math.inf
+        if config.dt is not None and config.dt > dt_max * (1 + 1e-12):
             raise ConfigurationError(
                 f"dt={config.dt:g} violates the CFL bound dt<={dt_max:g} "
                 "computed over the grid and control box"
             )
-        m_sub = max(1, math.ceil(dt_out / config.dt - 1e-12))
-    else:
         m_sub = max(1, math.ceil(dt_out / dt_max)) if math.isfinite(dt_max) else 1
+    if config.dt is not None:
+        m_sub = max(1, math.ceil(dt_out / config.dt - 1e-12))
     dt = dt_out / m_sub
 
     # penalty weight: strong enough to enforce G_h >= -tol, small enough to stay monotone
@@ -247,10 +301,12 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     policies = np.empty((n_times,) + grid.shape + (k,))
     v = np.array(terminal.values, dtype=float)
     values[-1] = v
-    policies[-1] = stepper.argmax(v, T)
+    policy = stepper.argmax(v, T)
+    policies[-1] = stepper.table(policy)
 
     scale = max(1.0, float(np.max(np.abs(v))))
     projections = 0
+    howard_iterations = 0
     t_wall = _time.time()
     core = grid.interior
     if mode == "project":
@@ -259,7 +315,11 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     for n in range(n_times - 2, -1, -1):
         for s in range(m_sub):
             t_from = times[n + 1] - s * dt
-            v[core] = stepper.step(v, t_from, dt).max(axis=0)
+            if implicit:
+                v[core], policy, iterations = stepper.implicit_step(v, t_from - dt, dt, policy, scale)
+                howard_iterations += iterations
+            else:
+                v[core] = stepper.step(v, t_from, dt).max(axis=0)
             if mode == "project":
                 # trigger only on a real convexity defect (cheap vectorized test)
                 defect = v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp
@@ -273,7 +333,8 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         if not np.all(np.isfinite(v)):
             raise NumericalError("non-finite values in slice", slice_index=n)
         values[n] = v
-        policies[n] = stepper.argmax(v, times[n])
+        policy = stepper.argmax(v, times[n])
+        policies[n] = stepper.table(policy)
 
     meta = {
         "mode": mode,
@@ -282,6 +343,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         "cfl_dt_max": dt_max,
         "control_grid_size": int(controls.shape[0]),
         "projections": projections,
+        "howard_iterations": howard_iterations,
         "wall_seconds": _time.time() - t_wall,
     }
     return SpaceTimeSolution(grid, times, values, policies, meta)
@@ -383,9 +445,9 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Dyadic refinement study; successive sup-differences on the coarse nodes.
 
-    mode="space" refines the grid (internal dt follows the CFL bound);
-    mode="time" keeps the grid and halves dt below a CFL-valid base.  The
-    refined terminals come from `refined_terminals`.
+    mode="space" refines the grid (the internal step follows the scheme's
+    rule); mode="time" keeps the grid and halves dt below the base solve's
+    internal step.  The refined terminals come from `refined_terminals`.
     """
     if refinements < 2:
         raise ConfigurationError("refinements must be >= 2")

@@ -135,14 +135,21 @@ def test_solve_writes_solution_and_sidecar(tmp_path):
     assert (tmp_path / "solution.csv").exists()
     sidecar = json.loads((tmp_path / "solution.csv.config.json").read_text())
     assert sidecar["scheme"]["mode"] == "project"
+    # a 1-D solve steps implicitly, with no CFL bound
+    assert sidecar["scheme"]["cfl_dt_max"] is None and sidecar["scheme"]["substeps_per_interval"] == 1
+
+
+# a kink problem whose state domain leaves out part of the grid box [0, 2]: the
+# solve refuses the truncation box (a 1-D solve has no CFL bound to violate)
+HALF_LINE_KINK_SPEC = dict(KINK_SPEC, state_domain=[[0.5, None]])
 
 
 def test_solve_cfl_violation_exits_3(tmp_path, capsys):
-    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    prob = write(tmp_path / "prob.json", HALF_LINE_KINK_SPEC)
     grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [41]})
-    rc = main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid,
-               "--dt", "0.5", "--time-nodes", "3"])
+    rc = main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid, "--time-nodes", "3"])
     assert rc == 2  # caught before stepping: configuration error
+    assert "truncation box must lie inside the state domain" in capsys.readouterr().err
 
 
 def test_simulate_summary_and_replay_bitwise(tmp_path):
@@ -330,14 +337,13 @@ def test_malformed_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_pipeline_configuration_error_exits_2_with_partial_report(tmp_path, capsys):
-    write(tmp_path / "prob.json", KINK_SPEC)
-    spec = {"problem": "prob.json", "grid": GOOD_GRID, "points": [[0.0, 1.0]],
-            "dt": 0.5, "time_nodes": 3}
+    write(tmp_path / "prob.json", HALF_LINE_KINK_SPEC)
+    spec = {"problem": "prob.json", "grid": GOOD_GRID, "points": [[0.0, 1.0]], "time_nodes": 3}
     spath = write(tmp_path / "pipeline.json", spec)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
     assert stages["facelift"] == "ok"
-    assert stages["solve"].startswith("failed: dt=0.5 violates the CFL bound")
+    assert stages["solve"] == "failed: truncation box must lie inside the state domain"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit import specio
@@ -80,3 +82,18 @@ def test_csv_reader_requires_each_node_exactly_once(fmt, defect):
         rows[5] = rows[5].rsplit(",", 1)[0]
     with pytest.raises(ValueError):
         read("\n".join([header] + rows) + "\n")
+
+
+@given(st.integers(1, 500), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_tridiagonal_solve_equals_dense_solve(n, seed, dominance):
+    """Thomas elimination agrees with np.linalg.solve on random strictly diagonally
+    dominant systems; lower[0] and upper[-1] lie outside the matrix."""
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.uniform(-1.0, 1.0, (2, n))
+    diag = rng.choice([-1.0, 1.0], n) * (np.abs(lower) + np.abs(upper) + dominance * rng.uniform(0.1, 1.0, n))
+    rhs = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    expected = np.linalg.solve(dense, rhs)
+    got = hk.grids.solve_tridiagonal(lower, diag, upper, rhs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

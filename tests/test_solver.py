@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit.errors import ConfigurationError
+from hjbkit.facelift import _SWITCH_ULPS, _auto_relaxation, _constraint_on_grid
 from hjbkit.oracles import heat_value, merton_value
 from hjbkit.problem import (
     ControlProblem,
@@ -18,7 +19,7 @@ from hjbkit.problem import (
     one_plus_square_gauge,
     positive_constraint,
 )
-from hjbkit.solver import _nearest_locator, _Stepper
+from hjbkit.solver import _PROJECT_TRIGGER, _float_upper_envelope, _nearest_locator, _Stepper
 
 
 def box_control_set(lo, hi) -> ControlSet:
@@ -75,6 +76,23 @@ class TestDiscreteGenerator:
             assert np.max(np.abs(lv - 2.0)) < 1e-10
 
 
+def _time_scaled_heat_2d(scale):
+    """The 2-D heat problem with sigma(t) = scale(t) I."""
+
+    def diffusion(t, x, u):
+        return np.broadcast_to(scale(float(t)) * np.eye(2), np.shape(x)[:-1] + (2, 2))
+
+    return dataclasses.replace(hk.heat_problem(dim=2), diffusion=diffusion, time_dependent=True)
+
+
+def _spike_2d():
+    """A unit spike at the centre of a 21 x 21 grid on [-2, 2]^2."""
+    grid = hk.uniform_grid([-2.0, -2.0], [2.0, 2.0], [21, 21])
+    spike = np.zeros(grid.shape)
+    spike[10, 10] = 1.0
+    return hk.GridFunction(grid, spike)
+
+
 class TestSolveHJB:
     def test_constant_terminal_stays_constant(self):
         prob = hk.proportional_control_problem(
@@ -102,31 +120,34 @@ class TestSolveHJB:
         sol = hk.solve_hjb(heat_problem, term, hk.SchemeConfig(n_time_nodes=11))
         assert np.array_equal(sol.values[-1], term.values)
 
-    def test_cfl_violation_is_config_error(self, heat_problem):
-        grid = hk.uniform_grid([-3.0], [3.0], [61])
-        term = gf(grid.axes[0], grid.axes[0] ** 2)
+    def test_cfl_violation_is_config_error(self):
+        """The explicit step of 2-D grids refuses a dt above its CFL bound."""
+        prob = hk.heat_problem(dim=2)
+        grid = hk.uniform_grid([-3.0, -3.0], [3.0, 3.0], [31, 31])
+        term = hk.GridFunction(grid, (grid.nodes() ** 2).sum(axis=1).reshape(grid.shape))
         with pytest.raises(ConfigurationError, match="CFL"):
-            hk.solve_hjb(heat_problem, term, hk.SchemeConfig(n_time_nodes=11, dt=0.1))
+            hk.solve_hjb(prob, term, hk.SchemeConfig(n_time_nodes=11, dt=0.1))
 
-    def test_cfl_bound_holds_at_every_time(self, heat_problem):
-        """Diffusion 1 + 3(1 - t) is 4x larger at t = 0 than at the horizon: a step
-        sized at the horizon alone makes 1 + dt w0 negative and the solve blow up."""
-
-        def diffusion(t, x, u):
-            return np.broadcast_to(1.0 + 3.0 * (1.0 - np.asarray(t, float)), np.shape(x))
-
-        prob = dataclasses.replace(heat_problem, diffusion=diffusion, time_dependent=True)
-        grid = hk.uniform_grid([-2.0], [2.0], [41])
-        spike = np.zeros(41)
-        spike[20] = 1.0
-        sol = hk.solve_hjb(prob, gf(grid.axes[0], spike),
-                           hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
+    def test_cfl_bound_holds_at_every_time(self):
+        """Diffusion 1 + 3(1 - t) is 4x larger at t = 0 than at the horizon: an
+        explicit (2-D) step sized at the horizon alone makes 1 + dt w0 negative
+        and the solve blow up."""
+        prob = _time_scaled_heat_2d(lambda t: 1.0 + 3.0 * (1.0 - t))
+        sol = hk.solve_hjb(prob, _spike_2d(), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
         assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
 
-    def test_cfl_bound_holds_between_output_times(self, heat_problem):
+    def test_cfl_bound_holds_between_output_times(self):
         """Diffusion 1 + 3 sin^2(4 pi t) is 1 at every output time of a 5-node
-        table but 4 in between: a step sized at the output times alone let the
-        spike grow to 1e92, so the solve must refuse it and name the time."""
+        table but 4 in between: an explicit (2-D) step sized at the output times
+        alone lets the spike grow without bound, so the solve must refuse it
+        and name the time."""
+        prob = _time_scaled_heat_2d(lambda t: 1.0 + 3.0 * np.sin(4.0 * np.pi * t) ** 2)
+        with pytest.raises(ConfigurationError, match=r"CFL bound fails between output times: at t="):
+            hk.solve_hjb(prob, _spike_2d(), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
+
+    def test_implicit_step_has_no_cfl_bound(self, heat_problem):
+        """The 1-D repro of the between-output-times blow-up: the implicit step is
+        monotone for every dt, so the spike solves and stays in [0, 1]."""
 
         def diffusion(t, x, u):
             return np.broadcast_to(1.0 + 3.0 * np.sin(4.0 * np.pi * np.asarray(t, float)) ** 2, np.shape(x))
@@ -135,8 +156,9 @@ class TestSolveHJB:
         grid = hk.uniform_grid([-2.0], [2.0], [41])
         spike = np.zeros(41)
         spike[20] = 1.0
-        with pytest.raises(ConfigurationError, match=r"CFL bound fails between output times: at t="):
-            hk.solve_hjb(prob, gf(grid.axes[0], spike), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
+        sol = hk.solve_hjb(prob, gf(grid.axes[0], spike), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
+        assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
+        assert sol.metadata["cfl_dt_max"] is None and sol.metadata["substeps_per_interval"] == 1
 
     def test_box_outside_domain_rejected(self, merton_problem):
         grid = hk.uniform_grid([-1.0], [1.0], [11])
@@ -237,6 +259,96 @@ class TestSolveHJB:
         term = hk.GridFunction(grid, grid.nodes()[:, 0].reshape(grid.shape))
         sol = hk.solve_hjb(prob, term, hk.SchemeConfig(n_time_nodes=5, control_grid_resolution=5))
         assert np.all(sol.policies == 1.0)
+
+
+def explicit_reference(problem, terminal, config):
+    """v(0) by the paper's explicit 1-D scheme, the step 1-D solves used before
+    the implicit one: each output interval is cut into CFL-valid steps of
+    _Stepper.step, each followed by the solver's constraint step."""
+    grid = terminal.grid
+    stepper = _Stepper(problem, grid, problem.control_grid(config.control_grid_resolution))
+    times = np.linspace(0.0, problem.horizon, config.n_time_nodes)
+    m_sub = math.ceil((times[1] - times[0]) * max(map(stepper.rate, times)))
+    dt = (times[1] - times[0]) / m_sub
+    x = grid.axes[0]
+    hm, hp = grid.stencils[0].hm, grid.stencils[0].hp
+    v = np.array(terminal.values)
+    scale = max(1.0, float(np.max(np.abs(v))))
+    relaxation = 0.9 * _auto_relaxation(problem, grid)
+    for n in range(len(times) - 2, -1, -1):
+        for s in range(m_sub):
+            v[1:-1] = stepper.step(v, times[n + 1] - s * dt, dt).max(axis=0)
+            if config.constraint_mode == "project":
+                if np.max(v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp) > _PROJECT_TRIGGER * scale:
+                    v = _float_upper_envelope(x, v)
+            else:
+                v[1:-1] = np.maximum(v, v - relaxation * _constraint_on_grid(problem, grid, v))[1:-1]
+    return v
+
+
+MODES = ("project", "penalize")
+
+
+class TestImplicitStep:
+    """The 1-D implicit step against the explicit scheme it replaced."""
+
+    @pytest.fixture(scope="class")
+    def merton_terminal_80(self, merton_problem):
+        grid = hk.log_grid(0.2, 5.0, 80)
+        return hk.GridFunction(grid, merton_problem.payoff(grid.nodes()).reshape(grid.shape))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_value_within_first_order_time_error_of_explicit(self, merton_problem, merton_terminal_80, mode):
+        """|implicit - explicit| at (0, 1) is the implicit step's own time error,
+        estimated by Richardson from the solves at dt and dt / 2."""
+        cfg = hk.SchemeConfig(n_time_nodes=11, control_grid_resolution=41, constraint_mode=mode)
+        i = int(np.argmin(np.abs(merton_terminal_80.grid.axes[0] - 1.0)))
+        ref = explicit_reference(merton_problem, merton_terminal_80, cfg)[i]
+        coarse = hk.solve_hjb(merton_problem, merton_terminal_80, cfg).values[0, i]
+        fine_cfg = dataclasses.replace(cfg, n_time_nodes=21)
+        fine = hk.solve_hjb(merton_problem, merton_terminal_80, fine_cfg).values[0, i]
+        time_error = 2.0 * abs(coarse - fine)
+        assert 0.0 < abs(coarse - ref) <= 1.5 * time_error
+        assert abs(fine - ref) < abs(coarse - ref)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_howard_step_ends_at_a_fixed_point(self, merton_problem, merton_terminal_80, mode, monkeypatch):
+        """After each implicit step of a solve no node has a control better by
+        more than the switch margin, and the slice solves its policy's rows."""
+        original = _Stepper.implicit_step
+        checked = []
+
+        def checked_step(self, v, t, dt, policy, scale):
+            out, final, iterations = original(self, v, t, dt, policy, scale)
+            w = self.weights(t)
+            full = np.concatenate([v[:1], out, v[-1:]])
+            gen = self._generator(full, w, np.empty_like(self.buf))
+            cols = np.arange(out.size)
+            margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * np.max(-w[0]))
+            assert np.all(dt * (gen.max(axis=0) - gen[final, cols]) <= margin)
+            assert np.max(np.abs(out - dt * gen[final, cols] - v[1:-1])) <= 1e-12 * scale
+            checked.append(iterations)
+            return out, final, iterations
+
+        monkeypatch.setattr(_Stepper, "implicit_step", checked_step)
+        cfg = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=41, constraint_mode=mode)
+        sol = hk.solve_hjb(merton_problem, merton_terminal_80, cfg)
+        assert len(checked) == 20 and sum(checked) == sol.metadata["howard_iterations"]
+
+    def test_running_out_of_iterations_is_a_convergence_error(self, merton_problem, merton_terminal_80,
+                                                              monkeypatch):
+        monkeypatch.setattr(hk.solver, "_HOWARD_MAX_ITERS", 1)
+        cfg = hk.SchemeConfig(n_time_nodes=5, control_grid_resolution=41)
+        with pytest.raises(hk.ConvergenceError, match="Howard policy iteration did not converge in 1 "):
+            hk.solve_hjb(merton_problem, merton_terminal_80, cfg)
+
+    def test_cold_start_reaches_the_warm_fixed_point(self, merton_problem, merton_terminal_80):
+        stepper = _Stepper(merton_problem, merton_terminal_80.grid, merton_problem.control_grid(41))
+        v = merton_terminal_80.values
+        warm, _, warm_iterations = stepper.implicit_step(v, 0.9, 0.1, stepper.argmax(v, 0.9), 2.5)
+        cold, _, cold_iterations = stepper.implicit_step(v, 0.9, 0.1, np.zeros(v.size - 2, dtype=int), 2.5)
+        assert np.max(np.abs(warm - cold)) <= 1e-12
+        assert warm_iterations <= cold_iterations
 
 
 class TestTerminalLayer:
