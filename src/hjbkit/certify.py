@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .grids import Box
 from .oracles import merton_lambda, merton_optimal_control
 from .simulate import (
@@ -102,6 +103,11 @@ class CertifyConfig:
     steps_per_record: int = 48
     seed: int = 0
     simulation_box: Box | None = None
+
+    def __post_init__(self):
+        for name in ("budget", "n_starts", "steps_per_record"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1, not {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

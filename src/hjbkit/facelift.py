@@ -4,9 +4,10 @@ The face-lift of a payoff g is the smallest function above g that is a
 supersolution of G = 0 at the terminal time.  For the concavity constraint
 G = -M in one dimension this is the least concave majorant, computed here as
 an upper convex hull.  On the grid the face-lift is the solution of the
-discrete obstacle problem  min(w - g, G_h(w)) = 0.  For G linear in M
-(`neg_second`, `neg_trace`) policy iteration solves it exactly; for any other
-G a clamped relaxation drives it to its fixed point.
+discrete obstacle problem  min(w - g, G_h(w)) = 0.  Each constraint family
+has one exact route: G linear in M (`neg_second`, `neg_trace`) goes through
+policy iteration, and for a positive constant G the face-lift is g itself.
+A constraint outside these families is refused when it is built.
 
 The hull route takes exact chords between float hull vertices and
 canonicalizes its float output to have non-positive second differences
@@ -25,7 +26,7 @@ from collections import deque
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import GridFunction, mixed_second, solve_tridiagonal
+from .grids import GridFunction, solve_tridiagonal
 
 __all__ = [
     "concave_envelope",
@@ -132,7 +133,8 @@ def concave_envelope(g_grid: GridFunction) -> GridFunction:
 
 
 def _constraint_on_grid(problem, grid, w):
-    """G(T, x, Dw, D2w) at every node (1-D or 2-D grids)."""
+    """G(T, x, Dw, D2w) at every node (1-D or 2-D grids); D2w is diagonal,
+    since no constraint family reads a mixed derivative."""
     if grid.dim > 2:
         raise ValueError("facelift supports 1-D and 2-D grids only")
     d = grid.dim
@@ -141,32 +143,8 @@ def _constraint_on_grid(problem, grid, w):
     for k, stencil in enumerate(grid.stencils):
         # swapaxes brings axis k to the front (the same as moveaxis for d <= 2)
         stencil.derivatives(w.swapaxes(k, 0), P[..., k].swapaxes(k, 0), M[..., k, k].swapaxes(k, 0))
-    if d == 2:
-        # mixed second derivative: central, copied inward at edges
-        mxy = M[..., 0, 1]
-        mxy[1:-1, 1:-1] = mixed_second(w, grid.axes)
-        mxy[0, :], mxy[-1, :] = mxy[1, :], mxy[-2, :]
-        mxy[:, 0], mxy[:, -1] = mxy[:, 1], mxy[:, -2]
-        M[..., 1, 0] = mxy
     G = problem.constraint.on_nodes(problem.horizon, grid.nodes(), P.reshape(-1, d), M.reshape(-1, d, d))
     return G.reshape(w.shape)
-
-
-def _auto_relaxation(problem, grid):
-    """Stable step for the clamped relaxation: h^2 / (2 |dG/dM|)."""
-    # probe the sensitivity of G to the second-derivative argument
-    x0 = np.array([0.5 * (a[0] + a[-1]) for a in grid.axes])
-    d = grid.dim
-    eps = 1.0
-    base = problem.constraint(problem.horizon, x0, np.zeros(d), np.zeros((d, d)))
-    coef = 0.0
-    for i in range(d):
-        E = np.zeros((d, d))
-        E[i, i] = eps
-        coef += abs(problem.constraint(problem.horizon, x0, np.zeros(d), E) - base) / eps
-    coef = max(coef, 1e-12)
-    hmin = min(float(np.min(np.diff(a))) for a in grid.axes)
-    return hmin * hmin / (2.0 * coef)
 
 
 # a node switches rows only when the other row is smaller by more than this
@@ -175,7 +153,7 @@ _SWITCH_ULPS = 64
 
 
 def _second_difference_axes(family, dim):
-    """The axes k of G = -(sum over k of d2w/dx_k^2) for a family linear in M, else None."""
+    """The axes k of G = -(sum over k of d2w/dx_k^2), or None for a positive constant G."""
     return {"neg_second": (0,), "neg_trace": tuple(range(dim))}.get(family)
 
 
@@ -286,50 +264,25 @@ def _policy_iteration(g_grid, problem, axes, max_iters):
 def facelift_general(
     g_grid: GridFunction,
     problem,
-    max_iters: int = 2_000_000,
-    tol: float = 1e-8,
+    max_iters: int | None = None,
+    tol: float | None = None,
 ) -> GridFunction:
     """Solution of the discrete obstacle problem min(w - g, G_h(w)) = 0.
 
-    For G linear in M (`neg_second`, `neg_trace`) Howard's policy iteration
-    solves it exactly, up to rounding, in at most max_iters iterations; the
-    result dominates g exactly and equals g on the box edges.  Any other G
-    goes through the clamped relaxation: each sweep applies
-    w <- max(g, w - r G_h(w))  on the interior, r = h^2 / (2 |dG/dM|) (a
-    Jacobi update: violations G_h < 0 push w up, slack G_h > 0 relaxes it
-    down onto the obstacle), with the box edges clamped to g.  It stops when
-    the geometric-decay extrapolation of the update norm bounds the remaining
-    distance to the fixed point by tol, or when the update reaches the
-    rounding floor of w (at once, for a positive constant G); tol applies to
-    the relaxation only.
+    The constraint family decides the route.  For G linear in M (`neg_second`,
+    `neg_trace`) Howard's policy iteration solves it exactly, up to rounding;
+    the result dominates g exactly and equals g on the box edges.  Running out
+    of max_iters iterations raises ConvergenceError; the default, one more than
+    the number of interior nodes, is more than any payoff tried has needed.
+    For a positive constant G every w >= g is a supersolution, so the
+    face-lift is g itself.  tol is accepted for older callers and not read.
     """
     grid = g_grid.grid
     if grid.dim > 2:
         raise ValueError("facelift supports 1-D and 2-D grids only")
     axes = _second_difference_axes(problem.constraint.family, grid.dim)
-    if axes is not None:
-        return _policy_iteration(g_grid, problem, axes, max_iters)
-    relaxation = _auto_relaxation(problem, grid)
-    g = g_grid.values
-    w = np.array(g, dtype=float)
-    interior = grid.interior_mask()
-
-    prev_update = None
-    for it in range(max_iters):
-        gh = _constraint_on_grid(problem, grid, w)
-        w_new = np.where(interior, np.maximum(g, w - relaxation * gh), g)
-        update = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        # at the rounding floor the update can repeat forever without shrinking
-        if update <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(w))):
-            return g_grid.with_values(w)
-        if prev_update is not None and update < prev_update:
-            q = update / prev_update
-            if q < 1.0 and update * q / (1.0 - q) < tol:
-                return g_grid.with_values(w)
-        prev_update = update
-    raise ConvergenceError(
-        f"facelift relaxation did not converge in {max_iters} sweeps",
-        last_iterate=g_grid.with_values(w),
-        residual=prev_update,
-    )
+    if axes is None:
+        return g_grid.with_values(np.array(g_grid.values, dtype=float))
+    if max_iters is None:
+        max_iters = math.prod(n - 2 for n in grid.shape) + 1
+    return _policy_iteration(g_grid, problem, axes, max_iters)

@@ -99,14 +99,6 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(dp)
 
 
-def mixed_second(v, axes):
-    """Central cross difference d2v / dx0 dx1 at the interior nodes of a 2-D grid."""
-    ax, ay = axes
-    dx = (ax[2:] - ax[:-2])[:, None]
-    dy = (ay[2:] - ay[:-2])[None, :]
-    return (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (dx * dy)
-
-
 @dataclass(frozen=True)
 class Box:
     """Open box  prod_i (lo_i, hi_i);  edges may be +-inf."""
@@ -183,11 +175,6 @@ class SpatialGrid:
     def interior(self) -> tuple:
         """Index of the nodes off every edge, where a 3-point stencil fits on each axis."""
         return (slice(1, -1),) * self.dim
-
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[self.interior] = True
-        return mask
 
     @cached_property
     def stencils(self) -> tuple:

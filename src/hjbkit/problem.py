@@ -67,19 +67,25 @@ def power_gauge(p: float) -> ScalarField:
     return ScalarField(lambda x: np.maximum(x[..., 0], 1e-300) ** p, "power", (("p", p),))
 
 
+_CONSTRAINT_FAMILIES = ("neg_second", "neg_trace", "positive_const")
+
+
 @dataclass(frozen=True)
 class Constraint:
-    """Constraint function G(t, x, p, M); family tag enables vectorized paths."""
+    """Constraint function G(t, x, p, M) of family neg_second, neg_trace or positive_const.
+
+    The family alone defines G; ``fn`` is not read by hjbkit and is kept so
+    that code rebuilding a constraint from (fn, family, params) still works.
+    """
 
     fn: object
-    family: str = "custom"
+    family: str
     params: tuple = ()
 
-    def __call__(self, t, x, p, M):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        return float(self.fn(t, x, p, M))
+    def __post_init__(self):
+        if self.family not in _CONSTRAINT_FAMILIES:
+            raise ConfigurationError(
+                f"unknown constraint family {self.family!r}; expected one of {', '.join(_CONSTRAINT_FAMILIES)}")
 
     def on_nodes(self, t, X, P, M):
         """Vectorized G over nodes: X (n,d), P (n,d), M (n,d,d) -> (n,)."""
@@ -87,24 +93,22 @@ class Constraint:
             return -M[:, 0, 0]
         if self.family == "neg_trace":
             return -np.trace(M, axis1=1, axis2=2)
-        if self.family == "positive_const":
-            return np.full(X.shape[0], dict(self.params)["c"])
-        return np.array([self.fn(t, X[i], P[i], M[i]) for i in range(X.shape[0])])
+        return np.full(X.shape[0], dict(self.params)["c"])
 
 
 def neg_second_constraint() -> Constraint:
     """G = -M (one state dimension): encodes concavity of the terminal layer."""
-    return Constraint(lambda t, x, p, M: -M[0, 0], "neg_second", ())
+    return Constraint(None, "neg_second")
 
 
 def neg_trace_constraint() -> Constraint:
-    return Constraint(lambda t, x, p, M: -np.trace(M), "neg_trace", ())
+    return Constraint(None, "neg_trace")
 
 
 def positive_constraint(c: float = 1.0) -> Constraint:
     if c <= 0:
         raise ValueError("positive_constraint needs c > 0")
-    return Constraint(lambda t, x, p, M: c, "positive_const", (("c", c),))
+    return Constraint(None, "positive_const", (("c", c),))
 
 
 @dataclass(frozen=True)

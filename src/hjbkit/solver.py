@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, NumericalError
-from .facelift import _SWITCH_ULPS, _auto_relaxation, _constraint_on_grid, upper_hull_indices
+from .facelift import _SWITCH_ULPS, _constraint_on_grid, _second_difference_axes, upper_hull_indices
 from .grids import AxisStencil, GridFunction, SpatialGrid, solve_tridiagonal, write_grid_csv
 
 __all__ = [
@@ -72,6 +72,11 @@ class SchemeConfig:
     def __post_init__(self):
         if self.n_time_nodes < 2:
             raise ConfigurationError("need at least 2 time nodes")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigurationError(f"dt must be positive and finite, not {self.dt!r}")
+        if self.control_grid_resolution < 1:
+            raise ConfigurationError(
+                f"control_grid_resolution must be at least 1, not {self.control_grid_resolution!r}")
         if self.constraint_mode not in ("auto", "project", "penalize", "off"):
             raise ConfigurationError(f"unknown constraint mode {self.constraint_mode!r}")
 
@@ -246,6 +251,17 @@ class _Stepper:
         return self.controls[np.pad(index, 1, mode="edge")]
 
 
+def _penalty_step(problem, grid):
+    """h_min^2 / (2 |dG/dM|), |dG/dM| the number of second-difference axes of G.
+
+    A positive constant G has none; the floor keeps its step finite, and the
+    penalty never moves a slice there since G_h > 0.
+    """
+    coef = max(len(_second_difference_axes(problem.constraint.family, grid.dim) or ()), 1e-12)
+    hmin = min(float(np.min(np.diff(a))) for a in grid.axes)
+    return hmin * hmin / (2.0 * coef)
+
+
 def _resolve_mode(config, problem, grid):
     if config.constraint_mode != "auto":
         mode = config.constraint_mode
@@ -293,7 +309,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
 
     # penalty weight: strong enough to enforce G_h >= -tol, small enough to stay monotone
     if mode == "penalize":
-        rho = 0.9 * _auto_relaxation(problem, grid) / dt
+        rho = 0.9 * _penalty_step(problem, grid) / dt
 
     n_times = len(times)
     values = np.empty((n_times,) + grid.shape)

@@ -216,3 +216,11 @@ class TestOrderingInvariant:
             for sup in sups:
                 for t, x in pts:
                     assert sub(t, x) <= sup(t, x) + 1e-9
+
+
+@pytest.mark.parametrize("field", ["budget", "n_starts", "steps_per_record"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_count_below_one_is_config_error(field, value):
+    """n_starts = 0 used to divide by zero, and budget <= 0 certified on 16 paths a record."""
+    with pytest.raises(hk.ConfigurationError, match=field):
+        hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), **{field: value})

@@ -765,3 +765,53 @@ def test_bracket_malformed_certify_report_exits_2(tmp_path, capsys, defect):
     assert main(argv) == 2
     assert "malformed certify report document" in capsys.readouterr().err
     assert not (tmp_path / "bracket.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--dt", "0", "dt"), ("--dt", "-0.5", "dt"), ("--control-res", "0", "control_grid_resolution"),
+])
+def test_solve_out_of_range_scheme_number_exits_2(tmp_path, capsys, flag, value, field):
+    """--dt 0 used to die with an OverflowError and --control-res 0 with an empty argmax."""
+    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [31]})
+    assert main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and field in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("dt", 0, "dt"), ("dt", -0.5, "dt"), ("control_res", 0, "control_grid_resolution"),
+    ("budget", 0, "budget"), ("n_starts", 0, "n_starts"), ("steps", 0, "steps_per_record"),
+])
+def test_pipeline_out_of_range_number_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key, value, field):
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, **{key: value})
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and field in err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_certify_budget_below_one_exits_2(tmp_path, capsys, budget):
+    """--budget 0 used to certify on 16 paths a record and exit 0."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    cand = write(tmp_path / "cand.json", MERTON_SUB)
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", budget, "--start-box", "0.5,2.0"]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, field", [("n_starts", "n_starts"), ("steps", "steps_per_record"), ("budget", "budget")])
+def test_certify_manifest_count_below_one_exits_2(tmp_path, capsys, key, field):
+    """A manifest with "n_starts": 0 used to die with a ZeroDivisionError."""
+    config = {"problem": write(tmp_path / "prob.json", MERTON_SPEC),
+              "candidate": write(tmp_path / "cand.json", MERTON_SUB), "kind": "sub",
+              "budget": 1000, "seed": 0, "out": "r.json", key: 0}
+    mpath = write(tmp_path / "manifest.json", {"subcommand": "certify", "config": config})
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and field in err
+    assert not (tmp_path / "out" / "r.json").exists()

@@ -151,3 +151,10 @@ def test_constructor_and_document_simulate_the_same_merton_paths():
         for p in (hk.merton_problem(), specio.problem_from_spec(doc))
     ]
     np.testing.assert_array_equal(paths[0], paths[1])
+
+
+@pytest.mark.parametrize("family", ["custom", "neg_trace ", "positive", ""])
+def test_constraint_of_another_family_is_refused(family):
+    """Only the three families the face-lift and the solver know can be built."""
+    with pytest.raises(hk.ConfigurationError, match="unknown constraint family"):
+        hk.problem.Constraint(lambda t, x, p, M: -np.trace(M), family)

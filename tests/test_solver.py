@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit.errors import ConfigurationError
-from hjbkit.facelift import _SWITCH_ULPS, _auto_relaxation, _constraint_on_grid
+from hjbkit.facelift import _SWITCH_ULPS, _constraint_on_grid
 from hjbkit.oracles import heat_value, merton_value
 from hjbkit.problem import (
     ControlProblem,
@@ -19,7 +19,7 @@ from hjbkit.problem import (
     one_plus_square_gauge,
     positive_constraint,
 )
-from hjbkit.solver import _PROJECT_TRIGGER, _float_upper_envelope, _nearest_locator, _Stepper
+from hjbkit.solver import _PROJECT_TRIGGER, _float_upper_envelope, _nearest_locator, _penalty_step, _Stepper
 
 
 def box_control_set(lo, hi) -> ControlSet:
@@ -160,6 +160,16 @@ class TestSolveHJB:
         assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
         assert sol.metadata["cfl_dt_max"] is None and sol.metadata["substeps_per_interval"] == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("dt", -0.5), ("dt", math.inf), ("dt", math.nan),
+        ("control_grid_resolution", 0), ("control_grid_resolution", -3),
+    ])
+    def test_out_of_range_scheme_number_is_config_error(self, field, value):
+        """dt = 0 used to overflow, and dt = -0.5 passed the 2-D CFL check and
+        stepped dt = 0.1 against a bound of 0.02 on a 31 x 31 heat grid."""
+        with pytest.raises(ConfigurationError, match=field):
+            hk.SchemeConfig(**{field: value})
+
     def test_box_outside_domain_rejected(self, merton_problem):
         grid = hk.uniform_grid([-1.0], [1.0], [11])
         term = gf(grid.axes[0], np.zeros(11))
@@ -274,7 +284,7 @@ def explicit_reference(problem, terminal, config):
     hm, hp = grid.stencils[0].hm, grid.stencils[0].hp
     v = np.array(terminal.values)
     scale = max(1.0, float(np.max(np.abs(v))))
-    relaxation = 0.9 * _auto_relaxation(problem, grid)
+    relaxation = 0.9 * _penalty_step(problem, grid)
     for n in range(len(times) - 2, -1, -1):
         for s in range(m_sub):
             v[1:-1] = stepper.step(v, times[n + 1] - s * dt, dt).max(axis=0)
@@ -548,3 +558,36 @@ class TestConvergenceStudy:
         term = hk.GridFunction(grid, grid.axes[0] ** 2)
         with pytest.raises(ConfigurationError):
             hk.convergence_study(heat_problem, term, 1)
+
+
+def _probed_penalty_step(problem, grid):
+    """The penalty step as it was computed before, by probing G at the box
+    centre: h^2 / (2 |dG/dM|), |dG/dM| summed over the unit diagonal directions."""
+    x0 = np.array([0.5 * (a[0] + a[-1]) for a in grid.axes])
+    d = grid.dim
+
+    def G(M):
+        return float(problem.constraint.on_nodes(problem.horizon, x0[None], np.zeros((1, d)), M[None])[0])
+
+    base = G(np.zeros((d, d)))
+    coef = 0.0
+    for i in range(d):
+        E = np.zeros((d, d))
+        E[i, i] = 1.0
+        coef += abs(G(E) - base) / 1.0
+    coef = max(coef, 1e-12)
+    hmin = min(float(np.min(np.diff(a))) for a in grid.axes)
+    return hmin * hmin / (2.0 * coef)
+
+
+@pytest.mark.parametrize("constraint", [hk.problem.neg_second_constraint(), hk.problem.neg_trace_constraint(),
+                                        positive_constraint(1.0), positive_constraint(0.25)],
+                         ids=["neg_second", "neg_trace", "positive_const-1", "positive_const-0.25"])
+def test_penalty_step_equals_the_probed_step_bitwise(constraint):
+    problem = dataclasses.replace(hk.heat_problem(dim=2), constraint=constraint)
+    grids = [hk.uniform_grid([-3.0], [3.0], [31]), hk.log_grid(0.2, 5.0, 80),
+             hk.uniform_grid([-3.0, -1.0], [3.0, 2.0], [31, 17]),
+             hk.SpatialGrid((np.array([0.0, 0.3, 1.1, 2.0]), np.array([-1.0, -0.2, 0.0, 0.7, 1.0])))]
+    for grid in grids:
+        want = _probed_penalty_step(problem, grid)
+        assert np.float64(_penalty_step(problem, grid)).view(np.uint64) == np.float64(want).view(np.uint64)
