@@ -91,6 +91,14 @@ _STAIRCASE_PIECES = 4
 _BRACKET_TOL = 1e-9
 
 
+def _require_at_least(config, **least):
+    """ConfigurationError naming the first field of `config` below its least value."""
+    for name, low in least.items():
+        value = getattr(config, name)
+        if value < low:
+            raise ConfigurationError(f"{name} must be at least {low}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class CertifyConfig:
     """Battery configuration; budget is the number of paths per policy sweep."""
@@ -105,9 +113,7 @@ class CertifyConfig:
     simulation_box: Box | None = None
 
     def __post_init__(self):
-        for name in ("budget", "n_starts", "steps_per_record"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be at least 1, not {getattr(self, name)!r}")
+        _require_at_least(self, budget=1, n_starts=1, steps_per_record=1)
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,12 @@ def _evaluate_at_stops(candidate, ensemble, idx):
 
 
 def _martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
-    """direction +1: submartingale test E[w(rho)] >= w(tau); -1: supermartingale."""
+    """direction +1: submartingale test E[w(rho)] >= w(tau); -1: supermartingale.
+
+    Each tau runs its n_starts starts as one ensemble of n_starts x n_paths
+    paths, so the peak holds the states of two such ensembles (the next tau's
+    is built before the last is dropped) and the noise of one.
+    """
     T = problem.horizon
     radius = _BALL_RADIUS_FRACTION * float(
         np.max(config.start_box.hi - config.start_box.lo)
@@ -207,26 +218,25 @@ def _martingale_records(candidate, problem, config, policy_for, adversary_tag, d
 
     tag_key = zlib.crc32(adversary_tag.encode())
     records = []
-    ridx = 0
-    for tau in taus:
-        for xi in starts:
-            policy = policy_for(tau, xi)
-            ens = None
+    for i, tau in enumerate(taus):
+        # every start of a tau in one ensemble; start s keeps the Philox key of
+        # its first record, so each block is the ensemble it would be alone
+        keys = [(config.seed, (i * len(starts) + s) * len(rho_specs), tag_key) for s in range(len(starts))]
+        ens = simulate_paths(
+            problem,
+            [policy_for(tau, xi) for xi in starts],
+            tau,
+            starts,
+            n_paths,
+            config.steps_per_record,
+            keys,
+            config.simulation_box,
+        )
+        for xi, block in zip(starts, ens.blocks()):
+            w_start = candidate(tau, xi)
             for rho_spec in rho_specs:
-                if ens is None:
-                    ens = simulate_paths(
-                        problem,
-                        policy,
-                        tau,
-                        xi,
-                        n_paths,
-                        config.steps_per_record,
-                        (config.seed, ridx, tag_key),
-                        config.simulation_box,
-                    )
-                idx = _stop_indices(ens, rho_spec, tau, T, xi, radius)
-                w_end = _evaluate_at_stops(candidate, ens, idx)
-                w_start = candidate(tau, xi)
+                idx = _stop_indices(block, rho_spec, tau, T, xi, radius)
+                w_end = _evaluate_at_stops(candidate, block, idx)
                 diff = w_end - w_start if direction > 0 else w_start - w_end
                 margin = float(np.mean(diff))
                 se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
@@ -244,7 +254,6 @@ def _martingale_records(candidate, problem, config, policy_for, adversary_tag, d
                         passed,
                     )
                 )
-                ridx += 1
     return records
 
 
@@ -392,6 +401,10 @@ class BracketConfig:
     seed: int = 0
     extra_policies: tuple = ()
 
+    def __post_init__(self):
+        # one path would give a zero half-width: a sandwich with no margin
+        _require_at_least(self, n_paths=2, n_steps=1)
+
 
 @dataclass(frozen=True)
 class BracketPoint:
@@ -449,6 +462,10 @@ def bracket_report(
     Both inputs must arrive with passing certification reports; the MC value
     is the best estimate over the sub candidate's companion policy and any
     extra policies supplied (e.g. a solver-extracted rule).
+
+    Each point runs all k + 1 policies in one call on its one (seed, j) draw,
+    so the peak holds (k + 1) ensembles' states and one noise array, for k
+    extra policies.
     """
     if not sub_report.certified:
         raise ValueError("sub candidate is not certified")
@@ -457,16 +474,18 @@ def bracket_report(
     out = []
     for j, (t, x) in enumerate(points):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        policies = [sub.policy_factory(t, x)] + list(sim_config.extra_policies)
-        best = None
-        for pol in policies:
-            ens = simulate_paths(
-                problem, pol, t, x, sim_config.n_paths, sim_config.n_steps,
-                (sim_config.seed, j),
-            )
-            est = estimate_value(ens, problem.payoff)
-            if best is None or est.mean > best.mean:
-                best = est
+        policies = [sub.policy_factory(t, x), *sim_config.extra_policies]
+        # one (seed, j) draw for every policy; the ensemble is dropped before
+        # the next point's is built
+        best = max(
+            (
+                estimate_value(block, problem.payoff)
+                for block in simulate_paths(
+                    problem, policies, t, x, sim_config.n_paths, sim_config.n_steps, (sim_config.seed, j)
+                ).blocks()
+            ),
+            key=lambda est: est.mean,
+        )
         out.append(BracketPoint(t, tuple(x), sub(t, x), super_(t, x), best))
     return BracketReport(tuple(out))
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -381,7 +381,13 @@ def _run_pipeline(cfg, out_dir):
     # its key before any stage runs
     config, ccfg = _scheme_config(spec), _certify_config(spec, problem)
     seed = ccfg.seed
-    mc_paths, mc_steps = _read(spec, "mc_paths", int, 100_000), _read(spec, "mc_steps", int, 200)
+    mc = BracketConfig(
+        n_paths=_read(spec, "mc_paths", int, 100_000), n_steps=_read(spec, "mc_steps", int, 200), seed=seed)
+    certify_solver = spec.get("certify_solver_candidate", True)
+    if certify_solver and ccfg.budget < 2:
+        # the solver candidate is certified on half the budget
+        raise ConfigurationError(
+            f"budget must be at least 2 when the solver candidate is certified, not {ccfg.budget!r}")
     solver_growth = _read(spec, "solver_growth_constant", float, 10.0)
     solver_tol = _read(spec, "solver_candidate_tol", float, 5e-3)
     report: dict = {"stages": {}}
@@ -409,7 +415,7 @@ def _run_pipeline(cfg, out_dir):
         stage = "simulate"
         policy = extract_policy(sol)
         t0, x0 = points[0]
-        ens = simulate_paths(problem, policy, t0, x0, mc_paths, mc_steps, seed)
+        ens = simulate_paths(problem, policy, t0, x0, mc.n_paths, mc.n_steps, seed)
         est = estimate_value(ens, problem.payoff)
         left = np.zeros(ens.n_paths, dtype=bool)
         # one time step at a time: temporaries the size of the ensemble raised
@@ -431,7 +437,7 @@ def _run_pipeline(cfg, out_dir):
         super_rep = certify_supersolution(super_, problem, ccfg, adv)
         report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
         report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
-        if spec.get("certify_solver_candidate", True):
+        if certify_solver:
             solver_cand = candidate_from_solution(sol, "sub", growth_constant=solver_growth)
             try:
                 # stopped at the box: a stopped submartingale is still a submartingale
@@ -455,7 +461,7 @@ def _run_pipeline(cfg, out_dir):
             print(f"pipeline complete; bracket {report['bracket']}")
             return EXIT_CERTIFY_FAIL
         stage = "bracket"
-        bc = BracketConfig(n_paths=mc_paths, n_steps=mc_steps, seed=seed, extra_policies=(policy,))
+        bc = replace(mc, extra_policies=(policy,))
         brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep)
     except _STAGE_ERRORS as exc:
         # the partial report; exit 2 for a configuration fault, 3 for a numerical one

@@ -15,10 +15,17 @@ fixed-order.  The draw is taken a block of paths at a time and stored step by
 step, as (n_steps, n_paths, d'), so each Euler step reads one contiguous row.
 States are stored the same way, as (n_steps + 1, n_paths, d); an ensemble
 holds the (n_paths, n_steps + 1, d) view of them.
+
+One call may run several blocks of paths: one block per start, each start
+with its own Philox key (the certifier's starts at one tau), or one block per
+policy at a single start, all on that start's one draw (the policies of a
+bracket point).  Each block gets the bits it would get alone.  One Euler loop,
+``_euler``, advances each run of consecutive blocks that share a policy.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +88,7 @@ class PathEnsemble:
     states: np.ndarray           # (n_paths, n_steps+1, d)
     exit_step: np.ndarray        # (n_paths,) step index at which the path froze, -1 if none
     log_coordinates: bool
+    n_blocks: int = 1            # equal blocks of paths, one per start and policy
 
     @property
     def n_paths(self) -> int:
@@ -92,6 +100,14 @@ class PathEnsemble:
 
     def terminal_states(self) -> np.ndarray:
         return self.states[:, -1, :]
+
+    def blocks(self) -> tuple:
+        """Each block as a one-block ensemble of views."""
+        n = self.n_paths // self.n_blocks
+        return tuple(
+            PathEnsemble(self.times, self.states[a:a + n], self.exit_step[a:a + n], self.log_coordinates)
+            for a in range(0, self.n_paths, n)
+        )
 
 
 def _use_log_coordinates(problem) -> bool:
@@ -106,18 +122,19 @@ def _use_log_coordinates(problem) -> bool:
 _NOISE_CHUNK = 1024   # paths per noise draw
 
 
-def _step_major_noise(rng, n_paths: int, n_steps: int, dprime: int) -> np.ndarray:
-    """The (n_paths, n_steps, d') standard normal draw, stored as (n_steps, n_paths, d').
+def _fill_noise(Z, seed) -> None:
+    """Z[:] = the (n_paths, n_steps, d') standard normal draw of `seed`, for Z of
+    shape (n_steps, n_paths, d').
 
     Drawn a block of paths at a time, so path p still consumes row p's counter
     block; transposing the whole draw at once would hold a second noise-sized
     array.
     """
-    Z = np.empty((n_steps, n_paths, dprime))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    n_steps, n_paths, dprime = Z.shape
     for a in range(0, n_paths, _NOISE_CHUNK):
         b = min(a + _NOISE_CHUNK, n_paths)
         Z[:, a:b] = rng.standard_normal((b - a, n_steps, dprime)).transpose(1, 0, 2)
-    return Z
 
 
 def _all_inside(X, lo, hi, box) -> bool:
@@ -129,48 +146,48 @@ def _all_inside(X, lo, hi, box) -> bool:
     return inside
 
 
-def simulate_paths(
-    problem,
-    policy: FeedbackPolicy,
-    t0: float,
-    x0,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
-    simulation_box=None,
-) -> PathEnsemble:
-    """Euler-Maruyama ensemble from (t0, x0) to the horizon."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    problem.require_inside(x0)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    T = problem.horizon
-    if not t0 < T:
-        raise ValueError("t0 must precede the end time")
-    dt = (T - t0) / n_steps
+def _blocks(problem, policy, x0, seed):
+    """The starts (R, d) and their seed keys, the block count m, and the runs
+    (policy, first block, end block) that one Euler loop each advances."""
+    x0 = np.asarray(x0, dtype=float)
+    starts, keys = (np.atleast_1d(x0)[None, :], [seed]) if x0.ndim <= 1 else (x0, list(seed))
+    if len(keys) != len(starts):
+        raise ValueError(f"{len(starts)} starts need as many seed keys, not {len(keys)}")
+    for x in starts:
+        problem.require_inside(x)
+    policies = list(policy) if isinstance(policy, (list, tuple)) else [policy]
+    m = max(len(starts), len(policies))
+    if {len(starts), len(policies)} - {1, m}:
+        raise ValueError(f"{len(starts)} starts and {len(policies)} policies do not broadcast")
+    policies = policies * (m // len(policies))
+    runs = []
+    for b, pol in enumerate(policies):
+        # consecutive blocks of one policy join a run when each has its own noise
+        if runs and runs[-1][0] is pol and len(starts) == m:
+            runs[-1][2] = b + 1
+        else:
+            runs.append([pol, b, b + 1])
+    return starts, keys, m, runs
+
+
+def _euler(problem, policy, times, dt, states, Z, exit_step, simulation_box) -> None:
+    """Advance the paths of states[0] over `times` in place, with the step-major
+    noise Z; a path that leaves the domain or the box freezes at its pre-exit
+    state, and exit_step records the step."""
+    n_paths, d = states.shape[1:]
+    dprime = Z.shape[2]
     sqdt = np.sqrt(dt)
-    d, dprime = problem.state_dim, problem.noise_dim
-    times = t0 + dt * np.arange(n_steps + 1)
-
-    # states before noise: the draw's block temporaries then sit on top of both
-    # arrays, so a second noise-sized buffer shows in the peak memory
-    states = np.empty((n_steps + 1, n_paths, d))
-    states[0] = x0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    Z = _step_major_noise(rng, n_paths, n_steps, dprime)
-
     log_mode = _use_log_coordinates(problem)
     if log_mode:
         mu, sig = problem.params.get("mu"), problem.params.get("sigma")
         drift, vol, sq = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
 
-    exit_step = np.full(n_paths, -1, dtype=int)
     active = np.ones(n_paths, dtype=bool)
     all_active = True
     lo, hi = problem.state_domain.lo, problem.state_domain.hi
     B = problem.control_bound
 
-    for n in range(n_steps):
+    for n in range(len(times) - 1):
         t = times[n]
         X, X_new = states[n], states[n + 1]
         X.flags.writeable = False
@@ -210,11 +227,60 @@ def simulate_paths(
         all_active = False
         np.copyto(X_new, X, where=~active[:, None])
 
+
+def simulate_paths(
+    problem,
+    policy: FeedbackPolicy | Sequence[FeedbackPolicy],
+    t0: float,
+    x0,
+    n_paths: int,
+    n_steps: int,
+    seed,
+    simulation_box=None,
+) -> PathEnsemble:
+    """Euler-Maruyama ensemble from (t0, x0) to the horizon.
+
+    One call runs m blocks of n_paths paths each.  x0 is one start (d,) with
+    one seed key, or m starts (m, d) with a sequence of m seed keys; policy is
+    one FeedbackPolicy, or a sequence of m, one per block.  Starts and policies
+    broadcast against each other, so the blocks of one start share its noise
+    draw.  Block b holds paths b n_paths to (b + 1) n_paths - 1 and is bit for
+    bit the one-block ensemble of its start, key and policy.  A seed key is
+    anything SeedSequence takes: an int or a tuple of ints.
+
+    The call holds the states of all m blocks and one noise array per start:
+    m starts take m states and m noise blocks, and k policies at one start
+    take k states and one noise block.
+    """
+    starts, keys, m, runs = _blocks(problem, policy, x0, seed)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if not t0 < problem.horizon:
+        raise ValueError("t0 must precede the end time")
+    dt = (problem.horizon - t0) / n_steps
+    times = t0 + dt * np.arange(n_steps + 1)
+    d, dprime, R = problem.state_dim, problem.noise_dim, len(starts)
+
+    # states before noise: the draw's block temporaries then sit on top of both
+    # arrays, so a second noise-sized buffer shows in the peak memory
+    states = np.empty((n_steps + 1, m * n_paths, d))
+    states[0].reshape(m, n_paths, d)[:] = starts[:, None, :]
+    Z = np.empty((n_steps, R * n_paths, dprime))
+    for r, key in enumerate(keys):
+        _fill_noise(Z[:, r * n_paths:(r + 1) * n_paths], key)
+
+    exit_step = np.full(m * n_paths, -1, dtype=int)
+    for pol, a, b in runs:
+        rows = slice(a * n_paths, b * n_paths)
+        noise = rows if R == m else slice(0, n_paths)
+        _euler(problem, pol, times, dt, states[:, rows], Z[:, noise], exit_step[rows], simulation_box)
+
     return PathEnsemble(
         times=times,
         states=states.swapaxes(0, 1),
         exit_step=exit_step,
-        log_coordinates=log_mode,
+        log_coordinates=_use_log_coordinates(problem),
+        n_blocks=m,
     )
 
 

@@ -1,0 +1,71 @@
+"""scripts/bench_pairs.py: the aggregation of paired runs, checked without running the benchmark."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(wall, rss, failed=0):
+    return {"metrics": {"wall_nominal_s": wall, "peak_rss_mb": rss}, "failed": failed, "attempted": 10,
+            "correct": failed == 0}
+
+
+def test_aggregate_medians_iqrs_shifts_and_wins(bench_pairs):
+    better = {"wall_nominal_s": "lower", "peak_rss_mb": "lower"}
+    parent = [_run(1.6, 100.0), _run(1.7, 100.0), _run(1.5, 100.0), _run(1.8, 100.0, failed=1)]
+    change = [_run(1.2, 100.0), _run(1.9, 99.0), _run(1.1, 101.0), _run(1.3, 100.0)]
+    entry = bench_pairs.aggregate([11, 12, 13, 14], parent, change, better)
+
+    assert entry["seeds"] == [11, 12, 13, 14] and entry["pairs"] == 4
+    wall = entry["parent"]["wall_nominal_s"]
+    assert wall["runs"] == [1.6, 1.7, 1.5, 1.8]
+    assert wall["median"] == pytest.approx(1.65)
+    # statistics.quantiles(n=4), the exclusive method: quartiles at ranks 1.25 and 3.75 of 4
+    assert wall["iqr"] == pytest.approx(1.775 - 1.525)
+    assert entry["change"]["wall_nominal_s"]["median"] == pytest.approx(1.25)
+    assert entry["change_vs_parent_median"]["wall_nominal_s"] == pytest.approx(1.25 / 1.65 - 1)
+    assert entry["change_wins"] == {"wall_nominal_s": 3, "peak_rss_mb": 1}
+    assert entry["parent"]["failed_ops"] == [0, 0, 0, 1]
+    assert entry["parent"]["attempted_ops"] == [10] * 4
+    assert entry["parent"]["correct"] == [True, True, True, False]
+    json.dumps(entry)
+
+
+def test_higher_is_better_counts_the_larger_value(bench_pairs):
+    entry = bench_pairs.aggregate([1, 2], [_run(1.0, 5.0), _run(1.0, 5.0)], [_run(1.0, 6.0), _run(1.0, 4.0)],
+                                  {"wall_nominal_s": "lower", "peak_rss_mb": "higher"})
+    assert entry["change_wins"] == {"wall_nominal_s": 0, "peak_rss_mb": 1}
+
+
+def test_one_pair_has_a_zero_iqr(bench_pairs):
+    entry = bench_pairs.aggregate([1], [_run(1.0, 5.0)], [_run(0.9, 5.0)], {"wall_nominal_s": "lower"})
+    assert entry["parent"]["wall_nominal_s"]["iqr"] == 0.0
+
+
+def test_the_schema_of_the_committed_bench_files(bench_pairs):
+    """Every key BENCH_pr12.json holds for a workload and side is written."""
+    root = SCRIPT.parents[1]
+    committed = json.loads((root / "BENCH_pr12.json").read_text())["workloads"]["certify_pipeline"]
+    better = {m["name"]: m["better"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
+    run = {"metrics": {name: 1.0 for name in better}, "failed": 0, "attempted": 3, "correct": True}
+    entry = bench_pairs.aggregate([1], [run], [run], better)
+    assert set(committed) <= set(entry)
+    assert set(committed["parent"]) == set(entry["parent"])
+    assert set(committed["parent"]["wall_nominal_s"]) == set(entry["parent"]["wall_nominal_s"])
+
+
+def test_workload_argument(bench_pairs):
+    assert bench_pairs._workload_pairs("certify_pipeline:12") == ("certify_pipeline", 12)
+    assert bench_pairs._workload_pairs("merton_solve") == ("merton_solve", 10)

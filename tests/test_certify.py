@@ -1,19 +1,26 @@
 import math
+import tracemalloc
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hjbkit as hk
+from hjbkit import certify
 from hjbkit.certify import (
     AdversaryConfig,
     BracketConfig,
+    CertificationReport,
     bracket_report,
+    candidate_from_solution,
+    companion_candidate,
     constant_candidate,
     lattice_max,
     lattice_min,
     merton_candidate,
 )
-from hjbkit.simulate import constant_policy
+from hjbkit.simulate import FeedbackPolicy, _use_log_coordinates, constant_policy
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +231,137 @@ def test_count_below_one_is_config_error(field, value):
     """n_starts = 0 used to divide by zero, and budget <= 0 certified on 16 paths a record."""
     with pytest.raises(hk.ConfigurationError, match=field):
         hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), **{field: value})
+
+
+def reference_martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
+    """The battery one record at a time: one ensemble per (tau, start), seeded
+    (seed, ridx, tag) with ridx the index of its first record.  Also gives the
+    exit fraction of each ensemble."""
+    T = problem.horizon
+    radius = certify._BALL_RADIUS_FRACTION * float(np.max(config.start_box.hi - config.start_box.lo))
+    rho_specs = ["plus_eighth", "terminal", "ball_exit"]
+    starts = certify._draw_starts(config, config.n_starts)
+    n_paths = max(16, config.budget // (len(certify._taus(T)) * len(rho_specs) * len(starts)))
+    tag_key = zlib.crc32(adversary_tag.encode())
+    records, exits = [], []
+    ridx = 0
+    for tau in certify._taus(T):
+        for xi in starts:
+            ens = hk.simulate_paths(problem, policy_for(tau, xi), tau, xi, n_paths, config.steps_per_record,
+                                    (config.seed, ridx, tag_key), config.simulation_box)
+            exits.append(ens.exit_fraction)
+            for rho_spec in rho_specs:
+                idx = certify._stop_indices(ens, rho_spec, tau, T, xi, radius)
+                w_end = certify._evaluate_at_stops(candidate, ens, idx)
+                w_start = candidate(tau, xi)
+                diff = w_end - w_start if direction > 0 else w_start - w_end
+                margin = float(np.mean(diff))
+                se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
+                records.append(certify.TestRecord("martingale", tau, rho_spec, tuple(xi), adversary_tag, margin, se,
+                                          n_paths, margin >= -(config.z * se + config.tol)))
+                ridx += 1
+    return records, exits
+
+
+def _assert_battery_equals_reference(candidate, problem, config, policy_for, tag, direction):
+    got = certify._martingale_records(candidate, problem, config, policy_for, tag, direction)
+    want, exits = reference_martingale_records(candidate, problem, config, policy_for, tag, direction)
+    assert [repr(r) for r in got] == [repr(r) for r in want]   # repr: bitwise floats, nan included
+    return exits
+
+
+class TestBatchedBatteryEqualsReference:
+    """One ensemble per tau over all starts gives every record the bits of one ensemble per record."""
+
+    def test_companion_sub_battery(self, merton_problem):
+        config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, seed=11)
+        cand = merton_candidate("sub")
+        _assert_battery_equals_reference(cand, merton_problem, config, cand.policy_factory, "companion", +1)
+
+    def test_super_battery_with_corners_staircases_and_grid_table(self, merton_problem, coarse_merton_solution):
+        config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, n_starts=4, seed=12)
+        adv = AdversaryConfig(include_corners=True, n_random=2, seed=3,
+                              extra_policies=(hk.extract_policy(coarse_merton_solution),))
+        cand = merton_candidate("super", exponent_shift=0.01)
+        policies = certify._build_adversaries(merton_problem, adv)
+        assert [tag.split(" ")[0] for tag, _ in policies] == [
+            "corner", "corner", "random-staircase-0", "random-staircase-1", "extra-0"]
+        for tag, pol in policies:
+            _assert_battery_equals_reference(cand, merton_problem, config, lambda tau, xi, _p=pol: _p, tag, -1)
+
+    def test_lattice_max_switching_policy_per_start(self, merton_problem):
+        config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, n_starts=5, seed=13)
+        cand = lattice_max(merton_candidate("sub"),
+                           constant_candidate(1.0, "sub", 2.0, policy=constant_policy([1.0])))
+        starts = certify._draw_starts(config, config.n_starts)
+        chosen = [cand.policy_factory(0.0, xi) for xi in starts]
+        assert len({id(p) for p in chosen}) == 2
+        _assert_battery_equals_reference(cand, merton_problem, config, cand.policy_factory, "companion", +1)
+
+    def test_solver_candidate_in_a_simulation_box(self, merton_problem, coarse_merton_solution):
+        config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, seed=14,
+                                  simulation_box=hk.Box([0.4], [2.5]))
+        cand = candidate_from_solution(coarse_merton_solution, "sub", 10.0)
+        exits = _assert_battery_equals_reference(cand, merton_problem, config, cand.policy_factory, "companion", +1)
+        assert max(exits) > 0.0
+
+    def test_generic_euler_branch(self):
+        problem = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0)
+        assert not _use_log_coordinates(problem)
+        clip = FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0)
+        cand = companion_candidate(lambda t, X: np.tanh(X[:, 0]) - t, "sub", 2.0, clip, "tanh")
+        config = hk.CertifyConfig(start_box=hk.Box([-0.5], [0.5]), budget=6_000, seed=15)
+        _assert_battery_equals_reference(cand, problem, config, cand.policy_factory, "companion", +1)
+
+
+def test_bracket_shared_draw_equals_one_draw_per_policy(merton_problem, coarse_merton_solution, monkeypatch):
+    """Every policy of a bracket point runs on one (seed, j) draw, with the bits of its own call."""
+    sub, sup = merton_candidate("sub"), merton_candidate("super", exponent_shift=0.01)
+    extra = (hk.extract_policy(coarse_merton_solution), constant_policy([-3.0]))
+    cfg = BracketConfig(n_paths=3_000, n_steps=24, seed=8, extra_policies=extra)
+    pts = [(0.0, [1.0]), (0.25, [0.8]), (0.5, [1.5])]
+    seen = []
+
+    def recording(ens, payoff):
+        seen.append(hk.estimate_value(ens, payoff))
+        return seen[-1]
+
+    monkeypatch.setattr(certify, "estimate_value", recording)
+    passed = (CertificationReport("sub", "sub", (), 4.0, 1e-9, 1, 0),
+              CertificationReport("super", "super", (), 4.0, 1e-9, 1, 0))
+    rep = bracket_report(sub, sup, merton_problem, pts, cfg, *passed)
+    want = []
+    for j, (t, x) in enumerate(pts):
+        ests = [hk.estimate_value(hk.simulate_paths(merton_problem, pol, t, x, cfg.n_paths, cfg.n_steps,
+                                                    (cfg.seed, j)), merton_problem.payoff)
+                for pol in (sub.policy_factory(t, np.asarray(x)), *extra)]
+        want.extend(ests)
+        assert rep.points[j].mc == max(ests, key=lambda e: e.mean)
+    assert seen == want
+
+
+def test_bracket_peak_memory_with_two_extra_policies(merton_problem, coarse_merton_solution):
+    """A point holds the states of its k + 1 policies and one noise array, and drops them before the next."""
+    sub, sup = merton_candidate("sub"), merton_candidate("super", exponent_shift=0.01)
+    extra = (hk.extract_policy(coarse_merton_solution), constant_policy([-3.0]))
+    cfg = BracketConfig(n_paths=20_000, n_steps=50, seed=8, extra_policies=extra)
+    passed = (CertificationReport("sub", "sub", (), 4.0, 1e-9, 1, 0),
+              CertificationReport("super", "super", (), 4.0, 1e-9, 1, 0))
+    pts = [(0.0, [1.0]), (0.25, [0.8]), (0.5, [1.5])]
+    bracket_report(sub, sup, merton_problem, pts[:1], replace(cfg, n_paths=10, n_steps=2), *passed)
+    tracemalloc.start()
+    try:
+        bracket_report(sub, sup, merton_problem, pts, cfg, *passed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise_bytes = cfg.n_paths * cfg.n_steps * merton_problem.noise_dim * 8
+    states_bytes = cfg.n_paths * (cfg.n_steps + 1) * merton_problem.state_dim * 8
+    assert peak <= 1.15 * ((1 + len(extra)) * states_bytes + noise_bytes)
+
+
+@pytest.mark.parametrize("field, value", [("n_paths", 1), ("n_paths", 0), ("n_paths", -5), ("n_steps", 0)])
+def test_bracket_count_out_of_range_is_config_error(field, value):
+    """One path gave a zero half-width, so the sandwich compared with no margin at all."""
+    with pytest.raises(hk.ConfigurationError, match=field):
+        BracketConfig(**{field: value})

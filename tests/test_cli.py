@@ -613,6 +613,34 @@ def test_bracket_malformed_points_line_exits_2(tmp_path, capsys, points_text):
     assert not (tmp_path / "bracket.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--paths", "1"), ("--paths", "-5"), ("--steps", "0")])
+def test_bracket_count_out_of_range_exits_2(tmp_path, capsys, flag, value):
+    """--paths 0 used to die in a reshape, and --paths 1 compared with a zero half-width."""
+    argv = _bracket_inputs(tmp_path, "t,x\n0.0,1.0\n")
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and flag[2:] in err
+    assert not (tmp_path / "bracket.json").exists()
+
+
+def test_pipeline_solver_candidate_on_a_budget_of_one_exits_2(tmp_path, monkeypatch, capsys):
+    """The solver candidate is certified on half the budget: a budget of 1 used to
+    report it as skipped and exit 0."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, budget=1, certify_solver_candidate=True)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "budget" in err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+def test_pipeline_budget_of_one_runs_without_the_solver_candidate(tmp_path):
+    spath = small_pipeline(tmp_path, budget=1, mc_paths=200)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) in (0, 4)
+    assert "solver_candidate" not in json.loads((tmp_path / "pipeline-report.json").read_text())
+
+
 def test_bracket_points_header_is_skipped(tmp_path):
     assert main(_bracket_inputs(tmp_path, "t,x\n0.0,1.0\n\n0.5,1.5\n")) in (0, 4)
     doc = json.loads((tmp_path / "bracket.json").read_text())
@@ -783,6 +811,7 @@ def test_solve_out_of_range_scheme_number_exits_2(tmp_path, capsys, flag, value,
 @pytest.mark.parametrize("key, value, field", [
     ("dt", 0, "dt"), ("dt", -0.5, "dt"), ("control_res", 0, "control_grid_resolution"),
     ("budget", 0, "budget"), ("n_starts", 0, "n_starts"), ("steps", 0, "steps_per_record"),
+    ("mc_paths", 0, "n_paths"), ("mc_paths", -5, "n_paths"), ("mc_paths", 1, "n_paths"), ("mc_steps", 0, "n_steps"),
 ])
 def test_pipeline_out_of_range_number_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key, value, field):
     monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))

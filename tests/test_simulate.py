@@ -174,6 +174,88 @@ class TestStepMajorStorage:
         assert peak <= 1.15 * (noise_bytes + ens.states.nbytes)
 
 
+def _assert_blocks_equal_single_calls(ens, singles):
+    assert ens.n_blocks == len(singles) and ens.n_paths == sum(e.n_paths for e in singles)
+    for block, single in zip(ens.blocks(), singles):
+        assert np.array_equal(block.states, single.states)
+        assert np.array_equal(block.exit_step, single.exit_step)
+        assert np.array_equal(block.times, single.times)
+
+
+class TestBlocks:
+    """Several starts, keys and policies in one call: each block is bit for bit its own call."""
+
+    @pytest.mark.parametrize("case", ["log-grid-table-box", "generic-2d-noise-box"])
+    def test_starts_with_their_own_keys(self, case, merton_problem, coarse_merton_solution):
+        if case.startswith("log"):
+            problem, policy = merton_problem, hk.extract_policy(coarse_merton_solution)
+            starts, box = [[0.7], [1.0], [1.9]], hk.Box([0.5], [2.2])
+        else:
+            problem = hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]])
+            policy, starts, box = constant_policy([0.0]), [[0.1, 0.2], [-0.3, 0.0]], hk.Box([-0.8, -0.3], [0.8, 0.6])
+        keys = [(5, 3 * r, 77) for r in range(len(starts))]
+        ens = hk.simulate_paths(problem, policy, 0.2, starts, _NOISE_CHUNK + 3, 9, keys, box)
+        _assert_blocks_equal_single_calls(ens, [
+            hk.simulate_paths(problem, policy, 0.2, x, _NOISE_CHUNK + 3, 9, key, box) for x, key in zip(starts, keys)])
+        assert 0.0 < ens.exit_fraction < 1.0
+
+    @pytest.mark.parametrize("case", ["log", "generic-2d-noise"])
+    def test_policies_share_one_draw(self, case, merton_problem, coarse_merton_solution):
+        if case == "log":
+            problem, x0 = merton_problem, [1.2]
+            policies = [constant_policy([2.0]), hk.extract_policy(coarse_merton_solution), constant_policy([-4.0])]
+        else:
+            problem, x0 = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0), [0.3]
+            policies = [constant_policy([0.5]), FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0)]
+        ens = hk.simulate_paths(problem, policies, 0.0, x0, 300, 11, (4, 2))
+        _assert_blocks_equal_single_calls(
+            ens, [hk.simulate_paths(problem, pol, 0.0, x0, 300, 11, (4, 2)) for pol in policies])
+
+    def test_one_policy_per_start(self, merton_problem):
+        a, b = constant_policy([1.0]), constant_policy([3.0])
+        calls = []
+
+        def rule(t, x):
+            calls.append(x.shape[0])
+            return np.full((x.shape[0], 1), 2.0)
+
+        c = FeedbackPolicy(rule, 2.0)
+        policies, starts, keys = [c, c, a, b, c], [[0.6], [0.9], [1.1], [1.4], [1.8]], [1, 2, 3, 4, 5]
+        ens = hk.simulate_paths(merton_problem, policies, 0.0, starts, 50, 6, keys)
+        # consecutive blocks of one policy object are one Euler run
+        assert calls == [100] * 6 + [50] * 6
+        _assert_blocks_equal_single_calls(ens, [
+            hk.simulate_paths(merton_problem, p, 0.0, x, 50, 6, k) for p, x, k in zip(policies, starts, keys)])
+
+    def test_counts_that_do_not_broadcast_are_refused(self, merton_problem):
+        pol = constant_policy([1.0])
+        with pytest.raises(ValueError, match="seed keys"):
+            hk.simulate_paths(merton_problem, pol, 0.0, [[1.0], [1.2]], 10, 4, [1, 2, 3])
+        with pytest.raises(ValueError, match="broadcast"):
+            hk.simulate_paths(merton_problem, [pol, pol], 0.0, [[1.0], [1.2], [1.4]], 10, 4, [1, 2, 3])
+
+    def test_any_start_outside_the_domain_is_refused(self, merton_problem):
+        with pytest.raises(DomainError):
+            hk.simulate_paths(merton_problem, constant_policy([0.0]), 0.0, [[1.0], [-1.0]], 10, 4, [1, 2])
+
+    @pytest.mark.parametrize("n_policies", [2, 3])
+    def test_shared_draw_holds_one_noise_array(self, n_policies, merton_problem, coarse_merton_solution):
+        """k policies at one start: k blocks of states and one noise block."""
+        n_paths, n_steps = 20_000, 50
+        policies = [constant_policy([2.0]), hk.extract_policy(coarse_merton_solution), constant_policy([-1.0])]
+        policies = policies[:n_policies]
+        hk.simulate_paths(merton_problem, policies, 0.0, [1.0], 10, 2, seed=1)
+        tracemalloc.start()
+        try:
+            ens = hk.simulate_paths(merton_problem, policies, 0.0, [1.0], n_paths, n_steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        noise_bytes = n_paths * n_steps * merton_problem.noise_dim * 8
+        assert ens.states.nbytes == n_policies * n_paths * (n_steps + 1) * merton_problem.state_dim * 8
+        assert peak <= 1.15 * (noise_bytes + ens.states.nbytes)
+
+
 class TestEstimateValue:
     def test_constant_payoff(self, merton_problem):
         ens = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 100, 8, seed=6)
