@@ -5,10 +5,12 @@ Run from anywhere inside a checkout:
 
     python3 scripts/bench_pairs.py --label trial certify_pipeline:10 merton_solve:5
 
-The change is the checkout this script lives in, as it stands.  Its parent
-is HEAD when tracked files have uncommitted changes, and HEAD~1 when they have
-none, so that the last commit is measured; the parent is unpacked with ``git
-archive`` into a temporary directory.  Each pair runs ``python3
+When tracked files have uncommitted changes, the change is the checkout this
+script lives in, as it stands, and its parent is HEAD.  When they have none,
+the change is HEAD and its parent HEAD~1, and both are unpacked alike, with
+``git archive`` into temporary directories whose paths have one length: runs
+of one commit have read 3-6% apart from one directory to another.  A
+parent is always unpacked that way.  Each pair runs ``python3
 perfbench/run.py --workload W --seed S --seconds R --trace 0``, R being the
 run_seconds of BENCHMARK.json, once per side, in fresh processes and with the
 same seed, and the side that runs first alternates between pairs.  A workload
@@ -142,21 +144,26 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     parent_dir = tempfile.mkdtemp(prefix="bench-parent-")
+    change_dir = ROOT if dirty else tempfile.mkdtemp(prefix="bench-change-")
     try:
         unpack(parent_commit, parent_dir)
+        if not dirty:
+            unpack(head, change_dir)
         for workload, pairs in args.workloads:
             seeds = range(args.first_seed, args.first_seed + pairs)
-            runs = {ROOT: [], parent_dir: []}
+            runs = {change_dir: [], parent_dir: []}
             for i, seed in enumerate(seeds):
-                order = (parent_dir, ROOT) if i % 2 == 0 else (ROOT, parent_dir)
+                order = (parent_dir, change_dir) if i % 2 == 0 else (change_dir, parent_dir)
                 for checkout in order:
                     runs[checkout].append(run_once(checkout, workload, seed, seconds))
-                p, c = runs[parent_dir][-1]["metrics"], runs[ROOT][-1]["metrics"]
+                p, c = runs[parent_dir][-1]["metrics"], runs[change_dir][-1]["metrics"]
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{name} {p[name]:.4g} -> {c[name]:.4g}" for name in better), flush=True)
-            doc["workloads"][workload] = aggregate(seeds, runs[parent_dir], runs[ROOT], better)
+            doc["workloads"][workload] = aggregate(seeds, runs[parent_dir], runs[change_dir], better)
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
+        if not dirty:
+            shutil.rmtree(change_dir, ignore_errors=True)
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")

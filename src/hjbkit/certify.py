@@ -1,12 +1,13 @@
 """Monte-Carlo certification of stochastic sub- and super-solution candidates.
 
-A sub-solution candidate carries a companion policy and must make
-w(t, X_t) a submartingale under it, stay below the payoff at the horizon and
-respect its declared growth bound.  A super-solution candidate must make
-w(t, X_t) a supermartingale under EVERY admissible control; that universal
-quantifier is approximated by an explicit adversary class (control-box
-corners, random time-staircase policies, and any supplied policies such as a
-solver-extracted argmax rule, the strongest available adversary).
+One battery serves both sides, and the candidate's side picks the quantifier
+over controls.  A sub-solution candidate must make w(t, X_t) a submartingale
+under SOME control, its companion policy.  A super-solution candidate must
+make w(t, X_t) a supermartingale under EVERY admissible control, which an
+explicit adversary class approximates: the control-box corners, random
+time-staircase policies, and any supplied policies such as a solver-extracted
+argmax rule, the strongest available adversary.  Either side must also stay
+on its side of the payoff at the horizon and respect its growth bound.
 
 Each martingale inequality is tested in aggregated form: fixed deterministic
 start times tau, fresh start points xi drawn from a declared compact box, and
@@ -118,9 +119,9 @@ class CertifyConfig:
 
 @dataclass(frozen=True)
 class AdversaryConfig:
-    """Explicit approximation of 'every admissible control' for the super test."""
+    """Explicit approximation of 'every admissible control' for the super test:
+    the control-box corners, n_random staircases and the extra policies."""
 
-    include_corners: bool = True
     n_random: int = 3
     extra_policies: tuple = ()
     seed: int = 1
@@ -172,30 +173,25 @@ def _draw_starts(config: CertifyConfig, n: int) -> np.ndarray:
     return rng.uniform(config.start_box.lo, config.start_box.hi, (n, config.start_box.dim))
 
 
-def _stop_indices(ensemble, rho_spec, tau, horizon, xi, radius):
-    """Per-path index of the end rule rho on the simulation time grid."""
+def _values_at_stops(candidate, ensemble, rho_spec, tau, horizon, xi, radius):
+    """The candidate's value at each path's end rule rho, on the simulation time
+    grid; the paths stopping at one time index are evaluated in one call."""
     times = ensemble.times
     n_steps = len(times) - 1
     if rho_spec == "plus_eighth":
         rho = min(tau + horizon / 8.0, horizon)
-        k = int(round((rho - tau) / (times[-1] - times[0]) * n_steps))
-        return np.full(ensemble.n_paths, k, dtype=int)
-    if rho_spec == "terminal":
-        return np.full(ensemble.n_paths, n_steps, dtype=int)
-    if rho_spec == "ball_exit":
-        dist = np.max(np.abs(ensemble.states - xi), axis=2)  # (n_paths, n_steps+1)
-        outside = dist > radius
-        any_exit = outside.any(axis=1)
-        first = outside.argmax(axis=1)
-        return np.where(any_exit, first, n_steps)
-    raise ValueError(f"unknown rho spec {rho_spec!r}")
-
-
-def _evaluate_at_stops(candidate, ensemble, idx):
+        idx = np.full(ensemble.n_paths, int(round((rho - tau) / (times[-1] - times[0]) * n_steps)), dtype=int)
+    elif rho_spec == "terminal":
+        idx = np.full(ensemble.n_paths, n_steps, dtype=int)
+    elif rho_spec == "ball_exit":
+        outside = np.max(np.abs(ensemble.states - xi), axis=2) > radius  # (n_paths, n_steps+1)
+        idx = np.where(outside.any(axis=1), outside.argmax(axis=1), n_steps)
+    else:
+        raise ValueError(f"unknown rho spec {rho_spec!r}")
     out = np.empty(ensemble.n_paths)
     for k in np.unique(idx):
         mask = idx == k
-        out[mask] = candidate.evaluator(ensemble.times[k], ensemble.states[mask, k, :])
+        out[mask] = candidate.evaluator(times[k], ensemble.states[mask, k, :])
     return out
 
 
@@ -207,14 +203,11 @@ def _martingale_records(candidate, problem, config, policy_for, adversary_tag, d
     is built before the last is dropped) and the noise of one.
     """
     T = problem.horizon
-    radius = _BALL_RADIUS_FRACTION * float(
-        np.max(config.start_box.hi - config.start_box.lo)
-    )
+    radius = _BALL_RADIUS_FRACTION * float(np.max(config.start_box.hi - config.start_box.lo))
     taus = _taus(T)
     rho_specs = ["plus_eighth", "terminal", "ball_exit"]
     starts = _draw_starts(config, config.n_starts)
-    n_records = len(taus) * len(rho_specs) * len(starts)
-    n_paths = max(16, config.budget // n_records)
+    n_paths = max(16, config.budget // (len(taus) * len(rho_specs) * len(starts)))
 
     tag_key = zlib.crc32(adversary_tag.encode())
     records = []
@@ -223,37 +216,18 @@ def _martingale_records(candidate, problem, config, policy_for, adversary_tag, d
         # its first record, so each block is the ensemble it would be alone
         keys = [(config.seed, (i * len(starts) + s) * len(rho_specs), tag_key) for s in range(len(starts))]
         ens = simulate_paths(
-            problem,
-            [policy_for(tau, xi) for xi in starts],
-            tau,
-            starts,
-            n_paths,
-            config.steps_per_record,
-            keys,
-            config.simulation_box,
+            problem, [policy_for(tau, xi) for xi in starts], tau, starts, n_paths, config.steps_per_record,
+            keys, config.simulation_box,
         )
         for xi, block in zip(starts, ens.blocks()):
             w_start = candidate(tau, xi)
             for rho_spec in rho_specs:
-                idx = _stop_indices(block, rho_spec, tau, T, xi, radius)
-                w_end = _evaluate_at_stops(candidate, block, idx)
+                w_end = _values_at_stops(candidate, block, rho_spec, tau, T, xi, radius)
                 diff = w_end - w_start if direction > 0 else w_start - w_end
                 margin = float(np.mean(diff))
                 se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
-                passed = margin >= -(config.z * se + config.tol)
-                records.append(
-                    TestRecord(
-                        "martingale",
-                        tau,
-                        rho_spec,
-                        tuple(xi),
-                        adversary_tag,
-                        margin,
-                        se,
-                        n_paths,
-                        passed,
-                    )
-                )
+                records.append(TestRecord("martingale", tau, rho_spec, tuple(xi), adversary_tag, margin, se,
+                                          n_paths, margin >= -(config.z * se + config.tol)))
     return records
 
 
@@ -289,6 +263,21 @@ def _growth_record(candidate, problem, config):
     )
 
 
+def _battery(candidate, problem, config, policies, adversary_class) -> CertificationReport:
+    """The martingale records of each (tag, policy factory) in `policies`, then the
+    terminal and growth records; the candidate's side sets each inequality's direction."""
+    direction = +1 if candidate.kind == "sub" else -1
+    records = []
+    for tag, policy_for in policies:
+        records.extend(_martingale_records(candidate, problem, config, policy_for, tag, direction))
+    records.append(_terminal_record(candidate, problem, config, direction))
+    records.append(_growth_record(candidate, problem, config))
+    return CertificationReport(
+        candidate.name, candidate.kind, tuple(records), config.z, config.tol, config.budget,
+        config.seed, adversary_class,
+    )
+
+
 def certify_subsolution(candidate: CandidateFunction, problem, config: CertifyConfig) -> CertificationReport:
     """Submartingale battery under the candidate's companion policy.
 
@@ -297,24 +286,14 @@ def certify_subsolution(candidate: CandidateFunction, problem, config: CertifyCo
     """
     if candidate.kind != "sub":
         raise ValueError("certify_subsolution needs a sub candidate")
-    records = _martingale_records(
-        candidate, problem, config, candidate.policy_factory, "companion", +1
-    )
-    records.append(_terminal_record(candidate, problem, config, +1))
-    records.append(_growth_record(candidate, problem, config))
-    return CertificationReport(
-        candidate.name, "sub", tuple(records), config.z, config.tol, config.budget, config.seed
-    )
+    return _battery(candidate, problem, config, [("companion", candidate.policy_factory)], "companion-policy")
 
 
 def _build_adversaries(problem, adv: AdversaryConfig):
     k = problem.control_dim
     B = problem.control_bound
-    policies = []
-    if adv.include_corners:
-        corners = np.array(np.meshgrid(*[[-B, B]] * k)).T.reshape(-1, k)
-        for c in np.unique(corners, axis=0):
-            policies.append((f"corner {c.tolist()}", constant_policy(c)))
+    corners = np.array(np.meshgrid(*[[-B, B]] * k)).T.reshape(-1, k)
+    policies = [(f"corner {c.tolist()}", constant_policy(c)) for c in np.unique(corners, axis=0)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((adv.seed, 0xAD5))))
     for j in range(adv.n_random):
         bps = np.sort(rng.uniform(0.0, problem.horizon, _STAIRCASE_PIECES))
@@ -335,20 +314,24 @@ def certify_supersolution(
     """Supermartingale battery against every adversary in the declared class."""
     if candidate.kind != "super":
         raise ValueError("certify_supersolution needs a super candidate")
-    if adversaries is None:
-        adversaries = AdversaryConfig()
-    records = []
-    policies = _build_adversaries(problem, adversaries)
-    for tag, pol in policies:
-        records.extend(
-            _martingale_records(candidate, problem, config, lambda tau, xi, _p=pol: _p, tag, -1)
-        )
-    records.append(_terminal_record(candidate, problem, config, -1))
-    records.append(_growth_record(candidate, problem, config))
-    cls = ", ".join(tag for tag, _ in policies)
-    return CertificationReport(
-        candidate.name, "super", tuple(records), config.z, config.tol, config.budget,
-        config.seed, adversary_class=cls,
+    policies = _build_adversaries(problem, AdversaryConfig() if adversaries is None else adversaries)
+    return _battery(
+        candidate, problem, config, [(tag, lambda tau, xi, _p=pol: _p) for tag, pol in policies],
+        ", ".join(tag for tag, _ in policies),
+    )
+
+
+def _lattice(op, name, kind, w1, w2, policy_factory=None) -> CandidateFunction:
+    """The pointwise op of two candidates of one kind; the bounds combine as maxima."""
+    if w1.kind != kind or w2.kind != kind:
+        raise ValueError(f"lattice_{name} needs two {kind} candidates")
+
+    def evaluator(t, X):
+        return op(w1.evaluator(t, X), w2.evaluator(t, X))
+
+    return CandidateFunction(
+        evaluator, kind, max(w1.growth_constant, w2.growth_constant), policy_factory,
+        f"{name}({w1.name}, {w2.name})",
     )
 
 
@@ -356,42 +339,18 @@ def lattice_max(w1: CandidateFunction, w2: CandidateFunction) -> CandidateFuncti
     """Pointwise max of two sub candidates with the switching companion policy.
 
     At a test start (tau, xi) the policy of the larger branch is selected and
-    followed to the end rule; the bounds combine as maxima.
+    followed to the end rule.
     """
-    if w1.kind != "sub" or w2.kind != "sub":
-        raise ValueError("lattice_max needs two sub candidates")
-
-    def evaluator(t, X):
-        return np.maximum(w1.evaluator(t, X), w2.evaluator(t, X))
 
     def policy_factory(tau, xi):
-        if w1(tau, xi) >= w2(tau, xi):
-            return w1.policy_factory(tau, xi)
-        return w2.policy_factory(tau, xi)
+        return (w1 if w1(tau, xi) >= w2(tau, xi) else w2).policy_factory(tau, xi)
 
-    return CandidateFunction(
-        evaluator=evaluator,
-        kind="sub",
-        growth_constant=max(w1.growth_constant, w2.growth_constant),
-        policy_factory=policy_factory,
-        name=f"max({w1.name}, {w2.name})",
-    )
+    return _lattice(np.maximum, "max", "sub", w1, w2, policy_factory)
 
 
 def lattice_min(w1: CandidateFunction, w2: CandidateFunction) -> CandidateFunction:
     """Pointwise min of two super candidates (no policy needed)."""
-    if w1.kind != "super" or w2.kind != "super":
-        raise ValueError("lattice_min needs two super candidates")
-
-    def evaluator(t, X):
-        return np.minimum(w1.evaluator(t, X), w2.evaluator(t, X))
-
-    return CandidateFunction(
-        evaluator=evaluator,
-        kind="super",
-        growth_constant=max(w1.growth_constant, w2.growth_constant),
-        name=f"min({w1.name}, {w2.name})",
-    )
+    return _lattice(np.minimum, "min", "super", w1, w2)
 
 
 @dataclass(frozen=True)
@@ -419,20 +378,14 @@ class BracketPoint:
         return self.super_value - self.sub_value
 
     @property
-    def sub_below_mc(self) -> bool:
-        return self.sub_value <= self.mc.mean + self.mc.half_width_95 + _BRACKET_TOL
-
-    @property
-    def mc_below_super(self) -> bool:
-        return self.mc.mean <= self.super_value + self.mc.half_width_95 + _BRACKET_TOL
-
-    @property
-    def ordered(self) -> bool:
-        return self.sub_value <= self.super_value + _BRACKET_TOL
-
-    @property
     def ok(self) -> bool:
-        return self.sub_below_mc and self.mc_below_super and self.ordered
+        """sub <= MC + half-width, MC <= super + half-width and sub <= super, each within _BRACKET_TOL."""
+        hw = self.mc.half_width_95
+        return (
+            self.sub_value <= self.mc.mean + hw + _BRACKET_TOL
+            and self.mc.mean <= self.super_value + hw + _BRACKET_TOL
+            and self.sub_value <= self.super_value + _BRACKET_TOL
+        )
 
 
 @dataclass(frozen=True)
@@ -543,7 +496,5 @@ def candidate_from_solution(solution, kind: str, growth_constant: float) -> Cand
     """Interpolated solver value with the extracted argmax rule as companion."""
     from .solver import extract_policy
 
-    def evaluator(t, X):
-        return solution.slice_at(solution.time_index(t)).interpolate(X)
-
-    return companion_candidate(evaluator, kind, growth_constant, extract_policy(solution), f"from-solution({kind})")
+    return companion_candidate(
+        solution.value_at, kind, growth_constant, extract_policy(solution), f"from-solution({kind})")

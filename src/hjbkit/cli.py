@@ -241,6 +241,8 @@ def _certify_config(cfg, problem) -> CertifyConfig:
         hi = np.where(np.isfinite(problem.state_domain.hi), problem.state_domain.hi, 1.0)
         width = hi - lo
         box = Box(lo + 0.25 * width, hi - 0.25 * width)
+    if box.dim != problem.state_dim:
+        raise ConfigurationError(f"key 'start_box': {box.dim} dimensions; the problem has {problem.state_dim}")
     return CertifyConfig(
         start_box=box,
         budget=_read(cfg, "budget", int, 100_000),
@@ -252,18 +254,21 @@ def _certify_config(cfg, problem) -> CertifyConfig:
     )
 
 
+def _certify(candidate, side, problem, config, extra_policies=()) -> CertificationReport:
+    """The candidate's battery on `side`; super adversaries are seeded one past the battery."""
+    if side == "sub":
+        return certify_subsolution(candidate, problem, config)
+    adv = AdversaryConfig(extra_policies=extra_policies, seed=config.seed + 1)
+    return certify_supersolution(candidate, problem, config, adv)
+
+
 def _run_certify(cfg, out_dir):
     problem = specio.load_problem(cfg["problem"])
     candidate_spec = specio.load_json(cfg["candidate"])
     candidate = specio.candidate_from_spec(
         candidate_spec, base_dir=os.path.dirname(cfg["candidate"]) or ".", side=cfg.get("kind"))
     candidate_spec = {**candidate_spec, "side": candidate.kind}
-    config = _certify_config(cfg, problem)
-    if candidate.kind == "sub":
-        report = certify_subsolution(candidate, problem, config)
-    else:
-        adv = AdversaryConfig(seed=config.seed + 1)
-        report = certify_supersolution(candidate, problem, config, adv)
+    report = _certify(candidate, candidate.kind, problem, _certify_config(cfg, problem))
     doc = _report_to_json(report, candidate_spec)
     out = os.path.join(out_dir, cfg["out"])
     specio.atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -284,6 +289,7 @@ def _run_bracket(cfg, out_dir):
     sub, sub_rep = _load_report(cfg["sub"])
     super_, super_rep = _load_report(cfg["super"])
     pts = _read_points(cfg["points"])
+    _require_points(problem, pts)
     bc = BracketConfig(
         n_paths=_read(cfg, "paths", int, 20_000),
         n_steps=_read(cfg, "steps", int, 64),
@@ -299,6 +305,17 @@ def _run_bracket(cfg, out_dir):
     )
     print(f"bracket ok={rep.ok} max gap={rep.max_gap!r}")
     return EXIT_OK if rep.ok else EXIT_CERTIFY_FAIL
+
+
+def _require_points(problem, points):
+    """Refuse an evaluation point (t, x) unless 0 <= t < horizon and x lies in the open state domain."""
+    for t, x in points:
+        if not 0.0 <= t < problem.horizon:
+            raise ConfigurationError(f"point at t={t!r}: t must lie in [0, {problem.horizon!r})")
+        try:
+            problem.require_inside(x)
+        except DomainError as exc:
+            raise ConfigurationError(f"point at t={t!r}: {exc}") from None
 
 
 def _read_points(path):
@@ -370,6 +387,7 @@ def _pipeline_inputs(spec, base: str):
     points = [(float(p[0]), [float(v) for v in p[1:]]) for p in spec["points"]]
     if not points:
         raise ConfigurationError("a pipeline spec needs at least one point")
+    _require_points(problem, points)
     return problem, grid, points
 
 
@@ -432,9 +450,8 @@ def _run_pipeline(cfg, out_dir):
         stage = "certify"
         sub = specio.candidate_from_spec(spec["sub_candidate"], base)
         super_ = specio.candidate_from_spec(spec["super_candidate"], base)
-        sub_rep = certify_subsolution(sub, problem, ccfg)
-        adv = AdversaryConfig(extra_policies=(policy,), seed=seed + 1)
-        super_rep = certify_supersolution(super_, problem, ccfg, adv)
+        sub_rep = _certify(sub, "sub", problem, ccfg)
+        super_rep = _certify(super_, "super", problem, ccfg, (policy,))
         report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
         report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
         if certify_solver:

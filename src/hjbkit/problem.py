@@ -176,6 +176,8 @@ class ControlProblem:
             raise ValueError("control set dimension mismatch")
 
     def require_inside(self, x):
+        if np.size(x) != self.state_dim:
+            raise DomainError(f"state {x} has {np.size(x)} coordinates; the problem has {self.state_dim}")
         if not self.state_domain.contains(x):
             raise DomainError(f"state {x} outside the open domain")
 

@@ -211,7 +211,7 @@ def test_a6_certifier_soundness_and_power(merton_problem, coarse_merton_solution
 
     inflated = merton_candidate("sub", exponent_shift=0.05)
     deflated = merton_candidate("super", exponent_shift=-0.05)
-    adv_strong = AdversaryConfig(include_corners=True, n_random=0, extra_policies=(argmax_policy,))
+    adv_strong = AdversaryConfig(n_random=0, extra_policies=(argmax_policy,))
     sub_rejects = 0
     sup_rejects = 0
     for rep_seed in range(100):
@@ -249,7 +249,7 @@ def test_a7_lattice_closure(merton_problem):
         constant_candidate(max_payoff * math.exp(0.2), "super",
                            growth_constant=max_payoff * math.exp(0.2) / math.sqrt(0.5)),
     )
-    adv = AdversaryConfig(include_corners=True, n_random=2, seed=78)
+    adv = AdversaryConfig(n_random=2, seed=78)
     sup_rep = hk.certify_supersolution(sup, merton_problem, cfg, adv)
     ok = sub_rep.certified and sup_rep.certified
     _report(
@@ -265,7 +265,7 @@ def test_a7_lattice_closure(merton_problem):
 def test_a8_sandwich_gap_shrinks(merton_problem):
     box = hk.Box([0.5], [2.0])
     cfg = hk.CertifyConfig(start_box=box, budget=60_000, seed=88)
-    adv = AdversaryConfig(include_corners=True, n_random=1,
+    adv = AdversaryConfig(n_random=1,
                           extra_policies=(constant_policy([5.0]),), seed=89)
     sub = merton_candidate("sub")
     sub_rep = hk.certify_subsolution(sub, merton_problem, cfg)

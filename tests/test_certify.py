@@ -20,7 +20,7 @@ from hjbkit.certify import (
     lattice_min,
     merton_candidate,
 )
-from hjbkit.simulate import FeedbackPolicy, _use_log_coordinates, constant_policy
+from hjbkit.simulate import FeedbackPolicy, ValueEstimate, _use_log_coordinates, constant_policy
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def power_config():
 
 @pytest.fixture(scope="module")
 def small_adversaries():
-    return AdversaryConfig(include_corners=True, n_random=2, seed=5)
+    return AdversaryConfig(n_random=2, seed=5)
 
 
 class TestCertifySubsolution:
@@ -94,7 +94,7 @@ class TestCertifySupersolution:
 
     def test_deflated_rejected_by_optimal_adversary(self, merton_problem, power_config):
         cand = merton_candidate("super", exponent_shift=-0.05)
-        adv = AdversaryConfig(include_corners=True, n_random=0,
+        adv = AdversaryConfig(n_random=0,
                               extra_policies=(constant_policy([5.0]),))
         rep = hk.certify_supersolution(cand, merton_problem, power_config, adv)
         assert not rep.certified
@@ -104,7 +104,7 @@ class TestCertifySupersolution:
         # Lambda(+-10) = 0 < Lambda - delta: the corners cannot expose the gap,
         # which is exactly why the extracted argmax rule is the default adversary
         cand = merton_candidate("super", exponent_shift=-0.05)
-        adv = AdversaryConfig(include_corners=True, n_random=0)
+        adv = AdversaryConfig(n_random=0)
         rep = hk.certify_supersolution(cand, merton_problem, cert_config, adv)
         assert rep.certified
 
@@ -158,6 +158,27 @@ class TestLattice:
         b = constant_candidate(0.2, "sub", growth_constant=3.0, policy=constant_policy([4.0]))
         m = lattice_max(a, b)
         assert m.growth_constant == 3.0
+        c = constant_candidate(0.3, "super", growth_constant=5.0)
+        d = constant_candidate(0.4, "super", growth_constant=4.0)
+        m = lattice_min(c, d)
+        assert m.growth_constant == 5.0
+        assert m.name == "min(constant(0.3), constant(0.4))"
+        assert m.policy_factory is None
+
+
+def _bracket_point(sub, mean, super_):
+    return certify.BracketPoint(0.0, (1.0,), sub, super_, ValueEstimate(mean, 0.5, 0.0, 100))
+
+
+@pytest.mark.parametrize("point, edge", [
+    (lambda v: _bracket_point(v, 1.0, 10.0), 1.0 + 0.5 + certify._BRACKET_TOL),
+    (lambda v: _bracket_point(0.0, v, 1.0), 1.0 + 0.5 + certify._BRACKET_TOL),
+    (lambda v: _bracket_point(v, 1.0, 1.0), 1.0 + certify._BRACKET_TOL),
+], ids=["sub-above-mc-upper-bound", "mc-above-super-plus-half-width", "sub-above-super"])
+def test_bracket_point_ok_fails_just_past_each_tolerance_edge(point, edge):
+    """Each comparison of BracketPoint.ok holds at its edge and fails one ulp past it."""
+    assert point(edge).ok
+    assert not point(np.nextafter(edge, np.inf)).ok
 
 
 class TestBracket:
@@ -251,8 +272,7 @@ def reference_martingale_records(candidate, problem, config, policy_for, adversa
                                     (config.seed, ridx, tag_key), config.simulation_box)
             exits.append(ens.exit_fraction)
             for rho_spec in rho_specs:
-                idx = certify._stop_indices(ens, rho_spec, tau, T, xi, radius)
-                w_end = certify._evaluate_at_stops(candidate, ens, idx)
+                w_end = certify._values_at_stops(candidate, ens, rho_spec, tau, T, xi, radius)
                 w_start = candidate(tau, xi)
                 diff = w_end - w_start if direction > 0 else w_start - w_end
                 margin = float(np.mean(diff))
@@ -280,7 +300,7 @@ class TestBatchedBatteryEqualsReference:
 
     def test_super_battery_with_corners_staircases_and_grid_table(self, merton_problem, coarse_merton_solution):
         config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, n_starts=4, seed=12)
-        adv = AdversaryConfig(include_corners=True, n_random=2, seed=3,
+        adv = AdversaryConfig(n_random=2, seed=3,
                               extra_policies=(hk.extract_policy(coarse_merton_solution),))
         cand = merton_candidate("super", exponent_shift=0.01)
         policies = certify._build_adversaries(merton_problem, adv)

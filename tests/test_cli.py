@@ -5,6 +5,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit import specio
@@ -144,7 +146,7 @@ def test_solve_writes_solution_and_sidecar(tmp_path):
 HALF_LINE_KINK_SPEC = dict(KINK_SPEC, state_domain=[[0.5, None]])
 
 
-def test_solve_cfl_violation_exits_3(tmp_path, capsys):
+def test_solve_box_outside_state_domain_exits_2(tmp_path, capsys):
     prob = write(tmp_path / "prob.json", HALF_LINE_KINK_SPEC)
     grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [41]})
     rc = main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid, "--time-nodes", "3"])
@@ -500,8 +502,17 @@ def test_facelift_has_no_method_flag(tmp_path, capsys):
     ({"points": []}, "at least one point"),
     ({"mc_path": 10}, "'mc_path'"),
     ({"penalty_weight": 10.0}, "penalty_weight"),
-], ids=["points-int", "points-empty", "unknown-key", "penalty-weight"])
-def test_malformed_pipeline_spec_exits_2(tmp_path, capsys, changes, message):
+    ({"points": [[0.0]]}, "0 coordinates; the problem has 1"),
+    ({"points": [[0.0, 1.0, 2.0]]}, "2 coordinates; the problem has 1"),
+    ({"points": [[-0.5, 1.0]]}, "point at t=-0.5"),
+    ({"points": [[math.nan, 1.0]]}, "point at t=nan"),
+    ({"points": [[1.0, 1.0]]}, "point at t=1.0"),
+    ({"points": [[0.0, -1.0]]}, "outside the open domain"),
+    ({"points": [[0.0, 1.0], [0.25, math.inf]]}, "point at t=0.25"),
+], ids=["points-int", "points-empty", "unknown-key", "penalty-weight", "point-no-state", "point-two-coordinates",
+        "point-before-start", "point-nan-time", "point-at-horizon", "point-outside-domain", "point-infinite-state"])
+def test_malformed_pipeline_spec_exits_2(tmp_path, monkeypatch, capsys, changes, message):
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **changes)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     err = capsys.readouterr().err
@@ -606,8 +617,15 @@ def _bracket_inputs(tmp_path, points_text):
     "t,x\n0.0,1.0\n0.5\n",
     "",
     "t,x\n",
-], ids=["semicolon-line", "header-not-first", "no-state", "empty", "header-only"])
-def test_bracket_malformed_points_line_exits_2(tmp_path, capsys, points_text):
+    "t,x\n0.0,1.0,2.0\n",
+    "t,x\n-0.5,1.0\n",
+    "t,x\nnan,1.0\n",
+    "t,x\n0.0,-1.0\n",
+    "t,x\n0.0,1.0\n1.0,1.0\n",
+], ids=["semicolon-line", "header-not-first", "no-state", "empty", "header-only", "two-coordinates",
+        "before-start", "nan-time", "outside-domain", "at-horizon"])
+def test_bracket_malformed_points_line_exits_2(tmp_path, monkeypatch, capsys, points_text):
+    monkeypatch.setattr("hjbkit.cli.bracket_report", _raise(AssertionError("a stage ran")))
     assert main(_bracket_inputs(tmp_path, points_text)) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not (tmp_path / "bracket.json").exists()
@@ -844,3 +862,57 @@ def test_certify_manifest_count_below_one_exits_2(tmp_path, capsys, key, field):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and field in err
     assert not (tmp_path / "out" / "r.json").exists()
+
+
+def test_simulate_start_with_the_wrong_coordinate_count_exits_2(tmp_path, monkeypatch, capsys):
+    """--x0 1.0 2.0 on a 1-D problem used to die in a numpy broadcast."""
+    monkeypatch.setattr("hjbkit.simulate._euler", _raise(AssertionError("a path was stepped")))
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]})
+    assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
+                 "--x0", "1.0", "2.0", "--paths", "100", "--steps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "2 coordinates; the problem has 1" in err
+    assert not (tmp_path / "ensemble-summary.json").exists()
+
+
+def test_certify_start_box_of_another_dimension_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("hjbkit.cli.certify_subsolution", _raise(AssertionError("a battery ran")))
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    cand = write(tmp_path / "cand.json", MERTON_SUB)
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", "1000", "--start-box", "0.5,2.0;0.5,2.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "start_box" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+class _StageStarted(Exception):
+    pass
+
+
+# any 0-3 floats, or a point inside the Merton problem's time interval and domain
+pipeline_points = st.lists(
+    st.lists(st.floats() | st.sampled_from([0.0, 0.5, 1.0, -0.5]), max_size=3)
+    | st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.1, 10.0)).map(list),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pipeline_points)
+def test_pipeline_points_exit_2_or_run(tmp_path, monkeypatch, capsys, points):
+    """Any list of 0-3 floats per point, NaN and inf included: the pipeline either
+    refuses the spec with exit 2 before any stage or starts its first stage."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(_StageStarted()))
+    spath = small_pipeline(tmp_path, points=points)
+    valid = bool(points) and all(
+        len(p) == 2 and 0.0 <= p[0] < 1.0 and 0.0 < p[1] < math.inf for p in points)
+    event("valid points" if valid else "refused points")
+    try:
+        rc = main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath])
+    except _StageStarted:
+        assert valid
+    else:
+        assert rc == 2 and not valid
+        assert capsys.readouterr().err.startswith("configuration error:")
