@@ -35,6 +35,7 @@ from .simulate import (
     estimate_value,
     piecewise_constant_policy,
     simulate_paths,
+    _time_grid,
 )
 
 __all__ = [
@@ -173,56 +174,71 @@ def _draw_starts(config: CertifyConfig, n: int) -> np.ndarray:
     return rng.uniform(config.start_box.lo, config.start_box.hi, (n, config.start_box.dim))
 
 
-def _values_at_stops(candidate, ensemble, rho_spec, tau, horizon, xi, radius):
-    """The candidate's value at each path's end rule rho, on the simulation time
-    grid; the paths stopping at one time index are evaluated in one call."""
-    times = ensemble.times
-    n_steps = len(times) - 1
-    if rho_spec == "plus_eighth":
-        rho = min(tau + horizon / 8.0, horizon)
-        idx = np.full(ensemble.n_paths, int(round((rho - tau) / (times[-1] - times[0]) * n_steps)), dtype=int)
-    elif rho_spec == "terminal":
-        idx = np.full(ensemble.n_paths, n_steps, dtype=int)
-    elif rho_spec == "ball_exit":
-        outside = np.max(np.abs(ensemble.states - xi), axis=2) > radius  # (n_paths, n_steps+1)
-        idx = np.where(outside.any(axis=1), outside.argmax(axis=1), n_steps)
-    else:
-        raise ValueError(f"unknown rho spec {rho_spec!r}")
-    out = np.empty(ensemble.n_paths)
-    for k in np.unique(idx):
-        mask = idx == k
-        out[mask] = candidate.evaluator(times[k], ensemble.states[mask, k, :])
-    return out
+_RHO_SPECS = ("plus_eighth", "terminal", "ball_exit")
+_RHO_COLUMNS = (0, 2, 1)   # of a block's states under _stops: plus_eighth, ball_exit, terminal
+
+
+def _stops(tau, horizon, n_steps, radius):
+    """The simulate_paths stops of the end rules "plus_eighth" (a step index on
+    the simulation time grid) and "ball_exit" (the first step at which the path
+    is more than radius from its start in the max norm); "terminal" is the
+    terminal state."""
+    times = _time_grid(tau, horizon, n_steps)[0]
+    rho = min(tau + horizon / 8.0, horizon)
+    plus_eighth = int(round((rho - tau) / (times[-1] - times[0]) * n_steps))
+
+    def ball_exit(X, X0):
+        return np.max(np.abs(X - X0), axis=1) > radius
+
+    return plus_eighth, ball_exit
+
+
+def _values_at_stops(candidate, block):
+    """The candidate's value at each path's end rule, an (n_paths,) array per
+    rule of _RHO_SPECS, for a block simulated with the stops of _stops; the
+    paths stopping at one step are evaluated in one call."""
+    n_steps = len(block.times) - 1
+    # the step of each state column: plus_eighth, ball_exit (the terminal step
+    # for a path that stays in the ball), terminal
+    steps = np.column_stack([block.stop_step, np.full(block.n_paths, n_steps)])
+    steps[steps < 0] = n_steps
+    values = []
+    for column in _RHO_COLUMNS:
+        idx = steps[:, column]
+        out = np.empty(block.n_paths)
+        for k in np.unique(idx):
+            mask = idx == k
+            out[mask] = candidate.evaluator(block.times[k], block.states[mask, column, :])
+        values.append(out)
+    return values
 
 
 def _martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
     """direction +1: submartingale test E[w(rho)] >= w(tau); -1: supermartingale.
 
     Each tau runs its n_starts starts as one ensemble of n_starts x n_paths
-    paths, so the peak holds the states of two such ensembles (the next tau's
-    is built before the last is dropped) and the noise of one.
+    paths that keeps only the states at the end rules: O(paths) states, and
+    the noise of one tau, O(paths x steps).
     """
     T = problem.horizon
     radius = _BALL_RADIUS_FRACTION * float(np.max(config.start_box.hi - config.start_box.lo))
     taus = _taus(T)
-    rho_specs = ["plus_eighth", "terminal", "ball_exit"]
     starts = _draw_starts(config, config.n_starts)
-    n_paths = max(16, config.budget // (len(taus) * len(rho_specs) * len(starts)))
+    n_paths = max(16, config.budget // (len(taus) * len(_RHO_SPECS) * len(starts)))
 
     tag_key = zlib.crc32(adversary_tag.encode())
     records = []
     for i, tau in enumerate(taus):
         # every start of a tau in one ensemble; start s keeps the Philox key of
         # its first record, so each block is the ensemble it would be alone
-        keys = [(config.seed, (i * len(starts) + s) * len(rho_specs), tag_key) for s in range(len(starts))]
+        keys = [(config.seed, (i * len(starts) + s) * len(_RHO_SPECS), tag_key) for s in range(len(starts))]
         ens = simulate_paths(
             problem, [policy_for(tau, xi) for xi in starts], tau, starts, n_paths, config.steps_per_record,
-            keys, config.simulation_box,
+            keys, config.simulation_box, _stops(tau, T, config.steps_per_record, radius),
         )
         for xi, block in zip(starts, ens.blocks()):
             w_start = candidate(tau, xi)
-            for rho_spec in rho_specs:
-                w_end = _values_at_stops(candidate, block, rho_spec, tau, T, xi, radius)
+            for rho_spec, w_end in zip(_RHO_SPECS, _values_at_stops(candidate, block)):
                 diff = w_end - w_start if direction > 0 else w_start - w_end
                 margin = float(np.mean(diff))
                 se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
@@ -416,9 +432,9 @@ def bracket_report(
     is the best estimate over the sub candidate's companion policy and any
     extra policies supplied (e.g. a solver-extracted rule).
 
-    Each point runs all k + 1 policies in one call on its one (seed, j) draw,
-    so the peak holds (k + 1) ensembles' states and one noise array, for k
-    extra policies.
+    Each point runs all k + 1 policies, for k extra policies, in one call on
+    its one (seed, j) draw.  The call holds that draw, O(paths x steps), and
+    the terminal states of the k + 1 ensembles, O(paths) each.
     """
     if not sub_report.certified:
         raise ValueError("sub candidate is not certified")
@@ -428,8 +444,7 @@ def bracket_report(
     for j, (t, x) in enumerate(points):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         policies = [sub.policy_factory(t, x), *sim_config.extra_policies]
-        # one (seed, j) draw for every policy; the ensemble is dropped before
-        # the next point's is built
+        # one (seed, j) draw for every policy
         best = max(
             (
                 estimate_value(block, problem.payoff)

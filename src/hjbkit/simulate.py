@@ -13,8 +13,10 @@ consumes the counter block laid out as row p of the (n_paths, n_steps, d')
 normal array, so ensembles are reproducible bit for bit and reductions are
 fixed-order.  The draw is taken a block of paths at a time and stored step by
 step, as (n_steps, n_paths, d'), so each Euler step reads one contiguous row.
-States are stored the same way, as (n_steps + 1, n_paths, d); an ensemble
-holds the (n_paths, n_steps + 1, d) view of them.
+States are not stored: the Euler loop holds the current row and the next, and
+keeps only what the caller asks for, the state at each stop (a fixed step
+index, or the first step at which a predicate holds) and the terminal state.
+So the noise is O(paths x steps) per start, and the states O(paths x stops).
 
 One call may run several blocks of paths: one block per start, each start
 with its own Philox key (the certifier's starts at one tau), or one block per
@@ -82,11 +84,16 @@ def piecewise_constant_policy(breakpoints, controls) -> FeedbackPolicy:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated paths with exit bookkeeping; frozen at the pre-exit state."""
+    """Simulated paths with exit bookkeeping; frozen at the pre-exit state.
+
+    states holds each path's state at each stop of the call and then its
+    terminal state; a predicate stop that never held holds the terminal state.
+    """
 
     times: np.ndarray            # (n_steps+1,)
-    states: np.ndarray           # (n_paths, n_steps+1, d)
+    states: np.ndarray           # (n_paths, n_stops+1, d)
     exit_step: np.ndarray        # (n_paths,) step index at which the path froze, -1 if none
+    stop_step: np.ndarray        # (n_paths, n_stops) step of each stop, -1 where a predicate never held
     log_coordinates: bool
     n_blocks: int = 1            # equal blocks of paths, one per start and policy
 
@@ -105,7 +112,8 @@ class PathEnsemble:
         """Each block as a one-block ensemble of views."""
         n = self.n_paths // self.n_blocks
         return tuple(
-            PathEnsemble(self.times, self.states[a:a + n], self.exit_step[a:a + n], self.log_coordinates)
+            PathEnsemble(self.times, self.states[a:a + n], self.exit_step[a:a + n], self.stop_step[a:a + n],
+                         self.log_coordinates)
             for a in range(0, self.n_paths, n)
         )
 
@@ -170,11 +178,30 @@ def _blocks(problem, policy, x0, seed):
     return starts, keys, m, runs
 
 
-def _euler(problem, policy, times, dt, states, Z, exit_step, simulation_box) -> None:
-    """Advance the paths of states[0] over `times` in place, with the step-major
-    noise Z; a path that leaves the domain or the box freezes at its pre-exit
-    state, and exit_step records the step."""
-    n_paths, d = states.shape[1:]
+def _split_stops(stops, n_steps):
+    """The stop slots of each step index, {step: [slot, ...]}, and the (slot,
+    predicate) pairs of the predicate stops."""
+    at_step, predicates = {}, []
+    for i, stop in enumerate(stops):
+        if callable(stop):
+            predicates.append((i, stop))
+        elif isinstance(stop, (int, np.integer)) and not isinstance(stop, bool) and 0 <= stop <= n_steps:
+            at_step.setdefault(int(stop), []).append(i)
+        else:
+            raise ValueError(f"stop {stop!r} is neither a step index in [0, {n_steps}] nor a predicate")
+    return at_step, predicates
+
+
+def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step, predicates, kept, stop_step) -> None:
+    """Advance the start rows X0 over `times` with the step-major noise Z; a
+    path that leaves the domain or the box freezes at its pre-exit state, and
+    exit_step records the step.
+
+    Only the current row and the next are held.  kept[i] receives each path's
+    state at stop i as the path reaches it, stop_step[i] the step at which
+    predicate stop i first holds, and kept[-1] the terminal state.
+    """
+    n_paths, d = X0.shape
     dprime = Z.shape[2]
     sqdt = np.sqrt(dt)
     log_mode = _use_log_coordinates(problem)
@@ -186,11 +213,29 @@ def _euler(problem, policy, times, dt, states, Z, exit_step, simulation_box) -> 
     all_active = True
     lo, hi = problem.state_domain.lo, problem.state_domain.hi
     B = problem.control_bound
+    # the two rows, and read-only views of them for the policy, the coefficients and the predicates
+    rows = (X0.copy(), np.empty_like(X0))
+    views = tuple(r.view() for r in rows)
+    for v in views:
+        v.flags.writeable = False
+    pending = [np.ones(n_paths, dtype=bool) for _ in predicates]
 
-    for n in range(len(times) - 1):
+    def record(n, X):
+        for i in at_step.get(n, ()):
+            kept[i] = X
+        for (i, pred), wait in zip(predicates, pending):
+            if wait.any():
+                hit = pred(X, X0) & wait
+                if hit.any():
+                    np.copyto(kept[i], X, where=hit[:, None])
+                    stop_step[i, hit] = n
+                    wait &= ~hit
+
+    n_steps = len(times) - 1
+    for n in range(n_steps):
         t = times[n]
-        X, X_new = states[n], states[n + 1]
-        X.flags.writeable = False
+        X, X_new = views[n % 2], rows[(n + 1) % 2]
+        record(n, X)
         U = np.asarray(policy.rule(t, X), dtype=float).reshape(n_paths, -1)
         if np.max(np.abs(U)) > B + 1e-9:
             raise ValueError(
@@ -227,6 +272,18 @@ def _euler(problem, policy, times, dt, states, Z, exit_step, simulation_box) -> 
         all_active = False
         np.copyto(X_new, X, where=~active[:, None])
 
+    X = views[n_steps % 2]
+    record(n_steps, X)
+    kept[-1] = X
+    for (i, _), wait in zip(predicates, pending):
+        np.copyto(kept[i], X, where=wait[:, None])
+
+
+def _time_grid(t0, horizon, n_steps):
+    """The simulation times t0 + n dt, n = 0..n_steps, and dt."""
+    dt = (horizon - t0) / n_steps
+    return t0 + dt * np.arange(n_steps + 1), dt
+
 
 def simulate_paths(
     problem,
@@ -237,6 +294,7 @@ def simulate_paths(
     n_steps: int,
     seed,
     simulation_box=None,
+    stops=(),
 ) -> PathEnsemble:
     """Euler-Maruyama ensemble from (t0, x0) to the horizon.
 
@@ -248,23 +306,33 @@ def simulate_paths(
     bit the one-block ensemble of its start, key and policy.  A seed key is
     anything SeedSequence takes: an int or a tuple of ints.
 
-    The call holds the states of all m blocks and one noise array per start:
-    m starts take m states and m noise blocks, and k policies at one start
-    take k states and one noise block.
+    Each stop is a step index in [0, n_steps], or a predicate pred(X, X0) on
+    the rows of one Euler run: X holds the paths' states at a step and X0
+    their starts, both (n, d), and it returns (n,) bools.  A path's predicate
+    stop is the first step at which it holds, step 0 included.  The ensemble
+    keeps each path's state at each stop and its terminal state, nothing more.
+
+    The call holds O(n_paths x (len(stops) + 1)) states per block and
+    O(n_paths x n_steps) noise per start: m starts take m noise blocks, and k
+    policies at one start take one.
     """
     starts, keys, m, runs = _blocks(problem, policy, x0, seed)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not t0 < problem.horizon:
         raise ValueError("t0 must precede the end time")
-    dt = (problem.horizon - t0) / n_steps
-    times = t0 + dt * np.arange(n_steps + 1)
+    times, dt = _time_grid(t0, problem.horizon, n_steps)
+    stops = tuple(stops)
+    at_step, predicates = _split_stops(stops, n_steps)
     d, dprime, R = problem.state_dim, problem.noise_dim, len(starts)
 
-    # states before noise: the draw's block temporaries then sit on top of both
-    # arrays, so a second noise-sized buffer shows in the peak memory
-    states = np.empty((n_steps + 1, m * n_paths, d))
-    states[0].reshape(m, n_paths, d)[:] = starts[:, None, :]
+    start_rows = np.empty((m * n_paths, d))
+    start_rows.reshape(m, n_paths, d)[:] = starts[:, None, :]
+    start_rows.flags.writeable = False
+    kept = np.empty((len(stops) + 1, m * n_paths, d))
+    stop_step = np.full((len(stops), m * n_paths), -1, dtype=int)
+    for step, slots in at_step.items():
+        stop_step[slots] = step
     Z = np.empty((n_steps, R * n_paths, dprime))
     for r, key in enumerate(keys):
         _fill_noise(Z[:, r * n_paths:(r + 1) * n_paths], key)
@@ -273,12 +341,14 @@ def simulate_paths(
     for pol, a, b in runs:
         rows = slice(a * n_paths, b * n_paths)
         noise = rows if R == m else slice(0, n_paths)
-        _euler(problem, pol, times, dt, states[:, rows], Z[:, noise], exit_step[rows], simulation_box)
+        _euler(problem, pol, times, dt, start_rows[rows], Z[:, noise], exit_step[rows], simulation_box,
+               at_step, predicates, kept[:, rows], stop_step[:, rows])
 
     return PathEnsemble(
         times=times,
-        states=states.swapaxes(0, 1),
+        states=kept.swapaxes(0, 1),
         exit_step=exit_step,
+        stop_step=stop_step.T,
         log_coordinates=_use_log_coordinates(problem),
         n_blocks=m,
     )

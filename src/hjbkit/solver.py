@@ -218,7 +218,8 @@ class _Stepper:
         than a margin of _SWITCH_ULPS ulps of `scale` (the size of the values)
         times the largest absolute row sum of I - dt L^u, the rounding level
         of dt L^u w; rounding-level ties then cannot make the policy cycle.
-        Returns (w at the interior nodes, the final policy, the iterations).
+        Returns (w at the interior nodes, the final policy, the iterations,
+        the argmax of the last iteration's generator at w).
         """
         w = self.weights(t)
         w0, ((wm, wp),) = w
@@ -235,7 +236,7 @@ class _Stepper:
             best = np.argmax(gen, axis=0)
             switch = dt * (gen[best, cols] - gen[policy, cols]) > margin
             if not switch.any():
-                return full[1:-1], policy, iteration
+                return full[1:-1], policy, iteration, best
             policy = np.where(switch, best, policy)
         raise ConvergenceError(
             f"Howard policy iteration did not converge in {_HOWARD_MAX_ITERS} iterations at t={t:g}",
@@ -331,8 +332,11 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     for n in range(n_times - 2, -1, -1):
         for s in range(m_sub):
             t_from = times[n + 1] - s * dt
+            # the last Howard iteration's argmax is the slice's argmax while
+            # nothing moves the slice after it and the weights do not depend on t
+            best = None
             if implicit:
-                v[core], policy, iterations = stepper.implicit_step(v, t_from - dt, dt, policy, scale)
+                v[core], policy, iterations, best = stepper.implicit_step(v, t_from - dt, dt, policy, scale)
                 howard_iterations += iterations
             else:
                 v[core] = stepper.step(v, t_from, dt).max(axis=0)
@@ -342,14 +346,17 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
                 if np.max(defect) > _PROJECT_TRIGGER * scale:
                     v = _float_upper_envelope(x, v)
                     projections += 1
+                    best = None
             elif mode == "penalize":
                 gh = _constraint_on_grid(problem, grid, v)
-                lifted = v - (dt * rho) * gh
-                v[core] = np.maximum(v, lifted)[core]
+                lifted = np.maximum(v, v - (dt * rho) * gh)[core]
+                if not np.array_equal(lifted, v[core]):
+                    best = None
+                v[core] = lifted
         if not np.all(np.isfinite(v)):
             raise NumericalError("non-finite values in slice", slice_index=n)
         values[n] = v
-        policy = stepper.argmax(v, times[n])
+        policy = stepper.argmax(v, times[n]) if best is None or problem.time_dependent else best
         policies[n] = stepper.table(policy)
 
     meta = {

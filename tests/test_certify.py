@@ -254,10 +254,36 @@ def test_count_below_one_is_config_error(field, value):
         hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), **{field: value})
 
 
+def tensor_values_at_stops(candidate, times, states, rho_spec, tau, horizon, xi, radius):
+    """The stop rule on whole paths, states (n_paths, n_steps+1, d): the
+    candidate's value at each path's end rule, the paths stopping at one time
+    index evaluated in one call."""
+    n_paths, n_steps = states.shape[0], len(times) - 1
+    if rho_spec == "plus_eighth":
+        rho = min(tau + horizon / 8.0, horizon)
+        idx = np.full(n_paths, int(round((rho - tau) / (times[-1] - times[0]) * n_steps)), dtype=int)
+    elif rho_spec == "terminal":
+        idx = np.full(n_paths, n_steps, dtype=int)
+    else:
+        outside = np.max(np.abs(states - xi), axis=2) > radius  # (n_paths, n_steps+1)
+        idx = np.where(outside.any(axis=1), outside.argmax(axis=1), n_steps)
+    out = np.empty(n_paths)
+    for k in np.unique(idx):
+        mask = idx == k
+        out[mask] = candidate.evaluator(times[k], states[mask, k, :])
+    return out
+
+
+def whole_paths(problem, policy, tau, xi, n_paths, n_steps, seed, box):
+    """The ensemble of one start with every step kept, and its (n_paths, n_steps+1, d) paths."""
+    ens = hk.simulate_paths(problem, policy, tau, xi, n_paths, n_steps, seed, box, stops=range(n_steps + 1))
+    return ens, ens.states[:, :-1]
+
+
 def reference_martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
-    """The battery one record at a time: one ensemble per (tau, start), seeded
-    (seed, ridx, tag) with ridx the index of its first record.  Also gives the
-    exit fraction of each ensemble."""
+    """The battery one record at a time on whole paths: one ensemble per (tau,
+    start), seeded (seed, ridx, tag) with ridx the index of its first record.
+    Also gives the exit fraction of each ensemble."""
     T = problem.horizon
     radius = certify._BALL_RADIUS_FRACTION * float(np.max(config.start_box.hi - config.start_box.lo))
     rho_specs = ["plus_eighth", "terminal", "ball_exit"]
@@ -268,11 +294,11 @@ def reference_martingale_records(candidate, problem, config, policy_for, adversa
     ridx = 0
     for tau in certify._taus(T):
         for xi in starts:
-            ens = hk.simulate_paths(problem, policy_for(tau, xi), tau, xi, n_paths, config.steps_per_record,
-                                    (config.seed, ridx, tag_key), config.simulation_box)
+            ens, states = whole_paths(problem, policy_for(tau, xi), tau, xi, n_paths, config.steps_per_record,
+                                      (config.seed, ridx, tag_key), config.simulation_box)
             exits.append(ens.exit_fraction)
             for rho_spec in rho_specs:
-                w_end = certify._values_at_stops(candidate, ens, rho_spec, tau, T, xi, radius)
+                w_end = tensor_values_at_stops(candidate, ens.times, states, rho_spec, tau, T, xi, radius)
                 w_start = candidate(tau, xi)
                 diff = w_end - w_start if direction > 0 else w_start - w_end
                 margin = float(np.mean(diff))
@@ -334,6 +360,24 @@ class TestBatchedBatteryEqualsReference:
         _assert_battery_equals_reference(cand, problem, config, cand.policy_factory, "companion", +1)
 
 
+@pytest.mark.parametrize("box", [None, hk.Box([0.7], [1.6])], ids=["domain", "simulation-box"])
+def test_values_at_stops_equal_the_whole_path_reference(box, merton_problem, coarse_merton_solution):
+    """Each end rule's values, from the stops of one streamed run, against the
+    stop rule read off whole paths; the box freezes some paths before their ball exit."""
+    cand, policy = candidate_from_solution(coarse_merton_solution, "sub", 10.0), hk.extract_policy(coarse_merton_solution)
+    T, radius, n_steps = merton_problem.horizon, 0.3, 24
+    for tau, xi in [(0.0, np.array([1.0])), (0.5, np.array([1.3]))]:
+        ens = hk.simulate_paths(merton_problem, policy, tau, xi, 2_000, n_steps, (3, 1), box,
+                                certify._stops(tau, T, n_steps, radius))
+        full, states = whole_paths(merton_problem, policy, tau, xi, 2_000, n_steps, (3, 1), box)
+        assert 0 < np.mean(ens.stop_step[:, 1] >= 0) < 1
+        assert (full.exit_fraction > 0.0) == (box is not None)
+        got = certify._values_at_stops(cand, ens)
+        for rho_spec, values in zip(certify._RHO_SPECS, got):
+            want = tensor_values_at_stops(cand, full.times, states, rho_spec, tau, T, xi, radius)
+            assert np.array_equal(values, want)
+
+
 def test_bracket_shared_draw_equals_one_draw_per_policy(merton_problem, coarse_merton_solution, monkeypatch):
     """Every policy of a bracket point runs on one (seed, j) draw, with the bits of its own call."""
     sub, sup = merton_candidate("sub"), merton_candidate("super", exponent_shift=0.01)
@@ -361,10 +405,11 @@ def test_bracket_shared_draw_equals_one_draw_per_policy(merton_problem, coarse_m
 
 
 def test_bracket_peak_memory_with_two_extra_policies(merton_problem, coarse_merton_solution):
-    """A point holds the states of its k + 1 policies and one noise array, and drops them before the next."""
+    """A point holds one noise array and the terminal states of its k + 1 policies."""
     sub, sup = merton_candidate("sub"), merton_candidate("super", exponent_shift=0.01)
     extra = (hk.extract_policy(coarse_merton_solution), constant_policy([-3.0]))
-    cfg = BracketConfig(n_paths=20_000, n_steps=50, seed=8, extra_policies=extra)
+    # enough steps that the noise outweighs the O(paths) scratch of the Euler loop
+    cfg = BracketConfig(n_paths=20_000, n_steps=300, seed=8, extra_policies=extra)
     passed = (CertificationReport("sub", "sub", (), 4.0, 1e-9, 1, 0),
               CertificationReport("super", "super", (), 4.0, 1e-9, 1, 0))
     pts = [(0.0, [1.0]), (0.25, [0.8]), (0.5, [1.5])]
@@ -376,8 +421,8 @@ def test_bracket_peak_memory_with_two_extra_policies(merton_problem, coarse_mert
     finally:
         tracemalloc.stop()
     noise_bytes = cfg.n_paths * cfg.n_steps * merton_problem.noise_dim * 8
-    states_bytes = cfg.n_paths * (cfg.n_steps + 1) * merton_problem.state_dim * 8
-    assert peak <= 1.15 * ((1 + len(extra)) * states_bytes + noise_bytes)
+    terminal_bytes = cfg.n_paths * merton_problem.state_dim * 8
+    assert peak <= 1.15 * ((1 + len(extra)) * terminal_bytes + noise_bytes)
 
 
 @pytest.mark.parametrize("field, value", [("n_paths", 1), ("n_paths", 0), ("n_paths", -5), ("n_steps", 0)])

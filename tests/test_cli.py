@@ -876,6 +876,40 @@ def test_simulate_start_with_the_wrong_coordinate_count_exits_2(tmp_path, monkey
     assert not (tmp_path / "ensemble-summary.json").exists()
 
 
+HEAT_2D_SPEC = {
+    "family": "constant",
+    "params": {"b0": [0.0, 0.0], "s0": [[1.0, 0.0], [0.0, 1.0]]},
+    "control_bound": 0.0,
+    "state_domain": [[None, None], [None, None]],
+    "horizon": 0.5,
+    "payoff": {"family": "abs", "params": {"center": 0.0}},
+    "gauge": {"family": "one_plus_square", "constant": 2.0},
+    "constraint": {"family": "neg_trace"},
+}
+
+
+@pytest.mark.parametrize("subcommand, spaced, other", [
+    ("certify", ["--start-box", "-0.5,0.5;-0.5,0.5"], ["--start-box=-0.5,0.5;-0.5,0.5"]),
+    ("simulate", ["--x0", "-1e-1", "2e-1"], ["--x0", "-0.1", "0.2"]),
+], ids=["start-box", "x0"])
+def test_spaced_negative_values_parse_like_the_other_form(tmp_path, capsys, subcommand, spaced, other):
+    """A spaced value that starts with "-" and is not a plain number once exited 2
+    with argparse's "expected one argument"; both forms now write the same bytes."""
+    prob = write(tmp_path / "heat2d.json", HEAT_2D_SPEC)
+    if subcommand == "certify":
+        doc = {"kind": "constant", "value": -1.0, "side": "sub", "growth_constant": 1.0}
+        argv, artifact = ["--candidate", write(tmp_path / "cand.json", doc), "--budget", "3000"], "report.json"
+    else:
+        pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [0.0]})
+        argv, artifact = ["--policy", pol, "--paths", "2000", "--steps", "8"], "ensemble-summary.json"
+    written = []
+    for form, flags in (("spaced", spaced), ("other", other)):
+        assert main(["--out-dir", str(tmp_path / form), subcommand, "--problem", prob, *argv, *flags]) == 0
+        manifest = json.loads((tmp_path / form / "manifest.json").read_text())
+        written.append(((tmp_path / form / artifact).read_bytes(), manifest["config"]))
+    assert written[0] == written[1]
+
+
 def test_certify_start_box_of_another_dimension_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("hjbkit.cli.certify_subsolution", _raise(AssertionError("a battery ran")))
     prob = write(tmp_path / "prob.json", MERTON_SPEC)

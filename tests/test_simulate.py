@@ -43,8 +43,8 @@ class TestSimulatePaths:
         assert ens.exit_fraction == 0.0
 
     def test_bitwise_determinism(self, merton_problem):
-        a = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 500, 20, seed=9)
-        b = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 500, 20, seed=9)
+        a, b = (hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 500, 20, seed=9,
+                                  stops=range(21)) for _ in range(2))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.exit_step, b.exit_step)
 
@@ -69,11 +69,17 @@ class TestSimulatePaths:
     def test_states_before_exit_inside_domain(self, merton_problem):
         box = hk.Box([0.8], [1.25])
         ens = hk.simulate_paths(merton_problem, constant_policy([5.0]), 0.0, [1.0], 200, 50,
-                                seed=5, simulation_box=box)
+                                seed=5, simulation_box=box, stops=range(51))
+        assert ens.exit_fraction > 0.0
         for p in range(200):
             e = ens.exit_step[p]
             upto = ens.states[p, : e + 1, 0] if e >= 0 else ens.states[p, :, 0]
             assert np.all((upto >= 0.8) & (upto <= 1.25))
+
+    def test_stops_that_are_neither_an_index_nor_a_predicate_are_refused(self, merton_problem):
+        for stop in (-1, 5, 1.0, True, "terminal"):
+            with pytest.raises(ValueError, match="neither a step index"):
+                hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 10, 4, seed=0, stops=(stop,))
 
 
 def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed, simulation_box=None):
@@ -118,8 +124,44 @@ def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed, simulation
     return times, states, exit_step
 
 
+def _assert_peak_is_noise_plus_kept(simulate, noise_paths):
+    """At 150 and 300 steps simulate(n_steps) keeps states of one size, and its
+    traced peak is within 15% of its noise, noise_paths x n_steps normals, and
+    its kept states.  States that grow with the steps, or a second noise-sized
+    buffer (a whole-array transpose, say), put the ratio near 2."""
+    # a first call imports numpy.random's modules, which tracemalloc would count
+    simulate(2)
+    kept = []
+    for n_steps in (150, 300):
+        tracemalloc.start()
+        try:
+            ens = simulate(n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * (noise_paths * n_steps * 8 + ens.states.nbytes)
+        kept.append(ens.states.nbytes)
+    assert kept[0] == kept[1]
+
+
+def _ball(radius):
+    def ball_exit(X, X0):
+        return np.max(np.abs(X - X0), axis=1) > radius
+
+    return ball_exit
+
+
+def _first_holds_reference(whole, holds):
+    """The step at which holds(X) first holds on whole paths (n_paths, n_steps+1, d),
+    -1 where it never does, and the state there (the terminal state where it never does)."""
+    n_steps = whole.shape[1] - 1
+    held = np.stack([holds(whole[:, n]) for n in range(n_steps + 1)], axis=1)
+    step = np.where(held.any(axis=1), held.argmax(axis=1), -1)
+    return step, whole[np.arange(len(whole)), np.where(step >= 0, step, n_steps)]
+
+
 class TestStepMajorStorage:
-    """simulate_paths stores paths step by step and gives the row-major ensemble bit for bit."""
+    """simulate_paths keeps the state at each step asked for, bit for bit the row-major ensemble's."""
 
     @pytest.mark.parametrize("n_paths", [100, _NOISE_CHUNK, _NOISE_CHUNK + 1, 2 * _NOISE_CHUNK + 37])
     @pytest.mark.parametrize("case", ["log-constant", "log-grid-table", "log-box", "generic-2d-noise",
@@ -138,14 +180,51 @@ class TestStepMajorStorage:
             "generic-control": (hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0),
                                 FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0), 0.0, [0.3], n_paths, 9, 9),
         }[case]
-        ens = hk.simulate_paths(*args)
+        n_steps = args[5]
+        ens = hk.simulate_paths(*args, stops=range(n_steps + 1))
         times, states, exit_step = _row_major_paths(*args)
-        assert ens.states.shape == states.shape
-        assert np.array_equal(ens.states, states)
+        assert ens.states.shape == (n_paths, n_steps + 2, states.shape[2])
+        assert np.array_equal(ens.states[:, :-1], states)
+        assert np.array_equal(ens.terminal_states(), states[:, -1])
+        assert np.array_equal(ens.stop_step, np.broadcast_to(np.arange(n_steps + 1), (n_paths, n_steps + 1)))
         assert np.array_equal(ens.exit_step, exit_step)
         assert np.array_equal(ens.times, times)
         if "box" in case:
             assert 0.0 < ens.exit_fraction < 1.0
+
+    @pytest.mark.parametrize("case", ["log-box", "generic-2d-box"])
+    def test_predicate_stops_equal_the_whole_path_reference(self, case, merton_problem, coarse_merton_solution):
+        """A left-box and a ball-exit stop, with paths frozen by the simulation
+        box, against the first step read off whole paths."""
+        if case == "log-box":
+            args = (merton_problem, hk.extract_policy(coarse_merton_solution), 0.0, [1.0], 3_000, 24, 5,
+                    hk.Box([0.6], [1.6]))
+            lo, hi = np.array([0.8]), np.array([1.3])
+        else:
+            args = (hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]]), constant_policy([0.0]),
+                    0.0, [0.1, 0.2], 3_000, 24, 8, hk.Box([-0.8, -0.3], [0.8, 0.6]))
+            lo, hi = np.array([-0.6, -0.2]), np.array([0.6, 0.5])
+
+        def left_box(X, X0):
+            return np.any((X < lo) | (X > hi), axis=1)
+
+        ball_exit = _ball(0.25)
+        x0 = np.asarray(args[3])
+        ens = hk.simulate_paths(*args, stops=(left_box, ball_exit))
+        whole = _row_major_paths(*args)[1]
+        assert 0.0 < ens.exit_fraction < 1.0
+        for i, holds in enumerate([lambda X: left_box(X, x0), lambda X: ball_exit(X, x0)]):
+            step, state = _first_holds_reference(whole, holds)
+            assert 0 < np.mean(step >= 0) < 1
+            assert np.array_equal(ens.stop_step[:, i], step)
+            assert np.array_equal(ens.states[:, i], state)
+        assert np.array_equal(ens.terminal_states(), whole[:, -1])
+
+    def test_a_predicate_that_holds_at_the_start_stops_at_step_0(self, merton_problem):
+        ens = hk.simulate_paths(merton_problem, constant_policy([2.0]), 0.0, [1.0], 50, 6, seed=2,
+                                stops=(lambda X, X0: X[:, 0] >= X0[:, 0], 3))
+        assert np.array_equal(ens.stop_step, np.broadcast_to([0, 3], (50, 2)))
+        assert np.all(ens.states[:, 0, 0] == 1.0)
 
     def test_policy_reads_the_current_row_read_only(self, merton_problem):
         seen = []
@@ -159,25 +238,18 @@ class TestStepMajorStorage:
 
     @pytest.mark.parametrize("grid_table", [False, True], ids=["constant", "grid-table"])
     def test_peak_memory_is_noise_plus_states(self, grid_table, merton_problem, coarse_merton_solution):
-        # a second noise-sized buffer (a whole-array transpose, say) puts the ratio near 1.5
-        n_paths, n_steps = 20_000, 50
         policy = hk.extract_policy(coarse_merton_solution) if grid_table else constant_policy([2.0])
-        # a first call imports numpy.random's modules, which tracemalloc would count
-        hk.simulate_paths(merton_problem, policy, 0.0, [1.0], 10, 2, seed=1)
-        tracemalloc.start()
-        try:
-            ens = hk.simulate_paths(merton_problem, policy, 0.0, [1.0], n_paths, n_steps, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        noise_bytes = n_paths * n_steps * merton_problem.noise_dim * 8
-        assert peak <= 1.15 * (noise_bytes + ens.states.nbytes)
+        _assert_peak_is_noise_plus_kept(
+            lambda n_steps: hk.simulate_paths(merton_problem, policy, 0.0, [1.0], 20_000, n_steps, seed=1,
+                                              stops=(n_steps // 2, _ball(0.3))),
+            20_000)
 
 
 def _assert_blocks_equal_single_calls(ens, singles):
     assert ens.n_blocks == len(singles) and ens.n_paths == sum(e.n_paths for e in singles)
     for block, single in zip(ens.blocks(), singles):
         assert np.array_equal(block.states, single.states)
+        assert np.array_equal(block.stop_step, single.stop_step)
         assert np.array_equal(block.exit_step, single.exit_step)
         assert np.array_equal(block.times, single.times)
 
@@ -194,9 +266,13 @@ class TestBlocks:
             problem = hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]])
             policy, starts, box = constant_policy([0.0]), [[0.1, 0.2], [-0.3, 0.0]], hk.Box([-0.8, -0.3], [0.8, 0.6])
         keys = [(5, 3 * r, 77) for r in range(len(starts))]
-        ens = hk.simulate_paths(problem, policy, 0.2, starts, _NOISE_CHUNK + 3, 9, keys, box)
+        # every step, and a ball around each block's own start
+        stops = (*range(10), _ball(0.3))
+        ens = hk.simulate_paths(problem, policy, 0.2, starts, _NOISE_CHUNK + 3, 9, keys, box, stops)
         _assert_blocks_equal_single_calls(ens, [
-            hk.simulate_paths(problem, policy, 0.2, x, _NOISE_CHUNK + 3, 9, key, box) for x, key in zip(starts, keys)])
+            hk.simulate_paths(problem, policy, 0.2, x, _NOISE_CHUNK + 3, 9, key, box, stops)
+            for x, key in zip(starts, keys)])
+        assert 0 < np.mean(ens.stop_step[:, -1] >= 0) < 1
         assert 0.0 < ens.exit_fraction < 1.0
 
     @pytest.mark.parametrize("case", ["log", "generic-2d-noise"])
@@ -207,9 +283,9 @@ class TestBlocks:
         else:
             problem, x0 = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0), [0.3]
             policies = [constant_policy([0.5]), FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0)]
-        ens = hk.simulate_paths(problem, policies, 0.0, x0, 300, 11, (4, 2))
+        ens = hk.simulate_paths(problem, policies, 0.0, x0, 300, 11, (4, 2), stops=range(12))
         _assert_blocks_equal_single_calls(
-            ens, [hk.simulate_paths(problem, pol, 0.0, x0, 300, 11, (4, 2)) for pol in policies])
+            ens, [hk.simulate_paths(problem, pol, 0.0, x0, 300, 11, (4, 2), stops=range(12)) for pol in policies])
 
     def test_one_policy_per_start(self, merton_problem):
         a, b = constant_policy([1.0]), constant_policy([3.0])
@@ -221,11 +297,12 @@ class TestBlocks:
 
         c = FeedbackPolicy(rule, 2.0)
         policies, starts, keys = [c, c, a, b, c], [[0.6], [0.9], [1.1], [1.4], [1.8]], [1, 2, 3, 4, 5]
-        ens = hk.simulate_paths(merton_problem, policies, 0.0, starts, 50, 6, keys)
+        ens = hk.simulate_paths(merton_problem, policies, 0.0, starts, 50, 6, keys, stops=range(7))
         # consecutive blocks of one policy object are one Euler run
         assert calls == [100] * 6 + [50] * 6
         _assert_blocks_equal_single_calls(ens, [
-            hk.simulate_paths(merton_problem, p, 0.0, x, 50, 6, k) for p, x, k in zip(policies, starts, keys)])
+            hk.simulate_paths(merton_problem, p, 0.0, x, 50, 6, k, stops=range(7))
+            for p, x, k in zip(policies, starts, keys)])
 
     def test_counts_that_do_not_broadcast_are_refused(self, merton_problem):
         pol = constant_policy([1.0])
@@ -240,20 +317,21 @@ class TestBlocks:
 
     @pytest.mark.parametrize("n_policies", [2, 3])
     def test_shared_draw_holds_one_noise_array(self, n_policies, merton_problem, coarse_merton_solution):
-        """k policies at one start: k blocks of states and one noise block."""
-        n_paths, n_steps = 20_000, 50
+        """k policies at one start: one noise block and the terminal states of k blocks."""
         policies = [constant_policy([2.0]), hk.extract_policy(coarse_merton_solution), constant_policy([-1.0])]
         policies = policies[:n_policies]
-        hk.simulate_paths(merton_problem, policies, 0.0, [1.0], 10, 2, seed=1)
-        tracemalloc.start()
-        try:
-            ens = hk.simulate_paths(merton_problem, policies, 0.0, [1.0], n_paths, n_steps, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        noise_bytes = n_paths * n_steps * merton_problem.noise_dim * 8
-        assert ens.states.nbytes == n_policies * n_paths * (n_steps + 1) * merton_problem.state_dim * 8
-        assert peak <= 1.15 * (noise_bytes + ens.states.nbytes)
+        ens = hk.simulate_paths(merton_problem, policies, 0.0, [1.0], 10, 2, seed=1)
+        assert ens.states.shape == (n_policies * 10, 1, merton_problem.state_dim)
+        _assert_peak_is_noise_plus_kept(
+            lambda n_steps: hk.simulate_paths(merton_problem, policies, 0.0, [1.0], 20_000, n_steps, seed=1),
+            20_000)
+
+    def test_batched_starts_hold_one_noise_block_each(self, merton_problem, coarse_merton_solution):
+        policy, starts = hk.extract_policy(coarse_merton_solution), [[0.7], [1.0], [1.9]]
+        _assert_peak_is_noise_plus_kept(
+            lambda n_steps: hk.simulate_paths(merton_problem, policy, 0.0, starts, 8_000, n_steps, [1, 2, 3],
+                                              hk.Box([0.5], [2.2]), stops=(n_steps // 2, _ball(0.4))),
+            3 * 8_000)
 
 
 class TestEstimateValue:

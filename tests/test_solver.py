@@ -329,7 +329,7 @@ class TestImplicitStep:
         checked = []
 
         def checked_step(self, v, t, dt, policy, scale):
-            out, final, iterations = original(self, v, t, dt, policy, scale)
+            out, final, iterations, best = original(self, v, t, dt, policy, scale)
             w = self.weights(t)
             full = np.concatenate([v[:1], out, v[-1:]])
             gen = self._generator(full, w, np.empty_like(self.buf))
@@ -338,12 +338,37 @@ class TestImplicitStep:
             assert np.all(dt * (gen.max(axis=0) - gen[final, cols]) <= margin)
             assert np.max(np.abs(out - dt * gen[final, cols] - v[1:-1])) <= 1e-12 * scale
             checked.append(iterations)
-            return out, final, iterations
+            return out, final, iterations, best
 
         monkeypatch.setattr(_Stepper, "implicit_step", checked_step)
         cfg = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=41, constraint_mode=mode)
         sol = hk.solve_hjb(merton_problem, merton_terminal_80, cfg)
         assert len(checked) == 20 and sum(checked) == sol.metadata["howard_iterations"]
+
+    @pytest.mark.parametrize("mode", [*MODES, "time-dependent"])
+    def test_policy_table_is_the_argmax_of_every_slice(self, merton_problem, merton_terminal_80, mode, monkeypatch):
+        """Reusing the last Howard iteration's argmax gives the table of
+        stepper.argmax bit for bit.  A slice that the projection or penalty
+        moved, and every slice of a time-dependent problem, is argmaxed anew."""
+        problem = dataclasses.replace(merton_problem, time_dependent=True) if mode == "time-dependent" \
+            else merton_problem
+        x = merton_terminal_80.grid.axes[0]
+        g = np.sqrt(x) + 0.3 * np.random.default_rng(14).normal(size=x.size)
+        cfg = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=41,
+                              constraint_mode="project" if mode == "time-dependent" else mode)
+        calls = []
+        original = _Stepper.argmax
+
+        def counted(self, v, t):
+            calls.append(t)
+            return original(self, v, t)
+
+        monkeypatch.setattr(_Stepper, "argmax", counted)
+        sol = hk.solve_hjb(problem, gf(x, g), cfg)
+        assert (len(calls) == 21) if mode == "time-dependent" else (1 < len(calls) < 21)
+        stepper = _Stepper(problem, merton_terminal_80.grid, problem.control_grid(41))
+        for n, t in enumerate(sol.times):
+            assert np.array_equal(sol.policies[n], stepper.table(original(stepper, sol.values[n], t)))
 
     def test_running_out_of_iterations_is_a_convergence_error(self, merton_problem, merton_terminal_80,
                                                               monkeypatch):
@@ -355,8 +380,8 @@ class TestImplicitStep:
     def test_cold_start_reaches_the_warm_fixed_point(self, merton_problem, merton_terminal_80):
         stepper = _Stepper(merton_problem, merton_terminal_80.grid, merton_problem.control_grid(41))
         v = merton_terminal_80.values
-        warm, _, warm_iterations = stepper.implicit_step(v, 0.9, 0.1, stepper.argmax(v, 0.9), 2.5)
-        cold, _, cold_iterations = stepper.implicit_step(v, 0.9, 0.1, np.zeros(v.size - 2, dtype=int), 2.5)
+        warm, _, warm_iterations, _ = stepper.implicit_step(v, 0.9, 0.1, stepper.argmax(v, 0.9), 2.5)
+        cold, _, cold_iterations, _ = stepper.implicit_step(v, 0.9, 0.1, np.zeros(v.size - 2, dtype=int), 2.5)
         assert np.max(np.abs(warm - cold)) <= 1e-12
         assert warm_iterations <= cold_iterations
 
