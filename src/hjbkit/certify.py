@@ -175,14 +175,13 @@ def _draw_starts(config: CertifyConfig, n: int) -> np.ndarray:
 
 
 _RHO_SPECS = ("plus_eighth", "terminal", "ball_exit")
-_RHO_COLUMNS = (0, 2, 1)   # of a block's states under _stops: plus_eighth, ball_exit, terminal
 
 
 def _stops(tau, horizon, n_steps, radius):
-    """The simulate_paths stops of the end rules "plus_eighth" (a step index on
-    the simulation time grid) and "ball_exit" (the first step at which the path
-    is more than radius from its start in the max norm); "terminal" is the
-    terminal state."""
+    """The simulate_paths stops of the end rules, in _RHO_SPECS order:
+    "plus_eighth" and "terminal" are step indices on the simulation time grid,
+    and "ball_exit" the first step at which the path is more than radius from
+    its start in the max norm."""
     times = _time_grid(tau, horizon, n_steps)[0]
     rho = min(tau + horizon / 8.0, horizon)
     plus_eighth = int(round((rho - tau) / (times[-1] - times[0]) * n_steps))
@@ -190,20 +189,19 @@ def _stops(tau, horizon, n_steps, radius):
     def ball_exit(X, X0):
         return np.max(np.abs(X - X0), axis=1) > radius
 
-    return plus_eighth, ball_exit
+    return plus_eighth, n_steps, ball_exit
 
 
 def _values_at_stops(candidate, block):
     """The candidate's value at each path's end rule, an (n_paths,) array per
-    rule of _RHO_SPECS, for a block simulated with the stops of _stops; the
-    paths stopping at one step are evaluated in one call."""
+    rule of _RHO_SPECS, for a block simulated with the stops of _stops, so
+    state column i is rule i; the paths stopping at one step are evaluated in
+    one call."""
     n_steps = len(block.times) - 1
-    # the step of each state column: plus_eighth, ball_exit (the terminal step
-    # for a path that stays in the ball), terminal
-    steps = np.column_stack([block.stop_step, np.full(block.n_paths, n_steps)])
-    steps[steps < 0] = n_steps
+    # a path that stays in the ball keeps its terminal state at the ball_exit stop
+    steps = np.where(block.stop_step < 0, n_steps, block.stop_step)
     values = []
-    for column in _RHO_COLUMNS:
+    for column in range(len(_RHO_SPECS)):
         idx = steps[:, column]
         out = np.empty(block.n_paths)
         for k in np.unique(idx):

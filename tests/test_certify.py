@@ -370,7 +370,7 @@ def test_values_at_stops_equal_the_whole_path_reference(box, merton_problem, coa
         ens = hk.simulate_paths(merton_problem, policy, tau, xi, 2_000, n_steps, (3, 1), box,
                                 certify._stops(tau, T, n_steps, radius))
         full, states = whole_paths(merton_problem, policy, tau, xi, 2_000, n_steps, (3, 1), box)
-        assert 0 < np.mean(ens.stop_step[:, 1] >= 0) < 1
+        assert 0 < np.mean(ens.stop_step[:, 2] >= 0) < 1
         assert (full.exit_fraction > 0.0) == (box is not None)
         got = certify._values_at_stops(cand, ens)
         for rho_spec, values in zip(certify._RHO_SPECS, got):

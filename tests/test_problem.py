@@ -147,7 +147,7 @@ def test_constructor_and_document_simulate_the_same_merton_paths():
     _, doc, _ = ONE_BUILDER_CASES["merton"]
     policy = hk.constant_policy([5.0])
     paths = [
-        hk.simulate_paths(p, policy, 0.0, [1.0], 500, 20, seed=3).states
+        hk.simulate_paths(p, policy, 0.0, [1.0], 500, 20, seed=3, stops=range(21)).states
         for p in (hk.merton_problem(), specio.problem_from_spec(doc))
     ]
     np.testing.assert_array_equal(paths[0], paths[1])
