@@ -62,9 +62,10 @@ __all__ = [
 class CandidateFunction:
     """A (t, x) function proposed as a stochastic sub- or super-solution.
 
-    evaluator(t, X) must accept X of shape (n, d) and return (n,).  Sub
-    candidates carry a policy factory (tau, xi) -> FeedbackPolicy; super
-    candidates need no policy.
+    evaluator(t, X) must accept X of shape (n, d), and t either a scalar or
+    one time per row, of shape (n,), and return (n,).  Sub candidates carry a
+    policy factory (tau, xi) -> FeedbackPolicy; super candidates need no
+    policy.
     """
 
     evaluator: object
@@ -195,20 +196,12 @@ def _stops(tau, horizon, n_steps, radius):
 def _values_at_stops(candidate, block):
     """The candidate's value at each path's end rule, an (n_paths,) array per
     rule of _RHO_SPECS, for a block simulated with the stops of _stops, so
-    state column i is rule i; the paths stopping at one step are evaluated in
-    one call."""
+    state column i is rule i; one evaluator call per rule, at each path's own
+    stop time."""
     n_steps = len(block.times) - 1
     # a path that stays in the ball keeps its terminal state at the ball_exit stop
     steps = np.where(block.stop_step < 0, n_steps, block.stop_step)
-    values = []
-    for column in range(len(_RHO_SPECS)):
-        idx = steps[:, column]
-        out = np.empty(block.n_paths)
-        for k in np.unique(idx):
-            mask = idx == k
-            out[mask] = candidate.evaluator(block.times[k], block.states[mask, column, :])
-        values.append(out)
-    return values
+    return [candidate.evaluator(block.times[steps[:, i]], block.states[:, i, :]) for i in range(len(_RHO_SPECS))]
 
 
 def _martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
@@ -506,8 +499,17 @@ def constant_candidate(
 
 
 def candidate_from_solution(solution, kind: str, growth_constant: float) -> CandidateFunction:
-    """Interpolated solver value with the extracted argmax rule as companion."""
+    """Interpolated solver value with the extracted argmax rule as companion;
+    the rows of one time slice are interpolated in one call."""
     from .solver import extract_policy
 
+    def evaluator(t, X):
+        n = np.broadcast_to(solution.time_index(t), len(X))
+        out = np.empty(len(X))
+        for k in np.unique(n):
+            rows = n == k
+            out[rows] = solution.slice_at(k).interpolate(X[rows])
+        return out
+
     return companion_candidate(
-        solution.value_at, kind, growth_constant, extract_policy(solution), f"from-solution({kind})")
+        evaluator, kind, growth_constant, extract_policy(solution), f"from-solution({kind})")

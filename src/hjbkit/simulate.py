@@ -65,7 +65,7 @@ def constant_policy(u) -> FeedbackPolicy:
     u = np.atleast_1d(np.asarray(u, dtype=float))
 
     def rule(t, x):
-        return np.broadcast_to(u, (x.shape[0], u.size)).copy()
+        return np.full((x.shape[0], u.size), u)
 
     return FeedbackPolicy(rule=rule, bound=float(np.max(np.abs(u))), tag="constant")
 
@@ -76,8 +76,8 @@ def piecewise_constant_policy(breakpoints, controls) -> FeedbackPolicy:
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
 
     def rule(t, x):
-        i = int(np.clip(np.searchsorted(breakpoints, t, side="right") - 1, 0, len(controls) - 1))
-        return np.broadcast_to(controls[i], (x.shape[0], controls.shape[1])).copy()
+        i = min(max(int(np.searchsorted(breakpoints, t, side="right")) - 1, 0), len(controls) - 1)
+        return np.full((x.shape[0], controls.shape[1]), controls[i])
 
     return FeedbackPolicy(rule=rule, bound=float(np.max(np.abs(controls))), tag="piecewise-constant")
 
@@ -148,10 +148,10 @@ def _fill_noise(Z, seed) -> None:
 def _all_inside(X, lo, hi, box) -> bool:
     """Whether every row of X lies in the open domain and the closed box."""
     mins, maxs = X.min(axis=0), X.max(axis=0)
-    inside = bool(np.all(mins > lo) and np.all(maxs < hi))
+    inside = (mins > lo).all() and (maxs < hi).all()
     if box is not None:
-        inside = inside and bool(np.all(mins >= box.lo) and np.all(maxs <= box.hi))
-    return inside
+        inside = inside and (mins >= box.lo).all() and (maxs <= box.hi).all()
+    return bool(inside)
 
 
 def _blocks(problem, policy, x0, seed):
@@ -212,7 +212,7 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
     active = np.ones(n_paths, dtype=bool)
     all_active = True
     lo, hi = problem.state_domain.lo, problem.state_domain.hi
-    B = problem.control_bound
+    limit = problem.control_bound + 1e-9
     # the two rows, and read-only views of them for the policy, the coefficients and the predicates
     rows = (X0.copy(), np.empty_like(X0))
     views = tuple(r.view() for r in rows)
@@ -229,7 +229,7 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
                 if hit.any():
                     np.copyto(kept[i], X, where=hit[:, None])
                     stop_step[i, hit] = n
-                    wait &= ~hit
+                    wait ^= hit
 
     n_steps = len(times) - 1
     for n in range(n_steps):
@@ -237,9 +237,11 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
         X, X_new = views[n % 2], rows[(n + 1) % 2]
         record(n, X)
         U = np.asarray(policy.rule(t, X), dtype=float).reshape(n_paths, -1)
-        if np.max(np.abs(U)) > B + 1e-9:
+        u_lo, u_hi = U.min(), U.max()
+        # false for a NaN control too
+        if not -limit <= u_lo <= u_hi <= limit:
             raise ValueError(
-                f"policy value exceeds the admissibility bound {B} at step {n}"
+                f"policy value is not finite or exceeds the admissibility bound {problem.control_bound} at step {n}"
             )
         if log_mode:
             # dY = (u mu - 0.5 (u sig)^2) dt + ((u sig) sqdt) Z, in this order

@@ -94,10 +94,12 @@ class SpaceTimeSolution:
     def slice_at(self, n: int) -> GridFunction:
         return GridFunction(self.grid, self.values[n])
 
-    def time_index(self, t: float) -> int:
-        """Index of the latest time node <= t, clamped to the table."""
-        n = int(np.searchsorted(self.times, t, side="right") - 1)
-        return min(max(n, 0), len(self.times) - 1)
+    def time_index(self, t):
+        """Index of the latest time node <= t, clamped to the table; an index
+        array for an array of times."""
+        n = np.searchsorted(self.times, t, side="right") - 1
+        n = np.minimum(np.maximum(n, 0), len(self.times) - 1)
+        return int(n) if n.ndim == 0 else n
 
     def value_at(self, t: float, x) -> float:
         return self.slice_at(self.time_index(t)).interpolate(x)
@@ -372,22 +374,20 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     return SpaceTimeSolution(grid, times, values, policies, meta)
 
 
-def _identity(v):
-    return v
-
-
 def _nearest_locator(axis):
     """Nearest node of `axis` to each x, ties to the left node.
 
     For a strictly increasing axis this is the rule
     j = clip(searchsorted(axis, x), 1, n - 1), then j - 1 when
-    x - axis[j-1] <= axis[j] - x.  The cell j is guessed affinely in x, or in
-    log x where that maps the nodes closer to their indices; only the points
-    whose guess misses axis[j-1] < x <= axis[j] are searched.  So the result
-    is exact on any axis, and only its speed depends on the guess.
+    x - axis[j-1] <= axis[j] - x.  The cell c of x is guessed affinely in x,
+    or in log x where that maps the nodes closer to their indices, and kept
+    when axis[c] <= x <= axis[c+1]: at a node, both cells around it give that
+    node.  Only the points outside their guessed cell are searched, so the
+    result is exact on any axis, and only its speed depends on the guess.
+    Each call returns a new index array.
     """
     n = axis.size
-    maps = [_identity] + ([np.log] if axis[0] > 0 else [])
+    maps = [np.positive] + ([np.log] if axis[0] > 0 else [])
 
     def misfit(f):
         pos = (f(axis) - f(axis[0])) * ((n - 1) / (f(axis[-1]) - f(axis[0])))
@@ -395,42 +395,62 @@ def _nearest_locator(axis):
 
     f = min(maps, key=misfit)
     f0, scale = f(axis[0]), (n - 1) / (f(axis[-1]) - f(axis[0]))
+    lower, upper = axis[:-1], axis[1:]
 
     def nearest(xs):
         # clipped into the axis before the map, since log x needs x > 0; NaN
         # goes to the last node, where searchsorted puts it.  The clipped
-        # point has the same cell and the same nearest node.
+        # point has the same nearest node.
         xc = np.maximum(xs, axis[0])
         np.fmin(xc, axis[-1], out=xc)
-        guess = f(xc) - f0      # a new array, also under the identity map
-        guess *= scale
-        j = guess.astype(np.intp)
-        j += 1
-        np.clip(j, 1, n - 1, out=j)
-        left, right = axis[j - 1], axis[j]
-        miss = np.flatnonzero((xc <= left) | (xc > right))
-        if miss.size:
-            j[miss] = np.clip(np.searchsorted(axis, xc[miss]), 1, n - 1)
-            left[miss], right[miss] = axis[j[miss] - 1], axis[j[miss]]
-        j -= (xc - left) <= (right - xc)
-        return j
+        dl = f(xc)      # the guess, then the distance to the cell's left node
+        dl -= f0
+        dl *= scale
+        np.maximum(dl, 0.0, out=dl)
+        np.minimum(dl, n - 2, out=dl)
+        c = dl.astype(np.intp)
+        # c is in range, and mode="clip" spares take its buffered copy
+        lower.take(c, out=dl, mode="clip")
+        dr = upper.take(c)
+        np.subtract(xc, dl, out=dl)
+        np.subtract(dr, xc, out=dr)
+        far = np.minimum(dl, dr) < 0.0
+        if far.any():
+            miss = np.flatnonzero(far)
+            xm = xc[miss]
+            cm = np.searchsorted(axis, xm)
+            np.clip(cm, 1, n - 1, out=cm)
+            cm -= 1
+            c[miss] = cm
+            dl[miss] = xm - lower[cm]
+            dr[miss] = upper[cm] - xm
+        c += dl > dr
+        return c
 
     return nearest
 
 
 def extract_policy(solution: SpaceTimeSolution):
-    """Feedback rule: argmax control at the nearest node, latest time node <= t."""
+    """Feedback rule: argmax control at the nearest node, latest time node <= t.
+
+    Each call gathers its rows from the time slice of the table at one flat
+    node index per row, and returns a new (n, k) array.
+    """
     from .simulate import FeedbackPolicy
 
     policies = solution.policies
+    shape = solution.grid.shape
+    tables = np.ascontiguousarray(policies).reshape(len(policies), -1, policies.shape[-1])
     locators = [_nearest_locator(a) for a in solution.grid.axes]
     bound = float(np.max(np.abs(policies)))
 
     def rule(t, x):
-        n = solution.time_index(t)
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        idx = tuple(nearest(x[:, d]) for d, nearest in enumerate(locators))
-        return policies[n][idx]
+        node = locators[0](x[:, 0])
+        for d in range(1, len(shape)):
+            node *= shape[d]
+            node += locators[d](x[:, d])
+        return tables[solution.time_index(t)].take(node, axis=0)
 
     return FeedbackPolicy(rule=rule, bound=bound, tag="grid-table")
 

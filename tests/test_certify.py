@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hjbkit as hk
-from hjbkit import certify
+from hjbkit import certify, specio
 from hjbkit.certify import (
     AdversaryConfig,
     BracketConfig,
@@ -376,6 +376,60 @@ def test_values_at_stops_equal_the_whole_path_reference(box, merton_problem, coa
         for rho_spec, values in zip(certify._RHO_SPECS, got):
             want = tensor_values_at_stops(cand, full.times, states, rho_spec, tau, T, xi, radius)
             assert np.array_equal(values, want)
+
+
+def _per_path_candidate(kind, solution, tmp_path):
+    if kind == "closed-form":
+        return merton_candidate("sub")
+    if kind == "constant":
+        return constant_candidate(1.5, "super", 2.0)
+    if kind == "grid-table":
+        grid = hk.log_grid(0.2, 5.0, 33)
+        (tmp_path / "g.csv").write_text(hk.GridFunction(grid, np.sqrt(grid.axes[0])).to_csv())
+        return specio.candidate_from_spec({"kind": "grid-table", "csv": "g.csv", "side": "sub",
+                                           "growth_constant": 2.0}, str(tmp_path))
+    if kind == "from-solution":
+        return candidate_from_solution(solution, "sub", 10.0)
+    if kind == "lattice_max":
+        return lattice_max(merton_candidate("sub"), candidate_from_solution(solution, "sub", 10.0))
+    return lattice_min(merton_candidate("super", exponent_shift=0.01), candidate_from_solution(solution, "super", 10.0))
+
+
+@pytest.mark.parametrize("kind", ["closed-form", "constant", "grid-table", "from-solution", "lattice_max",
+                                  "lattice_min"])
+def test_per_path_times_equal_one_scalar_time_per_row(kind, coarse_merton_solution, tmp_path):
+    """evaluator(t, X) with one time per row gives, row by row, the bits of a
+    call with that row's time as a scalar; the times include the solution's
+    time nodes, which pick the slice on either side."""
+    cand = _per_path_candidate(kind, coarse_merton_solution, tmp_path)
+    rng = np.random.default_rng(21)
+    X = rng.uniform(0.3, 4.0, (2_000, 1))
+    t = rng.choice(np.concatenate([np.linspace(0.0, 1.0, 49), coarse_merton_solution.times]), len(X))
+    got = np.asarray(cand.evaluator(t, X), dtype=float)
+    want = np.array([cand.evaluator(s, X[k:k + 1])[0] for k, s in enumerate(t)])
+    assert got.shape == (len(X),)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_values_at_stops_makes_one_evaluator_call_per_end_rule(merton_problem):
+    base = merton_candidate("sub")
+    calls = []
+
+    def counting(t, X):
+        calls.append((np.shape(t), X.shape))
+        return base.evaluator(t, X)
+
+    cand = replace(base, evaluator=counting)
+    T, n_steps, n_paths = merton_problem.horizon, 24, 500
+    starts = np.array([[0.8], [1.2], [1.7]])
+    ens = hk.simulate_paths(merton_problem, [base.policy_factory(0.0, xi) for xi in starts], 0.0, starts,
+                            n_paths, n_steps, [(5, s) for s in range(3)], None, certify._stops(0.0, T, n_steps, 0.3))
+    for block in ens.blocks():
+        # the ball exits spread over many steps, one evaluator call each before
+        assert len(np.unique(block.stop_step[:, 2])) > 3
+        calls.clear()
+        certify._values_at_stops(cand, block)
+        assert calls == [((n_paths,), (n_paths, 1))] * len(certify._RHO_SPECS)
 
 
 def test_bracket_shared_draw_equals_one_draw_per_policy(merton_problem, coarse_merton_solution, monkeypatch):

@@ -864,6 +864,20 @@ def test_certify_manifest_count_below_one_exits_2(tmp_path, capsys, key, field):
     assert not (tmp_path / "out" / "r.json").exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_simulate_non_finite_control_exits_2(tmp_path, capsys, value):
+    """A NaN control once passed the bound check, froze every path at step 0 and
+    reported mean 1.0 with exit 0."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    pol = tmp_path / "pol.json"
+    pol.write_text(f'{{"kind": "constant", "value": [{value}]}}')
+    assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", str(pol),
+                 "--x0", "1.0", "--paths", "100", "--steps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "not finite or exceeds the admissibility bound" in err
+    assert not (tmp_path / "ensemble-summary.json").exists()
+
+
 def test_simulate_start_with_the_wrong_coordinate_count_exits_2(tmp_path, monkeypatch, capsys):
     """--x0 1.0 2.0 on a 1-D problem used to die in a numpy broadcast."""
     monkeypatch.setattr("hjbkit.simulate._euler", _raise(AssertionError("a path was stepped")))

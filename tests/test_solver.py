@@ -478,17 +478,36 @@ def locator_axes(draw):
 
 
 def _locator_queries(axis, extra):
+    """The nodes and the float midpoints of the axis, one float either side of
+    each, points outside the axis, +-inf and NaN."""
     span = axis[-1] - axis[0]
     edges = [axis[0] - span, axis[0] - 1e-9, axis[-1] + 1e-9, axis[-1] + span,
              -np.inf, np.inf, np.nan, 0.0, -0.0, -1.0]
+    points = np.concatenate([axis, 0.5 * (axis[1:] + axis[:-1])])
     return np.concatenate([
-        axis,
-        0.5 * (axis[1:] + axis[:-1]),
-        np.nextafter(axis, -np.inf),
-        np.nextafter(axis, np.inf),
+        points,
+        np.nextafter(points, -np.inf),
+        np.nextafter(points, np.inf),
         edges,
         axis[0] + span * np.asarray(extra),
     ])
+
+
+def _graded_axis(lo, n, seed):
+    """An axis from lo whose spacings run from 1e-6 to 0.8, both ends included."""
+    rng = np.random.default_rng(seed)
+    steps = 10.0 ** rng.uniform(-6.0, math.log10(0.8), n - 1)
+    steps[:2] = 1e-6, 0.8
+    rng.shuffle(steps)
+    return lo + np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _random_table(axes, n_times, bound, seed):
+    """A SpaceTimeSolution on the axes whose policy table holds uniform draws in [-bound, bound]."""
+    grid = hk.SpatialGrid(tuple(axes))
+    shape = (n_times, *grid.shape)
+    policies = np.random.default_rng(seed).uniform(-bound, bound, (*shape, 1 + (len(axes) > 1)))
+    return hk.SpaceTimeSolution(grid, np.linspace(0.0, 1.0, n_times), np.zeros(shape), policies)
 
 
 class TestNearestLocator:
@@ -510,6 +529,61 @@ class TestNearestLocator:
         xs = np.random.default_rng(1).uniform(axis[0] - 1.0, axis[-1] + 1.0, 20_000)
         xs = np.concatenate([xs, _locator_queries(axis, [])])
         np.testing.assert_array_equal(_nearest_locator(axis)(xs), _searchsorted_nearest(axis, xs))
+
+    @pytest.mark.parametrize("lo", [-0.3, 1e-3], ids=["affine", "positive"])
+    def test_equals_the_searchsorted_rule_on_a_graded_axis(self, lo):
+        axis = _graded_axis(lo, 60, 5)
+        xs = _locator_queries(axis, [])
+        np.testing.assert_array_equal(_nearest_locator(axis)(xs), _searchsorted_nearest(axis, xs))
+
+    def test_interleaved_row_counts_leave_earlier_results_alone(self):
+        """Calls of 1, 4,166 and 30,000 rows in turn: each result is the
+        searchsorted rule's, and no later call writes into an earlier result."""
+        rng = np.random.default_rng(6)
+        axes = (_graded_axis(-0.3, 40, 7), np.geomspace(0.5, 4.0, 25))
+        sol = _random_table(axes, 3, 1.0, 8)
+        rule = hk.extract_policy(sol).rule
+        locator = _nearest_locator(axes[0])
+        pools = [_locator_queries(a, []) for a in axes]
+        calls = []
+        for size in (30_000, 1, 4_166, 30_000, 4_166, 1, 1, 30_000):
+            x = np.column_stack([rng.choice(pool, size) for pool in pools])
+            t = rng.choice(sol.times)
+            node, u = locator(x[:, 0]), rule(t, x)
+            i, j = (_searchsorted_nearest(a, x[:, d]) for d, a in enumerate(axes))
+            np.testing.assert_array_equal(node, i)
+            np.testing.assert_array_equal(u, sol.policies[sol.time_index(t)][i, j])
+            calls.append((node, u, node.copy(), u.copy()))
+        for node, u, node_then, u_then in calls:
+            np.testing.assert_array_equal(node, node_then)
+            np.testing.assert_array_equal(u, u_then)
+
+    @pytest.mark.parametrize("case", ["log", "generic"])
+    def test_simulation_equals_the_searchsorted_table(self, case, merton_problem):
+        """simulate_paths under the grid-table rule, and under the same table read
+        through the searchsorted rule, give the same bits, a predicate stop included."""
+        if case == "log":
+            problem, axis, x0, box = merton_problem, np.geomspace(0.2, 5.0, 60), [1.0], (0.6, 1.6)
+        else:
+            problem, axis, x0, box = (hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0),
+                                      _graded_axis(-2.0, 60, 9), [0.3], (-0.2, 0.8))
+        sol = _random_table([axis], 11, problem.control_bound, 10)
+
+        def searchsorted_rule(t, x):
+            return sol.policies[sol.time_index(t)][_searchsorted_nearest(axis, x[:, 0])]
+
+        def left_box(X, X0):
+            return (X[:, 0] < box[0]) | (X[:, 0] > box[1])
+
+        got, want = (
+            hk.simulate_paths(problem, policy, 0.0, x0, 5_000, 40, 3, stops=(left_box, 20))
+            for policy in (hk.extract_policy(sol), hk.FeedbackPolicy(searchsorted_rule, problem.control_bound))
+        )
+        assert got.log_coordinates == (case == "log")
+        assert 0.0 < np.mean(got.stop_step[:, 0] >= 0) < 1.0
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.exit_step, want.exit_step)
+        assert np.array_equal(got.stop_step, want.stop_step)
 
     def test_grid_table_rule_reads_the_nearest_node(self):
         # a 2-D table on one uniform and one geometric axis, read at random points
