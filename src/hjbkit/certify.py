@@ -188,7 +188,7 @@ def _stops(tau, horizon, n_steps, radius):
     plus_eighth = int(round((rho - tau) / (times[-1] - times[0]) * n_steps))
 
     def ball_exit(X, X0):
-        return np.max(np.abs(X - X0), axis=1) > radius
+        return (np.abs(X - X0) > radius).any(axis=1)
 
     return plus_eighth, n_steps, ball_exit
 

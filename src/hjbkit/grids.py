@@ -4,8 +4,11 @@ A SpatialGrid is the product of per-dimension node arrays inside a truncation
 box; a GridFunction attaches one real value per node.  These are the currency
 passed between the face-lift, the solver and the file formats.  AxisStencil is
 the one 3-point non-uniform stencil: the solver's step weights and the
-face-lift constraint G_h both difference with it, and solve_tridiagonal is
-the one tridiagonal solve.
+face-lift constraint G_h both difference with it.  The one tridiagonal solve
+is split in two: tridiagonal_elimination factors the rows once, and
+tridiagonal_substitution solves them for a right-hand side, so a caller
+whose rows repeat (the solver's Howard iteration) eliminates only when they
+change; solve_tridiagonal runs both.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ class AxisStencil:
         return (v[2:] - v[:-2]) / (self.hm + self.hp)
 
     def second(self, v):
-        return 2.0 * (v[:-2] / self.dm - v[1:-1] / self.d0 + v[2:] / self.dp)
+        """The second difference in difference form, exactly 0 on a constant."""
+        centre = v[1:-1]
+        return 2.0 * ((v[:-2] - centre) / self.dm + (v[2:] - centre) / self.dp)
 
     def weights(self, b, s2):
         """Coefficients (wm, w0, wp) of v[i-1], v[i], v[i+1] in  b v' + 1/2 s2 v''.
@@ -77,26 +82,52 @@ class AxisStencil:
         m[-1] = m[-2]
 
 
-def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve the tridiagonal system  lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1] = rhs[i].
+def tridiagonal_elimination(lower, diag, upper):
+    """The Thomas elimination of the rows  lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1].
 
-    lower[0] and upper[-1] are not read.  Thomas elimination without pivoting,
-    on Python floats (faster than numpy element access for one line); it is
-    stable for the diagonally dominant rows the solver and the face-lift build.
+    lower[0] and upper[-1] are not read.  No pivoting: it is stable for the
+    diagonally dominant rows the solver and the face-lift build.  Returns the
+    pivots and the multipliers as Python lists, laid out for
+    tridiagonal_substitution; one elimination serves any number of
+    right-hand sides.
     """
-    a, b, c, d = (np.asarray(z, dtype=float).tolist() for z in (lower, diag, upper, rhs))
-    n = len(b)
-    cp = [0.0] * n
-    dp = [0.0] * n
+    a, b, c = (np.asarray(z, dtype=float).tolist() for z in (lower, diag, upper))
     beta = b[0]
-    dp[0] = d[0] / beta
-    for i in range(1, n):
-        cp[i - 1] = c[i - 1] / beta
-        beta = b[i] - a[i] * cp[i - 1]
-        dp[i] = (d[i] - a[i] * dp[i - 1]) / beta
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return np.array(dp)
+    pivots = [beta]
+    ratios = []
+    for ai, bi, ci in zip(a[1:], b[1:], c):
+        r = ci / beta
+        beta = bi - ai * r
+        ratios.append(r)
+        pivots.append(beta)
+    ratios.reverse()
+    return a[1:], pivots, ratios
+
+
+def tridiagonal_substitution(elimination, rhs) -> np.ndarray:
+    """The solution of the eliminated rows for one right-hand side: forward,
+    then back substitution, on Python floats (faster than numpy element access
+    for one line)."""
+    lower, pivots, ratios = elimination
+    d = np.asarray(rhs, dtype=float).tolist()
+    y = d[0] / pivots[0]
+    forward = [y]
+    for di, ai, bi in zip(d[1:], lower, pivots[1:]):
+        y = (di - ai * y) / bi
+        forward.append(y)
+    forward.pop()
+    u = [y]
+    for yi, ri in zip(reversed(forward), ratios):
+        y = yi - ri * y
+        u.append(y)
+    u.reverse()
+    return np.array(u)
+
+
+def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the tridiagonal system  lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1] = rhs[i]:
+    tridiagonal_elimination, then tridiagonal_substitution."""
+    return tridiagonal_substitution(tridiagonal_elimination(lower, diag, upper), rhs)
 
 
 @dataclass(frozen=True)

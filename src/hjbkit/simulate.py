@@ -46,8 +46,10 @@ __all__ = [
 class FeedbackPolicy:
     """Bounded measurable control rule u(t, x).
 
-    rule(t, X) must accept X of shape (n, d) and return (n, k); bound is the
-    declared sup-norm bound on the values.
+    rule(t, X) must accept X of shape (n, d) and return (n, k), or (1, k)
+    when the control does not depend on x, one row for every state; bound is
+    the declared sup-norm bound on the values.  Calling the policy broadcasts
+    a one-row rule to (n, k).
     """
 
     rule: object
@@ -56,28 +58,38 @@ class FeedbackPolicy:
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        vals = np.asarray(self.rule(t, np.atleast_2d(x)), dtype=float)
-        return vals[0] if single else vals
+        X = np.atleast_2d(x)
+        vals = np.asarray(self.rule(t, X), dtype=float)
+        if vals.shape[:1] == (1,):
+            vals = np.broadcast_to(vals, X.shape[:1] + vals.shape[1:])
+        return vals[0] if x.ndim == 1 else vals
+
+
+def _read_only_rows(a) -> np.ndarray:
+    rows = np.array(a, dtype=float, ndmin=2)
+    rows.flags.writeable = False
+    return rows
 
 
 def constant_policy(u) -> FeedbackPolicy:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    """The control u at every state and time; its rule returns the one row (1, k)."""
+    row = _read_only_rows(u)
 
     def rule(t, x):
-        return np.full((x.shape[0], u.size), u)
+        return row
 
-    return FeedbackPolicy(rule=rule, bound=float(np.max(np.abs(u))), tag="constant")
+    return FeedbackPolicy(rule=rule, bound=float(np.max(np.abs(row))), tag="constant")
 
 
 def piecewise_constant_policy(breakpoints, controls) -> FeedbackPolicy:
-    """Time-staircase policy: controls[i] on [breakpoints[i], breakpoints[i+1])."""
+    """Time-staircase policy: controls[i] on [breakpoints[i], breakpoints[i+1]);
+    its rule returns the one row (1, k) of the current step."""
     breakpoints = np.asarray(breakpoints, dtype=float)
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    controls = _read_only_rows(controls)
 
     def rule(t, x):
         i = min(max(int(np.searchsorted(breakpoints, t, side="right")) - 1, 0), len(controls) - 1)
-        return np.full((x.shape[0], controls.shape[1]), controls[i])
+        return controls[i:i + 1]
 
     return FeedbackPolicy(rule=rule, bound=float(np.max(np.abs(controls))), tag="piecewise-constant")
 
@@ -134,15 +146,17 @@ def _fill_noise(Z, seed) -> None:
     """Z[:] = the (n_paths, n_steps, d') standard normal draw of `seed`, for Z of
     shape (n_steps, n_paths, d').
 
-    Drawn a block of paths at a time, so path p still consumes row p's counter
-    block; transposing the whole draw at once would hold a second noise-sized
-    array.
+    Drawn a block of paths at a time into one reused chunk buffer, so path p
+    still consumes row p's counter block; transposing the whole draw at once
+    would hold a second noise-sized array.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     n_steps, n_paths, dprime = Z.shape
+    chunk = np.empty((min(_NOISE_CHUNK, n_paths), n_steps, dprime))
     for a in range(0, n_paths, _NOISE_CHUNK):
         b = min(a + _NOISE_CHUNK, n_paths)
-        Z[:, a:b] = rng.standard_normal((b - a, n_steps, dprime)).transpose(1, 0, 2)
+        block = rng.standard_normal(out=chunk[:b - a])
+        Z[:, a:b] = block.transpose(1, 0, 2)
 
 
 def _all_inside(X, lo, hi, box) -> bool:
@@ -236,7 +250,8 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
         t = times[n]
         X, X_new = views[n % 2], rows[(n + 1) % 2]
         record(n, X)
-        U = np.asarray(policy.rule(t, X), dtype=float).reshape(n_paths, -1)
+        U = np.asarray(policy.rule(t, X), dtype=float)
+        U = U.reshape(1 if U.shape[:1] == (1,) else n_paths, -1)
         u_lo, u_hi = U.min(), U.max()
         # false for a NaN control too
         if not -limit <= u_lo <= u_hi <= limit:
@@ -244,20 +259,24 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
                 f"policy value is not finite or exceeds the admissibility bound {problem.control_bound} at step {n}"
             )
         if log_mode:
-            # dY = (u mu - 0.5 (u sig)^2) dt + ((u sig) sqdt) Z, in this order
+            # dY = (u mu - 0.5 (u sig)^2) dt + ((u sig) sqdt) Z, in this order;
+            # the coefficients are worked out on U's rows, one when the policy
+            # does not depend on x, and sq then holds the step
             u = U[:, 0]
-            np.multiply(u, mu, out=drift)
-            np.multiply(u, sig, out=vol)
-            np.square(vol, out=sq)
-            sq *= 0.5
-            drift -= sq
-            drift *= dt
-            vol *= sqdt
-            vol *= Z[n, :, 0]
-            drift += vol
-            np.exp(drift, out=drift)
-            np.multiply(X[:, 0], drift, out=X_new[:, 0])
+            drift_u, vol_u, sq_u = drift[:u.size], vol[:u.size], sq[:u.size]
+            np.multiply(u, mu, out=drift_u)
+            np.multiply(u, sig, out=vol_u)
+            np.square(vol_u, out=sq_u)
+            sq_u *= 0.5
+            drift_u -= sq_u
+            drift_u *= dt
+            vol_u *= sqdt
+            np.multiply(Z[n, :, 0], vol_u, out=sq)
+            sq += drift_u
+            np.exp(sq, out=sq)
+            np.multiply(X[:, 0], sq, out=X_new[:, 0])
         else:
+            U = np.broadcast_to(U, (n_paths, U.shape[1]))
             b = np.asarray(problem.drift(t, X, U), dtype=float).reshape(n_paths, d)
             s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(n_paths, d, dprime)
             np.add(X + b * dt, np.einsum("nij,nj->ni", s, sqdt * Z[n]), out=X_new)

@@ -5,8 +5,11 @@ Backward in time from the terminal slice, with the generator
     L^u v  = b(t,x,u) . D_h v + 1/2 Tr(sigma sigma^T D2_h v),
 
 the drift always upwinded by its sign and the diffusion on central (3-point,
-non-uniform) stencils, all taken from grids.AxisStencil.  The step rule
-follows the grid's dimension:
+non-uniform) stencils, all taken from grids.AxisStencil.  It is evaluated in
+difference form, the sum over the axes of  wm (v[i-1] - v[i]) + wp (v[i+1] - v[i]),
+two products and one add per axis; the centre weight is -(wm + wp), so every
+row sums to zero as written and a constant slice gives exactly 0.  The step
+rule follows the grid's dimension:
 
 - 1-D grids step fully implicitly, one step per output interval (or per
   internal step of a given dt):
@@ -17,7 +20,9 @@ follows the grid's dimension:
   the step is monotone with no CFL bound.  Howard's policy iteration solves
   the max, one Thomas solve per iteration, warm-started from the argmax
   policy of the previous slice (Forsyth & Labahn, J. Comp. Finance 2007;
-  Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).
+  Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).  The last
+  elimination is kept and reused while the weights, dt and policy are the
+  same, so most steps start with a substitution alone.
 - 2-D grids step explicitly,  v(t_n) = v(t_{n+1}) + dt * max_u  L^u v(t_{n+1}),
   and the diffusion must be diagonal.  Each output interval is subdivided
   until the CFL bound is met at every output time (an explicitly supplied dt
@@ -42,7 +47,14 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, NumericalError
 from .facelift import _SWITCH_ULPS, _constraint_on_grid, _second_difference_axes, upper_hull_indices
-from .grids import AxisStencil, GridFunction, SpatialGrid, solve_tridiagonal, write_grid_csv
+from .grids import (
+    AxisStencil,
+    GridFunction,
+    SpatialGrid,
+    tridiagonal_elimination,
+    tridiagonal_substitution,
+    write_grid_csv,
+)
 
 __all__ = [
     "SchemeConfig",
@@ -159,9 +171,14 @@ class _Stepper:
         self.lower = [self.core[:d] + (slice(None, -2),) + self.core[d + 1 :] for d in range(dim)]
         self.upper = [self.core[:d] + (slice(2, None),) + self.core[d + 1 :] for d in range(dim)]
         self.buf = np.empty((controls.shape[0],) + tuple(n - 2 for n in grid.shape))
+        self.scratch = np.empty_like(self.buf)
         self._cache = None
+        self._eliminated = None   # (weights, dt, policy, elimination) of the last Howard solve
 
     def weights(self, t):
+        """(w0, ((wm, wp) per axis)): the stencil weights per control and
+        interior node, w0 = -(the sum of wm + wp over the axes) the centre
+        weight, so every row of L^u sums to zero."""
         if self._cache is not None and not self.problem.time_dependent:
             return self._cache
         shape = self.buf.shape
@@ -171,23 +188,28 @@ class _Stepper:
             raise ConfigurationError("2-D solver supports diagonal diffusion only")
         neigh = []
         for d, stencil in enumerate(self.stencils):
-            wm, w0_d, wp = stencil.weights(b[..., d].reshape(shape), sst[..., d, d].reshape(shape))
-            w0 = w0_d if d == 0 else w0 + w0_d
+            wm, _, wp = stencil.weights(b[..., d].reshape(shape), sst[..., d, d].reshape(shape))
+            off = wm + wp if d == 0 else off + wm + wp
             neigh.append((wm, wp))
-        w = (w0, neigh)
+        w = (np.negative(off, out=off), neigh)
         if not self.problem.time_dependent:
             self._cache = w
         return w
 
     def rate(self, t):
-        return float(np.max(-self.weights(t)[0]))
+        return -float(np.min(self.weights(t)[0]))
 
     def _generator(self, v, w, out):
-        w0, neigh = w
-        np.multiply(w0, v[self.core], out=out)
-        for (wm, wp), lo, hi in zip(neigh, self.lower, self.upper):
-            out += wm * v[lo]
-            out += wp * v[hi]
+        """L^u v at the interior nodes, one row per control, in difference form:
+        the sum over the axes of  wm (v[i-1] - v[i]) + wp (v[i+1] - v[i]),
+        so a constant v gives exactly 0."""
+        centre = v[self.core]
+        for d, ((wm, wp), lo, hi) in enumerate(zip(w[1], self.lower, self.upper)):
+            if d == 0:
+                np.multiply(wm, v[lo] - centre, out=out)
+            else:
+                out += np.multiply(wm, v[lo] - centre, out=self.scratch)
+            out += np.multiply(wp, v[hi] - centre, out=self.scratch)
         return out
 
     def step(self, v, t, dt):
@@ -199,7 +221,7 @@ class _Stepper:
         """
         w = self.weights(t)
         if self.problem.time_dependent:
-            rate = float(np.max(-w[0]))
+            rate = -float(np.min(w[0]))
             if dt * rate > 1.0 + _CFL_SLACK:
                 raise ConfigurationError(
                     f"the CFL bound fails between output times: at t={t:g} the step needs "
@@ -226,14 +248,16 @@ class _Stepper:
         w = self.weights(t)
         w0, ((wm, wp),) = w
         cols = np.arange(w0.shape[1])
-        margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * float(np.max(-w0)))
+        margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 - 2.0 * dt * float(np.min(w0)))
         full = np.array(v, dtype=float)
+        centre = v[1:-1]
+        down, up = v[:-2] - centre, v[2:] - centre
         for iteration in range(1, _HOWARD_MAX_ITERS + 1):
-            centre, lower, upper = w0[policy, cols], wm[policy, cols], wp[policy, cols]
+            lower, upper = wm[policy, cols], wp[policy, cols]
             # solve for the increment w - v (zero on the edges): a slice with
             # L^u v = 0 exactly, a constant say, then stays bitwise unchanged
-            rhs = dt * (centre * v[1:-1] + lower * v[:-2] + upper * v[2:])
-            full[1:-1] = v[1:-1] + solve_tridiagonal(-dt * lower, 1.0 - dt * centre, -dt * upper, rhs)
+            rhs = dt * (lower * down + upper * up)
+            full[1:-1] = centre + tridiagonal_substitution(self._elimination(w, dt, policy, lower, upper), rhs)
             gen = self._generator(full, w, self.buf)
             best = np.argmax(gen, axis=0)
             switch = dt * (gen[best, cols] - gen[policy, cols]) > margin
@@ -244,6 +268,19 @@ class _Stepper:
             f"Howard policy iteration did not converge in {_HOWARD_MAX_ITERS} iterations at t={t:g}",
             last_iterate=full,
         )
+
+    def _elimination(self, w, dt, policy, lower, upper):
+        """The elimination of the rows of I - dt L^policy, lower and upper the
+        policy's wm and wp.  The last one is kept with the weights object it
+        was built from, held so that its identity stays unique, with dt and
+        with the policy, and it is reused when all three match: most steps
+        start from the previous step's final policy."""
+        last = self._eliminated
+        if last is not None and last[0] is w and last[1] == dt and np.array_equal(last[2], policy):
+            return last[3]
+        elimination = tridiagonal_elimination(-dt * lower, 1.0 + dt * (lower + upper), -dt * upper)
+        self._eliminated = (w, dt, policy.copy(), elimination)
+        return elimination
 
     def argmax(self, v, t):
         """Argmax control index per interior node, the first of tied controls."""

@@ -378,6 +378,25 @@ def test_values_at_stops_equal_the_whole_path_reference(box, merton_problem, coa
             assert np.array_equal(values, want)
 
 
+def test_ball_exit_of_a_two_d_battery_equals_the_max_norm_form():
+    """The certifier's ball_exit, (|X - X0| > radius).any(axis=1), stops each
+    path of a 2-D battery at the step of the max-norm form it replaced."""
+    problem = hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]])
+    tau, n_steps, radius = 0.25, 24, 0.3
+    stops = certify._stops(tau, problem.horizon, n_steps, radius)
+
+    def max_norm_exit(X, X0):
+        return np.max(np.abs(X - X0), axis=1) > radius
+
+    args = (problem, constant_policy([0.0]), tau, [[0.1, 0.2], [-0.3, 0.0], [0.4, -0.2]], 2_000, n_steps,
+            [(5, i) for i in range(3)])
+    got = hk.simulate_paths(*args, stops=stops)
+    want = hk.simulate_paths(*args, stops=stops[:2] + (max_norm_exit,))
+    assert 0.0 < np.mean(got.stop_step[:, 2] >= 0) < 1.0
+    assert np.array_equal(got.stop_step, want.stop_step)
+    assert np.array_equal(got.states, want.states)
+
+
 def _per_path_candidate(kind, solution, tmp_path):
     if kind == "closed-form":
         return merton_candidate("sub")

@@ -614,12 +614,11 @@ def _reference_derivatives_1d(x, w):
     p[1:-1] = (w[2:] - w[:-2]) / (hm + hp)
     p[0] = (w[1] - w[0]) / (x[1] - x[0])
     p[-1] = (w[-1] - w[-2]) / (x[-1] - x[-2])
-    m[1:-1] = 2.0 * (
-        w[:-2] / (hm * (hm + hp)) - w[1:-1] / (hm * hp) + w[2:] / (hp * (hm + hp))
-    )
+    # the second difference in difference form, so a constant gives exactly 0
+    m[1:-1] = 2.0 * ((w[:-2] - w[1:-1]) / (hm * (hm + hp)) + (w[2:] - w[1:-1]) / (hp * (hm + hp)))
     for k, (i0, i1, i2) in ((0, (0, 1, 2)), (-1, (-3, -2, -1))):
         h0, h1 = x[i1] - x[i0], x[i2] - x[i1]
-        m[k] = 2.0 * (w[i0] / (h0 * (h0 + h1)) - w[i1] / (h0 * h1) + w[i2] / (h1 * (h0 + h1)))
+        m[k] = 2.0 * ((w[i0] - w[i1]) / (h0 * (h0 + h1)) + (w[i2] - w[i1]) / (h1 * (h0 + h1)))
     return p, m
 
 

@@ -97,3 +97,36 @@ def test_tridiagonal_solve_equals_dense_solve(n, seed, dominance):
     expected = np.linalg.solve(dense, rhs)
     got = hk.grids.solve_tridiagonal(lower, diag, upper, rhs)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _thomas_reference(lower, diag, upper, rhs):
+    """The one-pass Thomas loop that the elimination and substitution split."""
+    a, b, c, d = (np.asarray(z, dtype=float).tolist() for z in (lower, diag, upper, rhs))
+    n = len(b)
+    cp = [0.0] * n
+    dp = [0.0] * n
+    beta = b[0]
+    dp[0] = d[0] / beta
+    for i in range(1, n):
+        cp[i - 1] = c[i - 1] / beta
+        beta = b[i] - a[i] * cp[i - 1]
+        dp[i] = (d[i] - a[i] * dp[i - 1]) / beta
+    for i in range(n - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
+    return np.array(dp)
+
+
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(1e-3, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_elimination_then_substitution_is_the_thomas_loop_bitwise(n, seed, dominance):
+    """One elimination serves several right-hand sides, each with the bits of the
+    one-pass loop, and solve_tridiagonal has them too."""
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.uniform(-1.0, 1.0, (2, n))
+    diag = rng.choice([-1.0, 1.0], n) * (np.abs(lower) + np.abs(upper) + dominance * rng.uniform(0.1, 1.0, n))
+    elimination = hk.grids.tridiagonal_elimination(lower, diag, upper)
+    for _ in range(3):
+        rhs = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        want = _thomas_reference(lower, diag, upper, rhs).view(np.uint64)
+        assert np.array_equal(hk.grids.tridiagonal_substitution(elimination, rhs).view(np.uint64), want)
+        assert np.array_equal(hk.grids.solve_tridiagonal(lower, diag, upper, rhs).view(np.uint64), want)

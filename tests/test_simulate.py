@@ -101,7 +101,7 @@ def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed, simulation
     X = np.broadcast_to(x0, (n_paths, d)).copy()
     for n in range(n_steps):
         t = times[n]
-        U = np.asarray(policy.rule(t, X), dtype=float).reshape(n_paths, -1)
+        U = policy(t, X)
         if log_mode:
             u = U[:, 0]
             dY = (u * mu - 0.5 * (u * sig) ** 2) * dt + u * sig * sqdt * Z[:, n, 0]
@@ -379,6 +379,33 @@ class TestOptimizePolicy:
 
 
 class TestPolicies:
+    def test_x_independent_policies_return_one_row(self):
+        """The rule of a control that does not depend on x returns one row;
+        calling the policy broadcasts it to one row per state."""
+        X = np.zeros((7, 1))
+        const = constant_policy([1.0, -2.0])
+        assert const.rule(0.0, X).shape == (1, 2)
+        assert np.array_equal(const(0.0, X), np.tile([1.0, -2.0], (7, 1)))
+        assert np.array_equal(const(0.0, [0.3]), [1.0, -2.0])
+        stairs = piecewise_constant_policy([0.0, 0.5], [[1.0], [-1.0]])
+        assert stairs.rule(0.7, X).shape == (1, 1)
+        assert np.array_equal(stairs(0.7, X), np.full((7, 1), -1.0))
+
+    @pytest.mark.parametrize("case", ["log", "generic"])
+    def test_one_row_rule_simulates_as_its_full_rows(self, case, merton_problem):
+        """A one-row rule gives the bits of the same rule with a row per path,
+        in the log-coordinate step and in the generic step."""
+        if case == "log":
+            problem, x0, box = merton_problem, [1.0], hk.Box([0.93], [1.08])
+        else:
+            problem, x0, box = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0), [0.2], hk.Box([-0.4], [0.6])
+        stairs = piecewise_constant_policy([0.0, 0.3, 0.6], [[0.8], [-0.5], [0.3]])
+        rows = FeedbackPolicy(lambda t, x: np.repeat(stairs.rule(t, x), x.shape[0], axis=0), 0.8)
+        one, full = (hk.simulate_paths(problem, pol, 0.0, x0, 500, 20, 3, box, stops=(5, 12)) for pol in (stairs, rows))
+        assert 0.0 < one.exit_fraction < 1.0
+        for a, b in ((one.states, full.states), (one.exit_step, full.exit_step)):
+            assert np.array_equal(a, b)
+
     def test_piecewise_constant_switches(self):
         pol = piecewise_constant_policy([0.0, 0.5], [[1.0], [-1.0]])
         assert pol(0.2, [0.0])[0] == 1.0

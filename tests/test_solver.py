@@ -16,6 +16,7 @@ from hjbkit.problem import (
     ControlSet,
     abs_payoff,
     constant_payoff,
+    neg_trace_constraint,
     one_plus_square_gauge,
     positive_constraint,
 )
@@ -56,9 +57,20 @@ class TestDiscreteGenerator:
         assert np.max(np.abs(lv - 1.5**2)) < 1e-11
 
     def test_constant_slice_vanishes(self, merton_problem):
+        """The difference form sums wm (v[i-1] - v[i]) + wp (v[i+1] - v[i]), so
+        L^u of a constant is 0 exactly, not at rounding level: on a short log
+        grid, on the A2 grid for its 201 controls, and on a graded 2-D grid with drift."""
         x = np.geomspace(0.5, 2.0, 17)
-        lv = interior_generator(merton_problem, [3.0], gf(x, np.full(17, 4.0)), 0.3)
-        assert np.max(np.abs(lv)) < 1e-12
+        assert not np.any(interior_generator(merton_problem, [3.0], gf(x, np.full(17, 4.0)), 0.3))
+        grid = hk.log_grid(0.2, 5.0, 400)
+        stepper = _Stepper(merton_problem, grid, merton_problem.control_grid(201))
+        for c in (3.7, 1.0, -2.5):
+            assert not np.any(stepper._generator(np.full(400, c), stepper.weights(0.3), np.empty_like(stepper.buf)))
+        prob = hk.constant_coefficient_problem([0.7, -0.4], [[1.3, 0.0], [0.0, 0.6]])
+        graded = hk.SpatialGrid((np.geomspace(0.1, 3.0, 17), np.sinh(np.linspace(-2.0, 2.0, 13))))
+        stepper = _Stepper(prob, graded, prob.control_grid(1))
+        gen = stepper._generator(np.full(graded.shape, 3.7), stepper.weights(0.0), np.empty_like(stepper.buf))
+        assert gen.shape == (1, 15, 11) and not np.any(gen)
 
     def test_two_d_quadratic(self):
         prob = hk.heat_problem(dim=2)
@@ -103,6 +115,22 @@ class TestSolveHJB:
         term = hk.GridFunction(grid, np.full(41, 2.5))
         sol = hk.solve_hjb(prob, term, hk.SchemeConfig(n_time_nodes=21))
         assert np.max(np.abs(sol.values - 2.5)) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["project", "penalize"])
+    def test_constant_terminal_is_a_fixed_point_bitwise(self, merton_problem, mode):
+        """A constant slice has L^u v = 0 and G_h v = 0 exactly, so neither the
+        implicit step nor the constraint step moves it by a single bit."""
+        grid = hk.log_grid(0.2, 5.0, 400)
+        cfg = hk.SchemeConfig(n_time_nodes=20, control_grid_resolution=201, constraint_mode=mode)
+        sol = hk.solve_hjb(merton_problem, hk.GridFunction(grid, np.full(400, 3.7)), cfg)
+        assert np.all(sol.values == 3.7)
+
+    def test_two_d_constant_terminal_is_a_fixed_point_bitwise(self):
+        prob = dataclasses.replace(hk.heat_problem(dim=2), constraint=neg_trace_constraint())
+        grid = hk.SpatialGrid((np.geomspace(0.1, 3.0, 15), np.sinh(np.linspace(-2.0, 2.0, 13))))
+        sol = hk.solve_hjb(prob, hk.GridFunction(grid, np.full(grid.shape, 3.7)),
+                           hk.SchemeConfig(n_time_nodes=6, constraint_mode="penalize"))
+        assert np.all(sol.values == 3.7)
 
     def test_heat_equation_moment_identity(self, heat_problem):
         grid = hk.uniform_grid([-6.0], [6.0], [201])
@@ -384,6 +412,62 @@ class TestImplicitStep:
         cold, _, cold_iterations, _ = stepper.implicit_step(v, 0.9, 0.1, np.zeros(v.size - 2, dtype=int), 2.5)
         assert np.max(np.abs(warm - cold)) <= 1e-12
         assert warm_iterations <= cold_iterations
+
+
+def _count_eliminations(monkeypatch, reuse):
+    """Count the solver's tridiagonal eliminations; with reuse=False every
+    Howard iteration eliminates afresh, as if the last elimination were never kept."""
+    count = []
+    eliminate = hk.solver.tridiagonal_elimination
+
+    def counted(*args):
+        count.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(hk.solver, "tridiagonal_elimination", counted)
+    if not reuse:
+        kept = _Stepper._elimination
+
+        def fresh(self, *args):
+            self._eliminated = None
+            return kept(self, *args)
+
+        monkeypatch.setattr(_Stepper, "_elimination", fresh)
+    return count
+
+
+class TestReusedElimination:
+    """The implicit step reuses the last elimination only for the same weights
+    object, dt and policy, so reuse never changes a bit."""
+
+    def test_a2_solve_equals_the_solve_without_reuse(self, merton_problem, merton_terminal, merton_solution,
+                                                     monkeypatch):
+        count = _count_eliminations(monkeypatch, reuse=False)
+        fresh = hk.solve_hjb(merton_problem, merton_terminal,
+                             hk.SchemeConfig(n_time_nodes=200, control_grid_resolution=201))
+        assert np.array_equal(fresh.values, merton_solution.values)
+        assert np.array_equal(fresh.policies, merton_solution.policies)
+        iterations = merton_solution.metadata["howard_iterations"]
+        assert fresh.metadata["howard_iterations"] == iterations == len(count)
+        monkeypatch.undo()
+        count = _count_eliminations(monkeypatch, reuse=True)
+        hk.solve_hjb(merton_problem, merton_terminal, hk.SchemeConfig(n_time_nodes=200, control_grid_resolution=201))
+        # most steps start from the previous step's final policy
+        assert len(count) < iterations - 150
+
+    def test_time_dependent_weights_always_miss(self, merton_problem, monkeypatch):
+        problem = dataclasses.replace(merton_problem, time_dependent=True)
+        grid = hk.log_grid(0.2, 5.0, 80)
+        term = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+        cfg = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=41)
+        count = _count_eliminations(monkeypatch, reuse=True)
+        reused = hk.solve_hjb(problem, term, cfg)
+        assert len(count) == reused.metadata["howard_iterations"]
+        monkeypatch.undo()
+        _count_eliminations(monkeypatch, reuse=False)
+        fresh = hk.solve_hjb(problem, term, cfg)
+        assert np.array_equal(fresh.values, reused.values)
+        assert np.array_equal(fresh.policies, reused.policies)
 
 
 class TestTerminalLayer:
