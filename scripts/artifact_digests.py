@@ -9,7 +9,8 @@ directory and runs there:
 - the --fast pipeline spec of DIR/scripts/run_merton_pipeline.py, once per seed;
 - a fixed session on the Merton document and on a 2-D neg_trace heat
   document: facelift, solve in two constraint modes (project and penalize
-  on Merton, penalize and off in 2-D), simulate,
+  on Merton, penalize and off in 2-D), a convergence study refined in space
+  and one refined in time on Merton, a 2-D solve with a given --dt, simulate,
   certify a sub and a super candidate (and, on Merton, the solver's own
   candidate), bracket, and a --manifest replay of each of these.
 
@@ -83,15 +84,17 @@ def _write(path: str, doc) -> str:
     return path
 
 
-def _session(name, problem, grid, modes, solve_flags, policy, x0, candidates, start_box, points) -> list:
+def _session(name, problem, grid, modes, solve_flags, extra, policy, x0, candidates, start_box, points) -> list:
     """The (run directory, argv) of one document's session: a solve per
-    constraint mode, and a certify run per entry of candidates, which maps the
-    run's name to its candidate document."""
+    constraint mode, a run per entry of extra, which maps the run's name to a
+    subcommand and its flags on the document and its grid, and a certify run
+    per entry of candidates, which maps the run's name to its candidate document."""
     inp, out = f"inputs/{name}", f"out/{name}"
     prob, grid = _write(f"{inp}/prob.json", problem), _write(f"{inp}/grid.json", grid)
     runs = [(f"{out}/facelift", ["facelift", "--problem", prob, "--grid", grid])]
     runs += [(f"{out}/solve-{mode}", ["solve", "--problem", prob, "--grid", grid, "--mode", mode, *solve_flags])
              for mode in modes]
+    runs += [(f"{out}/{run}", [cmd, "--problem", prob, "--grid", grid, *flags]) for run, (cmd, *flags) in extra.items()]
     runs.append((f"{out}/simulate", ["simulate", "--problem", prob, "--policy", _write(f"{inp}/policy.json", policy),
                                       "--x0", *map(str, x0), "--paths", "20000", "--steps", "50"]))
     for run, doc in candidates.items():
@@ -110,7 +113,10 @@ def sessions(merton_problem) -> list:
                 "growth_constant": 10.0}
     merton = _session(
         "merton", merton_problem, {"box": [[0.2, 5.0]], "n": [80], "spacing": "log"}, ("project", "penalize"),
-        ["--time-nodes", "20", "--control-res", "21"], {"kind": "constant", "value": [5.0]}, [1.0],
+        ["--time-nodes", "20", "--control-res", "21"],
+        {"convergence-space": ["convergence", "--refine", "space"],
+         "convergence-time": ["convergence", "--refine", "time"]},
+        {"kind": "constant", "value": [5.0]}, [1.0],
         {"certify-sub": MERTON_SUB,
          "certify-super": dict(MERTON_SUB, side="super", params=dict(MERTON_SUB["params"], exponent_shift=0.05)),
          "certify-solver": solution},
@@ -119,7 +125,10 @@ def sessions(merton_problem) -> list:
     heat = _session(
         # projection is for 1-D grids with G = -M, so the 2-D solves penalize or ignore the constraint
         "heat2d", HEAT_2D, {"box": [[-1.0, 1.0], [-1.0, 1.0]], "n": [21, 21]}, ("penalize", "off"),
-        ["--time-nodes", "6", "--control-res", "3"], {"kind": "constant", "value": [0.0]}, [0.1, 0.2],
+        ["--time-nodes", "6", "--control-res", "3"],
+        # 25 internal steps per interval below the CFL bound's 20
+        {"solve-dt": ["solve", "--mode", "penalize", "--time-nodes", "6", "--control-res", "3", "--dt", "0.004"]},
+        {"kind": "constant", "value": [0.0]}, [0.1, 0.2],
         {"certify-sub": {"kind": "constant", "value": -1.0, "side": "sub", "growth_constant": 1.0},
          "certify-super": {"kind": "constant", "value": 10.0, "side": "super", "growth_constant": 10.0}},
         "-0.5,0.5;-0.5,0.5", "t,x0,x1\n0.0,0.1,0.2\n",

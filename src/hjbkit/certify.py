@@ -117,6 +117,11 @@ class CertifyConfig:
 
     def __post_init__(self):
         _require_at_least(self, budget=1, n_starts=1, steps_per_record=1)
+        for name in ("z", "tol"):
+            # z = inf or tol = inf would pass every margin
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ConfigurationError(f"{name} must be finite and at least 0, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -260,14 +265,9 @@ def _growth_record(candidate, problem, config):
         config.start_box.lo, config.start_box.hi, (_GROWTH_CHECK_POINTS, config.start_box.dim)
     )
     ts = rng.uniform(0.0, problem.horizon, _GROWTH_CHECK_POINTS)
-    worst = np.inf
-    for t, x in zip(ts, pts):
-        bound = candidate.growth_constant * float(problem.gauge(x[None, :])[0])
-        worst = min(worst, bound - abs(candidate(t, x)))
-    return TestRecord(
-        "growth", 0.0, "-", (), "-", float(worst), 0.0,
-        _GROWTH_CHECK_POINTS, worst >= -config.tol,
-    )
+    values = np.asarray(candidate.evaluator(ts, pts), dtype=float)
+    worst = float(np.min(candidate.growth_constant * problem.gauge(pts) - np.abs(values)))
+    return TestRecord("growth", 0.0, "-", (), "-", worst, 0.0, _GROWTH_CHECK_POINTS, worst >= -config.tol)
 
 
 def _battery(candidate, problem, config, policies, adversary_class) -> CertificationReport:

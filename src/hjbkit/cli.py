@@ -403,12 +403,16 @@ def _run_pipeline(cfg, out_dir):
     mc = BracketConfig(
         n_paths=_read(spec, "mc_paths", int, 100_000), n_steps=_read(spec, "mc_steps", int, 200), seed=seed)
     certify_solver = spec.get("certify_solver_candidate", True)
-    if certify_solver and ccfg.budget < 2:
-        # the solver candidate is certified on half the budget
-        raise ConfigurationError(
-            f"budget must be at least 2 when the solver candidate is certified, not {ccfg.budget!r}")
     solver_growth = _read(spec, "solver_growth_constant", float, 10.0)
     solver_tol = _read(spec, "solver_candidate_tol", float, 5e-3)
+    if certify_solver:
+        if ccfg.budget < 2:
+            # the solver candidate is certified on half the budget
+            raise ConfigurationError(
+                f"budget must be at least 2 when the solver candidate is certified, not {ccfg.budget!r}")
+        # stopped at the box: a stopped submartingale is still a submartingale
+        scfg = CertifyConfig(start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z, tol=solver_tol,
+                             seed=seed + 2, simulation_box=grid.box)
     report: dict = {"stages": {}}
     out = os.path.join(out_dir, spec.get("out", "pipeline-report.json"))
 
@@ -457,12 +461,6 @@ def _run_pipeline(cfg, out_dir):
         if certify_solver:
             solver_cand = candidate_from_solution(sol, "sub", growth_constant=solver_growth)
             try:
-                # stopped at the box: a stopped submartingale is still a submartingale
-                scfg = CertifyConfig(
-                    start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
-                    tol=solver_tol,
-                    seed=seed + 2, simulation_box=grid.box,
-                )
                 srep = certify_subsolution(solver_cand, problem, scfg)
                 report["solver_candidate"] = {"verdict": srep.verdict, "certified": srep.certified}
             except ValueError as exc:

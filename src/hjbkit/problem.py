@@ -144,7 +144,8 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """One stochastic optimal-control instance: maximize E[g(X_T)]."""
+    """One stochastic optimal-control instance: maximize E[g(X_T)].  The simulator
+    passes t to drift and diffusion; the solver reads them at t = 0 alone."""
 
     drift: object
     diffusion: object
@@ -161,7 +162,6 @@ class ControlProblem:
     constraint: Constraint
     family: str = "custom"
     params: dict = field(default_factory=dict)
-    time_dependent: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):

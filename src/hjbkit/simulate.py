@@ -340,8 +340,10 @@ def simulate_paths(
     starts, keys, m, runs = _blocks(problem, policy, x0, seed)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if not t0 < problem.horizon:
-        raise ValueError("t0 must precede the end time")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, not {n_paths!r}")
+    if not 0.0 <= t0 < problem.horizon:
+        raise ValueError(f"t0 must lie in [0, {problem.horizon!r}), not {t0!r}")
     times, dt = _time_grid(t0, problem.horizon, n_steps)
     stops = tuple(stops)
     at_step, predicates = _split_stops(stops, n_steps)

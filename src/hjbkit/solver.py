@@ -21,13 +21,16 @@ rule follows the grid's dimension:
   the max, one Thomas solve per iteration, warm-started from the argmax
   policy of the previous slice (Forsyth & Labahn, J. Comp. Finance 2007;
   Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).  The last
-  elimination is kept and reused while the weights, dt and policy are the
-  same, so most steps start with a substitution alone.
+  elimination is kept and reused while dt and the policy are the same, so
+  most steps start with a substitution alone.
 - 2-D grids step explicitly,  v(t_n) = v(t_{n+1}) + dt * max_u  L^u v(t_{n+1}),
   and the diffusion must be diagonal.  Each output interval is subdivided
-  until the CFL bound is met at every output time (an explicitly supplied dt
-  must already satisfy it); a time-dependent problem whose rate peaks
-  between output times is refused at the internal step where the bound fails.
+  until the CFL bound is met (an explicitly supplied dt must already
+  satisfy it).
+
+The coefficients are read once, at t = 0, and the stencil weights built from
+them serve every step of the solve: the solver takes the problem to be
+time-homogeneous, as every built-in coefficient family is.
 
 Each step is followed by a constraint step that keeps the slice on the G >= 0
 side: either projection onto concave functions (G = -M, 1-D) or a one-sided
@@ -66,7 +69,6 @@ __all__ = [
 ]
 
 _PROJECT_TRIGGER = 1e-13   # relative convexity defect that triggers re-projection
-_CFL_SLACK = 1e-9          # rounding slack of dt * rate against the bound 1
 _HOWARD_MAX_ITERS = 100    # policy iterations per implicit step (about 2 are typical)
 
 
@@ -155,56 +157,43 @@ def _float_upper_envelope(x, v):
 
 
 class _Stepper:
-    """Per-control stencil weights at the interior nodes of a 1-D or 2-D grid.
+    """Per-control stencil weights at the interior nodes of a 1-D or 2-D grid,
+    built once from the coefficients at t = 0.
 
+    weights holds (wm, wp) per axis, one row per control; the centre weight
+    is -(the sum of wm + wp over the axes), so every row of L^u sums to zero,
+    and rate is the largest such sum, the CFL rate of the explicit step.
     Only nodes off every edge are stepped (the edges hold Dirichlet data), and
     neighbours are read by slicing, so no value wraps around the box.
     """
 
     def __init__(self, problem, grid, controls):
-        self.problem = problem
         self.controls = controls
         dim = grid.dim
         self.core = grid.interior
-        self.points = grid.nodes().reshape(grid.shape + (dim,))[self.core].reshape(-1, dim)
-        self.stencils = [AxisStencil(a, trailing=dim - 1 - d) for d, a in enumerate(grid.axes)]
+        points = grid.nodes().reshape(grid.shape + (dim,))[self.core].reshape(-1, dim)
         self.lower = [self.core[:d] + (slice(None, -2),) + self.core[d + 1 :] for d in range(dim)]
         self.upper = [self.core[:d] + (slice(2, None),) + self.core[d + 1 :] for d in range(dim)]
         self.buf = np.empty((controls.shape[0],) + tuple(n - 2 for n in grid.shape))
         self.scratch = np.empty_like(self.buf)
-        self._cache = None
-        self._eliminated = None   # (weights, dt, policy, elimination) of the last Howard solve
-
-    def weights(self, t):
-        """(w0, ((wm, wp) per axis)): the stencil weights per control and
-        interior node, w0 = -(the sum of wm + wp over the axes) the centre
-        weight, so every row of L^u sums to zero."""
-        if self._cache is not None and not self.problem.time_dependent:
-            return self._cache
-        shape = self.buf.shape
-        dim = len(self.stencils)
-        b, sst = _coeff_arrays(self.problem, self.points, self.controls, t)
+        self._eliminated = None   # (dt, policy, elimination) of the last Howard solve
+        b, sst = _coeff_arrays(problem, points, controls, 0.0)
         if dim > 1 and np.max(np.abs(sst[..., ~np.eye(dim, dtype=bool)])) > 1e-14:
             raise ConfigurationError("2-D solver supports diagonal diffusion only")
-        neigh = []
-        for d, stencil in enumerate(self.stencils):
-            wm, _, wp = stencil.weights(b[..., d].reshape(shape), sst[..., d, d].reshape(shape))
+        self.weights = []
+        for d, axis in enumerate(grid.axes):
+            stencil = AxisStencil(axis, trailing=dim - 1 - d)
+            wm, _, wp = stencil.weights(b[..., d].reshape(self.buf.shape), sst[..., d, d].reshape(self.buf.shape))
             off = wm + wp if d == 0 else off + wm + wp
-            neigh.append((wm, wp))
-        w = (np.negative(off, out=off), neigh)
-        if not self.problem.time_dependent:
-            self._cache = w
-        return w
+            self.weights.append((wm, wp))
+        self.rate = float(np.max(off))
 
-    def rate(self, t):
-        return -float(np.min(self.weights(t)[0]))
-
-    def _generator(self, v, w, out):
+    def _generator(self, v, out):
         """L^u v at the interior nodes, one row per control, in difference form:
         the sum over the axes of  wm (v[i-1] - v[i]) + wp (v[i+1] - v[i]),
         so a constant v gives exactly 0."""
         centre = v[self.core]
-        for d, ((wm, wp), lo, hi) in enumerate(zip(w[1], self.lower, self.upper)):
+        for d, ((wm, wp), lo, hi) in enumerate(zip(self.weights, self.lower, self.upper)):
             if d == 0:
                 np.multiply(wm, v[lo] - centre, out=out)
             else:
@@ -212,27 +201,15 @@ class _Stepper:
             out += np.multiply(wp, v[hi] - centre, out=self.scratch)
         return out
 
-    def step(self, v, t, dt):
-        """v + dt L^u v at the interior nodes, one row per control (a reused buffer).
-
-        The explicit step of 2-D grids.  dt was sized by the rate at the output
-        times; weights rebuilt at an internal time (a time-dependent problem)
-        must keep 1 + dt w0 >= 0 too.
-        """
-        w = self.weights(t)
-        if self.problem.time_dependent:
-            rate = -float(np.min(w[0]))
-            if dt * rate > 1.0 + _CFL_SLACK:
-                raise ConfigurationError(
-                    f"the CFL bound fails between output times: at t={t:g} the step needs "
-                    f"dt<={1.0 / rate:g}, the solve steps dt={dt:g}; add time nodes or pass a smaller dt"
-                )
-        out = self._generator(v, w, self.buf)
+    def step(self, v, dt):
+        """v + dt L^u v at the interior nodes, one row per control (a reused
+        buffer): the explicit step of 2-D grids, monotone for dt * rate <= 1."""
+        out = self._generator(v, self.buf)
         out *= dt
         out += v[self.core]
         return out
 
-    def implicit_step(self, v, t, dt, policy, scale):
+    def implicit_step(self, v, dt, policy, scale):
         """The implicit step of 1-D grids: w - dt max_u L^u w = v at the interior nodes.
 
         The edges of v are Dirichlet data.  Howard's policy iteration starts
@@ -245,10 +222,9 @@ class _Stepper:
         Returns (w at the interior nodes, the final policy, the iterations,
         the argmax of the last iteration's generator at w).
         """
-        w = self.weights(t)
-        w0, ((wm, wp),) = w
-        cols = np.arange(w0.shape[1])
-        margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 - 2.0 * dt * float(np.min(w0)))
+        (wm, wp), = self.weights
+        cols = np.arange(wm.shape[1])
+        margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * self.rate)
         full = np.array(v, dtype=float)
         centre = v[1:-1]
         down, up = v[:-2] - centre, v[2:] - centre
@@ -257,34 +233,33 @@ class _Stepper:
             # solve for the increment w - v (zero on the edges): a slice with
             # L^u v = 0 exactly, a constant say, then stays bitwise unchanged
             rhs = dt * (lower * down + upper * up)
-            full[1:-1] = centre + tridiagonal_substitution(self._elimination(w, dt, policy, lower, upper), rhs)
-            gen = self._generator(full, w, self.buf)
+            full[1:-1] = centre + tridiagonal_substitution(self._elimination(dt, policy, lower, upper), rhs)
+            gen = self._generator(full, self.buf)
             best = np.argmax(gen, axis=0)
             switch = dt * (gen[best, cols] - gen[policy, cols]) > margin
             if not switch.any():
                 return full[1:-1], policy, iteration, best
             policy = np.where(switch, best, policy)
         raise ConvergenceError(
-            f"Howard policy iteration did not converge in {_HOWARD_MAX_ITERS} iterations at t={t:g}",
+            f"Howard policy iteration did not converge in {_HOWARD_MAX_ITERS} iterations",
             last_iterate=full,
         )
 
-    def _elimination(self, w, dt, policy, lower, upper):
+    def _elimination(self, dt, policy, lower, upper):
         """The elimination of the rows of I - dt L^policy, lower and upper the
-        policy's wm and wp.  The last one is kept with the weights object it
-        was built from, held so that its identity stays unique, with dt and
-        with the policy, and it is reused when all three match: most steps
-        start from the previous step's final policy."""
+        policy's wm and wp.  The last one is kept with the dt and the policy
+        it was built for, and reused when both match: most steps start from
+        the previous step's final policy."""
         last = self._eliminated
-        if last is not None and last[0] is w and last[1] == dt and np.array_equal(last[2], policy):
-            return last[3]
+        if last is not None and last[0] == dt and np.array_equal(last[1], policy):
+            return last[2]
         elimination = tridiagonal_elimination(-dt * lower, 1.0 + dt * (lower + upper), -dt * upper)
-        self._eliminated = (w, dt, policy.copy(), elimination)
+        self._eliminated = (dt, policy.copy(), elimination)
         return elimination
 
-    def argmax(self, v, t):
+    def argmax(self, v):
         """Argmax control index per interior node, the first of tied controls."""
-        return np.argmax(self._generator(v, self.weights(t), np.empty_like(self.buf)), axis=0)
+        return np.argmax(self._generator(v, np.empty_like(self.buf)), axis=0)
 
     def table(self, index):
         """The controls of an argmax index; each edge node copies its nearest interior node."""
@@ -325,8 +300,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         raise ConfigurationError("truncation box must lie inside the state domain")
     mode = _resolve_mode(config, problem, grid)
     controls = problem.control_grid(config.control_grid_resolution)
-    T = problem.horizon
-    times = np.linspace(0.0, T, config.n_time_nodes)
+    times = np.linspace(0.0, problem.horizon, config.n_time_nodes)
     dt_out = times[1] - times[0]
 
     stepper = _Stepper(problem, grid, controls)
@@ -334,9 +308,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     if implicit:
         dt_max, m_sub = None, 1  # the implicit step has no CFL bound
     else:
-        # the CFL bound must hold at every time, not only at the horizon
-        rate = max(map(stepper.rate, times))
-        dt_max = 1.0 / rate if rate > 0 else math.inf
+        dt_max = 1.0 / stepper.rate if stepper.rate > 0 else math.inf
         if config.dt is not None and config.dt > dt_max * (1 + 1e-12):
             raise ConfigurationError(
                 f"dt={config.dt:g} violates the CFL bound dt<={dt_max:g} "
@@ -357,7 +329,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     policies = np.empty((n_times,) + grid.shape + (k,))
     v = np.array(terminal.values, dtype=float)
     values[-1] = v
-    policy = stepper.argmax(v, T)
+    policy = stepper.argmax(v)
     policies[-1] = stepper.table(policy)
 
     scale = max(1.0, float(np.max(np.abs(v))))
@@ -369,16 +341,15 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         x = grid.axes[0]
         hm, hp = grid.stencils[0].hm, grid.stencils[0].hp
     for n in range(n_times - 2, -1, -1):
-        for s in range(m_sub):
-            t_from = times[n + 1] - s * dt
+        for _ in range(m_sub):
             # the last Howard iteration's argmax is the slice's argmax while
-            # nothing moves the slice after it and the weights do not depend on t
+            # nothing moves the slice after it
             best = None
             if implicit:
-                v[core], policy, iterations, best = stepper.implicit_step(v, t_from - dt, dt, policy, scale)
+                v[core], policy, iterations, best = stepper.implicit_step(v, dt, policy, scale)
                 howard_iterations += iterations
             else:
-                v[core] = stepper.step(v, t_from, dt).max(axis=0)
+                v[core] = stepper.step(v, dt).max(axis=0)
             if mode == "project":
                 # trigger only on a real convexity defect (cheap vectorized test)
                 defect = v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp
@@ -395,7 +366,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         if not np.all(np.isfinite(v)):
             raise NumericalError("non-finite values in slice", slice_index=n)
         values[n] = v
-        policy = stepper.argmax(v, times[n]) if best is None or problem.time_dependent else best
+        policy = stepper.argmax(v) if best is None else best
         policies[n] = stepper.table(policy)
 
     meta = {

@@ -830,6 +830,7 @@ def test_solve_out_of_range_scheme_number_exits_2(tmp_path, capsys, flag, value,
     ("dt", 0, "dt"), ("dt", -0.5, "dt"), ("control_res", 0, "control_grid_resolution"),
     ("budget", 0, "budget"), ("n_starts", 0, "n_starts"), ("steps", 0, "steps_per_record"),
     ("mc_paths", 0, "n_paths"), ("mc_paths", -5, "n_paths"), ("mc_paths", 1, "n_paths"), ("mc_steps", 0, "n_steps"),
+    ("z", -1, "z must be finite and at least 0"), ("tol", math.inf, "tol must be finite and at least 0"),
 ])
 def test_pipeline_out_of_range_number_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key, value, field):
     monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
@@ -888,6 +889,65 @@ def test_simulate_start_with_the_wrong_coordinate_count_exits_2(tmp_path, monkey
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "2 coordinates; the problem has 1" in err
     assert not (tmp_path / "ensemble-summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t0=-1"], "t0 must lie in [0, 1.0), not -1.0"),
+    (["--paths", "0"], "n_paths must be >= 1, not 0"),
+])
+def test_simulate_start_time_or_path_count_out_of_range_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    """--t0=-1 used to simulate a two-year horizon and exit 0, and --paths 0
+    exited 2 with a numpy message that named no key."""
+    monkeypatch.setattr("hjbkit.simulate._euler", _raise(AssertionError("a path was stepped")))
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]})
+    assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
+                 "--x0", "1.0", "--steps", "4", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "ensemble-summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--z", "inf"], "z must be finite and at least 0, not inf"),
+    (["--z=-1"], "z must be finite and at least 0, not -1.0"),
+])
+def test_certify_z_out_of_range_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    """With --z inf a super candidate 0.5 below the exponent, which --z 4 finds
+    NOT certified (exit 4), printed "certified" and exited 0."""
+    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("the battery ran")))
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    cand = write(tmp_path / "cand.json", dict(MERTON_SUB, side="super",
+                                              params=dict(MERTON_SUB["params"], exponent_shift=-0.5)))
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", "2000", "--start-box", "0.5,2.0", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_certify_manifest_with_an_infinite_tol_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("the battery ran")))
+    config = {"problem": write(tmp_path / "prob.json", MERTON_SPEC),
+              "candidate": write(tmp_path / "cand.json", MERTON_SUB), "kind": "sub",
+              "budget": 1000, "seed": 0, "out": "r.json", "tol": math.inf}
+    mpath = write(tmp_path / "manifest.json", {"subcommand": "certify", "config": config})
+    assert '"tol": Infinity' in (tmp_path / "manifest.json").read_text()
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "tol must be finite and at least 0, not inf" in err
+    assert not (tmp_path / "out" / "r.json").exists()
+
+
+def test_pipeline_infinite_solver_candidate_tol_exits_2_before_any_stage(tmp_path, monkeypatch, capsys):
+    """solver_candidate_tol reaches the solver candidate's battery tol, which
+    used to be built in the certify stage, after the solve and the simulation."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, certify_solver_candidate=True, solver_candidate_tol=math.inf)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "tol must be finite and at least 0, not inf" in err
+    assert not (tmp_path / "pipeline-report.json").exists()
 
 
 HEAT_2D_SPEC = {

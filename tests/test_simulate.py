@@ -52,6 +52,19 @@ class TestSimulatePaths:
         with pytest.raises(DomainError):
             hk.simulate_paths(merton_problem, constant_policy([0.0]), 0.0, [-1.0], 10, 4, seed=0)
 
+    @pytest.mark.parametrize("t0, n_paths, message", [
+        (-1.0, 10, r"t0 must lie in \[0, 1.0\), not -1.0"),
+        (1.0, 10, r"t0 must lie in \[0, 1.0\), not 1.0"),
+        (0.0, 0, "n_paths must be >= 1, not 0"),
+    ])
+    def test_start_time_and_path_count_out_of_range_are_refused(self, merton_problem, monkeypatch, t0, n_paths,
+                                                                 message):
+        """t0 = -1 used to simulate a horizon of 2 the problem does not have,
+        and 0 paths died in a numpy reduction that named no argument."""
+        monkeypatch.setattr("hjbkit.simulate._euler", lambda *args: pytest.fail("a path was stepped"))
+        with pytest.raises(ValueError, match=message):
+            hk.simulate_paths(merton_problem, constant_policy([1.0]), t0, [1.0], n_paths, 4, seed=0)
+
     def test_bound_violation_raises(self, merton_problem):
         wild = constant_policy([11.0])
         with pytest.raises(ValueError, match="bound"):

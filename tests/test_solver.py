@@ -31,10 +31,10 @@ def gf(x, v):
     return hk.GridFunction(hk.SpatialGrid((np.asarray(x, float),)), np.asarray(v, float))
 
 
-def interior_generator(problem, u, v_slice, t):
+def interior_generator(problem, u, v_slice):
     """L^u v for the one control u at the interior nodes, through the solver's stepper."""
     stepper = _Stepper(problem, v_slice.grid, np.atleast_2d(np.asarray(u, dtype=float)))
-    return stepper._generator(v_slice.values, stepper.weights(t), np.empty_like(stepper.buf))[0]
+    return stepper._generator(v_slice.values, np.empty_like(stepper.buf))[0]
 
 
 class TestDiscreteGenerator:
@@ -44,7 +44,7 @@ class TestDiscreteGenerator:
     def test_affine_slice_pure_drift_exact(self):
         prob = hk.constant_coefficient_problem([2.0], [[0.0]])
         x = np.linspace(-1, 1, 21)
-        lv = interior_generator(prob, [0.0], gf(x, 3.0 * x + 1.0), 0.0)
+        lv = interior_generator(prob, [0.0], gf(x, 3.0 * x + 1.0))
         # upwind difference of an affine function is exact: L v = 2 * 3
         assert lv.shape == (19,)
         assert np.max(np.abs(lv - 6.0)) < 1e-12
@@ -52,7 +52,7 @@ class TestDiscreteGenerator:
     def test_quadratic_slice_pure_diffusion_exact(self):
         prob = hk.constant_coefficient_problem([0.0], [[1.5]])
         x = np.linspace(-2, 2, 31)
-        lv = interior_generator(prob, [0.0], gf(x, x**2), 0.0)
+        lv = interior_generator(prob, [0.0], gf(x, x**2))
         # central second difference of x^2 is exactly 2: L v = 1.5^2
         assert np.max(np.abs(lv - 1.5**2)) < 1e-11
 
@@ -61,15 +61,15 @@ class TestDiscreteGenerator:
         L^u of a constant is 0 exactly, not at rounding level: on a short log
         grid, on the A2 grid for its 201 controls, and on a graded 2-D grid with drift."""
         x = np.geomspace(0.5, 2.0, 17)
-        assert not np.any(interior_generator(merton_problem, [3.0], gf(x, np.full(17, 4.0)), 0.3))
+        assert not np.any(interior_generator(merton_problem, [3.0], gf(x, np.full(17, 4.0))))
         grid = hk.log_grid(0.2, 5.0, 400)
         stepper = _Stepper(merton_problem, grid, merton_problem.control_grid(201))
         for c in (3.7, 1.0, -2.5):
-            assert not np.any(stepper._generator(np.full(400, c), stepper.weights(0.3), np.empty_like(stepper.buf)))
+            assert not np.any(stepper._generator(np.full(400, c), np.empty_like(stepper.buf)))
         prob = hk.constant_coefficient_problem([0.7, -0.4], [[1.3, 0.0], [0.0, 0.6]])
         graded = hk.SpatialGrid((np.geomspace(0.1, 3.0, 17), np.sinh(np.linspace(-2.0, 2.0, 13))))
         stepper = _Stepper(prob, graded, prob.control_grid(1))
-        gen = stepper._generator(np.full(graded.shape, 3.7), stepper.weights(0.0), np.empty_like(stepper.buf))
+        gen = stepper._generator(np.full(graded.shape, 3.7), np.empty_like(stepper.buf))
         assert gen.shape == (1, 15, 11) and not np.any(gen)
 
     def test_two_d_quadratic(self):
@@ -83,26 +83,9 @@ class TestDiscreteGenerator:
         for grid in (hk.uniform_grid([-1, -1], [1, 1], [11, 11]), graded):
             X = grid.nodes()
             vals = (X[:, 0] ** 2 + X[:, 1] ** 2).reshape(grid.shape)
-            lv = interior_generator(prob, [0.0], hk.GridFunction(grid, vals), 0.0)
+            lv = interior_generator(prob, [0.0], hk.GridFunction(grid, vals))
             assert lv.shape == tuple(n - 2 for n in grid.shape)
             assert np.max(np.abs(lv - 2.0)) < 1e-10
-
-
-def _time_scaled_heat_2d(scale):
-    """The 2-D heat problem with sigma(t) = scale(t) I."""
-
-    def diffusion(t, x, u):
-        return np.broadcast_to(scale(float(t)) * np.eye(2), np.shape(x)[:-1] + (2, 2))
-
-    return dataclasses.replace(hk.heat_problem(dim=2), diffusion=diffusion, time_dependent=True)
-
-
-def _spike_2d():
-    """A unit spike at the centre of a 21 x 21 grid on [-2, 2]^2."""
-    grid = hk.uniform_grid([-2.0, -2.0], [2.0, 2.0], [21, 21])
-    spike = np.zeros(grid.shape)
-    spike[10, 10] = 1.0
-    return hk.GridFunction(grid, spike)
 
 
 class TestSolveHJB:
@@ -156,37 +139,38 @@ class TestSolveHJB:
         with pytest.raises(ConfigurationError, match="CFL"):
             hk.solve_hjb(prob, term, hk.SchemeConfig(n_time_nodes=11, dt=0.1))
 
-    def test_cfl_bound_holds_at_every_time(self):
-        """Diffusion 1 + 3(1 - t) is 4x larger at t = 0 than at the horizon: an
-        explicit (2-D) step sized at the horizon alone makes 1 + dt w0 negative
-        and the solve blow up."""
-        prob = _time_scaled_heat_2d(lambda t: 1.0 + 3.0 * (1.0 - t))
-        sol = hk.solve_hjb(prob, _spike_2d(), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
-        assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
-
-    def test_cfl_bound_holds_between_output_times(self):
-        """Diffusion 1 + 3 sin^2(4 pi t) is 1 at every output time of a 5-node
-        table but 4 in between: an explicit (2-D) step sized at the output times
-        alone lets the spike grow without bound, so the solve must refuse it
-        and name the time."""
-        prob = _time_scaled_heat_2d(lambda t: 1.0 + 3.0 * np.sin(4.0 * np.pi * t) ** 2)
-        with pytest.raises(ConfigurationError, match=r"CFL bound fails between output times: at t="):
-            hk.solve_hjb(prob, _spike_2d(), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
-
-    def test_implicit_step_has_no_cfl_bound(self, heat_problem):
-        """The 1-D repro of the between-output-times blow-up: the implicit step is
-        monotone for every dt, so the spike solves and stays in [0, 1]."""
-
-        def diffusion(t, x, u):
-            return np.broadcast_to(1.0 + 3.0 * np.sin(4.0 * np.pi * np.asarray(t, float)) ** 2, np.shape(x))
-
-        prob = dataclasses.replace(heat_problem, diffusion=diffusion, time_dependent=True)
+    def test_implicit_step_has_no_cfl_bound(self):
+        """The implicit step is monotone for every dt: one step per output
+        interval, 100 times the explicit CFL bound, keeps a spike in [0, 1]."""
+        prob = hk.heat_problem(sigma=2.0)
         grid = hk.uniform_grid([-2.0], [2.0], [41])
         spike = np.zeros(41)
         spike[20] = 1.0
         sol = hk.solve_hjb(prob, gf(grid.axes[0], spike), hk.SchemeConfig(n_time_nodes=5, constraint_mode="off"))
         assert np.all(sol.values >= 0.0) and np.all(sol.values <= 1.0)
         assert sol.metadata["cfl_dt_max"] is None and sol.metadata["substeps_per_interval"] == 1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_coefficients_are_read_once_per_solve(self, merton_problem, dim):
+        """The weights are built once per solve: a 1-D solve of 20 Howard
+        steps and a 2-D solve of many explicit substeps each call drift and
+        diffusion once."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(t, x, u):
+                calls.append(name)
+                return fn(t, x, u)
+            return wrapped
+
+        problem = merton_problem if dim == 1 else hk.heat_problem(dim=2)
+        problem = dataclasses.replace(problem, drift=counted("drift", problem.drift),
+                                      diffusion=counted("diffusion", problem.diffusion))
+        grid = hk.log_grid(0.2, 5.0, 80) if dim == 1 else hk.uniform_grid([-2.0, -2.0], [2.0, 2.0], [21, 21])
+        terminal = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+        sol = hk.solve_hjb(problem, terminal, hk.SchemeConfig(n_time_nodes=21, constraint_mode="penalize"))
+        assert sol.metadata["howard_iterations"] >= 20 if dim == 1 else sol.metadata["substeps_per_interval"] > 1
+        assert calls == ["drift", "diffusion"]
 
     @pytest.mark.parametrize("field, value", [
         ("dt", 0.0), ("dt", -0.5), ("dt", math.inf), ("dt", math.nan),
@@ -306,21 +290,20 @@ def explicit_reference(problem, terminal, config):
     grid = terminal.grid
     stepper = _Stepper(problem, grid, problem.control_grid(config.control_grid_resolution))
     times = np.linspace(0.0, problem.horizon, config.n_time_nodes)
-    m_sub = math.ceil((times[1] - times[0]) * max(map(stepper.rate, times)))
+    m_sub = math.ceil((times[1] - times[0]) * stepper.rate)
     dt = (times[1] - times[0]) / m_sub
     x = grid.axes[0]
     hm, hp = grid.stencils[0].hm, grid.stencils[0].hp
     v = np.array(terminal.values)
     scale = max(1.0, float(np.max(np.abs(v))))
     relaxation = 0.9 * _penalty_step(problem, grid)
-    for n in range(len(times) - 2, -1, -1):
-        for s in range(m_sub):
-            v[1:-1] = stepper.step(v, times[n + 1] - s * dt, dt).max(axis=0)
-            if config.constraint_mode == "project":
-                if np.max(v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp) > _PROJECT_TRIGGER * scale:
-                    v = _float_upper_envelope(x, v)
-            else:
-                v[1:-1] = np.maximum(v, v - relaxation * _constraint_on_grid(problem, grid, v))[1:-1]
+    for _ in range((len(times) - 1) * m_sub):
+        v[1:-1] = stepper.step(v, dt).max(axis=0)
+        if config.constraint_mode == "project":
+            if np.max(v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp) > _PROJECT_TRIGGER * scale:
+                v = _float_upper_envelope(x, v)
+        else:
+            v[1:-1] = np.maximum(v, v - relaxation * _constraint_on_grid(problem, grid, v))[1:-1]
     return v
 
 
@@ -356,13 +339,12 @@ class TestImplicitStep:
         original = _Stepper.implicit_step
         checked = []
 
-        def checked_step(self, v, t, dt, policy, scale):
-            out, final, iterations, best = original(self, v, t, dt, policy, scale)
-            w = self.weights(t)
+        def checked_step(self, v, dt, policy, scale):
+            out, final, iterations, best = original(self, v, dt, policy, scale)
             full = np.concatenate([v[:1], out, v[-1:]])
-            gen = self._generator(full, w, np.empty_like(self.buf))
+            gen = self._generator(full, np.empty_like(self.buf))
             cols = np.arange(out.size)
-            margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * np.max(-w[0]))
+            margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * self.rate)
             assert np.all(dt * (gen.max(axis=0) - gen[final, cols]) <= margin)
             assert np.max(np.abs(out - dt * gen[final, cols] - v[1:-1])) <= 1e-12 * scale
             checked.append(iterations)
@@ -373,30 +355,27 @@ class TestImplicitStep:
         sol = hk.solve_hjb(merton_problem, merton_terminal_80, cfg)
         assert len(checked) == 20 and sum(checked) == sol.metadata["howard_iterations"]
 
-    @pytest.mark.parametrize("mode", [*MODES, "time-dependent"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_policy_table_is_the_argmax_of_every_slice(self, merton_problem, merton_terminal_80, mode, monkeypatch):
         """Reusing the last Howard iteration's argmax gives the table of
         stepper.argmax bit for bit.  A slice that the projection or penalty
-        moved, and every slice of a time-dependent problem, is argmaxed anew."""
-        problem = dataclasses.replace(merton_problem, time_dependent=True) if mode == "time-dependent" \
-            else merton_problem
+        moved is argmaxed anew."""
         x = merton_terminal_80.grid.axes[0]
         g = np.sqrt(x) + 0.3 * np.random.default_rng(14).normal(size=x.size)
-        cfg = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=41,
-                              constraint_mode="project" if mode == "time-dependent" else mode)
+        cfg = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=41, constraint_mode=mode)
         calls = []
         original = _Stepper.argmax
 
-        def counted(self, v, t):
-            calls.append(t)
-            return original(self, v, t)
+        def counted(self, v):
+            calls.append(1)
+            return original(self, v)
 
         monkeypatch.setattr(_Stepper, "argmax", counted)
-        sol = hk.solve_hjb(problem, gf(x, g), cfg)
-        assert (len(calls) == 21) if mode == "time-dependent" else (1 < len(calls) < 21)
-        stepper = _Stepper(problem, merton_terminal_80.grid, problem.control_grid(41))
-        for n, t in enumerate(sol.times):
-            assert np.array_equal(sol.policies[n], stepper.table(original(stepper, sol.values[n], t)))
+        sol = hk.solve_hjb(merton_problem, gf(x, g), cfg)
+        assert 1 < len(calls) < 21
+        stepper = _Stepper(merton_problem, merton_terminal_80.grid, merton_problem.control_grid(41))
+        for n in range(len(sol.times)):
+            assert np.array_equal(sol.policies[n], stepper.table(original(stepper, sol.values[n])))
 
     def test_running_out_of_iterations_is_a_convergence_error(self, merton_problem, merton_terminal_80,
                                                               monkeypatch):
@@ -408,8 +387,8 @@ class TestImplicitStep:
     def test_cold_start_reaches_the_warm_fixed_point(self, merton_problem, merton_terminal_80):
         stepper = _Stepper(merton_problem, merton_terminal_80.grid, merton_problem.control_grid(41))
         v = merton_terminal_80.values
-        warm, _, warm_iterations, _ = stepper.implicit_step(v, 0.9, 0.1, stepper.argmax(v, 0.9), 2.5)
-        cold, _, cold_iterations, _ = stepper.implicit_step(v, 0.9, 0.1, np.zeros(v.size - 2, dtype=int), 2.5)
+        warm, _, warm_iterations, _ = stepper.implicit_step(v, 0.1, stepper.argmax(v), 2.5)
+        cold, _, cold_iterations, _ = stepper.implicit_step(v, 0.1, np.zeros(v.size - 2, dtype=int), 2.5)
         assert np.max(np.abs(warm - cold)) <= 1e-12
         assert warm_iterations <= cold_iterations
 
@@ -437,8 +416,8 @@ def _count_eliminations(monkeypatch, reuse):
 
 
 class TestReusedElimination:
-    """The implicit step reuses the last elimination only for the same weights
-    object, dt and policy, so reuse never changes a bit."""
+    """The implicit step reuses the last elimination only for the same dt and
+    policy, so reuse never changes a bit."""
 
     def test_a2_solve_equals_the_solve_without_reuse(self, merton_problem, merton_terminal, merton_solution,
                                                      monkeypatch):
@@ -454,20 +433,6 @@ class TestReusedElimination:
         hk.solve_hjb(merton_problem, merton_terminal, hk.SchemeConfig(n_time_nodes=200, control_grid_resolution=201))
         # most steps start from the previous step's final policy
         assert len(count) < iterations - 150
-
-    def test_time_dependent_weights_always_miss(self, merton_problem, monkeypatch):
-        problem = dataclasses.replace(merton_problem, time_dependent=True)
-        grid = hk.log_grid(0.2, 5.0, 80)
-        term = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
-        cfg = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=41)
-        count = _count_eliminations(monkeypatch, reuse=True)
-        reused = hk.solve_hjb(problem, term, cfg)
-        assert len(count) == reused.metadata["howard_iterations"]
-        monkeypatch.undo()
-        _count_eliminations(monkeypatch, reuse=False)
-        fresh = hk.solve_hjb(problem, term, cfg)
-        assert np.array_equal(fresh.values, reused.values)
-        assert np.array_equal(fresh.policies, reused.policies)
 
 
 class TestTerminalLayer:
