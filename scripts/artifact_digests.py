@@ -12,7 +12,9 @@ directory and runs there:
   on Merton, penalize and off in 2-D), a convergence study refined in space
   and one refined in time on Merton, a 2-D solve with a given --dt, simulate,
   certify a sub and a super candidate (and, on Merton, the solver's own
-  candidate), bracket, and a --manifest replay of each of these.
+  candidate), bracket, a --fast pipeline whose sub candidate is not
+  certified (exit 4, bracket skipped), and a --manifest replay of each of
+  these.
 
 Every path given to the command line is relative to the work directory, so
 no manifest names it.  Each line of FILE holds an artifact's path under the
@@ -107,8 +109,9 @@ def _session(name, problem, grid, modes, solve_flags, extra, policy, x0, candida
     return runs
 
 
-def sessions(merton_problem) -> list:
-    """The (run directory, argv) of the Merton and 2-D heat sessions, in order."""
+def sessions(merton_problem, pipeline_spec) -> list:
+    """The (run directory, argv) of the Merton and 2-D heat sessions, in order;
+    pipeline_spec is the --fast pipeline spec, on merton_problem."""
     solution = {"kind": "from-solution", "csv": "../../out/merton/solve-project/solution.csv", "side": "sub",
                 "growth_constant": 10.0}
     merton = _session(
@@ -133,7 +136,13 @@ def sessions(merton_problem) -> list:
          "certify-super": {"kind": "constant", "value": 10.0, "side": "super", "growth_constant": 10.0}},
         "-0.5,0.5;-0.5,0.5", "t,x0,x1\n0.0,0.1,0.2\n",
     )
-    return merton + heat
+    # the bracket is skipped, but the simulate stage still runs the sub candidate's companion
+    inp = "inputs/pipeline-uncertified"
+    _write(f"{inp}/{pipeline_spec['problem']}", merton_problem)
+    inflated = dict(MERTON_SUB, params=dict(MERTON_SUB["params"], exponent_shift=0.5))
+    uncertified = ("out/pipeline-uncertified",
+                   ["pipeline", "--spec", _write(f"{inp}/pipeline.json", {**pipeline_spec, "sub_candidate": inflated})])
+    return merton + heat + [uncertified]
 
 
 def digests(src: str, seeds) -> list:
@@ -161,7 +170,7 @@ def digests(src: str, seeds) -> list:
             _write(f"{inp}/merton-problem.json", pipeline.PROBLEM)
             run(f"out/pipeline-{seed}",
                 ["pipeline", "--spec", _write(f"{inp}/pipeline.json", {**pipeline.build_spec(True), "seed": seed})])
-        for run_dir, argv in sessions(pipeline.PROBLEM):
+        for run_dir, argv in sessions(pipeline.PROBLEM, pipeline.build_spec(True)):
             run(run_dir, argv)
             run(f"{run_dir}-replay", ["--manifest", f"{run_dir}/manifest.json"])
         return listing(work, codes)

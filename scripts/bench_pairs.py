@@ -6,11 +6,12 @@ Run from anywhere inside a checkout:
     python3 scripts/bench_pairs.py --label trial certify_pipeline:10 merton_solve:5
 
 When tracked files have uncommitted changes, the change is the checkout this
-script lives in, as it stands, and its parent is HEAD.  When they have none,
-the change is HEAD and its parent HEAD~1, and both are unpacked alike, with
+script lives in, as it stands, taken as a ``git stash create`` commit that
+leaves the checkout untouched, and its parent is HEAD.  When they have none,
+the change is HEAD and its parent HEAD~1.  Both sides are unpacked alike, with
 ``git archive`` into temporary directories whose paths have one length: runs
-of one commit have read 3-6% apart from one directory to another.  A
-parent is always unpacked that way.  Each pair runs ``python3
+of one commit have read 3-6% apart from one directory to another.  Files git
+does not track are not part of the change.  Each pair runs ``python3
 perfbench/run.py --workload W --seed S --seconds R --trace 0``, R being the
 run_seconds of BENCHMARK.json, once per side, in fresh processes and with the
 same seed, and the side that runs first alternates between pairs.  A workload
@@ -39,13 +40,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600
 
 
-def _git(*args) -> str:
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True, text=True).stdout.strip()
+def _git(*args, root=ROOT) -> str:
+    return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
-def unpack(commit: str, dest: str) -> None:
+def sides(root=ROOT) -> tuple:
+    """The parent commit, the change commit and a description of the change.
+    Uncommitted changes to tracked files are the change, as a `git stash
+    create` commit on HEAD; with none, the change is HEAD."""
+    head = _git("rev-parse", "HEAD", root=root)
+    stash = _git("stash", "create", root=root)
+    if stash:
+        return head, stash, f"working tree on {head[:7]}"
+    return _git("rev-parse", "HEAD~1", root=root), head, f"commit {head}"
+
+
+def unpack(commit: str, dest: str, root=ROOT) -> None:
     """The committed files of `commit`, extracted into `dest`."""
-    archive = subprocess.Popen(["git", "-C", ROOT, "archive", commit], stdout=subprocess.PIPE)
+    archive = subprocess.Popen(["git", "-C", root, "archive", commit], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
@@ -129,10 +141,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    head = _git("rev-parse", "HEAD")
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
-    parent_commit = head if dirty else _git("rev-parse", "HEAD~1")
-    change = f"working tree on {head[:7]}" if dirty else f"commit {head}"
+    parent_commit, change_commit, change = sides()
     doc = {
         "label": args.label,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
@@ -144,11 +153,10 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     parent_dir = tempfile.mkdtemp(prefix="bench-parent-")
-    change_dir = ROOT if dirty else tempfile.mkdtemp(prefix="bench-change-")
+    change_dir = tempfile.mkdtemp(prefix="bench-change-")
     try:
         unpack(parent_commit, parent_dir)
-        if not dirty:
-            unpack(head, change_dir)
+        unpack(change_commit, change_dir)
         for workload, pairs in args.workloads:
             seeds = range(args.first_seed, args.first_seed + pairs)
             runs = {change_dir: [], parent_dir: []}
@@ -162,8 +170,7 @@ def main(argv=None) -> int:
             doc["workloads"][workload] = aggregate(seeds, runs[parent_dir], runs[change_dir], better)
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
-        if not dirty:
-            shutil.rmtree(change_dir, ignore_errors=True)
+        shutil.rmtree(change_dir, ignore_errors=True)
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")

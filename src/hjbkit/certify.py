@@ -49,6 +49,7 @@ __all__ = [
     "certify_supersolution",
     "lattice_max",
     "lattice_min",
+    "bracket_ensemble",
     "bracket_report",
     "BracketReport",
     "merton_candidate",
@@ -408,6 +409,21 @@ class BracketReport:
         return max(p.gap for p in self.points)
 
 
+def bracket_ensemble(sub: CandidateFunction, problem, j: int, t: float, x, sim_config: BracketConfig, stops=()):
+    """Bracket point j's ensemble at (t, x): one block for the sub candidate's
+    companion policy and one for each extra policy, in that order, all on the
+    point's one (seed, j) draw.  Predicate stops record states and change no
+    terminal state.
+
+    The call holds that draw, O(paths x steps), and the blocks' states,
+    O(paths x (len(stops) + 1)) each.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    policies = [sub.policy_factory(t, x), *sim_config.extra_policies]
+    return simulate_paths(
+        problem, policies, t, x, sim_config.n_paths, sim_config.n_steps, (sim_config.seed, j), stops=stops)
+
+
 def bracket_report(
     sub: CandidateFunction,
     super_: CandidateFunction,
@@ -416,6 +432,7 @@ def bracket_report(
     sim_config: BracketConfig,
     sub_report: CertificationReport,
     super_report: CertificationReport,
+    estimates=(),
 ) -> BracketReport:
     """Sandwich check sub <= MC value estimate <= super at the given points.
 
@@ -423,9 +440,9 @@ def bracket_report(
     is the best estimate over the sub candidate's companion policy and any
     extra policies supplied (e.g. a solver-extracted rule).
 
-    Each point runs all k + 1 policies, for k extra policies, in one call on
-    its one (seed, j) draw.  The call holds that draw, O(paths x steps), and
-    the terminal states of the k + 1 ensembles, O(paths) each.
+    Each point's estimates come from its `bracket_ensemble`, one per block.
+    estimates[j], when given, holds those of point j, made by an earlier
+    call, and only the points after them are simulated here.
     """
     if not sub_report.certified:
         raise ValueError("sub candidate is not certified")
@@ -434,17 +451,11 @@ def bracket_report(
     out = []
     for j, (t, x) in enumerate(points):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        policies = [sub.policy_factory(t, x), *sim_config.extra_policies]
-        # one (seed, j) draw for every policy
-        best = max(
-            (
-                estimate_value(block, problem.payoff)
-                for block in simulate_paths(
-                    problem, policies, t, x, sim_config.n_paths, sim_config.n_steps, (sim_config.seed, j)
-                ).blocks()
-            ),
-            key=lambda est: est.mean,
-        )
+        made = estimates[j] if j < len(estimates) else [
+            estimate_value(block, problem.payoff)
+            for block in bracket_ensemble(sub, problem, j, t, x, sim_config).blocks()
+        ]
+        best = max(made, key=lambda est: est.mean)
         out.append(BracketPoint(t, tuple(x), sub(t, x), super_(t, x), best))
     return BracketReport(tuple(out))
 

@@ -27,6 +27,7 @@ from .certify import (
     CertificationReport,
     CertifyConfig,
     TestRecord,
+    bracket_ensemble,
     bracket_report,
     candidate_from_solution,
     certify_subsolution,
@@ -158,6 +159,16 @@ def _read(cfg, key, parse, default=None):
         raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
 
 
+def _integer(value):
+    """An int that is not a bool, or an integral float such as 1e5; int() would
+    take 1.5, True and "7" as 1, 1 and 7."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not an integer but a {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _floats(value, length=None):
     """A nonempty list of floats, of `length` entries when given."""
     if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
@@ -176,9 +187,9 @@ def _scheme_config(cfg) -> SchemeConfig:
     if cfg.get("penalty_weight") is not None:
         raise ConfigurationError('"penalty_weight" is not supported; the penalty weight follows the grid')
     return SchemeConfig(
-        n_time_nodes=_read(cfg, "time_nodes", int, 101),
+        n_time_nodes=_read(cfg, "time_nodes", _integer, 101),
         dt=_read(cfg, "dt", lambda v: None if v is None else float(v)),
-        control_grid_resolution=_read(cfg, "control_res", int, 41),
+        control_grid_resolution=_read(cfg, "control_res", _integer, 41),
         constraint_mode=cfg.get("mode", "auto"),
     )
 
@@ -218,9 +229,9 @@ def _run_simulate(cfg, out_dir):
     policy_spec = specio.load_json(cfg["policy"])
     policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(cfg["policy"]) or ".")
     box = _read(cfg, "simulation_box", _optional_box)
-    t0, x0, seed = _read(cfg, "t0", float, 0.0), _read(cfg, "x0", _floats), _read(cfg, "seed", int, 0)
+    t0, x0, seed = _read(cfg, "t0", float, 0.0), _read(cfg, "x0", _floats), _read(cfg, "seed", _integer, 0)
     ens = simulate_paths(
-        problem, policy, t0, x0, _read(cfg, "paths", int, 10_000), _read(cfg, "steps", int, 100),
+        problem, policy, t0, x0, _read(cfg, "paths", _integer, 10_000), _read(cfg, "steps", _integer, 100),
         seed, box,
     )
     est = estimate_value(ens, problem.payoff)
@@ -246,12 +257,12 @@ def _certify_config(cfg, problem) -> CertifyConfig:
         raise ConfigurationError(f"key 'start_box': {box.dim} dimensions; the problem has {problem.state_dim}")
     return CertifyConfig(
         start_box=box,
-        budget=_read(cfg, "budget", int, 100_000),
+        budget=_read(cfg, "budget", _integer, 100_000),
         z=_read(cfg, "z", float, 4.0),
         tol=_read(cfg, "tol", float, 1e-9),
-        n_starts=_read(cfg, "n_starts", int, 3),
-        steps_per_record=_read(cfg, "steps", int, 48),
-        seed=_read(cfg, "seed", int, 0),
+        n_starts=_read(cfg, "n_starts", _integer, 3),
+        steps_per_record=_read(cfg, "steps", _integer, 48),
+        seed=_read(cfg, "seed", _integer, 0),
     )
 
 
@@ -292,9 +303,9 @@ def _run_bracket(cfg, out_dir):
     pts = _read_points(cfg["points"])
     _require_points(problem, pts)
     bc = BracketConfig(
-        n_paths=_read(cfg, "paths", int, 20_000),
-        n_steps=_read(cfg, "steps", int, 64),
-        seed=_read(cfg, "seed", int, 0),
+        n_paths=_read(cfg, "paths", _integer, 20_000),
+        n_steps=_read(cfg, "steps", _integer, 64),
+        seed=_read(cfg, "seed", _integer, 0),
     )
     rep = bracket_report(sub, super_, problem, pts, bc, sub_rep, super_rep)
     doc = _bracket_to_json(rep)
@@ -344,7 +355,7 @@ def _run_convergence(cfg, out_dir):
     grid = specio.load_grid(cfg["grid"])
     terminal = _payoff_values(problem, grid)
     study = convergence_study(
-        problem, terminal, _read(cfg, "refinements", int, 2), _scheme_config(cfg),
+        problem, terminal, _read(cfg, "refinements", _integer, 2), _scheme_config(cfg),
         mode=cfg.get("refine", "space"),
     )
     doc = {"shapes": [list(s) for s in study.shapes], "diffs": list(study.diffs), "orders": list(study.orders)}
@@ -392,16 +403,45 @@ def _pipeline_inputs(spec, base: str):
     return problem, grid, points
 
 
+def _candidate(spec, key, side, base):
+    """The candidate of a pipeline spec's `key`, which must be a `side`
+    candidate, or None when the key is absent."""
+    if key not in spec:
+        return None
+    try:
+        candidate = specio.candidate_from_spec(spec[key], base)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"key {key!r}: {exc}") from None
+    if candidate.kind != side:
+        raise ConfigurationError(f"key {key!r}: a {candidate.kind} candidate, not a {side} one")
+    return candidate
+
+
+def _first_point(sub, problem, point, bc, box):
+    """The estimates of bracket point 0's blocks, companion first, and the share
+    of the extracted policy's paths that left `box`.  The ensemble does not
+    outlive the call."""
+
+    def left_box(x, start):
+        # a diagnostic of the truncation, not a stopping rule
+        return np.any((x < box.lo) | (x > box.hi), axis=1)
+
+    blocks = bracket_ensemble(sub, problem, 0, *point, bc, stops=(left_box,)).blocks()
+    return [estimate_value(b, problem.payoff) for b in blocks], float(np.mean(blocks[-1].stop_step[:, 0] >= 0))
+
+
 def _run_pipeline(cfg, out_dir):
     base = os.path.dirname(cfg["spec"]) or "."
     spec = specio.load_json(cfg["spec"])
     problem, grid, points = _pipeline_inputs(spec, base)
-    # every number of the spec is read here, once, so a bad one exits 2 naming
-    # its key before any stage runs
+    # every number and candidate of the spec is read here, once, so a bad one
+    # exits 2 naming its key before any stage runs
+    sub, super_ = _candidate(spec, "sub_candidate", "sub", base), _candidate(spec, "super_candidate", "super", base)
     config, ccfg = _scheme_config(spec), _certify_config(spec, problem)
     seed = ccfg.seed
     mc = BracketConfig(
-        n_paths=_read(spec, "mc_paths", int, 100_000), n_steps=_read(spec, "mc_steps", int, 200), seed=seed)
+        n_paths=_read(spec, "mc_paths", _integer, 100_000), n_steps=_read(spec, "mc_steps", _integer, 200),
+        seed=seed)
     certify_solver = spec.get("certify_solver_candidate", True)
     solver_growth = _read(spec, "solver_growth_constant", float, 10.0)
     solver_tol = _read(spec, "solver_candidate_tol", float, 5e-3)
@@ -433,27 +473,26 @@ def _run_pipeline(cfg, out_dir):
         report["solver_value_at_points"] = [sol.value_at(t, x) for t, x in points]
         report["stages"][stage] = "ok"
 
-        # policy extraction + simulation at the first point, on the state
-        # domain: stopping at the truncation box would price another policy
+        # the bracket's point-0 run, made here once and reused by the bracket:
+        # the sub candidate's companion and the extracted policy, simulated on
+        # the state domain, since stopping at the truncation box would price
+        # another policy.  Only the estimates are kept, not the ensemble.
         stage = "simulate"
+        # an absent candidate fails the first stage that needs one
+        for key, candidate in (("sub_candidate", sub), ("super_candidate", super_)):
+            if candidate is None:
+                raise ConfigurationError(f"the pipeline spec has no {key!r}")
         policy = extract_policy(sol)
-        t0, x0 = points[0]
-
-        def left_box(x, start):
-            # a diagnostic of the truncation, not a stopping rule
-            return np.any((x < grid.box.lo) | (x > grid.box.hi), axis=1)
-
-        ens = simulate_paths(problem, policy, t0, x0, mc.n_paths, mc.n_steps, seed, stops=(left_box,))
-        est = estimate_value(ens, problem.payoff)
+        bc = replace(mc, extra_policies=(policy,))
+        first, left_box_fraction = _first_point(sub, problem, points[0], bc, grid.box)
+        est = first[-1]
         report["mc_estimate_at_first_point"] = {
             "mean": est.mean, "half_width_95": est.half_width_95, "exit_fraction": est.exit_fraction,
-            "left_box_fraction": float(np.mean(ens.stop_step[:, 0] >= 0)),
+            "left_box_fraction": left_box_fraction,
         }
         report["stages"][stage] = "ok"
 
         stage = "certify"
-        sub = specio.candidate_from_spec(spec["sub_candidate"], base)
-        super_ = specio.candidate_from_spec(spec["super_candidate"], base)
         sub_rep = _certify(sub, "sub", problem, ccfg)
         super_rep = _certify(super_, "super", problem, ccfg, (policy,))
         report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
@@ -476,8 +515,7 @@ def _run_pipeline(cfg, out_dir):
             print(f"pipeline complete; bracket {report['bracket']}")
             return EXIT_CERTIFY_FAIL
         stage = "bracket"
-        bc = replace(mc, extra_policies=(policy,))
-        brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep)
+        brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep, estimates=(first,))
     except _STAGE_ERRORS as exc:
         # the partial report; exit 2 for a configuration fault, 3 for a numerical one
         report["stages"][stage] = f"failed: {exc}"

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -69,3 +70,36 @@ def test_the_schema_of_the_committed_bench_files(bench_pairs):
 def test_workload_argument(bench_pairs):
     assert bench_pairs._workload_pairs("certify_pipeline:12") == ("certify_pipeline", 12)
     assert bench_pairs._workload_pairs("merton_solve") == ("merton_solve", 10)
+
+
+def test_a_dirty_tree_is_unpacked_like_its_parent(bench_pairs, tmp_path):
+    """Uncommitted changes run from an unpacked copy, as the parent does, and
+    the checkout is left as it was."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return bench_pairs._git("-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                                "-c", "commit.gpgsign=false", *args, root=str(repo))
+
+    git("init", "-q")
+    for text in ("one\n", "two\n"):
+        (repo / "a.txt").write_text(text)
+        git("add", "a.txt")
+        git("commit", "-q", "-m", text.strip())
+    (repo / "a.txt").write_text("three\n")
+    status = git("status", "--porcelain")
+
+    parent, change, label = bench_pairs.sides(str(repo))
+    assert parent == git("rev-parse", "HEAD") and label.startswith("working tree")
+    for commit, text in ((parent, "two\n"), (change, "three\n")):
+        dest = tmp_path / commit
+        dest.mkdir()
+        bench_pairs.unpack(commit, str(dest), str(repo))
+        assert (dest / "a.txt").read_text() == text
+    assert (repo / "a.txt").read_text() == "three\n"
+    assert git("status", "--porcelain") == status and git("stash", "list") == ""
+
+    git("commit", "-q", "-am", "three")
+    assert bench_pairs.sides(str(repo)) == (git("rev-parse", "HEAD~1"), git("rev-parse", "HEAD"),
+                                            f"commit {git('rev-parse', 'HEAD')}")

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
-from hjbkit import specio
+from hjbkit import cli, simulate, specio
+from hjbkit.certify import bracket_ensemble
 from hjbkit.cli import _load_report, _report_to_json, main
 from hjbkit.errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
 
@@ -435,7 +436,7 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("stage, target, exc, code", [
-    ("simulate", "simulate_paths", NumericalError("non-finite values"), 3),
+    ("simulate", "bracket_ensemble", NumericalError("non-finite values"), 3),
     ("simulate", "extract_policy", DomainError("outside the domain"), 2),
     ("certify", "certify_subsolution", ConvergenceError("no convergence"), 3),
     ("certify", "certify_supersolution", ConfigurationError("bad box"), 2),
@@ -453,12 +454,90 @@ def test_pipeline_late_stage_failure_writes_partial_report(tmp_path, monkeypatch
     assert f"pipeline failed at stage {stage}" in capsys.readouterr().out
 
 
-def test_pipeline_malformed_candidate_exits_2_with_partial_report(tmp_path, capsys):
-    spath = small_pipeline(tmp_path, sub_candidate=dict(MERTON_SUB, params={"sgima": 5.0}))
+@pytest.mark.parametrize("key, doc, message", [
+    ("sub_candidate", dict(MERTON_SUB, params={"sgima": 5.0}), "unknown merton candidate parameter(s) 'sgima'"),
+    ("super_candidate", ["x"], "malformed candidate document"),
+    ("sub_candidate", dict(MERTON_SUB, side="super"), "a super candidate, not a sub one"),
+], ids=["unknown-parameter", "document-list", "wrong-side"])
+def test_pipeline_malformed_candidate_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key, doc, message):
+    """The simulate stage runs the sub candidate's companion policy, so both
+    candidates are read before the face-lift."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, **{key: doc})
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: key {key!r}: ") and message in err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+def test_pipeline_without_a_candidate_fails_the_simulate_stage(tmp_path, capsys):
+    spath = small_pipeline(tmp_path)
+    spec = json.loads(open(spath).read())
+    del spec["super_candidate"]
+    write(tmp_path / "pipeline.json", spec)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
-    assert stages["simulate"] == "ok"
-    assert stages["certify"].startswith("failed: unknown merton candidate parameter")
+    assert stages == {"facelift": "ok", "solve": "ok", "simulate": "failed: the pipeline spec has no 'super_candidate'"}
+
+
+def test_pipeline_draws_each_bracket_point_once(tmp_path, monkeypatch):
+    """A P-point pipeline makes P bracket-sized noise draws, not P + 1: the
+    simulate stage is the bracket's point 0."""
+    draws = []
+    fill = simulate._fill_noise
+
+    def counting(Z, seed):
+        draws.append((Z.shape[:2], seed))
+        fill(Z, seed)
+
+    monkeypatch.setattr("hjbkit.simulate._fill_noise", counting)
+    spath = small_pipeline(tmp_path, points=[[0.0, 1.0], [0.25, 0.8], [0.5, 1.5]])
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
+    # the batteries draw 48 steps a record, the bracket mc_steps = 40
+    assert [d for d in draws if d[0][0] == 40] == [((40, 2000), (3, j)) for j in range(3)]
+
+
+def test_pipeline_first_point_estimate_is_the_brackets_point_0(tmp_path, monkeypatch):
+    calls = []
+    original = cli.bracket_report
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("hjbkit.cli.bracket_report", spy)
+    spath = small_pipeline(tmp_path)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
+    doc = json.loads((tmp_path / "pipeline-report.json").read_text())
+    [(args, kwargs)] = calls
+    [(companion, extracted)] = kwargs["estimates"]
+    mc = doc["mc_estimate_at_first_point"]
+    assert (mc["mean"], mc["half_width_95"], mc["exit_fraction"]) == (
+        extracted.mean, extracted.half_width_95, extracted.exit_fraction)
+    # point 0 simulated afresh with no stop, as `hjbkit bracket` does: the same bits
+    sub, _, problem, points, bc = args[:5]
+    fresh = [hk.estimate_value(b, problem.payoff) for b in bracket_ensemble(sub, problem, 0, *points[0], bc).blocks()]
+    assert fresh == [companion, extracted]
+    assert doc["bracket"]["points"][0]["mc_mean"] == max(fresh, key=lambda e: e.mean).mean
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1.5), ("seed", True), ("seed", "7"), ("budget", 2500.5),
+                                        ("mc_paths", 2e3 + 0.5)])
+def test_pipeline_integer_key_that_is_not_an_integer_exits_2_before_any_stage(tmp_path, monkeypatch, capsys,
+                                                                              key, value):
+    """int() used to run "seed": 1.5, true and "7" as seeds 1, 1 and 7."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, **{key: value})
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: key {key!r}: ") and "not an integer" in err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+@pytest.mark.parametrize("value, want", [(7, 7), (1e5, 100_000), (-3.0, -3)])
+def test_integer_keys_take_ints_and_integral_floats(value, want):
+    got = cli._integer(value)
+    assert got == want and type(got) is int
 
 
 def test_facelift_manifest_from_before_the_method_flag_replays(tmp_path, capsys):
@@ -710,6 +789,10 @@ def test_pipeline_simulates_on_the_state_domain(tmp_path):
 
 NOT_NUMBERS = [
     ("simulate", "paths", None),
+    ("simulate", "paths", 100.5),
+    ("bracket", "seed", True),
+    ("certify", "budget", "100"),
+    ("convergence", "refinements", 2.5),
     ("simulate", "steps", "many"),
     ("simulate", "seed", None),
     ("simulate", "t0", None),

@@ -424,3 +424,14 @@ class TestPolicies:
         assert pol(0.2, [0.0])[0] == 1.0
         assert pol(0.7, [0.0])[0] == -1.0
         assert pol.bound == 1.0
+
+
+@pytest.mark.parametrize("s", [0, 42, 2**40])
+def test_a_seed_and_its_point_0_key_give_one_noise_stream(s):
+    """SeedSequence pads its entropy with zero words, so seed s and the key
+    (s, 0) give one Philox state for s below 2**96.  The pipeline's first-point
+    estimate, now the bracket's point-0 run on (seed, 0), keeps the bytes it
+    had when it was simulated on seed alone only while this holds."""
+    a, b = np.random.SeedSequence(s), np.random.SeedSequence((s, 0))
+    assert np.array_equal(a.generate_state(8), b.generate_state(8))
+    assert np.array_equal(np.random.Philox(a).random_raw(16), np.random.Philox(b).random_raw(16))
