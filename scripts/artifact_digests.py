@@ -13,8 +13,12 @@ directory and runs there:
   and one refined in time on Merton, a 2-D solve with a given --dt, simulate,
   certify a sub and a super candidate (and, on Merton, the solver's own
   candidate), bracket, a --fast pipeline whose sub candidate is not
-  certified (exit 4, bracket skipped), and a --manifest replay of each of
-  these.
+  certified (exit 4, bracket skipped);
+- a long-only session on the Merton document with the control set [0, 1]:
+  solve, simulate under the constant 0.5, and certify the exact long-only
+  (B = 1) closed form as a sub and as a super candidate;
+
+and a --manifest replay of each of these.
 
 Every path given to the command line is relative to the work directory, so
 no manifest names it.  Each line of FILE holds an artifact's path under the
@@ -110,8 +114,8 @@ def _session(name, problem, grid, modes, solve_flags, extra, policy, x0, candida
 
 
 def sessions(merton_problem, pipeline_spec) -> list:
-    """The (run directory, argv) of the Merton and 2-D heat sessions, in order;
-    pipeline_spec is the --fast pipeline spec, on merton_problem."""
+    """The (run directory, argv) of the Merton, 2-D heat and long-only sessions,
+    in order; pipeline_spec is the --fast pipeline spec, on merton_problem."""
     solution = {"kind": "from-solution", "csv": "../../out/merton/solve-project/solution.csv", "side": "sub",
                 "growth_constant": 10.0}
     merton = _session(
@@ -142,7 +146,26 @@ def sessions(merton_problem, pipeline_spec) -> list:
     inflated = dict(MERTON_SUB, params=dict(MERTON_SUB["params"], exponent_shift=0.5))
     uncertified = ("out/pipeline-uncertified",
                    ["pipeline", "--spec", _write(f"{inp}/pipeline.json", {**pipeline_spec, "sub_candidate": inflated})])
-    return merton + heat + [uncertified]
+    return merton + heat + [uncertified] + _long_only(merton_problem)
+
+
+def _long_only(merton_problem) -> list:
+    """The (run directory, argv) of the long-only session: a narrow control box
+    that the solver's grid, the simulator's check and the super battery's
+    adversaries all read."""
+    inp, out = "inputs/long-only", "out/long-only"
+    prob = _write(f"{inp}/prob.json", {**merton_problem, "control_set": [[[0.0, 1.0]]]})
+    grid = _write(f"{inp}/grid.json", {"box": [[0.2, 5.0]], "n": [80], "spacing": "log"})
+    exact = dict(MERTON_SUB, params=dict(MERTON_SUB["params"], B=1.0))
+    runs = [(f"{out}/solve", ["solve", "--problem", prob, "--grid", grid, "--time-nodes", "20", "--control-res", "21"]),
+            (f"{out}/simulate", ["simulate", "--problem", prob,
+                                 "--policy", _write(f"{inp}/policy.json", {"kind": "constant", "value": [0.5]}),
+                                 "--x0", "1.0", "--paths", "20000", "--steps", "50"])]
+    for side in ("sub", "super"):
+        runs.append((f"{out}/certify-{side}", ["certify", "--problem", prob, "--candidate",
+                                               _write(f"{inp}/certify-{side}.json", dict(exact, side=side)),
+                                               "--budget", "6000", "--start-box=0.5,2.0"]))
+    return runs
 
 
 def digests(src: str, seeds) -> list:

@@ -29,7 +29,6 @@ from .oracles import heat_value, merton_lambda, merton_optimal_control, merton_v
 from . import problem
 from .problem import (
     ControlProblem,
-    ControlSet,
     constant_coefficient_problem,
     heat_problem,
     merton_problem,

@@ -4,8 +4,8 @@ One battery serves both sides, and the candidate's side picks the quantifier
 over controls.  A sub-solution candidate must make w(t, X_t) a submartingale
 under SOME control, its companion policy.  A super-solution candidate must
 make w(t, X_t) a supermartingale under EVERY admissible control, which an
-explicit adversary class approximates: the control-box corners, random
-time-staircase policies, and any supplied policies such as a solver-extracted
+explicit adversary class approximates: the admissible box's corners, random
+time staircases in it, and any supplied policies such as a solver-extracted
 argmax rule, the strongest available adversary.  Either side must also stay
 on its side of the payoff at the horizon and respect its growth bound.
 
@@ -128,7 +128,7 @@ class CertifyConfig:
 @dataclass(frozen=True)
 class AdversaryConfig:
     """Explicit approximation of 'every admissible control' for the super test:
-    the control-box corners, n_random staircases and the extra policies."""
+    the admissible box's corners, n_random staircases in it and the extra policies."""
 
     n_random: int = 3
     extra_policies: tuple = ()
@@ -298,15 +298,14 @@ def certify_subsolution(candidate: CandidateFunction, problem, config: CertifyCo
 
 
 def _build_adversaries(problem, adv: AdversaryConfig):
-    k = problem.control_dim
-    B = problem.control_bound
-    corners = np.array(np.meshgrid(*[[-B, B]] * k)).T.reshape(-1, k)
+    k, lo, hi = problem.control_dim, problem.controls.lo, problem.controls.hi
+    corners = np.array(np.meshgrid(*zip(lo, hi))).T.reshape(-1, k)
     policies = [(f"corner {c.tolist()}", constant_policy(c)) for c in np.unique(corners, axis=0)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((adv.seed, 0xAD5))))
     for j in range(adv.n_random):
         bps = np.sort(rng.uniform(0.0, problem.horizon, _STAIRCASE_PIECES))
         bps[0] = 0.0
-        vals = rng.uniform(-B, B, (_STAIRCASE_PIECES, k))
+        vals = rng.uniform(lo, hi, (_STAIRCASE_PIECES, k))
         policies.append((f"random-staircase-{j}", piecewise_constant_policy(bps, vals)))
     for j, pol in enumerate(adv.extra_policies):
         policies.append((f"extra-{j} ({pol.tag})", pol))

@@ -39,6 +39,7 @@ from .grids import Box, GridFunction, box_from_pairs
 from .oracles import heat_value, merton_value
 from .simulate import estimate_value, simulate_paths
 from .solver import SchemeConfig, convergence_study, extract_policy, solve_hjb
+from .specio import integer as _integer
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,16 +158,6 @@ def _read(cfg, key, parse, default=None):
         return parse(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
-
-
-def _integer(value):
-    """An int that is not a bool, or an integral float such as 1e5; int() would
-    take 1.5, True and "7" as 1, 1 and 7."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"not an integer but a {type(value).__name__}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
 
 
 def _floats(value, length=None):

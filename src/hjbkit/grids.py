@@ -158,6 +158,10 @@ class Box:
         """Whether `other` sits inside the closure of self."""
         return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
 
+    def pairs(self) -> list:
+        """The [lo, hi] pair of each dimension, as in a document."""
+        return [list(pair) for pair in zip(self.lo.tolist(), self.hi.tolist())]
+
 
 def box_from_pairs(pairs) -> Box:
     """Box from one (lo, hi) pair per dimension; None is an infinite edge."""

@@ -2,9 +2,9 @@
 
 A ControlProblem packages the coefficients b and sigma of the controlled
 diffusion dX = b(t,X,u) dt + sigma(t,X,u) dW on an open box domain, the
-terminal payoff g with its gauge psi, the control set with its admissibility
-bound, and the constraint function G whose non-negativity marks where the
-Hamiltonian
+terminal payoff g with its gauge psi, the one box of admissible controls (the
+declared control set within the control bound), and the constraint function G
+whose non-negativity marks where the Hamiltonian
 
     H(t,x,p,M) = sup_u [ b(t,x,u).p + 1/2 Tr(sigma sigma^T M) ]
 
@@ -112,48 +112,18 @@ def positive_constraint(c: float = 1.0) -> Constraint:
 
 
 @dataclass(frozen=True)
-class ControlSet:
-    """Finite union of boxes in control space; edges may be infinite."""
-
-    boxes: tuple
-
-    def __post_init__(self):
-        if not self.boxes:
-            raise ValueError("control set needs at least one box")
-
-    @property
-    def dim(self) -> int:
-        return self.boxes[0].dim
-
-    def grid(self, resolution: int, bound: float) -> np.ndarray:
-        """Uniform grid of (union of boxes) intersected with [-bound, bound]^k."""
-        pts = []
-        for b in self.boxes:
-            lo = np.maximum(b.lo, -bound)
-            hi = np.minimum(b.hi, bound)
-            if np.any(lo > hi):
-                continue
-            axes = [np.linspace(a, c, resolution) if c > a else np.array([a]) for a, c in zip(lo, hi)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts.append(np.stack([m.ravel() for m in mesh], axis=-1))
-        if not pts:
-            raise ValueError("control set does not intersect the bound box")
-        allpts = np.concatenate(pts, axis=0)
-        return np.unique(allpts, axis=0)
-
-
-@dataclass(frozen=True)
 class ControlProblem:
     """One stochastic optimal-control instance: maximize E[g(X_T)].  The simulator
-    passes t to drift and diffusion; the solver reads them at t = 0 alone."""
+    passes t to drift and diffusion; the solver reads them at t = 0 alone.  The
+    box ``controls``, control_set within [-control_bound, control_bound]^k, is
+    the admissible set that the solver, the simulator and the certifier read."""
 
     drift: object
     diffusion: object
     state_dim: int
     noise_dim: int
-    control_dim: int
     control_bound: float
-    control_set: ControlSet
+    control_set: Box
     state_domain: Box
     horizon: float
     payoff: ScalarField
@@ -162,6 +132,7 @@ class ControlProblem:
     constraint: Constraint
     family: str = "custom"
     params: dict = field(default_factory=dict)
+    controls: Box = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
@@ -172,8 +143,16 @@ class ControlProblem:
             raise ValueError("state domain dimension mismatch")
         if not np.all(self.state_domain.lo < self.state_domain.hi):
             raise ValueError("state domain must be a nonempty open box")
-        if self.control_set.dim != self.control_dim:
-            raise ValueError("control set dimension mismatch")
+        B = self.control_bound
+        # in this order, so a {0} control set keeps its -0.0 under a zero bound
+        lo, hi = np.maximum(self.control_set.lo, -B), np.minimum(self.control_set.hi, B)
+        if self.control_set.dim == 0 or np.any(lo > hi):
+            raise ConfigurationError(f"control_set {self.control_set.pairs()} has no control within the bound {B}")
+        object.__setattr__(self, "controls", Box(lo, hi))
+
+    @property
+    def control_dim(self) -> int:
+        return self.control_set.dim
 
     def require_inside(self, x):
         if np.size(x) != self.state_dim:
@@ -182,7 +161,10 @@ class ControlProblem:
             raise DomainError(f"state {x} outside the open domain")
 
     def control_grid(self, resolution: int) -> np.ndarray:
-        return self.control_set.grid(resolution, self.control_bound)
+        """Uniform grid of the admissible box: `resolution` nodes on each axis of positive width."""
+        axes = [np.linspace(a, c, resolution) if c > a else np.array([a])
+                for a, c in zip(self.controls.lo, self.controls.hi)]
+        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +226,7 @@ def build_problem(
     """A problem with built-in coefficients: the one place a ControlProblem is made.
 
     ``state_domain`` holds one (lo, hi) pair per state dimension and
-    ``control_set`` a list of boxes in the same form, with None for an
+    ``control_set`` a list of one box in the same form, with None for an
     infinite edge.  The state and noise dimensions follow from the family and
     its parameters; the control set defaults to {0} for ``constant``
     coefficients and to the whole line otherwise.
@@ -254,15 +236,15 @@ def build_problem(
     drift, diffusion, (state_dim, noise_dim), params = _COEFFICIENT_FAMILIES[family](**params)
     if control_set is None:
         control_set = [[(0.0, 0.0)]] if family == "constant" else [[(None, None)]]
-    cset = ControlSet(tuple(box_from_pairs(pairs) for pairs in control_set))
+    if len(control_set) != 1:
+        raise ConfigurationError(f"control_set must hold one box, not {len(control_set)}")
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,
         state_dim=state_dim,
         noise_dim=noise_dim,
-        control_dim=cset.dim,
         control_bound=float(control_bound),
-        control_set=cset,
+        control_set=box_from_pairs(control_set[0]),
         state_domain=box_from_pairs(state_domain),
         horizon=float(horizon),
         payoff=payoff,

@@ -1,9 +1,9 @@
 """Euler-Maruyama simulation of the controlled state under feedback policies.
 
-Controls are frozen on each time step at u(t_n, X_n), which realizes a
-predictable admissible control of the declared bound.  Paths that step out of
-the domain (or an optional simulation box) are stopped at the pre-exit state
-and flagged; nothing is reflected or resampled, so discretization leakage is
+Controls are frozen on each time step at u(t_n, X_n), a predictable control
+that must lie in the problem's admissible box.  Paths that step out of the
+domain (or an optional simulation box) are stopped at the pre-exit state and
+flagged; nothing is reflected or resampled, so discretization leakage is
 visible in the exit fraction.  Problems with proportional coefficients on
 (0, inf) are advanced in log coordinates, which preserves positivity and makes
 each step exact in distribution for frozen controls.
@@ -28,9 +28,12 @@ bracket point).  Each block gets the bits it would get alone.  One Euler loop,
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import ge, le
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 __all__ = [
     "FeedbackPolicy",
@@ -44,17 +47,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
-    """Bounded measurable control rule u(t, x).
+    """Measurable control rule u(t, x).
 
     rule(t, X) must accept X of shape (n, d) and return (n, k), or (1, k)
-    when the control does not depend on x, one row for every state; bound is
-    the declared sup-norm bound on the values.  Calling the policy broadcasts
-    a one-row rule to (n, k).
+    when the control does not depend on x, one row for every state.  The
+    simulator refuses a row that is not k wide or leaves the problem's
+    admissible box.  Calling the policy broadcasts a one-row rule to (n, k).
     """
 
     rule: object
-    bound: float
-    tag: str = "analytic"
+    tag: str = field(default="analytic", kw_only=True)
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -78,7 +80,7 @@ def constant_policy(u) -> FeedbackPolicy:
     def rule(t, x):
         return row
 
-    return FeedbackPolicy(rule=rule, bound=float(np.max(np.abs(row))), tag="constant")
+    return FeedbackPolicy(rule, tag="constant")
 
 
 def piecewise_constant_policy(breakpoints, controls) -> FeedbackPolicy:
@@ -91,7 +93,7 @@ def piecewise_constant_policy(breakpoints, controls) -> FeedbackPolicy:
         i = min(max(int(np.searchsorted(breakpoints, t, side="right")) - 1, 0), len(controls) - 1)
         return controls[i:i + 1]
 
-    return FeedbackPolicy(rule=rule, bound=float(np.max(np.abs(controls))), tag="piecewise-constant")
+    return FeedbackPolicy(rule, tag="piecewise-constant")
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
     active = np.ones(n_paths, dtype=bool)
     all_active = True
     lo, hi = problem.state_domain.lo, problem.state_domain.hi
-    limit = problem.control_bound + 1e-9
+    k, u_lo, u_hi = problem.control_dim, (problem.controls.lo - 1e-9).tolist(), (problem.controls.hi + 1e-9).tolist()
     # the two rows, and read-only views of them for the policy, the coefficients and the predicates
     rows = (X0.copy(), np.empty_like(X0))
     views = tuple(r.view() for r in rows)
@@ -252,12 +254,12 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
         record(n, X)
         U = np.asarray(policy.rule(t, X), dtype=float)
         U = U.reshape(1 if U.shape[:1] == (1,) else n_paths, -1)
-        u_lo, u_hi = U.min(), U.max()
-        # false for a NaN control too
-        if not -limit <= u_lo <= u_hi <= limit:
-            raise ValueError(
-                f"policy value is not finite or exceeds the admissibility bound {problem.control_bound} at step {n}"
-            )
+        if U.shape[1] != k:
+            raise ConfigurationError(f"policy rows are {U.shape[1]} wide at step {n}; the problem has {k} controls")
+        # false for a NaN control too; Python floats compare faster than one-element arrays
+        if not (all(map(ge, U.min(axis=0).tolist(), u_lo)) and all(map(le, U.max(axis=0).tolist(), u_hi))):
+            raise ConfigurationError(f"policy value is not finite or outside the admissible control box "
+                                     f"{problem.controls.pairs()} at step {n}")
         if log_mode:
             # dY = (u mu - 0.5 (u sig)^2) dt + ((u sig) sqdt) Z, in this order;
             # the coefficients are worked out on U's rows, one when the policy

@@ -450,7 +450,6 @@ def extract_policy(solution: SpaceTimeSolution):
     shape = solution.grid.shape
     tables = np.ascontiguousarray(policies).reshape(len(policies), -1, policies.shape[-1])
     locators = [_nearest_locator(a) for a in solution.grid.axes]
-    bound = float(np.max(np.abs(policies)))
 
     def rule(t, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -460,7 +459,7 @@ def extract_policy(solution: SpaceTimeSolution):
             node += locators[d](x[:, d])
         return tables[solution.time_index(t)].take(node, axis=0)
 
-    return FeedbackPolicy(rule=rule, bound=bound, tag="grid-table")
+    return FeedbackPolicy(rule, tag="grid-table")
 
 
 @dataclass(frozen=True)

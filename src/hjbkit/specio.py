@@ -97,6 +97,16 @@ def keyword_params(params: dict, names: dict, what: str) -> dict:
     return {names[name]: float(value) for name, value in params.items()}
 
 
+def integer(value):
+    """An int that is not a bool, or an integral float such as 1e5; int() would
+    take 1.5, True and "7" as 1, 1 and 7."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not an integer but a {type(value).__name__}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _from_table(table: dict, spec: dict, what: str):
     """The factory named by spec["family"], called with spec["params"] as floats."""
     if spec["family"] not in table:
@@ -130,7 +140,10 @@ def grid_from_spec(spec: dict) -> SpatialGrid:
     if "nodes" in spec:
         return SpatialGrid(tuple(np.asarray(a, dtype=float) for a in spec["nodes"]))
     box = spec["box"]
-    n = spec["n"]
+    try:
+        n = [integer(k) for k in spec["n"]] if isinstance(spec["n"], list) else integer(spec["n"])
+    except ValueError as exc:
+        raise ConfigurationError(f"grid key 'n': {spec['n']!r} is not a node count ({exc})") from None
     spacing = spec.get("spacing", "uniform")
     if spacing == "uniform":
         lo = [b[0] for b in box]
@@ -139,7 +152,7 @@ def grid_from_spec(spec: dict) -> SpatialGrid:
     if spacing == "log":
         if len(box) != 1:
             raise ConfigurationError("log spacing is one-dimensional")
-        return log_grid(box[0][0], box[0][1], n if np.isscalar(n) else n[0])
+        return log_grid(box[0][0], box[0][1], n[0] if isinstance(n, list) else n)
     raise ConfigurationError(f"unknown spacing {spacing!r}")
 
 

@@ -354,7 +354,7 @@ class TestBatchedBatteryEqualsReference:
     def test_generic_euler_branch(self):
         problem = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0)
         assert not _use_log_coordinates(problem)
-        clip = FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0)
+        clip = FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0))
         cand = companion_candidate(lambda t, X: np.tanh(X[:, 0]) - t, "sub", 2.0, clip, "tanh")
         config = hk.CertifyConfig(start_box=hk.Box([-0.5], [0.5]), budget=6_000, seed=15)
         _assert_battery_equals_reference(cand, problem, config, cand.policy_factory, "companion", +1)

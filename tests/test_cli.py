@@ -958,7 +958,7 @@ def test_simulate_non_finite_control_exits_2(tmp_path, capsys, value):
     assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", str(pol),
                  "--x0", "1.0", "--paths", "100", "--steps", "4"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "not finite or exceeds the admissibility bound" in err
+    assert err.startswith("configuration error:") and "not finite or outside the admissible control box" in err
     assert not (tmp_path / "ensemble-summary.json").exists()
 
 
@@ -1107,3 +1107,97 @@ def test_pipeline_points_exit_2_or_run(tmp_path, monkeypatch, capsys, points):
     else:
         assert rc == 2 and not valid
         assert capsys.readouterr().err.startswith("configuration error:")
+
+
+# the long-only Merton problem: the proportion at risk lies in [0, 1]
+LONG_ONLY_SPEC = dict(MERTON_SPEC, control_set=[[[0.0, 1.0]]])
+
+
+def test_certify_companion_outside_the_admissible_box_exits_2(tmp_path, capsys):
+    """The unconstrained value sits 8.3% above the long-only value, and its
+    companion u = 5 once certified it as a sub-solution."""
+    prob = write(tmp_path / "prob.json", LONG_ONLY_SPEC)
+    cand = write(tmp_path / "cand.json", MERTON_SUB)
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", "100000", "--start-box", "0.5,2.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "outside the admissible control box [[0.0, 1.0]]" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_long_only_super_candidate_is_certified(tmp_path, capsys, seed):
+    """Staircases drawn from [-10, 10] rejected the exact long-only value on
+    seeds 2 and 3; the adversaries now stay in [0, 1]."""
+    prob = write(tmp_path / "prob.json", LONG_ONLY_SPEC)
+    cand = write(tmp_path / "cand.json", dict(MERTON_SUB, side="super", params=dict(MERTON_SUB["params"], B=1.0)))
+    assert main(["--seed", str(seed), "--out-dir", str(tmp_path), "certify", "--problem", prob,
+                 "--candidate", cand, "--budget", "100000", "--start-box", "0.5,2.0"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["certified"] and report["adversary_class"].startswith("corner [0.0], corner [1.0], ")
+
+
+def test_pipeline_inadmissible_companion_fails_the_simulate_stage(tmp_path, capsys):
+    spath = small_pipeline(tmp_path, problem=LONG_ONLY_SPEC)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
+    assert stages == {
+        "facelift": "ok", "solve": "ok",
+        "simulate": "failed: policy value is not finite or outside the admissible control box [[0.0, 1.0]] at step 0",
+    }
+
+
+def test_policy_without_a_value_exits_2_naming_the_width(tmp_path, capsys):
+    """The deleted FeedbackPolicy.bound failed here in a numpy reduction over no values."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": []})
+    assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
+                 "--x0", "1.0", "--paths", "100", "--steps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "policy rows are 0 wide at step 0; the problem has 1" in err
+    assert not (tmp_path / "ensemble-summary.json").exists()
+
+
+@pytest.mark.parametrize("control_set, message", [
+    ([[[0.0, 1.0]], [[2.0, 3.0]]], "control_set must hold one box, not 2"),
+    ([[]], "control_set [] has no control within the bound 10.0"),
+    ([[[20.0, 30.0]]], "control_set [[20.0, 30.0]] has no control within the bound 10.0"),
+], ids=["two-boxes", "0-dimensional", "outside-the-bound"])
+def test_problem_document_without_one_admissible_box_exits_2(tmp_path, monkeypatch, capsys, control_set, message):
+    """Two boxes ran with exit 0; the other two failed only once a solve ran."""
+    monkeypatch.setattr("hjbkit.cli.solve_hjb", _raise(AssertionError("a solve ran")))
+    prob = write(tmp_path / "prob.json", dict(MERTON_SPEC, control_set=control_set))
+    grid = write(tmp_path / "grid.json", {"box": [[0.2, 5.0]], "n": [30], "spacing": "log"})
+    assert main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+
+
+NOT_NODE_COUNTS = [[30.5], 1.5, True, "30", [True]]
+
+
+@pytest.mark.parametrize("n", NOT_NODE_COUNTS, ids=repr)
+@pytest.mark.parametrize("spacing", ["uniform", "log"])
+def test_solve_grid_node_count_that_is_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, n, spacing):
+    """np.asarray(n, int) solved "n": [30.5] on 30 nodes with exit 0."""
+    monkeypatch.setattr("hjbkit.cli.solve_hjb", _raise(AssertionError("a solve ran")))
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.2, 5.0]], "n": n, "spacing": spacing})
+    assert main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: grid key 'n': {n!r} is not a node count")
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("n", NOT_NODE_COUNTS, ids=repr)
+def test_pipeline_grid_node_count_that_is_not_an_integer_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, n):
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, grid={"box": [[0.2, 5.0]], "n": n, "spacing": "log"})
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: grid key 'n': {n!r} is not a node count")
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+def test_grid_node_counts_take_integral_floats(tmp_path):
+    grid = specio.grid_from_spec({"box": [[0.2, 5.0], [0.0, 1.0]], "n": [30.0, 7], "spacing": "uniform"})
+    assert grid.shape == (30, 7)

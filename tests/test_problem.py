@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import hjbkit as hk
 from hjbkit import specio
-from hjbkit.certify import _growth_record, companion_candidate
+from hjbkit.certify import AdversaryConfig, _build_adversaries, _growth_record, companion_candidate
 from hjbkit.grids import Box
+from hjbkit.simulate import piecewise_constant_policy
 from hjbkit.solver import _Stepper
 
 
@@ -123,9 +126,8 @@ def test_constructor_and_document_build_one_problem(case):
     for name in ("state_dim", "noise_dim", "control_dim", "control_bound", "horizon",
                  "gauge_constant", "family", "params"):
         assert getattr(read, name) == getattr(built, name), name
-    for a, b in [(read.state_domain, built.state_domain)] + list(
-        zip(read.control_set.boxes, built.control_set.boxes, strict=True)
-    ):
+    for a, b in [(read.state_domain, built.state_domain), (read.control_set, built.control_set),
+                 (read.controls, built.controls)]:
         np.testing.assert_array_equal(a.lo, b.lo)
         np.testing.assert_array_equal(a.hi, b.hi)
     for name in ("payoff", "gauge", "constraint"):
@@ -158,3 +160,90 @@ def test_constraint_of_another_family_is_refused(family):
     """Only the three families the face-lift and the solver know can be built."""
     with pytest.raises(hk.ConfigurationError, match="unknown constraint family"):
         hk.problem.Constraint(lambda t, x, p, M: -np.trace(M), family)
+
+
+def one_box_grid_reference(box, resolution, bound):
+    """The control grid as ControlSet.grid made it for a set of one box: the
+    box within [-bound, bound]^k, meshed, then np.unique of the rows."""
+    lo = np.maximum(box.lo, -bound)
+    hi = np.minimum(box.hi, bound)
+    axes = [np.linspace(a, c, resolution) if c > a else np.array([a]) for a, c in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.unique(np.stack([m.ravel() for m in mesh], axis=-1), axis=0)
+
+
+def bound_box_adversaries_reference(problem, adv):
+    """The super battery's adversaries as they were drawn from [-B, B]^k alone."""
+    k, B = problem.control_dim, problem.control_bound
+    corners = np.array(np.meshgrid(*[[-B, B]] * k)).T.reshape(-1, k)
+    policies = [(f"corner {c.tolist()}", hk.constant_policy(c)) for c in np.unique(corners, axis=0)]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((adv.seed, 0xAD5))))
+    for j in range(adv.n_random):
+        bps = np.sort(rng.uniform(0.0, problem.horizon, 4))
+        bps[0] = 0.0
+        policies.append((f"random-staircase-{j}", piecewise_constant_policy(bps, rng.uniform(-B, B, (4, k)))))
+    return policies
+
+
+SHIPPED_PROBLEMS = {
+    "merton": hk.merton_problem,
+    "proportional": hk.proportional_control_problem,
+    "heat-1d": hk.heat_problem,
+    "heat-2d": lambda: hk.heat_problem(dim=2),
+    "constant": lambda: hk.constant_coefficient_problem([0.3], [[0.5]]),
+}
+
+
+@pytest.mark.parametrize("case", list(SHIPPED_PROBLEMS))
+def test_shipped_problems_keep_their_control_grid_and_adversaries_bitwise(case):
+    """Every shipped control set contains [-B, B]^k, so reading the admissible
+    box changes no bit of the solver's grid or of the super battery's adversaries."""
+    problem = SHIPPED_PROBLEMS[case]()
+    for resolution in (1, 2, 5, 21, 41, 81, 201):
+        got = problem.control_grid(resolution)
+        want = one_box_grid_reference(problem.control_set, resolution, problem.control_bound)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), resolution
+    times = np.linspace(0.0, problem.horizon, 257)
+    x = np.zeros((1, problem.state_dim))
+    for seed in (1, 2, 43):
+        adv = AdversaryConfig(seed=seed)
+        got, want = _build_adversaries(problem, adv), bound_box_adversaries_reference(problem, adv)
+        assert [tag for tag, _ in got] == [tag for tag, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert all(a.rule(t, x).tobytes() == b.rule(t, x).tobytes() for t in times)
+
+
+def long_only(problem):
+    return dataclasses.replace(problem, control_set=Box([0.0], [1.0]))
+
+
+def test_a_narrow_control_set_is_the_admissible_box(merton_problem):
+    problem = long_only(merton_problem)
+    np.testing.assert_array_equal(problem.controls.lo, [0.0])
+    np.testing.assert_array_equal(problem.controls.hi, [1.0])
+    np.testing.assert_array_equal(problem.control_grid(5)[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
+    # the box is worked out again on every construction, so a smaller bound narrows it
+    narrow = dataclasses.replace(problem, control_bound=0.5)
+    assert narrow.controls.hi.tolist() == [0.5]
+
+
+def test_super_adversaries_stay_in_the_admissible_box(merton_problem):
+    """Corners and staircases were drawn from [-B, B]: on a long-only problem
+    they left [0, 1] and rejected its exact value as a super-solution."""
+    problem = long_only(merton_problem)
+    times = np.linspace(0.0, problem.horizon, 257)
+    for seed in range(1, 6):
+        adversaries = _build_adversaries(problem, AdversaryConfig(seed=seed))
+        assert [(tag, pol.rule(0.0, None).tolist()) for tag, pol in adversaries[:2]] == [
+            ("corner [0.0]", [[0.0]]), ("corner [1.0]", [[1.0]])]
+        stairs = np.concatenate([pol.rule(t, None) for _, pol in adversaries[2:] for t in times])
+        assert len(adversaries) == 5 and np.all((stairs >= 0.0) & (stairs <= 1.0))
+
+
+@pytest.mark.parametrize("control_set, message", [
+    (Box(np.empty(0), np.empty(0)), r"control_set \[\] has no control within the bound 10.0"),
+    (Box([20.0], [30.0]), r"control_set \[\[20.0, 30.0\]\] has no control within the bound 10.0"),
+], ids=["0-dimensional", "outside-the-bound"])
+def test_a_control_set_without_admissible_controls_is_refused(merton_problem, control_set, message):
+    with pytest.raises(hk.ConfigurationError, match=message):
+        dataclasses.replace(merton_problem, control_set=control_set)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -67,8 +68,31 @@ class TestSimulatePaths:
 
     def test_bound_violation_raises(self, merton_problem):
         wild = constant_policy([11.0])
-        with pytest.raises(ValueError, match="bound"):
+        with pytest.raises(hk.ConfigurationError, match=r"outside the admissible control box \[\[-10.0, 10.0\]\]"):
             hk.simulate_paths(merton_problem, wild, 0.0, [1.0], 10, 4, seed=0)
+
+    @pytest.mark.parametrize("policy, message", [
+        (constant_policy([5.0]), r"outside the admissible control box \[\[0.0, 1.0\]\] at step 0"),
+        (constant_policy([-1e-3]), r"outside the admissible control box \[\[0.0, 1.0\]\] at step 0"),
+        (constant_policy([0.5, 0.5]), "policy rows are 2 wide at step 0; the problem has 1 controls"),
+        (FeedbackPolicy(lambda t, x: np.full((x.shape[0], 1), 1.0 if t < 0.5 else 1.5)),
+         r"outside the admissible control box \[\[0.0, 1.0\]\] at step 2"),
+    ], ids=["above", "below", "two-wide", "later-step"])
+    def test_controls_outside_the_admissible_box_are_refused(self, merton_problem, policy, message):
+        """Only |u| <= B was checked: u = 5 ran on a long-only problem, and a
+        two-wide row ran with its second column ignored."""
+        long_only = dataclasses.replace(merton_problem, control_set=hk.Box([0.0], [1.0]))
+        with pytest.raises(hk.ConfigurationError, match=message):
+            hk.simulate_paths(long_only, policy, 0.0, [1.0], 10, 4, seed=0)
+        # within rounding of the box is admissible
+        hk.simulate_paths(long_only, constant_policy([1.0 + 1e-10]), 0.0, [1.0], 10, 4, seed=0)
+
+    def test_a_positional_tag_is_refused(self):
+        """FeedbackPolicy had a bound before its tag; an old call FeedbackPolicy(rule,
+        bound) would otherwise take the bound for the tag."""
+        with pytest.raises(TypeError):
+            FeedbackPolicy(lambda t, x: x, 1.0)
+        assert FeedbackPolicy(lambda t, x: x, tag="mine").tag == "mine"
 
     def test_simulation_box_absorbs(self):
         prob = hk.constant_coefficient_problem([1.0], [[0.0]])
@@ -191,7 +215,7 @@ class TestStepMajorStorage:
             "generic-2d-box": (two_noise, constant_policy([0.0]), 0.0, [0.1, 0.2], n_paths, 7, 8,
                                hk.Box([-0.8, -0.3], [0.8, 0.6])),
             "generic-control": (hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0),
-                                FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0), 0.0, [0.3], n_paths, 9, 9),
+                                FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0)), 0.0, [0.3], n_paths, 9, 9),
         }[case]
         n_steps = args[5]
         ens = hk.simulate_paths(*args, stops=range(n_steps + 1))
@@ -246,7 +270,7 @@ class TestStepMajorStorage:
             seen.append(x.flags.writeable)
             return np.zeros((x.shape[0], 1))
 
-        hk.simulate_paths(merton_problem, FeedbackPolicy(rule, 1.0), 0.0, [1.0], 10, 5, seed=0)
+        hk.simulate_paths(merton_problem, FeedbackPolicy(rule), 0.0, [1.0], 10, 5, seed=0)
         assert seen == [False] * 5
 
     @pytest.mark.parametrize("grid_table", [False, True], ids=["constant", "grid-table"])
@@ -295,7 +319,7 @@ class TestBlocks:
             policies = [constant_policy([2.0]), hk.extract_policy(coarse_merton_solution), constant_policy([-4.0])]
         else:
             problem, x0 = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0), [0.3]
-            policies = [constant_policy([0.5]), FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0), 1.0)]
+            policies = [constant_policy([0.5]), FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0))]
         ens = hk.simulate_paths(problem, policies, 0.0, x0, 300, 11, (4, 2), stops=range(12))
         _assert_blocks_equal_single_calls(
             ens, [hk.simulate_paths(problem, pol, 0.0, x0, 300, 11, (4, 2), stops=range(12)) for pol in policies])
@@ -308,7 +332,7 @@ class TestBlocks:
             calls.append(x.shape[0])
             return np.full((x.shape[0], 1), 2.0)
 
-        c = FeedbackPolicy(rule, 2.0)
+        c = FeedbackPolicy(rule)
         policies, starts, keys = [c, c, a, b, c], [[0.6], [0.9], [1.1], [1.4], [1.8]], [1, 2, 3, 4, 5]
         ens = hk.simulate_paths(merton_problem, policies, 0.0, starts, 50, 6, keys, stops=range(7))
         # consecutive blocks of one policy object are one Euler run
@@ -413,7 +437,7 @@ class TestPolicies:
         else:
             problem, x0, box = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0), [0.2], hk.Box([-0.4], [0.6])
         stairs = piecewise_constant_policy([0.0, 0.3, 0.6], [[0.8], [-0.5], [0.3]])
-        rows = FeedbackPolicy(lambda t, x: np.repeat(stairs.rule(t, x), x.shape[0], axis=0), 0.8)
+        rows = FeedbackPolicy(lambda t, x: np.repeat(stairs.rule(t, x), x.shape[0], axis=0))
         one, full = (hk.simulate_paths(problem, pol, 0.0, x0, 500, 20, 3, box, stops=(5, 12)) for pol in (stairs, rows))
         assert 0.0 < one.exit_fraction < 1.0
         for a, b in ((one.states, full.states), (one.exit_step, full.exit_step)):
@@ -423,7 +447,6 @@ class TestPolicies:
         pol = piecewise_constant_policy([0.0, 0.5], [[1.0], [-1.0]])
         assert pol(0.2, [0.0])[0] == 1.0
         assert pol(0.7, [0.0])[0] == -1.0
-        assert pol.bound == 1.0
 
 
 @pytest.mark.parametrize("s", [0, 42, 2**40])

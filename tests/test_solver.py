@@ -13,7 +13,6 @@ from hjbkit.oracles import heat_value, merton_value
 from hjbkit.problem import (
     ControlProblem,
     ScalarField,
-    ControlSet,
     abs_payoff,
     constant_payoff,
     neg_trace_constraint,
@@ -21,10 +20,6 @@ from hjbkit.problem import (
     positive_constraint,
 )
 from hjbkit.solver import _PROJECT_TRIGGER, _float_upper_envelope, _nearest_locator, _penalty_step, _Stepper
-
-
-def box_control_set(lo, hi) -> ControlSet:
-    return ControlSet((hk.Box(np.atleast_1d(lo), np.atleast_1d(hi)),))
 
 
 def gf(x, v):
@@ -271,8 +266,8 @@ class TestSolveHJB:
             return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
 
         prob = ControlProblem(
-            drift=drift, diffusion=diffusion, state_dim=2, noise_dim=2, control_dim=1,
-            control_bound=1.0, control_set=box_control_set([-1.0], [1.0]),
+            drift=drift, diffusion=diffusion, state_dim=2, noise_dim=2,
+            control_bound=1.0, control_set=hk.Box([-1.0], [1.0]),
             state_domain=hk.Box(np.full(2, -np.inf), np.full(2, np.inf)), horizon=0.5,
             payoff=ScalarField(lambda x: x[..., 0], "x0"), gauge=one_plus_square_gauge(),
             gauge_constant=2.0, constraint=positive_constraint(1.0),
@@ -493,9 +488,9 @@ class TestExtractPolicy:
         flipped = table[::-1]
         assert np.all((np.abs(table - flipped) < 1e-12) | (np.abs(table + flipped) < 1e-12))
 
-    def test_policy_respects_bound(self, coarse_merton_solution):
-        pol = hk.extract_policy(coarse_merton_solution)
-        assert pol.bound <= 10.0 + 1e-12
+    def test_policy_respects_bound(self, coarse_merton_solution, merton_problem):
+        table, controls = coarse_merton_solution.policies, merton_problem.controls
+        assert np.all((table >= controls.lo) & (table <= controls.hi))
 
 
 def _searchsorted_nearest(axis, xs):
@@ -626,7 +621,7 @@ class TestNearestLocator:
 
         got, want = (
             hk.simulate_paths(problem, policy, 0.0, x0, 5_000, 40, 3, stops=(left_box, 20))
-            for policy in (hk.extract_policy(sol), hk.FeedbackPolicy(searchsorted_rule, problem.control_bound))
+            for policy in (hk.extract_policy(sol), hk.FeedbackPolicy(searchsorted_rule))
         )
         assert got.log_coordinates == (case == "log")
         assert 0.0 < np.mean(got.stop_step[:, 0] >= 0) < 1.0
