@@ -14,6 +14,8 @@ directory and runs there:
   certify a sub and a super candidate (and, on Merton, the solver's own
   candidate), bracket, a --fast pipeline whose sub candidate is not
   certified (exit 4, bracket skipped);
+- a hand-written convergence manifest on the Merton document that holds only
+  problem, grid and out, so it runs on the defaults of the convergence flags;
 - a long-only session on the Merton document with the control set [0, 1]:
   solve, simulate under the constant 0.5, and certify the exact long-only
   (B = 1) closed form as a sub and as a super candidate;
@@ -146,7 +148,11 @@ def sessions(merton_problem, pipeline_spec) -> list:
     inflated = dict(MERTON_SUB, params=dict(MERTON_SUB["params"], exponent_shift=0.5))
     uncertified = ("out/pipeline-uncertified",
                    ["pipeline", "--spec", _write(f"{inp}/pipeline.json", {**pipeline_spec, "sub_candidate": inflated})])
-    return merton + heat + [uncertified] + _long_only(merton_problem)
+    minimal = {"subcommand": "convergence",
+               "config": {"problem": "inputs/merton/prob.json", "grid": "inputs/merton/grid.json", "out": "study.json"}}
+    minimal_run = ("out/merton/convergence-minimal",
+                   ["--manifest", _write("inputs/merton/convergence-minimal.json", minimal)])
+    return merton + [minimal_run] + heat + [uncertified] + _long_only(merton_problem)
 
 
 def _long_only(merton_problem) -> list:

@@ -16,7 +16,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from collections.abc import Callable
+from dataclasses import MISSING, asdict, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .facelift import concave_envelope, facelift_general
 from .grids import Box, GridFunction, box_from_pairs
 from .oracles import heat_value, merton_value
 from .simulate import estimate_value, simulate_paths
-from .solver import SchemeConfig, convergence_study, extract_policy, solve_hjb
+from .solver import CONSTRAINT_MODES, SchemeConfig, convergence_study, extract_policy, solve_hjb
 from .specio import integer as _integer
 
 EXIT_OK = 0
@@ -48,17 +50,17 @@ EXIT_CERTIFY_FAIL = 4
 
 
 def _parse_params(text: str) -> dict:
-    out = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        key, val = item.split("=", 1)
-        out[key.strip()] = float(val)
-    return out
+    """The {name: value} of "name=value[,name=value...]"."""
+    pairs = (item.split("=", 1) for item in text.split(",")) if text else ()
+    return {key.strip(): float(val) for key, val in pairs}
 
 
 def _payoff_values(problem, grid) -> GridFunction:
     return GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _report_to_json(report: CertificationReport, candidate_spec) -> dict:
@@ -102,7 +104,8 @@ def _load_report(path):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each takes the resolved config dict)
+# subcommand handlers: each takes its settings and the artifact directory and
+# returns its exit code, its artifacts (name -> text) and the manifest's seed
 # ---------------------------------------------------------------------------
 
 _ORACLES = {
@@ -111,19 +114,13 @@ _ORACLES = {
 }
 
 
-def _run_oracle(cfg, out_dir):
-    t, x = _read(cfg, "eval", lambda v: _floats(v, 2))
-    if cfg["family"] not in _ORACLES:
-        raise ConfigurationError(f"unknown oracle family {cfg['family']!r}")
-    value, names = _ORACLES[cfg["family"]]
-    params = specio.keyword_params(cfg["params"], names, f"{cfg['family']} oracle")
-    if cfg["family"] == "heat":
-        params["payoff"] = cfg.get("payoff", "x2")
-    val = value(t, x, **params)
-    print(f"{val!r}")
-    if out_dir:
-        specio.write_manifest(out_dir, "oracle", cfg, [], cfg.get("seed"), [])
-    return EXIT_OK
+def _run_oracle(s, out_dir):
+    value, names = _ORACLES[s["family"]]
+    params = specio.keyword_params(s["params"], names, f"{s['family']} oracle")
+    if s["family"] == "heat":
+        params["payoff"] = s["payoff"]
+    print(f"{value(*s['eval'], **params)!r}")
+    return EXIT_OK, {}, s["seed"]
 
 
 def _facelift(problem, g):
@@ -134,66 +131,23 @@ def _facelift(problem, g):
     return facelift_general(g, problem)
 
 
-def _run_facelift(cfg, out_dir):
-    # older manifests hold "method": "auto" and a "tol" that reached no documented constraint
-    if cfg.get("method", "auto") != "auto":
-        raise ConfigurationError(
-            f'"method": {cfg["method"]!r} is not supported; the facelift --method flag was removed')
-    problem = specio.load_problem(cfg["problem"])
-    grid = specio.load_grid(cfg["grid"])
+def _run_facelift(s, out_dir):
+    problem = specio.load_problem(s["problem"])
+    grid = specio.load_grid(s["grid"])
     g = _payoff_values(problem, grid)
     ghat = _facelift(problem, g)
-    out = os.path.join(out_dir, cfg["out"])
-    specio.atomic_write_text(out, ghat.to_csv())
-    specio.write_manifest(out_dir, "facelift", cfg, [cfg["problem"], cfg["grid"]], cfg.get("seed"), [cfg["out"]])
-    print(f"facelift written to {out}; sup distance to payoff = {float(np.max(ghat.values - g.values))!r}")
-    return EXIT_OK
+    print(f"facelift written to {os.path.join(out_dir, s['out'])}; "
+          f"sup distance to payoff = {float(np.max(ghat.values - g.values))!r}")
+    return EXIT_OK, {s["out"]: ghat.to_csv()}, s["seed"]
 
 
-def _read(cfg, key, parse, default=None):
-    """parse(cfg[key]), or parse(default) when the key is absent; a value that
-    parse refuses is a configuration error naming the key."""
-    value = cfg.get(key, default)
-    try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
-
-
-def _floats(value, length=None):
-    """A nonempty list of floats, of `length` entries when given."""
-    if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
-        raise ValueError(f"not a list of {length or 'one or more'} numbers")
-    return [float(v) for v in value]
-
-
-def _optional_box(value):
-    """A box from (lo, hi) pairs, or None for an absent or empty one."""
-    return box_from_pairs(value) if value else None
-
-
-def _scheme_config(cfg) -> SchemeConfig:
-    if cfg.get("upwind", True) is not True:
-        raise ConfigurationError('"upwind": false is not supported; the drift is always upwinded')
-    if cfg.get("penalty_weight") is not None:
-        raise ConfigurationError('"penalty_weight" is not supported; the penalty weight follows the grid')
-    return SchemeConfig(
-        n_time_nodes=_read(cfg, "time_nodes", _integer, 101),
-        dt=_read(cfg, "dt", lambda v: None if v is None else float(v)),
-        control_grid_resolution=_read(cfg, "control_res", _integer, 41),
-        constraint_mode=cfg.get("mode", "auto"),
-    )
-
-
-def _run_solve(cfg, out_dir):
-    problem = specio.load_problem(cfg["problem"])
-    grid = specio.load_grid(cfg["grid"])
-    config = _scheme_config(cfg)
+def _run_solve(s, out_dir):
+    problem = specio.load_problem(s["problem"])
+    grid = specio.load_grid(s["grid"])
+    config = _config(SchemeConfig, "solve", s)
     g = _payoff_values(problem, grid)
-    terminal = _facelift(problem, g) if cfg.get("terminal", "facelift") == "facelift" else g
+    terminal = _facelift(problem, g) if s["terminal"] == "facelift" else g
     sol = solve_hjb(problem, terminal, config)
-    out = os.path.join(out_dir, cfg["out"])
-    specio.atomic_write_text(out, sol.to_csv())
     sidecar = {
         "scheme": {
             "n_time_nodes": config.n_time_nodes,
@@ -203,42 +157,31 @@ def _run_solve(cfg, out_dir):
             "control_grid_size": sol.metadata["control_grid_size"],
             "mode": sol.metadata["mode"],
         },
-        "terminal": cfg.get("terminal", "facelift"),
+        "terminal": s["terminal"],
     }
-    specio.atomic_write_text(os.path.join(out_dir, cfg["out"] + ".config.json"),
-                             json.dumps(sidecar, indent=2) + "\n")
-    specio.write_manifest(
-        out_dir, "solve", cfg, [cfg["problem"], cfg["grid"]], cfg.get("seed"),
-        [cfg["out"], cfg["out"] + ".config.json"],
-    )
-    print(f"solution written to {out} ({sol.metadata['substeps_per_interval']} substeps/interval)")
-    return EXIT_OK
+    print(f"solution written to {os.path.join(out_dir, s['out'])} "
+          f"({sol.metadata['substeps_per_interval']} substeps/interval)")
+    artifacts = {s["out"]: sol.to_csv(), s["out"] + ".config.json": json.dumps(sidecar, indent=2) + "\n"}
+    return EXIT_OK, artifacts, s["seed"]
 
 
-def _run_simulate(cfg, out_dir):
-    problem = specio.load_problem(cfg["problem"])
-    policy_spec = specio.load_json(cfg["policy"])
-    policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(cfg["policy"]) or ".")
-    box = _read(cfg, "simulation_box", _optional_box)
-    t0, x0, seed = _read(cfg, "t0", float, 0.0), _read(cfg, "x0", _floats), _read(cfg, "seed", _integer, 0)
+def _run_simulate(s, out_dir):
+    problem = specio.load_problem(s["problem"])
+    policy_spec = specio.load_json(s["policy"])
+    policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(s["policy"]) or ".")
     ens = simulate_paths(
-        problem, policy, t0, x0, _read(cfg, "paths", _integer, 10_000), _read(cfg, "steps", _integer, 100),
-        seed, box,
-    )
+        problem, policy, s["t0"], s["x0"], s["paths"], s["steps"], s["seed"], s["simulation_box"])
     est = estimate_value(ens, problem.payoff)
     summary = {
-        **asdict(est), "seed": seed, "policy": policy_spec, "t0": t0, "x0": x0,
+        **asdict(est), "seed": s["seed"], "policy": policy_spec, "t0": s["t0"], "x0": s["x0"],
         "log_coordinates": ens.log_coordinates,
     }
-    out = os.path.join(out_dir, cfg["out"])
-    specio.atomic_write_text(out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    specio.write_manifest(out_dir, "simulate", cfg, [cfg["problem"], cfg["policy"]], cfg.get("seed"), [cfg["out"]])
     print(f"value estimate {est.mean!r} +- {est.half_width_95!r} (exit fraction {est.exit_fraction:.4f})")
-    return EXIT_OK
+    return EXIT_OK, {s["out"]: _json(summary)}, s["seed"]
 
 
-def _certify_config(cfg, problem) -> CertifyConfig:
-    box = _read(cfg, "start_box", _optional_box)
+def _certify_config(document, s, problem) -> CertifyConfig:
+    box = s["start_box"]
     if box is None:
         lo = np.where(np.isfinite(problem.state_domain.lo), problem.state_domain.lo, -1.0)
         hi = np.where(np.isfinite(problem.state_domain.hi), problem.state_domain.hi, 1.0)
@@ -246,15 +189,7 @@ def _certify_config(cfg, problem) -> CertifyConfig:
         box = Box(lo + 0.25 * width, hi - 0.25 * width)
     if box.dim != problem.state_dim:
         raise ConfigurationError(f"key 'start_box': {box.dim} dimensions; the problem has {problem.state_dim}")
-    return CertifyConfig(
-        start_box=box,
-        budget=_read(cfg, "budget", _integer, 100_000),
-        z=_read(cfg, "z", float, 4.0),
-        tol=_read(cfg, "tol", float, 1e-9),
-        n_starts=_read(cfg, "n_starts", _integer, 3),
-        steps_per_record=_read(cfg, "steps", _integer, 48),
-        seed=_read(cfg, "seed", _integer, 0),
-    )
+    return _config(CertifyConfig, document, s, start_box=box, seed=s["seed"])
 
 
 def _certify(candidate, side, problem, config, extra_policies=()) -> CertificationReport:
@@ -265,49 +200,33 @@ def _certify(candidate, side, problem, config, extra_policies=()) -> Certificati
     return certify_supersolution(candidate, problem, config, adv)
 
 
-def _run_certify(cfg, out_dir):
-    problem = specio.load_problem(cfg["problem"])
-    candidate_spec = specio.load_json(cfg["candidate"])
+def _run_certify(s, out_dir):
+    problem = specio.load_problem(s["problem"])
+    candidate_spec = specio.load_json(s["candidate"])
     candidate = specio.candidate_from_spec(
-        candidate_spec, base_dir=os.path.dirname(cfg["candidate"]) or ".", side=cfg.get("kind"))
+        candidate_spec, base_dir=os.path.dirname(s["candidate"]) or ".", side=s["kind"])
     candidate_spec = {**candidate_spec, "side": candidate.kind}
-    report = _certify(candidate, candidate.kind, problem, _certify_config(cfg, problem))
-    doc = _report_to_json(report, candidate_spec)
-    out = os.path.join(out_dir, cfg["out"])
-    specio.atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    specio.write_manifest(out_dir, "certify", cfg, [cfg["problem"], cfg["candidate"]], cfg.get("seed"), [cfg["out"]])
+    report = _certify(candidate, candidate.kind, problem, _certify_config("certify", s, problem))
     print(report.verdict)
-    if not report.certified:
-        for r in report.failing():
-            print(
-                f"  FAILED {r.kind} tau={r.tau:g} rho={r.rho} adversary={r.adversary} "
-                f"margin={r.margin:.3e} stderr={r.stderr:.3e}"
-            )
-        return EXIT_CERTIFY_FAIL
-    return EXIT_OK
+    for r in report.failing():
+        print(
+            f"  FAILED {r.kind} tau={r.tau:g} rho={r.rho} adversary={r.adversary} "
+            f"margin={r.margin:.3e} stderr={r.stderr:.3e}"
+        )
+    code = EXIT_OK if report.certified else EXIT_CERTIFY_FAIL
+    return code, {s["out"]: _json(_report_to_json(report, candidate_spec))}, s["seed"]
 
 
-def _run_bracket(cfg, out_dir):
-    problem = specio.load_problem(cfg["problem"])
-    sub, sub_rep = _load_report(cfg["sub"])
-    super_, super_rep = _load_report(cfg["super"])
-    pts = _read_points(cfg["points"])
+def _run_bracket(s, out_dir):
+    problem = specio.load_problem(s["problem"])
+    sub, sub_rep = _load_report(s["sub"])
+    super_, super_rep = _load_report(s["super"])
+    pts = _read_points(s["points"])
     _require_points(problem, pts)
-    bc = BracketConfig(
-        n_paths=_read(cfg, "paths", _integer, 20_000),
-        n_steps=_read(cfg, "steps", _integer, 64),
-        seed=_read(cfg, "seed", _integer, 0),
-    )
-    rep = bracket_report(sub, super_, problem, pts, bc, sub_rep, super_rep)
-    doc = _bracket_to_json(rep)
-    out = os.path.join(out_dir, cfg["out"])
-    specio.atomic_write_text(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    specio.write_manifest(
-        out_dir, "bracket", cfg, [cfg["problem"], cfg["sub"], cfg["super"], cfg["points"]],
-        cfg.get("seed"), [cfg["out"]],
-    )
+    rep = bracket_report(sub, super_, problem, pts, _config(BracketConfig, "bracket", s, seed=s["seed"]),
+                         sub_rep, super_rep)
     print(f"bracket ok={rep.ok} max gap={rep.max_gap!r}")
-    return EXIT_OK if rep.ok else EXIT_CERTIFY_FAIL
+    return EXIT_OK if rep.ok else EXIT_CERTIFY_FAIL, {s["out"]: _json(_bracket_to_json(rep))}, s["seed"]
 
 
 def _require_points(problem, points):
@@ -341,46 +260,29 @@ def _read_points(path):
     return pts
 
 
-def _run_convergence(cfg, out_dir):
-    problem = specio.load_problem(cfg["problem"])
-    grid = specio.load_grid(cfg["grid"])
-    terminal = _payoff_values(problem, grid)
+def _run_convergence(s, out_dir):
+    problem = specio.load_problem(s["problem"])
+    grid = specio.load_grid(s["grid"])
     study = convergence_study(
-        problem, terminal, _read(cfg, "refinements", _integer, 2), _scheme_config(cfg),
-        mode=cfg.get("refine", "space"),
+        problem, _payoff_values(problem, grid), s["refinements"], _config(SchemeConfig, "convergence", s),
+        mode=s["refine"],
     )
-    doc = {"shapes": [list(s) for s in study.shapes], "diffs": list(study.diffs), "orders": list(study.orders)}
-    out = os.path.join(out_dir, cfg["out"])
-    specio.atomic_write_text(out, json.dumps(doc, indent=2) + "\n")
-    specio.write_manifest(out_dir, "convergence", cfg, [cfg["problem"], cfg["grid"]], cfg.get("seed"), [cfg["out"]])
+    doc = {"shapes": [list(sh) for sh in study.shapes], "diffs": list(study.diffs), "orders": list(study.orders)}
     print(f"diffs={study.diffs} orders={study.orders}")
-    return EXIT_OK
+    return EXIT_OK, {s["out"]: json.dumps(doc, indent=2) + "\n"}, s["seed"]
 
 
 # what a pipeline stage reports in the partial report instead of raising
 _STAGE_ERRORS = (ConfigurationError, DomainError, ConvergenceError, NumericalError)
 
-# every key a pipeline spec may hold: the ones _run_pipeline, _scheme_config
-# and _certify_config read
-_PIPELINE_KEYS = frozenset({
-    "problem", "grid", "points", "out", "seed", "terminal", "absorb_at_truncation",
-    "mc_paths", "mc_steps", "sub_candidate", "super_candidate", "certify_solver_candidate",
-    "solver_growth_constant", "solver_candidate_tol",
-    "upwind", "penalty_weight", "time_nodes", "dt", "control_res", "mode",
-    "start_box", "budget", "z", "tol", "n_starts", "steps",
-})
-
 
 @specio._document("pipeline spec")
 def _pipeline_inputs(spec, base: str):
-    """The problem, grid and evaluation points of a pipeline spec.  A key nothing
-    reads is refused, since a typo would otherwise silently take a default."""
-    unknown = sorted(set(spec.keys()) - _PIPELINE_KEYS)
+    """The problem, grid and evaluation points of a pipeline spec.  A key the
+    spec does not take is refused, since a typo would otherwise silently take a default."""
+    unknown = sorted(set(spec.keys()) - set(_TABLE[_SPEC]))
     if unknown:
         raise ConfigurationError(f"unknown pipeline spec key(s) {', '.join(map(repr, unknown))}")
-    if spec.get("absorb_at_truncation", False) is not False:
-        raise ConfigurationError(
-            '"absorb_at_truncation" is not supported; the Monte Carlo stages simulate on the state domain')
     problem = (
         specio.load_problem(os.path.join(base, spec["problem"]))
         if isinstance(spec["problem"], str)
@@ -394,15 +296,12 @@ def _pipeline_inputs(spec, base: str):
     return problem, grid, points
 
 
-def _candidate(spec, key, side, base):
+def _candidate(s, key, side, base):
     """The candidate of a pipeline spec's `key`, which must be a `side`
     candidate, or None when the key is absent."""
-    if key not in spec:
+    if s[key] is None:
         return None
-    try:
-        candidate = specio.candidate_from_spec(spec[key], base)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"key {key!r}: {exc}") from None
+    candidate = _read(key, s[key], lambda spec: specio.candidate_from_spec(spec, base))
     if candidate.kind != side:
         raise ConfigurationError(f"key {key!r}: a {candidate.kind} candidate, not a {side} one")
     return candidate
@@ -421,36 +320,26 @@ def _first_point(sub, problem, point, bc, box):
     return [estimate_value(b, problem.payoff) for b in blocks], float(np.mean(blocks[-1].stop_step[:, 0] >= 0))
 
 
-def _run_pipeline(cfg, out_dir):
-    base = os.path.dirname(cfg["spec"]) or "."
-    spec = specio.load_json(cfg["spec"])
+def _run_pipeline(run, out_dir):
+    base = os.path.dirname(run["spec"]) or "."
+    spec = specio.load_json(run["spec"])
     problem, grid, points = _pipeline_inputs(spec, base)
-    # every number and candidate of the spec is read here, once, so a bad one
+    # every setting and candidate of the spec is read here, once, so a bad one
     # exits 2 naming its key before any stage runs
-    sub, super_ = _candidate(spec, "sub_candidate", "sub", base), _candidate(spec, "super_candidate", "super", base)
-    config, ccfg = _scheme_config(spec), _certify_config(spec, problem)
-    seed = ccfg.seed
-    mc = BracketConfig(
-        n_paths=_read(spec, "mc_paths", _integer, 100_000), n_steps=_read(spec, "mc_steps", _integer, 200),
-        seed=seed)
-    certify_solver = spec.get("certify_solver_candidate", True)
-    solver_growth = _read(spec, "solver_growth_constant", float, 10.0)
-    solver_tol = _read(spec, "solver_candidate_tol", float, 5e-3)
-    if certify_solver:
+    s = _settings(_SPEC, spec)
+    sub, super_ = _candidate(s, "sub_candidate", "sub", base), _candidate(s, "super_candidate", "super", base)
+    config, ccfg = _config(SchemeConfig, _SPEC, s), _certify_config(_SPEC, s, problem)
+    seed = s["seed"]
+    mc = _config(BracketConfig, _SPEC, s, seed=seed)
+    if s["certify_solver_candidate"]:
         if ccfg.budget < 2:
             # the solver candidate is certified on half the budget
             raise ConfigurationError(
                 f"budget must be at least 2 when the solver candidate is certified, not {ccfg.budget!r}")
         # stopped at the box: a stopped submartingale is still a submartingale
-        scfg = CertifyConfig(start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z, tol=solver_tol,
-                             seed=seed + 2, simulation_box=grid.box)
+        scfg = CertifyConfig(start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
+                             tol=s["solver_candidate_tol"], seed=seed + 2, simulation_box=grid.box)
     report: dict = {"stages": {}}
-    out = os.path.join(out_dir, spec.get("out", "pipeline-report.json"))
-
-    def _write_report():
-        specio.atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        specio.write_manifest(out_dir, "pipeline", cfg, [cfg["spec"]], seed, [spec.get("out", "pipeline-report.json")])
-
     g = _payoff_values(problem, grid)
     stage = "facelift"
     try:
@@ -459,7 +348,7 @@ def _run_pipeline(cfg, out_dir):
         report["stages"][stage] = "ok"
 
         stage = "solve"
-        terminal = ghat if spec.get("terminal", "facelift") == "facelift" else g
+        terminal = ghat if s["terminal"] == "facelift" else g
         sol = solve_hjb(problem, terminal, config)
         report["solver_value_at_points"] = [sol.value_at(t, x) for t, x in points]
         report["stages"][stage] = "ok"
@@ -488,8 +377,8 @@ def _run_pipeline(cfg, out_dir):
         super_rep = _certify(super_, "super", problem, ccfg, (policy,))
         report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
         report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
-        if certify_solver:
-            solver_cand = candidate_from_solution(sol, "sub", growth_constant=solver_growth)
+        if s["certify_solver_candidate"]:
+            solver_cand = candidate_from_solution(sol, "sub", growth_constant=s["solver_growth_constant"])
             try:
                 srep = certify_subsolution(solver_cand, problem, scfg)
                 report["solver_candidate"] = {"verdict": srep.verdict, "certified": srep.certified}
@@ -502,25 +391,22 @@ def _run_pipeline(cfg, out_dir):
         if uncertified:
             report["bracket"] = f"skipped: {' and '.join(uncertified)} candidate not certified"
             report["stages"]["bracket"] = "skipped"
-            _write_report()
             print(f"pipeline complete; bracket {report['bracket']}")
-            return EXIT_CERTIFY_FAIL
+            return EXIT_CERTIFY_FAIL, {s["out"]: _json(report)}, seed
         stage = "bracket"
         brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep, estimates=(first,))
     except _STAGE_ERRORS as exc:
         # the partial report; exit 2 for a configuration fault, 3 for a numerical one
         report["stages"][stage] = f"failed: {exc}"
-        _write_report()
         print(f"pipeline failed at stage {stage}: {exc}")
-        return EXIT_CONFIG if isinstance(exc, (ConfigurationError, DomainError)) else EXIT_NUMERIC
+        code = EXIT_CONFIG if isinstance(exc, (ConfigurationError, DomainError)) else EXIT_NUMERIC
+        return code, {s["out"]: _json(report)}, seed
     report["bracket"] = _bracket_to_json(brep)
     for doc, p in zip(report["bracket"]["points"], brep.points):
         doc["gap_fraction"] = p.gap / max(abs(p.mc.mean), 1e-300)
     report["stages"]["bracket"] = "ok"
-
-    _write_report()
     print(f"pipeline complete; certification gap at first point = {brep.points[0].gap!r}")
-    return EXIT_OK if brep.ok else EXIT_CERTIFY_FAIL
+    return EXIT_OK if brep.ok else EXIT_CERTIFY_FAIL, {s["out"]: _json(report)}, seed
 
 
 _HANDLERS = {
@@ -535,87 +421,190 @@ _HANDLERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the key table: every setting of every subcommand, as a flag or in a document
+# ---------------------------------------------------------------------------
+
+class _Choice(tuple):
+    """A parser taking one of its options, of the option's own type, so 1 is not True."""
+
+    def __call__(self, value):
+        if not any(type(value) is type(option) and value == option for option in self):
+            raise ValueError(f"not one of {', '.join(map(repr, self))}")
+        return value
+
+
+def _as_is(value):
+    """A document part that its own reader checks."""
+    return value
+
+
+def _floats(value, length=None):
+    """A nonempty list of floats, of `length` entries when given."""
+    if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
+        raise ValueError(f"not a list of {length or 'one or more'} numbers")
+    return [float(v) for v in value]
+
+
+def _optional_box(value):
+    """A box from (lo, hi) pairs, or None for an absent or empty one."""
+    return box_from_pairs(value) if value else None
+
+
+class _Key(NamedTuple):
+    """A row of the key table.  A key with neither a default nor a field to
+    fill is required; flags and documents name subcommands, space separated,
+    and "pipeline-spec" is the pipeline's spec document."""
+
+    key: str
+    parse: Callable                 # a document value -> the setting
+    flags: str = ""                 # the subcommands that take the key as a flag
+    documents: str = ""             # the documents that take it otherwise
+    fills: tuple | None = None      # the (config class, field) it fills
+    default: object = MISSING       # where that field does not hold it
+    text: Callable | None = None    # a flag's text -> its document value
+
+
+_SPEC = "pipeline-spec"
+_SEED = _Key("seed", _integer, documents=" ".join([*_HANDLERS, _SPEC]), default=0)  # the top-level --seed
+
+_KEYS = (
+    _SEED,
+    _Key("family", _Choice(_ORACLES), "oracle"),
+    _Key("params", dict, "oracle", default={}, text=_parse_params),
+    _Key("eval", lambda v: _floats(v, 2), "oracle", text=lambda text: [float(v) for v in text.split(",")]),
+    _Key("payoff", _Choice(("x2", "affine")), documents="oracle", default="x2"),
+    _Key("problem", os.fspath, "facelift solve simulate certify bracket convergence"),
+    # a pipeline spec holds the problem inline or as a path, the grid and points inline
+    _Key("problem", _as_is, documents="pipeline-spec"),
+    _Key("grid", os.fspath, "facelift solve convergence"),
+    _Key("grid", _as_is, documents="pipeline-spec"),
+    _Key("points", os.fspath, "bracket"),
+    _Key("points", _as_is, documents="pipeline-spec"),
+    _Key("policy", os.fspath, "simulate"),
+    _Key("candidate", os.fspath, "certify"),
+    _Key("sub", os.fspath, "bracket"),
+    _Key("super", os.fspath, "bracket"),
+    _Key("spec", os.fspath, "pipeline"),
+    _Key("out", os.fspath, "facelift", default="ghat.csv"),
+    _Key("out", os.fspath, "solve", default="solution.csv"),
+    _Key("out", os.fspath, "simulate", default="ensemble-summary.json"),
+    _Key("out", os.fspath, "certify", default="report.json"),
+    _Key("out", os.fspath, "bracket", default="bracket.json"),
+    _Key("out", os.fspath, "convergence", default="study.json"),
+    _Key("out", os.fspath, documents="pipeline-spec", default="pipeline-report.json"),
+    # older facelift manifests hold "method": "auto" and a "tol" that nothing reads
+    _Key("method", _Choice(("auto",)), documents="facelift", default="auto"),
+    _Key("terminal", _Choice(("raw", "facelift")), "solve", "pipeline-spec", default="facelift"),
+    _Key("time_nodes", _integer, "solve", "pipeline-spec", (SchemeConfig, "n_time_nodes")),
+    _Key("time_nodes", _integer, "convergence", fills=(SchemeConfig, "n_time_nodes"), default=33),
+    _Key("control_res", _integer, "solve", "pipeline-spec", (SchemeConfig, "control_grid_resolution")),
+    _Key("control_res", _integer, "convergence", fills=(SchemeConfig, "control_grid_resolution"), default=11),
+    _Key("mode", _Choice(CONSTRAINT_MODES), "solve", "convergence pipeline-spec", (SchemeConfig, "constraint_mode")),
+    _Key("dt", float, "solve", "convergence pipeline-spec", (SchemeConfig, "dt")),
+    # removed settings: only the value they always had is taken
+    _Key("upwind", _Choice((True,)), documents="solve convergence pipeline-spec", default=True),
+    _Key("penalty_weight", _Choice((None,)), documents="solve convergence pipeline-spec", default=None),
+    _Key("absorb_at_truncation", _Choice((False,)), documents="pipeline-spec", default=False),
+    _Key("t0", float, "simulate", default=0.0),
+    _Key("x0", _floats, "simulate"),
+    _Key("paths", _integer, "simulate", default=10_000),
+    _Key("steps", _integer, "simulate", default=100),
+    _Key("simulation_box", _optional_box, documents="simulate", default=None),
+    _Key("kind", _Choice(("sub", "super")), "certify", default=None),
+    _Key("start_box", _optional_box, "certify", "pipeline-spec", default=None,
+         text=lambda text: [[float(v) for v in pair.split(",")] for pair in text.split(";")] if text else None),
+    _Key("budget", _integer, "certify", "pipeline-spec", (CertifyConfig, "budget")),
+    _Key("z", float, "certify", "pipeline-spec", (CertifyConfig, "z")),
+    _Key("tol", float, documents="certify pipeline-spec", fills=(CertifyConfig, "tol")),
+    _Key("n_starts", _integer, documents="certify pipeline-spec", fills=(CertifyConfig, "n_starts")),
+    _Key("steps", _integer, documents="certify pipeline-spec", fills=(CertifyConfig, "steps_per_record")),
+    _Key("paths", _integer, "bracket", fills=(BracketConfig, "n_paths")),
+    _Key("steps", _integer, "bracket", fills=(BracketConfig, "n_steps")),
+    _Key("refinements", _integer, "convergence", default=2),
+    _Key("refine", _Choice(("space", "time")), "convergence", default="space"),
+    _Key("mc_paths", _integer, documents="pipeline-spec", fills=(BracketConfig, "n_paths"), default=100_000),
+    _Key("mc_steps", _integer, documents="pipeline-spec", fills=(BracketConfig, "n_steps"), default=200),
+    _Key("sub_candidate", _as_is, documents="pipeline-spec", default=None),
+    _Key("super_candidate", _as_is, documents="pipeline-spec", default=None),
+    _Key("certify_solver_candidate", _Choice((True, False)), documents="pipeline-spec", default=True),
+    _Key("solver_growth_constant", float, documents="pipeline-spec", default=10.0),
+    _Key("solver_candidate_tol", float, documents="pipeline-spec", default=5e-3),
+)
+
+
+def _table(rows) -> dict:
+    """document -> key -> (row, whether the document's subcommand takes the key as a flag), each
+    row's default resolved: its own, else that of the config field it fills (MISSING: required)."""
+    table = {name: {} for name in (*_HANDLERS, _SPEC)}
+    for row in rows:
+        if row.default is MISSING and row.fills:
+            row = row._replace(default=getattr(*row.fills, MISSING))
+        for name in row.flags.split() + row.documents.split():
+            table[name][row.key] = row, name in row.flags.split()
+    return table
+
+
+_TABLE = _table(_KEYS)
+
+
+def _read(key, value, parse):
+    """parse(value); a value that parse refuses is a configuration error naming the key."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
+
+
+def _settings(document, doc) -> dict:
+    """Each key of `document` (a subcommand's config, or "pipeline-spec"): doc's
+    value through the key's parser, or the key's default when doc lacks it.  A
+    key whose default is None also takes None."""
+    settings = {}
+    for key, (row, _) in _TABLE[document].items():
+        value = doc.get(key, row.default)
+        if value is MISSING:
+            raise ConfigurationError(f"key {key!r} is missing")
+        settings[key] = None if value is None and row.default is None else _read(key, value, row.parse)
+    return settings
+
+
+def _config(cls, document, settings, **given):
+    """A `cls` whose fields are the settings of the keys that fill them, and `given`."""
+    filled = {row.fills[1]: settings[key] for key, (row, _) in _TABLE[document].items()
+              if row.fills and row.fills[0] is cls}
+    return cls(**{**filled, **given})
+
+
+def _add_flag(parser, row):
+    required = row.default is MISSING
+    kind = {_integer: {"type": int}, float: {"type": float}, _floats: {"type": float, "nargs": "+"}}
+    parser.add_argument(f"--{row.key.replace('_', '-')}", dest=row.key, required=required,
+                        default=None if required else row.default,
+                        choices=row.parse if isinstance(row.parse, _Choice) else None,
+                        **kind.get(row.parse, {}))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hjbkit", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
+    _add_flag(ap, _SEED)
     ap.add_argument("--out-dir", default=None, help="artifact directory (default: .; oracle writes none)")
     ap.add_argument("--manifest", default=None, help="re-run from a recorded manifest")
     sub = ap.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("oracle")
-    p.add_argument("--family", required=True, choices=["merton", "heat"])
-    p.add_argument("--params", default="")
-    p.add_argument("--eval", required=True, help="t,x")
-
-    p = sub.add_parser("facelift")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--out", default="ghat.csv")
-
-    p = sub.add_parser("solve")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--terminal", default="facelift", choices=["raw", "facelift"])
-    p.add_argument("--out", default="solution.csv")
-    p.add_argument("--time-nodes", type=int, default=101, dest="time_nodes")
-    p.add_argument("--control-res", type=int, default=41, dest="control_res")
-    p.add_argument("--mode", default="auto", choices=["auto", "project", "penalize", "off"])
-    p.add_argument("--dt", type=float, default=None)
-
-    p = sub.add_parser("simulate")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--policy", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--x0", type=float, nargs="+", required=True)
-    p.add_argument("--paths", type=int, default=10_000)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--out", default="ensemble-summary.json")
-
-    p = sub.add_parser("certify")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--candidate", required=True)
-    p.add_argument("--kind", choices=["sub", "super"], default=None)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--out", default="report.json")
-    p.add_argument("--start-box", default=None, help="lo,hi[;lo,hi] per dimension")
-    p.add_argument("--z", type=float, default=4.0)
-
-    p = sub.add_parser("bracket")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--sub", required=True, help="certify report JSON for the sub candidate")
-    p.add_argument("--super", dest="super", required=True, help="certify report JSON for the super candidate")
-    p.add_argument("--points", required=True)
-    p.add_argument("--paths", type=int, default=20_000)
-    p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--out", default="bracket.json")
-
-    p = sub.add_parser("convergence")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--refinements", type=int, default=2)
-    p.add_argument("--refine", default="space", choices=["space", "time"])
-    p.add_argument("--time-nodes", type=int, default=33, dest="time_nodes")
-    p.add_argument("--control-res", type=int, default=11, dest="control_res")
-    p.add_argument("--out", default="study.json")
-
-    p = sub.add_parser("pipeline")
-    p.add_argument("--spec", required=True)
+    for name in _HANDLERS:
+        p = sub.add_parser(name)
+        for row, flag in _TABLE[name].values():
+            if flag:
+                _add_flag(p, row)
     return ap
 
 
 def _config_from_args(args) -> dict:
-    skip = {"subcommand", "out_dir", "manifest"}
-    cfg = {k: v for k, v in vars(args).items() if k not in skip}
-    if args.subcommand == "oracle":
-        cfg["params"] = _parse_params(cfg.get("params", ""))
-        cfg["eval"] = cfg["eval"].split(",")
-        cfg["eval"] = _read(cfg, "eval", lambda v: _floats(v, 2))
-    if args.subcommand == "certify" and cfg.get("start_box"):
-        cfg["start_box"] = [
-            [float(v) for v in pair.split(",")] for pair in cfg["start_box"].split(";")
-        ]
-    if args.subcommand == "simulate":
-        cfg["x0"] = list(cfg["x0"])
+    """The config of a flag run: each flag's value, a text value in its document form."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("subcommand", "out_dir", "manifest")}
+    for key, (row, _) in _TABLE[args.subcommand].items():
+        if row.text and isinstance(cfg.get(key), str):
+            cfg[key] = _read(key, cfg[key], row.text)
     return cfg
 
 
@@ -665,22 +654,23 @@ def main(argv=None) -> int:
                 parser.print_usage()
                 return EXIT_CONFIG
             cfg = _config_from_args(args)
-            if "seed" not in cfg or cfg.get("seed") is None:
-                cfg["seed"] = args.seed
             subcommand = args.subcommand
 
         # oracle only prints its value; it writes a manifest only into an explicit --out-dir
         out_dir = args.out_dir if args.out_dir is not None or subcommand == "oracle" else "."
+        s = _settings(subcommand, cfg)
+        code, artifacts, seed = _HANDLERS[subcommand](s, out_dir)
+        for name, text in artifacts.items():
+            specio.atomic_write_text(os.path.join(out_dir, name), text)
         if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        return _HANDLERS[subcommand](cfg, out_dir)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            # the manifest hashes the subcommand's input files: its paths other than out
+            inputs = [s[k] for k, (row, _) in _TABLE[subcommand].items() if row.parse is os.fspath and k != "out"]
+            specio.write_manifest(out_dir, subcommand, cfg, inputs, seed, list(artifacts))
+        return code
     except (ConvergenceError, NumericalError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # ConfigurationError and JSONDecodeError are ValueErrors
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigurationError, GridMismatchError
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -163,11 +163,15 @@ class Box:
         return [list(pair) for pair in zip(self.lo.tolist(), self.hi.tolist())]
 
 
-def box_from_pairs(pairs) -> Box:
-    """Box from one (lo, hi) pair per dimension; None is an infinite edge."""
-    lo = [-np.inf if a is None else float(a) for a, _ in pairs]
-    hi = [np.inf if b is None else float(b) for _, b in pairs]
-    return Box(np.array(lo), np.array(hi))
+def box_from_pairs(pairs, key="box") -> Box:
+    """Box from one (lo, hi) pair per dimension; None is an infinite edge.  A
+    malformed or inverted pair is a ConfigurationError naming `key`."""
+    try:
+        lo = [-np.inf if a is None else float(a) for a, _ in pairs]
+        hi = [np.inf if b is None else float(b) for _, b in pairs]
+        return Box(np.array(lo), np.array(hi))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key} {pairs!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,9 @@ class SpatialGrid:
 
 def uniform_grid(lo, hi, n) -> SpatialGrid:
     lo, hi = np.atleast_1d(np.asarray(lo, float)), np.atleast_1d(np.asarray(hi, float))
-    n = np.broadcast_to(np.asarray(n, int), lo.shape)
+    n = np.broadcast_to(np.asarray(n), lo.shape)
+    if n.dtype.kind not in "iu":
+        raise ValueError(f"n must hold integer node counts, not {n.tolist()!r}")
     return SpatialGrid(tuple(np.linspace(a, b, k) for a, b, k in zip(lo, hi, n)))
 
 

@@ -244,8 +244,8 @@ def build_problem(
         state_dim=state_dim,
         noise_dim=noise_dim,
         control_bound=float(control_bound),
-        control_set=box_from_pairs(control_set[0]),
-        state_domain=box_from_pairs(state_domain),
+        control_set=box_from_pairs(control_set[0], "control_set"),
+        state_domain=box_from_pairs(state_domain, "state_domain"),
         horizon=float(horizon),
         payoff=payoff,
         gauge=gauge,

@@ -70,6 +70,7 @@ __all__ = [
 
 _PROJECT_TRIGGER = 1e-13   # relative convexity defect that triggers re-projection
 _HOWARD_MAX_ITERS = 100    # policy iterations per implicit step (about 2 are typical)
+CONSTRAINT_MODES = ("auto", "project", "penalize", "off")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class SchemeConfig:
     n_time_nodes: int = 101
     dt: float | None = None
     control_grid_resolution: int = 41
-    constraint_mode: str = "auto"      # auto | project | penalize | off
+    constraint_mode: str = "auto"      # one of CONSTRAINT_MODES
 
     def __post_init__(self):
         if self.n_time_nodes < 2:
@@ -91,7 +92,7 @@ class SchemeConfig:
         if self.control_grid_resolution < 1:
             raise ConfigurationError(
                 f"control_grid_resolution must be at least 1, not {self.control_grid_resolution!r}")
-        if self.constraint_mode not in ("auto", "project", "penalize", "off"):
+        if self.constraint_mode not in CONSTRAINT_MODES:
             raise ConfigurationError(f"unknown constraint mode {self.constraint_mode!r}")
 
 

@@ -588,8 +588,13 @@ def test_facelift_has_no_method_flag(tmp_path, capsys):
     ({"points": [[1.0, 1.0]]}, "point at t=1.0"),
     ({"points": [[0.0, -1.0]]}, "outside the open domain"),
     ({"points": [[0.0, 1.0], [0.25, math.inf]]}, "point at t=0.25"),
+    ({"terminal": "face-lift"}, "key 'terminal': 'face-lift'"),
+    ({"mode": "projected"}, "key 'mode': 'projected'"),
+    ({"certify_solver_candidate": "false"}, "key 'certify_solver_candidate': 'false'"),
+    ({"certify_solver_candidate": 0}, "key 'certify_solver_candidate': 0"),
 ], ids=["points-int", "points-empty", "unknown-key", "penalty-weight", "point-no-state", "point-two-coordinates",
-        "point-before-start", "point-nan-time", "point-at-horizon", "point-outside-domain", "point-infinite-state"])
+        "point-before-start", "point-nan-time", "point-at-horizon", "point-outside-domain", "point-infinite-state",
+        "terminal-face-lift", "mode-outside-its-choices", "solver-candidate-string", "solver-candidate-integer"])
 def test_malformed_pipeline_spec_exits_2(tmp_path, monkeypatch, capsys, changes, message):
     monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **changes)
@@ -1201,3 +1206,147 @@ def test_pipeline_grid_node_count_that_is_not_an_integer_exits_2_before_any_stag
 def test_grid_node_counts_take_integral_floats(tmp_path):
     grid = specio.grid_from_spec({"box": [[0.2, 5.0], [0.0, 1.0]], "n": [30.0, 7], "spacing": "uniform"})
     assert grid.shape == (30, 7)
+
+
+@pytest.mark.parametrize("subcommand, argv, key, value", [
+    ("solve", ["--terminal", "raw"], "terminal", "face-lift"),
+    ("solve", [], "mode", "projected"),
+    ("convergence", [], "mode", "projected"),
+    ("convergence", [], "refine", "spaces"),
+], ids=["solve-terminal", "solve-mode", "convergence-mode", "convergence-refine"])
+def test_manifest_value_outside_its_choices_exits_2_before_any_stage(tmp_path, monkeypatch, capsys,
+                                                                     subcommand, argv, key, value):
+    """A solve manifest with "terminal": "face-lift" once solved the raw payoff
+    |x - 1| with exit 0, byte-equal to --terminal raw; a value outside the
+    choices of its flag is refused."""
+    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [9]})
+    assert main(["--out-dir", str(tmp_path), subcommand, "--problem", prob, "--grid", grid,
+                 "--time-nodes", "5", "--control-res", "5", *argv]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"][key] = value
+    mpath = write(tmp_path / "edited-manifest.json", manifest)
+    for stage in ("_facelift", "solve_hjb", "convergence_study"):
+        monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path / "replay"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: key {key!r}: {value!r}") and "Traceback" not in err
+    assert not (tmp_path / "replay").exists()
+
+
+@pytest.mark.parametrize("key, value", [("kind", "both"), ("kind", 1)])
+def test_certify_manifest_value_outside_its_type_exits_2(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("the battery ran")))
+    config = {"problem": write(tmp_path / "prob.json", MERTON_SPEC),
+              "candidate": write(tmp_path / "cand.json", MERTON_SUB), key: value}
+    mpath = write(tmp_path / "manifest.json", {"subcommand": "certify", "config": config})
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: key {key!r}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def minimal_runs(d):
+    """subcommand -> (its required flags, the manifest config of the same required keys), on small inputs."""
+    prob = write(d / "prob.json", MERTON_SPEC)
+    grid = write(d / "grid.json", {"box": [[0.5, 2.0]], "n": [9]})
+    pol = write(d / "pol.json", {"kind": "constant", "value": [5.0]})
+    cand = write(d / "cand.json", MERTON_SUB)
+    bracket = _bracket_inputs(d, "t,x\n0.0,1.0\n")
+    sub, sup, points = (bracket[bracket.index(flag) + 1] for flag in ("--sub", "--super", "--points"))
+    spec = small_pipeline(d)
+    paths = {"problem": prob, "grid": grid}
+    return {
+        "oracle": (["--family", "merton", "--eval", "0,1"], {"family": "merton", "eval": [0.0, 1.0]}),
+        "facelift": (["--problem", prob, "--grid", grid], paths),
+        "solve": (["--problem", prob, "--grid", grid], paths),
+        "simulate": (["--problem", prob, "--policy", pol, "--x0", "1.0"],
+                     {"problem": prob, "policy": pol, "x0": [1.0]}),
+        "certify": (["--problem", prob, "--candidate", cand], {"problem": prob, "candidate": cand}),
+        "bracket": (["--problem", prob, "--sub", sub, "--super", sup, "--points", points],
+                    {"problem": prob, "sub": sub, "super": sup, "points": points}),
+        "convergence": (["--problem", prob, "--grid", grid], paths),
+        "pipeline": (["--spec", spec], {"spec": spec}),
+    }
+
+
+@pytest.mark.parametrize("subcommand", list(cli._HANDLERS))
+def test_minimal_manifest_writes_what_the_flags_write_with_their_defaults(tmp_path, capsys, subcommand):
+    """A hand-written convergence manifest without time_nodes and control_res
+    once solved on 101 time nodes and 41 controls, its flags on 33 and 11; and
+    a manifest without "out" exited 2."""
+    argv, config = minimal_runs(tmp_path)[subcommand]
+    mpath = write(tmp_path / "minimal.json", {"subcommand": subcommand, "config": config})
+    runs = []
+    for name, args in (("flags", [subcommand, *argv]), ("manifest", ["--manifest", mpath])):
+        out_dir = tmp_path / name
+        rc = main(["--out-dir", str(out_dir), *args])
+        printed = capsys.readouterr().out.replace(str(out_dir), "")
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        del manifest["config"]
+        artifacts = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"}
+        runs.append((rc, printed, manifest, artifacts))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 4)
+
+
+def test_every_document_key_has_one_row():
+    """A (document, key) pair listed twice would silently take the later row."""
+    listed = sum(len(row.flags.split()) + len(row.documents.split()) for row in cli._KEYS)
+    assert listed == sum(map(len, cli._TABLE.values()))
+    assert set(cli._TABLE) == {*cli._HANDLERS, cli._SPEC}
+
+
+# values of another type than a row's parser takes; None is added where the default is not None
+WRONG_TYPE = {
+    cli._integer: [1.5, True, "7", [1]],
+    float: ["many", [1.0], {}],
+    os.fspath: [5, True, ["a"], {}],
+    cli._floats: [1.0, ["one"], [], "1.0"],
+    dict: [5, "ab", [1, 2]],
+    cli._optional_box: [5, "a", [[1.0]], [[2.0, 1.0]], [[0.0, 1.0, 2.0]]],
+}
+NOT_A_CHOICE = ["face-lift", "bogus", "false", 1, 0, 2.5, [], {}]
+TYPED_KEYS = [(document, key) for document, rows in cli._TABLE.items() for key, (row, _) in rows.items()
+              if row.parse is not cli._as_is]
+
+
+def wrong_values(key, row):
+    if isinstance(row.parse, cli._Choice):
+        values = [v for v in NOT_A_CHOICE if not any(type(v) is type(o) and v == o for o in row.parse)]
+    else:
+        values = [[0.0], [0.0, 1.0, 2.0], 5] if key == "eval" else WRONG_TYPE[row.parse]
+    return values if row.default is None else [*values, None]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A valid manifest config of each subcommand and a valid pipeline spec, with their files."""
+    d = tmp_path_factory.mktemp("documents")
+    configs = {subcommand: config for subcommand, (_, config) in minimal_runs(d).items()}
+    return d, configs, json.loads((d / "pipeline.json").read_text())
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_document_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, monkeypatch, capsys, documents, data):
+    """Any (document, key) of the key table with a value its parser refuses:
+    exit 2 naming the key before any stage runs, and no traceback."""
+    document, key = data.draw(st.sampled_from(TYPED_KEYS))
+    value = data.draw(st.sampled_from(wrong_values(key, cli._TABLE[document][key][0])))
+    event(document)
+    for stage in ("_facelift", "solve_hjb", "simulate_paths", "_certify", "bracket_report", "convergence_study"):
+        monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
+    for family, (_, names) in list(cli._ORACLES.items()):
+        monkeypatch.setitem(cli._ORACLES, family, (_raise(AssertionError("a stage ran")), names))
+    d, configs, spec = documents
+    if document == cli._SPEC:
+        argv = ["pipeline", "--spec", write(d / "wrong-spec.json", dict(spec, **{key: value}))]
+    else:
+        config = dict(configs[document], **{key: value})
+        argv = ["--manifest", write(tmp_path / "manifest.json", {"subcommand": document, "config": config})]
+    out = tmp_path / "out"
+    rc = main(["--out-dir", str(out), *argv])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("configuration error:") and repr(key) in err and "Traceback" not in err
+    assert not out.exists()

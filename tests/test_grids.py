@@ -130,3 +130,11 @@ def test_elimination_then_substitution_is_the_thomas_loop_bitwise(n, seed, domin
         want = _thomas_reference(lower, diag, upper, rhs).view(np.uint64)
         assert np.array_equal(hk.grids.tridiagonal_substitution(elimination, rhs).view(np.uint64), want)
         assert np.array_equal(hk.grids.solve_tridiagonal(lower, diag, upper, rhs).view(np.uint64), want)
+
+
+@pytest.mark.parametrize("n", [[30.5], 30.5, [True], ["30"], [30.0]], ids=repr)
+def test_uniform_grid_refuses_a_node_count_that_is_not_an_integer(n):
+    """np.asarray(n, int) built 30 nodes for n = [30.5] with no error."""
+    with pytest.raises(ValueError, match="n must hold integer node counts"):
+        hk.uniform_grid([0.0], [1.0], n)
+    assert hk.uniform_grid([0.0], [1.0], [np.int64(30)]).shape == (30,)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -247,3 +248,23 @@ def test_super_adversaries_stay_in_the_admissible_box(merton_problem):
 def test_a_control_set_without_admissible_controls_is_refused(merton_problem, control_set, message):
     with pytest.raises(hk.ConfigurationError, match=message):
         dataclasses.replace(merton_problem, control_set=control_set)
+
+
+MERTON_DOC = {
+    "family": "linear_drift", "params": {"mu": 0.1, "sigma": 0.2}, "control_bound": 10.0,
+    "state_domain": [[0.0, None]], "horizon": 1.0, "payoff": {"family": "power", "params": {"p": 0.5}},
+    "gauge": {"family": "power", "params": {"p": 0.5}, "constant": 1.2}, "constraint": {"family": "neg_second"},
+}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("control_set", [[[1.0, 0.0]]], "control_set [[1.0, 0.0]]: box must be nonempty"),
+    ("control_set", [[[0.0, 1.0, 2.0]]], "control_set [[0.0, 1.0, 2.0]]: too many values to unpack"),
+    ("state_domain", [[2.0, 0.0]], "state_domain [[2.0, 0.0]]: box must be nonempty"),
+    ("state_domain", [[0.0, None, 1.0]], "state_domain [[0.0, None, 1.0]]: too many values to unpack"),
+], ids=["control-set-inverted", "control-set-three-numbers", "state-domain-inverted", "state-domain-three-numbers"])
+def test_a_malformed_box_pair_is_refused_naming_its_key(key, value, message):
+    """These read "box must be nonempty: lo <= hi required" or "too many values
+    to unpack", naming no key."""
+    with pytest.raises(hk.ConfigurationError, match=re.escape(message)):
+        specio.problem_from_spec(dict(MERTON_DOC, **{key: value}))
