@@ -13,9 +13,12 @@ directory and runs there:
   and one refined in time on Merton, a 2-D solve with a given --dt, simulate,
   certify a sub and a super candidate (and, on Merton, the solver's own
   candidate), bracket, a --fast pipeline whose sub candidate is not
-  certified (exit 4, bracket skipped);
+  certified (exit 4, bracket skipped), and a --fast pipeline that certifies
+  the solver's candidate, whose battery stops paths at the grid's box;
 - a hand-written convergence manifest on the Merton document that holds only
   problem, grid and out, so it runs on the defaults of the convergence flags;
+- a hand-written simulate manifest on the Merton document with the
+  simulation box [0.8, 1.25], which every path leaves;
 - a long-only session on the Merton document with the control set [0, 1]:
   solve, simulate under the constant 0.5, and certify the exact long-only
   (B = 1) closed form as a sub and as a super candidate;
@@ -152,7 +155,16 @@ def sessions(merton_problem, pipeline_spec) -> list:
                "config": {"problem": "inputs/merton/prob.json", "grid": "inputs/merton/grid.json", "out": "study.json"}}
     minimal_run = ("out/merton/convergence-minimal",
                    ["--manifest", _write("inputs/merton/convergence-minimal.json", minimal)])
-    return merton + [minimal_run] + heat + [uncertified] + _long_only(merton_problem)
+    boxed = {"subcommand": "simulate",
+             "config": {"problem": "inputs/merton/prob.json", "policy": "inputs/merton/policy.json", "x0": [1.0],
+                        "paths": 20000, "steps": 50, "simulation_box": [[0.8, 1.25]],
+                        "out": "ensemble-summary.json"}}
+    boxed_run = ("out/merton/simulate-box", ["--manifest", _write("inputs/merton/simulate-box.json", boxed)])
+    inp = "inputs/pipeline-solver-candidate"
+    _write(f"{inp}/{pipeline_spec['problem']}", merton_problem)
+    solver_spec = {**pipeline_spec, "certify_solver_candidate": True}
+    solver = ("out/pipeline-solver-candidate", ["pipeline", "--spec", _write(f"{inp}/pipeline.json", solver_spec)])
+    return merton + [minimal_run, boxed_run] + heat + [uncertified, solver] + _long_only(merton_problem)
 
 
 def _long_only(merton_problem) -> list:

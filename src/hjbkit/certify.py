@@ -105,7 +105,9 @@ def _require_at_least(config, **least):
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Battery configuration; budget is the number of paths per policy sweep."""
+    """Battery configuration; budget is the number of paths per policy sweep.
+    Paths stop where they leave the problem's domain; to stop them at a
+    truncation box, certify on ``problem.within(box)``."""
 
     start_box: Box
     budget: int = 100_000
@@ -114,7 +116,6 @@ class CertifyConfig:
     n_starts: int = 3
     steps_per_record: int = 48
     seed: int = 0
-    simulation_box: Box | None = None
 
     def __post_init__(self):
         _require_at_least(self, budget=1, n_starts=1, steps_per_record=1)
@@ -229,10 +230,8 @@ def _martingale_records(candidate, problem, config, policy_for, adversary_tag, d
         # every start of a tau in one ensemble; start s keeps the Philox key of
         # its first record, so each block is the ensemble it would be alone
         keys = [(config.seed, (i * len(starts) + s) * len(_RHO_SPECS), tag_key) for s in range(len(starts))]
-        ens = simulate_paths(
-            problem, [policy_for(tau, xi) for xi in starts], tau, starts, n_paths, config.steps_per_record,
-            keys, config.simulation_box, _stops(tau, T, config.steps_per_record, radius),
-        )
+        ens = simulate_paths(problem, [policy_for(tau, xi) for xi in starts], tau, starts, n_paths,
+                             config.steps_per_record, keys, _stops(tau, T, config.steps_per_record, radius))
         for xi, block in zip(starts, ens.blocks()):
             w_start = candidate(tau, xi)
             for rho_spec, w_end in zip(_RHO_SPECS, _values_at_stops(candidate, block)):

@@ -169,8 +169,13 @@ def _run_simulate(s, out_dir):
     problem = specio.load_problem(s["problem"])
     policy_spec = specio.load_json(s["policy"])
     policy = specio.policy_from_spec(policy_spec, base_dir=os.path.dirname(s["policy"]) or ".")
-    ens = simulate_paths(
-        problem, policy, s["t0"], s["x0"], s["paths"], s["steps"], s["seed"], s["simulation_box"])
+    if s["simulation_box"] is not None:
+        # paths stop where they leave the box, as where they leave the domain
+        try:
+            problem = problem.within(s["simulation_box"])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"key 'simulation_box': {exc}") from None
+    ens = simulate_paths(problem, policy, s["t0"], s["x0"], s["paths"], s["steps"], s["seed"])
     est = estimate_value(ens, problem.payoff)
     summary = {
         **asdict(est), "seed": s["seed"], "policy": policy_spec, "t0": s["t0"], "x0": s["x0"],
@@ -278,11 +283,8 @@ _STAGE_ERRORS = (ConfigurationError, DomainError, ConvergenceError, NumericalErr
 
 @specio._document("pipeline spec")
 def _pipeline_inputs(spec, base: str):
-    """The problem, grid and evaluation points of a pipeline spec.  A key the
-    spec does not take is refused, since a typo would otherwise silently take a default."""
-    unknown = sorted(set(spec.keys()) - set(_TABLE[_SPEC]))
-    if unknown:
-        raise ConfigurationError(f"unknown pipeline spec key(s) {', '.join(map(repr, unknown))}")
+    """The problem, grid and evaluation points of a pipeline spec; a key the spec does not take is refused."""
+    _refuse_unknown(_SPEC, spec)
     problem = (
         specio.load_problem(os.path.join(base, spec["problem"]))
         if isinstance(spec["problem"], str)
@@ -336,9 +338,8 @@ def _run_pipeline(run, out_dir):
             # the solver candidate is certified on half the budget
             raise ConfigurationError(
                 f"budget must be at least 2 when the solver candidate is certified, not {ccfg.budget!r}")
-        # stopped at the box: a stopped submartingale is still a submartingale
         scfg = CertifyConfig(start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
-                             tol=s["solver_candidate_tol"], seed=seed + 2, simulation_box=grid.box)
+                             tol=s["solver_candidate_tol"], seed=seed + 2)
     report: dict = {"stages": {}}
     g = _payoff_values(problem, grid)
     stage = "facelift"
@@ -380,7 +381,8 @@ def _run_pipeline(run, out_dir):
         if s["certify_solver_candidate"]:
             solver_cand = candidate_from_solution(sol, "sub", growth_constant=s["solver_growth_constant"])
             try:
-                srep = certify_subsolution(solver_cand, problem, scfg)
+                # stopped at the grid's box: a stopped submartingale is still a submartingale
+                srep = certify_subsolution(solver_cand, problem.within(grid.box), scfg)
                 report["solver_candidate"] = {"verdict": srep.verdict, "certified": srep.certified}
             except ValueError as exc:
                 report["solver_candidate"] = {"skipped": str(exc)}
@@ -495,6 +497,7 @@ _KEYS = (
     _Key("out", os.fspath, documents="pipeline-spec", default="pipeline-report.json"),
     # older facelift manifests hold "method": "auto" and a "tol" that nothing reads
     _Key("method", _Choice(("auto",)), documents="facelift", default="auto"),
+    _Key("tol", float, documents="facelift", default=None),
     _Key("terminal", _Choice(("raw", "facelift")), "solve", "pipeline-spec", default="facelift"),
     _Key("time_nodes", _integer, "solve", "pipeline-spec", (SchemeConfig, "n_time_nodes")),
     _Key("time_nodes", _integer, "convergence", fills=(SchemeConfig, "n_time_nodes"), default=33),
@@ -556,10 +559,19 @@ def _read(key, value, parse):
         raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
 
 
+def _refuse_unknown(document, doc) -> None:
+    """Refuse a key of doc that `document` does not take, since a typo would otherwise silently take a default."""
+    unknown = sorted(set(doc) - set(_TABLE[document]))
+    if unknown:
+        raise ConfigurationError(f"unknown {document} key(s) {', '.join(map(repr, unknown))}")
+
+
 def _settings(document, doc) -> dict:
     """Each key of `document` (a subcommand's config, or "pipeline-spec"): doc's
     value through the key's parser, or the key's default when doc lacks it.  A
-    key whose default is None also takes None."""
+    key whose default is None also takes None, and a key doc holds but
+    `document` does not take is refused."""
+    _refuse_unknown(document, doc)
     settings = {}
     for key, (row, _) in _TABLE[document].items():
         value = doc.get(key, row.default)
@@ -587,7 +599,7 @@ def _add_flag(parser, row):
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hjbkit", description=__doc__)
-    _add_flag(ap, _SEED)
+    _add_flag(ap, _SEED._replace(default=None))  # None: not given
     ap.add_argument("--out-dir", default=None, help="artifact directory (default: .; oracle writes none)")
     ap.add_argument("--manifest", default=None, help="re-run from a recorded manifest")
     sub = ap.add_subparsers(dest="subcommand")
@@ -602,6 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> dict:
     """The config of a flag run: each flag's value, a text value in its document form."""
     cfg = {k: v for k, v in vars(args).items() if k not in ("subcommand", "out_dir", "manifest")}
+    cfg["seed"] = _SEED.default if args.seed is None else args.seed
     for key, (row, _) in _TABLE[args.subcommand].items():
         if row.text and isinstance(cfg.get(key), str):
             cfg[key] = _read(key, cfg[key], row.text)
@@ -655,6 +668,8 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
             cfg = _config_from_args(args)
             subcommand = args.subcommand
+        if subcommand == "pipeline" and args.seed is not None:
+            raise ConfigurationError("--seed does not seed a pipeline; the spec's 'seed' key does")
 
         # oracle only prints its value; it writes a manifest only into an explicit --out-dir
         out_dir = args.out_dir if args.out_dir is not None or subcommand == "oracle" else "."

@@ -15,7 +15,7 @@ and u:  drift(t, x, u) -> (..., d),  diffusion(t, x, u) -> (..., d, d').
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -159,6 +159,14 @@ class ControlProblem:
             raise DomainError(f"state {x} has {np.size(x)} coordinates; the problem has {self.state_dim}")
         if not self.state_domain.contains(x):
             raise DomainError(f"state {x} outside the open domain")
+
+    def within(self, box: Box) -> ControlProblem:
+        """The problem on the open box state_domain ∩ box: a path simulated on it stops where it leaves either."""
+        if box.dim == self.state_dim:
+            lo, hi = np.maximum(self.state_domain.lo, box.lo), np.minimum(self.state_domain.hi, box.hi)
+            if np.all(lo < hi):
+                return replace(self, state_domain=Box(lo, hi))
+        raise ConfigurationError(f"box {box.pairs()} misses the state domain {self.state_domain.pairs()}")
 
     def control_grid(self, resolution: int) -> np.ndarray:
         """Uniform grid of the admissible box: `resolution` nodes on each axis of positive width."""

@@ -2,11 +2,11 @@
 
 Controls are frozen on each time step at u(t_n, X_n), a predictable control
 that must lie in the problem's admissible box.  Paths that step out of the
-domain (or an optional simulation box) are stopped at the pre-exit state and
-flagged; nothing is reflected or resampled, so discretization leakage is
-visible in the exit fraction.  Problems with proportional coefficients on
-(0, inf) are advanced in log coordinates, which preserves positivity and makes
-each step exact in distribution for frozen controls.
+open domain, which ``problem.within(box)`` narrows to a truncation box, stop
+at the pre-exit state and are flagged; nothing is reflected or resampled, so
+leakage shows in the exit fraction.  Proportional coefficients on a domain in
+[0, inf) are advanced in log coordinates, which keeps the state positive and
+makes each step exact in distribution for frozen controls.
 
 Noise is drawn from a counter-based Philox stream keyed by the seed; path p
 consumes the counter block laid out as row p of the (n_paths, n_steps, d')
@@ -133,12 +133,7 @@ class PathEnsemble:
 
 
 def _use_log_coordinates(problem) -> bool:
-    return (
-        problem.family == "linear_drift"
-        and problem.state_dim == 1
-        and problem.state_domain.lo[0] == 0.0
-        and not np.isfinite(problem.state_domain.hi[0])
-    )
+    return problem.family == "linear_drift" and problem.state_dim == 1 and bool(problem.state_domain.lo[0] >= 0.0)
 
 
 _NOISE_CHUNK = 1024   # paths per noise draw
@@ -159,15 +154,6 @@ def _fill_noise(Z, seed) -> None:
         b = min(a + _NOISE_CHUNK, n_paths)
         block = rng.standard_normal(out=chunk[:b - a])
         Z[:, a:b] = block.transpose(1, 0, 2)
-
-
-def _all_inside(X, lo, hi, box) -> bool:
-    """Whether every row of X lies in the open domain and the closed box."""
-    mins, maxs = X.min(axis=0), X.max(axis=0)
-    inside = (mins > lo).all() and (maxs < hi).all()
-    if box is not None:
-        inside = inside and (mins >= box.lo).all() and (maxs <= box.hi).all()
-    return bool(inside)
 
 
 def _blocks(problem, policy, x0, seed):
@@ -208,10 +194,10 @@ def _split_stops(stops, n_steps):
     return at_step, predicates
 
 
-def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step, predicates, kept, stop_step) -> None:
+def _euler(problem, policy, times, dt, X0, Z, exit_step, at_step, predicates, kept, stop_step) -> None:
     """Advance the start rows X0 over `times` with the step-major noise Z; a
-    path that leaves the domain or the box freezes at its pre-exit state, and
-    exit_step records the step.
+    path that leaves the problem's open domain freezes at its pre-exit state,
+    and exit_step records the step.
 
     Only the current row and the next are held.  kept[i] receives each path's
     state at stop i as the path reaches it, stop_step[i] the step at which
@@ -283,13 +269,9 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, simulation_box, at_step
             s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(n_paths, d, dprime)
             np.add(X + b * dt, np.einsum("nij,nj->ni", s, sqdt * Z[n]), out=X_new)
 
-        if all_active and _all_inside(X_new, lo, hi, simulation_box):
+        if all_active and (X_new.min(axis=0) > lo).all() and (X_new.max(axis=0) < hi).all():
             continue
         inside = np.all(X_new > lo, axis=1) & np.all(X_new < hi, axis=1)
-        if simulation_box is not None:
-            inside &= np.all(X_new >= simulation_box.lo, axis=1) & np.all(
-                X_new <= simulation_box.hi, axis=1
-            )
         exit_step[active & ~inside] = n
         active &= inside
         all_active = False
@@ -316,7 +298,6 @@ def simulate_paths(
     n_paths: int,
     n_steps: int,
     seed,
-    simulation_box=None,
     stops=(),
 ) -> PathEnsemble:
     """Euler-Maruyama ensemble from (t0, x0) to the horizon.
@@ -358,16 +339,17 @@ def simulate_paths(
     stop_step = np.full((len(stops), m * n_paths), -1, dtype=int)
     for step, slots in at_step.items():
         stop_step[slots] = step
+    # before the noise, so an ensemble kept after the call does not pin the noise's freed block
+    exit_step = np.full(m * n_paths, -1, dtype=int)
     Z = np.empty((n_steps, R * n_paths, dprime))
     for r, key in enumerate(keys):
         _fill_noise(Z[:, r * n_paths:(r + 1) * n_paths], key)
 
-    exit_step = np.full(m * n_paths, -1, dtype=int)
     for pol, a, b in runs:
         rows = slice(a * n_paths, b * n_paths)
         noise = rows if R == m else slice(0, n_paths)
-        _euler(problem, pol, times, dt, start_rows[rows], Z[:, noise], exit_step[rows], simulation_box,
-               at_step, predicates, kept[:, rows], stop_step[:, rows])
+        _euler(problem, pol, times, dt, start_rows[rows], Z[:, noise], exit_step[rows], at_step, predicates,
+               kept[:, rows], stop_step[:, rows])
 
     return PathEnsemble(
         times=times,

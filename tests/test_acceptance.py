@@ -69,8 +69,7 @@ def test_a2_simulation_reproduces_solver(merton_problem, merton_solution):
     policy = hk.extract_policy(merton_solution)
     # absorb at the truncation box so both sides price the same stopped process
     ens = hk.simulate_paths(
-        merton_problem, policy, 0.0, [1.0], 100_000, 200, seed=2026,
-        simulation_box=merton_solution.grid.box,
+        merton_problem.within(merton_solution.grid.box), policy, 0.0, [1.0], 100_000, 200, seed=2026,
     )
     est = hk.estimate_value(ens, merton_problem.payoff)
     v = merton_solution.value_at(0.0, [1.0])

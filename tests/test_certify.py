@@ -274,9 +274,9 @@ def tensor_values_at_stops(candidate, times, states, rho_spec, tau, horizon, xi,
     return out
 
 
-def whole_paths(problem, policy, tau, xi, n_paths, n_steps, seed, box):
+def whole_paths(problem, policy, tau, xi, n_paths, n_steps, seed):
     """The ensemble of one start with every step kept, and its (n_paths, n_steps+1, d) paths."""
-    ens = hk.simulate_paths(problem, policy, tau, xi, n_paths, n_steps, seed, box, stops=range(n_steps + 1))
+    ens = hk.simulate_paths(problem, policy, tau, xi, n_paths, n_steps, seed, stops=range(n_steps + 1))
     return ens, ens.states[:, :-1]
 
 
@@ -295,7 +295,7 @@ def reference_martingale_records(candidate, problem, config, policy_for, adversa
     for tau in certify._taus(T):
         for xi in starts:
             ens, states = whole_paths(problem, policy_for(tau, xi), tau, xi, n_paths, config.steps_per_record,
-                                      (config.seed, ridx, tag_key), config.simulation_box)
+                                      (config.seed, ridx, tag_key))
             exits.append(ens.exit_fraction)
             for rho_spec in rho_specs:
                 w_end = tensor_values_at_stops(candidate, ens.times, states, rho_spec, tau, T, xi, radius)
@@ -345,10 +345,10 @@ class TestBatchedBatteryEqualsReference:
         _assert_battery_equals_reference(cand, merton_problem, config, cand.policy_factory, "companion", +1)
 
     def test_solver_candidate_in_a_simulation_box(self, merton_problem, coarse_merton_solution):
-        config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, seed=14,
-                                  simulation_box=hk.Box([0.4], [2.5]))
+        config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, seed=14)
         cand = candidate_from_solution(coarse_merton_solution, "sub", 10.0)
-        exits = _assert_battery_equals_reference(cand, merton_problem, config, cand.policy_factory, "companion", +1)
+        problem = merton_problem.within(hk.Box([0.4], [2.5]))
+        exits = _assert_battery_equals_reference(cand, problem, config, cand.policy_factory, "companion", +1)
         assert max(exits) > 0.0
 
     def test_generic_euler_branch(self):
@@ -365,11 +365,12 @@ def test_values_at_stops_equal_the_whole_path_reference(box, merton_problem, coa
     """Each end rule's values, from the stops of one streamed run, against the
     stop rule read off whole paths; the box freezes some paths before their ball exit."""
     cand, policy = candidate_from_solution(coarse_merton_solution, "sub", 10.0), hk.extract_policy(coarse_merton_solution)
-    T, radius, n_steps = merton_problem.horizon, 0.3, 24
+    problem = merton_problem if box is None else merton_problem.within(box)
+    T, radius, n_steps = problem.horizon, 0.3, 24
     for tau, xi in [(0.0, np.array([1.0])), (0.5, np.array([1.3]))]:
-        ens = hk.simulate_paths(merton_problem, policy, tau, xi, 2_000, n_steps, (3, 1), box,
+        ens = hk.simulate_paths(problem, policy, tau, xi, 2_000, n_steps, (3, 1),
                                 certify._stops(tau, T, n_steps, radius))
-        full, states = whole_paths(merton_problem, policy, tau, xi, 2_000, n_steps, (3, 1), box)
+        full, states = whole_paths(problem, policy, tau, xi, 2_000, n_steps, (3, 1))
         assert 0 < np.mean(ens.stop_step[:, 2] >= 0) < 1
         assert (full.exit_fraction > 0.0) == (box is not None)
         got = certify._values_at_stops(cand, ens)
@@ -442,7 +443,7 @@ def test_values_at_stops_makes_one_evaluator_call_per_end_rule(merton_problem):
     T, n_steps, n_paths = merton_problem.horizon, 24, 500
     starts = np.array([[0.8], [1.2], [1.7]])
     ens = hk.simulate_paths(merton_problem, [base.policy_factory(0.0, xi) for xi in starts], 0.0, starts,
-                            n_paths, n_steps, [(5, s) for s in range(3)], None, certify._stops(0.0, T, n_steps, 0.3))
+                            n_paths, n_steps, [(5, s) for s in range(3)], certify._stops(0.0, T, n_steps, 0.3))
     for block in ens.blocks():
         # the ball exits spread over many steps, one evaluator call each before
         assert len(np.unique(block.stop_step[:, 2])) > 3

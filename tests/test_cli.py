@@ -185,6 +185,43 @@ def test_simulate_manifest_without_seed_runs_with_seed_0(tmp_path):
     assert json.loads((tmp_path / "a" / "manifest.json").read_text())["config"] == config
 
 
+def simulate_manifest(tmp_path, problem=MERTON_SPEC, **config):
+    """A hand-written simulate manifest: 100 paths of the constant 5.0 from x0 = 1."""
+    prob = write(tmp_path / "prob.json", problem)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]})
+    config = {"problem": prob, "policy": pol, "x0": [1.0], "paths": 100, "steps": 4, **config}
+    return write(tmp_path / "manifest.json", {"subcommand": "simulate", "config": config})
+
+
+def test_simulation_box_is_the_domain_of_a_narrowed_document(tmp_path):
+    """The Merton document in the box [0.2, 5] and the Merton document on (0.2, 5)
+    write the same summary, stepped in log coordinates."""
+    summaries = []
+    for name, problem, config in (("box", MERTON_SPEC, {"simulation_box": [[0.2, 5.0]]}),
+                                  ("domain", dict(MERTON_SPEC, state_domain=[[0.2, 5.0]]), {})):
+        (tmp_path / name).mkdir()
+        mpath = simulate_manifest(tmp_path / name, problem, **config)
+        assert main(["--out-dir", str(tmp_path / name / "out"), "--manifest", mpath]) == 0
+        summaries.append((tmp_path / name / "out" / "ensemble-summary.json").read_text())
+    assert summaries[0] == summaries[1]
+    assert '"log_coordinates": true' in summaries[1]
+
+
+@pytest.mark.parametrize("box, message", [
+    ([[1.5, 2.0]], "state [1.] outside the open domain"),
+    ([[1.0, 2.0]], "state [1.] outside the open domain"),
+    ([[-2.0, -1.0]], "key 'simulation_box': box [[-2.0, -1.0]] misses the state domain [[0.0, inf]]"),
+    ([[0.5, 2.0], [0.5, 2.0]], "key 'simulation_box': box [[0.5, 2.0], [0.5, 2.0]] misses"),
+], ids=["start-below-the-box", "start-on-its-edge", "box-below-the-domain", "box-of-two-dimensions"])
+def test_simulate_start_outside_the_simulation_box_exits_2(tmp_path, capsys, box, message):
+    """The start must lie in the open box, as in the open domain; a path never starts frozen."""
+    mpath = simulate_manifest(tmp_path, simulation_box=box)
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_certify_inflated_candidate_exits_4(tmp_path, capsys):
     prob = write(tmp_path / "prob.json", MERTON_SPEC)
     cand = write(tmp_path / "cand.json", {
@@ -552,6 +589,18 @@ def test_facelift_manifest_from_before_the_method_flag_replays(tmp_path, capsys)
     assert (tmp_path / "b" / "ghat.csv").read_bytes() == (tmp_path / "a" / "ghat.csv").read_bytes()
 
 
+def test_manifest_with_an_unknown_key_exits_2(tmp_path, capsys):
+    """A typo would otherwise take the default: "time_node" solved on 101 nodes."""
+    prob = write(tmp_path / "prob.json", KINK_SPEC)
+    grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [21]})
+    config = {"problem": prob, "grid": grid, "time_nodes": 5, "control_res": 5, "time_node": 5, "contol_res": 3}
+    mpath = write(tmp_path / "manifest.json", {"subcommand": "solve", "config": config})
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown solve key(s) 'contol_res', 'time_node'")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("subcommand, argv, key, value", [
     ("facelift", [], "method", "relax"),
     ("solve", ["--time-nodes", "5", "--control-res", "5"], "penalty_weight", 10.0),
@@ -608,6 +657,28 @@ def test_pipeline_spec_document_list_exits_2(tmp_path, capsys):
     spath = write(tmp_path / "pipeline.json", [{"problem": "prob.json"}])
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     assert "configuration error: malformed pipeline spec document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["5", "0"])
+def test_pipeline_with_a_top_level_seed_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, seed):
+    """The spec's seed key seeds a pipeline; --seed would be recorded in the manifest and not used."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path)
+    assert main(["--seed", seed, "--out-dir", str(tmp_path / "out"), "pipeline", "--spec", spath]) == 2
+    assert "--seed does not seed a pipeline; the spec's 'seed' key does" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_manifest_records_seed_0_and_replays(tmp_path):
+    """A run without --seed records config.seed 0, as every earlier pipeline
+    manifest does, and its replay writes the same report."""
+    spath = small_pipeline(tmp_path, mc_paths=500, budget=1000)
+    code = main(["--out-dir", str(tmp_path / "a"), "pipeline", "--spec", spath])
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["config"] == {"seed": 0, "spec": spath} and manifest["seed"] == 3
+    assert main(["--out-dir", str(tmp_path / "b"), "--manifest", str(tmp_path / "a" / "manifest.json")]) == code
+    report = "pipeline-report.json"
+    assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "a" / report).read_bytes()
 
 
 def test_pipeline_certifies_the_solver_candidate(tmp_path, capsys):
@@ -789,7 +860,8 @@ def test_pipeline_simulates_on_the_state_domain(tmp_path):
     est = hk.estimate_value(hk.simulate_paths(*run), problem.payoff)
     assert (mc["mean"], mc["half_width_95"], mc["exit_fraction"]) == (est.mean, est.half_width_95, est.exit_fraction)
     assert mc["left_box_fraction"] > 0.0
-    assert hk.estimate_value(hk.simulate_paths(*run, grid.box), problem.payoff).mean != mc["mean"]
+    boxed = hk.simulate_paths(problem.within(grid.box), *run[1:])
+    assert hk.estimate_value(boxed, problem.payoff).mean != mc["mean"]
 
 
 NOT_NUMBERS = [

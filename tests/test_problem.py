@@ -250,6 +250,16 @@ def test_a_control_set_without_admissible_controls_is_refused(merton_problem, co
         dataclasses.replace(merton_problem, control_set=control_set)
 
 
+def test_within_is_the_problem_on_the_domain_within_the_box(merton_problem):
+    narrowed = merton_problem.within(Box([-1.0], [2.0]))
+    assert narrowed.state_domain.pairs() == [[0.0, 2.0]]
+    assert (narrowed.drift, narrowed.payoff, narrowed.controls.pairs()) == (
+        merton_problem.drift, merton_problem.payoff, merton_problem.controls.pairs())
+    for box in (Box([-2.0], [0.0]), Box([0.5, 0.5], [1.0, 1.0])):
+        with pytest.raises(hk.ConfigurationError, match=re.escape(f"box {box.pairs()} misses the state domain")):
+            merton_problem.within(box)
+
+
 MERTON_DOC = {
     "family": "linear_drift", "params": {"mu": 0.1, "sigma": 0.2}, "control_bound": 10.0,
     "state_domain": [[0.0, None]], "horizon": 1.0, "payoff": {"family": "power", "params": {"p": 0.5}},

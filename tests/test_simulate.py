@@ -95,18 +95,23 @@ class TestSimulatePaths:
         assert FeedbackPolicy(lambda t, x: x, tag="mine").tag == "mine"
 
     def test_simulation_box_absorbs(self):
-        prob = hk.constant_coefficient_problem([1.0], [[0.0]])
-        box = hk.Box([-0.5], [0.5])
-        ens = hk.simulate_paths(prob, constant_policy([0.0]), 0.0, [0.0], 20, 10, seed=4,
-                                simulation_box=box)
+        prob = hk.constant_coefficient_problem([1.0], [[0.0]]).within(hk.Box([-0.5], [0.5]))
+        ens = hk.simulate_paths(prob, constant_policy([0.0]), 0.0, [0.0], 20, 10, seed=4)
         assert ens.exit_fraction == 1.0
         # frozen at the last state inside the box
         assert np.all(ens.terminal_states()[:, 0] <= 0.5)
 
+    def test_a_narrowed_merton_domain_keeps_the_log_step(self, merton_problem):
+        """Any linear_drift domain in [0, inf) takes the log step; the flag is a
+        Python bool, so a simulate summary serializes it."""
+        narrowed = merton_problem.within(hk.Box([0.2], [5.0]))
+        ens = hk.simulate_paths(narrowed, constant_policy([2.0]), 0.0, [1.0], 100, 8, seed=6)
+        assert ens.log_coordinates is True and _use_log_coordinates(narrowed) is True
+        assert _use_log_coordinates(merton_problem.within(hk.Box([-1.0], [5.0]))) is True
+
     def test_states_before_exit_inside_domain(self, merton_problem):
-        box = hk.Box([0.8], [1.25])
-        ens = hk.simulate_paths(merton_problem, constant_policy([5.0]), 0.0, [1.0], 200, 50,
-                                seed=5, simulation_box=box, stops=range(51))
+        ens = hk.simulate_paths(merton_problem.within(hk.Box([0.8], [1.25])), constant_policy([5.0]), 0.0, [1.0],
+                                200, 50, seed=5, stops=range(51))
         assert ens.exit_fraction > 0.0
         for p in range(200):
             e = ens.exit_step[p]
@@ -119,7 +124,7 @@ class TestSimulatePaths:
                 hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 10, 4, seed=0, stops=(stop,))
 
 
-def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed, simulation_box=None):
+def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed):
     """Reference ensemble: paths stored row by row, (n_paths, n_steps+1, d),
     one whole (n_paths, n_steps, d') draw, np.where for the frozen paths."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -150,10 +155,6 @@ def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed, simulation
         inside = np.all(X_new > problem.state_domain.lo, axis=1) & np.all(
             X_new < problem.state_domain.hi, axis=1
         )
-        if simulation_box is not None:
-            inside &= np.all(X_new >= simulation_box.lo, axis=1) & np.all(
-                X_new <= simulation_box.hi, axis=1
-            )
         exit_step[active & ~inside] = n
         active &= inside
         X = np.where(active[:, None], X_new, X)
@@ -209,11 +210,11 @@ class TestStepMajorStorage:
             "log-constant": (merton_problem, constant_policy([2.0]), 0.1, [1.2], n_paths, 12, 3),
             "log-grid-table": (merton_problem, hk.extract_policy(coarse_merton_solution), 0.0, [1.0],
                                n_paths, 12, 4),
-            "log-box": (merton_problem, hk.extract_policy(coarse_merton_solution), 0.0, [1.0],
-                        n_paths, 12, 5, hk.Box([0.6], [1.6])),
+            "log-box": (merton_problem.within(hk.Box([0.6], [1.6])), hk.extract_policy(coarse_merton_solution),
+                        0.0, [1.0], n_paths, 12, 5),
             "generic-2d-noise": (two_noise, constant_policy([0.0]), 0.0, [0.1, 0.2], n_paths, 7, (7, 1)),
-            "generic-2d-box": (two_noise, constant_policy([0.0]), 0.0, [0.1, 0.2], n_paths, 7, 8,
-                               hk.Box([-0.8, -0.3], [0.8, 0.6])),
+            "generic-2d-box": (two_noise.within(hk.Box([-0.8, -0.3], [0.8, 0.6])), constant_policy([0.0]), 0.0,
+                               [0.1, 0.2], n_paths, 7, 8),
             "generic-control": (hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0),
                                 FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0)), 0.0, [0.3], n_paths, 9, 9),
         }[case]
@@ -231,15 +232,16 @@ class TestStepMajorStorage:
 
     @pytest.mark.parametrize("case", ["log-box", "generic-2d-box"])
     def test_predicate_stops_equal_the_whole_path_reference(self, case, merton_problem, coarse_merton_solution):
-        """A left-box and a ball-exit stop, with paths frozen by the simulation
-        box, against the first step read off whole paths."""
+        """A left-box and a ball-exit stop, with paths frozen where they leave a
+        narrowed domain, against the first step read off whole paths."""
         if case == "log-box":
-            args = (merton_problem, hk.extract_policy(coarse_merton_solution), 0.0, [1.0], 3_000, 24, 5,
-                    hk.Box([0.6], [1.6]))
+            args = (merton_problem.within(hk.Box([0.6], [1.6])), hk.extract_policy(coarse_merton_solution), 0.0,
+                    [1.0], 3_000, 24, 5)
             lo, hi = np.array([0.8]), np.array([1.3])
         else:
-            args = (hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]]), constant_policy([0.0]),
-                    0.0, [0.1, 0.2], 3_000, 24, 8, hk.Box([-0.8, -0.3], [0.8, 0.6]))
+            two_noise = hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]])
+            args = (two_noise.within(hk.Box([-0.8, -0.3], [0.8, 0.6])), constant_policy([0.0]),
+                    0.0, [0.1, 0.2], 3_000, 24, 8)
             lo, hi = np.array([-0.6, -0.2]), np.array([0.6, 0.5])
 
         def left_box(X, X0):
@@ -305,9 +307,10 @@ class TestBlocks:
         keys = [(5, 3 * r, 77) for r in range(len(starts))]
         # every step, and a ball around each block's own start
         stops = (*range(10), _ball(0.3))
-        ens = hk.simulate_paths(problem, policy, 0.2, starts, _NOISE_CHUNK + 3, 9, keys, box, stops)
+        problem = problem.within(box)
+        ens = hk.simulate_paths(problem, policy, 0.2, starts, _NOISE_CHUNK + 3, 9, keys, stops)
         _assert_blocks_equal_single_calls(ens, [
-            hk.simulate_paths(problem, policy, 0.2, x, _NOISE_CHUNK + 3, 9, key, box, stops)
+            hk.simulate_paths(problem, policy, 0.2, x, _NOISE_CHUNK + 3, 9, key, stops)
             for x, key in zip(starts, keys)])
         assert 0 < np.mean(ens.stop_step[:, -1] >= 0) < 1
         assert 0.0 < ens.exit_fraction < 1.0
@@ -365,9 +368,10 @@ class TestBlocks:
 
     def test_batched_starts_hold_one_noise_block_each(self, merton_problem, coarse_merton_solution):
         policy, starts = hk.extract_policy(coarse_merton_solution), [[0.7], [1.0], [1.9]]
+        problem = merton_problem.within(hk.Box([0.5], [2.2]))
         _assert_peak_is_noise_plus_kept(
-            lambda n_steps: hk.simulate_paths(merton_problem, policy, 0.0, starts, 8_000, n_steps, [1, 2, 3],
-                                              hk.Box([0.5], [2.2]), stops=(n_steps // 2, _ball(0.4))),
+            lambda n_steps: hk.simulate_paths(problem, policy, 0.0, starts, 8_000, n_steps, [1, 2, 3],
+                                              stops=(n_steps // 2, _ball(0.4))),
             3 * 8_000)
 
 
@@ -438,7 +442,8 @@ class TestPolicies:
             problem, x0, box = hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0), [0.2], hk.Box([-0.4], [0.6])
         stairs = piecewise_constant_policy([0.0, 0.3, 0.6], [[0.8], [-0.5], [0.3]])
         rows = FeedbackPolicy(lambda t, x: np.repeat(stairs.rule(t, x), x.shape[0], axis=0))
-        one, full = (hk.simulate_paths(problem, pol, 0.0, x0, 500, 20, 3, box, stops=(5, 12)) for pol in (stairs, rows))
+        one, full = (hk.simulate_paths(problem.within(box), pol, 0.0, x0, 500, 20, 3, stops=(5, 12))
+                     for pol in (stairs, rows))
         assert 0.0 < one.exit_fraction < 1.0
         for a, b in ((one.states, full.states), (one.exit_step, full.exit_step)):
             assert np.array_equal(a, b)
