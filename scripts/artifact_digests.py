@@ -22,6 +22,9 @@ directory and runs there:
 - a long-only session on the Merton document with the control set [0, 1]:
   solve, simulate under the constant 0.5, and certify the exact long-only
   (B = 1) closed form as a sub and as a super candidate;
+- a cross-directory session: certify a from-solution sub candidate whose
+  document and CSV sit in other directories than its report, then bracket
+  it against the Merton session's super report;
 
 and a --manifest replay of each of these.
 
@@ -164,7 +167,8 @@ def sessions(merton_problem, pipeline_spec) -> list:
     _write(f"{inp}/{pipeline_spec['problem']}", merton_problem)
     solver_spec = {**pipeline_spec, "certify_solver_candidate": True}
     solver = ("out/pipeline-solver-candidate", ["pipeline", "--spec", _write(f"{inp}/pipeline.json", solver_spec)])
-    return merton + [minimal_run, boxed_run] + heat + [uncertified, solver] + _long_only(merton_problem)
+    return (merton + [minimal_run, boxed_run] + heat + [uncertified, solver] + _long_only(merton_problem)
+            + _cross_directory())
 
 
 def _long_only(merton_problem) -> list:
@@ -184,6 +188,21 @@ def _long_only(merton_problem) -> list:
                                                _write(f"{inp}/certify-{side}.json", dict(exact, side=side)),
                                                "--budget", "6000", "--start-box=0.5,2.0"]))
     return runs
+
+
+def _cross_directory() -> list:
+    """The (run directory, argv) of a certify -> bracket session on the Merton
+    session's document, points, solution and super report: the sub report
+    must name the solution's CSV from its own directory, where bracket reads it."""
+    inp, out = "inputs/cross-directory", "out/cross-directory"
+    sub = {"kind": "from-solution", "csv": "../../out/merton/solve-project/solution.csv", "side": "sub",
+           "growth_constant": 10.0}
+    prob = "inputs/merton/prob.json"
+    return [(f"{out}/certify-sub", ["certify", "--problem", prob, "--candidate", _write(f"{inp}/sub.json", sub),
+                                    "--budget", "6000", "--start-box=0.5,2.0"]),
+            (f"{out}/bracket", ["bracket", "--problem", prob, "--sub", f"{out}/certify-sub/report.json",
+                                "--super", "out/merton/certify-super/report.json",
+                                "--points", "inputs/merton/points.csv", "--paths", "4000", "--steps", "16"])]
 
 
 def digests(src: str, seeds) -> list:

@@ -208,9 +208,11 @@ def _certify(candidate, side, problem, config, extra_policies=()) -> Certificati
 def _run_certify(s, out_dir):
     problem = specio.load_problem(s["problem"])
     candidate_spec = specio.load_json(s["candidate"])
-    candidate = specio.candidate_from_spec(
-        candidate_spec, base_dir=os.path.dirname(s["candidate"]) or ".", side=s["kind"])
-    candidate_spec = {**candidate_spec, "side": candidate.kind}
+    base = os.path.dirname(s["candidate"]) or "."
+    candidate = specio.candidate_from_spec(candidate_spec, base_dir=base, side=s["kind"])
+    # the report's copy names its files from the report's directory, where bracket reads them
+    report_dir = os.path.dirname(os.path.join(out_dir, s["out"])) or "."
+    candidate_spec = {**specio.rebased(candidate_spec, base, report_dir), "side": candidate.kind}
     report = _certify(candidate, candidate.kind, problem, _certify_config("certify", s, problem))
     print(report.verdict)
     for r in report.failing():
@@ -338,8 +340,7 @@ def _run_pipeline(run, out_dir):
             # the solver candidate is certified on half the budget
             raise ConfigurationError(
                 f"budget must be at least 2 when the solver candidate is certified, not {ccfg.budget!r}")
-        scfg = CertifyConfig(start_box=ccfg.start_box, budget=ccfg.budget // 2, z=ccfg.z,
-                             tol=s["solver_candidate_tol"], seed=seed + 2)
+        scfg = replace(ccfg, budget=ccfg.budget // 2, tol=s["solver_candidate_tol"], seed=seed + 2)
     report: dict = {"stages": {}}
     g = _payoff_values(problem, grid)
     stage = "facelift"
@@ -668,8 +669,10 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
             cfg = _config_from_args(args)
             subcommand = args.subcommand
-        if subcommand == "pipeline" and args.seed is not None:
-            raise ConfigurationError("--seed does not seed a pipeline; the spec's 'seed' key does")
+        if args.seed is not None and (args.manifest or subcommand == "pipeline"):
+            raise ConfigurationError("--seed does not seed a " + (
+                "--manifest replay; the manifest's config does" if args.manifest
+                else "pipeline; the spec's 'seed' key does"))
 
         # oracle only prints its value; it writes a manifest only into an explicit --out-dir
         out_dir = args.out_dir if args.out_dir is not None or subcommand == "oracle" else "."

@@ -1,15 +1,16 @@
 """Control-problem data model, the built-in coefficient families and the problem builder.
 
-A ControlProblem packages the coefficients b and sigma of the controlled
-diffusion dX = b(t,X,u) dt + sigma(t,X,u) dW on an open box domain, the
-terminal payoff g with its gauge psi, the one box of admissible controls (the
-declared control set within the control bound), and the constraint function G
-whose non-negativity marks where the Hamiltonian
+A ControlProblem packages the time-homogeneous coefficients b and sigma of
+the controlled diffusion dX = b(X,u) dt + sigma(X,u) dW on an open box
+domain, the terminal payoff g with its gauge psi, the one box of admissible
+controls (the declared control set within the control bound), and the
+constraint function G whose non-negativity marks where the Hamiltonian
 
-    H(t,x,p,M) = sup_u [ b(t,x,u).p + 1/2 Tr(sigma sigma^T M) ]
+    H(x,p,M) = sup_u [ b(x,u).p + 1/2 Tr(sigma sigma^T M) ]
 
 is finite.  Coefficient callables must broadcast over the leading axes of x
-and u:  drift(t, x, u) -> (..., d),  diffusion(t, x, u) -> (..., d, d').
+and u:  drift(x, u) -> (..., d),  diffusion(x, u) -> (..., d, d').  Payoff
+and gauge are plain functions of the state:  g(x) -> (...).
 """
 
 from __future__ import annotations
@@ -24,47 +25,32 @@ from .errors import ConfigurationError, DomainError
 from .grids import Box, box_from_pairs
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar function of the state, with a family tag for serialization."""
-
-    fn: object
-    family: str = "custom"
-    params: tuple = ()
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.fn(x)
+def power_payoff(p: float):
+    return lambda x: np.maximum(x[..., 0], 0.0) ** p
 
 
-def power_payoff(p: float) -> ScalarField:
-    return ScalarField(lambda x: np.maximum(x[..., 0], 0.0) ** p, "power", (("p", p),))
+def quadratic_payoff():
+    return lambda x: np.sum(x * x, axis=-1)
 
 
-def quadratic_payoff() -> ScalarField:
-    return ScalarField(lambda x: np.sum(x * x, axis=-1), "quadratic", ())
+def abs_payoff(center: float = 1.0):
+    return lambda x: np.abs(x[..., 0] - center)
 
 
-def abs_payoff(center: float = 1.0) -> ScalarField:
-    return ScalarField(lambda x: np.abs(x[..., 0] - center), "abs", (("center", center),))
+def affine_payoff(slope: float = 1.0, intercept: float = 0.0):
+    return lambda x: slope * x[..., 0] + intercept
 
 
-def affine_payoff(slope: float = 1.0, intercept: float = 0.0) -> ScalarField:
-    return ScalarField(
-        lambda x: slope * x[..., 0] + intercept, "affine", (("slope", slope), ("intercept", intercept))
-    )
+def constant_payoff(c: float):
+    return lambda x: np.full(x.shape[:-1], float(c))
 
 
-def constant_payoff(c: float) -> ScalarField:
-    return ScalarField(lambda x: np.full(x.shape[:-1], float(c)), "constant", (("c", c),))
+def one_plus_square_gauge():
+    return lambda x: 1.0 + np.sum(x * x, axis=-1)
 
 
-def one_plus_square_gauge() -> ScalarField:
-    return ScalarField(lambda x: 1.0 + np.sum(x * x, axis=-1), "one_plus_square", ())
-
-
-def power_gauge(p: float) -> ScalarField:
-    return ScalarField(lambda x: np.maximum(x[..., 0], 1e-300) ** p, "power", (("p", p),))
+def power_gauge(p: float):
+    return lambda x: np.maximum(x[..., 0], 1e-300) ** p
 
 
 _CONSTRAINT_FAMILIES = ("neg_second", "neg_trace", "positive_const")
@@ -113,10 +99,9 @@ def positive_constraint(c: float = 1.0) -> Constraint:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """One stochastic optimal-control instance: maximize E[g(X_T)].  The simulator
-    passes t to drift and diffusion; the solver reads them at t = 0 alone.  The
-    box ``controls``, control_set within [-control_bound, control_bound]^k, is
-    the admissible set that the solver, the simulator and the certifier read."""
+    """One stochastic optimal-control instance: maximize E[g(X_T)].  The box
+    ``controls``, control_set within [-control_bound, control_bound]^k, is the
+    admissible set that the solver, the simulator and the certifier read."""
 
     drift: object
     diffusion: object
@@ -126,9 +111,8 @@ class ControlProblem:
     control_set: Box
     state_domain: Box
     horizon: float
-    payoff: ScalarField
-    gauge: ScalarField
-    gauge_constant: float
+    payoff: object
+    gauge: object
     constraint: Constraint
     family: str = "custom"
     params: dict = field(default_factory=dict)
@@ -183,12 +167,12 @@ def _control_scaled_maps(scale, mu, sigma):
     """b = u mu scale(x) and sigma = u sigma scale(x), one state and one noise dimension."""
     mu, sigma = float(mu), float(sigma)
 
-    def drift(t, x, u):
+    def drift(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         return mu * u[..., :1] * scale(x)
 
-    def diffusion(t, x, u):
+    def diffusion(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         return (sigma * u[..., :1] * scale(x))[..., None]
@@ -200,11 +184,11 @@ def _constant_maps(b0, s0):
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     s0 = np.atleast_2d(np.asarray(s0, dtype=float))
 
-    def drift(t, x, u):
+    def drift(x, u):
         x = np.asarray(x, dtype=float)
         return np.ones_like(x) * b0
 
-    def diffusion(t, x, u):
+    def diffusion(x, u):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(s0, x.shape[:-1] + s0.shape).copy()
 
@@ -225,9 +209,8 @@ def build_problem(
     state_domain,
     control_bound: float,
     horizon: float,
-    payoff: ScalarField,
-    gauge: ScalarField,
-    gauge_constant: float,
+    payoff,
+    gauge,
     constraint: Constraint,
     control_set=None,
 ) -> ControlProblem:
@@ -257,7 +240,6 @@ def build_problem(
         horizon=float(horizon),
         payoff=payoff,
         gauge=gauge,
-        gauge_constant=float(gauge_constant),
         constraint=constraint,
         family=family,
         params=params,
@@ -284,7 +266,6 @@ def merton_problem(
         horizon=horizon,
         payoff=power_payoff(p),
         gauge=power_gauge(p),
-        gauge_constant=1.0,
         constraint=neg_second_constraint(),
     )
 
@@ -293,7 +274,7 @@ def proportional_control_problem(
     mu: float = 1.0,
     sigma: float = 1.0,
     bound: float = 1.0,
-    payoff: ScalarField | None = None,
+    payoff=None,
     horizon: float = 1.0,
     constraint: Constraint | None = None,
 ) -> ControlProblem:
@@ -306,7 +287,6 @@ def proportional_control_problem(
         horizon=horizon,
         payoff=payoff if payoff is not None else quadratic_payoff(),
         gauge=one_plus_square_gauge(),
-        gauge_constant=2.0,
         constraint=constraint if constraint is not None else neg_second_constraint(),
     )
 
@@ -314,7 +294,7 @@ def proportional_control_problem(
 def heat_problem(
     sigma: float = 1.0,
     horizon: float = 1.0,
-    payoff: ScalarField | None = None,
+    payoff=None,
     dim: int = 1,
 ) -> ControlProblem:
     """Uncontrolled diffusion dX = sigma dW with a compact (singleton) control set."""
@@ -325,7 +305,7 @@ def constant_coefficient_problem(
     b0,
     s0,
     horizon: float = 1.0,
-    payoff: ScalarField | None = None,
+    payoff=None,
     constraint: Constraint | None = None,
 ) -> ControlProblem:
     return build_problem(
@@ -336,6 +316,5 @@ def constant_coefficient_problem(
         horizon=horizon,
         payoff=payoff if payoff is not None else quadratic_payoff(),
         gauge=one_plus_square_gauge(),
-        gauge_constant=1.0,
         constraint=constraint if constraint is not None else positive_constraint(1.0),
     )

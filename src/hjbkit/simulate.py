@@ -265,8 +265,8 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, at_step, predicates, ke
             np.multiply(X[:, 0], sq, out=X_new[:, 0])
         else:
             U = np.broadcast_to(U, (n_paths, U.shape[1]))
-            b = np.asarray(problem.drift(t, X, U), dtype=float).reshape(n_paths, d)
-            s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(n_paths, d, dprime)
+            b = np.asarray(problem.drift(X, U), dtype=float).reshape(n_paths, d)
+            s = np.asarray(problem.diffusion(X, U), dtype=float).reshape(n_paths, d, dprime)
             np.add(X + b * dt, np.einsum("nij,nj->ni", s, sqdt * Z[n]), out=X_new)
 
         if all_active and (X_new.min(axis=0) > lo).all() and (X_new.max(axis=0) < hi).all():

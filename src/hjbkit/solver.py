@@ -2,7 +2,7 @@
 
 Backward in time from the terminal slice, with the generator
 
-    L^u v  = b(t,x,u) . D_h v + 1/2 Tr(sigma sigma^T D2_h v),
+    L^u v  = b(x,u) . D_h v + 1/2 Tr(sigma sigma^T D2_h v),
 
 the drift always upwinded by its sign and the diffusion on central (3-point,
 non-uniform) stencils, all taken from grids.AxisStencil.  It is evaluated in
@@ -28,9 +28,9 @@ rule follows the grid's dimension:
   until the CFL bound is met (an explicitly supplied dt must already
   satisfy it).
 
-The coefficients are read once, at t = 0, and the stencil weights built from
-them serve every step of the solve: the solver takes the problem to be
-time-homogeneous, as every built-in coefficient family is.
+The coefficients are time-homogeneous, b(x,u) and sigma(x,u), so they are
+read once and the stencil weights built from them serve every step of the
+solve.
 
 Each step is followed by a constraint step that keeps the slice on the G >= 0
 side: either projection onto concave functions (G = -M, 1-D) or a one-sided
@@ -133,18 +133,6 @@ class SpaceTimeSolution:
         return write_grid_csv(header, rows)
 
 
-def _coeff_arrays(problem, x_pts, controls, t):
-    """b and sigma sigma^T diag at (controls x points): (m, n) arrays per dim."""
-    m, n = controls.shape[0], x_pts.shape[0]
-    d = problem.state_dim
-    X = np.broadcast_to(x_pts[None, :, :], (m, n, d))
-    U = np.broadcast_to(controls[:, None, :], (m, n, controls.shape[1]))
-    b = np.asarray(problem.drift(t, X, U), dtype=float).reshape(m, n, d)
-    s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(m, n, d, problem.noise_dim)
-    sst = np.einsum("mnij,mnkj->mnik", s, s)
-    return b, sst
-
-
 def _float_upper_envelope(x, v):
     """Fast float upper concave envelope (facelift's hull chain + float chords)."""
     hull = upper_hull_indices(x, v)
@@ -159,7 +147,7 @@ def _float_upper_envelope(x, v):
 
 class _Stepper:
     """Per-control stencil weights at the interior nodes of a 1-D or 2-D grid,
-    built once from the coefficients at t = 0.
+    built once from the coefficients.
 
     weights holds (wm, wp) per axis, one row per control; the centre weight
     is -(the sum of wm + wp over the axes), so every row of L^u sums to zero,
@@ -178,7 +166,14 @@ class _Stepper:
         self.buf = np.empty((controls.shape[0],) + tuple(n - 2 for n in grid.shape))
         self.scratch = np.empty_like(self.buf)
         self._eliminated = None   # (dt, policy, elimination) of the last Howard solve
-        b, sst = _coeff_arrays(problem, points, controls, 0.0)
+        # b and sigma sigma^T at every (control, point)
+        m, n = controls.shape[0], points.shape[0]
+        X = np.broadcast_to(points, (m, n, dim))
+        U = np.broadcast_to(controls[:, None, :], (m, n, controls.shape[1]))
+        b = np.asarray(problem.drift(X, U), dtype=float).reshape(m, n, dim)
+        s = np.asarray(problem.diffusion(X, U), dtype=float).reshape(m, n, dim, problem.noise_dim)
+        sst = np.einsum("mnij,mnkj->mnik", s, s)
+        del s  # only sst is read below; freeing sigma keeps it out of the peak memory
         if dim > 1 and np.max(np.abs(sst[..., ~np.eye(dim, dtype=bool)])) > 1e-14:
             raise ConfigurationError("2-D solver supports diagonal diffusion only")
         self.weights = []

@@ -125,7 +125,6 @@ def problem_from_spec(spec: dict) -> ControlProblem:
         horizon=spec["horizon"],
         payoff=_from_table(PAYOFFS, spec["payoff"], "payoff"),
         gauge=_from_table(GAUGES, spec["gauge"], "gauge"),
-        gauge_constant=spec["gauge"].get("constant", 1.0),
         constraint=_from_table(CONSTRAINTS, spec["constraint"], "constraint"),
         control_set=spec.get("control_set"),
     )
@@ -219,6 +218,17 @@ def candidate_from_spec(spec: dict, base_dir: str = ".", side: str | None = None
         sol = load_solution(os.path.join(base_dir, spec["csv"]))
         return candidate_from_solution(sol, side, spec["growth_constant"])
     raise ConfigurationError(f"unknown candidate kind {kind!r}")
+
+
+def rebased(spec: dict, base_dir: str, new_dir: str) -> dict:
+    """A candidate or policy document read in base_dir, its csv paths (a nested
+    policy's too) rewritten to name the same files from new_dir."""
+    spec = dict(spec)
+    if isinstance(spec.get("csv"), str):
+        spec["csv"] = os.path.relpath(os.path.join(base_dir, spec["csv"]), new_dir)
+    if isinstance(spec.get("policy"), dict):
+        spec["policy"] = rebased(spec["policy"], base_dir, new_dir)
+    return spec
 
 
 # ---------------------------------------------------------------------------

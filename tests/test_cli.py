@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -669,6 +670,29 @@ def test_pipeline_with_a_top_level_seed_exits_2_before_any_stage(tmp_path, monke
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_beside_a_manifest_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    """The manifest's config seeds a replay; --seed beside it was once ignored with exit 0."""
+    monkeypatch.setattr("hjbkit.cli.simulate_paths", _raise(AssertionError("a run started")))
+    mpath = simulate_manifest(tmp_path)
+    assert main(["--seed", "5", "--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    assert "--seed does not seed a --manifest replay; the manifest's config does" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_solver_candidate_battery_takes_the_spec_s_starts_and_steps(tmp_path, monkeypatch):
+    """The solver candidate's battery is the spec's battery on half the budget,
+    with its own tol and seed; it once took the default 3 starts and 48 steps."""
+    configs, certify = [], cli.certify_subsolution
+    monkeypatch.setattr("hjbkit.cli.certify_subsolution",
+                        lambda cand, problem, config: configs.append(config) or certify(cand, problem, config))
+    spath = small_pipeline(tmp_path, certify_solver_candidate=True, n_starts=2, steps=12, budget=2000,
+                           mc_paths=500, solver_candidate_tol=0.01)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) in (0, 4)
+    battery, solver = configs
+    assert (battery.n_starts, battery.steps_per_record) == (2, 12)
+    assert solver == dataclasses.replace(battery, budget=1000, tol=0.01, seed=5)
+
+
 def test_pipeline_manifest_records_seed_0_and_replays(tmp_path):
     """A run without --seed records config.seed 0, as every earlier pipeline
     manifest does, and its replay writes the same report."""
@@ -731,6 +755,36 @@ def test_solve_then_certify_a_from_solution_sub_candidate(merton_solution_csv, c
     report = json.loads((d / "cert" / "report.json").read_text())
     assert report["certified"] and report["side"] == "sub"
     assert report["candidate"]["kind"] == "from-solution"
+
+
+def test_bracket_reads_the_files_of_a_candidate_certified_into_another_directory(merton_solution_csv):
+    """The report's copy of the candidate names its csv from the report's
+    directory, where bracket resolves it; it once kept the candidate document's
+    own path, so bracket looked for out/sub/solution.csv and exited 2."""
+    d = merton_solution_csv
+    cand = write(d / "cand.json", {"kind": "from-solution", "csv": "solution.csv", "side": "sub",
+                                   "growth_constant": 10.0})
+    assert main(["--out-dir", str(d / "out" / "sub"), "certify", "--problem", str(d / "prob.json"),
+                 "--candidate", cand, "--budget", "6000", "--start-box", "0.5,2.0"]) == 0
+    report = d / "out" / "sub" / "report.json"
+    assert json.loads(report.read_text())["candidate"]["csv"] == os.path.join("..", "..", "solution.csv")
+    super_ = write(d / "super-report.json", {
+        "candidate": dict(MERTON_SUB, side="super", params=dict(MERTON_SUB["params"], exponent_shift=0.05)),
+        "side": "super", "records": [], "z": 4.0, "tol": 1e-9, "budget": 0, "seed": 0})
+    (d / "points.csv").write_text("t,x\n0.0,1.0\n")
+    assert main(["--out-dir", str(d / "out" / "bracket"), "bracket", "--problem", str(d / "prob.json"),
+                 "--sub", str(report), "--super", super_, "--points", str(d / "points.csv"),
+                 "--paths", "500", "--steps", "8"]) in (0, 4)
+
+
+def test_rebased_names_each_csv_path_from_the_new_directory():
+    doc = {"kind": "grid-table", "csv": "g.csv", "side": "sub", "growth_constant": 1.0,
+           "policy": {"kind": "from-solution", "csv": "s.csv"}}
+    assert specio.rebased(doc, "inputs", os.path.join("out", "sub")) == dict(
+        doc, csv=os.path.join("..", "..", "inputs", "g.csv"),
+        policy={"kind": "from-solution", "csv": os.path.join("..", "..", "inputs", "s.csv")})
+    assert specio.rebased(doc, "inputs", "inputs") == doc
+    assert specio.rebased(MERTON_SUB, "inputs", "out") == MERTON_SUB
 
 
 @pytest.mark.parametrize("spec, side, policy", [

@@ -71,19 +71,16 @@ class TestHamiltonian:
 
 class TestGrowthCheck:
     def test_merton_payoff_within_gauge(self, merton_problem):
-        # certify's growth record, on the payoff at the problem's declared constant
-        payoff = companion_candidate(
-            lambda t, X: merton_problem.payoff(X), "super", merton_problem.gauge_constant, None, "payoff"
-        )
+        # certify's growth record, on the payoff at growth constant 1: g = psi for Merton
+        payoff = companion_candidate(lambda t, X: merton_problem.payoff(X), "super", 1.0, None, "payoff")
         record = _growth_record(payoff, merton_problem, hk.CertifyConfig(start_box=Box([0.1], [5.0])))
         assert record.passed
 
 
-def _doc(family, params, domain, bound, payoff, gauge, gauge_constant, constraint):
+def _doc(family, params, domain, bound, payoff, gauge, constraint):
     return {
         "family": family, "params": params, "state_domain": domain, "control_bound": bound,
-        "horizon": 1.0, "payoff": payoff, "gauge": dict(gauge, constant=gauge_constant),
-        "constraint": constraint,
+        "horizon": 1.0, "payoff": payoff, "gauge": gauge, "constraint": constraint,
     }
 
 
@@ -93,28 +90,28 @@ ONE_BUILDER_CASES = {
         lambda: hk.merton_problem(),
         _doc("linear_drift", {"mu": 0.1, "sigma": 0.2}, [[0.0, None]], 10.0,
              {"family": "power", "params": {"p": 0.5}}, {"family": "power", "params": {"p": 0.5}},
-             1.0, {"family": "neg_second"}),
+             {"family": "neg_second"}),
         lambda: hk.log_grid(0.2, 5.0, 30),
     ),
     "proportional": (
         lambda: hk.proportional_control_problem(payoff=hk.problem.abs_payoff(1.0)),
         _doc("proportional_control", {"mu": 1.0, "sigma": 1.0}, [[None, None]], 1.0,
              {"family": "abs", "params": {"center": 1.0}}, {"family": "one_plus_square"},
-             2.0, {"family": "neg_second"}),
+             {"family": "neg_second"}),
         lambda: hk.uniform_grid([0.0], [2.0], [21]),
     ),
     "heat-2d": (
         lambda: hk.heat_problem(dim=2),
         _doc("constant", {"b0": [0.0, 0.0], "s0": [[1.0, 0.0], [0.0, 1.0]]},
              [[None, None], [None, None]], 0.0, {"family": "quadratic"}, {"family": "one_plus_square"},
-             1.0, {"family": "positive_const", "params": {"c": 1.0}}),
+             {"family": "positive_const", "params": {"c": 1.0}}),
         lambda: hk.uniform_grid([-1.0, -1.0], [1.0, 1.0], [9, 9]),
     ),
     "constant": (
         lambda: hk.constant_coefficient_problem([0.3], [[0.5]]),
         _doc("constant", {"b0": [0.3], "s0": [[0.5]]}, [[None, None]], 0.0,
              {"family": "quadratic"}, {"family": "one_plus_square"},
-             1.0, {"family": "positive_const", "params": {"c": 1.0}}),
+             {"family": "positive_const", "params": {"c": 1.0}}),
         lambda: hk.uniform_grid([-2.0], [2.0], [21]),
     ),
 }
@@ -124,24 +121,38 @@ ONE_BUILDER_CASES = {
 def test_constructor_and_document_build_one_problem(case):
     make, doc, make_grid = ONE_BUILDER_CASES[case]
     built, read = make(), specio.problem_from_spec(doc)
-    for name in ("state_dim", "noise_dim", "control_dim", "control_bound", "horizon",
-                 "gauge_constant", "family", "params"):
+    for name in ("state_dim", "noise_dim", "control_dim", "control_bound", "horizon", "family", "params"):
         assert getattr(read, name) == getattr(built, name), name
     for a, b in [(read.state_domain, built.state_domain), (read.control_set, built.control_set),
                  (read.controls, built.controls)]:
         np.testing.assert_array_equal(a.lo, b.lo)
         np.testing.assert_array_equal(a.hi, b.hi)
-    for name in ("payoff", "gauge", "constraint"):
-        assert (getattr(read, name).family, getattr(read, name).params) == (
-            getattr(built, name).family, getattr(built, name).params
-        ), name
+    assert (read.constraint.family, read.constraint.params) == (built.constraint.family, built.constraint.params)
 
     grid = make_grid()
+    nodes = grid.nodes()
+    for name in ("payoff", "gauge"):
+        np.testing.assert_array_equal(getattr(read, name)(nodes), getattr(built, name)(nodes), err_msg=name)
     config = hk.SchemeConfig(n_time_nodes=5, control_grid_resolution=11)
     sols = [
         hk.solve_hjb(p, hk.GridFunction(grid, p.payoff(grid.nodes()).reshape(grid.shape)), config)
         for p in (built, read)
     ]
+    np.testing.assert_array_equal(sols[0].values, sols[1].values)
+    np.testing.assert_array_equal(sols[0].policies, sols[1].policies)
+
+
+@pytest.mark.parametrize("case", ["merton", "heat-2d"])
+def test_a_gauge_constant_in_a_document_is_accepted_and_not_read(case):
+    """Documents once gave the gauge a "constant" that no part of hjbkit read;
+    they still load, and solve to the same bits as the document without it."""
+    _, doc, make_grid = ONE_BUILDER_CASES[case]
+    grid = make_grid()
+    config = hk.SchemeConfig(n_time_nodes=5, control_grid_resolution=11)
+    sols = []
+    for gauge in (doc["gauge"], dict(doc["gauge"], constant=1.2)):
+        p = specio.problem_from_spec(dict(doc, gauge=gauge))
+        sols.append(hk.solve_hjb(p, hk.GridFunction(grid, p.payoff(grid.nodes()).reshape(grid.shape)), config))
     np.testing.assert_array_equal(sols[0].values, sols[1].values)
     np.testing.assert_array_equal(sols[0].policies, sols[1].policies)
 

@@ -149,8 +149,8 @@ def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed):
             dY = (u * mu - 0.5 * (u * sig) ** 2) * dt + u * sig * sqdt * Z[:, n, 0]
             X_new = X * np.exp(dY)[:, None]
         else:
-            b = np.asarray(problem.drift(t, X, U), dtype=float).reshape(n_paths, d)
-            s = np.asarray(problem.diffusion(t, X, U), dtype=float).reshape(n_paths, d, dprime)
+            b = np.asarray(problem.drift(X, U), dtype=float).reshape(n_paths, d)
+            s = np.asarray(problem.diffusion(X, U), dtype=float).reshape(n_paths, d, dprime)
             X_new = X + b * dt + np.einsum("nij,nj->ni", s, sqdt * Z[:, n, :])
         inside = np.all(X_new > problem.state_domain.lo, axis=1) & np.all(
             X_new < problem.state_domain.hi, axis=1

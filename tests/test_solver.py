@@ -12,7 +12,6 @@ from hjbkit.facelift import _SWITCH_ULPS, _constraint_on_grid
 from hjbkit.oracles import heat_value, merton_value
 from hjbkit.problem import (
     ControlProblem,
-    ScalarField,
     abs_payoff,
     constant_payoff,
     neg_trace_constraint,
@@ -153,9 +152,9 @@ class TestSolveHJB:
         calls = []
 
         def counted(name, fn):
-            def wrapped(t, x, u):
+            def wrapped(x, u):
                 calls.append(name)
-                return fn(t, x, u)
+                return fn(x, u)
             return wrapped
 
         problem = merton_problem if dim == 1 else hk.heat_problem(dim=2)
@@ -257,20 +256,19 @@ class TestSolveHJB:
         # drift (u, 0) on v = x0: every interior argmax is u = +1; an edge node
         # must copy its nearest interior node, not read values wrapped around
         # from the opposite side of the box
-        def drift(t, x, u):
+        def drift(x, u):
             b = np.zeros(x.shape)
             b[..., 0] = u[..., 0]
             return b
 
-        def diffusion(t, x, u):
+        def diffusion(x, u):
             return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
 
         prob = ControlProblem(
             drift=drift, diffusion=diffusion, state_dim=2, noise_dim=2,
             control_bound=1.0, control_set=hk.Box([-1.0], [1.0]),
             state_domain=hk.Box(np.full(2, -np.inf), np.full(2, np.inf)), horizon=0.5,
-            payoff=ScalarField(lambda x: x[..., 0], "x0"), gauge=one_plus_square_gauge(),
-            gauge_constant=2.0, constraint=positive_constraint(1.0),
+            payoff=lambda x: x[..., 0], gauge=one_plus_square_gauge(), constraint=positive_constraint(1.0),
         )
         grid = hk.uniform_grid([-1, -1], [1, 1], [9, 9])
         term = hk.GridFunction(grid, grid.nodes()[:, 0].reshape(grid.shape))
@@ -655,8 +653,7 @@ class TestConvergenceStudy:
     def test_heat_spatial_order_two(self):
         # x^4 payoff: the scheme reproduces x^2 exactly, so a quartic is the
         # cheapest payoff with a measurable truncation error
-        quartic = hk.problem.ScalarField(lambda x: x[..., 0] ** 4, "quartic")
-        prob = hk.heat_problem(payoff=quartic)
+        prob = hk.heat_problem(payoff=lambda x: x[..., 0] ** 4)
         grid = hk.uniform_grid([-4.0], [4.0], [33])
         term = hk.GridFunction(grid, grid.axes[0] ** 4)
         study = hk.convergence_study(prob, term, 3, hk.SchemeConfig(n_time_nodes=17), mode="space")
@@ -664,8 +661,7 @@ class TestConvergenceStudy:
         assert study.orders[-1] == pytest.approx(2.0, abs=0.5)
 
     def test_heat_temporal_order_one(self):
-        quartic = hk.problem.ScalarField(lambda x: x[..., 0] ** 4, "quartic")
-        prob = hk.heat_problem(payoff=quartic)
+        prob = hk.heat_problem(payoff=lambda x: x[..., 0] ** 4)
         grid = hk.uniform_grid([-4.0], [4.0], [41])
         term = hk.GridFunction(grid, grid.axes[0] ** 4)
         study = hk.convergence_study(prob, term, 3, hk.SchemeConfig(n_time_nodes=11), mode="time")
@@ -673,8 +669,7 @@ class TestConvergenceStudy:
 
     def test_time_mode_base_solve_is_level_zero(self, monkeypatch):
         """mode="time" solves refinements + 1 times, with the diffs of a separate base solve."""
-        quartic = hk.problem.ScalarField(lambda x: x[..., 0] ** 4, "quartic")
-        prob = hk.heat_problem(payoff=quartic)
+        prob = hk.heat_problem(payoff=lambda x: x[..., 0] ** 4)
         grid = hk.uniform_grid([-4.0], [4.0], [17])
         term = hk.GridFunction(grid, grid.axes[0] ** 4)
         config = hk.SchemeConfig(n_time_nodes=9)
