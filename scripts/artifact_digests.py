@@ -25,6 +25,9 @@ directory and runs there:
 - a cross-directory session: certify a from-solution sub candidate whose
   document and CSV sit in other directories than its report, then bracket
   it against the Merton session's super report;
+- a 1-D neg_trace session, G = -w'' as for neg_second, on proportional
+  control with the payoff |x - 1|: facelift, a solve from the raw payoff and
+  one from the face-lift;
 
 and a --manifest replay of each of these.
 
@@ -64,6 +67,17 @@ HEAT_2D = {
     "horizon": 0.5,
     "payoff": {"family": "abs", "params": {"center": 0.0}},
     "gauge": {"family": "one_plus_square", "constant": 2.0},
+    "constraint": {"family": "neg_trace"},
+}
+
+NEG_TRACE_1D = {
+    "family": "proportional_control",
+    "params": {"mu": 0.0, "sigma": 1.0},
+    "control_bound": 1.0,
+    "state_domain": [[None, None]],
+    "horizon": 1.0,
+    "payoff": {"family": "abs", "params": {"center": 1.0}},
+    "gauge": {"family": "one_plus_square"},
     "constraint": {"family": "neg_trace"},
 }
 
@@ -168,7 +182,7 @@ def sessions(merton_problem, pipeline_spec) -> list:
     solver_spec = {**pipeline_spec, "certify_solver_candidate": True}
     solver = ("out/pipeline-solver-candidate", ["pipeline", "--spec", _write(f"{inp}/pipeline.json", solver_spec)])
     return (merton + [minimal_run, boxed_run] + heat + [uncertified, solver] + _long_only(merton_problem)
-            + _cross_directory())
+            + _cross_directory() + _neg_trace_1d())
 
 
 def _long_only(merton_problem) -> list:
@@ -203,6 +217,18 @@ def _cross_directory() -> list:
             (f"{out}/bracket", ["bracket", "--problem", prob, "--sub", f"{out}/certify-sub/report.json",
                                 "--super", "out/merton/certify-super/report.json",
                                 "--points", "inputs/merton/points.csv", "--paths", "4000", "--steps", "16"])]
+
+
+def _neg_trace_1d() -> list:
+    """The (run directory, argv) of the 1-D neg_trace session: its G reads the
+    one second difference, so it takes the hull and the projection."""
+    inp, out = "inputs/neg-trace-1d", "out/neg-trace-1d"
+    flags = ["--problem", _write(f"{inp}/prob.json", NEG_TRACE_1D),
+             "--grid", _write(f"{inp}/grid.json", {"box": [[-2.0, 4.0]], "n": [121]})]
+    solve = ["solve", *flags, "--time-nodes", "21", "--control-res", "21"]
+    return [(f"{out}/facelift", ["facelift", *flags]),
+            (f"{out}/solve-raw", [*solve, "--terminal", "raw"]),
+            (f"{out}/solve-facelift", solve)]
 
 
 def digests(src: str, seeds) -> list:

@@ -124,9 +124,9 @@ def _run_oracle(s, out_dir):
 
 
 def _facelift(problem, g):
-    """Face-lift of the payoff g: the exact hull for G = -M in 1-D, facelift_general
-    otherwise (policy iteration for G linear in M, g itself for a positive constant G)."""
-    if problem.constraint.family == "neg_second" and g.grid.dim == 1:
+    """Face-lift of the payoff g: the exact hull on a 1-D grid where G reads the
+    second difference (G = -M), facelift_general otherwise."""
+    if g.grid.dim == 1 and problem.constraint.second_difference_axes(1):
         return concave_envelope(g)
     return facelift_general(g, problem)
 

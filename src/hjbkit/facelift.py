@@ -4,10 +4,11 @@ The face-lift of a payoff g is the smallest function above g that is a
 supersolution of G = 0 at the terminal time.  For the concavity constraint
 G = -M in one dimension this is the least concave majorant, computed here as
 an upper convex hull.  On the grid the face-lift is the solution of the
-discrete obstacle problem  min(w - g, G_h(w)) = 0.  Each constraint family
-has one exact route: G linear in M (`neg_second`, `neg_trace`) goes through
-policy iteration, and for a positive constant G the face-lift is g itself.
-A constraint outside these families is refused when it is built.
+discrete obstacle problem  min(w - g, G_h(w)) = 0.  The second differences
+G reads (`Constraint.second_difference_axes`) choose the one exact route:
+G linear in M goes through policy iteration, and for a G that reads none, a
+positive constant, the face-lift is g itself.  A constraint outside the
+built-in families is refused when it is built.
 
 The hull route takes exact chords between float hull vertices and
 canonicalizes its float output to have non-positive second differences
@@ -152,11 +153,6 @@ def _constraint_on_grid(problem, grid, w):
 _SWITCH_ULPS = 64
 
 
-def _second_difference_axes(family, dim):
-    """The axes k of G = -(sum over k of d2w/dx_k^2), or None for a positive constant G."""
-    return {"neg_second": (0,), "neg_trace": tuple(range(dim))}.get(family)
-
-
 def _shifted(a, k, s):
     """a at the interior nodes moved by s along axis k."""
     index = [slice(1, -1)] * a.ndim
@@ -269,19 +265,20 @@ def facelift_general(
 ) -> GridFunction:
     """Solution of the discrete obstacle problem min(w - g, G_h(w)) = 0.
 
-    The constraint family decides the route.  For G linear in M (`neg_second`,
-    `neg_trace`) Howard's policy iteration solves it exactly, up to rounding;
+    The second differences G reads decide the route.  For G linear in M
+    Howard's policy iteration solves it exactly, up to rounding;
     the result dominates g exactly and equals g on the box edges.  Running out
     of max_iters iterations raises ConvergenceError; the default, one more than
     the number of interior nodes, is more than any payoff tried has needed.
-    For a positive constant G every w >= g is a supersolution, so the
-    face-lift is g itself.  tol is accepted for older callers and not read.
+    For a G that reads none, a positive constant, every w >= g is a
+    supersolution, so the face-lift is g itself.  tol is kept for older
+    callers and not read.
     """
     grid = g_grid.grid
     if grid.dim > 2:
         raise ValueError("facelift supports 1-D and 2-D grids only")
-    axes = _second_difference_axes(problem.constraint.family, grid.dim)
-    if axes is None:
+    axes = problem.constraint.second_difference_axes(grid.dim)
+    if not axes:
         return g_grid.with_values(np.array(g_grid.values, dtype=float))
     if max_iters is None:
         max_iters = math.prod(n - 2 for n in grid.shape) + 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -58,11 +58,10 @@ _CONSTRAINT_FAMILIES = ("neg_second", "neg_trace", "positive_const")
 
 @dataclass(frozen=True)
 class Constraint:
-    """Constraint function G(t, x, p, M) of family neg_second, neg_trace or positive_const.
-
-    The family alone defines G; ``fn`` is not read by hjbkit and is kept so
-    that code rebuilding a constraint from (fn, family, params) still works.
-    """
+    """Constraint function G(t, x, p, M) of family neg_second, neg_trace or positive_const:
+    minus the sum of M's diagonal over ``second_difference_axes(dim)``, or a
+    positive constant where there is none.  ``fn`` is not read by hjbkit and is
+    kept so that code rebuilding a constraint from (fn, family, params) still works."""
 
     fn: object
     family: str
@@ -73,12 +72,16 @@ class Constraint:
             raise ConfigurationError(
                 f"unknown constraint family {self.family!r}; expected one of {', '.join(_CONSTRAINT_FAMILIES)}")
 
+    def second_difference_axes(self, dim) -> tuple:
+        """The axes k of G = -(sum over k of d2w/dx_k^2) on a dim-dimensional
+        state; none for a positive constant G."""
+        return {"neg_second": (0,), "neg_trace": tuple(range(dim))}.get(self.family, ())
+
     def on_nodes(self, t, X, P, M):
         """Vectorized G over nodes: X (n,d), P (n,d), M (n,d,d) -> (n,)."""
-        if self.family == "neg_second":
-            return -M[:, 0, 0]
-        if self.family == "neg_trace":
-            return -np.trace(M, axis1=1, axis2=2)
+        axes = self.second_difference_axes(X.shape[1])
+        if axes:
+            return -reduce(np.add, (M[:, k, k] for k in axes))
         return np.full(X.shape[0], dict(self.params)["c"])
 
 
@@ -101,7 +104,8 @@ def positive_constraint(c: float = 1.0) -> Constraint:
 class ControlProblem:
     """One stochastic optimal-control instance: maximize E[g(X_T)].  The box
     ``controls``, control_set within [-control_bound, control_bound]^k, is the
-    admissible set that the solver, the simulator and the certifier read."""
+    admissible set that the solver, the simulator and the certifier read.
+    ``family`` is the one tag, and only the simulator reads it: see simulate."""
 
     drift: object
     diffusion: object
@@ -115,7 +119,6 @@ class ControlProblem:
     gauge: object
     constraint: Constraint
     family: str = "custom"
-    params: dict = field(default_factory=dict)
     controls: Box = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -177,7 +180,7 @@ def _control_scaled_maps(scale, mu, sigma):
         u = np.asarray(u, dtype=float)
         return (sigma * u[..., :1] * scale(x))[..., None]
 
-    return drift, diffusion, (1, 1), {"mu": mu, "sigma": sigma}
+    return drift, diffusion, (1, 1)
 
 
 def _constant_maps(b0, s0):
@@ -192,10 +195,10 @@ def _constant_maps(b0, s0):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(s0, x.shape[:-1] + s0.shape).copy()
 
-    return drift, diffusion, (b0.size, s0.shape[1]), {"b0": b0.tolist(), "s0": s0.tolist()}
+    return drift, diffusion, (b0.size, s0.shape[1])
 
 
-# family -> maps(**params) -> (drift, diffusion, (state_dim, noise_dim), params as floats)
+# family -> maps(**params) -> (drift, diffusion, (state_dim, noise_dim))
 _COEFFICIENT_FAMILIES = {
     "linear_drift": partial(_control_scaled_maps, lambda x: x),
     "proportional_control": partial(_control_scaled_maps, np.ones_like),
@@ -224,7 +227,7 @@ def build_problem(
     """
     if family not in _COEFFICIENT_FAMILIES:
         raise ConfigurationError(f"unknown coefficient family {family!r}")
-    drift, diffusion, (state_dim, noise_dim), params = _COEFFICIENT_FAMILIES[family](**params)
+    drift, diffusion, (state_dim, noise_dim) = _COEFFICIENT_FAMILIES[family](**params)
     if control_set is None:
         control_set = [[(0.0, 0.0)]] if family == "constant" else [[(None, None)]]
     if len(control_set) != 1:
@@ -242,7 +245,6 @@ def build_problem(
         gauge=gauge,
         constraint=constraint,
         family=family,
-        params=params,
     )
 
 

@@ -4,9 +4,10 @@ Controls are frozen on each time step at u(t_n, X_n), a predictable control
 that must lie in the problem's admissible box.  Paths that step out of the
 open domain, which ``problem.within(box)`` narrows to a truncation box, stop
 at the pre-exit state and are flagged; nothing is reflected or resampled, so
-leakage shows in the exit fraction.  Proportional coefficients on a domain in
-[0, inf) are advanced in log coordinates, which keeps the state positive and
-makes each step exact in distribution for frozen controls.
+leakage shows in the exit fraction.  ``linear_drift`` coefficients, b and
+sigma linear in x, on a domain in [0, inf) are advanced in log coordinates at
+the rates of the problem's coefficients at x = 1, which keeps the state
+positive and makes each step exact in distribution for frozen controls.
 
 Noise is drawn from a counter-based Philox stream keyed by the seed; path p
 consumes the counter block laid out as row p of the (n_paths, n_steps, d')
@@ -208,7 +209,7 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, at_step, predicates, ke
     sqdt = np.sqrt(dt)
     log_mode = _use_log_coordinates(problem)
     if log_mode:
-        mu, sig = problem.params.get("mu"), problem.params.get("sigma")
+        ones = np.broadcast_to(1.0, (n_paths, 1))   # x = 1 on every row: a read-only view that holds no memory
         drift, vol, sq = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
 
     active = np.ones(n_paths, dtype=bool)
@@ -247,18 +248,17 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, at_step, predicates, ke
             raise ConfigurationError(f"policy value is not finite or outside the admissible control box "
                                      f"{problem.controls.pairs()} at step {n}")
         if log_mode:
-            # dY = (u mu - 0.5 (u sig)^2) dt + ((u sig) sqdt) Z, in this order;
-            # the coefficients are worked out on U's rows, one when the policy
-            # does not depend on x, and sq then holds the step
-            u = U[:, 0]
-            drift_u, vol_u, sq_u = drift[:u.size], vol[:u.size], sq[:u.size]
-            np.multiply(u, mu, out=drift_u)
-            np.multiply(u, sig, out=vol_u)
-            np.square(vol_u, out=sq_u)
-            sq_u *= 0.5
-            drift_u -= sq_u
+            # dY = (b - 0.5 s^2) dt + (s sqdt) Z, in this order, with b and s
+            # the coefficients at x = 1 on U's rows, one when the policy does
+            # not depend on x; sq then holds the step
+            x1, drift_u, vol_u = ones[:len(U)], drift[:len(U)], vol[:len(U)]
+            b = np.asarray(problem.drift(x1, U), dtype=float)[:, 0]
+            s = np.asarray(problem.diffusion(x1, U), dtype=float)[:, 0, 0]
+            np.square(s, out=drift_u)
+            drift_u *= 0.5
+            np.subtract(b, drift_u, out=drift_u)
             drift_u *= dt
-            vol_u *= sqdt
+            np.multiply(s, sqdt, out=vol_u)
             np.multiply(Z[n, :, 0], vol_u, out=sq)
             sq += drift_u
             np.exp(sq, out=sq)

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, NumericalError
-from .facelift import _SWITCH_ULPS, _constraint_on_grid, _second_difference_axes, upper_hull_indices
+from .facelift import _SWITCH_ULPS, _constraint_on_grid, upper_hull_indices
 from .grids import (
     AxisStencil,
     GridFunction,
@@ -268,21 +268,19 @@ def _penalty_step(problem, grid):
     A positive constant G has none; the floor keeps its step finite, and the
     penalty never moves a slice there since G_h > 0.
     """
-    coef = max(len(_second_difference_axes(problem.constraint.family, grid.dim) or ()), 1e-12)
+    coef = max(len(problem.constraint.second_difference_axes(grid.dim)), 1e-12)
     hmin = min(float(np.min(np.diff(a))) for a in grid.axes)
     return hmin * hmin / (2.0 * coef)
 
 
 def _resolve_mode(config, problem, grid):
-    if config.constraint_mode != "auto":
-        mode = config.constraint_mode
-    elif problem.constraint.family == "neg_second" and grid.dim == 1:
-        mode = "project"
-    elif problem.constraint.family == "positive_const":
-        mode = "off"
-    else:
-        mode = "penalize"
-    if mode == "project" and (grid.dim != 1 or problem.constraint.family != "neg_second"):
+    """auto projects on a 1-D grid where G reads the second difference (G = -M),
+    penalizes where G reads second differences otherwise, and is off where it reads none."""
+    axes = problem.constraint.second_difference_axes(grid.dim)
+    mode = config.constraint_mode
+    if mode == "auto":
+        mode = ("project" if grid.dim == 1 else "penalize") if axes else "off"
+    if mode == "project" and (grid.dim != 1 or not axes):
         raise ConfigurationError("projection mode requires a 1-D grid with G = -M")
     return mode
 
@@ -331,7 +329,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     scale = max(1.0, float(np.max(np.abs(v))))
     projections = 0
     howard_iterations = 0
-    t_wall = _time.time()
+    t_wall = _time.perf_counter()
     core = grid.interior
     if mode == "project":
         x = grid.axes[0]
@@ -373,7 +371,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         "control_grid_size": int(controls.shape[0]),
         "projections": projections,
         "howard_iterations": howard_iterations,
-        "wall_seconds": _time.time() - t_wall,
+        "wall_seconds": _time.perf_counter() - t_wall,
     }
     return SpaceTimeSolution(grid, times, values, policies, meta)
 

@@ -141,6 +141,8 @@ def grid_from_spec(spec: dict) -> SpatialGrid:
     box = spec["box"]
     try:
         n = [integer(k) for k in spec["n"]] if isinstance(spec["n"], list) else integer(spec["n"])
+        if isinstance(n, list) and len(n) not in {1, len(box)}:
+            raise ValueError(f"{len(n)} counts for a {len(box)}-D box")
     except ValueError as exc:
         raise ConfigurationError(f"grid key 'n': {spec['n']!r} is not a node count ({exc})") from None
     spacing = spec.get("spacing", "uniform")

@@ -1304,7 +1304,8 @@ def test_problem_document_without_one_admissible_box_exits_2(tmp_path, monkeypat
     assert err.startswith("configuration error:") and message in err
 
 
-NOT_NODE_COUNTS = [[30.5], 1.5, True, "30", [True]]
+# [120, 7] once built 120 log-spaced nodes, and [] exited with an IndexError that named no key
+NOT_NODE_COUNTS = [[30.5], 1.5, True, "30", [True], [120, 7], []]
 
 
 @pytest.mark.parametrize("n", NOT_NODE_COUNTS, ids=repr)

@@ -121,7 +121,7 @@ ONE_BUILDER_CASES = {
 def test_constructor_and_document_build_one_problem(case):
     make, doc, make_grid = ONE_BUILDER_CASES[case]
     built, read = make(), specio.problem_from_spec(doc)
-    for name in ("state_dim", "noise_dim", "control_dim", "control_bound", "horizon", "family", "params"):
+    for name in ("state_dim", "noise_dim", "control_dim", "control_bound", "horizon", "family"):
         assert getattr(read, name) == getattr(built, name), name
     for a, b in [(read.state_domain, built.state_domain), (read.control_set, built.control_set),
                  (read.controls, built.controls)]:
@@ -133,6 +133,12 @@ def test_constructor_and_document_build_one_problem(case):
     nodes = grid.nodes()
     for name in ("payoff", "gauge"):
         np.testing.assert_array_equal(getattr(read, name)(nodes), getattr(built, name)(nodes), err_msg=name)
+    # the coefficients at every (node, control) pair
+    controls = built.control_grid(5)
+    X = np.broadcast_to(nodes[:, None, :], (len(nodes), len(controls), nodes.shape[1]))
+    U = np.broadcast_to(controls[None], (len(nodes),) + controls.shape)
+    for name in ("drift", "diffusion"):
+        np.testing.assert_array_equal(getattr(read, name)(X, U), getattr(built, name)(X, U), err_msg=name)
     config = hk.SchemeConfig(n_time_nodes=5, control_grid_resolution=11)
     sols = [
         hk.solve_hjb(p, hk.GridFunction(grid, p.payoff(grid.nodes()).reshape(grid.shape)), config)
@@ -172,6 +178,22 @@ def test_constraint_of_another_family_is_refused(family):
     """Only the three families the face-lift and the solver know can be built."""
     with pytest.raises(hk.ConfigurationError, match="unknown constraint family"):
         hk.problem.Constraint(lambda t, x, p, M: -np.trace(M), family)
+
+
+@pytest.mark.parametrize("constraint, axes", [
+    (hk.problem.neg_second_constraint(), {1: (0,), 2: (0,)}),
+    (hk.problem.neg_trace_constraint(), {1: (0,), 2: (0, 1)}),
+    (hk.problem.positive_constraint(0.5), {1: (), 2: ()}),
+], ids=["neg_second", "neg_trace", "positive_const"])
+def test_a_constraint_states_the_second_differences_it_reads(constraint, axes):
+    """G = -(the sum of M's diagonal over those axes), or the constant where there are none."""
+    rng = np.random.default_rng(5)
+    for dim, want in axes.items():
+        assert constraint.second_difference_axes(dim) == want
+        M = rng.normal(size=(7, dim, dim))
+        G = constraint.on_nodes(1.0, np.zeros((7, dim)), np.zeros((7, dim)), M)
+        expected = -sum(M[:, k, k] for k in want) if want else np.full(7, 0.5)
+        np.testing.assert_array_equal(G, expected)
 
 
 def one_box_grid_reference(box, resolution, bound):

@@ -124,6 +124,19 @@ class TestSimulatePaths:
                 hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 10, 4, seed=0, stops=(stop,))
 
 
+@pytest.mark.parametrize("policy", [constant_policy([5.0]), FeedbackPolicy(lambda t, x: np.minimum(4.0 * x, 10.0))],
+                         ids=["constant", "feedback"])
+def test_the_log_step_reads_the_problems_coefficients(policy):
+    """The log step once took mu and sigma from the parameters the problem was
+    built with, so a doubled drift simulated as mu = 0.1: terminal mean 1.659
+    where mu = 0.2 gives 2.736 (2,000 paths, u = 5, seed 7)."""
+    merton = hk.merton_problem()
+    doubled = dataclasses.replace(merton, drift=lambda x, u: 2 * merton.drift(x, u))
+    runs = [hk.simulate_paths(p, policy, 0.0, [1.0], 2000, 50, seed=7) for p in (doubled, hk.merton_problem(mu=0.2))]
+    assert runs[0].log_coordinates
+    np.testing.assert_array_equal(runs[0].states, runs[1].states)
+
+
 def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed):
     """Reference ensemble: paths stored row by row, (n_paths, n_steps+1, d),
     one whole (n_paths, n_steps, d') draw, np.where for the frozen paths."""
@@ -135,7 +148,6 @@ def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     Z = rng.standard_normal((n_paths, n_steps, dprime))
     log_mode = _use_log_coordinates(problem)
-    mu, sig = problem.params.get("mu"), problem.params.get("sigma")
     states = np.empty((n_paths, n_steps + 1, d))
     states[:, 0, :] = x0
     exit_step = np.full(n_paths, -1, dtype=int)
@@ -145,8 +157,11 @@ def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed):
         t = times[n]
         U = policy(t, X)
         if log_mode:
-            u = U[:, 0]
-            dY = (u * mu - 0.5 * (u * sig) ** 2) * dt + u * sig * sqdt * Z[:, n, 0]
+            # the rates u mu and u sig are the coefficients at x = 1
+            ones = np.ones((n_paths, 1))
+            u_mu = np.asarray(problem.drift(ones, U), dtype=float)[:, 0]
+            u_sig = np.asarray(problem.diffusion(ones, U), dtype=float)[:, 0, 0]
+            dY = (u_mu - 0.5 * u_sig ** 2) * dt + u_sig * sqdt * Z[:, n, 0]
             X_new = X * np.exp(dY)[:, None]
         else:
             b = np.asarray(problem.drift(X, U), dtype=float).reshape(n_paths, d)

@@ -10,10 +10,12 @@ import hjbkit as hk
 from hjbkit.errors import ConfigurationError
 from hjbkit.facelift import _SWITCH_ULPS, _constraint_on_grid
 from hjbkit.oracles import heat_value, merton_value
+from hjbkit.cli import _facelift
 from hjbkit.problem import (
     ControlProblem,
     abs_payoff,
     constant_payoff,
+    neg_second_constraint,
     neg_trace_constraint,
     one_plus_square_gauge,
     positive_constraint,
@@ -729,3 +731,25 @@ def test_penalty_step_equals_the_probed_step_bitwise(constraint):
     for grid in grids:
         want = _probed_penalty_step(problem, grid)
         assert np.float64(_penalty_step(problem, grid)).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+def test_a_one_d_neg_trace_problem_solves_as_its_neg_second_twin():
+    """On a 1-D grid neg_trace is G = -w'', as neg_second is.  Routed by its
+    family name, it took policy iteration and the penalty step: from the raw
+    terminal v(0, 1) read 0.8108, where the concave majorant reads 3.0."""
+    grid = hk.uniform_grid([-2.0], [4.0], 121)
+    config = hk.SchemeConfig(n_time_nodes=21, control_grid_resolution=21)
+    runs = []
+    for constraint in (neg_trace_constraint(), neg_second_constraint()):
+        problem = hk.proportional_control_problem(mu=0.0, sigma=1.0, bound=1.0, payoff=abs_payoff(1.0),
+                                                  constraint=constraint)
+        g = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+        ghat = _facelift(problem, g)
+        runs.append((ghat, [hk.solve_hjb(problem, terminal, config) for terminal in (g, ghat)]))
+    (lifted, sols), (lifted_twin, twins) = runs
+    np.testing.assert_array_equal(lifted.values, lifted_twin.values)
+    for sol, twin in zip(sols, twins):
+        assert sol.metadata["mode"] == twin.metadata["mode"] == "project"
+        np.testing.assert_array_equal(sol.values, twin.values)
+        np.testing.assert_array_equal(sol.policies, twin.policies)
+    assert sols[0].value_at(0.0, [1.0]) == 3.0
