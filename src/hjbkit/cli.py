@@ -37,11 +37,10 @@ from .certify import (
 )
 from .errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
 from .facelift import concave_envelope, facelift_general
-from .grids import Box, GridFunction, box_from_pairs
+from .grids import Box, GridFunction, box_from_pairs, integer, number
 from .oracles import heat_value, merton_value
 from .simulate import estimate_value, simulate_paths
 from .solver import CONSTRAINT_MODES, SchemeConfig, convergence_study, extract_policy, solve_hjb
-from .specio import integer as _integer
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,7 +136,7 @@ def _run_facelift(s, out_dir):
     g = _payoff_values(problem, grid)
     ghat = _facelift(problem, g)
     print(f"facelift written to {os.path.join(out_dir, s['out'])}; "
-          f"sup distance to payoff = {float(np.max(ghat.values - g.values))!r}")
+          f"sup distance to payoff = {np.max(ghat.values - g.values).item()!r}")
     return EXIT_OK, {s["out"]: ghat.to_csv()}, s["seed"]
 
 
@@ -286,14 +285,14 @@ _STAGE_ERRORS = (ConfigurationError, DomainError, ConvergenceError, NumericalErr
 @specio._document("pipeline spec")
 def _pipeline_inputs(spec, base: str):
     """The problem, grid and evaluation points of a pipeline spec; a key the spec does not take is refused."""
-    _refuse_unknown(_SPEC, spec)
+    specio.refuse_unknown(spec, _TABLE[_SPEC], f"{_SPEC} key")
     problem = (
         specio.load_problem(os.path.join(base, spec["problem"]))
         if isinstance(spec["problem"], str)
         else specio.problem_from_spec(spec["problem"])
     )
     grid = specio.grid_from_spec(spec["grid"])
-    points = [(float(p[0]), [float(v) for v in p[1:]]) for p in spec["points"]]
+    points = [(number(p[0]), [number(v) for v in p[1:]]) for p in spec["points"]]
     if not points:
         raise ConfigurationError("a pipeline spec needs at least one point")
     _require_points(problem, points)
@@ -301,11 +300,10 @@ def _pipeline_inputs(spec, base: str):
 
 
 def _candidate(s, key, side, base):
-    """The candidate of a pipeline spec's `key`, which must be a `side`
-    candidate, or None when the key is absent."""
+    """The candidate of a pipeline spec's `key`, which must be a `side` one, or None when the key is absent."""
     if s[key] is None:
         return None
-    candidate = _read(key, s[key], lambda spec: specio.candidate_from_spec(spec, base))
+    candidate = specio.read(key, s[key], lambda spec: specio.candidate_from_spec(spec, base))
     if candidate.kind != side:
         raise ConfigurationError(f"key {key!r}: a {candidate.kind} candidate, not a {side} one")
     return candidate
@@ -321,7 +319,7 @@ def _first_point(sub, problem, point, bc, box):
         return np.any((x < box.lo) | (x > box.hi), axis=1)
 
     blocks = bracket_ensemble(sub, problem, 0, *point, bc, stops=(left_box,)).blocks()
-    return [estimate_value(b, problem.payoff) for b in blocks], float(np.mean(blocks[-1].stop_step[:, 0] >= 0))
+    return [estimate_value(b, problem.payoff) for b in blocks], np.mean(blocks[-1].stop_step[:, 0] >= 0).item()
 
 
 def _run_pipeline(run, out_dir):
@@ -346,7 +344,7 @@ def _run_pipeline(run, out_dir):
     stage = "facelift"
     try:
         ghat = _facelift(problem, g)
-        report["facelift_sup_distance"] = float(np.max(ghat.values - g.values))
+        report["facelift_sup_distance"] = np.max(ghat.values - g.values).item()
         report["stages"][stage] = "ok"
 
         stage = "solve"
@@ -443,10 +441,10 @@ def _as_is(value):
 
 
 def _floats(value, length=None):
-    """A nonempty list of floats, of `length` entries when given."""
+    """A nonempty list of numbers, of `length` entries when given."""
     if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
         raise ValueError(f"not a list of {length or 'one or more'} numbers")
-    return [float(v) for v in value]
+    return [number(v) for v in value]
 
 
 def _optional_box(value):
@@ -469,7 +467,7 @@ class _Key(NamedTuple):
 
 
 _SPEC = "pipeline-spec"
-_SEED = _Key("seed", _integer, documents=" ".join([*_HANDLERS, _SPEC]), default=0)  # the top-level --seed
+_SEED = _Key("seed", integer, documents=" ".join([*_HANDLERS, _SPEC]), default=0)  # the top-level --seed
 
 _KEYS = (
     _SEED,
@@ -498,42 +496,42 @@ _KEYS = (
     _Key("out", os.fspath, documents="pipeline-spec", default="pipeline-report.json"),
     # older facelift manifests hold "method": "auto" and a "tol" that nothing reads
     _Key("method", _Choice(("auto",)), documents="facelift", default="auto"),
-    _Key("tol", float, documents="facelift", default=None),
+    _Key("tol", number, documents="facelift", default=None),
     _Key("terminal", _Choice(("raw", "facelift")), "solve", "pipeline-spec", default="facelift"),
-    _Key("time_nodes", _integer, "solve", "pipeline-spec", (SchemeConfig, "n_time_nodes")),
-    _Key("time_nodes", _integer, "convergence", fills=(SchemeConfig, "n_time_nodes"), default=33),
-    _Key("control_res", _integer, "solve", "pipeline-spec", (SchemeConfig, "control_grid_resolution")),
-    _Key("control_res", _integer, "convergence", fills=(SchemeConfig, "control_grid_resolution"), default=11),
+    _Key("time_nodes", integer, "solve", "pipeline-spec", (SchemeConfig, "n_time_nodes")),
+    _Key("time_nodes", integer, "convergence", fills=(SchemeConfig, "n_time_nodes"), default=33),
+    _Key("control_res", integer, "solve", "pipeline-spec", (SchemeConfig, "control_grid_resolution")),
+    _Key("control_res", integer, "convergence", fills=(SchemeConfig, "control_grid_resolution"), default=11),
     _Key("mode", _Choice(CONSTRAINT_MODES), "solve", "convergence pipeline-spec", (SchemeConfig, "constraint_mode")),
-    _Key("dt", float, "solve", "convergence pipeline-spec", (SchemeConfig, "dt")),
+    _Key("dt", number, "solve", "convergence pipeline-spec", (SchemeConfig, "dt")),
     # removed settings: only the value they always had is taken
     _Key("upwind", _Choice((True,)), documents="solve convergence pipeline-spec", default=True),
     _Key("penalty_weight", _Choice((None,)), documents="solve convergence pipeline-spec", default=None),
     _Key("absorb_at_truncation", _Choice((False,)), documents="pipeline-spec", default=False),
-    _Key("t0", float, "simulate", default=0.0),
+    _Key("t0", number, "simulate", default=0.0),
     _Key("x0", _floats, "simulate"),
-    _Key("paths", _integer, "simulate", default=10_000),
-    _Key("steps", _integer, "simulate", default=100),
+    _Key("paths", integer, "simulate", default=10_000),
+    _Key("steps", integer, "simulate", default=100),
     _Key("simulation_box", _optional_box, documents="simulate", default=None),
     _Key("kind", _Choice(("sub", "super")), "certify", default=None),
     _Key("start_box", _optional_box, "certify", "pipeline-spec", default=None,
          text=lambda text: [[float(v) for v in pair.split(",")] for pair in text.split(";")] if text else None),
-    _Key("budget", _integer, "certify", "pipeline-spec", (CertifyConfig, "budget")),
-    _Key("z", float, "certify", "pipeline-spec", (CertifyConfig, "z")),
-    _Key("tol", float, documents="certify pipeline-spec", fills=(CertifyConfig, "tol")),
-    _Key("n_starts", _integer, documents="certify pipeline-spec", fills=(CertifyConfig, "n_starts")),
-    _Key("steps", _integer, documents="certify pipeline-spec", fills=(CertifyConfig, "steps_per_record")),
-    _Key("paths", _integer, "bracket", fills=(BracketConfig, "n_paths")),
-    _Key("steps", _integer, "bracket", fills=(BracketConfig, "n_steps")),
-    _Key("refinements", _integer, "convergence", default=2),
+    _Key("budget", integer, "certify", "pipeline-spec", (CertifyConfig, "budget")),
+    _Key("z", number, "certify", "pipeline-spec", (CertifyConfig, "z")),
+    _Key("tol", number, documents="certify pipeline-spec", fills=(CertifyConfig, "tol")),
+    _Key("n_starts", integer, documents="certify pipeline-spec", fills=(CertifyConfig, "n_starts")),
+    _Key("steps", integer, documents="certify pipeline-spec", fills=(CertifyConfig, "steps_per_record")),
+    _Key("paths", integer, "bracket", fills=(BracketConfig, "n_paths")),
+    _Key("steps", integer, "bracket", fills=(BracketConfig, "n_steps")),
+    _Key("refinements", integer, "convergence", default=2),
     _Key("refine", _Choice(("space", "time")), "convergence", default="space"),
-    _Key("mc_paths", _integer, documents="pipeline-spec", fills=(BracketConfig, "n_paths"), default=100_000),
-    _Key("mc_steps", _integer, documents="pipeline-spec", fills=(BracketConfig, "n_steps"), default=200),
+    _Key("mc_paths", integer, documents="pipeline-spec", fills=(BracketConfig, "n_paths"), default=100_000),
+    _Key("mc_steps", integer, documents="pipeline-spec", fills=(BracketConfig, "n_steps"), default=200),
     _Key("sub_candidate", _as_is, documents="pipeline-spec", default=None),
     _Key("super_candidate", _as_is, documents="pipeline-spec", default=None),
     _Key("certify_solver_candidate", _Choice((True, False)), documents="pipeline-spec", default=True),
-    _Key("solver_growth_constant", float, documents="pipeline-spec", default=10.0),
-    _Key("solver_candidate_tol", float, documents="pipeline-spec", default=5e-3),
+    _Key("solver_growth_constant", number, documents="pipeline-spec", default=10.0),
+    _Key("solver_candidate_tol", number, documents="pipeline-spec", default=5e-3),
 )
 
 
@@ -552,33 +550,18 @@ def _table(rows) -> dict:
 _TABLE = _table(_KEYS)
 
 
-def _read(key, value, parse):
-    """parse(value); a value that parse refuses is a configuration error naming the key."""
-    try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
-
-
-def _refuse_unknown(document, doc) -> None:
-    """Refuse a key of doc that `document` does not take, since a typo would otherwise silently take a default."""
-    unknown = sorted(set(doc) - set(_TABLE[document]))
-    if unknown:
-        raise ConfigurationError(f"unknown {document} key(s) {', '.join(map(repr, unknown))}")
-
-
 def _settings(document, doc) -> dict:
     """Each key of `document` (a subcommand's config, or "pipeline-spec"): doc's
     value through the key's parser, or the key's default when doc lacks it.  A
     key whose default is None also takes None, and a key doc holds but
     `document` does not take is refused."""
-    _refuse_unknown(document, doc)
+    specio.refuse_unknown(doc, _TABLE[document], f"{document} key")
     settings = {}
     for key, (row, _) in _TABLE[document].items():
         value = doc.get(key, row.default)
         if value is MISSING:
             raise ConfigurationError(f"key {key!r} is missing")
-        settings[key] = None if value is None and row.default is None else _read(key, value, row.parse)
+        settings[key] = None if value is None and row.default is None else specio.read(key, value, row.parse)
     return settings
 
 
@@ -591,7 +574,7 @@ def _config(cls, document, settings, **given):
 
 def _add_flag(parser, row):
     required = row.default is MISSING
-    kind = {_integer: {"type": int}, float: {"type": float}, _floats: {"type": float, "nargs": "+"}}
+    kind = {integer: {"type": int}, number: {"type": float}, _floats: {"type": float, "nargs": "+"}}
     parser.add_argument(f"--{row.key.replace('_', '-')}", dest=row.key, required=required,
                         default=None if required else row.default,
                         choices=row.parse if isinstance(row.parse, _Choice) else None,
@@ -618,7 +601,7 @@ def _config_from_args(args) -> dict:
     cfg["seed"] = _SEED.default if args.seed is None else args.seed
     for key, (row, _) in _TABLE[args.subcommand].items():
         if row.text and isinstance(cfg.get(key), str):
-            cfg[key] = _read(key, cfg[key], row.text)
+            cfg[key] = specio.read(key, cfg[key], row.text)
     return cfg
 
 

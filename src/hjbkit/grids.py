@@ -163,12 +163,26 @@ class Box:
         return [list(pair) for pair in zip(self.lo.tolist(), self.hi.tolist())]
 
 
+def number(value) -> float:
+    """An int or a float, numpy reals included; float() would take True and "0.5" as 1.0 and 0.5."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"not a number but a {type(value).__name__}")
+    return float(value)
+
+
+def integer(value) -> int:
+    """An int (not a bool) or an integral float such as 1e5; int() would take 1.5, True and "7" as 1, 1 and 7."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:  # nan for inf and nan
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def box_from_pairs(pairs, key="box") -> Box:
-    """Box from one (lo, hi) pair per dimension; None is an infinite edge.  A
-    malformed or inverted pair is a ConfigurationError naming `key`."""
+    """Box from one (lo, hi) pair of numbers per dimension; None is an infinite
+    edge.  A malformed or inverted pair is a ConfigurationError naming `key`."""
     try:
-        lo = [-np.inf if a is None else float(a) for a, _ in pairs]
-        hi = [np.inf if b is None else float(b) for _, b in pairs]
+        lo = [-np.inf if a is None else number(a) for a, _ in pairs]
+        hi = [np.inf if b is None else number(b) for _, b in pairs]
         return Box(np.array(lo), np.array(hi))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{key} {pairs!r}: {exc}") from None

@@ -33,6 +33,8 @@ def merton_optimal_control(mu: float, sigma: float, p: float, bound: float) -> f
         raise ValueError("sigma must be positive")
     if not 0 < p < 1:
         raise ValueError("power must satisfy 0 < p < 1")
+    if not bound >= 0:
+        raise ValueError("bound must be at least 0")
     u_star = mu / ((1.0 - p) * sigma * sigma)
     return float(min(max(u_star, -bound), bound))
 

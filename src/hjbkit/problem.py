@@ -127,7 +127,7 @@ class ControlProblem:
         if not (self.control_bound >= 0 and math.isfinite(self.control_bound)):
             raise ValueError("control bound must be finite and >= 0")
         if self.state_domain.dim != self.state_dim:
-            raise ValueError("state domain dimension mismatch")
+            raise ValueError(f"state_domain {self.state_domain.pairs()} is not {self.state_dim}-dimensional")
         if not np.all(self.state_domain.lo < self.state_domain.hi):
             raise ValueError("state domain must be a nonempty open box")
         B = self.control_bound
@@ -230,8 +230,9 @@ def build_problem(
     drift, diffusion, (state_dim, noise_dim) = _COEFFICIENT_FAMILIES[family](**params)
     if control_set is None:
         control_set = [[(0.0, 0.0)]] if family == "constant" else [[(None, None)]]
-    if len(control_set) != 1:
-        raise ConfigurationError(f"control_set must hold one box, not {len(control_set)}")
+    held = len(control_set) if isinstance(control_set, (list, tuple)) else repr(control_set)
+    if held != 1:
+        raise ConfigurationError(f"control_set must hold one box, not {held}")
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,

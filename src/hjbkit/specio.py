@@ -26,7 +26,8 @@ from .certify import (
     merton_candidate,
 )
 from .errors import ConfigurationError
-from .grids import SpatialGrid, grid_function_from_csv, log_grid, read_grid_csv, uniform_grid
+from .grids import SpatialGrid, box_from_pairs, grid_function_from_csv, integer, log_grid, number, read_grid_csv
+from .grids import uniform_grid
 from .problem import (
     ControlProblem,
     abs_payoff,
@@ -42,7 +43,7 @@ from .problem import (
     quadratic_payoff,
 )
 from .simulate import FeedbackPolicy, constant_policy
-from .solver import SpaceTimeSolution
+from .solver import SpaceTimeSolution, extract_policy
 
 
 # ---------------------------------------------------------------------------
@@ -89,42 +90,54 @@ def _document(what: str):
     return wrap
 
 
-def keyword_params(params: dict, names: dict, what: str) -> dict:
-    """Document parameters renamed to keywords by `names`, as floats; unknown names are refused."""
-    unknown = sorted(set(params) - set(names))
+def read(key, value, parse):
+    """parse(value); a value that parse refuses is a configuration error naming the key."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"key {key!r}: {value!r} does not parse ({exc})") from None
+
+
+def refuse_unknown(doc: dict, known, what: str) -> None:
+    """Refuse a key of doc not in `known` as an "unknown {what}(s)": a typo would otherwise take a default."""
+    unknown = sorted(set(doc.keys()) - set(known))  # a doc that is not an object has no keys()
     if unknown:
-        raise ConfigurationError(f"unknown {what} parameter(s) {', '.join(map(repr, unknown))}")
-    return {names[name]: float(value) for name, value in params.items()}
+        raise ConfigurationError(f"unknown {what}(s) {', '.join(map(repr, unknown))}")
 
 
-def integer(value):
-    """An int that is not a bool, or an integral float such as 1e5; int() would
-    take 1.5, True and "7" as 1, 1 and 7."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"not an integer but a {type(value).__name__}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
+def keyword_params(params: dict, names: dict, what: str) -> dict:
+    """Document parameters renamed to keywords by `names`, each a number; unknown names are refused."""
+    refuse_unknown(params, names, f"{what} parameter")
+    return {names[name]: read(name, value, number) for name, value in params.items()}
 
 
-def _from_table(table: dict, spec: dict, what: str):
-    """The factory named by spec["family"], called with spec["params"] as floats."""
+def _numbers(value):
+    """A number, or a list of numbers or of such lists: a constant control, or a coefficient's vector or matrix."""
+    return [_numbers(v) for v in value] if isinstance(value, list) else number(value)
+
+
+def _from_table(table: dict, spec: dict, what: str, legacy=()):
+    """The factory named by spec["family"], called with spec["params"]; `legacy` keys are taken and not read."""
+    refuse_unknown(spec, ("family", "params", *legacy), f"{what} key")
     if spec["family"] not in table:
         raise ConfigurationError(f"unknown {what} family {spec['family']!r}")
-    params = {name: float(value) for name, value in spec.get("params", {}).items()}
-    return table[spec["family"]](**params)
+    return table[spec["family"]](**{name: read(name, v, number) for name, v in spec.get("params", {}).items()})
 
 
 @_document("problem")
 def problem_from_spec(spec: dict) -> ControlProblem:
+    refuse_unknown(spec, ("family", "params", "state_domain", "control_bound", "horizon", "payoff", "gauge",
+                          "constraint", "control_set"), "problem key")
+    # only the constant family's coefficients b0 and s0 are a vector and a matrix
+    coefficient = _numbers if spec["family"] == "constant" else number
     return build_problem(
         family=spec["family"],
-        params=spec.get("params", {}),
+        params={name: read(name, v, coefficient) for name, v in spec.get("params", {}).items()},
         state_domain=spec["state_domain"],
-        control_bound=spec["control_bound"],
-        horizon=spec["horizon"],
+        control_bound=read("control_bound", spec["control_bound"], number),
+        horizon=read("horizon", spec["horizon"], number),
         payoff=_from_table(PAYOFFS, spec["payoff"], "payoff"),
-        gauge=_from_table(GAUGES, spec["gauge"], "gauge"),
+        gauge=_from_table(GAUGES, spec["gauge"], "gauge", legacy=("constant",)),
         constraint=_from_table(CONSTRAINTS, spec["constraint"], "constraint"),
         control_set=spec.get("control_set"),
     )
@@ -136,24 +149,23 @@ def load_problem(path: str) -> ControlProblem:
 
 @_document("grid")
 def grid_from_spec(spec: dict) -> SpatialGrid:
-    if "nodes" in spec:
-        return SpatialGrid(tuple(np.asarray(a, dtype=float) for a in spec["nodes"]))
-    box = spec["box"]
+    refuse_unknown(spec, ("box", "n", "spacing"), "grid key")
+    box = box_from_pairs(spec["box"])
+    if box.dim == 0 or not np.all(np.isfinite([box.lo, box.hi])):
+        raise ConfigurationError(f"box {spec['box']!r}: a grid box has one pair of finite edges per dimension")
     try:
         n = [integer(k) for k in spec["n"]] if isinstance(spec["n"], list) else integer(spec["n"])
-        if isinstance(n, list) and len(n) not in {1, len(box)}:
-            raise ValueError(f"{len(n)} counts for a {len(box)}-D box")
+        if isinstance(n, list) and len(n) not in {1, box.dim}:
+            raise ValueError(f"{len(n)} counts for a {box.dim}-D box")
     except ValueError as exc:
         raise ConfigurationError(f"grid key 'n': {spec['n']!r} is not a node count ({exc})") from None
     spacing = spec.get("spacing", "uniform")
     if spacing == "uniform":
-        lo = [b[0] for b in box]
-        hi = [b[1] for b in box]
-        return uniform_grid(lo, hi, n)
+        return uniform_grid(box.lo, box.hi, n)
     if spacing == "log":
-        if len(box) != 1:
+        if box.dim != 1:
             raise ConfigurationError("log spacing is one-dimensional")
-        return log_grid(box[0][0], box[0][1], n[0] if isinstance(n, list) else n)
+        return log_grid(box.lo[0], box.hi[0], n[0] if isinstance(n, list) else n)
     raise ConfigurationError(f"unknown spacing {spacing!r}")
 
 
@@ -182,44 +194,47 @@ def load_solution(path: str) -> SpaceTimeSolution:
 # policies and candidates
 # ---------------------------------------------------------------------------
 
+def _kind(spec: dict, kinds: dict, what: str) -> str:
+    """spec["kind"], a key of `kinds`, once spec holds no key that kinds[kind] does not list."""
+    kind = spec["kind"]
+    if kind not in kinds:
+        raise ConfigurationError(f"unknown {what} kind {kind!r}")
+    refuse_unknown(spec, ("kind", *kinds[kind]), f"{kind} {what} key")
+    return kind
+
+
 @_document("policy")
 def policy_from_spec(spec: dict, base_dir: str = ".") -> FeedbackPolicy:
-    kind = spec["kind"]
-    if kind == "constant":
-        return constant_policy(spec["value"])
-    if kind == "from-solution":
-        from .solver import extract_policy
-
-        path = os.path.join(base_dir, spec["csv"])
-        return extract_policy(load_solution(path))
-    raise ConfigurationError(f"unknown policy kind {kind!r}")
+    if _kind(spec, {"constant": ("value",), "from-solution": ("csv",)}, "policy") == "constant":
+        return constant_policy(read("value", spec["value"], _numbers))
+    return extract_policy(load_solution(os.path.join(base_dir, spec["csv"])))
 
 
 @_document("candidate")
 def candidate_from_spec(spec: dict, base_dir: str = ".", side: str | None = None) -> CandidateFunction:
     """The candidate a document describes; `side`, when given, overrides its "side"."""
-    kind = spec["kind"]
+    kind = _kind(spec, {"closed-form": ("side", "family", "params"),
+                        "constant": ("side", "value", "growth_constant", "policy"),
+                        "grid-table": ("side", "csv", "growth_constant", "policy"),
+                        "from-solution": ("side", "csv", "growth_constant")}, "candidate")
     side = side or spec["side"]
     if kind == "closed-form":
         if spec["family"] != "merton":
             raise ConfigurationError(f"unknown closed form {spec['family']!r}")
         names = dict(MERTON_PARAMS, exponent_shift="exponent_shift")
         return merton_candidate(side, **keyword_params(spec.get("params", {}), names, "merton candidate"))
+    growth = read("growth_constant", spec["growth_constant"], number)
+    policy = policy_from_spec(spec["policy"], base_dir) if "policy" in spec else None
     if kind == "constant":
-        policy = policy_from_spec(spec["policy"], base_dir) if "policy" in spec else None
-        return constant_candidate(spec["value"], side, spec["growth_constant"], policy)
+        return constant_candidate(read("value", spec["value"], number), side, growth, policy)
+    path = os.path.join(base_dir, spec["csv"])
     if kind == "grid-table":
-        with open(os.path.join(base_dir, spec["csv"])) as fh:
+        with open(path) as fh:
             gf = grid_function_from_csv(fh.read())
         if gf.grid.dim != 1:
             raise ConfigurationError("grid-table candidates are one-dimensional")
-        policy = policy_from_spec(spec["policy"], base_dir) if "policy" in spec else None
-        return companion_candidate(
-            lambda t, X: gf.interpolate(X), side, spec["growth_constant"], policy, "grid-table")
-    if kind == "from-solution":
-        sol = load_solution(os.path.join(base_dir, spec["csv"]))
-        return candidate_from_solution(sol, side, spec["growth_constant"])
-    raise ConfigurationError(f"unknown candidate kind {kind!r}")
+        return companion_candidate(lambda t, X: gf.interpolate(X), side, growth, policy, "grid-table")
+    return candidate_from_solution(load_solution(path), side, growth)
 
 
 def rebased(spec: dict, base_dir: str, new_dir: str) -> dict:

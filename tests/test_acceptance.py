@@ -145,7 +145,7 @@ def test_a3_facelift_equivalence():
     _report(
         "A3", ok,
         f"hull == brute-force oracle exactly: {exact_ok}; "
-        f"relaxation vs hull sup gap {worst_gap:.2e} (tol {10 * tol:.0e})",
+        f"policy iteration vs hull sup gap {worst_gap:.2e} (tol {10 * tol:.0e})",
     )
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
+import re
 import stat
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
-from hjbkit import cli, simulate, specio
+from hjbkit import cli, grids, simulate, specio
 from hjbkit.certify import bracket_ensemble
 from hjbkit.cli import _load_report, _report_to_json, main
 from hjbkit.errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
@@ -349,20 +351,26 @@ MALFORMED_PROBLEMS = {
     "document-list": [KINK_SPEC],
 }
 GOOD_GRID = {"box": [[0.0, 2.0]], "n": [21]}
+# "x", 5 and [[2, 0]] exited 2 naming no key; [[0, 2, 3]] built on [0, 2] and [[true, 2]] on [1, 2]
+MALFORMED_GRID_BOXES = {"string": "x", "int": 5, "inverted": [[2.0, 0.0]], "null-edge": [[None, 2.0]],
+                        "infinite-edge": [[0.0, math.inf]], "three-numbers": [[0.0, 2.0, 3.0]],
+                        "true-edge": [[True, 2.0]], "empty": []}
 
 
 @pytest.mark.parametrize(
-    "problem, grid",
-    [(doc, GOOD_GRID) for doc in MALFORMED_PROBLEMS.values()] + [(KINK_SPEC, {"box": "x", "n": [21]})],
-    ids=list(MALFORMED_PROBLEMS) + ["grid-box-string"],
+    "problem, grid, named",
+    [(doc, GOOD_GRID, "") for doc in MALFORMED_PROBLEMS.values()]
+    + [(KINK_SPEC, {"box": box, "n": [21]}, f"box {box!r}: ") for box in MALFORMED_GRID_BOXES.values()],
+    ids=list(MALFORMED_PROBLEMS) + [f"grid-box-{name}" for name in MALFORMED_GRID_BOXES],
 )
-def test_malformed_document_exits_2(tmp_path, capsys, problem, grid):
+def test_malformed_document_exits_2(tmp_path, capsys, problem, grid, named):
     prob = write(tmp_path / "prob.json", problem)
     grid = write(tmp_path / "grid.json", grid)
     rc = main(["--out-dir", str(tmp_path), "solve", "--problem", prob, "--grid", grid,
                "--time-nodes", "3", "--control-res", "5"])
     assert rc == 2
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -397,6 +405,14 @@ def test_oracle_unknown_parameter_exits_2(argv, capsys):
     assert "unknown" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("bound", ["-1", "nan"])
+def test_oracle_bound_below_zero_or_nan_exits_2(bound, capsys):
+    """B=-1 printed 0.9465, the value under u = -1, and B=nan the unbounded value."""
+    assert main(["oracle", "--family", "merton", "--params", f"B={bound}", "--eval", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert "bound must be at least 0" in captured.err and captured.out == ""
+
+
 MERTON_SUB = {"kind": "closed-form", "family": "merton", "side": "sub",
               "params": {"mu": 0.1, "sigma": 0.2, "p": 0.5, "T": 1.0, "B": 10.0}}
 MALFORMED_CANDIDATES = {
@@ -407,6 +423,8 @@ MALFORMED_CANDIDATES = {
     "constant-without-value": {"kind": "constant", "side": "super", "growth_constant": 1.0},
     "policy-string": {"kind": "constant", "side": "sub", "value": 1.0, "growth_constant": 1.0,
                       "policy": "constant"},
+    "bound-negative": dict(MERTON_SUB, params=dict(MERTON_SUB["params"], B=-1.0)),
+    "bound-nan": dict(MERTON_SUB, params=dict(MERTON_SUB["params"], B=math.nan)),
 }
 
 
@@ -574,7 +592,7 @@ def test_pipeline_integer_key_that_is_not_an_integer_exits_2_before_any_stage(tm
 
 @pytest.mark.parametrize("value, want", [(7, 7), (1e5, 100_000), (-3.0, -3)])
 def test_integer_keys_take_ints_and_integral_floats(value, want):
-    got = cli._integer(value)
+    got = grids.integer(value)
     assert got == want and type(got) is int
 
 
@@ -1426,8 +1444,8 @@ def test_every_document_key_has_one_row():
 
 # values of another type than a row's parser takes; None is added where the default is not None
 WRONG_TYPE = {
-    cli._integer: [1.5, True, "7", [1]],
-    float: ["many", [1.0], {}],
+    grids.integer: [1.5, True, "7", [1]],
+    grids.number: ["many", [1.0], {}, True, "0.5"],
     os.fspath: [5, True, ["a"], {}],
     cli._floats: [1.0, ["one"], [], "1.0"],
     dict: [5, "ab", [1, 2]],
@@ -1477,3 +1495,156 @@ def test_document_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, monke
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("configuration error:") and repr(key) in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_readme_settings_table_lists_every_key():
+    """The backticked names in the first column of the README's settings table are the keys of cli._KEYS."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("| key | value | flag |"):].split("\n\n", 1)[0]
+    listed = {name for line in table.splitlines()[2:] for name in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    assert listed == {row.key for row in cli._KEYS}
+
+
+def test_certify_manifest_tol_true_exits_2_naming_tol(tmp_path, monkeypatch, capsys):
+    """"tol": true ran at tol 1.0: it certified a super candidate with exponent
+    shift -0.3 (exit 0), which the recorded manifest rejects (exit 4)."""
+    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("a battery ran")))
+    deflated = dict(MERTON_SUB, side="super", params=dict(MERTON_SUB["params"], exponent_shift=-0.3))
+    config = {"problem": write(tmp_path / "prob.json", MERTON_SPEC), "start_box": [[0.5, 2.0]], "budget": 20000,
+              "candidate": write(tmp_path / "cand.json", deflated), "tol": True}
+    mpath = write(tmp_path / "manifest.json", {"subcommand": "certify", "config": config})
+    assert main(["--out-dir", str(tmp_path / "out"), "--manifest", mpath]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: key 'tol': True does not parse")
+    assert not (tmp_path / "out").exists()
+
+
+# one valid document of each kind; the super candidate holds a policy document
+DOCUMENTS = {
+    "problem": dict(MERTON_SPEC, control_set=[[[-10.0, 10.0]]]),
+    "grid": {"box": [[0.2, 5.0]], "n": [40], "spacing": "log"},
+    "sub": dict(MERTON_SUB, params=dict(MERTON_SUB["params"], exponent_shift=0.0)),
+    "super": {"kind": "constant", "side": "super", "value": 10.0, "growth_constant": 10.0,
+              "policy": {"kind": "constant", "value": [5.0]}},
+    "policy": {"kind": "constant", "value": [5.0]},
+}
+
+
+@pytest.fixture
+def no_stage(monkeypatch):
+    for stage in ("_facelift", "solve_hjb", "simulate_paths", "_certify", "bracket_report"):
+        monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
+
+
+def run_document(tmp_path, name, doc, inline):
+    """main with `doc` as the `name` document of DOCUMENTS: inline in a pipeline
+    spec (a policy inside the super candidate), or as the file of a solve
+    (problem, grid), a certify (sub, super) or a simulate (policy)."""
+    docs = dict(DOCUMENTS, **{name: doc})
+    if inline:
+        super_ = dict(docs["super"], policy=doc) if name == "policy" else docs["super"]
+        argv = ["pipeline", "--spec", small_pipeline(tmp_path, problem=docs["problem"], grid=docs["grid"],
+                                                      sub_candidate=docs["sub"], super_candidate=super_)]
+    else:
+        paths = {key: write(tmp_path / f"{key}.json", docs[key]) for key in ("problem", "grid", name)}
+        flags = {"problem": ["solve", "--grid"], "grid": ["solve", "--grid"], "sub": ["certify", "--candidate"],
+                 "super": ["certify", "--candidate"], "policy": ["simulate", "--x0", "1.0", "--policy"]}[name]
+        argv = [*flags, paths["grid" if name == "problem" else name], "--problem", paths["problem"]]
+    return main(["--out-dir", str(tmp_path / "out"), *argv])
+
+
+# each was read leniently: a horizon true as 1.0; control_sets and spacng were
+# ignored (controls on [-10, 10], a uniform grid); parms was ignored (the default
+# candidate, 1.1331 at (0, 1) where T = 12 gives 4.4817); and a null
+# growth_constant ended in a traceback after the whole battery
+LENIENT_READS = {
+    "problem-horizon-true": ("problem", dict(MERTON_SPEC, horizon=True), "key 'horizon': True does not parse"),
+    "problem-control-sets": ("problem", dict(MERTON_SPEC, control_sets=[[[0, 1]]]),
+                             "unknown problem key(s) 'control_sets'"),
+    "grid-spacng": ("grid", {"box": [[0.2, 5.0]], "n": [40], "spacng": "log"}, "unknown grid key(s) 'spacng'"),
+    "candidate-parms": ("sub", {"kind": "closed-form", "family": "merton", "side": "sub", "parms": {"T": 12.0}},
+                        "unknown closed-form candidate key(s) 'parms'"),
+    "growth-constant-null": ("super", dict(DOCUMENTS["super"], growth_constant=None),
+                             "key 'growth_constant': None does not parse"),
+    "growth-constant-list": ("super", dict(DOCUMENTS["super"], growth_constant=[5]),
+                             "key 'growth_constant': [5] does not parse"),
+}
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["file", "pipeline"])
+@pytest.mark.parametrize("case", list(LENIENT_READS))
+def test_a_document_value_once_read_leniently_exits_2_naming_its_key(tmp_path, capsys, no_stage, case, inline):
+    name, doc, message = LENIENT_READS[case]
+    assert run_document(tmp_path, name, doc, inline) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# (document, path to a value, what the value is); a path ending in an index names the list's key
+SLOTS = [
+    ("problem", ("family",), "choice"), ("problem", ("params",), "object"),
+    ("problem", ("params", "mu"), "number"), ("problem", ("params", "sigma"), "number"),
+    ("problem", ("control_bound",), "number"), ("problem", ("horizon",), "number"),
+    ("problem", ("state_domain",), "box"), ("problem", ("control_set",), "box"), ("problem", ("control_set", 0), "box"),
+    ("problem", ("payoff",), "object"), ("problem", ("payoff", "family"), "choice"),
+    ("problem", ("payoff", "params", "p"), "number"),
+    ("problem", ("gauge",), "object"), ("problem", ("gauge", "family"), "choice"),
+    ("problem", ("gauge", "params", "p"), "number"),
+    ("problem", ("constraint",), "object"), ("problem", ("constraint", "family"), "choice"),
+    ("grid", ("box",), "grid box"), ("grid", ("n",), "integer"), ("grid", ("spacing",), "choice"),
+    ("sub", ("kind",), "choice"), ("sub", ("side",), "choice"), ("sub", ("family",), "choice"),
+    ("sub", ("params",), "object"),
+    *[("sub", ("params", name), "number") for name in ("mu", "sigma", "p", "T", "B", "exponent_shift")],
+    ("super", ("kind",), "choice"), ("super", ("side",), "choice"), ("super", ("value",), "number"),
+    ("super", ("growth_constant",), "number"), ("super", ("policy",), "object"),
+    ("policy", ("kind",), "choice"), ("policy", ("value",), "numbers"),
+]
+SLOT_VALUES = {
+    "number": [None, True, False, "0.5", [1.0], {}],
+    "numbers": [None, True, "0.5", {}, [True], ["0.5"], [None], [[1.0], {}]],
+    "integer": [None, 1.5, True, "30", [], [1.5], {}],
+    "box": [5, True, "x", [[2.0, 0.0]], [[0.0, 1.0, 2.0]], [[True, 2.0]], [["a", 1.0]], [], {}],
+    "grid box": [None, 5, True, "x", [[5.0, 0.2]], [[0.2, 5.0, 7.0]], [[True, 5.0]], [[None, 5.0]], [[0.2, math.inf]],
+                 [], {}],
+    "choice": [None, 5, True, "bogus", [], {}],
+    "object": [None, 5, True, "x", [1]],
+}
+# what stderr holds for a value of each kind but choices and objects, given its key
+NAMED = {"number": "key {!r}: ", "numbers": "key {!r}: ", "integer": "grid key {!r}: ", "box": "{} ",
+         "grid box": "{} "}
+# the objects of each document that hold keys, by their paths
+OBJECTS = {"problem": [(), ("params",), ("payoff",), ("payoff", "params"), ("gauge",), ("gauge", "params"),
+                       ("constraint",)],
+           "grid": [()], "sub": [(), ("params",)], "super": [(), ("policy",)], "policy": [()]}
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_document_of_the_wrong_shape_exits_2_before_any_stage(tmp_path, capsys, no_stage, data):
+    """A problem (with its payoff, gauge and constraint), grid, candidate or
+    policy document, as a file or inline in a pipeline spec, with a value of
+    another JSON type or a key it does not read: exit 2 before any stage, naming
+    a number, integer or box key and the unknown key."""
+    inline = data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        name, path, kind = data.draw(st.sampled_from(SLOTS))
+        value = data.draw(st.sampled_from(SLOT_VALUES[kind]))
+        key = next(step for step in reversed(path) if isinstance(step, str))
+        named = NAMED.get(kind, "").format(key)
+    else:
+        name = data.draw(st.sampled_from(list(OBJECTS)))
+        path = (*data.draw(st.sampled_from(OBJECTS[name])), data.draw(st.sampled_from(["note", "parms", "Family"])))
+        value, named = 1.0, repr(path[-1])
+    event(f"{name} {'inline' if inline else 'file'}")
+    doc = json.loads(json.dumps(DOCUMENTS[name]))
+    _at(doc, path[:-1])[path[-1]] = value
+    rc = run_document(tmp_path, name, doc, inline)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("configuration error:") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ import pytest
 
 import hjbkit as hk
 from hjbkit.errors import DomainError
-from hjbkit.oracles import heat_value, merton_lambda, merton_value
+from hjbkit.oracles import heat_value, merton_lambda, merton_optimal_control, merton_value
 from hjbkit.problem import neg_second_constraint
 from hjbkit.solver import refined_terminals
 
@@ -57,6 +57,17 @@ class TestMertonValue:
         ts = np.linspace(0.0, 1.0, 9)
         vals_t = [merton_value(t, 1.3) for t in ts]
         assert all(b < a for a, b in zip(vals_t, vals_t[1:]))
+
+
+    @pytest.mark.parametrize("bound", [-1.0, math.nan])
+    def test_a_bound_below_zero_or_nan_is_refused(self, bound):
+        """B = -1 clamped u* into the empty [1, -1], picking u = -1 (0.9465 at (0, 1)),
+        and B = nan gave the unbounded value 1.1331."""
+        with pytest.raises(ValueError, match="bound must be at least 0"):
+            merton_value(0.0, 1.0, bound=bound)
+
+    def test_an_infinite_bound_gives_the_unclamped_control(self):
+        assert merton_optimal_control(0.1, 0.2, 0.5, math.inf) == merton_optimal_control(0.1, 0.2, 0.5, 10.0)
 
 
 class TestHeatValue:
