@@ -2,7 +2,6 @@
 data and Monte-Carlo certification of stochastic sub/super-solutions."""
 
 from .certify import (
-    AdversaryConfig,
     BracketConfig,
     CandidateFunction,
     CertificationReport,

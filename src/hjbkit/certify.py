@@ -41,7 +41,6 @@ from .simulate import (
 __all__ = [
     "CandidateFunction",
     "CertifyConfig",
-    "AdversaryConfig",
     "BracketConfig",
     "TestRecord",
     "CertificationReport",
@@ -80,6 +79,7 @@ class CandidateFunction:
             raise ValueError("kind must be 'sub' or 'super'")
         if self.kind == "sub" and self.policy_factory is None:
             raise ValueError("sub-solution candidates need a companion policy")
+        _finite_at_least_zero("growth_constant", self.growth_constant)
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -103,6 +103,13 @@ def _require_at_least(config, **least):
             raise ConfigurationError(f"{name} must be at least {low}, not {value!r}")
 
 
+def _finite_at_least_zero(name, value):
+    """value, unless it lies outside [0, inf): an infinite z, tol or growth constant passes every margin."""
+    if not 0.0 <= value < np.inf:
+        raise ConfigurationError(f"{name} must be finite and at least 0, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CertifyConfig:
     """Battery configuration; budget is the number of paths per policy sweep.
@@ -120,20 +127,7 @@ class CertifyConfig:
     def __post_init__(self):
         _require_at_least(self, budget=1, n_starts=1, steps_per_record=1)
         for name in ("z", "tol"):
-            # z = inf or tol = inf would pass every margin
-            value = getattr(self, name)
-            if not 0.0 <= value < np.inf:
-                raise ConfigurationError(f"{name} must be finite and at least 0, not {value!r}")
-
-
-@dataclass(frozen=True)
-class AdversaryConfig:
-    """Explicit approximation of 'every admissible control' for the super test:
-    the admissible box's corners, n_random staircases in it and the extra policies."""
-
-    n_random: int = 3
-    extra_policies: tuple = ()
-    seed: int = 1
+            _finite_at_least_zero(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -296,31 +290,30 @@ def certify_subsolution(candidate: CandidateFunction, problem, config: CertifyCo
     return _battery(candidate, problem, config, [("companion", candidate.policy_factory)], "companion-policy")
 
 
-def _build_adversaries(problem, adv: AdversaryConfig):
+def _build_adversaries(problem, seed, n_random, extra_policies):
+    """The super battery's approximation of 'every admissible control': the corners of problem.controls,
+    n_random staircases drawn in it on the Philox key (seed, 0xAD5), and the extra policies."""
     k, lo, hi = problem.control_dim, problem.controls.lo, problem.controls.hi
     corners = np.array(np.meshgrid(*zip(lo, hi))).T.reshape(-1, k)
     policies = [(f"corner {c.tolist()}", constant_policy(c)) for c in np.unique(corners, axis=0)]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((adv.seed, 0xAD5))))
-    for j in range(adv.n_random):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xAD5))))
+    for j in range(n_random):
         bps = np.sort(rng.uniform(0.0, problem.horizon, _STAIRCASE_PIECES))
         bps[0] = 0.0
         vals = rng.uniform(lo, hi, (_STAIRCASE_PIECES, k))
         policies.append((f"random-staircase-{j}", piecewise_constant_policy(bps, vals)))
-    for j, pol in enumerate(adv.extra_policies):
+    for j, pol in enumerate(extra_policies):
         policies.append((f"extra-{j} ({pol.tag})", pol))
     return policies
 
 
-def certify_supersolution(
-    candidate: CandidateFunction,
-    problem,
-    config: CertifyConfig,
-    adversaries: AdversaryConfig | None = None,
-) -> CertificationReport:
-    """Supermartingale battery against every adversary in the declared class."""
+def certify_supersolution(candidate: CandidateFunction, problem, config: CertifyConfig, extra_policies=(),
+                          n_random: int = 3) -> CertificationReport:
+    """Supermartingale battery against every adversary of _build_adversaries, its
+    staircases drawn one seed past the battery's."""
     if candidate.kind != "super":
         raise ValueError("certify_supersolution needs a super candidate")
-    policies = _build_adversaries(problem, AdversaryConfig() if adversaries is None else adversaries)
+    policies = _build_adversaries(problem, config.seed + 1, n_random, extra_policies)
     return _battery(
         candidate, problem, config, [(tag, lambda tau, xi, _p=pol: _p) for tag, pol in policies],
         ", ".join(tag for tag, _ in policies),

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import specio
 from .certify import (
-    AdversaryConfig,
     BracketConfig,
     CertificationReport,
     CertifyConfig,
@@ -34,6 +33,7 @@ from .certify import (
     candidate_from_solution,
     certify_subsolution,
     certify_supersolution,
+    _finite_at_least_zero,
 )
 from .errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
 from .facelift import concave_envelope, facelift_general
@@ -196,14 +196,6 @@ def _certify_config(document, s, problem) -> CertifyConfig:
     return _config(CertifyConfig, document, s, start_box=box, seed=s["seed"])
 
 
-def _certify(candidate, side, problem, config, extra_policies=()) -> CertificationReport:
-    """The candidate's battery on `side`; super adversaries are seeded one past the battery."""
-    if side == "sub":
-        return certify_subsolution(candidate, problem, config)
-    adv = AdversaryConfig(extra_policies=extra_policies, seed=config.seed + 1)
-    return certify_supersolution(candidate, problem, config, adv)
-
-
 def _run_certify(s, out_dir):
     problem = specio.load_problem(s["problem"])
     candidate_spec = specio.load_json(s["candidate"])
@@ -212,7 +204,8 @@ def _run_certify(s, out_dir):
     # the report's copy names its files from the report's directory, where bracket reads them
     report_dir = os.path.dirname(os.path.join(out_dir, s["out"])) or "."
     candidate_spec = {**specio.rebased(candidate_spec, base, report_dir), "side": candidate.kind}
-    report = _certify(candidate, candidate.kind, problem, _certify_config("certify", s, problem))
+    battery = certify_subsolution if candidate.kind == "sub" else certify_supersolution
+    report = battery(candidate, problem, _certify_config("certify", s, problem))
     print(report.verdict)
     for r in report.failing():
         print(
@@ -292,7 +285,7 @@ def _pipeline_inputs(spec, base: str):
         else specio.problem_from_spec(spec["problem"])
     )
     grid = specio.grid_from_spec(spec["grid"])
-    points = [(number(p[0]), [number(v) for v in p[1:]]) for p in spec["points"]]
+    points = specio.read("points", spec["points"], lambda pts: [(p[0], p[1:]) for p in map(_floats, pts)])
     if not points:
         raise ConfigurationError("a pipeline spec needs at least one point")
     _require_points(problem, points)
@@ -373,8 +366,8 @@ def _run_pipeline(run, out_dir):
         report["stages"][stage] = "ok"
 
         stage = "certify"
-        sub_rep = _certify(sub, "sub", problem, ccfg)
-        super_rep = _certify(super_, "super", problem, ccfg, (policy,))
+        sub_rep = certify_subsolution(sub, problem, ccfg)
+        super_rep = certify_supersolution(super_, problem, ccfg, (policy,))
         report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
         report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
         if s["certify_solver_candidate"]:
@@ -445,6 +438,11 @@ def _floats(value, length=None):
     if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
         raise ValueError(f"not a list of {length or 'one or more'} numbers")
     return [number(v) for v in value]
+
+
+def _growth_constant(value):
+    """A number that a candidate takes as its growth constant."""
+    return _finite_at_least_zero("growth_constant", number(value))
 
 
 def _optional_box(value):
@@ -530,7 +528,7 @@ _KEYS = (
     _Key("sub_candidate", _as_is, documents="pipeline-spec", default=None),
     _Key("super_candidate", _as_is, documents="pipeline-spec", default=None),
     _Key("certify_solver_candidate", _Choice((True, False)), documents="pipeline-spec", default=True),
-    _Key("solver_growth_constant", number, documents="pipeline-spec", default=10.0),
+    _Key("solver_growth_constant", _growth_constant, documents="pipeline-spec", default=10.0),
     _Key("solver_candidate_tol", number, documents="pipeline-spec", default=5e-3),
 )
 

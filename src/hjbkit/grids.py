@@ -339,6 +339,8 @@ def read_grid_csv(text: str):
     rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
     if rows.ndim != 2 or rows.shape[1] != len(header):
         raise ValueError(f"CSV rows must have the {len(header)} columns of the header")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("CSV cells must be finite numbers")
     keys = rows[:, :n_keys].T
     axes = tuple(np.unique(k) for k in keys)
     shape = tuple(a.size for a in axes)

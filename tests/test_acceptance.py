@@ -13,7 +13,6 @@ import pytest
 
 import hjbkit as hk
 from hjbkit.certify import (
-    AdversaryConfig,
     BracketConfig,
     bracket_report,
     constant_candidate,
@@ -86,8 +85,7 @@ def test_a2_pipeline_certification_gap(merton_problem, merton_solution):
     sup = merton_candidate("super", exponent_shift=0.01)
     cfg = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=100_000, seed=7)
     sub_rep = hk.certify_subsolution(sub, merton_problem, cfg)
-    adv = AdversaryConfig(extra_policies=(hk.extract_policy(merton_solution),), seed=8)
-    sup_rep = hk.certify_supersolution(sup, merton_problem, cfg, adv)
+    sup_rep = hk.certify_supersolution(sup, merton_problem, cfg, (hk.extract_policy(merton_solution),))
     rep = bracket_report(
         sub, sup, merton_problem, [(0.0, [1.0])], BracketConfig(n_paths=100_000, seed=9),
         sub_rep, sup_rep,
@@ -203,14 +201,10 @@ def test_a6_certifier_soundness_and_power(merton_problem, coarse_merton_solution
 
     cfg = hk.CertifyConfig(start_box=box, budget=100_000, seed=606)
     sub_ok = hk.certify_subsolution(merton_candidate("sub"), merton_problem, cfg).certified
-    adv_full = AdversaryConfig(extra_policies=(argmax_policy,), seed=607)
-    sup_ok = hk.certify_supersolution(
-        merton_candidate("super"), merton_problem, cfg, adv_full
-    ).certified
+    sup_ok = hk.certify_supersolution(merton_candidate("super"), merton_problem, cfg, (argmax_policy,)).certified
 
     inflated = merton_candidate("sub", exponent_shift=0.05)
     deflated = merton_candidate("super", exponent_shift=-0.05)
-    adv_strong = AdversaryConfig(n_random=0, extra_policies=(argmax_policy,))
     sub_rejects = 0
     sup_rejects = 0
     for rep_seed in range(100):
@@ -218,7 +212,7 @@ def test_a6_certifier_soundness_and_power(merton_problem, coarse_merton_solution
                              steps_per_record=24)
         if not hk.certify_subsolution(inflated, merton_problem, c).certified:
             sub_rejects += 1
-        if not hk.certify_supersolution(deflated, merton_problem, c, adv_strong).certified:
+        if not hk.certify_supersolution(deflated, merton_problem, c, (argmax_policy,), n_random=0).certified:
             sup_rejects += 1
     ok = sub_ok and sup_ok and sub_rejects >= 99 and sup_rejects >= 99
     _report(
@@ -248,8 +242,7 @@ def test_a7_lattice_closure(merton_problem):
         constant_candidate(max_payoff * math.exp(0.2), "super",
                            growth_constant=max_payoff * math.exp(0.2) / math.sqrt(0.5)),
     )
-    adv = AdversaryConfig(n_random=2, seed=78)
-    sup_rep = hk.certify_supersolution(sup, merton_problem, cfg, adv)
+    sup_rep = hk.certify_supersolution(sup, merton_problem, cfg, n_random=2)
     ok = sub_rep.certified and sup_rep.certified
     _report(
         "A7", ok,
@@ -264,8 +257,6 @@ def test_a7_lattice_closure(merton_problem):
 def test_a8_sandwich_gap_shrinks(merton_problem):
     box = hk.Box([0.5], [2.0])
     cfg = hk.CertifyConfig(start_box=box, budget=60_000, seed=88)
-    adv = AdversaryConfig(n_random=1,
-                          extra_policies=(constant_policy([5.0]),), seed=89)
     sub = merton_candidate("sub")
     sub_rep = hk.certify_subsolution(sub, merton_problem, cfg)
     points = [(0.0, [1.0]), (0.0, [0.7]), (0.25, [1.5]), (0.5, [0.9]), (0.75, [1.8])]
@@ -273,7 +264,7 @@ def test_a8_sandwich_gap_shrinks(merton_problem):
     all_ok = sub_rep.certified
     for delta in (0.1, 0.05, 0.02):
         sup = merton_candidate("super", exponent_shift=delta)
-        sup_rep = hk.certify_supersolution(sup, merton_problem, cfg, adv)
+        sup_rep = hk.certify_supersolution(sup, merton_problem, cfg, (constant_policy([5.0]),), n_random=1)
         rep = bracket_report(sub, sup, merton_problem, points,
                              BracketConfig(n_paths=20_000, seed=90), sub_rep, sup_rep)
         all_ok &= sup_rep.certified and rep.ok

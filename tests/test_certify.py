@@ -9,7 +9,6 @@ import pytest
 import hjbkit as hk
 from hjbkit import certify, specio
 from hjbkit.certify import (
-    AdversaryConfig,
     BracketConfig,
     CertificationReport,
     bracket_report,
@@ -32,11 +31,6 @@ def cert_config():
 def power_config():
     # rejection of the delta = 0.05 perturbations needs the full default budget
     return hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=100_000, seed=31)
-
-
-@pytest.fixture(scope="module")
-def small_adversaries():
-    return AdversaryConfig(n_random=2, seed=5)
 
 
 class TestCertifySubsolution:
@@ -80,23 +74,20 @@ class TestCertifySubsolution:
 
 
 class TestCertifySupersolution:
-    def test_constant_above_payoff_certifies(self, merton_problem, cert_config, small_adversaries):
+    def test_constant_above_payoff_certifies(self, merton_problem, cert_config):
         c = math.sqrt(2.0) * math.exp(0.2)
         cand = constant_candidate(c, "super", growth_constant=c / 0.5**0.5 + 0.1)
-        rep = hk.certify_supersolution(cand, merton_problem, cert_config, small_adversaries)
+        rep = hk.certify_supersolution(cand, merton_problem, cert_config, n_random=2)
         assert rep.certified
         assert "adversary class" in rep.verdict
 
-    def test_exact_merton_certifies_against_all(self, merton_problem, cert_config, small_adversaries):
-        rep = hk.certify_supersolution(merton_candidate("super"), merton_problem, cert_config,
-                                       small_adversaries)
+    def test_exact_merton_certifies_against_all(self, merton_problem, cert_config):
+        rep = hk.certify_supersolution(merton_candidate("super"), merton_problem, cert_config, n_random=2)
         assert rep.certified
 
     def test_deflated_rejected_by_optimal_adversary(self, merton_problem, power_config):
         cand = merton_candidate("super", exponent_shift=-0.05)
-        adv = AdversaryConfig(n_random=0,
-                              extra_policies=(constant_policy([5.0]),))
-        rep = hk.certify_supersolution(cand, merton_problem, power_config, adv)
+        rep = hk.certify_supersolution(cand, merton_problem, power_config, (constant_policy([5.0]),), n_random=0)
         assert not rep.certified
         assert any("extra-0" in r.adversary for r in rep.failing())
 
@@ -104,8 +95,7 @@ class TestCertifySupersolution:
         # Lambda(+-10) = 0 < Lambda - delta: the corners cannot expose the gap,
         # which is exactly why the extracted argmax rule is the default adversary
         cand = merton_candidate("super", exponent_shift=-0.05)
-        adv = AdversaryConfig(n_random=0)
-        rep = hk.certify_supersolution(cand, merton_problem, cert_config, adv)
+        rep = hk.certify_supersolution(cand, merton_problem, cert_config, n_random=0)
         assert rep.certified
 
 
@@ -136,13 +126,13 @@ class TestLattice:
         rep = hk.certify_subsolution(m, merton_problem, cert_config)
         assert rep.certified
 
-    def test_min_of_supers(self, merton_problem, cert_config, small_adversaries):
+    def test_min_of_supers(self, merton_problem, cert_config):
         w1 = merton_candidate("super")
         big = constant_candidate(50.0, "super", growth_constant=100.0)
         m = lattice_min(w1, big)
         for xi in (0.5, 1.0, 2.0):
             assert m(0.0, [xi]) == w1(0.0, [xi])
-        rep = hk.certify_supersolution(m, merton_problem, cert_config, small_adversaries)
+        rep = hk.certify_supersolution(m, merton_problem, cert_config, n_random=2)
         assert rep.certified
 
     def test_kind_mismatch_rejected(self):
@@ -182,11 +172,11 @@ def test_bracket_point_ok_fails_just_past_each_tolerance_edge(point, edge):
 
 
 class TestBracket:
-    def test_zero_gap_at_exact_candidate(self, merton_problem, cert_config, small_adversaries):
+    def test_zero_gap_at_exact_candidate(self, merton_problem, cert_config):
         sub = merton_candidate("sub")
         sup = merton_candidate("super")
         sub_rep = hk.certify_subsolution(sub, merton_problem, cert_config)
-        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, small_adversaries)
+        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, n_random=2)
         rep = bracket_report(
             sub, sup, merton_problem, [(0.0, [1.0])], BracketConfig(n_paths=40_000, seed=2),
             sub_rep, sup_rep,
@@ -196,11 +186,11 @@ class TestBracket:
         assert pt.ok
         assert abs(pt.mc.mean - math.exp(0.125)) <= 2 * pt.mc.half_width_95
 
-    def test_constant_sandwich(self, merton_problem, cert_config, small_adversaries):
+    def test_constant_sandwich(self, merton_problem, cert_config):
         sub = constant_candidate(0.5, "sub", growth_constant=1.0)
         sup = constant_candidate(3.0, "super", growth_constant=5.0)
         sub_rep = hk.certify_subsolution(sub, merton_problem, cert_config)
-        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, small_adversaries)
+        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, n_random=2)
         rep = bracket_report(
             sub, sup, merton_problem, [(0.0, [1.0]), (0.5, [1.5])],
             BracketConfig(n_paths=5_000, seed=3), sub_rep, sup_rep,
@@ -208,12 +198,12 @@ class TestBracket:
         assert rep.ok
         assert rep.max_gap == 2.5
 
-    def test_closed_form_gap_matches_analytics(self, merton_problem, cert_config, small_adversaries):
+    def test_closed_form_gap_matches_analytics(self, merton_problem, cert_config):
         delta = 0.05
         sub = merton_candidate("sub")
         sup = merton_candidate("super", exponent_shift=delta)
         sub_rep = hk.certify_subsolution(sub, merton_problem, cert_config)
-        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, small_adversaries)
+        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, n_random=2)
         pts = [(0.0, [1.0]), (0.25, [0.8]), (0.5, [1.7])]
         rep = bracket_report(sub, sup, merton_problem, pts, BracketConfig(n_paths=4_000, seed=4),
                              sub_rep, sup_rep)
@@ -222,11 +212,11 @@ class TestBracket:
             analytic = x[0] ** 0.5 * (math.exp((lam + delta) * (1 - t)) - math.exp(lam * (1 - t)))
             assert pt.gap == pytest.approx(analytic, abs=1e-12)
 
-    def test_uncertified_inputs_rejected(self, merton_problem, cert_config, small_adversaries):
+    def test_uncertified_inputs_rejected(self, merton_problem, cert_config):
         sub = merton_candidate("sub", exponent_shift=0.05)   # will fail
         sup = merton_candidate("super")
         bad_rep = hk.certify_subsolution(sub, merton_problem, cert_config)
-        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, small_adversaries)
+        sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, n_random=2)
         assert not bad_rep.certified
         with pytest.raises(ValueError, match="not certified"):
             bracket_report(sub, sup, merton_problem, [(0.0, [1.0])], BracketConfig(),
@@ -326,10 +316,8 @@ class TestBatchedBatteryEqualsReference:
 
     def test_super_battery_with_corners_staircases_and_grid_table(self, merton_problem, coarse_merton_solution):
         config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, n_starts=4, seed=12)
-        adv = AdversaryConfig(n_random=2, seed=3,
-                              extra_policies=(hk.extract_policy(coarse_merton_solution),))
         cand = merton_candidate("super", exponent_shift=0.01)
-        policies = certify._build_adversaries(merton_problem, adv)
+        policies = certify._build_adversaries(merton_problem, 3, 2, (hk.extract_policy(coarse_merton_solution),))
         assert [tag.split(" ")[0] for tag, _ in policies] == [
             "corner", "corner", "random-staircase-0", "random-staircase-1", "extra-0"]
         for tag, pol in policies:
@@ -504,3 +492,10 @@ def test_bracket_count_out_of_range_is_config_error(field, value):
     """One path gave a zero half-width, so the sandwich compared with no margin at all."""
     with pytest.raises(hk.ConfigurationError, match=field):
         BracketConfig(**{field: value})
+
+
+@pytest.mark.parametrize("growth", [math.inf, math.nan, -0.5])
+def test_candidate_growth_constant_must_be_finite_and_at_least_0(growth):
+    """An infinite growth constant passed every growth record with margin inf."""
+    with pytest.raises(hk.ConfigurationError, match=f"growth_constant must be finite and at least 0, not {growth!r}"):
+        constant_candidate(1.0, "super", growth_constant=growth)

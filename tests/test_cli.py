@@ -472,6 +472,17 @@ def small_pipeline(tmp_path, **changes):
     return write(tmp_path / "pipeline.json", spec)
 
 
+def test_pipeline_skips_a_solver_candidate_whose_starts_leave_the_grid(tmp_path, capsys):
+    """Start points below the grid's box lie outside the solver candidate's domain:
+    its battery is skipped and reported, and every stage is ok."""
+    spath = small_pipeline(tmp_path, start_box=[[0.01, 0.19]], certify_solver_candidate=True)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
+    doc = json.loads((tmp_path / "pipeline-report.json").read_text())
+    assert list(doc["solver_candidate"]) == ["skipped"]
+    assert re.fullmatch(r"state \[.*\] outside the open domain", doc["solver_candidate"]["skipped"])
+    assert set(doc["stages"].values()) == {"ok"}
+
+
 def test_pipeline_uncertified_candidate_exits_4_with_report(tmp_path, capsys):
     inflated = dict(MERTON_SUB, params=dict(MERTON_SUB["params"], exponent_shift=0.5))
     spath = small_pipeline(tmp_path, sub_candidate=inflated)
@@ -637,6 +648,37 @@ def test_manifest_with_a_removed_setting_exits_2(tmp_path, capsys, subcommand, a
     assert "configuration error:" in err and key in err
 
 
+# documents whose G does not read the 1-D second difference, so cli._facelift calls facelift_general
+GENERAL_ROUTE = {
+    "neg_trace-2d": ({"family": "constant", "params": {"b0": [0.0, 0.0], "s0": [[1.0, 0.0], [0.0, 1.0]]},
+                      "control_bound": 0.0, "state_domain": [[None, None], [None, None]], "horizon": 0.5,
+                      "payoff": {"family": "abs", "params": {"center": 0.0}},
+                      "gauge": {"family": "one_plus_square"}, "constraint": {"family": "neg_trace"}},
+                     {"box": [[-1.0, 1.0], [-1.0, 1.0]], "n": [9, 11]}),
+    "positive_const-1d": ({"family": "constant", "params": {"b0": [0.0], "s0": [[1.0]]},
+                           "control_bound": 0.0, "state_domain": [[None, None]], "horizon": 0.5,
+                           "payoff": {"family": "abs", "params": {"center": 0.0}},
+                           "gauge": {"family": "one_plus_square"},
+                           "constraint": {"family": "positive_const", "params": {"c": 1.0}}},
+                          {"box": [[-2.0, 2.0]], "n": [17]}),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERAL_ROUTE))
+def test_facelift_and_solve_write_facelift_general_bytes(tmp_path, capsys, name):
+    """facelift writes facelift_general's face-lift, and solve starts from it."""
+    problem_doc, grid_doc = GENERAL_ROUTE[name]
+    prob, grid = write(tmp_path / "prob.json", problem_doc), write(tmp_path / "grid.json", grid_doc)
+    assert main(["--out-dir", str(tmp_path / "facelift"), "facelift", "--problem", prob, "--grid", grid]) == 0
+    assert main(["--out-dir", str(tmp_path / "solve"), "solve", "--problem", prob, "--grid", grid,
+                 "--time-nodes", "3", "--control-res", "3"]) == 0
+    problem, nodes = specio.load_problem(prob), specio.load_grid(grid)
+    lifted = hk.facelift_general(hk.GridFunction(nodes, problem.payoff(nodes.nodes()).reshape(nodes.shape)), problem)
+    assert (tmp_path / "facelift" / "ghat.csv").read_bytes() == lifted.to_csv().encode()
+    solution = hk.solve_hjb(problem, lifted, hk.SchemeConfig(n_time_nodes=3, control_grid_resolution=3))
+    assert (tmp_path / "solve" / "solution.csv").read_bytes() == solution.to_csv().encode()
+
+
 def test_facelift_has_no_method_flag(tmp_path, capsys):
     prob = write(tmp_path / "prob.json", KINK_SPEC)
     grid = write(tmp_path / "grid.json", {"box": [[0.0, 2.0]], "n": [21]})
@@ -645,7 +687,10 @@ def test_facelift_has_no_method_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"points": 5}, "malformed pipeline spec document"),
+    ({"points": 5}, "key 'points': 5 does not parse"),
+    ({"points": [[True, 1.0]]}, "key 'points': [[True, 1.0]] does not parse"),
+    ({"points": [["a", 1]]}, "key 'points': [['a', 1]] does not parse"),
+    ({"points": [5]}, "key 'points': [5] does not parse"),
     ({"points": []}, "at least one point"),
     ({"mc_path": 10}, "'mc_path'"),
     ({"penalty_weight": 10.0}, "penalty_weight"),
@@ -660,8 +705,9 @@ def test_facelift_has_no_method_flag(tmp_path, capsys):
     ({"mode": "projected"}, "key 'mode': 'projected'"),
     ({"certify_solver_candidate": "false"}, "key 'certify_solver_candidate': 'false'"),
     ({"certify_solver_candidate": 0}, "key 'certify_solver_candidate': 0"),
-], ids=["points-int", "points-empty", "unknown-key", "penalty-weight", "point-no-state", "point-two-coordinates",
-        "point-before-start", "point-nan-time", "point-at-horizon", "point-outside-domain", "point-infinite-state",
+], ids=["points-int", "points-bool", "points-string", "point-int", "points-empty", "unknown-key", "penalty-weight",
+        "point-no-state", "point-two-coordinates", "point-before-start", "point-nan-time", "point-at-horizon",
+        "point-outside-domain", "point-infinite-state",
         "terminal-face-lift", "mode-outside-its-choices", "solver-candidate-string", "solver-candidate-integer"])
 def test_malformed_pipeline_spec_exits_2(tmp_path, monkeypatch, capsys, changes, message):
     monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
@@ -1147,7 +1193,8 @@ def test_simulate_start_time_or_path_count_out_of_range_exits_2(tmp_path, monkey
 def test_certify_z_out_of_range_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     """With --z inf a super candidate 0.5 below the exponent, which --z 4 finds
     NOT certified (exit 4), printed "certified" and exited 0."""
-    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("the battery ran")))
+    for battery in ("certify_subsolution", "certify_supersolution"):
+        monkeypatch.setattr(f"hjbkit.cli.{battery}", _raise(AssertionError("the battery ran")))
     prob = write(tmp_path / "prob.json", MERTON_SPEC)
     cand = write(tmp_path / "cand.json", dict(MERTON_SUB, side="super",
                                               params=dict(MERTON_SUB["params"], exponent_shift=-0.5)))
@@ -1159,7 +1206,8 @@ def test_certify_z_out_of_range_exits_2(tmp_path, monkeypatch, capsys, argv, mes
 
 
 def test_certify_manifest_with_an_infinite_tol_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("the battery ran")))
+    for battery in ("certify_subsolution", "certify_supersolution"):
+        monkeypatch.setattr(f"hjbkit.cli.{battery}", _raise(AssertionError("the battery ran")))
     config = {"problem": write(tmp_path / "prob.json", MERTON_SPEC),
               "candidate": write(tmp_path / "cand.json", MERTON_SUB), "kind": "sub",
               "budget": 1000, "seed": 0, "out": "r.json", "tol": math.inf}
@@ -1179,6 +1227,42 @@ def test_pipeline_infinite_solver_candidate_tol_exits_2_before_any_stage(tmp_pat
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "tol must be finite and at least 0, not inf" in err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+
+@pytest.mark.parametrize("growth, code", [(1.0, 4), (math.inf, 2), (math.nan, 2), (-1.0, 2)],
+                         ids=["one", "infinite", "nan", "negative"])
+def test_certify_growth_constant_must_be_finite_and_at_least_0(tmp_path, monkeypatch, capsys, growth, code):
+    """The constant super candidate 10 fails its growth record at growth constant
+    1.0 (margin -9.29), and an infinite growth constant made that margin inf:
+    certified, exit 0."""
+    if code == 2:
+        for battery in ("certify_subsolution", "certify_supersolution"):
+            monkeypatch.setattr(f"hjbkit.cli.{battery}", _raise(AssertionError("the battery ran")))
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    cand = write(tmp_path / "cand.json", {"kind": "constant", "side": "super", "value": 10.0,
+                                          "growth_constant": growth})
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", "2000", "--start-box", "0.5,2"]) == code
+    if code == 4:
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [r["margin"] for r in report["records"] if r["kind"] == "growth"] == [pytest.approx(-9.29, abs=5e-3)]
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"growth_constant must be finite and at least 0, not {growth!r}" in err
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("growth", [math.inf, -1.0])
+def test_pipeline_solver_growth_constant_out_of_range_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, growth):
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, certify_solver_candidate=True, solver_growth_constant=growth)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: key 'solver_growth_constant'")
+    assert "growth_constant must be finite" in err
     assert not (tmp_path / "pipeline-report.json").exists()
 
 
@@ -1382,7 +1466,8 @@ def test_manifest_value_outside_its_choices_exits_2_before_any_stage(tmp_path, m
 
 @pytest.mark.parametrize("key, value", [("kind", "both"), ("kind", 1)])
 def test_certify_manifest_value_outside_its_type_exits_2(tmp_path, monkeypatch, capsys, key, value):
-    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("the battery ran")))
+    for battery in ("certify_subsolution", "certify_supersolution"):
+        monkeypatch.setattr(f"hjbkit.cli.{battery}", _raise(AssertionError("the battery ran")))
     config = {"problem": write(tmp_path / "prob.json", MERTON_SPEC),
               "candidate": write(tmp_path / "cand.json", MERTON_SUB), key: value}
     mpath = write(tmp_path / "manifest.json", {"subcommand": "certify", "config": config})
@@ -1448,6 +1533,7 @@ WRONG_TYPE = {
     grids.number: ["many", [1.0], {}, True, "0.5"],
     os.fspath: [5, True, ["a"], {}],
     cli._floats: [1.0, ["one"], [], "1.0"],
+    cli._growth_constant: ["many", True, math.inf, math.nan, -1.0],
     dict: [5, "ab", [1, 2]],
     cli._optional_box: [5, "a", [[1.0]], [[2.0, 1.0]], [[0.0, 1.0, 2.0]]],
 }
@@ -1480,7 +1566,8 @@ def test_document_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, monke
     document, key = data.draw(st.sampled_from(TYPED_KEYS))
     value = data.draw(st.sampled_from(wrong_values(key, cli._TABLE[document][key][0])))
     event(document)
-    for stage in ("_facelift", "solve_hjb", "simulate_paths", "_certify", "bracket_report", "convergence_study"):
+    for stage in ("_facelift", "solve_hjb", "simulate_paths", "certify_subsolution", "certify_supersolution",
+                  "bracket_report", "convergence_study"):
         monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
     for family, (_, names) in list(cli._ORACLES.items()):
         monkeypatch.setitem(cli._ORACLES, family, (_raise(AssertionError("a stage ran")), names))
@@ -1508,7 +1595,8 @@ def test_readme_settings_table_lists_every_key():
 def test_certify_manifest_tol_true_exits_2_naming_tol(tmp_path, monkeypatch, capsys):
     """"tol": true ran at tol 1.0: it certified a super candidate with exponent
     shift -0.3 (exit 0), which the recorded manifest rejects (exit 4)."""
-    monkeypatch.setattr("hjbkit.cli._certify", _raise(AssertionError("a battery ran")))
+    for battery in ("certify_subsolution", "certify_supersolution"):
+        monkeypatch.setattr(f"hjbkit.cli.{battery}", _raise(AssertionError("a battery ran")))
     deflated = dict(MERTON_SUB, side="super", params=dict(MERTON_SUB["params"], exponent_shift=-0.3))
     config = {"problem": write(tmp_path / "prob.json", MERTON_SPEC), "start_box": [[0.5, 2.0]], "budget": 20000,
               "candidate": write(tmp_path / "cand.json", deflated), "tol": True}
@@ -1531,7 +1619,8 @@ DOCUMENTS = {
 
 @pytest.fixture
 def no_stage(monkeypatch):
-    for stage in ("_facelift", "solve_hjb", "simulate_paths", "_certify", "bracket_report"):
+    for stage in ("_facelift", "solve_hjb", "simulate_paths", "certify_subsolution", "certify_supersolution",
+                  "bracket_report"):
         monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
 
 
@@ -1648,3 +1737,156 @@ def test_document_of_the_wrong_shape_exits_2_before_any_stage(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("configuration error:") and named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV fuzz: grid-function and solution CSVs, and bracket points files
+# ---------------------------------------------------------------------------
+
+def _not_a_finite_number(text):
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+# a cell that is not a finite number, written as text
+NOT_A_NUMBER = st.sampled_from(["", " ", "a", "true", "0x1", "1..2", "--1", "1;2", "nan", "inf", "-inf", "1e999"]) | (
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(_not_a_finite_number))
+
+
+@st.composite
+def malformed_table(draw, text):
+    """`text`, a grid CSV, changed so that it no longer reads as one: as utf-8 bytes."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    i = draw(st.integers(0, len(rows) - 1))
+    mutation = draw(st.sampled_from(["empty", "header-only", "cell", "no-value-column", "header-columns",
+                                     "row-columns", "duplicate-row", "invalid-utf8"]))
+    event(mutation)
+    if mutation == "empty":
+        return draw(st.sampled_from(["", "\n", " \n\n"])).encode()
+    if mutation == "header-only":
+        rows = []
+    elif mutation == "cell":
+        rows[i][draw(st.integers(0, len(header) - 1))] = draw(NOT_A_NUMBER)
+    elif mutation == "no-value-column":
+        header[header.index("value")] = draw(st.sampled_from(["Value", "val", "", "values"]))
+    elif mutation == "header-columns":
+        header = header[:-1] if draw(st.booleans()) else [*header, "extra"]
+    elif mutation == "row-columns":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else [*rows[i], "1.0"]
+    elif mutation == "duplicate-row":
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    data = "".join(",".join(cells) + "\n" for cells in [header, *rows]).encode()
+    if mutation == "invalid-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """A small Merton problem document, and a grid-function CSV and a solution CSV on its log grid."""
+    problem = specio.problem_from_spec(MERTON_SPEC)
+    grid = hk.log_grid(0.2, 5.0, 5)
+    g = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+    solution = hk.solve_hjb(problem, g, hk.SchemeConfig(n_time_nodes=3, control_grid_resolution=3))
+    return {"grid function": g.to_csv(), "solution": solution.to_csv()}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_grid_csv_exits_2_or_3(tmp_path, capsys, no_stage, tables, data):
+    """A grid-function or solution CSV that does not read as one, given as a
+    grid-table or from-solution candidate or a from-solution policy: exit 2 or
+    3 before any stage, and no traceback."""
+    source = data.draw(st.sampled_from(sorted(tables)))
+    use = data.draw(st.sampled_from(["grid-table candidate", "from-solution candidate", "from-solution policy"]))
+    event(f"{source} as {use}")
+    (tmp_path / "table.csv").write_bytes(data.draw(malformed_table(tables[source])))
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    kind = use.split()[0]
+    if use.endswith("policy"):
+        argv = ["simulate", "--x0", "1.0", "--policy", write(tmp_path / "pol.json", {"kind": kind, "csv": "table.csv"})]
+    else:
+        doc = {"kind": kind, "side": data.draw(st.sampled_from(["sub", "super"])), "csv": "table.csv",
+               "growth_constant": 10.0}
+        argv = ["certify", "--candidate", write(tmp_path / "cand.json", doc)]
+    rc = main(["--out-dir", str(tmp_path / "out"), *argv, "--problem", prob])
+    err = capsys.readouterr().err
+    assert rc in (2, 3) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, row, column, cell, use", [
+    ("grid function", 0, 0, "inf", "grid-table candidate"),
+    ("solution", 1, 3, "inf", "from-solution policy"),
+    ("solution", 2, 2, "nan", "from-solution candidate"),
+], ids=["infinite-node", "infinite-control", "nan-value"])
+def test_grid_csv_with_a_non_finite_cell_exits_2(tmp_path, capsys, tables, source, row, column, cell, use):
+    """A non-finite cell read as a number: a grid-table candidate with an infinite
+    node ran its battery, and simulate under a policy with an infinite control
+    printed "value estimate 1.0 +- 0.0" and exited 0."""
+    lines = tables[source].splitlines()
+    cells = lines[row + 1].split(",")
+    cells[column] = cell
+    lines[row + 1] = ",".join(cells)
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n")
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    kind = use.split()[0]
+    if use.endswith("policy"):
+        argv = ["simulate", "--x0", "1.0", "--policy", write(tmp_path / "pol.json", {"kind": kind, "csv": "table.csv"})]
+    else:
+        doc = {"kind": kind, "side": "sub", "csv": "table.csv", "growth_constant": 10.0}
+        argv = ["certify", "--candidate", write(tmp_path / "cand.json", doc), "--budget", "500"]
+    assert main(["--out-dir", str(tmp_path / "out"), *argv, "--problem", prob]) == 2
+    assert "CSV cells must be finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def malformed_points(draw):
+    """A bracket points file on the Merton problem (t in [0, 1), x > 0) holding a point it refuses."""
+    lines = ["t,x", "0.0,1.0", "0.5,1.5"]
+    at = draw(st.integers(1, len(lines)))
+    mutation = draw(st.sampled_from(["empty", "header-only", "cell", "no-state", "two-coordinates", "time",
+                                     "state", "header-not-first", "invalid-utf8"]))
+    event(mutation)
+    if mutation == "empty":
+        return draw(st.sampled_from(["", "\n", " \n\n"])).encode()
+    if mutation == "header-only":
+        lines = lines[:1]
+    elif mutation == "cell":
+        cells = ["0.25", "1.0"]
+        cells[draw(st.integers(0, 1))] = draw(NOT_A_NUMBER)
+        lines.insert(at, ",".join(cells))
+    elif mutation == "no-state":
+        lines.insert(at, "0.25")
+    elif mutation == "two-coordinates":
+        lines.insert(at, "0.25,1.0,2.0")
+    elif mutation == "time":
+        t = draw(st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0) | st.just(math.nan))
+        lines.insert(at, f"{t!r},1.0")
+    elif mutation == "state":
+        x = draw(st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan]))
+        lines.insert(at, f"0.25,{x!r}")
+    elif mutation == "header-not-first":
+        lines.insert(at, "t,x")
+    data = "".join(line + "\n" for line in lines).encode()
+    if mutation == "invalid-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_bracket_points_file_exits_2_or_3(tmp_path, capsys, no_stage, data):
+    """A bracket points file that holds a point bracket refuses, or none: exit 2
+    or 3 before any simulation, and no traceback."""
+    argv = _bracket_inputs(tmp_path, "")
+    (tmp_path / "points.csv").write_bytes(data.draw(malformed_points()))
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (2, 3) and "Traceback" not in err
+    assert not (tmp_path / "bracket.json").exists()

@@ -128,3 +128,18 @@ def test_pipeline_fast_spec_passes_the_unknown_key_check(workloads_module):
     assert grid.shape == (120,) and len(points) == 3
     with pytest.raises(hk.ConfigurationError, match="'mc_path'"):
         cli._pipeline_inputs(dict(spec, mc_path=10), ".")
+
+
+def test_pipeline_batteries_run_under_their_traced_names(tracer_module, workloads_module, tmp_path):
+    """One certify_pipeline op under Tracer.install records a span for each battery
+    and the bracket, so no wrapper routes them around the names tracer.py rebinds."""
+    workload = workloads_module.CertifyPipeline(42, str(tmp_path))
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        rc, _ = workload._run()
+    finally:
+        tracer.uninstall()
+    assert rc in (0, 4)
+    names = {span["name"] for span in tracer.spans}
+    assert {"certify.certify_subsolution", "certify.certify_supersolution", "certify.bracket_report"} <= names

@@ -6,7 +6,7 @@ import pytest
 
 import hjbkit as hk
 from hjbkit import specio
-from hjbkit.certify import AdversaryConfig, _build_adversaries, _growth_record, companion_candidate
+from hjbkit.certify import _build_adversaries, _growth_record, companion_candidate
 from hjbkit.grids import Box
 from hjbkit.simulate import piecewise_constant_policy
 from hjbkit.solver import _Stepper
@@ -206,13 +206,13 @@ def one_box_grid_reference(box, resolution, bound):
     return np.unique(np.stack([m.ravel() for m in mesh], axis=-1), axis=0)
 
 
-def bound_box_adversaries_reference(problem, adv):
+def bound_box_adversaries_reference(problem, seed, n_random=3):
     """The super battery's adversaries as they were drawn from [-B, B]^k alone."""
     k, B = problem.control_dim, problem.control_bound
     corners = np.array(np.meshgrid(*[[-B, B]] * k)).T.reshape(-1, k)
     policies = [(f"corner {c.tolist()}", hk.constant_policy(c)) for c in np.unique(corners, axis=0)]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((adv.seed, 0xAD5))))
-    for j in range(adv.n_random):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xAD5))))
+    for j in range(n_random):
         bps = np.sort(rng.uniform(0.0, problem.horizon, 4))
         bps[0] = 0.0
         policies.append((f"random-staircase-{j}", piecewise_constant_policy(bps, rng.uniform(-B, B, (4, k)))))
@@ -240,8 +240,7 @@ def test_shipped_problems_keep_their_control_grid_and_adversaries_bitwise(case):
     times = np.linspace(0.0, problem.horizon, 257)
     x = np.zeros((1, problem.state_dim))
     for seed in (1, 2, 43):
-        adv = AdversaryConfig(seed=seed)
-        got, want = _build_adversaries(problem, adv), bound_box_adversaries_reference(problem, adv)
+        got, want = _build_adversaries(problem, seed, 3, ()), bound_box_adversaries_reference(problem, seed)
         assert [tag for tag, _ in got] == [tag for tag, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert all(a.rule(t, x).tobytes() == b.rule(t, x).tobytes() for t in times)
@@ -267,7 +266,7 @@ def test_super_adversaries_stay_in_the_admissible_box(merton_problem):
     problem = long_only(merton_problem)
     times = np.linspace(0.0, problem.horizon, 257)
     for seed in range(1, 6):
-        adversaries = _build_adversaries(problem, AdversaryConfig(seed=seed))
+        adversaries = _build_adversaries(problem, seed, 3, ())
         assert [(tag, pol.rule(0.0, None).tolist()) for tag, pol in adversaries[:2]] == [
             ("corner [0.0]", [[0.0]]), ("corner [1.0]", [[1.0]])]
         stairs = np.concatenate([pol.rule(t, None) for _, pol in adversaries[2:] for t in times])
