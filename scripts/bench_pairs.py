@@ -21,7 +21,8 @@ onwards, one a pair.
 The file holds, per workload and side, the median, interquartile range and
 runs of each end-to-end metric of BENCHMARK.json, the failed and attempted
 ops and the correctness flag of each run, the change's relative shift of each
-median, and the number of pairs each metric won on the change side.
+median, the number of pairs each metric won on the change side, and whether
+each metric is resolved (see ``resolved``).
 """
 
 from __future__ import annotations
@@ -118,6 +119,20 @@ def aggregate(seeds, parent_runs, change_runs, better) -> dict:
     return entry
 
 
+def resolved(entry, better, bounds) -> dict:
+    """Per end-to-end metric of a workload's entry, False where the parent runs
+    spread too widely to read a shift within the metric's bound: their IQR,
+    relative to their median, is wider than the bound, and not every change
+    run beats every parent run."""
+    out = {}
+    for name, way in better.items():
+        parent, change = entry["parent"][name], entry["change"][name]["runs"]
+        sign = 1.0 if way == "lower" else -1.0
+        every_run_beats = max(sign * c for c in change) < min(sign * p for p in parent["runs"])
+        out[name] = parent["iqr"] <= bounds[name] * abs(parent["median"]) or every_run_beats
+    return out
+
+
 def _host() -> dict:
     import numpy
 
@@ -140,6 +155,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     parent_commit, change_commit, change = sides()
     doc = {
@@ -167,7 +183,9 @@ def main(argv=None) -> int:
                 p, c = runs[parent_dir][-1]["metrics"], runs[change_dir][-1]["metrics"]
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{name} {p[name]:.4g} -> {c[name]:.4g}" for name in better), flush=True)
-            doc["workloads"][workload] = aggregate(seeds, runs[parent_dir], runs[change_dir], better)
+            entry = aggregate(seeds, runs[parent_dir], runs[change_dir], better)
+            entry["resolved"] = resolved(entry, better, bounds)
+            doc["workloads"][workload] = entry
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
         shutil.rmtree(change_dir, ignore_errors=True)

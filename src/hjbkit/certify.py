@@ -95,6 +95,11 @@ _STAIRCASE_PIECES = 4
 _BRACKET_TOL = 1e-9
 
 
+def _require_start_box(problem, box):
+    """The rule solve_hjb applies to a grid's box, for a battery's start box: finite edges, inside the domain."""
+    problem.require_box_inside(box, f"start_box {box.pairs()}")
+
+
 def _require_at_least(config, **least):
     """ConfigurationError naming the first field of `config` below its least value."""
     for name, low in least.items():
@@ -287,6 +292,7 @@ def certify_subsolution(candidate: CandidateFunction, problem, config: CertifyCo
     """
     if candidate.kind != "sub":
         raise ValueError("certify_subsolution needs a sub candidate")
+    _require_start_box(problem, config.start_box)
     return _battery(candidate, problem, config, [("companion", candidate.policy_factory)], "companion-policy")
 
 
@@ -313,6 +319,7 @@ def certify_supersolution(candidate: CandidateFunction, problem, config: Certify
     staircases drawn one seed past the battery's."""
     if candidate.kind != "super":
         raise ValueError("certify_supersolution needs a super candidate")
+    _require_start_box(problem, config.start_box)
     policies = _build_adversaries(problem, config.seed + 1, n_random, extra_policies)
     return _battery(
         candidate, problem, config, [(tag, lambda tau, xi, _p=pol: _p) for tag, pol in policies],

@@ -34,10 +34,11 @@ from .certify import (
     certify_subsolution,
     certify_supersolution,
     _finite_at_least_zero,
+    _require_start_box,
 )
 from .errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
 from .facelift import concave_envelope, facelift_general
-from .grids import Box, GridFunction, box_from_pairs, integer, number
+from .grids import Box, GridFunction, box_from_pairs, finite, integer, number
 from .oracles import heat_value, merton_value
 from .simulate import estimate_value, simulate_paths
 from .solver import CONSTRAINT_MODES, SchemeConfig, convergence_study, extract_policy, solve_hjb
@@ -191,8 +192,8 @@ def _certify_config(document, s, problem) -> CertifyConfig:
         hi = np.where(np.isfinite(problem.state_domain.hi), problem.state_domain.hi, 1.0)
         width = hi - lo
         box = Box(lo + 0.25 * width, hi - 0.25 * width)
-    if box.dim != problem.state_dim:
-        raise ConfigurationError(f"key 'start_box': {box.dim} dimensions; the problem has {problem.state_dim}")
+    # the batteries' rule, here so that a pipeline refuses the box before any stage runs
+    _require_start_box(problem, box)
     return _config(CertifyConfig, document, s, start_box=box, seed=s["seed"])
 
 
@@ -433,11 +434,11 @@ def _as_is(value):
     return value
 
 
-def _floats(value, length=None):
-    """A nonempty list of numbers, of `length` entries when given."""
+def _floats(value, length=None, parse=number):
+    """A nonempty list of numbers, each read by `parse`, of `length` entries when given."""
     if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
         raise ValueError(f"not a list of {length or 'one or more'} numbers")
-    return [number(v) for v in value]
+    return [parse(v) for v in value]
 
 
 def _growth_constant(value):
@@ -471,7 +472,7 @@ _KEYS = (
     _SEED,
     _Key("family", _Choice(_ORACLES), "oracle"),
     _Key("params", dict, "oracle", default={}, text=_parse_params),
-    _Key("eval", lambda v: _floats(v, 2), "oracle", text=lambda text: [float(v) for v in text.split(",")]),
+    _Key("eval", lambda v: _floats(v, 2, finite), "oracle", text=lambda text: [float(v) for v in text.split(",")]),
     _Key("payoff", _Choice(("x2", "affine")), documents="oracle", default="x2"),
     _Key("problem", os.fspath, "facelift solve simulate certify bracket convergence"),
     # a pipeline spec holds the problem inline or as a path, the grid and points inline

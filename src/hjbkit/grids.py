@@ -170,6 +170,14 @@ def number(value) -> float:
     return float(value)
 
 
+def finite(value) -> float:
+    """A number that is neither infinite nor NaN, which JSON's Infinity and NaN would give."""
+    value = number(value)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+    return value
+
+
 def integer(value) -> int:
     """An int (not a bool) or an integral float such as 1e5; int() would take 1.5, True and "7" as 1, 1 and 7."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:  # nan for inf and nan

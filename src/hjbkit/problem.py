@@ -2,9 +2,8 @@
 
 A ControlProblem packages the time-homogeneous coefficients b and sigma of
 the controlled diffusion dX = b(X,u) dt + sigma(X,u) dW on an open box
-domain, the terminal payoff g with its gauge psi, the one box of admissible
-controls (the declared control set within the control bound), and the
-constraint function G whose non-negativity marks where the Hamiltonian
+domain, the terminal payoff g with its gauge psi, the admissible control box
+and the constraint function G whose non-negativity marks where the Hamiltonian
 
     H(x,p,M) = sup_u [ b(x,u).p + 1/2 Tr(sigma sigma^T M) ]
 
@@ -16,7 +15,7 @@ and gauge are plain functions of the state:  g(x) -> (...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -102,50 +101,52 @@ def positive_constraint(c: float = 1.0) -> Constraint:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """One stochastic optimal-control instance: maximize E[g(X_T)].  The box
-    ``controls``, control_set within [-control_bound, control_bound]^k, is the
-    admissible set that the solver, the simulator and the certifier read.
+    """One stochastic optimal-control instance: maximize E[g(X_T)] over controls
+    in the box ``controls``, which the solver, the simulator and the certifier read.
     ``family`` is the one tag, and only the simulator reads it: see simulate."""
 
     drift: object
     diffusion: object
-    state_dim: int
     noise_dim: int
-    control_bound: float
-    control_set: Box
     state_domain: Box
+    controls: Box
     horizon: float
     payoff: object
     gauge: object
     constraint: Constraint
     family: str = "custom"
-    controls: Box = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError("horizon must be finite and positive")
-        if not (self.control_bound >= 0 and math.isfinite(self.control_bound)):
-            raise ValueError("control bound must be finite and >= 0")
-        if self.state_domain.dim != self.state_dim:
-            raise ValueError(f"state_domain {self.state_domain.pairs()} is not {self.state_dim}-dimensional")
         if not np.all(self.state_domain.lo < self.state_domain.hi):
             raise ValueError("state domain must be a nonempty open box")
-        B = self.control_bound
-        # in this order, so a {0} control set keeps its -0.0 under a zero bound
-        lo, hi = np.maximum(self.control_set.lo, -B), np.minimum(self.control_set.hi, B)
-        if self.control_set.dim == 0 or np.any(lo > hi):
-            raise ConfigurationError(f"control_set {self.control_set.pairs()} has no control within the bound {B}")
-        object.__setattr__(self, "controls", Box(lo, hi))
+        if self.controls.dim == 0 or not np.all(np.isfinite([self.controls.lo, self.controls.hi])):
+            raise ValueError(f"controls {self.controls.pairs()} must be a nonempty box with finite edges")
+
+    @property
+    def state_dim(self) -> int:
+        return self.state_domain.dim
 
     @property
     def control_dim(self) -> int:
-        return self.control_set.dim
+        return self.controls.dim
 
     def require_inside(self, x):
         if np.size(x) != self.state_dim:
             raise DomainError(f"state {x} has {np.size(x)} coordinates; the problem has {self.state_dim}")
         if not self.state_domain.contains(x):
             raise DomainError(f"state {x} outside the open domain")
+
+    def require_box_inside(self, box: Box, name: str):
+        """Refuse `box`, a grid's or a certifier's start box, unless its edges are
+        finite and it lies in the closure of the state domain."""
+        if box.dim != self.state_dim:
+            raise ConfigurationError(f"{name}: {box.dim} dimensions; the problem has {self.state_dim}")
+        if not np.all(np.isfinite([box.lo, box.hi])):
+            raise ConfigurationError(f"{name} must have finite edges")
+        if not self.state_domain.contains_box(box):
+            raise ConfigurationError(f"{name} must lie inside the state domain")
 
     def within(self, box: Box) -> ControlProblem:
         """The problem on the open box state_domain ∩ box: a path simulated on it stops where it leaves either."""
@@ -221,9 +222,9 @@ def build_problem(
 
     ``state_domain`` holds one (lo, hi) pair per state dimension and
     ``control_set`` a list of one box in the same form, with None for an
-    infinite edge.  The state and noise dimensions follow from the family and
-    its parameters; the control set defaults to {0} for ``constant``
-    coefficients and to the whole line otherwise.
+    infinite edge; the box defaults to {0} for ``constant`` coefficients and
+    to the whole line otherwise, and its part within the bound is ``controls``.
+    The state and noise dimensions follow from the family and its parameters.
     """
     if family not in _COEFFICIENT_FAMILIES:
         raise ConfigurationError(f"unknown coefficient family {family!r}")
@@ -233,14 +234,23 @@ def build_problem(
     held = len(control_set) if isinstance(control_set, (list, tuple)) else repr(control_set)
     if held != 1:
         raise ConfigurationError(f"control_set must hold one box, not {held}")
+    B = float(control_bound)
+    control_set = box_from_pairs(control_set[0], "control_set")
+    state_domain = box_from_pairs(state_domain, "state_domain")
+    if not (B >= 0 and math.isfinite(B)):
+        raise ValueError("control bound must be finite and >= 0")
+    if state_domain.dim != state_dim:
+        raise ValueError(f"state_domain {state_domain.pairs()} is not {state_dim}-dimensional")
+    # in this order, so a {0} control set keeps its -0.0 under a zero bound
+    lo, hi = np.maximum(control_set.lo, -B), np.minimum(control_set.hi, B)
+    if control_set.dim == 0 or np.any(lo > hi):
+        raise ConfigurationError(f"control_set {control_set.pairs()} has no control within the bound {B}")
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,
-        state_dim=state_dim,
         noise_dim=noise_dim,
-        control_bound=float(control_bound),
-        control_set=box_from_pairs(control_set[0], "control_set"),
-        state_domain=box_from_pairs(state_domain, "state_domain"),
+        state_domain=state_domain,
+        controls=Box(lo, hi),
         horizon=float(horizon),
         payoff=payoff,
         gauge=gauge,

@@ -290,8 +290,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
     if config is None:
         config = SchemeConfig()
     grid = terminal.grid
-    if not problem.state_domain.contains_box(grid.box):
-        raise ConfigurationError("truncation box must lie inside the state domain")
+    problem.require_box_inside(grid.box, "truncation box")
     mode = _resolve_mode(config, problem, grid)
     controls = problem.control_grid(config.control_grid_resolution)
     times = np.linspace(0.0, problem.horizon, config.n_time_nodes)

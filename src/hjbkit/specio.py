@@ -26,8 +26,8 @@ from .certify import (
     merton_candidate,
 )
 from .errors import ConfigurationError
-from .grids import SpatialGrid, box_from_pairs, grid_function_from_csv, integer, log_grid, number, read_grid_csv
-from .grids import uniform_grid
+from .grids import SpatialGrid, box_from_pairs, finite, grid_function_from_csv, integer, log_grid, number
+from .grids import read_grid_csv, uniform_grid
 from .problem import (
     ControlProblem,
     abs_payoff,
@@ -106,14 +106,16 @@ def refuse_unknown(doc: dict, known, what: str) -> None:
 
 
 def keyword_params(params: dict, names: dict, what: str) -> dict:
-    """Document parameters renamed to keywords by `names`, each a number; unknown names are refused."""
+    """Document parameters renamed to keywords by `names`, each a finite number but a bound, which the
+    closed forms check and take as no bound when infinite; unknown names are refused."""
     refuse_unknown(params, names, f"{what} parameter")
-    return {names[name]: read(name, value, number) for name, value in params.items()}
+    return {names[name]: read(name, value, number if names[name] == "bound" else finite)
+            for name, value in params.items()}
 
 
-def _numbers(value):
+def _numbers(value, parse=number):
     """A number, or a list of numbers or of such lists: a constant control, or a coefficient's vector or matrix."""
-    return [_numbers(v) for v in value] if isinstance(value, list) else number(value)
+    return [_numbers(v, parse) for v in value] if isinstance(value, list) else parse(value)
 
 
 def _from_table(table: dict, spec: dict, what: str, legacy=()):
@@ -121,7 +123,7 @@ def _from_table(table: dict, spec: dict, what: str, legacy=()):
     refuse_unknown(spec, ("family", "params", *legacy), f"{what} key")
     if spec["family"] not in table:
         raise ConfigurationError(f"unknown {what} family {spec['family']!r}")
-    return table[spec["family"]](**{name: read(name, v, number) for name, v in spec.get("params", {}).items()})
+    return table[spec["family"]](**{name: read(name, v, finite) for name, v in spec.get("params", {}).items()})
 
 
 @_document("problem")
@@ -129,7 +131,7 @@ def problem_from_spec(spec: dict) -> ControlProblem:
     refuse_unknown(spec, ("family", "params", "state_domain", "control_bound", "horizon", "payoff", "gauge",
                           "constraint", "control_set"), "problem key")
     # only the constant family's coefficients b0 and s0 are a vector and a matrix
-    coefficient = _numbers if spec["family"] == "constant" else number
+    coefficient = functools.partial(_numbers, parse=finite) if spec["family"] == "constant" else finite
     return build_problem(
         family=spec["family"],
         params={name: read(name, v, coefficient) for name, v in spec.get("params", {}).items()},
@@ -226,7 +228,7 @@ def candidate_from_spec(spec: dict, base_dir: str = ".", side: str | None = None
     growth = read("growth_constant", spec["growth_constant"], number)
     policy = policy_from_spec(spec["policy"], base_dir) if "policy" in spec else None
     if kind == "constant":
-        return constant_candidate(read("value", spec["value"], number), side, growth, policy)
+        return constant_candidate(read("value", spec["value"], finite), side, growth, policy)
     path = os.path.join(base_dir, spec["csv"])
     if kind == "grid-table":
         with open(path) as fh:

@@ -286,13 +286,13 @@ def test_a9_control_bound_monotonicity(merton_problem, merton_grid, merton_termi
     # saturated pair B=5, B=10 (equal continuum values) stays exactly ordered
     resolutions = {0.5: 3, 1.0: 5, 2.0: 9, 5.0: 21, 10.0: 41}
     sol10 = hk.solve_hjb(
-        dataclasses.replace(merton_problem, control_bound=10.0), merton_terminal,
+        dataclasses.replace(merton_problem, controls=hk.Box([-10.0], [10.0])), merton_terminal,
         hk.SchemeConfig(n_time_nodes=200, control_grid_resolution=41),
     )
     dt10 = sol10.metadata["dt_internal"]
     values, rel_errs = [], []
     for bound in (0.5, 1.0, 2.0, 5.0):
-        prob = dataclasses.replace(merton_problem, control_bound=bound)
+        prob = dataclasses.replace(merton_problem, controls=hk.Box([-bound], [bound]))
         cfg = hk.SchemeConfig(
             n_time_nodes=200, control_grid_resolution=resolutions[bound],
             dt=dt10 if bound == 5.0 else None,

@@ -67,6 +67,28 @@ def test_the_schema_of_the_committed_bench_files(bench_pairs):
     assert set(committed["parent"]["wall_nominal_s"]) == set(entry["parent"]["wall_nominal_s"])
 
 
+def test_a_metric_is_unresolved_only_when_the_parent_spreads_wider_than_its_bound_and_the_sides_overlap(bench_pairs):
+    """setup_s had read 0.125-0.244 s on one side of facelift_batch, as wide as
+    its 0.25 bound: a shift in its median was argued by hand."""
+    better = {"wall_nominal_s": "lower", "peak_rss_mb": "higher"}
+    bounds = {"wall_nominal_s": 0.25, "peak_rss_mb": 0.1}
+    wide = [_run(0.125, 100.0), _run(0.2, 100.0), _run(0.244, 100.0), _run(0.18, 100.0)]
+    cases = [
+        # parent IQR / median 0.49 > 0.25, and the sides overlap
+        (wide, [_run(0.19, 100.0), _run(0.21, 100.0), _run(0.15, 101.0), _run(0.2, 99.0)], False),
+        # as wide, but every change run beats every parent run
+        (wide, [_run(0.12, 100.0), _run(0.1, 100.0), _run(0.11, 100.0), _run(0.124, 100.0)], True),
+    ]
+    for parent, change, want in cases:
+        entry = bench_pairs.aggregate([1, 2, 3, 4], parent, change, better)
+        assert entry["parent"]["wall_nominal_s"]["iqr"] / entry["parent"]["wall_nominal_s"]["median"] > 0.25
+        # peak_rss_mb does not spread on the parent side: resolved whichever side wins
+        assert bench_pairs.resolved(entry, better, bounds) == {"wall_nominal_s": want, "peak_rss_mb": True}
+    higher = {"wall_nominal_s": "higher"}
+    entry = bench_pairs.aggregate([1, 2, 3, 4], wide, [_run(0.3, 1.0)] * 4, higher)
+    assert bench_pairs.resolved(entry, higher, bounds) == {"wall_nominal_s": True}
+
+
 def test_workload_argument(bench_pairs):
     assert bench_pairs._workload_pairs("certify_pipeline:12") == ("certify_pipeline", 12)
     assert bench_pairs._workload_pairs("merton_solve") == ("merton_solve", 10)

@@ -244,6 +244,23 @@ def test_count_below_one_is_config_error(field, value):
         hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), **{field: value})
 
 
+@pytest.mark.parametrize("box, message", [
+    (hk.Box([0.5], [math.inf]), r"start_box \[\[0.5, inf\]\] must have finite edges"),
+    (hk.Box([-0.2], [2.0]), r"start_box \[\[-0.2, 2.0\]\] must lie inside the state domain"),
+    (hk.Box([0.5, 0.5], [2.0, 2.0]), r"start_box \[\[0.5, 2.0\], \[0.5, 2.0\]\]: 2 dimensions"),
+], ids=["infinite-edge", "leaves-the-domain", "two-dimensional"])
+@pytest.mark.parametrize("side", ["sub", "super"])
+def test_a_battery_refuses_a_start_box_before_any_draw(merton_problem, monkeypatch, side, box, message):
+    """A start box with an infinite edge died in Generator.uniform, and one that
+    left (0, inf) certified or raised a DomainError, by seed: the grid box's rule
+    now holds for it."""
+    monkeypatch.setattr(certify.np.random, "Generator", None)
+    candidate = merton_candidate(side)
+    battery = certify.certify_subsolution if side == "sub" else certify.certify_supersolution
+    with pytest.raises(hk.ConfigurationError, match=message):
+        battery(candidate, merton_problem, hk.CertifyConfig(start_box=box, budget=500))
+
+
 def tensor_values_at_stops(candidate, times, states, rho_spec, tau, horizon, xi, radius):
     """The stop rule on whole paths, states (n_paths, n_steps+1, d): the
     candidate's value at each path's end rule, the paths stopping at one time

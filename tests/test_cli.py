@@ -473,13 +473,12 @@ def small_pipeline(tmp_path, **changes):
 
 
 def test_pipeline_skips_a_solver_candidate_whose_starts_leave_the_grid(tmp_path, capsys):
-    """Start points below the grid's box lie outside the solver candidate's domain:
+    """A start box below the grid's box lies outside the solver candidate's domain:
     its battery is skipped and reported, and every stage is ok."""
     spath = small_pipeline(tmp_path, start_box=[[0.01, 0.19]], certify_solver_candidate=True)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
     doc = json.loads((tmp_path / "pipeline-report.json").read_text())
-    assert list(doc["solver_candidate"]) == ["skipped"]
-    assert re.fullmatch(r"state \[.*\] outside the open domain", doc["solver_candidate"]["skipped"])
+    assert doc["solver_candidate"] == {"skipped": "start_box [[0.01, 0.19]] must lie inside the state domain"}
     assert set(doc["stages"].values()) == {"ok"}
 
 
@@ -1309,6 +1308,72 @@ def test_certify_start_box_of_another_dimension_exits_2(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "start_box" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("box", ["0.5,inf", "-0.2,2"], ids=["infinite-edge", "leaves-the-domain"])
+def test_certify_start_box_with_an_infinite_edge_or_outside_the_domain_exits_2(tmp_path, no_stage, capsys, box):
+    """--start-box 0.5,inf died in Generator.uniform with an OverflowError, and
+    --start-box=-0.2,2 certified or exited 2 on a start outside (0, inf), by seed."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    cand = write(tmp_path / "cand.json", dict(MERTON_SUB, side="super"))
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand,
+                 "--budget", "500", f"--start-box={box}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: start_box") and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("box", [[[0.5, None]], [[-0.2, 2.0]]], ids=["infinite-edge", "leaves-the-domain"])
+def test_pipeline_start_box_with_an_infinite_edge_or_outside_the_domain_exits_2_before_any_stage(
+        tmp_path, no_stage, capsys, box):
+    """A spec's "start_box": [[0.5, null]] died in Generator.uniform after the face-lift, solve and simulate stages."""
+    spath = small_pipeline(tmp_path, start_box=box)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: start_box")
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+NAN_MU = dict(MERTON_SPEC, params={"mu": math.nan, "sigma": 0.2})
+INFINITE_SIGMA = dict(MERTON_SPEC, params={"mu": 0.1, "sigma": math.inf})
+NAN_GAUGE = dict(MERTON_SPEC, gauge={"family": "power", "params": {"p": math.nan}})
+NAN_CONSTANT = {"kind": "constant", "side": "super", "value": math.nan, "growth_constant": 1.0}
+
+
+@pytest.mark.parametrize("subcommand, problem, candidate, key", [
+    ("simulate", NAN_MU, None, "mu"),
+    ("simulate", INFINITE_SIGMA, None, "sigma"),
+    ("certify", MERTON_SPEC, NAN_CONSTANT, "value"),
+    ("certify", NAN_GAUGE, dict(MERTON_SUB, side="super"), "p"),
+], ids=["mu-nan", "sigma-infinity", "constant-value-nan", "gauge-p-nan"])
+def test_a_document_parameter_that_is_not_finite_exits_2_naming_its_key(
+        tmp_path, no_stage, capsys, subcommand, problem, candidate, key):
+    """JSON NaN and Infinity read as numbers: "mu": NaN simulated, printed
+    "value estimate 1.0 +- 0.0" and exited 0, and a NaN constant candidate or
+    gauge exponent exited 4 with nan margins."""
+    argv = ["--out-dir", str(tmp_path), subcommand, "--problem", write(tmp_path / "prob.json", problem)]
+    if subcommand == "simulate":
+        argv += ["--policy", write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]}),
+                 "--x0", "1.0", "--paths", "100", "--steps", "10"]
+    else:
+        argv += ["--candidate", write(tmp_path / "cand.json", candidate), "--budget", "500", "--start-box", "0.5,2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: key {key!r}:") and "not a finite number" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("family, flags, key", [
+    ("merton", ["--params", "mu=nan"], "mu"),
+    ("merton", ["--params", "sigma=inf"], "sigma"),
+    ("heat", ["--params", "sigma=nan"], "sigma"),
+    ("merton", [], "eval"),
+], ids=["merton-mu-nan", "merton-sigma-inf", "heat-sigma-nan", "eval-inf"])
+def test_oracle_parameter_or_point_that_is_not_finite_exits_2_naming_it(capsys, family, flags, key):
+    """Each printed nan or inf and exited 0."""
+    point = "0,inf" if key == "eval" else "0,1"
+    assert main(["oracle", "--family", family, "--eval", point, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: key {key!r}:") and captured.out == ""
 
 
 class _StageStarted(Exception):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import hjbkit as hk
 from hjbkit import specio
@@ -121,10 +123,9 @@ ONE_BUILDER_CASES = {
 def test_constructor_and_document_build_one_problem(case):
     make, doc, make_grid = ONE_BUILDER_CASES[case]
     built, read = make(), specio.problem_from_spec(doc)
-    for name in ("state_dim", "noise_dim", "control_dim", "control_bound", "horizon", "family"):
+    for name in ("state_dim", "noise_dim", "control_dim", "horizon", "family"):
         assert getattr(read, name) == getattr(built, name), name
-    for a, b in [(read.state_domain, built.state_domain), (read.control_set, built.control_set),
-                 (read.controls, built.controls)]:
+    for a, b in [(read.state_domain, built.state_domain), (read.controls, built.controls)]:
         np.testing.assert_array_equal(a.lo, b.lo)
         np.testing.assert_array_equal(a.hi, b.hi)
     assert (read.constraint.family, read.constraint.params) == (built.constraint.family, built.constraint.params)
@@ -206,9 +207,9 @@ def one_box_grid_reference(box, resolution, bound):
     return np.unique(np.stack([m.ravel() for m in mesh], axis=-1), axis=0)
 
 
-def bound_box_adversaries_reference(problem, seed, n_random=3):
+def bound_box_adversaries_reference(problem, B, seed, n_random=3):
     """The super battery's adversaries as they were drawn from [-B, B]^k alone."""
-    k, B = problem.control_dim, problem.control_bound
+    k = problem.control_dim
     corners = np.array(np.meshgrid(*[[-B, B]] * k)).T.reshape(-1, k)
     policies = [(f"corner {c.tolist()}", hk.constant_policy(c)) for c in np.unique(corners, axis=0)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xAD5))))
@@ -219,12 +220,15 @@ def bound_box_adversaries_reference(problem, seed, n_random=3):
     return policies
 
 
+WHOLE_LINE, ZERO = Box([-np.inf], [np.inf]), Box([0.0], [0.0])
+
+# each shipped constructor, the control set build_problem gets from it, and its bound
 SHIPPED_PROBLEMS = {
-    "merton": hk.merton_problem,
-    "proportional": hk.proportional_control_problem,
-    "heat-1d": hk.heat_problem,
-    "heat-2d": lambda: hk.heat_problem(dim=2),
-    "constant": lambda: hk.constant_coefficient_problem([0.3], [[0.5]]),
+    "merton": (hk.merton_problem, WHOLE_LINE, 10.0),
+    "proportional": (hk.proportional_control_problem, WHOLE_LINE, 1.0),
+    "heat-1d": (hk.heat_problem, ZERO, 0.0),
+    "heat-2d": (lambda: hk.heat_problem(dim=2), ZERO, 0.0),
+    "constant": (lambda: hk.constant_coefficient_problem([0.3], [[0.5]]), ZERO, 0.0),
 }
 
 
@@ -232,38 +236,39 @@ SHIPPED_PROBLEMS = {
 def test_shipped_problems_keep_their_control_grid_and_adversaries_bitwise(case):
     """Every shipped control set contains [-B, B]^k, so reading the admissible
     box changes no bit of the solver's grid or of the super battery's adversaries."""
-    problem = SHIPPED_PROBLEMS[case]()
+    make, control_set, B = SHIPPED_PROBLEMS[case]
+    problem = make()
     for resolution in (1, 2, 5, 21, 41, 81, 201):
         got = problem.control_grid(resolution)
-        want = one_box_grid_reference(problem.control_set, resolution, problem.control_bound)
+        want = one_box_grid_reference(control_set, resolution, B)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), resolution
     times = np.linspace(0.0, problem.horizon, 257)
     x = np.zeros((1, problem.state_dim))
     for seed in (1, 2, 43):
-        got, want = _build_adversaries(problem, seed, 3, ()), bound_box_adversaries_reference(problem, seed)
+        got, want = _build_adversaries(problem, seed, 3, ()), bound_box_adversaries_reference(problem, B, seed)
         assert [tag for tag, _ in got] == [tag for tag, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert all(a.rule(t, x).tobytes() == b.rule(t, x).tobytes() for t in times)
 
 
-def long_only(problem):
-    return dataclasses.replace(problem, control_set=Box([0.0], [1.0]))
+def long_only(bound=10.0):
+    """The Merton problem of a document whose control set is [0, 1]."""
+    return specio.problem_from_spec(dict(MERTON_DOC, control_set=[[[0.0, 1.0]]], control_bound=bound))
 
 
-def test_a_narrow_control_set_is_the_admissible_box(merton_problem):
-    problem = long_only(merton_problem)
+def test_a_narrow_control_set_is_the_admissible_box():
+    problem = long_only()
     np.testing.assert_array_equal(problem.controls.lo, [0.0])
     np.testing.assert_array_equal(problem.controls.hi, [1.0])
     np.testing.assert_array_equal(problem.control_grid(5)[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
-    # the box is worked out again on every construction, so a smaller bound narrows it
-    narrow = dataclasses.replace(problem, control_bound=0.5)
-    assert narrow.controls.hi.tolist() == [0.5]
+    # build_problem narrows the control set by the bound, so a smaller bound narrows the box
+    assert long_only(bound=0.5).controls.hi.tolist() == [0.5]
 
 
-def test_super_adversaries_stay_in_the_admissible_box(merton_problem):
+def test_super_adversaries_stay_in_the_admissible_box():
     """Corners and staircases were drawn from [-B, B]: on a long-only problem
     they left [0, 1] and rejected its exact value as a super-solution."""
-    problem = long_only(merton_problem)
+    problem = long_only()
     times = np.linspace(0.0, problem.horizon, 257)
     for seed in range(1, 6):
         adversaries = _build_adversaries(problem, seed, 3, ())
@@ -274,12 +279,12 @@ def test_super_adversaries_stay_in_the_admissible_box(merton_problem):
 
 
 @pytest.mark.parametrize("control_set, message", [
-    (Box(np.empty(0), np.empty(0)), r"control_set \[\] has no control within the bound 10.0"),
-    (Box([20.0], [30.0]), r"control_set \[\[20.0, 30.0\]\] has no control within the bound 10.0"),
+    ([[]], r"control_set \[\] has no control within the bound 10.0"),
+    ([[[20.0, 30.0]]], r"control_set \[\[20.0, 30.0\]\] has no control within the bound 10.0"),
 ], ids=["0-dimensional", "outside-the-bound"])
-def test_a_control_set_without_admissible_controls_is_refused(merton_problem, control_set, message):
+def test_a_control_set_without_admissible_controls_is_refused(control_set, message):
     with pytest.raises(hk.ConfigurationError, match=message):
-        dataclasses.replace(merton_problem, control_set=control_set)
+        specio.problem_from_spec(dict(MERTON_DOC, control_set=control_set))
 
 
 def test_within_is_the_problem_on_the_domain_within_the_box(merton_problem):
@@ -310,3 +315,85 @@ def test_a_malformed_box_pair_is_refused_naming_its_key(key, value, message):
     to unpack", naming no key."""
     with pytest.raises(hk.ConfigurationError, match=re.escape(message)):
         specio.problem_from_spec(dict(MERTON_DOC, **{key: value}))
+
+
+def test_a_problem_holds_ten_fields_each_settable():
+    """control_bound and control_set were read only to work out the init=False
+    field controls, and state_dim repeated state_domain.dim."""
+    fields = dataclasses.fields(hk.ControlProblem)
+    assert {f.name for f in fields} == {"drift", "diffusion", "noise_dim", "state_domain", "controls", "horizon",
+                                        "payoff", "gauge", "constraint", "family"}
+    assert all(f.init for f in fields)
+
+
+@pytest.mark.parametrize("controls", [Box(np.empty(0), np.empty(0)), Box([-np.inf], [1.0]), Box([0.0], [np.inf])],
+                         ids=["0-dimensional", "infinite-lo", "infinite-hi"])
+def test_a_control_box_that_is_empty_or_infinite_is_refused(merton_problem, controls):
+    with pytest.raises(ValueError, match="must be a nonempty box with finite edges"):
+        dataclasses.replace(merton_problem, controls=controls)
+
+
+@pytest.mark.parametrize("domain, dim", [([[0.0, None], [0.0, None]], 1), ([], 1)], ids=["two-pairs", "no-pair"])
+def test_a_state_domain_of_another_dimension_than_the_family_is_refused(domain, dim):
+    with pytest.raises(hk.ConfigurationError, match=f"is not {dim}-dimensional"):
+        specio.problem_from_spec(dict(MERTON_DOC, state_domain=domain))
+
+
+# a document's family, its parameters and domain, and a small grid of that domain to solve on
+BOX_FAMILIES = {
+    "linear_drift": (MERTON_DOC, lambda: hk.log_grid(0.2, 5.0, 12)),
+    "proportional_control": (dict(MERTON_DOC, family="proportional_control", state_domain=[[None, None]],
+                                  payoff={"family": "abs", "params": {"center": 0.3}}),
+                             lambda: hk.uniform_grid([-1.0], [1.0], [11])),
+    "constant": (dict(MERTON_DOC, family="constant", params={"b0": [0.3], "s0": [[0.5]]},
+                      state_domain=[[None, None]], payoff={"family": "quadratic"}),
+                 lambda: hk.uniform_grid([-1.0], [1.0], [11])),
+}
+
+
+@st.composite
+def edge_pairs(draw):
+    """An ordered pair of edges, each null (infinite) or not."""
+    a, b = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)))
+    return [None if draw(st.booleans()) else a, None if draw(st.booleans()) else b]
+
+
+@st.composite
+def control_set_documents(draw):
+    """A problem document with a control_set of one box, some edges null, and a control_bound."""
+    family = draw(st.sampled_from(sorted(BOX_FAMILIES)))
+    pairs = draw(st.lists(edge_pairs(), min_size=1, max_size=2))
+    return family, dict(BOX_FAMILIES[family][0], control_set=[pairs], control_bound=draw(st.floats(0.0, 1e3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(control_set_documents(), st.integers(0, 2**32 - 1))
+def test_the_control_box_is_the_control_set_within_the_bound_and_holds_every_control_read(case, seed):
+    """problem.controls is control_set ∩ [-B, B]^k, or the document is refused
+    naming control_set; the controls solve_hjb extracts and the super battery's
+    corners and staircases all lie in it."""
+    family, doc = case
+    B = doc["control_bound"]
+    lo = np.array([-np.inf if a is None else a for a, _ in doc["control_set"][0]])
+    hi = np.array([np.inf if b is None else b for _, b in doc["control_set"][0]])
+    want_lo, want_hi = np.array([max(a, -B) for a in lo]), np.array([min(b, B) for b in hi])
+    event("refused" if np.any(want_lo > want_hi) else "built")
+    if np.any(want_lo > want_hi):
+        with pytest.raises(hk.ConfigurationError, match="control_set"):
+            specio.problem_from_spec(doc)
+        return
+    problem = specio.problem_from_spec(doc)
+    np.testing.assert_array_equal(problem.controls.lo, want_lo)
+    np.testing.assert_array_equal(problem.controls.hi, want_hi)
+
+    def inside(u):
+        return np.all((u >= want_lo) & (u <= want_hi))
+
+    grid = BOX_FAMILIES[family][1]()
+    terminal = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+    sol = hk.solve_hjb(problem, terminal, hk.SchemeConfig(n_time_nodes=3, control_grid_resolution=4))
+    assert inside(sol.policies)
+    times = np.linspace(0.0, problem.horizon, 33)
+    x = np.ones((1, problem.state_dim))
+    for tag, policy in _build_adversaries(problem, seed, 3, ()):
+        assert all(inside(policy.rule(t, x)) for t in times), tag

@@ -81,7 +81,7 @@ class TestSimulatePaths:
     def test_controls_outside_the_admissible_box_are_refused(self, merton_problem, policy, message):
         """Only |u| <= B was checked: u = 5 ran on a long-only problem, and a
         two-wide row ran with its second column ignored."""
-        long_only = dataclasses.replace(merton_problem, control_set=hk.Box([0.0], [1.0]))
+        long_only = dataclasses.replace(merton_problem, controls=hk.Box([0.0], [1.0]))
         with pytest.raises(hk.ConfigurationError, match=message):
             hk.simulate_paths(long_only, policy, 0.0, [1.0], 10, 4, seed=0)
         # within rounding of the box is admissible

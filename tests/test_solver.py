@@ -226,8 +226,8 @@ class TestSolveHJB:
         grid = hk.log_grid(0.3, 3.0, 60)
         x = grid.axes[0]
         term = gf(x, np.sqrt(x))
-        small = dataclasses.replace(merton_problem, control_bound=5.0)
-        big = dataclasses.replace(merton_problem, control_bound=10.0)
+        small = dataclasses.replace(merton_problem, controls=hk.Box([-5.0], [5.0]))
+        big = dataclasses.replace(merton_problem, controls=hk.Box([-10.0], [10.0]))
         # same internal dt; integer control spacing so the grids nest bitwise
         cfg_big = hk.SchemeConfig(n_time_nodes=10, control_grid_resolution=21)
         sol_big = hk.solve_hjb(big, term, cfg_big)
@@ -267,9 +267,8 @@ class TestSolveHJB:
             return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
 
         prob = ControlProblem(
-            drift=drift, diffusion=diffusion, state_dim=2, noise_dim=2,
-            control_bound=1.0, control_set=hk.Box([-1.0], [1.0]),
-            state_domain=hk.Box(np.full(2, -np.inf), np.full(2, np.inf)), horizon=0.5,
+            drift=drift, diffusion=diffusion, noise_dim=2,
+            state_domain=hk.Box(np.full(2, -np.inf), np.full(2, np.inf)), controls=hk.Box([-1.0], [1.0]), horizon=0.5,
             payoff=lambda x: x[..., 0], gauge=one_plus_square_gauge(), constraint=positive_constraint(1.0),
         )
         grid = hk.uniform_grid([-1, -1], [1, 1], [9, 9])
@@ -611,7 +610,7 @@ class TestNearestLocator:
         else:
             problem, axis, x0, box = (hk.proportional_control_problem(mu=0.5, sigma=1.0, bound=1.0),
                                       _graded_axis(-2.0, 60, 9), [0.3], (-0.2, 0.8))
-        sol = _random_table([axis], 11, problem.control_bound, 10)
+        sol = _random_table([axis], 11, problem.controls.hi[0], 10)
 
         def searchsorted_rule(t, x):
             return sol.policies[sol.time_index(t)][_searchsorted_nearest(axis, x[:, 0])]
