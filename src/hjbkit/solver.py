@@ -22,7 +22,17 @@ rule follows the grid's dimension:
   policy of the previous slice (Forsyth & Labahn, J. Comp. Finance 2007;
   Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 2009).  The last
   elimination is kept and reused while dt and the policy are the same, so
-  most steps start with a substitution alone.
+  most steps start with a substitution alone.  Each iteration takes the
+  argmax of L^u w, the first of tied controls.  Where a node's weight pairs
+  (wm_u, wp_u), in control order, are the vertices of a strictly convex
+  polygon (checked once per solve), L^u w is unimodal in cyclic control
+  order, and a control that beats its two cyclic neighbours by more than
+  twice the rounding bound of L^u w is the unique computed maximum
+  (extreme-point search on a convex polygon, O'Rourke, Computational
+  Geometry in C).  So each node first tests its incoming control against
+  its neighbours; the nodes that fail, or are not marked, evaluate every
+  control and take np.argmax.  The policy, and every byte, are those of
+  the full max.
 - 2-D grids step explicitly,  v(t_n) = v(t_{n+1}) + dt * max_u  L^u v(t_{n+1}),
   and the diffusion must be diagonal.  Each output interval is subdivided
   until the CFL bound is met (an explicitly supplied dt must already
@@ -71,6 +81,8 @@ __all__ = [
 _PROJECT_TRIGGER = 1e-13   # relative convexity defect that triggers re-projection
 _HOWARD_MAX_ITERS = 100    # policy iterations per implicit step (about 2 are typical)
 CONSTRAINT_MODES = ("auto", "project", "penalize", "off")
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny   # above the absolute rounding error of a subnormal result
 
 
 @dataclass(frozen=True)
@@ -145,6 +157,38 @@ def _float_upper_envelope(x, v):
     return out
 
 
+def _convex_polygons(xs, ys):
+    """Per column, whether the points (xs[u], ys[u]), u = 0..m-1 in row order,
+    are the vertices of a strictly convex polygon.
+
+    The edges run from each point to the next and from the last back to the
+    first.  Every cross product of consecutive edges must have one strict
+    sign beyond its rounding bound, so every turn is strict and in one sense,
+    and the edge directions must wind once: they cross the line y = 0 twice
+    (a direction is up where y > 0, or y = 0 and x > 0; a float difference
+    has its exact sign).  Then a linear function of the points is unimodal
+    in cyclic order.  Built one row at a time over column vectors, with no
+    (rows x columns) temporaries.
+    """
+    m, n = xs.shape
+    left = np.ones(n, dtype=bool)
+    right = np.ones(n, dtype=bool)
+    crossings = np.zeros(n, dtype=int)
+    ex, ey = xs[0] - xs[-1], ys[0] - ys[-1]
+    up = (ey > 0) | ((ey == 0) & (ex > 0))
+    for u in range(m):
+        fx, fy = xs[(u + 1) % m] - xs[u], ys[(u + 1) % m] - ys[u]
+        p, q = ex * fy, ey * fx
+        cross = p - q
+        bound = (4 * _EPS) * (np.abs(p) + np.abs(q)) + _TINY
+        left &= cross > bound
+        right &= cross < -bound
+        turned = (fy > 0) | ((fy == 0) & (fx > 0))
+        crossings += turned != up
+        ex, ey, up = fx, fy, turned
+    return (left | right) & (crossings == 2)
+
+
 class _Stepper:
     """Per-control stencil weights at the interior nodes of a 1-D or 2-D grid,
     built once from the coefficients.
@@ -183,6 +227,17 @@ class _Stepper:
             off = wm + wp if d == 0 else off + wm + wp
             self.weights.append((wm, wp))
         self.rate = float(np.max(off))
+        # the Howard step's neighbour test: the nodes where it decides the
+        # argmax, and per node 4 eps times the largest wm and wp (both >= 0).
+        # 4 eps (max wm |a| + max wp |b|) is more than twice the rounding
+        # error of any computed  wm a + wp b  at that node.
+        self.convex = None
+        self.searched = 0   # node-iterations of the Howard step that took the full max
+        if dim == 1 and controls.shape[1] == 1 and m >= 3:
+            convex = _convex_polygons(wm, wp)
+            if convex.any():
+                self.convex = convex
+                self.rounding = (4 * _EPS) * wm.max(axis=0), (4 * _EPS) * wp.max(axis=0)
 
     def _generator(self, v, out):
         """L^u v at the interior nodes, one row per control, in difference form:
@@ -215,12 +270,21 @@ class _Stepper:
         than a margin of _SWITCH_ULPS ulps of `scale` (the size of the values)
         times the largest absolute row sum of I - dt L^u, the rounding level
         of dt L^u w; rounding-level ties then cannot make the policy cycle.
-        Returns (w at the interior nodes, the final policy, the iterations,
-        the argmax of the last iteration's generator at w).
+
+        The best control is the argmax of L^u w, the first of tied controls.
+        At a node in self.convex, L^u w is unimodal in cyclic control order,
+        so the node keeps its control u when L^u w beats L^{u-1} w and
+        L^{u+1} w (mod the number of controls) by more than twice their
+        rounding bound: u is then the unique computed maximum.  Every other
+        node evaluates all controls and takes np.argmax over them, and is
+        counted in self.searched.  Both give np.argmax of the full generator
+        bit for bit.  Returns (w at the interior nodes, the final policy, the
+        iterations, the argmax of the last iteration's generator at w).
         """
         (wm, wp), = self.weights
-        cols = np.arange(wm.shape[1])
-        margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * self.rate)
+        m, n = wm.shape
+        cols = np.arange(n)
+        margin = _SWITCH_ULPS * _EPS * scale * (1.0 + 2.0 * dt * self.rate)
         full = np.array(v, dtype=float)
         centre = v[1:-1]
         down, up = v[:-2] - centre, v[2:] - centre
@@ -230,9 +294,27 @@ class _Stepper:
             # L^u v = 0 exactly, a constant say, then stays bitwise unchanged
             rhs = dt * (lower * down + upper * up)
             full[1:-1] = centre + tridiagonal_substitution(self._elimination(dt, policy, lower, upper), rhs)
-            gen = self._generator(full, self.buf)
-            best = np.argmax(gen, axis=0)
-            switch = dt * (gen[best, cols] - gen[policy, cols]) > margin
+            if self.convex is None:
+                search = cols
+                gen = self._generator(full, self.buf)
+            else:
+                # the products and add of _generator, so every value has its bits
+                w = full[1:-1]
+                a, b = full[:-2] - w, full[2:] - w
+                here = lower * a + upper * b
+                tol = self.rounding[0] * np.abs(a) + self.rounding[1] * np.abs(b) + _TINY
+                kept = self.convex.copy()
+                for u in ((policy - 1) % m, (policy + 1) % m):
+                    kept &= here - (wm[u, cols] * a + wp[u, cols] * b) > tol
+                search = np.flatnonzero(~kept)
+                gen = wm[:, search] * a[search] + wp[:, search] * b[search]
+            self.searched += search.size
+            found = np.argmax(gen, axis=0)
+            best = policy.copy()
+            best[search] = found
+            rows = np.arange(search.size)
+            switch = np.zeros(n, dtype=bool)
+            switch[search] = dt * (gen[found, rows] - gen[policy[search], rows]) > margin
             if not switch.any():
                 return full[1:-1], policy, iteration, best
             policy = np.where(switch, best, policy)
@@ -370,6 +452,7 @@ def solve_hjb(problem, terminal: GridFunction, config: SchemeConfig | None = Non
         "control_grid_size": int(controls.shape[0]),
         "projections": projections,
         "howard_iterations": howard_iterations,
+        "argmax_searched": stepper.searched,
         "wall_seconds": _time.perf_counter() - t_wall,
     }
     return SpaceTimeSolution(grid, times, values, policies, meta)

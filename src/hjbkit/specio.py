@@ -118,6 +118,22 @@ def _numbers(value, parse=number):
     return [_numbers(v, parse) for v in value] if isinstance(value, list) else parse(value)
 
 
+def _positive(value) -> float:
+    """A finite number above 0: a horizon."""
+    value = finite(value)
+    if not value > 0:
+        raise ValueError(f"not above 0: {value!r}")
+    return value
+
+
+def _at_least_zero(value) -> float:
+    """A finite number at least 0: a control bound."""
+    value = finite(value)
+    if not value >= 0:
+        raise ValueError(f"below 0: {value!r}")
+    return value
+
+
 def _from_table(table: dict, spec: dict, what: str, legacy=()):
     """The factory named by spec["family"], called with spec["params"]; `legacy` keys are taken and not read."""
     refuse_unknown(spec, ("family", "params", *legacy), f"{what} key")
@@ -136,8 +152,8 @@ def problem_from_spec(spec: dict) -> ControlProblem:
         family=spec["family"],
         params={name: read(name, v, coefficient) for name, v in spec.get("params", {}).items()},
         state_domain=spec["state_domain"],
-        control_bound=read("control_bound", spec["control_bound"], number),
-        horizon=read("horizon", spec["horizon"], number),
+        control_bound=read("control_bound", spec["control_bound"], _at_least_zero),
+        horizon=read("horizon", spec["horizon"], _positive),
         payoff=_from_table(PAYOFFS, spec["payoff"], "payoff"),
         gauge=_from_table(GAUGES, spec["gauge"], "gauge", legacy=("constant",)),
         constraint=_from_table(CONSTRAINTS, spec["constraint"], "constraint"),

@@ -1362,6 +1362,30 @@ def test_a_document_parameter_that_is_not_finite_exits_2_naming_its_key(
     assert not (tmp_path / "manifest.json").exists()
 
 
+def simulate_argv(tmp_path, problem):
+    return ["--out-dir", str(tmp_path), "simulate", "--problem", write(tmp_path / "prob.json", problem),
+            "--policy", write(tmp_path / "pol.json", {"kind": "constant", "value": [0.0]}),
+            "--x0", "1.0", "--paths", "100", "--steps", "10"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon", math.nan), ("horizon", math.inf), ("horizon", 0.0), ("horizon", -1.0),
+    ("control_bound", math.nan), ("control_bound", math.inf), ("control_bound", -1.0),
+], ids=["horizon-nan", "horizon-infinity", "horizon-zero", "horizon-negative",
+        "control-bound-nan", "control-bound-infinity", "control-bound-negative"])
+def test_a_horizon_or_control_bound_out_of_range_exits_2_naming_its_key(tmp_path, no_stage, capsys, key, value):
+    """Each exited 2 with the repr of a ValueError from the problem builder and no key name."""
+    assert main(simulate_argv(tmp_path, dict(MERTON_SPEC, **{key: value}))) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: key {key!r}: {value!r} does not parse (")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_a_zero_control_bound_is_in_range(tmp_path, capsys):
+    """The controls are then {0}, and the constant policy 0 simulates."""
+    assert main(simulate_argv(tmp_path, dict(MERTON_SPEC, control_bound=0.0))) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("family, flags, key", [
     ("merton", ["--params", "mu=nan"], "mu"),
     ("merton", ["--params", "sigma=inf"], "sigma"),

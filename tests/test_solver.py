@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
+from hjbkit import specio
 from hjbkit.errors import ConfigurationError
 from hjbkit.facelift import _SWITCH_ULPS, _constraint_on_grid
 from hjbkit.oracles import heat_value, merton_value
@@ -20,7 +22,14 @@ from hjbkit.problem import (
     one_plus_square_gauge,
     positive_constraint,
 )
-from hjbkit.solver import _PROJECT_TRIGGER, _float_upper_envelope, _nearest_locator, _penalty_step, _Stepper
+from hjbkit.solver import (
+    _PROJECT_TRIGGER,
+    _Stepper,
+    _convex_polygons,
+    _float_upper_envelope,
+    _nearest_locator,
+    _penalty_step,
+)
 
 
 def gf(x, v):
@@ -387,6 +396,189 @@ class TestImplicitStep:
         assert warm_iterations <= cold_iterations
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _full_max_step(stepper, v, dt, policy, scale):
+    """The Howard step that evaluates every control in every iteration and
+    takes np.argmax: the rule the neighbour test must reproduce bit for bit.
+    Returns implicit_step's four results and the policy of each iteration."""
+    (wm, wp), = stepper.weights
+    cols = np.arange(wm.shape[1])
+    margin = _SWITCH_ULPS * np.finfo(float).eps * scale * (1.0 + 2.0 * dt * stepper.rate)
+    full = np.array(v, dtype=float)
+    centre = v[1:-1]
+    down, up = v[:-2] - centre, v[2:] - centre
+    trail = []
+    for iteration in range(1, hk.solver._HOWARD_MAX_ITERS + 1):
+        trail.append(policy)
+        lower, upper = wm[policy, cols], wp[policy, cols]
+        rows = hk.grids.tridiagonal_elimination(-dt * lower, 1.0 + dt * (lower + upper), -dt * upper)
+        full[1:-1] = centre + hk.grids.tridiagonal_substitution(rows, dt * (lower * down + upper * up))
+        gen = stepper._generator(full, np.empty_like(stepper.buf))
+        best = np.argmax(gen, axis=0)
+        switch = dt * (gen[best, cols] - gen[policy, cols]) > margin
+        if not switch.any():
+            return full[1:-1], policy, iteration, best, trail
+        policy = np.where(switch, best, policy)
+    raise AssertionError("the full-max Howard step did not converge")
+
+
+@st.composite
+def howard_cases(draw):
+    """A 1-D problem document, a grid of its domain, a control count, a time
+    step and a seed for the slice and the incoming policy."""
+    family = draw(st.sampled_from(["linear_drift", "proportional_control", "constant"]))
+    if family == "constant":
+        # every control has the same weights: one repeated point, never marked
+        params = {"b0": [draw(st.floats(-2.0, 2.0))], "s0": [[draw(st.floats(0.0, 2.0))]]}
+    else:
+        # sigma = 0 puts the points on the two axes, on one of them with controls in [0, B]
+        params = {"mu": draw(st.floats(-1.0, 1.0)), "sigma": draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))}
+    bound = draw(st.floats(0.1, 10.0))
+    low = draw(st.sampled_from([-bound, 0.0, -0.5 * bound]))
+    doc = {"family": family, "params": params, "control_bound": bound, "control_set": [[[low, None]]],
+           "state_domain": [[0.0 if family == "linear_drift" else None, None]], "horizon": 1.0,
+           "payoff": {"family": "constant", "params": {"c": 0.0}}, "gauge": {"family": "one_plus_square"},
+           "constraint": {"family": "neg_second"}}
+    lo, n = draw(st.floats(0.05, 1.0)), draw(st.integers(5, 60))
+    hi = lo + draw(st.floats(0.5, 5.0))
+    grid = draw(st.sampled_from([hk.log_grid(lo, hi, n), hk.uniform_grid([lo], [hi], [n])]))
+    return doc, grid, draw(st.integers(3, 201)), draw(st.sampled_from([0.0, 1e-3, 0.05])), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(howard_cases())
+def test_the_neighbour_test_gives_the_full_max_bit_for_bit(case):
+    """implicit_step keeps a node's incoming control where the neighbour test
+    proves it the unique computed maximum, and searches every other node: it
+    returns the slice, policy, iterations and argmax of the step that
+    evaluates every control, with the same policy in every iteration, and
+    its best is np.argmax of the full generator at the returned slice.
+
+    dt = 0 returns the slice itself, so an exact tie drawn into it reaches
+    the argmax: at a tie node the slice's differences are normal to the edge
+    between two adjacent points (wm, wp), which makes both controls' L^u w
+    equal in exact arithmetic."""
+    doc, grid, m, dt, seed = case
+    problem = specio.problem_from_spec(doc)
+    stepper = _Stepper(problem, grid, problem.control_grid(m))
+    (wm, wp), = stepper.weights
+    n = wm.shape[1]
+    cols = np.arange(n)
+    if doc["family"] == "constant" or (doc["params"]["sigma"] == 0.0 and doc["control_set"][0][0][0] == 0.0):
+        assert stepper.convex is None   # repeated or collinear points: no node is marked
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n + 2) * 10.0 ** rng.integers(-3, 4)
+    if dt == 0.0:
+        for i in range(int(rng.integers(3)), n, 3):   # column i is grid node i + 1
+            u = int(rng.integers(m - 1))
+            ex, ey = wm[u + 1, i] - wm[u, i], wp[u + 1, i] - wp[u, i]
+            s = rng.choice([-1.0, 1.0]) * 2.0 ** int(rng.integers(-4, 5))
+            v[i: i + 3] = -ey * s, 0.0, ex * s
+    argmax = stepper.argmax(v)
+    policy = np.where(rng.random(n) < 0.5, argmax, rng.integers(m, size=n))
+    policy = np.where(rng.random(n) < 0.2, (policy + rng.choice([-1, 1], size=n)) % m, policy)
+    scale = max(1.0, float(np.max(np.abs(v))))
+
+    seen = []
+    eliminate = stepper._elimination
+
+    def spy(dt, policy, lower, upper):
+        seen.append(policy)
+        return eliminate(dt, policy, lower, upper)
+
+    stepper._elimination = spy
+    out, final, iterations, best = stepper.implicit_step(v, dt, policy, scale)
+    want_out, want_final, want_iterations, want_best, trail = _full_max_step(stepper, v, dt, policy, scale)
+    assert np.array_equal(_bits(out), _bits(want_out))
+    assert np.array_equal(final, want_final) and np.array_equal(best, want_best)
+    assert iterations == want_iterations and len(seen) == len(trail)
+    assert all(np.array_equal(p, q) for p, q in zip(seen, trail))
+
+    full = np.concatenate([v[:1], out, v[-1:]])
+    gen = stepper._generator(full, np.empty_like(stepper.buf))
+    assert np.array_equal(best, np.argmax(gen, axis=0))
+    a, b = full[:-2] - out, full[2:] - out
+    for u in (best, final, (final - 1) % m, (final + 1) % m):
+        assert np.array_equal(_bits(wm[u, cols] * a + wp[u, cols] * b), _bits(gen[u, cols]))
+
+
+POLYGONS = {
+    "square": ([0, 1, 1, 0], [0, 0, 1, 1], True),
+    "square-clockwise": ([0, 0, 1, 1], [0, 1, 1, 0], True),
+    "triangle": ([0, 3, 1], [0, 1, 2], True),
+    "pentagram": ([np.cos(0.8 * np.pi * k) for k in range(5)], [np.sin(0.8 * np.pi * k) for k in range(5)], False),
+    "dart": ([0, 2, 1, 2], [0, 0, 1, 2], False),
+    "collinear-point": ([0, 1, 2, 2, 0], [0, 0, 0, 1, 1], False),
+    "repeated-point": ([0, 1, 1, 1, 0], [0, 0, 0, 1, 1], False),
+    # the turn at the second point is clockwise, the others counter-clockwise;
+    # its cross product computes to +1.1e-13, below its rounding bound
+    "rounding-flipped-turn": ([0.4999728236586185, 1.7048690665699955, 620.4190760897319, 0.0],
+                              [0.7440974792826482, 1.991940575380282, 642.7593562209458, 1000.0], False),
+    "tiny-exact-turn": ([0, 0.5, 1, 1, 0], [0, -(2.0**-30), 0, 1, 1], True),
+}
+
+
+@pytest.mark.parametrize("name", list(POLYGONS))
+def test_convex_polygons_marks_strictly_convex_polygons_that_wind_once(name):
+    xs, ys, want = POLYGONS[name]
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    # one column per rotation of the starting point and scale
+    cols = [(scale * np.roll(xs, k), scale * np.roll(ys, k)) for k in range(xs.size) for scale in (1.0, 1e-100, 1e100)]
+    X, Y = (np.stack([c[i] for c in cols], axis=1) for i in (0, 1))
+    assert list(_convex_polygons(X, Y)) == [want] * X.shape[1]
+
+
+def _control_problem(drift, diffusion, controls):
+    """A 1-D problem on the line with the given b(u), sigma(u) and control interval."""
+    return ControlProblem(
+        drift=lambda x, u: drift(u[..., :1]) + 0.0 * x,
+        diffusion=lambda x, u: (diffusion(u[..., :1]) + 0.0 * x)[..., None],
+        noise_dim=1, state_domain=hk.Box(np.array([-np.inf]), np.array([np.inf])),
+        controls=hk.Box(np.array([controls[0]]), np.array([controls[1]])), horizon=1.0,
+        payoff=constant_payoff(0.0), gauge=one_plus_square_gauge(), constraint=neg_second_constraint())
+
+
+Q_OFFSET, C_SLOPE = 2.0**20, 42.0
+# (problem, whether its one interior node is marked, the slices (v[0], 0, v[2]) of each case)
+ROUNDING_CASES = {
+    # b = u sin u on [0, 10]: the points (wm, wp) sit on the two axes, and
+    # (0, 0, 1) makes L^u w = wp, which is largest at u near 2 and, higher, near 8
+    "off-the-mask": (_control_problem(lambda u: u * np.sin(u), np.ones_like, (0.0, 10.0)), False,
+                     [(0.0, 1.0)]),
+    # wm = 2 (Q + u)^2 and wp = wm + C u, exact integers on unit spacing, are a
+    # strictly convex polygon turning by 4 C at each point; the slices put the
+    # maximum of L^u w near u = k, where L^u w of about 4e12 varies by 2e-5
+    # across neighbours and rounding (4e-4) makes strict local maxima
+    "rounding": (_control_problem(lambda u: C_SLOPE * u, lambda u: 2.0 * (Q_OFFSET + u), (0.0, 200.0)), True,
+                 [(-1.1 - 1.1 * C_SLOPE / (4 * (Q_OFFSET + k)), 1.1) for k in range(100, 140)]),
+}
+
+
+@pytest.mark.parametrize("case", list(ROUNDING_CASES))
+def test_a_control_is_kept_only_where_it_is_the_unique_computed_maximum(case):
+    """From a control that beats both its neighbours but is not the argmax,
+    the Howard step searches and returns np.argmax: off the mask a local
+    maximum need not be global, and on it a win by rounding alone is within
+    the neighbour test's margin."""
+    problem, marked, slices = ROUNDING_CASES[case]
+    stepper = _Stepper(problem, hk.uniform_grid([0.0], [2.0], [3]), problem.control_grid(201))
+    assert (stepper.convex is not None and bool(stepper.convex[0])) == marked
+    local_maxima = 0
+    for down, up in slices:
+        v = np.array([down, 0.0, up])
+        gen = stepper._generator(v, np.empty_like(stepper.buf))[:, 0]
+        top = np.argmax(gen)
+        for u in range(201):
+            if u != top and gen[u] > gen[u - 1] and gen[u] > gen[(u + 1) % 201]:
+                local_maxima += 1
+                assert stepper.implicit_step(v, 0.0, np.array([u]), 1.0)[3] == [top]
+    assert local_maxima >= 1
+
+
 def _count_eliminations(monkeypatch, reuse):
     """Count the solver's tridiagonal eliminations; with reuse=False every
     Howard iteration eliminates afresh, as if the last elimination were never kept."""
@@ -427,6 +619,16 @@ class TestReusedElimination:
         hk.solve_hjb(merton_problem, merton_terminal, hk.SchemeConfig(n_time_nodes=200, control_grid_resolution=201))
         # most steps start from the previous step's final policy
         assert len(count) < iterations - 150
+
+    def test_a2_solve_keeps_its_bytes(self, merton_solution):
+        """The A2 fixture (auto mode resolves to project) hashes as it did
+        while every Howard iteration evaluated all 201 controls; most node
+        iterations keep their control by the neighbour test."""
+        digest = hashlib.sha256(merton_solution.values.tobytes() + merton_solution.policies.tobytes()).hexdigest()
+        assert merton_solution.metadata["mode"] == "project"
+        assert digest == "1812fb78bf468980554176c25f849c77ced93157e606553e2dd0cd070633e5f2"
+        searched = merton_solution.metadata["argmax_searched"]
+        assert 0 < searched < 398 * merton_solution.metadata["howard_iterations"] // 10
 
 
 class TestTerminalLayer:
