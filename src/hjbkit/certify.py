@@ -210,36 +210,49 @@ def _values_at_stops(candidate, block):
     return [candidate.evaluator(block.times[steps[:, i]], block.states[:, i, :]) for i in range(len(_RHO_SPECS))]
 
 
-def _martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
-    """direction +1: submartingale test E[w(rho)] >= w(tau); -1: supermartingale.
+# the third word of every battery key, whatever the policy: the companion's
+# tag, so a sub battery and the super battery of one seed draw alike
+_NOISE_TAG = zlib.crc32(b"companion")
 
-    Each tau runs its n_starts starts as one ensemble of n_starts x n_paths
-    paths that keeps only the states at the end rules: O(paths) states, and
-    the noise of one tau, O(paths x steps).
+
+def _martingale_records(candidate, problem, config, policies, direction):
+    """The martingale records of each (tag, policy factory) in `policies`, policy
+    by policy, each tau, start and end rule in order; direction +1:
+    submartingale test E[w(rho)] >= w(tau); -1: supermartingale.
+
+    Each tau i is one simulate_paths call of len(policies) x n_starts blocks,
+    policy-major: block j n_starts + s runs policy j's factory at start s,
+    from that start, on start s's one draw, keyed (seed, (i n_starts + s) x 3,
+    crc32("companion")) whatever the policy.  Every policy of a (tau, start)
+    so sees the same noise: each record keeps its distribution, and so its
+    one-sided level, and the batteries draw len(taus) x n_starts times
+    whatever their policy count.  The call keeps only the states at the end
+    rules: O(blocks x paths) states, and the noise of one tau, O(n_starts x
+    paths x steps).
     """
     T = problem.horizon
     radius = _BALL_RADIUS_FRACTION * float(np.max(config.start_box.hi - config.start_box.lo))
     taus = _taus(T)
     starts = _draw_starts(config, config.n_starts)
-    n_paths = max(16, config.budget // (len(taus) * len(_RHO_SPECS) * len(starts)))
+    R = len(starts)
+    n_paths = max(16, config.budget // (len(taus) * len(_RHO_SPECS) * R))
 
-    tag_key = zlib.crc32(adversary_tag.encode())
-    records = []
+    records = [[] for _ in policies]
     for i, tau in enumerate(taus):
-        # every start of a tau in one ensemble; start s keeps the Philox key of
-        # its first record, so each block is the ensemble it would be alone
-        keys = [(config.seed, (i * len(starts) + s) * len(_RHO_SPECS), tag_key) for s in range(len(starts))]
-        ens = simulate_paths(problem, [policy_for(tau, xi) for xi in starts], tau, starts, n_paths,
-                             config.steps_per_record, keys, _stops(tau, T, config.steps_per_record, radius))
-        for xi, block in zip(starts, ens.blocks()):
-            w_start = candidate(tau, xi)
-            for rho_spec, w_end in zip(_RHO_SPECS, _values_at_stops(candidate, block)):
-                diff = w_end - w_start if direction > 0 else w_start - w_end
-                margin = float(np.mean(diff))
-                se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
-                records.append(TestRecord("martingale", tau, rho_spec, tuple(xi), adversary_tag, margin, se,
-                                          n_paths, margin >= -(config.z * se + config.tol)))
-    return records
+        keys = [(config.seed, (i * R + s) * len(_RHO_SPECS), _NOISE_TAG) for s in range(R)]
+        blocks = simulate_paths(problem, [policy_for(tau, xi) for _, policy_for in policies for xi in starts], tau,
+                                starts, n_paths, config.steps_per_record, keys,
+                                _stops(tau, T, config.steps_per_record, radius)).blocks()
+        for j, (tag, _) in enumerate(policies):
+            for xi, block in zip(starts, blocks[j * R:(j + 1) * R]):
+                w_start = candidate(tau, xi)
+                for rho_spec, w_end in zip(_RHO_SPECS, _values_at_stops(candidate, block)):
+                    diff = w_end - w_start if direction > 0 else w_start - w_end
+                    margin = float(np.mean(diff))
+                    se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
+                    records[j].append(TestRecord("martingale", tau, rho_spec, tuple(xi), tag, margin, se, n_paths,
+                                                 margin >= -(config.z * se + config.tol)))
+    return [r for per_policy in records for r in per_policy]
 
 
 def _terminal_record(candidate, problem, config, direction):
@@ -273,9 +286,7 @@ def _battery(candidate, problem, config, policies, adversary_class) -> Certifica
     """The martingale records of each (tag, policy factory) in `policies`, then the
     terminal and growth records; the candidate's side sets each inequality's direction."""
     direction = +1 if candidate.kind == "sub" else -1
-    records = []
-    for tag, policy_for in policies:
-        records.extend(_martingale_records(candidate, problem, config, policy_for, tag, direction))
+    records = _martingale_records(candidate, problem, config, policies, direction)
     records.append(_terminal_record(candidate, problem, config, direction))
     records.append(_growth_record(candidate, problem, config))
     return CertificationReport(

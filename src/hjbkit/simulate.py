@@ -19,11 +19,14 @@ keeps only what the caller asks for, the state at each stop (a fixed step
 index, or the first step at which a predicate holds) and the terminal state.
 So the noise is O(paths x steps) per start, and the states O(paths x stops).
 
-One call may run several blocks of paths: one block per start, each start
-with its own Philox key (the certifier's starts at one tau), or one block per
-policy at a single start, all on that start's one draw (the policies of a
-bracket point).  Each block gets the bits it would get alone.  One Euler loop,
-``_euler``, advances each run of consecutive blocks that share a policy.
+One call may run several blocks of paths over R starts, each start with its
+own Philox key and one draw: m policies, m a multiple of R, and block b runs
+policy b from start b mod R on that start's draw.  So the bracket's policies
+at one point (R = 1) and the certifier's (adversary, start) blocks at one tau
+(policy-major, every adversary on each start's one draw) are one rule.  Each
+block gets the bits it would get alone.  One Euler loop, ``_euler``, advances
+each run of consecutive blocks that share a policy and take consecutive
+starts, on the one slice of the noise that those starts drew.
 """
 
 from __future__ import annotations
@@ -167,18 +170,20 @@ def _blocks(problem, policy, x0, seed):
     for x in starts:
         problem.require_inside(x)
     policies = list(policy) if isinstance(policy, (list, tuple)) else [policy]
-    m = max(len(starts), len(policies))
-    if {len(starts), len(policies)} - {1, m}:
-        raise ValueError(f"{len(starts)} starts and {len(policies)} policies do not broadcast")
-    policies = policies * (m // len(policies))
+    R = len(starts)
+    if len(policies) == 1:
+        policies = policies * R
+    if not policies or len(policies) % R:
+        raise ValueError(f"{R} starts and {len(policies)} policies do not broadcast")
     runs = []
     for b, pol in enumerate(policies):
-        # consecutive blocks of one policy join a run when each has its own noise
-        if runs and runs[-1][0] is pol and len(starts) == m:
+        # block b runs from start b mod R; it joins the run before it on the
+        # same policy and the next start, so a run reads one slice of the noise
+        if runs and runs[-1][0] is pol and b % R:
             runs[-1][2] = b + 1
         else:
             runs.append([pol, b, b + 1])
-    return starts, keys, m, runs
+    return starts, keys, len(policies), runs
 
 
 def _split_stops(stops, n_steps):
@@ -303,12 +308,13 @@ def simulate_paths(
     """Euler-Maruyama ensemble from (t0, x0) to the horizon.
 
     One call runs m blocks of n_paths paths each.  x0 is one start (d,) with
-    one seed key, or m starts (m, d) with a sequence of m seed keys; policy is
-    one FeedbackPolicy, or a sequence of m, one per block.  Starts and policies
-    broadcast against each other, so the blocks of one start share its noise
-    draw.  Block b holds paths b n_paths to (b + 1) n_paths - 1 and is bit for
-    bit the one-block ensemble of its start, key and policy.  A seed key is
-    anything SeedSequence takes: an int or a tuple of ints.
+    one seed key, or R starts (R, d) with a sequence of R seed keys; policy is
+    one FeedbackPolicy, run from every start, or a sequence of m, m a multiple
+    of R.  Block b runs policy b from start b mod R on that start's noise
+    draw, so the m / R blocks of one start share it.  Block b holds paths
+    b n_paths to (b + 1) n_paths - 1 and is bit for bit the one-block ensemble
+    of its start, key and policy.  A seed key is anything SeedSequence takes:
+    an int or a tuple of ints.
 
     Each stop is a step index in [0, n_steps], or a predicate pred(X, X0) on
     the rows of one Euler run: X holds the paths' states at a step and X0
@@ -317,8 +323,7 @@ def simulate_paths(
     keeps each path's state at each stop and its terminal state, nothing more.
 
     The call holds O(n_paths x (len(stops) + 1)) states per block and
-    O(n_paths x n_steps) noise per start: m starts take m noise blocks, and k
-    policies at one start take one.
+    O(n_paths x n_steps) noise per start, whatever the number of policies.
     """
     starts, keys, m, runs = _blocks(problem, policy, x0, seed)
     if n_steps < 1:
@@ -333,7 +338,7 @@ def simulate_paths(
     d, dprime, R = problem.state_dim, problem.noise_dim, len(starts)
 
     start_rows = np.empty((m * n_paths, d))
-    start_rows.reshape(m, n_paths, d)[:] = starts[:, None, :]
+    start_rows.reshape(m // R, R, n_paths, d)[:] = starts[:, None, :]
     start_rows.flags.writeable = False
     kept = np.empty((len(stops) + 1, m * n_paths, d))
     stop_step = np.full((len(stops), m * n_paths), -1, dtype=int)
@@ -346,8 +351,7 @@ def simulate_paths(
         _fill_noise(Z[:, r * n_paths:(r + 1) * n_paths], key)
 
     for pol, a, b in runs:
-        rows = slice(a * n_paths, b * n_paths)
-        noise = rows if R == m else slice(0, n_paths)
+        rows, noise = slice(a * n_paths, b * n_paths), slice(a % R * n_paths, (a % R + b - a) * n_paths)
         _euler(problem, pol, times, dt, start_rows[rows], Z[:, noise], exit_step[rows], at_step, predicates,
                kept[:, rows], stop_step[:, rows])
 
@@ -370,9 +374,11 @@ class ValueEstimate:
 
 
 def estimate_value(ensemble: PathEnsemble, payoff) -> ValueEstimate:
-    """Sample mean of g at the terminal (or stopped) states with a normal CI."""
-    xT = ensemble.terminal_states()
-    g = np.asarray(payoff(xT), dtype=float)
-    mean = float(np.mean(g))
-    se = float(np.std(g, ddof=1) / np.sqrt(len(g))) if len(g) > 1 else 0.0
-    return ValueEstimate(mean, 1.96 * se, ensemble.exit_fraction, len(g))
+    """Sample mean of g at the terminal (or stopped) states with a normal CI;
+    fewer than 2 paths give no standard error and are refused."""
+    if ensemble.n_paths < 2:
+        raise ConfigurationError(f"a value estimate needs at least 2 paths for its 95% half-width, "
+                                 f"not {ensemble.n_paths}")
+    g = np.asarray(payoff(ensemble.terminal_states()), dtype=float)
+    se = float(np.std(g, ddof=1) / np.sqrt(len(g)))
+    return ValueEstimate(float(np.mean(g)), 1.96 * se, ensemble.exit_fraction, len(g))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hjbkit as hk
+from hjbkit import simulate
 
 MERTON = dict(mu=0.1, sigma=0.2, p=0.5, horizon=1.0, bound=10.0)
 
@@ -43,3 +44,17 @@ def coarse_merton_solution(merton_problem):
     vals = merton_problem.payoff(grid.nodes()).reshape(grid.shape)
     config = hk.SchemeConfig(n_time_nodes=40, control_grid_resolution=81)
     return hk.solve_hjb(merton_problem, hk.GridFunction(grid, vals), config)
+
+
+@pytest.fixture
+def noise_draws(monkeypatch):
+    """The (shape, seed key) of every Philox noise draw made in the test, in order."""
+    draws = []
+    fill = simulate._fill_noise
+
+    def recording(Z, seed):
+        draws.append((Z.shape, seed))
+        fill(Z, seed)
+
+    monkeypatch.setattr(simulate, "_fill_noise", recording)
+    return draws

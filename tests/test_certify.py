@@ -213,11 +213,13 @@ class TestBracket:
             assert pt.gap == pytest.approx(analytic, abs=1e-12)
 
     def test_uncertified_inputs_rejected(self, merton_problem, cert_config):
-        sub = merton_candidate("sub", exponent_shift=0.05)   # will fail
+        # above the payoff on the whole start box at T: its terminal record fails on every draw
+        sub = constant_candidate(5.0, "sub", growth_constant=10.0)
         sup = merton_candidate("super")
         bad_rep = hk.certify_subsolution(sub, merton_problem, cert_config)
         sup_rep = hk.certify_supersolution(sup, merton_problem, cert_config, n_random=2)
         assert not bad_rep.certified
+        assert [r.kind for r in bad_rep.failing()] == ["terminal"]
         with pytest.raises(ValueError, match="not certified"):
             bracket_report(sub, sup, merton_problem, [(0.0, [1.0])], BracketConfig(),
                            bad_rep, sup_rep)
@@ -289,14 +291,15 @@ def whole_paths(problem, policy, tau, xi, n_paths, n_steps, seed):
 
 def reference_martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
     """The battery one record at a time on whole paths: one ensemble per (tau,
-    start), seeded (seed, ridx, tag) with ridx the index of its first record.
-    Also gives the exit fraction of each ensemble."""
+    start), seeded (seed, ridx, crc32("companion")) with ridx the index of its
+    first record, whatever the adversary.  Also gives the exit fraction of
+    each ensemble."""
     T = problem.horizon
     radius = certify._BALL_RADIUS_FRACTION * float(np.max(config.start_box.hi - config.start_box.lo))
     rho_specs = ["plus_eighth", "terminal", "ball_exit"]
     starts = certify._draw_starts(config, config.n_starts)
     n_paths = max(16, config.budget // (len(certify._taus(T)) * len(rho_specs) * len(starts)))
-    tag_key = zlib.crc32(adversary_tag.encode())
+    tag_key = zlib.crc32(b"companion")
     records, exits = [], []
     ridx = 0
     for tau in certify._taus(T):
@@ -316,20 +319,25 @@ def reference_martingale_records(candidate, problem, config, policy_for, adversa
     return records, exits
 
 
-def _assert_battery_equals_reference(candidate, problem, config, policy_for, tag, direction):
-    got = certify._martingale_records(candidate, problem, config, policy_for, tag, direction)
-    want, exits = reference_martingale_records(candidate, problem, config, policy_for, tag, direction)
+def _assert_battery_equals_reference(candidate, problem, config, policies, direction):
+    """The battery of (tag, policy factory) pairs against the references of its policies, one after the other."""
+    got = certify._martingale_records(candidate, problem, config, policies, direction)
+    want, exits = [], []
+    for tag, policy_for in policies:
+        records, policy_exits = reference_martingale_records(candidate, problem, config, policy_for, tag, direction)
+        want += records
+        exits += policy_exits
     assert [repr(r) for r in got] == [repr(r) for r in want]   # repr: bitwise floats, nan included
     return exits
 
 
 class TestBatchedBatteryEqualsReference:
-    """One ensemble per tau over all starts gives every record the bits of one ensemble per record."""
+    """One ensemble per tau over all policies and starts gives every record the bits of one ensemble per record."""
 
     def test_companion_sub_battery(self, merton_problem):
         config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, seed=11)
         cand = merton_candidate("sub")
-        _assert_battery_equals_reference(cand, merton_problem, config, cand.policy_factory, "companion", +1)
+        _assert_battery_equals_reference(cand, merton_problem, config, [("companion", cand.policy_factory)], +1)
 
     def test_super_battery_with_corners_staircases_and_grid_table(self, merton_problem, coarse_merton_solution):
         config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, n_starts=4, seed=12)
@@ -337,8 +345,8 @@ class TestBatchedBatteryEqualsReference:
         policies = certify._build_adversaries(merton_problem, 3, 2, (hk.extract_policy(coarse_merton_solution),))
         assert [tag.split(" ")[0] for tag, _ in policies] == [
             "corner", "corner", "random-staircase-0", "random-staircase-1", "extra-0"]
-        for tag, pol in policies:
-            _assert_battery_equals_reference(cand, merton_problem, config, lambda tau, xi, _p=pol: _p, tag, -1)
+        _assert_battery_equals_reference(
+            cand, merton_problem, config, [(tag, lambda tau, xi, _p=pol: _p) for tag, pol in policies], -1)
 
     def test_lattice_max_switching_policy_per_start(self, merton_problem):
         config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, n_starts=5, seed=13)
@@ -347,13 +355,13 @@ class TestBatchedBatteryEqualsReference:
         starts = certify._draw_starts(config, config.n_starts)
         chosen = [cand.policy_factory(0.0, xi) for xi in starts]
         assert len({id(p) for p in chosen}) == 2
-        _assert_battery_equals_reference(cand, merton_problem, config, cand.policy_factory, "companion", +1)
+        _assert_battery_equals_reference(cand, merton_problem, config, [("companion", cand.policy_factory)], +1)
 
     def test_solver_candidate_in_a_simulation_box(self, merton_problem, coarse_merton_solution):
         config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, seed=14)
         cand = candidate_from_solution(coarse_merton_solution, "sub", 10.0)
         problem = merton_problem.within(hk.Box([0.4], [2.5]))
-        exits = _assert_battery_equals_reference(cand, problem, config, cand.policy_factory, "companion", +1)
+        exits = _assert_battery_equals_reference(cand, problem, config, [("companion", cand.policy_factory)], +1)
         assert max(exits) > 0.0
 
     def test_generic_euler_branch(self):
@@ -362,7 +370,38 @@ class TestBatchedBatteryEqualsReference:
         clip = FeedbackPolicy(lambda t, x: np.clip(x, -1.0, 1.0))
         cand = companion_candidate(lambda t, X: np.tanh(X[:, 0]) - t, "sub", 2.0, clip, "tanh")
         config = hk.CertifyConfig(start_box=hk.Box([-0.5], [0.5]), budget=6_000, seed=15)
-        _assert_battery_equals_reference(cand, problem, config, cand.policy_factory, "companion", +1)
+        _assert_battery_equals_reference(cand, problem, config, [("companion", cand.policy_factory)], +1)
+
+
+@pytest.mark.parametrize("n_random, extra", [(0, 0), (3, 0), (3, 2)])
+def test_a_super_battery_draws_once_a_tau_and_start(merton_problem, coarse_merton_solution, noise_draws, n_random,
+                                                    extra):
+    """2 + n_random + extra adversaries draw len(taus) x n_starts times, on the companion's keys."""
+    config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=2_000, steps_per_record=8, seed=17)
+    extras = (hk.extract_policy(coarse_merton_solution), constant_policy([-3.0]))[:extra]
+    rep = hk.certify_supersolution(merton_candidate("super"), merton_problem, config, extras, n_random=n_random)
+    n_draws = len(certify._taus(merton_problem.horizon)) * config.n_starts
+    assert len(rep.records) == (2 + n_random + extra) * n_draws * len(certify._RHO_SPECS) + 2
+    companion_keys = [(17, 3 * r, zlib.crc32(b"companion")) for r in range(n_draws)]
+    assert [seed for _, seed in noise_draws] == companion_keys
+    noise_draws.clear()
+    hk.certify_subsolution(merton_candidate("sub"), merton_problem, config)
+    assert [seed for _, seed in noise_draws] == companion_keys
+
+
+def test_adversaries_with_one_constant_control_give_equal_records(merton_problem):
+    """The corner 10 and two extra constants 10 run on one draw a (tau, start):
+    their records differ in the adversary's name only."""
+    config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=6_000, seed=19)
+    rep = hk.certify_supersolution(merton_candidate("super", exponent_shift=-0.02), merton_problem, config,
+                                   (constant_policy([10.0]), constant_policy([10.0])), n_random=0)
+    by_tag = {}
+    for r in rep.records:
+        if r.kind == "martingale":
+            by_tag.setdefault(r.adversary, []).append(repr(replace(r, adversary="-")))
+    assert list(by_tag) == ["corner [-10.0]", "corner [10.0]", "extra-0 (constant)", "extra-1 (constant)"]
+    assert by_tag["corner [10.0]"] == by_tag["extra-0 (constant)"] == by_tag["extra-1 (constant)"]
+    assert by_tag["corner [-10.0]"] != by_tag["corner [10.0]"]
 
 
 @pytest.mark.parametrize("box", [None, hk.Box([0.7], [1.6])], ids=["domain", "simulation-box"])

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -561,6 +562,21 @@ def test_pipeline_draws_each_bracket_point_once(tmp_path, monkeypatch):
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
     # the batteries draw 48 steps a record, the bracket mc_steps = 40
     assert [d for d in draws if d[0][0] == 40] == [((40, 2000), (3, j)) for j in range(3)]
+
+
+def test_fast_pipeline_draws_27_times(tmp_path, noise_draws):
+    """The shipped --fast pipeline draws 12 times a battery, once a (tau, start)
+    whatever its adversaries, and once a bracket point: 12 + 12 + 3."""
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_merton_pipeline.py"
+    loader = importlib.util.spec_from_file_location("run_merton_pipeline", script)
+    run_merton = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run_merton)
+    spec = run_merton.build_spec(fast=True)
+    write(tmp_path / spec["problem"], run_merton.PROBLEM)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", write(tmp_path / "pipeline.json", spec)]) == 0
+    battery_paths = spec["budget"] // 36   # 4 taus x 3 end rules x 3 starts
+    assert sorted(shape for shape, _ in noise_draws) == (
+        [(48, battery_paths, 1)] * 24 + [(spec["mc_steps"], spec["mc_paths"], 1)] * 3)
 
 
 def test_pipeline_first_point_estimate_is_the_brackets_point_0(tmp_path, monkeypatch):
@@ -1183,6 +1199,18 @@ def test_simulate_start_time_or_path_count_out_of_range_exits_2(tmp_path, monkey
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
     assert not (tmp_path / "ensemble-summary.json").exists()
+
+
+def test_simulate_one_path_exits_2_naming_the_path_count(tmp_path, capsys):
+    """--paths 1 wrote "half_width_95": 0.0, an estimate with no error bar, and exited 0."""
+    prob = write(tmp_path / "prob.json", MERTON_SPEC)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]})
+    assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
+                 "--x0", "1.0", "--steps", "4", "--paths", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: a value estimate needs at least 2 paths for its 95% half-width, not 1\n"
+    assert not (tmp_path / "ensemble-summary.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hjbkit as hk
+from hjbkit import simulate
 from hjbkit.errors import DomainError
 from hjbkit.simulate import (
     _NOISE_CHUNK,
@@ -365,6 +366,10 @@ class TestBlocks:
             hk.simulate_paths(merton_problem, pol, 0.0, [[1.0], [1.2]], 10, 4, [1, 2, 3])
         with pytest.raises(ValueError, match="broadcast"):
             hk.simulate_paths(merton_problem, [pol, pol], 0.0, [[1.0], [1.2], [1.4]], 10, 4, [1, 2, 3])
+        # a policy count must be a multiple of the start count
+        for policies in ([pol] * 3, [pol] * 5, []):
+            with pytest.raises(ValueError, match=f"2 starts and {len(policies)} policies do not broadcast"):
+                hk.simulate_paths(merton_problem, policies, 0.0, [[1.0], [1.2]], 10, 4, [1, 2])
 
     def test_any_start_outside_the_domain_is_refused(self, merton_problem):
         with pytest.raises(DomainError):
@@ -390,6 +395,57 @@ class TestBlocks:
             3 * 8_000)
 
 
+def _broadcast_case(case, coarse_merton_solution, merton_problem):
+    """A problem narrowed to a box some paths leave, R = 3 starts in it, and
+    three policies, one of them a row per state.  The 2-D problem's one
+    control is 0, so its policies differ only as objects."""
+    if case == "log":
+        return (merton_problem.within(hk.Box([0.5], [2.2])), [[0.7], [1.0], [1.9]],
+                [hk.extract_policy(coarse_merton_solution), constant_policy([2.0]), constant_policy([-4.0])])
+    problem = hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]])
+    rows = FeedbackPolicy(lambda t, x: np.zeros((len(x), 1)))
+    return (problem.within(hk.Box([-0.8, -0.3], [0.8, 0.6])), [[0.1, 0.2], [-0.3, 0.0], [0.4, -0.2]],
+            [rows, constant_policy([0.0]), constant_policy([0.0])])
+
+
+class TestBroadcastRule:
+    """m policies over R starts, m a multiple of R: block b runs policy b from
+    start b mod R on that start's draw, bit for bit its one-block call."""
+
+    @pytest.mark.parametrize("per_start", [1, 2, 3])
+    @pytest.mark.parametrize("n_starts", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["log", "generic-2d"])
+    def test_each_block_is_its_one_block_call(self, case, n_starts, per_start, merton_problem,
+                                              coarse_merton_solution):
+        problem, starts, pool = _broadcast_case(case, coarse_merton_solution, merton_problem)
+        starts, keys = starts[:n_starts], [(9, 3 * r, 5) for r in range(n_starts)]
+        m = per_start * n_starts
+        # pairs of consecutive blocks share a policy object, so runs join within
+        # a start's sweep and break where the starts wrap round
+        policies = [pool[(b // 2) % len(pool)] for b in range(m)]
+        stops = (4, _ball(0.2), 9)
+        x0, seed = (starts[0], keys[0]) if n_starts == 1 else (starts, keys)
+        ens = hk.simulate_paths(problem, policies, 0.2, x0, _NOISE_CHUNK + 3, 9, seed, stops)
+        _assert_blocks_equal_single_calls(ens, [
+            hk.simulate_paths(problem, pol, 0.2, starts[b % n_starts], _NOISE_CHUNK + 3, 9, keys[b % n_starts],
+                              stops)
+            for b, pol in enumerate(policies)])
+        assert 0 < np.mean(ens.stop_step[:, 1] >= 0) < 1
+        assert 0.0 < ens.exit_fraction < 1.0
+
+    def test_runs_join_consecutive_starts_of_one_policy(self, merton_problem):
+        a, b = constant_policy([1.0]), constant_policy([3.0])
+        runs = simulate._blocks(merton_problem, [a, a, a, b, b, a], [[0.6], [0.9], [1.1]], [1, 2, 3])[3]
+        assert [(pol, lo, hi) for pol, lo, hi in runs] == [(a, 0, 3), (b, 3, 5), (a, 5, 6)]
+        runs = simulate._blocks(merton_problem, [a, a, b], [1.0], 1)[3]
+        assert [(pol, lo, hi) for pol, lo, hi in runs] == [(a, 0, 1), (a, 1, 2), (b, 2, 3)]
+
+    def test_the_noise_is_drawn_once_a_start(self, merton_problem, noise_draws):
+        policies = [constant_policy([u]) for u in (1.0, 2.0, 3.0, 4.0)]
+        hk.simulate_paths(merton_problem, policies, 0.0, [[0.8], [1.2]], 40, 6, [7, 8])
+        assert noise_draws == [((6, 40, 1), 7), ((6, 40, 1), 8)]
+
+
 class TestEstimateValue:
     def test_constant_payoff(self, merton_problem):
         ens = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 100, 8, seed=6)
@@ -407,6 +463,14 @@ class TestEstimateValue:
         ens = hk.simulate_paths(merton_problem, constant_policy([5.0]), 0.0, [1.0], 60_000, 32, seed=8)
         est = hk.estimate_value(ens, merton_problem.payoff)
         assert abs(est.mean - math.exp(0.125)) < 2 * est.half_width_95
+
+    def test_one_path_is_refused(self, merton_problem):
+        """One path had a 95% half-width of 0.0: an estimate with no error bar."""
+        ens = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 1, 8, seed=6)
+        with pytest.raises(hk.ConfigurationError, match="at least 2 paths for its 95% half-width, not 1"):
+            hk.estimate_value(ens, merton_problem.payoff)
+        two = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 2, 8, seed=6)
+        assert hk.estimate_value(two, merton_problem.payoff).half_width_95 > 0.0
 
     def test_weak_step_consistency(self):
         # halving the step moves the heat estimate by less than one CI width
