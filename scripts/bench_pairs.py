@@ -22,7 +22,11 @@ The file holds, per workload and side, the median, interquartile range and
 runs of each end-to-end metric of BENCHMARK.json, the failed and attempted
 ops and the correctness flag of each run, the change's relative shift of each
 median, the number of pairs each metric won on the change side, and whether
-each metric is resolved (see ``resolved``).
+each metric is resolved (see ``resolved``).  Under ``op_nominal_s`` it holds,
+per side and op, the runs' per-op medians of ``nominal_seconds`` over the
+passes, read from the run record perfbench/out/W-seedS-trace0.json of each
+run, their median, and the change's shift of that median: which ops a change
+moved.
 """
 
 from __future__ import annotations
@@ -74,12 +78,25 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    with open(os.path.join(checkout, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")) as fh:
+        record = json.load(fh)
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "failed": result["failed"],
         "attempted": result["attempted"],
         "correct": result["correct"],
+        "op_nominal_s": op_medians(record),
     }
+
+
+def op_medians(record) -> dict:
+    """Per op of a run record, the median of its nominal_seconds over the
+    passes of the untraced phase, the median perfbench/run.py sums into
+    wall_nominal_s."""
+    seconds = {}
+    for op in record["phases"][0]["ops"]:
+        seconds.setdefault(op["name"], []).append(op["nominal_seconds"])
+    return {name: statistics.median(ts) for name, ts in seconds.items()}
 
 
 def _iqr(values) -> float:
@@ -116,6 +133,17 @@ def aggregate(seeds, parent_runs, change_runs, better) -> dict:
         )
         for name, way in better.items()
     }
+    ops = {}
+    for side, runs in (("parent", parent_runs), ("change", change_runs)):
+        ops[side] = {}
+        for name in runs[0]["op_nominal_s"]:
+            values = [r["op_nominal_s"][name] for r in runs]
+            ops[side][name] = {"median": statistics.median(values), "runs": values}
+    ops["change_vs_parent_median"] = {
+        name: ops["change"][name]["median"] / ops["parent"][name]["median"] - 1.0
+        for name in ops["parent"] if name in ops["change"]
+    }
+    entry["op_nominal_s"] = ops
     return entry
 
 

@@ -16,7 +16,9 @@ exactly; this makes idempotence, dominance and monotonicity hold to the last
 bit, which the property suite asserts without tolerances.  Every float is an
 integer times a power of two, so the exact arithmetic runs on Python ints at
 one power-of-two scale per array, and each chord is rounded to float by one
-correctly rounded int/int division.
+correctly rounded int/int division.  The repair tries one ulp up first and
+divides only when that is not enough or lands on zero, whose sign (+0.0 for
+a zero chord) the division gives.
 """
 
 from __future__ import annotations
@@ -71,9 +73,16 @@ def exact_concavity_repair(x, v) -> np.ndarray:
     Correctly-rounded chord values can sit an ulp on the convex side of their
     neighbors; this lifts such nodes by the minimal representable amount
     (exact comparisons of integers at a power-of-two scale, so the result is
-    canonical).  A lift can only break concavity at the two neighbours, so
-    only they are checked again.  The lift is monotone in the neighbours, so
-    any order of lifts ends at the same least fixed point.
+    canonical).  Most lifts are one ulp, so a node first tries the next float
+    up: its step is an exact power of two, which one integer product against
+    the chord decides.  When one ulp is not enough, or the step is finer than
+    the scale, the chord is rounded by one correctly rounded division instead,
+    and the scale is refined if the result needs it.  The next float up from
+    -5e-324 is -0.0, so a lift to zero takes the division too, which gives
+    +0.0 for a zero chord and -0.0 for a negative one.  A lift can only break
+    concavity at the two neighbours, so only they are checked again.  The lift
+    is monotone in the neighbours, so any order of lifts ends at the same
+    least fixed point.
     """
     out = np.asarray(v, dtype=float).tolist()
     n = len(out)
@@ -82,29 +91,37 @@ def exact_concavity_repair(x, v) -> np.ndarray:
     # the chord at k times span is V[k-1] hp + V[k+1] hm (hm, hp: spacings either side)
     hm = [None] + [X[k] - X[k - 1] for k in range(1, n - 1)]
     hp = [None] + [X[k + 1] - X[k] for k in range(1, n - 1)]
+    span = [None] + [X[k + 1] - X[k - 1] for k in range(1, n - 1)]
     pending = deque(range(1, n - 1))
-    queued = [False] + [True] * (n - 2) + [False]
+    queued = [True] * n  # the two edges stay marked, so they are never queued
     while pending:
         k = pending.popleft()
         queued[k] = False
-        span = hm[k] + hp[k]
         num = V[k - 1] * hp[k] + V[k + 1] * hm[k]
-        if V[k] * span < num:
-            m = num / (span << e)  # one correctly rounded division
-            M, d = m.as_integer_ratio()  # m = M / d, d a power of two
-            if (M * span) << e < num * d:
-                m = math.nextafter(m, math.inf)
-                M, d = m.as_integer_ratio()
-            s = d.bit_length() - 1
-            if s > e:  # m is finer than the scale: rescale every value
-                V = [t << (s - e) for t in V]
-                e = s
-            out[k] = m
-            V[k] = M << (e - s)
-            for j in (k - 1, k + 1):
-                if not queued[j] and 0 < j < n - 1:
-                    queued[j] = True
-                    pending.append(j)
+        if V[k] * span[k] < num:
+            m = math.nextafter(out[k], math.inf)
+            f = math.frexp(m - out[k])[1] - 1 + e  # m - out[k] == 2**f / 2**e exactly
+            if m and f >= 0 and (V[k] + (1 << f)) * span[k] >= num:
+                out[k] = m
+                V[k] += 1 << f
+            else:
+                m = num / (span[k] << e)  # one correctly rounded division
+                M, d = m.as_integer_ratio()  # m = M / d, d a power of two
+                if (M * span[k]) << e < num * d:
+                    m = math.nextafter(m, math.inf)
+                    M, d = m.as_integer_ratio()
+                s = d.bit_length() - 1
+                if s > e:  # m is finer than the scale: rescale every value
+                    V = [t << (s - e) for t in V]
+                    e = s
+                out[k] = m
+                V[k] = M << (e - s)
+            if not queued[k - 1]:
+                queued[k - 1] = True
+                pending.append(k - 1)
+            if not queued[k + 1]:
+                queued[k + 1] = True
+                pending.append(k + 1)
     return np.array(out)
 
 

@@ -37,7 +37,7 @@ from operator import ge, le
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 
 __all__ = [
     "FeedbackPolicy",
@@ -375,10 +375,16 @@ class ValueEstimate:
 
 def estimate_value(ensemble: PathEnsemble, payoff) -> ValueEstimate:
     """Sample mean of g at the terminal (or stopped) states with a normal CI;
-    fewer than 2 paths give no standard error and are refused."""
+    fewer than 2 paths give no standard error and are refused, and a payoff
+    that is not finite at some state raises NumericalError."""
     if ensemble.n_paths < 2:
         raise ConfigurationError(f"a value estimate needs at least 2 paths for its 95% half-width, "
                                  f"not {ensemble.n_paths}")
-    g = np.asarray(payoff(ensemble.terminal_states()), dtype=float)
+    states = ensemble.terminal_states()
+    g = np.asarray(payoff(states), dtype=float)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        raise NumericalError(f"the payoff is not finite at {np.count_nonzero(bad)} of {g.size} terminal states, "
+                             f"e.g. at x = {states[np.argmax(bad)].tolist()}")
     se = float(np.std(g, ddof=1) / np.sqrt(len(g)))
     return ValueEstimate(float(np.mean(g)), 1.96 * se, ensemble.exit_fraction, len(g))

@@ -20,7 +20,7 @@ def bench_pairs():
 
 def _run(wall, rss, failed=0):
     return {"metrics": {"wall_nominal_s": wall, "peak_rss_mb": rss}, "failed": failed, "attempted": 10,
-            "correct": failed == 0}
+            "correct": failed == 0, "op_nominal_s": {}}
 
 
 def test_aggregate_medians_iqrs_shifts_and_wins(bench_pairs):
@@ -44,6 +44,30 @@ def test_aggregate_medians_iqrs_shifts_and_wins(bench_pairs):
     json.dumps(entry)
 
 
+def test_per_op_medians_from_a_run_record(bench_pairs):
+    """A synthetic run record of two passes over three ops: each op's median
+    over the passes of the untraced phase, the traced phase not read."""
+    def op(name, nominal):
+        return {"pass": 0, "name": name, "seconds": 9.0, "nominal_seconds": nominal}
+
+    record = {"phases": [
+        {"ops": [op("a", 0.3), op("b", 0.01), op("a", 0.1), op("b", 0.03), op("a", 0.2), op("c", 1.0)]},
+        {"ops": [op("a", 5.0), op("b", 5.0), op("c", 5.0)]},
+    ]}
+    assert bench_pairs.op_medians(record) == {"a": 0.2, "b": pytest.approx(0.02), "c": 1.0}
+
+    def run(wall, ops):
+        return dict(_run(wall, 100.0), op_nominal_s=ops)
+
+    parent = [run(1.0, {"a": 0.2, "b": 0.8}), run(1.2, {"a": 0.4, "b": 0.8}), run(1.1, {"a": 0.3, "b": 0.8})]
+    change = [run(0.9, {"a": 0.1, "b": 0.8}), run(0.8, {"a": 0.1, "b": 0.7}), run(0.7, {"a": 0.2, "b": 0.5})]
+    ops = bench_pairs.aggregate([1, 2, 3], parent, change, {"wall_nominal_s": "lower"})["op_nominal_s"]
+    assert ops["parent"]["a"] == {"median": 0.3, "runs": [0.2, 0.4, 0.3]}
+    assert ops["change"]["b"] == {"median": 0.7, "runs": [0.8, 0.7, 0.5]}
+    assert ops["change_vs_parent_median"] == {"a": pytest.approx(0.1 / 0.3 - 1), "b": pytest.approx(0.7 / 0.8 - 1)}
+    json.dumps(ops)
+
+
 def test_higher_is_better_counts_the_larger_value(bench_pairs):
     entry = bench_pairs.aggregate([1, 2], [_run(1.0, 5.0), _run(1.0, 5.0)], [_run(1.0, 6.0), _run(1.0, 4.0)],
                                   {"wall_nominal_s": "lower", "peak_rss_mb": "higher"})
@@ -60,7 +84,8 @@ def test_the_schema_of_the_committed_bench_files(bench_pairs):
     root = SCRIPT.parents[1]
     committed = json.loads((root / "BENCH_pr12.json").read_text())["workloads"]["certify_pipeline"]
     better = {m["name"]: m["better"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
-    run = {"metrics": {name: 1.0 for name in better}, "failed": 0, "attempted": 3, "correct": True}
+    run = {"metrics": {name: 1.0 for name in better}, "failed": 0, "attempted": 3, "correct": True,
+           "op_nominal_s": {"op": 1.0}}
     entry = bench_pairs.aggregate([1], [run], [run], better)
     assert set(committed) <= set(entry)
     assert set(committed["parent"]) == set(entry["parent"])

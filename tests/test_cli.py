@@ -1172,6 +1172,42 @@ def test_simulate_non_finite_control_exits_2(tmp_path, capsys, value):
     assert not (tmp_path / "ensemble-summary.json").exists()
 
 
+# x^-0.5 on the whole line: a path that ends at x <= 0 has an infinite payoff
+POLE_SPEC = dict(KINK_SPEC, params={"mu": 0.1, "sigma": 0.2}, payoff={"family": "power", "params": {"p": -0.5}})
+
+
+def test_simulate_non_finite_payoff_exits_3(tmp_path, capsys):
+    """The payoff was infinite at 460 of 2000 paths, and simulate exited 0
+    writing "mean": Infinity, "half_width_95": NaN, which is not JSON."""
+    prob = write(tmp_path / "prob.json", POLE_SPEC)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [1.0]})
+    assert main(["--seed", "3", "--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
+                 "--x0", "0.05", "--paths", "2000", "--steps", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: the payoff is not finite at 460 of 2000 terminal states, e.g. at x = [-")
+    assert not (tmp_path / "ensemble-summary.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("points, stage, ok", [
+    ([[0.0, 0.3]], "simulate", ["facelift", "solve"]),
+    ([[0.0, 5.0], [0.0, 0.3]], "bracket", ["facelift", "solve", "simulate", "certify"]),
+])
+def test_pipeline_non_finite_payoff_fails_the_stage_that_estimates_it(tmp_path, capsys, points, stage, ok):
+    """The payoff is finite on the grid, so the face-lift and the solve run, and
+    on the start box, so both constant candidates certify; paths from x = 0.3
+    end below zero, where it is not.  Point 0 is estimated in the simulate
+    stage, every later point in the bracket stage."""
+    constant = {"kind": "constant", "growth_constant": 1.0}
+    sub = dict(constant, side="sub", value=0.0, policy={"kind": "constant", "value": [1.0]})
+    spath = small_pipeline(tmp_path, problem=POLE_SPEC, points=points, start_box=[[3.0, 4.5]], sub_candidate=sub,
+                           super_candidate=dict(constant, side="super", value=10.0))
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 3
+    stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
+    assert stages.pop(stage).startswith("failed: the payoff is not finite at ")
+    assert stages == dict.fromkeys(ok, "ok")
+
+
 def test_simulate_start_with_the_wrong_coordinate_count_exits_2(tmp_path, monkeypatch, capsys):
     """--x0 1.0 2.0 on a 1-D problem used to die in a numpy broadcast."""
     monkeypatch.setattr("hjbkit.simulate._euler", _raise(AssertionError("a path was stepped")))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
@@ -515,6 +515,38 @@ class TestScaledIntegerHull:
                 assert not any(name.split(".")[0] == "fractions" for name in names), path
 
 
+def _ulps_from(base, steps):
+    """The float `steps` ulps above base (below it for negative steps)."""
+    for _ in range(abs(steps)):
+        base = math.nextafter(base, math.copysign(math.inf, steps))
+    return base
+
+
+@st.composite
+def repair_edge_inputs(draw):
+    """(x, v) where the next float above a node is not one usual ulp away:
+    values a few ulps from -2**k (the step halves at the binade edge) or
+    +2**k, subnormal values (where the next float above -5e-324 is -0.0), and
+    graded spacings from 1e-6 to 0.8."""
+    kind = draw(st.sampled_from(["below -2**k", "around +2**k", "subnormal", "graded"]))
+    n = draw(st.integers(3, 5 if kind == "graded" else 9))
+    steps = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    if kind == "graded":
+        # affine data a few ulps off, on few nodes: the repair lifts one ulp at
+        # a time there, and the reference sweeps take seconds on random data
+        spacings = draw(st.lists(st.floats(-6.0, math.log10(0.8)), min_size=n - 1, max_size=n - 1))
+        x = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(spacings))])
+        return x, np.array([_ulps_from(0.3 * t - 1.0, k) for t, k in zip(x.tolist(), steps)])
+    shift = draw(st.lists(st.floats(-0.4, 0.4), min_size=n - 2, max_size=n - 2))
+    x = np.arange(n, dtype=float)
+    x[1:-1] += shift
+    if kind == "subnormal":
+        base = draw(st.sampled_from([0.0, -0.0, 2.0 ** -1022, -(2.0 ** -1022)]))
+    else:
+        base = math.copysign(2.0 ** draw(st.integers(-30, 30)), -1.0 if kind == "below -2**k" else 1.0)
+    return x, np.array([_ulps_from(base, k) for k in steps])
+
+
 class TestConcavityRepair:
     def _repair_inputs(self, monkeypatch, payoffs):
         """What concave_envelope hands to exact_concavity_repair: the rounded chords."""
@@ -543,6 +575,17 @@ class TestConcavityRepair:
         # also inputs that need many lifts: raw random values on random grids
         inputs += [(grid.axes[0], rng.normal(size=grid.shape)) for _, grid in jittered_grids(79, 3, n=12)]
         self._assert_same_as_sweeps(inputs)
+
+    @given(repair_edge_inputs())
+    # a lift from -5e-324 to a zero chord is +0.0, to a negative one -0.0
+    @example((np.arange(3.0), np.array([0.0, -5e-324, 0.0])))
+    @example((np.arange(3.0), np.array([-5e-324, -5e-324, 0.0])))
+    @example((np.arange(3.0), np.array([-0.5, -0.5 - 2.0 ** -53, -0.5 + 2.0 ** -54])))
+    # derandomized: a graded draw can make the reference sweep for seconds
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_signed_zero_and_binade_edges_bitwise(self, xv):
+        x, v = xv
+        assert np.array_equal(_bits(exact_concavity_repair(x, v)), _bits(_reference_concavity_repair(x, v)))
 
 
 class TestVerifyFacelift:

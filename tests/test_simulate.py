@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -471,6 +472,18 @@ class TestEstimateValue:
             hk.estimate_value(ens, merton_problem.payoff)
         two = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 2, 8, seed=6)
         assert hk.estimate_value(two, merton_problem.payoff).half_width_95 > 0.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_payoff_is_refused(self, merton_problem, bad):
+        """A payoff of +inf at some states gave "mean": Infinity and a NaN half-width."""
+        ens = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 100, 8, seed=6)
+        x = ens.terminal_states()[:, 0]
+        above = np.count_nonzero(x > 1.0)
+        assert 0 < above < 100
+        first = float(x[np.argmax(x > 1.0)])
+        with pytest.raises(hk.NumericalError, match=re.escape(
+                f"not finite at {above} of 100 terminal states, e.g. at x = [{first!r}]")):
+            hk.estimate_value(ens, lambda s: np.where(s[:, 0] > 1.0, bad, s[:, 0]))
 
     def test_weak_step_consistency(self):
         # halving the step moves the heat estimate by less than one CI width
