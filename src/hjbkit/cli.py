@@ -71,10 +71,11 @@ def _bracket_to_json(rep) -> dict:
     return {
         "ok": rep.ok,
         "max_gap": rep.max_gap,
+        "z": rep.z,
         "points": [
             {
                 "t": p.t, "x": list(p.x), "sub": p.sub_value, "super": p.super_value,
-                "mc_mean": p.mc.mean, "mc_half_width": p.mc.half_width_95,
+                "mc_mean": p.mc.mean, "mc_half_width": p.half_width,
                 "gap": p.gap, "ok": p.ok,
             }
             for p in rep.points
@@ -178,8 +179,8 @@ def _run_simulate(s, out_dir):
     ens = simulate_paths(problem, policy, s["t0"], s["x0"], s["paths"], s["steps"], s["seed"])
     est = estimate_value(ens, problem.payoff)
     summary = {
-        **asdict(est), "seed": s["seed"], "policy": policy_spec, "t0": s["t0"], "x0": s["x0"],
-        "log_coordinates": ens.log_coordinates,
+        **asdict(est), "half_width_95": est.half_width_95, "seed": s["seed"], "policy": policy_spec,
+        "t0": s["t0"], "x0": s["x0"], "log_coordinates": ens.log_coordinates,
     }
     print(f"value estimate {est.mean!r} +- {est.half_width_95!r} (exit fraction {est.exit_fraction:.4f})")
     return EXIT_OK, {s["out"]: _json(summary)}, s["seed"]

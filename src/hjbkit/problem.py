@@ -25,7 +25,14 @@ from .grids import Box, box_from_pairs
 
 
 def power_payoff(p: float):
-    return lambda x: np.maximum(x[..., 0], 0.0) ** p
+    def payoff(x):
+        base = np.maximum(x[..., 0], 0.0)
+        if p >= 0:
+            return base ** p
+        # a pole at 0: inf there, as base ** p gives it, without numpy's divide-by-zero warning
+        return np.power(base, p, out=np.full_like(base, np.inf), where=base != 0.0)
+
+    return payoff
 
 
 def quadratic_payoff():
@@ -168,7 +175,7 @@ class ControlProblem:
 # ---------------------------------------------------------------------------
 
 def _control_scaled_maps(scale, mu, sigma):
-    """b = u mu scale(x) and sigma = u sigma scale(x), one state and one noise dimension."""
+    """b = u mu scale(x) and sigma = u sigma scale(x): one state, one noise and one control dimension."""
     mu, sigma = float(mu), float(sigma)
 
     def drift(x, u):
@@ -181,7 +188,7 @@ def _control_scaled_maps(scale, mu, sigma):
         u = np.asarray(u, dtype=float)
         return (sigma * u[..., :1] * scale(x))[..., None]
 
-    return drift, diffusion, (1, 1)
+    return drift, diffusion, (1, 1, 1)
 
 
 def _constant_maps(b0, s0):
@@ -196,10 +203,11 @@ def _constant_maps(b0, s0):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(s0, x.shape[:-1] + s0.shape).copy()
 
-    return drift, diffusion, (b0.size, s0.shape[1])
+    # no control is read; the one control axis holds the {0} control set
+    return drift, diffusion, (b0.size, s0.shape[1], 1)
 
 
-# family -> maps(**params) -> (drift, diffusion, (state_dim, noise_dim))
+# family -> maps(**params) -> (drift, diffusion, (state_dim, noise_dim, control_dim))
 _COEFFICIENT_FAMILIES = {
     "linear_drift": partial(_control_scaled_maps, lambda x: x),
     "proportional_control": partial(_control_scaled_maps, np.ones_like),
@@ -224,11 +232,12 @@ def build_problem(
     ``control_set`` a list of one box in the same form, with None for an
     infinite edge; the box defaults to {0} for ``constant`` coefficients and
     to the whole line otherwise, and its part within the bound is ``controls``.
-    The state and noise dimensions follow from the family and its parameters.
+    The state, noise and control dimensions follow from the family and its
+    parameters, and a control set of another dimension is refused.
     """
     if family not in _COEFFICIENT_FAMILIES:
         raise ConfigurationError(f"unknown coefficient family {family!r}")
-    drift, diffusion, (state_dim, noise_dim) = _COEFFICIENT_FAMILIES[family](**params)
+    drift, diffusion, (state_dim, noise_dim, control_dim) = _COEFFICIENT_FAMILIES[family](**params)
     if control_set is None:
         control_set = [[(0.0, 0.0)]] if family == "constant" else [[(None, None)]]
     held = len(control_set) if isinstance(control_set, (list, tuple)) else repr(control_set)
@@ -245,6 +254,9 @@ def build_problem(
     lo, hi = np.maximum(control_set.lo, -B), np.minimum(control_set.hi, B)
     if control_set.dim == 0 or np.any(lo > hi):
         raise ConfigurationError(f"control_set {control_set.pairs()} has no control within the bound {B}")
+    if control_set.dim != control_dim:
+        raise ConfigurationError(f"control_set {control_set.pairs()} is {control_set.dim}-dimensional; "
+                                 f"the {family} family reads {control_dim} control")
     return ControlProblem(
         drift=drift,
         diffusion=diffusion,

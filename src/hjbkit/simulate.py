@@ -9,11 +9,16 @@ sigma linear in x, on a domain in [0, inf) are advanced in log coordinates at
 the rates of the problem's coefficients at x = 1, which keeps the state
 positive and makes each step exact in distribution for frozen controls.
 
-Noise is drawn from a counter-based Philox stream keyed by the seed; path p
-consumes the counter block laid out as row p of the (n_paths, n_steps, d')
-normal array, so ensembles are reproducible bit for bit and reductions are
-fixed-order.  The draw is taken a block of paths at a time and stored step by
-step, as (n_steps, n_paths, d'), so each Euler step reads one contiguous row.
+Noise is drawn from a counter-based Philox stream keyed by the seed, in
+antithetic pairs: of n paths, an even count, path p < n/2 consumes the counter
+block laid out as row p of the (n/2, n_steps, d') normal array, and path
+p + n/2 takes the negated noise of path p.  So a block draws n/2 rows, its
+ensembles are reproducible bit for bit and reductions are fixed-order.  An
+estimate is the mean over all n paths of a block, and its standard error
+comes from the block's n/2 i.i.d. pair means (x[j] + x[j + n/2]) / 2, since
+the values of paths j and j + n/2 are dependent.  The draw is taken a block
+of paths at a time and stored step by step, as (n_steps, n_paths, d'), so
+each Euler step reads one contiguous row.
 States are not stored: the Euler loop holds the current row and the next, and
 keeps only what the caller asks for, the state at each stop (a fixed step
 index, or the first step at which a predicate holds) and the terminal state.
@@ -144,8 +149,10 @@ _NOISE_CHUNK = 1024   # paths per noise draw
 
 
 def _fill_noise(Z, seed) -> None:
-    """Z[:] = the (n_paths, n_steps, d') standard normal draw of `seed`, for Z of
-    shape (n_steps, n_paths, d').
+    """Z[:] = the antithetic noise of `seed` for Z of shape (n_steps, n_paths,
+    d'), n_paths even: path p < n_paths/2 takes row p of the (n_paths/2,
+    n_steps, d') standard normal draw of `seed`, and path p + n_paths/2 its
+    negation.
 
     Drawn a block of paths at a time into one reused chunk buffer, so path p
     still consumes row p's counter block; transposing the whole draw at once
@@ -153,11 +160,13 @@ def _fill_noise(Z, seed) -> None:
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     n_steps, n_paths, dprime = Z.shape
-    chunk = np.empty((min(_NOISE_CHUNK, n_paths), n_steps, dprime))
-    for a in range(0, n_paths, _NOISE_CHUNK):
-        b = min(a + _NOISE_CHUNK, n_paths)
+    half = n_paths // 2
+    chunk = np.empty((min(_NOISE_CHUNK, half), n_steps, dprime))
+    for a in range(0, half, _NOISE_CHUNK):
+        b = min(a + _NOISE_CHUNK, half)
         block = rng.standard_normal(out=chunk[:b - a])
         Z[:, a:b] = block.transpose(1, 0, 2)
+    np.negative(Z[:, :half], out=Z[:, half:])
 
 
 def _blocks(problem, policy, x0, seed):
@@ -236,7 +245,8 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, at_step, predicates, ke
                 hit = pred(X, X0) & wait
                 if hit.any():
                     np.copyto(kept[i], X, where=hit[:, None])
-                    stop_step[i, hit] = n
+                    # a row view, then a boolean index: numpy's mixed-index path is 5-7x slower
+                    stop_step[i][hit] = n
                     wait ^= hit
 
     n_steps = len(times) - 1
@@ -289,6 +299,12 @@ def _euler(problem, policy, times, dt, X0, Z, exit_step, at_step, predicates, ke
         np.copyto(kept[i], X, where=wait[:, None])
 
 
+def _require_pairs(n_paths):
+    """Refuse an odd path count: its last path has no antithetic partner."""
+    if n_paths % 2:
+        raise ConfigurationError(f"n_paths must be even, since paths are drawn in antithetic pairs, not {n_paths!r}")
+
+
 def _time_grid(t0, horizon, n_steps):
     """The simulation times t0 + n dt, n = 0..n_steps, and dt."""
     dt = (horizon - t0) / n_steps
@@ -314,7 +330,8 @@ def simulate_paths(
     draw, so the m / R blocks of one start share it.  Block b holds paths
     b n_paths to (b + 1) n_paths - 1 and is bit for bit the one-block ensemble
     of its start, key and policy.  A seed key is anything SeedSequence takes:
-    an int or a tuple of ints.
+    an int or a tuple of ints.  n_paths must be even: path p + n_paths/2 of a
+    block runs on the negated noise of its path p (see the module docstring).
 
     Each stop is a step index in [0, n_steps], or a predicate pred(X, X0) on
     the rows of one Euler run: X holds the paths' states at a step and X0
@@ -330,6 +347,7 @@ def simulate_paths(
         raise ValueError("n_steps must be >= 1")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, not {n_paths!r}")
+    _require_pairs(n_paths)
     if not 0.0 <= t0 < problem.horizon:
         raise ValueError(f"t0 must lie in [0, {problem.horizon!r}), not {t0!r}")
     times, dt = _time_grid(t0, problem.horizon, n_steps)
@@ -365,26 +383,45 @@ def simulate_paths(
     )
 
 
+def _pair_means(x) -> np.ndarray:
+    """The n/2 i.i.d. pair means (x[j] + x[j + n/2]) / 2 of one block's n values,
+    in antithetic order: value j + n/2 came from the negated noise of value j."""
+    half = len(x) // 2
+    return (x[:half] + x[half:]) / 2
+
+
+def _stderr(pairs) -> float:
+    """The standard error of the mean of i.i.d. values."""
+    return float(np.std(pairs, ddof=1) / np.sqrt(len(pairs)))
+
+
 @dataclass(frozen=True)
 class ValueEstimate:
     mean: float
-    half_width_95: float
+    stderr: float
     exit_fraction: float
     n_paths: int
 
+    @property
+    def half_width_95(self) -> float:
+        return 1.96 * self.stderr
+
 
 def estimate_value(ensemble: PathEnsemble, payoff) -> ValueEstimate:
-    """Sample mean of g at the terminal (or stopped) states with a normal CI;
-    fewer than 2 paths give no standard error and are refused, and a payoff
-    that is not finite at some state raises NumericalError."""
-    if ensemble.n_paths < 2:
-        raise ConfigurationError(f"a value estimate needs at least 2 paths for its 95% half-width, "
-                                 f"not {ensemble.n_paths}")
+    """Mean of g over the paths' terminal (or stopped) states, with its
+    standard error from the block's n/2 antithetic pair means and the normal
+    95% half-width 1.96 se.  The ensemble must be one block, whose pairs these
+    are.  Fewer than 2 pairs give no standard error and are refused, and a
+    payoff that is not finite at some state raises NumericalError."""
+    if ensemble.n_blocks != 1:
+        raise ValueError(f"a value estimate reads one block, not {ensemble.n_blocks}: see PathEnsemble.blocks()")
+    if ensemble.n_paths < 4:
+        raise ConfigurationError(f"a value estimate needs at least 2 antithetic pairs (4 paths) for its standard "
+                                 f"error, not {ensemble.n_paths} paths")
     states = ensemble.terminal_states()
     g = np.asarray(payoff(states), dtype=float)
     bad = ~np.isfinite(g)
     if bad.any():
         raise NumericalError(f"the payoff is not finite at {np.count_nonzero(bad)} of {g.size} terminal states, "
                              f"e.g. at x = {states[np.argmax(bad)].tolist()}")
-    se = float(np.std(g, ddof=1) / np.sqrt(len(g)))
-    return ValueEstimate(float(np.mean(g)), 1.96 * se, ensemble.exit_fraction, len(g))
+    return ValueEstimate(float(np.mean(g)), _stderr(_pair_means(g)), ensemble.exit_fraction, len(g))

@@ -157,7 +157,7 @@ class TestLattice:
 
 
 def _bracket_point(sub, mean, super_):
-    return certify.BracketPoint(0.0, (1.0,), sub, super_, ValueEstimate(mean, 0.5, 0.0, 100))
+    return certify.BracketPoint(0.0, (1.0,), sub, super_, ValueEstimate(mean, 0.5, 0.0, 100), 1.0)
 
 
 @pytest.mark.parametrize("point, edge", [
@@ -292,13 +292,14 @@ def whole_paths(problem, policy, tau, xi, n_paths, n_steps, seed):
 def reference_martingale_records(candidate, problem, config, policy_for, adversary_tag, direction):
     """The battery one record at a time on whole paths: one ensemble per (tau,
     start), seeded (seed, ridx, crc32("companion")) with ridx the index of its
-    first record, whatever the adversary.  Also gives the exit fraction of
-    each ensemble."""
+    first record, whatever the adversary, each record's stderr from its
+    antithetic pair means.  Also gives the exit fraction of each ensemble."""
     T = problem.horizon
     radius = certify._BALL_RADIUS_FRACTION * float(np.max(config.start_box.hi - config.start_box.lo))
     rho_specs = ["plus_eighth", "terminal", "ball_exit"]
     starts = certify._draw_starts(config, config.n_starts)
     n_paths = max(16, config.budget // (len(certify._taus(T)) * len(rho_specs) * len(starts)))
+    n_paths -= n_paths % 2
     tag_key = zlib.crc32(b"companion")
     records, exits = [], []
     ridx = 0
@@ -312,9 +313,20 @@ def reference_martingale_records(candidate, problem, config, policy_for, adversa
                 w_start = candidate(tau, xi)
                 diff = w_end - w_start if direction > 0 else w_start - w_end
                 margin = float(np.mean(diff))
-                se = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
+                # path j + n/2 ran on the negated noise of path j: the se of the n/2 pair means, and
+                # Hall's skewness-corrected statistic with |g| capped at sqrt(n/2) / (2 z)
+                h = n_paths // 2
+                pairs = (diff[:h] + diff[h:]) / 2
+                se = float(np.std(pairs, ddof=1) / np.sqrt(h))
+                if se == 0.0:
+                    passed = margin >= -config.tol
+                else:
+                    g = float(np.mean((pairs - pairs.mean()) ** 3) / np.mean((pairs - pairs.mean()) ** 2) ** 1.5)
+                    g = float(np.clip(g, -np.sqrt(h) / (2 * config.z), np.sqrt(h) / (2 * config.z)))
+                    d = (margin + config.tol) / (se * np.sqrt(h))
+                    passed = bool(np.sqrt(h) * (d + g * d ** 2 / 3 + g ** 2 * d ** 3 / 27 + g / (6 * h)) >= -config.z)
                 records.append(certify.TestRecord("martingale", tau, rho_spec, tuple(xi), adversary_tag, margin, se,
-                                          n_paths, margin >= -(config.z * se + config.tol)))
+                                          n_paths, passed))
                 ridx += 1
     return records, exits
 
@@ -555,3 +567,127 @@ def test_candidate_growth_constant_must_be_finite_and_at_least_0(growth):
     """An infinite growth constant passed every growth record with margin inf."""
     with pytest.raises(hk.ConfigurationError, match=f"growth_constant must be finite and at least 0, not {growth!r}"):
         constant_candidate(1.0, "super", growth_constant=growth)
+
+
+class TestAntitheticRecords:
+    """Each record reads its n_paths differences in antithetic order: the mean
+    over all of them, the standard error of the n/2 pair means, and a verdict
+    corrected for their skewness."""
+
+    @staticmethod
+    def _plain_rejects(diff, z):
+        pairs = (diff[:len(diff) // 2] + diff[len(diff) // 2:]) / 2
+        return np.mean(diff) < -z * np.std(pairs, ddof=1) / np.sqrt(len(pairs))
+
+    def test_without_skew_the_verdict_is_margin_against_z_stderr_plus_tol(self):
+        rng = np.random.default_rng(3)
+        half = rng.standard_normal(50)
+        for shift in np.linspace(-0.6, 0.2, 41):
+            # symmetric pair means: half and its mirror image about their mean
+            first = np.concatenate([half, 2 * half.mean() - half]) + shift
+            diff = np.concatenate([first, first])
+            margin, se, passed = certify._martingale_test(diff, 4.0, 0.01)
+            assert (margin, se) == (float(np.mean(diff)), certify._stderr(certify._pair_means(diff)))
+            assert passed == (margin >= -(4.0 * se + 0.01)) or abs(margin + 4.0 * se + 0.01) < 1e-12
+
+    def test_the_verdict_is_monotone_in_the_margin(self):
+        """The correction never lets a larger violation pass."""
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal(69)
+        base = np.concatenate([np.exp(0.5 * w), np.exp(-0.5 * w)]) - math.exp(0.125)
+        verdicts = [certify._martingale_test(base + shift, 4.0, 0.0)[2] for shift in np.linspace(-1.0, 0.1, 221)]
+        assert verdicts == sorted(verdicts) and not verdicts[0] and verdicts[-1]
+
+    @staticmethod
+    def _record_at(pairs, t):
+        """The verdict at z = 4, tol 0 on a block whose n pair means are `pairs`
+        moved to the statistic t = mean / stderr."""
+        unit = (pairs - pairs.mean()) / (np.std(pairs, ddof=1) / np.sqrt(len(pairs))) + t
+        margin, se, passed = certify._martingale_test(np.concatenate([unit, unit]), 4.0, 0.0)
+        assert margin == pytest.approx(t) and se == pytest.approx(1.0)
+        return passed
+
+    def test_a_right_skewed_violation_of_6_standard_errors_is_rejected(self):
+        """69 pair means at exponential quantiles raised to 1.15, sample skewness
+        2.02: uncapped, the correction rejected only t < -8.7; with |g| capped at
+        sqrt(69) / 8 = 1.04, t = -6 and t = -5 are rejected."""
+        pairs = (-np.log1p(-(np.arange(69) + 0.5) / 69)) ** 1.15
+        centred = pairs - pairs.mean()
+        assert np.mean(centred ** 3) / np.mean(centred ** 2) ** 1.5 == pytest.approx(2.02, abs=0.01)
+        assert [self._record_at(pairs, t) for t in (-6.0, -5.0, -4.0)] == [False, False, True]
+
+    @pytest.mark.parametrize("n", [8, 69, 694, 1388])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["right-skew", "left-skew"])
+    def test_the_threshold_lies_between_0_86_and_1_24_z_whatever_the_skew(self, n, sigma, sign):
+        pairs = sign * np.random.default_rng(7).lognormal(0.0, sigma, n)
+        assert not self._record_at(pairs, -1.3 * 4.0) and self._record_at(pairs, -0.8 * 4.0)
+
+    def test_right_skewed_pair_means_keep_the_level(self):
+        """Antithetic pair means of a convex payoff, cosh(W / 2) here, are skewed
+        to the right.  Over 4,000 samples of 69 pairs with a true mean of 0, the
+        plain statistic rejected 33 at z = 4, where Phi(-4) predicts 0.13 and 138
+        independent draws gave 2; the corrected one rejects 11, and 3 without
+        its cap on |g|, which the test above needs."""
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((4_000, 69))
+        values = np.concatenate([np.exp(0.5 * w), np.exp(-0.5 * w)], axis=1) - math.exp(0.125)
+        plain = sum(self._plain_rejects(v, 4.0) for v in values)
+        corrected = sum(not certify._martingale_test(v, 4.0, 0.0)[2] for v in values)
+        assert plain > 30 and corrected <= plain / 3, (plain, corrected)
+
+    def test_an_exact_martingale_certifies_on_a_small_budget(self, merton_problem):
+        """At budget 5,000 (69 pairs a record) the plain statistic rejected the
+        exact Merton sub candidate on 13 of seeds 0-99."""
+        failed = [seed for seed in range(100) if not hk.certify_subsolution(
+            merton_candidate("sub"), merton_problem,
+            hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=5_000, seed=seed)).certified]
+        assert len(failed) <= 2, failed
+
+    @pytest.mark.parametrize("budget, n_paths", [(50_000, 1_388), (100_000, 2_776), (100, 16), (1, 16)])
+    def test_a_records_path_count_is_rounded_down_to_even(self, merton_problem, budget, n_paths):
+        config = hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=budget, steps_per_record=1, seed=1)
+        rep = hk.certify_subsolution(merton_candidate("sub"), merton_problem, config)
+        assert {r.n_paths for r in rep.records if r.kind == "martingale"} == {n_paths}
+
+
+class TestSandwichAtZ:
+    @pytest.mark.parametrize("sub_z, super_z", [(1.96, 1.96), (4.0, 1.96), (1.96, 4.0), (4.0, 4.0)])
+    def test_the_half_width_is_the_reports_z_standard_errors(self, merton_problem, sub_z, super_z):
+        """Each comparison with the estimate allows the larger of the two
+        batteries' z times its standard error; it allowed 1.96 whatever they used."""
+        # bracket_report reads only the verdicts and the z of the two reports
+        reports = [CertificationReport(side, side, (), z, 0.0, 1, 0)
+                   for side, z in (("sub", sub_z), ("super", super_z))]
+        sup = constant_candidate(3.0, "super", growth_constant=5.0)
+
+        def report(sub_value):
+            sub = constant_candidate(sub_value, "sub", 2.0, policy=constant_policy([5.0]))
+            return bracket_report(sub, sup, merton_problem, [(0.0, [1.0])], BracketConfig(n_paths=4_000, seed=5),
+                                  *reports)
+
+        mc = report(0.0).points[0].mc
+        # a sub value 3 standard errors above the estimate: past 1.96 of them, within 4
+        rep = report(mc.mean + 3 * mc.stderr)
+        z = max(sub_z, super_z)
+        assert rep.z == rep.points[0].z == z
+        assert rep.points[0].mc == mc
+        assert rep.points[0].half_width == z * mc.stderr
+        assert rep.ok == (z == 4.0)
+
+    @pytest.mark.parametrize("n_paths, message", [(3, "n_paths must be at least 4, not 3"),
+                                                  (2, "n_paths must be at least 4, not 2"),
+                                                  (5, "n_paths must be even, since paths are drawn in antithetic")])
+    def test_a_path_count_without_two_pairs_is_refused(self, n_paths, message):
+        with pytest.raises(hk.ConfigurationError, match=message):
+            BracketConfig(n_paths=n_paths)
+
+
+def test_the_second_half_of_a_block_runs_on_the_negated_noise():
+    """On a driftless unit diffusion from 0 the Euler sums are odd in the noise,
+    so path p + n/2 ends at minus path p, bit for bit, in every block."""
+    ens = hk.simulate_paths(hk.heat_problem(), constant_policy([0.0]), 0.0, [[0.0], [0.0]], 2 * 1_030, 7, [3, 4])
+    blocks = [block.terminal_states()[:, 0] for block in ens.blocks()]
+    for x in blocks:
+        assert np.array_equal(x[1_030:], -x[:1_030]) and np.all(x != 0.0)
+    assert not np.array_equal(*blocks)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -885,13 +886,13 @@ def test_facelift_then_certify_a_grid_table_candidate(tmp_path, capsys, spec, si
     assert report["certified"] and report["side"] == side
 
 
-def _bracket_inputs(tmp_path, points_text):
-    """A problem, certified sub/super report documents and a points file for `bracket`."""
+def _bracket_inputs(tmp_path, points_text, z=4.0):
+    """A problem, certified sub/super report documents at z and a points file for `bracket`."""
     prob = write(tmp_path / "prob.json", MERTON_SPEC)
     reports = []
     for side, params in (("sub", MERTON_SUB["params"]), ("super", dict(MERTON_SUB["params"], exponent_shift=0.05))):
         doc = {"candidate": dict(MERTON_SUB, side=side, params=params), "side": side, "records": [],
-               "z": 4.0, "tol": 1e-9, "budget": 0, "seed": 0}
+               "z": z, "tol": 1e-9, "budget": 0, "seed": 0}
         reports.append(write(tmp_path / f"{side}-report.json", doc))
     pts = tmp_path / "points.csv"
     pts.write_text(points_text)
@@ -928,6 +929,37 @@ def test_bracket_count_out_of_range_exits_2(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and flag[2:] in err
     assert not (tmp_path / "bracket.json").exists()
+
+
+def test_bracket_reads_z_from_the_reports(tmp_path):
+    """Each point's half-width is the reports' z times its standard error, and
+    the report states that z; it was 1.96 whatever z the reports were certified at."""
+    docs = {}
+    for z in (1.96, 4.0):
+        (tmp_path / str(z)).mkdir()
+        argv = _bracket_inputs(tmp_path / str(z), "t,x\n0.0,1.0\n0.5,1.5\n", z)
+        assert main(argv) in (0, 4)
+        docs[z] = json.loads((tmp_path / str(z) / "bracket.json").read_text())
+    assert (docs[1.96]["z"], docs[4.0]["z"]) == (1.96, 4.0)
+    for narrow, wide in zip(docs[1.96]["points"], docs[4.0]["points"]):
+        assert narrow["mc_mean"] == wide["mc_mean"]
+        assert wide["mc_half_width"] == pytest.approx(narrow["mc_half_width"] * 4 / 1.96, rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [None, 5.0])
+def test_pipeline_sandwich_reads_the_certify_z(tmp_path, z):
+    """The sandwich used 1.96 per point whatever the batteries' z; its report
+    now states the z it used, and each point's mc_half_width is the allowance
+    its ok flag was judged by."""
+    spath = small_pipeline(tmp_path, **({} if z is None else {"z": z}))
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
+    report = json.loads((tmp_path / "pipeline-report.json").read_text())
+    bracket = report["bracket"]
+    assert bracket["z"] == (4.0 if z is None else z)
+    for p in bracket["points"]:
+        hw = p["mc_half_width"]
+        assert hw > 0 and p["ok"] == (p["sub"] <= p["mc_mean"] + hw + 1e-9 and p["mc_mean"] <= p["super"] + hw + 1e-9
+                                      and p["sub"] <= p["super"] + 1e-9)
 
 
 def test_pipeline_solver_candidate_on_a_budget_of_one_exits_2(tmp_path, monkeypatch, capsys):
@@ -1184,9 +1216,26 @@ def test_simulate_non_finite_payoff_exits_3(tmp_path, capsys):
     assert main(["--seed", "3", "--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
                  "--x0", "0.05", "--paths", "2000", "--steps", "50"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical error: the payoff is not finite at 460 of 2000 terminal states, e.g. at x = [-")
+    assert err.startswith("numerical error: the payoff is not finite at 473 of 2000 terminal states, e.g. at x = [-")
     assert not (tmp_path / "ensemble-summary.json").exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_a_payoff_pole_prints_no_warning(tmp_path, capsys):
+    """The run above printed numpy's "RuntimeWarning: divide by zero encountered
+    in power" on stderr before its numerical error line; x^-0.5 is inf at 0
+    without it."""
+    prob = write(tmp_path / "prob.json", POLE_SPEC)
+    pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [1.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--seed", "3", "--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
+                     "--x0", "0.05", "--paths", "2000", "--steps", "50"]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    payoff = specio.problem_from_spec(POLE_SPEC).payoff
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert payoff(np.array([[0.0], [-1.0], [4.0]])).tolist() == [math.inf, math.inf, 0.5]
 
 
 @pytest.mark.parametrize("points, stage, ok", [
@@ -1238,15 +1287,19 @@ def test_simulate_start_time_or_path_count_out_of_range_exits_2(tmp_path, monkey
 
 
 def test_simulate_one_path_exits_2_naming_the_path_count(tmp_path, capsys):
-    """--paths 1 wrote "half_width_95": 0.0, an estimate with no error bar, and exited 0."""
+    """--paths 1 wrote "half_width_95": 0.0, an estimate with no error bar, and exited 0.
+    Paths now come in antithetic pairs: an odd count is refused, and so is one
+    pair, which has no standard error."""
     prob = write(tmp_path / "prob.json", MERTON_SPEC)
     pol = write(tmp_path / "pol.json", {"kind": "constant", "value": [5.0]})
-    assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
-                 "--x0", "1.0", "--steps", "4", "--paths", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err == "configuration error: a value estimate needs at least 2 paths for its 95% half-width, not 1\n"
-    assert not (tmp_path / "ensemble-summary.json").exists()
-    assert not (tmp_path / "manifest.json").exists()
+    for paths, message in (("1", "n_paths must be even, since paths are drawn in antithetic pairs, not 1"),
+                           ("2", "a value estimate needs at least 2 antithetic pairs (4 paths) for its standard "
+                                 "error, not 2 paths")):
+        assert main(["--out-dir", str(tmp_path), "simulate", "--problem", prob, "--policy", pol,
+                     "--x0", "1.0", "--steps", "4", "--paths", paths]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "ensemble-summary.json").exists()
+        assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1548,9 +1601,13 @@ def test_policy_without_a_value_exits_2_naming_the_width(tmp_path, capsys):
     ([[[0.0, 1.0]], [[2.0, 3.0]]], "control_set must hold one box, not 2"),
     ([[]], "control_set [] has no control within the bound 10.0"),
     ([[[20.0, 30.0]]], "control_set [[20.0, 30.0]] has no control within the bound 10.0"),
-], ids=["two-boxes", "0-dimensional", "outside-the-bound"])
+    ([[[None, None], [-1, 1]]], "control_set [[-inf, inf], [-1.0, 1.0]] is 2-dimensional; "
+                                "the linear_drift family reads 1 control"),
+], ids=["two-boxes", "0-dimensional", "outside-the-bound", "unread-axis"])
 def test_problem_document_without_one_admissible_box_exits_2(tmp_path, monkeypatch, capsys, control_set, message):
-    """Two boxes ran with exit 0; the other two failed only once a solve ran."""
+    """Two boxes ran with exit 0; the next two failed only once a solve ran.  A
+    second axis, which linear_drift never reads, solved over 41^2 controls
+    instead of 41 and gave the extracted policy a column of -1."""
     monkeypatch.setattr("hjbkit.cli.solve_hjb", _raise(AssertionError("a solve ran")))
     prob = write(tmp_path / "prob.json", dict(MERTON_SPEC, control_set=control_set))
     grid = write(tmp_path / "grid.json", {"box": [[0.2, 5.0]], "n": [30], "spacing": "log"})

@@ -457,8 +457,9 @@ def hull_inputs(draw):
 class TestScaledIntegerHull:
     """concave_envelope in scaled integers against the Fraction code it replaced."""
 
+    # derandomized: a graded draw can make the repair climb for most of a minute
     @given(hull_inputs())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_bitwise_equal_to_fraction_reference(self, xv):
         x, v = xv
         assert np.array_equal(_bits(hk.concave_envelope(gf(x, v)).values),

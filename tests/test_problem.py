@@ -287,6 +287,19 @@ def test_a_control_set_without_admissible_controls_is_refused(control_set, messa
         specio.problem_from_spec(dict(MERTON_DOC, control_set=control_set))
 
 
+@pytest.mark.parametrize("family", ["linear_drift", "proportional_control", "constant"])
+def test_a_control_set_of_another_dimension_than_the_family_is_refused(family):
+    """Each built-in family reads one control (constant reads none, on the
+    control set {0}); a second axis was accepted, and a solve searched the
+    square of the controls it needed."""
+    doc = BOX_FAMILIES[family][0]
+    for pairs in ([[None, None], [-1, 1]], [[0, 0], [0, 0]]):
+        with pytest.raises(hk.ConfigurationError, match=re.escape(
+                f"is 2-dimensional; the {family} family reads 1 control")):
+            specio.problem_from_spec(dict(doc, control_set=[pairs]))
+    assert specio.problem_from_spec(dict(doc, control_set=[[[0, 0]]])).control_dim == 1
+
+
 def test_within_is_the_problem_on_the_domain_within_the_box(merton_problem):
     narrowed = merton_problem.within(Box([-1.0], [2.0]))
     assert narrowed.state_domain.pairs() == [[0.0, 2.0]]
@@ -370,15 +383,17 @@ def control_set_documents(draw):
 @given(control_set_documents(), st.integers(0, 2**32 - 1))
 def test_the_control_box_is_the_control_set_within_the_bound_and_holds_every_control_read(case, seed):
     """problem.controls is control_set ∩ [-B, B]^k, or the document is refused
-    naming control_set; the controls solve_hjb extracts and the super battery's
-    corners and staircases all lie in it."""
+    naming control_set, as it is when k is not the family's one control; the
+    controls solve_hjb extracts and the super battery's corners and staircases
+    all lie in it."""
     family, doc = case
     B = doc["control_bound"]
     lo = np.array([-np.inf if a is None else a for a, _ in doc["control_set"][0]])
     hi = np.array([np.inf if b is None else b for _, b in doc["control_set"][0]])
     want_lo, want_hi = np.array([max(a, -B) for a in lo]), np.array([min(b, B) for b in hi])
-    event("refused" if np.any(want_lo > want_hi) else "built")
-    if np.any(want_lo > want_hi):
+    refused = np.any(want_lo > want_hi) or len(lo) != 1
+    event("refused" if refused else "built")
+    if refused:
         with pytest.raises(hk.ConfigurationError, match="control_set"):
             specio.problem_from_spec(doc)
         return

@@ -59,11 +59,15 @@ class TestSimulatePaths:
         (-1.0, 10, r"t0 must lie in \[0, 1.0\), not -1.0"),
         (1.0, 10, r"t0 must lie in \[0, 1.0\), not 1.0"),
         (0.0, 0, "n_paths must be >= 1, not 0"),
+        (0.0, 1, "n_paths must be even, since paths are drawn in antithetic pairs, not 1"),
+        (0.0, 2 * _NOISE_CHUNK + 1, f"n_paths must be even, since paths are drawn in antithetic pairs, "
+                                    f"not {2 * _NOISE_CHUNK + 1}"),
     ])
     def test_start_time_and_path_count_out_of_range_are_refused(self, merton_problem, monkeypatch, t0, n_paths,
                                                                  message):
         """t0 = -1 used to simulate a horizon of 2 the problem does not have,
-        and 0 paths died in a numpy reduction that named no argument."""
+        and 0 paths died in a numpy reduction that named no argument.  An odd
+        count has a path without its antithetic partner."""
         monkeypatch.setattr("hjbkit.simulate._euler", lambda *args: pytest.fail("a path was stepped"))
         with pytest.raises(ValueError, match=message):
             hk.simulate_paths(merton_problem, constant_policy([1.0]), t0, [1.0], n_paths, 4, seed=0)
@@ -141,14 +145,16 @@ def test_the_log_step_reads_the_problems_coefficients(policy):
 
 def _row_major_paths(problem, policy, t0, x0, n_paths, n_steps, seed):
     """Reference ensemble: paths stored row by row, (n_paths, n_steps+1, d),
-    one whole (n_paths, n_steps, d') draw, np.where for the frozen paths."""
+    one whole (n_paths/2, n_steps, d') draw for the first half of the paths and
+    its negation for the second, np.where for the frozen paths."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dt = (problem.horizon - t0) / n_steps
     sqdt = np.sqrt(dt)
     d, dprime = problem.state_dim, problem.noise_dim
     times = t0 + dt * np.arange(n_steps + 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    Z = rng.standard_normal((n_paths, n_steps, dprime))
+    drawn = rng.standard_normal((n_paths // 2, n_steps, dprime))
+    Z = np.concatenate([drawn, -drawn])
     log_mode = _use_log_coordinates(problem)
     states = np.empty((n_paths, n_steps + 1, d))
     states[:, 0, :] = x0
@@ -218,10 +224,12 @@ def _first_holds_reference(whole, holds):
 class TestStepMajorStorage:
     """simulate_paths keeps the state at each step asked for, bit for bit the row-major ensemble's."""
 
-    @pytest.mark.parametrize("n_paths", [100, _NOISE_CHUNK, _NOISE_CHUNK + 1, 2 * _NOISE_CHUNK + 37])
+    # the rows drawn, half the paths: within one chunk, one chunk, a chunk and a row, two chunks and more
+    @pytest.mark.parametrize("drawn", [100, _NOISE_CHUNK, _NOISE_CHUNK + 1, 2 * _NOISE_CHUNK + 37])
     @pytest.mark.parametrize("case", ["log-constant", "log-grid-table", "log-box", "generic-2d-noise",
                                       "generic-2d-box", "generic-control"])
-    def test_equals_the_row_major_loop(self, case, n_paths, merton_problem, coarse_merton_solution):
+    def test_equals_the_row_major_loop(self, case, drawn, merton_problem, coarse_merton_solution):
+        n_paths = 2 * drawn
         two_noise = hk.constant_coefficient_problem([0.3, -0.1], [[1.0, 0.2], [0.0, 0.5]])
         args = {
             "log-constant": (merton_problem, constant_policy([2.0]), 0.1, [1.2], n_paths, 12, 3),
@@ -325,9 +333,9 @@ class TestBlocks:
         # every step, and a ball around each block's own start
         stops = (*range(10), _ball(0.3))
         problem = problem.within(box)
-        ens = hk.simulate_paths(problem, policy, 0.2, starts, _NOISE_CHUNK + 3, 9, keys, stops)
+        ens = hk.simulate_paths(problem, policy, 0.2, starts, 2 * (_NOISE_CHUNK + 3), 9, keys, stops)
         _assert_blocks_equal_single_calls(ens, [
-            hk.simulate_paths(problem, policy, 0.2, x, _NOISE_CHUNK + 3, 9, key, stops)
+            hk.simulate_paths(problem, policy, 0.2, x, 2 * (_NOISE_CHUNK + 3), 9, key, stops)
             for x, key in zip(starts, keys)])
         assert 0 < np.mean(ens.stop_step[:, -1] >= 0) < 1
         assert 0.0 < ens.exit_fraction < 1.0
@@ -426,9 +434,9 @@ class TestBroadcastRule:
         policies = [pool[(b // 2) % len(pool)] for b in range(m)]
         stops = (4, _ball(0.2), 9)
         x0, seed = (starts[0], keys[0]) if n_starts == 1 else (starts, keys)
-        ens = hk.simulate_paths(problem, policies, 0.2, x0, _NOISE_CHUNK + 3, 9, seed, stops)
+        ens = hk.simulate_paths(problem, policies, 0.2, x0, 2 * (_NOISE_CHUNK + 3), 9, seed, stops)
         _assert_blocks_equal_single_calls(ens, [
-            hk.simulate_paths(problem, pol, 0.2, starts[b % n_starts], _NOISE_CHUNK + 3, 9, keys[b % n_starts],
+            hk.simulate_paths(problem, pol, 0.2, starts[b % n_starts], 2 * (_NOISE_CHUNK + 3), 9, keys[b % n_starts],
                               stops)
             for b, pol in enumerate(policies)])
         assert 0 < np.mean(ens.stop_step[:, 1] >= 0) < 1
@@ -466,12 +474,37 @@ class TestEstimateValue:
         assert abs(est.mean - math.exp(0.125)) < 2 * est.half_width_95
 
     def test_one_path_is_refused(self, merton_problem):
-        """One path had a 95% half-width of 0.0: an estimate with no error bar."""
-        ens = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 1, 8, seed=6)
-        with pytest.raises(hk.ConfigurationError, match="at least 2 paths for its 95% half-width, not 1"):
+        """One path had a 95% half-width of 0.0: an estimate with no error bar.
+        Paths now come in antithetic pairs, and one pair has no standard error either."""
+        ens = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 2, 8, seed=6)
+        with pytest.raises(hk.ConfigurationError, match=r"at least 2 antithetic pairs \(4 paths\) for its standard "
+                                                        "error, not 2 paths"):
             hk.estimate_value(ens, merton_problem.payoff)
-        two = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 2, 8, seed=6)
-        assert hk.estimate_value(two, merton_problem.payoff).half_width_95 > 0.0
+        four = hk.simulate_paths(merton_problem, constant_policy([1.0]), 0.0, [1.0], 4, 8, seed=6)
+        assert hk.estimate_value(four, merton_problem.payoff).half_width_95 > 0.0
+
+    def test_an_ensemble_of_several_blocks_is_refused(self, merton_problem):
+        """Pairs lie within a block: over two blocks, path j + n/2 is another
+        block's path, and the mean mixes two policies."""
+        ens = hk.simulate_paths(merton_problem, [constant_policy([1.0]), constant_policy([2.0])], 0.0, [1.0], 8, 4,
+                                seed=6)
+        with pytest.raises(ValueError, match="a value estimate reads one block, not 2"):
+            hk.estimate_value(ens, merton_problem.payoff)
+        assert [hk.estimate_value(b, merton_problem.payoff).n_paths for b in ens.blocks()] == [8, 8]
+
+    def test_the_standard_error_comes_from_the_pair_means(self, merton_problem):
+        """The mean is over all n paths; the stderr is that of the n/2 pair means,
+        and half_width_95 is 1.96 of it."""
+        ens = hk.simulate_paths(merton_problem, constant_policy([5.0]), 0.0, [1.0], 2_000, 16, seed=8)
+        g = merton_problem.payoff(ens.terminal_states())
+        pairs = (g[:1_000] + g[1_000:]) / 2
+        est = hk.estimate_value(ens, merton_problem.payoff)
+        assert est.mean == float(np.mean(g))
+        assert est.stderr == float(np.std(pairs, ddof=1) / np.sqrt(1_000))
+        assert est.half_width_95 == 1.96 * est.stderr
+        # the payoff is increasing in the noise, so a pair's values are negatively correlated
+        assert np.corrcoef(g[:1_000], g[1_000:])[0, 1] < 0
+        assert est.stderr < np.std(g, ddof=1) / np.sqrt(2_000)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_payoff_is_refused(self, merton_problem, bad):
@@ -500,14 +533,31 @@ class TestEstimateValue:
 
 
 class TestOptimizePolicy:
-    def test_hjb_policy_beats_constants(self, merton_problem, coarse_merton_solution):
+    @staticmethod
+    def _estimates(problem, solution):
+        """The extracted policy's estimate and the best constant's, from (0, 1)."""
         # common seed: every policy sees the same noise, so the comparison is paired
         def estimate(policy):
-            ens = hk.simulate_paths(merton_problem, policy, 0.0, [1.0], 20_000, 32, seed=4)
-            return hk.estimate_value(ens, merton_problem.payoff)
+            ens = hk.simulate_paths(problem, policy, 0.0, [1.0], 20_000, 32, seed=4)
+            return hk.estimate_value(ens, problem.payoff)
 
-        est_hjb = estimate(hk.extract_policy(coarse_merton_solution))
         best_const = max((estimate(constant_policy([u])) for u in (0.0, 2.0, 5.0)), key=lambda e: e.mean)
+        return estimate(hk.extract_policy(solution)), best_const
+
+    def test_hjb_policy_beats_constants(self, merton_problem, coarse_merton_solution):
+        """On the whole half-line the grid's box [0.2, 5] bends the extracted
+        policy, and it gives up a paired 0.4-0.8% to u* = 5 (seeds 4-11, plain
+        and antithetic draws alike; ROADMAP item 8).  The pair-mean half-width,
+        about 0.35%, resolves that loss, so it is bounded here as a stated
+        fraction of the best constant's value."""
+        est_hjb, best_const = self._estimates(merton_problem, coarse_merton_solution)
+        assert best_const.mean - est_hjb.mean <= 0.01 * best_const.mean
+
+    def test_hjb_policy_beats_constants_within_its_grid_box(self, merton_problem, coarse_merton_solution):
+        """On the problem it was solved for, stopped at the grid's box as in A2,
+        the extracted policy beats every constant within the half-width."""
+        solved = merton_problem.within(coarse_merton_solution.grid.box)
+        est_hjb, best_const = self._estimates(solved, coarse_merton_solution)
         assert est_hjb.mean >= best_const.mean - best_const.half_width_95
 
 
