@@ -13,8 +13,9 @@ directory and runs there:
   and one refined in time on Merton, a 2-D solve with a given --dt, simulate,
   certify a sub and a super candidate (and, on Merton, the solver's own
   candidate), bracket, a --fast pipeline whose sub candidate is not
-  certified (exit 4, bracket skipped), and a --fast pipeline that certifies
-  the solver's candidate, whose battery stops paths at the grid's box;
+  certified (exit 4, bracket skipped), and a --fast pipeline spec that names
+  the removed setting "certify_solver_candidate": true, which exits 2 and
+  writes nothing;
 - a hand-written convergence manifest on the Merton document that holds only
   problem, grid and out, so it runs on the defaults of the convergence flags;
 - a hand-written simulate manifest on the Merton document with the
@@ -177,6 +178,7 @@ def sessions(merton_problem, pipeline_spec) -> list:
                         "paths": 20000, "steps": 50, "simulation_box": [[0.8, 1.25]],
                         "out": "ensemble-summary.json"}}
     boxed_run = ("out/merton/simulate-box", ["--manifest", _write("inputs/merton/simulate-box.json", boxed)])
+    # a removed setting: the run exits 2 before any stage, and its replay finds no manifest
     inp = "inputs/pipeline-solver-candidate"
     _write(f"{inp}/{pipeline_spec['problem']}", merton_problem)
     solver_spec = {**pipeline_spec, "certify_solver_candidate": True}

@@ -22,8 +22,10 @@ corrects the normal approximation for their skewness (_martingale_test).
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .simulate import (
     estimate_value,
     piecewise_constant_policy,
     simulate_paths,
+    _exact_step,
     _pair_means,
     _require_pairs,
     _stderr,
@@ -431,20 +434,49 @@ class BracketConfig:
 
 @dataclass(frozen=True)
 class BracketPoint:
+    """One sandwich point and an estimate of each block of its ensemble.  Each
+    comparison with the largest estimate allows z_P of its standard errors."""
+
     t: float
     x: tuple
     sub_value: float
     super_value: float
-    mc: ValueEstimate
-    z: float                   # each comparison with mc.mean allows z standard errors
+    estimates: tuple           # one ValueEstimate per block, companion first
+    z: float                   # the reports' z
+    exact_step: bool           # simulate._exact_step of the problem
 
     @property
     def gap(self) -> float:
         return self.super_value - self.sub_value
 
     @property
+    def z_selected(self) -> float:
+        """z_P with Phi(-z_P) = Phi(-z) / P over the P estimates, so picking one keeps the
+        level of z.  Phi(-z) is erfc's, as NormalDist.cdf is 0 past z = 8; past z = 38 z is kept."""
+        tail = 0.5 * math.erfc(self.z / math.sqrt(2.0)) / len(self.estimates)
+        return self.z if len(self.estimates) == 1 or tail == 0.0 else -NormalDist().inv_cdf(tail)
+
+    @property
+    def mc(self) -> ValueEstimate:
+        return max(self.estimates, key=lambda est: est.mean)
+
+    @property
     def half_width(self) -> float:
-        return self.z * self.mc.stderr
+        return self.z_selected * self.mc.stderr
+
+    @property
+    def lower_reason(self) -> str | None:
+        if not self.exact_step:
+            return "the simulator's step is not exact for this problem's coefficients"
+        exited = [j for j, est in enumerate(self.estimates) if est.exit_fraction > 0.0]
+        return f"paths of block {exited[0]} left the state domain" if exited else None
+
+    @property
+    def lower(self) -> float | None:
+        """The largest mean - z_P se, a lower confidence bound on v, since each
+        block prices an admissible control; None where lower_reason gives one."""
+        zp = self.z_selected
+        return None if self.lower_reason else max(est.mean - zp * est.stderr for est in self.estimates)
 
     @property
     def ok(self) -> bool:
@@ -497,8 +529,7 @@ def bracket_report(
     estimates=(),
 ) -> BracketReport:
     """Sandwich check sub <= MC value estimate <= super at the given points,
-    each comparison with the estimate allowing z times its standard error, z
-    the larger of the two reports' z.
+    z the larger of the two reports' z (BracketPoint).
 
     Both inputs must arrive with passing certification reports; the MC value
     is the best estimate over the sub candidate's companion policy and any
@@ -520,8 +551,7 @@ def bracket_report(
             estimate_value(block, problem.payoff)
             for block in bracket_ensemble(sub, problem, j, t, x, sim_config).blocks()
         ]
-        best = max(made, key=lambda est: est.mean)
-        out.append(BracketPoint(t, tuple(x), sub(t, x), super_(t, x), best, z))
+        out.append(BracketPoint(t, tuple(x), sub(t, x), super_(t, x), tuple(made), z, _exact_step(problem)))
     return BracketReport(tuple(out), z)
 
 
@@ -575,16 +605,27 @@ def constant_candidate(
 
 
 def candidate_from_solution(solution, kind: str, growth_constant: float) -> CandidateFunction:
-    """Interpolated solver value with the extracted argmax rule as companion;
-    the rows of one time slice are interpolated in one call."""
+    """Solver value interpolated linearly in x within a time slice and in t
+    between the two slices around t, clamped at the ends, with the extracted
+    argmax rule as companion.  At a time node it gives that slice's bits; the
+    rows of one slice are interpolated in one call."""
     from .solver import extract_policy
 
+    times, last = solution.times, len(solution.times) - 1
+
     def evaluator(t, X):
-        n = np.broadcast_to(solution.time_index(t), len(X))
+        t = np.broadcast_to(np.asarray(t, dtype=float), len(X))
+        n = solution.time_index(t)
+        after = np.minimum(n + 1, last)
+        # the weight of slice n + 1: 0 at a node, before the first and from the last on
+        w = np.maximum(np.divide(t - times[n], times[after] - times[n], out=np.zeros(len(X)), where=after > n), 0.0)
         out = np.empty(len(X))
         for k in np.unique(n):
             rows = n == k
             out[rows] = solution.slice_at(k).interpolate(X[rows])
+            rows &= w > 0.0
+            if rows.any():
+                out[rows] += w[rows] * (solution.slice_at(k + 1).interpolate(X[rows]) - out[rows])
         return out
 
     return companion_candidate(

@@ -30,10 +30,8 @@ from .certify import (
     TestRecord,
     bracket_ensemble,
     bracket_report,
-    candidate_from_solution,
     certify_subsolution,
     certify_supersolution,
-    _finite_at_least_zero,
     _require_start_box,
 )
 from .errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
@@ -75,8 +73,8 @@ def _bracket_to_json(rep) -> dict:
         "points": [
             {
                 "t": p.t, "x": list(p.x), "sub": p.sub_value, "super": p.super_value,
-                "mc_mean": p.mc.mean, "mc_half_width": p.half_width,
-                "gap": p.gap, "ok": p.ok,
+                "mc_mean": p.mc.mean, "mc_half_width": p.half_width, "lower": p.lower,
+                "lower_reason": p.lower_reason, "gap": p.gap, "ok": p.ok,
             }
             for p in rep.points
         ],
@@ -328,12 +326,6 @@ def _run_pipeline(run, out_dir):
     config, ccfg = _config(SchemeConfig, _SPEC, s), _certify_config(_SPEC, s, problem)
     seed = s["seed"]
     mc = _config(BracketConfig, _SPEC, s, seed=seed)
-    if s["certify_solver_candidate"]:
-        if ccfg.budget < 2:
-            # the solver candidate is certified on half the budget
-            raise ConfigurationError(
-                f"budget must be at least 2 when the solver candidate is certified, not {ccfg.budget!r}")
-        scfg = replace(ccfg, budget=ccfg.budget // 2, tol=s["solver_candidate_tol"], seed=seed + 2)
     report: dict = {"stages": {}}
     g = _payoff_values(problem, grid)
     stage = "facelift"
@@ -372,14 +364,6 @@ def _run_pipeline(run, out_dir):
         super_rep = certify_supersolution(super_, problem, ccfg, (policy,))
         report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
         report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
-        if s["certify_solver_candidate"]:
-            solver_cand = candidate_from_solution(sol, "sub", growth_constant=s["solver_growth_constant"])
-            try:
-                # stopped at the grid's box: a stopped submartingale is still a submartingale
-                srep = certify_subsolution(solver_cand, problem.within(grid.box), scfg)
-                report["solver_candidate"] = {"verdict": srep.verdict, "certified": srep.certified}
-            except ValueError as exc:
-                report["solver_candidate"] = {"skipped": str(exc)}
         report["stages"][stage] = "ok"
 
         # sandwich, only between certified candidates
@@ -440,11 +424,6 @@ def _floats(value, length=None, parse=number):
     if not isinstance(value, (list, tuple)) or not value or (length is not None and len(value) != length):
         raise ValueError(f"not a list of {length or 'one or more'} numbers")
     return [parse(v) for v in value]
-
-
-def _growth_constant(value):
-    """A number that a candidate takes as its growth constant."""
-    return _finite_at_least_zero("growth_constant", number(value))
 
 
 def _optional_box(value):
@@ -508,6 +487,8 @@ _KEYS = (
     _Key("upwind", _Choice((True,)), documents="solve convergence pipeline-spec", default=True),
     _Key("penalty_weight", _Choice((None,)), documents="solve convergence pipeline-spec", default=None),
     _Key("absorb_at_truncation", _Choice((False,)), documents="pipeline-spec", default=False),
+    # the bracket's own estimates give the lower side; older specs name this off
+    _Key("certify_solver_candidate", _Choice((False,)), documents="pipeline-spec", default=False),
     _Key("t0", number, "simulate", default=0.0),
     _Key("x0", _floats, "simulate"),
     _Key("paths", integer, "simulate", default=10_000),
@@ -529,9 +510,6 @@ _KEYS = (
     _Key("mc_steps", integer, documents="pipeline-spec", fills=(BracketConfig, "n_steps"), default=200),
     _Key("sub_candidate", _as_is, documents="pipeline-spec", default=None),
     _Key("super_candidate", _as_is, documents="pipeline-spec", default=None),
-    _Key("certify_solver_candidate", _Choice((True, False)), documents="pipeline-spec", default=True),
-    _Key("solver_growth_constant", _growth_constant, documents="pipeline-spec", default=10.0),
-    _Key("solver_candidate_tol", number, documents="pipeline-spec", default=5e-3),
 )
 
 

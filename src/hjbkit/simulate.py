@@ -7,7 +7,9 @@ at the pre-exit state and are flagged; nothing is reflected or resampled, so
 leakage shows in the exit fraction.  ``linear_drift`` coefficients, b and
 sigma linear in x, on a domain in [0, inf) are advanced in log coordinates at
 the rates of the problem's coefficients at x = 1, which keeps the state
-positive and makes each step exact in distribution for frozen controls.
+positive and makes each step exact in distribution for frozen controls;
+``proportional_control`` and ``constant`` coefficients do not read x, so their
+Euler step is exact too (``_exact_step``).
 
 Noise is drawn from a counter-based Philox stream keyed by the seed, in
 antithetic pairs: of n paths, an even count, path p < n/2 consumes the counter
@@ -143,6 +145,12 @@ class PathEnsemble:
 
 def _use_log_coordinates(problem) -> bool:
     return problem.family == "linear_drift" and problem.state_dim == 1 and bool(problem.state_domain.lo[0] >= 0.0)
+
+
+def _exact_step(problem) -> bool:
+    """Whether a step with its control held is exact in distribution: in log
+    coordinates, or for a family whose b and sigma do not read x."""
+    return _use_log_coordinates(problem) or problem.family in ("proportional_control", "constant")
 
 
 _NOISE_CHUNK = 1024   # paths per noise draw

@@ -157,7 +157,7 @@ class TestLattice:
 
 
 def _bracket_point(sub, mean, super_):
-    return certify.BracketPoint(0.0, (1.0,), sub, super_, ValueEstimate(mean, 0.5, 0.0, 100), 1.0)
+    return certify.BracketPoint(0.0, (1.0,), sub, super_, (ValueEstimate(mean, 0.5, 0.0, 100),), 1.0, True)
 
 
 @pytest.mark.parametrize("point, edge", [
@@ -681,6 +681,107 @@ class TestSandwichAtZ:
     def test_a_path_count_without_two_pairs_is_refused(self, n_paths, message):
         with pytest.raises(hk.ConfigurationError, match=message):
             BracketConfig(n_paths=n_paths)
+
+
+_PASSED = (CertificationReport("sub", "sub", (), 4.0, 1e-9, 1, 0),
+           CertificationReport("super", "super", (), 4.0, 1e-9, 1, 0))
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("z", [0.0, 1.0, 1.96, 4.0, 10.0, 40.0])
+    def test_one_estimate_allows_z_itself(self, z):
+        point = certify.BracketPoint(0.0, (1.0,), 0.0, 1.0, (ValueEstimate(1.0, 0.25, 0.0, 100),), z, True)
+        assert point.z_selected == z
+        assert point.half_width == z * 0.25 and point.lower == 1.0 - z * 0.25
+
+    @pytest.mark.parametrize("z, P", [(4.0, 2), (1.96, 3), (4.0, 5), (10.0, 2)])
+    def test_lower_is_the_largest_mean_less_z_p_standard_errors(self, z, P):
+        """z_P shares the level Phi(-z) among the P estimates; at z = 10 the
+        tail is one NormalDist.cdf rounds to 0, and z_P still exceeds z."""
+        estimates = tuple(ValueEstimate(1.0 + 0.01 * j, 0.002 * (P - j), 0.0, 100) for j in range(P))
+        point = certify.BracketPoint(0.0, (1.0,), 0.0, 2.0, estimates, z, True)
+        zp = point.z_selected
+        tail = 0.5 * math.erfc(zp / math.sqrt(2.0))
+        assert tail == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)) / P, rel=1e-9) and zp > z
+        assert point.lower == max(e.mean - zp * e.stderr for e in estimates)
+        assert point.mc == estimates[-1] and point.half_width == zp * estimates[-1].stderr
+        assert point.lower_reason is None
+
+    def test_past_z_38_the_tail_underflows_and_z_is_kept(self):
+        estimates = (ValueEstimate(1.0, 0.1, 0.0, 100), ValueEstimate(0.5, 0.1, 0.0, 100))
+        assert certify.BracketPoint(0.0, (1.0,), 0.0, 2.0, estimates, 40.0, True).z_selected == 40.0
+
+    def test_the_pipeline_s_two_blocks_at_z_4(self):
+        estimates = (ValueEstimate(1.0, 0.1, 0.0, 100), ValueEstimate(0.5, 0.1, 0.0, 100))
+        point = certify.BracketPoint(0.0, (1.0,), 0.0, 2.0, estimates, 4.0, True)
+        assert point.z_selected == pytest.approx(4.1611, abs=1e-4)
+
+    def _point(self, problem, extra=()):
+        sub = constant_candidate(0.0, "sub", 2.0, policy=constant_policy(np.minimum(problem.controls.hi, 0.5)))
+        sup = constant_candidate(10.0, "super", 20.0)
+        cfg = BracketConfig(n_paths=2_000, n_steps=16, seed=6, extra_policies=extra)
+        return bracket_report(sub, sup, problem, [(0.0, [1.0] * problem.state_dim)], cfg, *_PASSED).points[0]
+
+    def test_a_number_for_the_exact_families(self, merton_problem, coarse_merton_solution):
+        for problem, extra in ((merton_problem, (hk.extract_policy(coarse_merton_solution),)),
+                               (hk.proportional_control_problem(), (constant_policy([-1.0]),)),
+                               (hk.heat_problem(dim=2), ())):
+            point = self._point(problem, extra)
+            assert point.lower_reason is None and point.lower <= point.mc.mean
+
+    def test_none_for_a_custom_family(self, merton_problem):
+        """An Euler step of coefficients the simulator cannot read is biased, so its policy prices no bound."""
+        point = self._point(replace(merton_problem, family="custom"))
+        assert point.lower is None and "not exact" in point.lower_reason
+        # the sandwich itself still holds its estimate
+        assert point.ok
+
+    def test_none_when_a_path_exits(self, merton_problem):
+        """A path stopped at a narrow box pays g at its pre-exit state: another control's price."""
+        hold = (constant_policy([0.0]),)
+        assert self._point(merton_problem, hold).lower is not None
+        narrow = self._point(merton_problem.within(hk.Box([0.9], [1.1])), hold)
+        assert narrow.estimates[0].exit_fraction > 0.0 and narrow.estimates[1].exit_fraction == 0.0
+        assert narrow.lower is None and narrow.lower_reason == "paths of block 0 left the state domain"
+
+
+def _digest_session_candidate():
+    """The from-solution sub candidate of scripts/artifact_digests.py's Merton session."""
+    problem = hk.merton_problem()
+    grid = hk.log_grid(0.2, 5.0, 80)
+    g = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
+    config = hk.SchemeConfig(n_time_nodes=20, control_grid_resolution=21, constraint_mode="project")
+    return problem, hk.solve_hjb(problem, hk.concave_envelope(g), config)
+
+
+@pytest.mark.parametrize("budget", [6_000, 60_000])
+def test_solver_candidate_certifies_between_time_nodes(budget):
+    """The candidate read the latest time node at or before t, high by up to one
+    slice for a value that falls in t: the record at tau 0.25 (node 0.21),
+    plus_eighth, x 1.98 failed with margin -0.0047 at budget 6,000, and four
+    records failed at 60,000.  Linear in t between the nodes, it certifies."""
+    problem, solution = _digest_session_candidate()
+    cand = candidate_from_solution(solution, "sub", 10.0)
+    rep = hk.certify_subsolution(cand, problem, hk.CertifyConfig(start_box=hk.Box([0.5], [2.0]), budget=budget))
+    assert rep.certified, [r for r in rep.failing()]
+
+
+def test_solver_candidate_is_linear_in_t_between_nodes_and_the_slice_at_them(coarse_merton_solution):
+    sol = coarse_merton_solution
+    cand = candidate_from_solution(sol, "sub", 10.0)
+    X = np.array([[0.7], [1.0], [2.3]])
+    for n in (0, 7, len(sol.times) - 1):
+        assert np.array_equal(cand.evaluator(sol.times[n], X), sol.slice_at(n).interpolate(X))
+    t0, t1 = sol.times[3], sol.times[4]
+    t = t0 + 0.3 * (t1 - t0)
+    v0, v1 = sol.slice_at(3).interpolate(X), sol.slice_at(4).interpolate(X)
+    assert np.array_equal(cand.evaluator(t, X), v0 + (t - t0) / (t1 - t0) * (v1 - v0))
+    # before the first node and after the last, the end slices
+    assert np.array_equal(cand.evaluator(sol.times[0] - 0.5, X), sol.slice_at(0).interpolate(X))
+    assert np.array_equal(cand.evaluator(sol.times[-1] + 0.5, X), sol.slice_at(len(sol.times) - 1).interpolate(X))
+    # the solve's value and its policy keep the latest node at or before t
+    assert sol.value_at(t, [1.0]) == sol.slice_at(3).interpolate([1.0])
+    assert np.array_equal(hk.extract_policy(sol)(t, X), hk.extract_policy(sol)(t0, X))
 
 
 def test_the_second_half_of_a_block_runs_on_the_negated_noise():

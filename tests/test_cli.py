@@ -474,16 +474,6 @@ def small_pipeline(tmp_path, **changes):
     return write(tmp_path / "pipeline.json", spec)
 
 
-def test_pipeline_skips_a_solver_candidate_whose_starts_leave_the_grid(tmp_path, capsys):
-    """A start box below the grid's box lies outside the solver candidate's domain:
-    its battery is skipped and reported, and every stage is ok."""
-    spath = small_pipeline(tmp_path, start_box=[[0.01, 0.19]], certify_solver_candidate=True)
-    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
-    doc = json.loads((tmp_path / "pipeline-report.json").read_text())
-    assert doc["solver_candidate"] == {"skipped": "start_box [[0.01, 0.19]] must lie inside the state domain"}
-    assert set(doc["stages"].values()) == {"ok"}
-
-
 def test_pipeline_uncertified_candidate_exits_4_with_report(tmp_path, capsys):
     inflated = dict(MERTON_SUB, params=dict(MERTON_SUB["params"], exponent_shift=0.5))
     spath = small_pipeline(tmp_path, sub_candidate=inflated)
@@ -759,20 +749,6 @@ def test_seed_beside_a_manifest_exits_2_before_the_run(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out").exists()
 
 
-def test_pipeline_solver_candidate_battery_takes_the_spec_s_starts_and_steps(tmp_path, monkeypatch):
-    """The solver candidate's battery is the spec's battery on half the budget,
-    with its own tol and seed; it once took the default 3 starts and 48 steps."""
-    configs, certify = [], cli.certify_subsolution
-    monkeypatch.setattr("hjbkit.cli.certify_subsolution",
-                        lambda cand, problem, config: configs.append(config) or certify(cand, problem, config))
-    spath = small_pipeline(tmp_path, certify_solver_candidate=True, n_starts=2, steps=12, budget=2000,
-                           mc_paths=500, solver_candidate_tol=0.01)
-    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) in (0, 4)
-    battery, solver = configs
-    assert (battery.n_starts, battery.steps_per_record) == (2, 12)
-    assert solver == dataclasses.replace(battery, budget=1000, tol=0.01, seed=5)
-
-
 def test_pipeline_manifest_records_seed_0_and_replays(tmp_path):
     """A run without --seed records config.seed 0, as every earlier pipeline
     manifest does, and its replay writes the same report."""
@@ -783,15 +759,6 @@ def test_pipeline_manifest_records_seed_0_and_replays(tmp_path):
     assert main(["--out-dir", str(tmp_path / "b"), "--manifest", str(tmp_path / "a" / "manifest.json")]) == code
     report = "pipeline-report.json"
     assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "a" / report).read_bytes()
-
-
-def test_pipeline_certifies_the_solver_candidate(tmp_path, capsys):
-    spath = small_pipeline(tmp_path, certify_solver_candidate=True)
-    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) in (0, 4)
-    doc = json.loads((tmp_path / "pipeline-report.json").read_text())
-    assert doc["stages"]["certify"] == "ok"
-    assert doc["solver_candidate"]["verdict"] in ("certified (statistical)", "NOT certified")
-    assert isinstance(doc["solver_candidate"]["certified"], bool)
 
 
 @pytest.fixture
@@ -962,21 +929,59 @@ def test_pipeline_sandwich_reads_the_certify_z(tmp_path, z):
                                       and p["sub"] <= p["super"] + 1e-9)
 
 
-def test_pipeline_solver_candidate_on_a_budget_of_one_exits_2(tmp_path, monkeypatch, capsys):
-    """The solver candidate is certified on half the budget: a budget of 1 used to
-    report it as skipped and exit 0."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
-    spath = small_pipeline(tmp_path, budget=1, certify_solver_candidate=True)
-    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "budget" in err
-    assert not (tmp_path / "pipeline-report.json").exists()
-
-
 def test_pipeline_budget_of_one_runs_without_the_solver_candidate(tmp_path):
     spath = small_pipeline(tmp_path, budget=1, mc_paths=200)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) in (0, 4)
     assert "solver_candidate" not in json.loads((tmp_path / "pipeline-report.json").read_text())
+
+
+def test_pipeline_certify_solver_candidate_true_exits_2_naming_the_key(tmp_path, monkeypatch, capsys):
+    """The solver candidate's half-budget sub battery is gone, since the bracket's
+    own estimates give the lower side; a spec that asks for it exits 2 before any stage runs."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, certify_solver_candidate=True)
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: key 'certify_solver_candidate': True")
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+def test_pipeline_certify_solver_candidate_false_is_taken_and_not_read(tmp_path):
+    """Older specs, the frozen benchmark's among them, name the setting false."""
+    named = small_pipeline(tmp_path, mc_paths=500, budget=1000)
+    doc = json.loads(pathlib.Path(named).read_text())
+    assert doc.pop("certify_solver_candidate") is False
+    codes, reports = [], []
+    for name, spath in (("named", named), ("absent", write(tmp_path / "absent.json", doc))):
+        codes.append(main(["--out-dir", str(tmp_path / name), "pipeline", "--spec", spath]))
+        reports.append((tmp_path / name / "pipeline-report.json").read_bytes())
+    assert codes[0] == codes[1] in (0, 4) and reports[0] == reports[1]
+    assert "solver_candidate" not in json.loads(reports[0])
+
+
+@pytest.mark.parametrize("key, value", [("solver_growth_constant", 10.0), ("solver_candidate_tol", 0.005)])
+def test_pipeline_solver_candidate_settings_are_unknown_keys(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    spath = small_pipeline(tmp_path, **{key: value})
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
+    assert f"unknown pipeline-spec key(s) {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "pipeline-report.json").exists()
+
+
+def test_pipeline_points_carry_the_lower_bound_of_their_two_blocks(tmp_path):
+    """lower is the larger of the companion's and the extracted policy's mean -
+    z_P se, so it lies between the selected estimate less its half-width and its mean."""
+    spath = small_pipeline(tmp_path, points=[[0.0, 1.0], [0.5, 1.5]])
+    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
+    for p in json.loads((tmp_path / "pipeline-report.json").read_text())["bracket"]["points"]:
+        assert p["lower_reason"] is None
+        assert p["mc_mean"] - p["mc_half_width"] <= p["lower"] <= p["mc_mean"]
+
+
+def test_bracket_lower_is_the_estimate_less_its_half_width(tmp_path):
+    """With one block (P = 1) z_P is the reports' z, and the half-width keeps its bytes."""
+    assert main(_bracket_inputs(tmp_path, "t,x\n0.0,1.0\n0.5,1.5\n")) in (0, 4)
+    for p in json.loads((tmp_path / "bracket.json").read_text())["points"]:
+        assert p["lower"] == p["mc_mean"] - p["mc_half_width"] and p["lower_reason"] is None
 
 
 def test_bracket_points_header_is_skipped(tmp_path):
@@ -985,9 +990,8 @@ def test_bracket_points_header_is_skipped(tmp_path):
     assert [(p["t"], p["x"]) for p in doc["points"]] == [(0.0, [1.0]), (0.5, [1.5])]
 
 
-@pytest.mark.parametrize("key", ["mc_paths", "mc_steps", "seed", "solver_candidate_tol", "solver_growth_constant",
-                                 "budget", "z", "tol", "n_starts", "steps", "time_nodes", "control_res", "dt",
-                                 "start_box"])
+@pytest.mark.parametrize("key", ["mc_paths", "mc_steps", "seed", "budget", "z", "tol", "n_starts", "steps",
+                                 "time_nodes", "control_res", "dt", "start_box"])
 def test_pipeline_non_numeric_key_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key):
     monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: "many"})
@@ -1335,17 +1339,6 @@ def test_certify_manifest_with_an_infinite_tol_exits_2(tmp_path, monkeypatch, ca
     assert not (tmp_path / "out" / "r.json").exists()
 
 
-def test_pipeline_infinite_solver_candidate_tol_exits_2_before_any_stage(tmp_path, monkeypatch, capsys):
-    """solver_candidate_tol reaches the solver candidate's battery tol, which
-    used to be built in the certify stage, after the solve and the simulation."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
-    spath = small_pipeline(tmp_path, certify_solver_candidate=True, solver_candidate_tol=math.inf)
-    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "tol must be finite and at least 0, not inf" in err
-    assert not (tmp_path / "pipeline-report.json").exists()
-
-
 
 @pytest.mark.parametrize("growth, code", [(1.0, 4), (math.inf, 2), (math.nan, 2), (-1.0, 2)],
                          ids=["one", "infinite", "nan", "negative"])
@@ -1369,17 +1362,6 @@ def test_certify_growth_constant_must_be_finite_and_at_least_0(tmp_path, monkeyp
         assert err.startswith("configuration error:")
         assert f"growth_constant must be finite and at least 0, not {growth!r}" in err
         assert not (tmp_path / "report.json").exists()
-
-
-@pytest.mark.parametrize("growth", [math.inf, -1.0])
-def test_pipeline_solver_growth_constant_out_of_range_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, growth):
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
-    spath = small_pipeline(tmp_path, certify_solver_candidate=True, solver_growth_constant=growth)
-    assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: key 'solver_growth_constant'")
-    assert "growth_constant must be finite" in err
-    assert not (tmp_path / "pipeline-report.json").exists()
 
 
 HEAT_2D_SPEC = {
@@ -1743,7 +1725,6 @@ WRONG_TYPE = {
     grids.number: ["many", [1.0], {}, True, "0.5"],
     os.fspath: [5, True, ["a"], {}],
     cli._floats: [1.0, ["one"], [], "1.0"],
-    cli._growth_constant: ["many", True, math.inf, math.nan, -1.0],
     dict: [5, "ab", [1, 2]],
     cli._optional_box: [5, "a", [[1.0]], [[2.0, 1.0]], [[0.0, 1.0, 2.0]]],
 }
