@@ -16,6 +16,9 @@ directory and runs there:
   certified (exit 4, bracket skipped), and a --fast pipeline spec that names
   the removed setting "certify_solver_candidate": true, which exits 2 and
   writes nothing;
+- two bracket runs on the Merton document with one report on both flags,
+  the sub report and then the super report: a sandwich of one side, which
+  exits 2 and writes nothing;
 - a hand-written convergence manifest on the Merton document that holds only
   problem, grid and out, so it runs on the defaults of the convergence flags;
 - a hand-written simulate manifest on the Merton document with the
@@ -35,7 +38,8 @@ and a --manifest replay of each of these.
 Every path given to the command line is relative to the work directory, so
 no manifest names it.  Each line of FILE holds an artifact's path under the
 work directory, its sha256 and the exit code of the run that wrote it; a run
-that wrote nothing gives one line with "-" for the digest.  Two checkouts are
+that wrote nothing gives one line with "-" for the digest, and a run that
+raised gives the exception's name for the exit code.  Two checkouts are
 compared with diff:
 
     git archive HEAD~1 | tar -x -C /tmp/parent
@@ -183,7 +187,13 @@ def sessions(merton_problem, pipeline_spec) -> list:
     _write(f"{inp}/{pipeline_spec['problem']}", merton_problem)
     solver_spec = {**pipeline_spec, "certify_solver_candidate": True}
     solver = ("out/pipeline-solver-candidate", ["pipeline", "--spec", _write(f"{inp}/pipeline.json", solver_spec)])
-    return (merton + [minimal_run, boxed_run] + heat + [uncertified, solver] + _long_only(merton_problem)
+    # one report on both flags: refused before any path is drawn, and the replay finds no manifest
+    report = "out/merton/certify-{}/report.json".format
+    one_side = [(f"out/merton/bracket-{side}-on-both",
+                 ["bracket", "--problem", "inputs/merton/prob.json", "--sub", report(side), "--super", report(side),
+                  "--points", "inputs/merton/points.csv", "--paths", "4000", "--steps", "16"])
+                for side in ("sub", "super")]
+    return (merton + [minimal_run, boxed_run] + one_side + heat + [uncertified, solver] + _long_only(merton_problem)
             + _cross_directory() + _neg_trace_1d())
 
 
@@ -249,7 +259,10 @@ def digests(src: str, seeds) -> list:
 
     def run(run_dir, argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes[run_dir] = main(["--out-dir", run_dir, *argv])
+            try:
+                codes[run_dir] = main(["--out-dir", run_dir, *argv])
+            except Exception as exc:   # an older checkout's traceback: its exit code is the exception's name
+                codes[run_dir] = type(exc).__name__
 
     try:
         os.chdir(work)

@@ -531,14 +531,20 @@ def bracket_report(
     """Sandwich check sub <= MC value estimate <= super at the given points,
     z the larger of the two reports' z (BracketPoint).
 
-    Both inputs must arrive with passing certification reports; the MC value
-    is the best estimate over the sub candidate's companion policy and any
-    extra policies supplied (e.g. a solver-extracted rule).
+    Both inputs must arrive with passing certification reports of their own
+    side; the MC value is the best estimate over the sub candidate's
+    companion policy and any extra policies supplied (e.g. a solver-extracted
+    rule).
 
     Each point's estimates come from its `bracket_ensemble`, one per block.
     estimates[j], when given, holds those of point j, made by an earlier
     call, and only the points after them are simulated here.
     """
+    for side, candidate, report in (("sub", sub, sub_report), ("super", super_, super_report)):
+        # a sandwich of one side bounds nothing
+        if candidate.kind != side or report.side != side:
+            raise ValueError(f"the {side} side needs a {side} candidate and report, "
+                             f"not a {candidate.kind} candidate and a {report.side} report")
     if not sub_report.certified:
         raise ValueError("sub candidate is not certified")
     if not super_report.certified:

@@ -187,8 +187,11 @@ def _run_simulate(s, out_dir):
 def _certify_config(document, s, problem) -> CertifyConfig:
     box = s["start_box"]
     if box is None:
-        lo = np.where(np.isfinite(problem.state_domain.lo), problem.state_domain.lo, -1.0)
-        hi = np.where(np.isfinite(problem.state_domain.hi), problem.state_domain.hi, 1.0)
+        # the middle half of the domain, an infinite edge put at -1 or 1, or
+        # 2 past the finite edge where that one sits at or beyond it
+        lo, hi = problem.state_domain.lo, problem.state_domain.hi
+        lo = np.where(np.isfinite(lo), lo, np.where(hi > -1.0, -1.0, hi - 2.0))
+        hi = np.where(np.isfinite(hi), hi, np.where(lo < 1.0, 1.0, lo + 2.0))
         width = hi - lo
         box = Box(lo + 0.25 * width, hi - 0.25 * width)
     # the batteries' rule, here so that a pipeline refuses the box before any stage runs
@@ -241,8 +244,7 @@ def _require_points(problem, points):
 
 def _read_points(path):
     """The (t, x) lines `t,x1[,x2...]` of a points file; only the first line may be a header."""
-    with open(path) as fh:
-        lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(specio.read_text(path).splitlines(), 1) if ln.strip()]
     pts = []
     for j, (i, ln) in enumerate(lines):
         try:
@@ -638,12 +640,13 @@ def main(argv=None) -> int:
         # oracle only prints its value; it writes a manifest only into an explicit --out-dir
         out_dir = args.out_dir if args.out_dir is not None or subcommand == "oracle" else "."
         s = _settings(subcommand, cfg)
-        code, artifacts, seed = _HANDLERS[subcommand](s, out_dir)
+        with specio.recording_reads() as inputs:
+            code, artifacts, seed = _HANDLERS[subcommand](s, out_dir)
         for name, text in artifacts.items():
             specio.atomic_write_text(os.path.join(out_dir, name), text)
         if out_dir:
-            # the manifest hashes the subcommand's input files: its paths other than out
-            inputs = [s[k] for k, (row, _) in _TABLE[subcommand].items() if row.parse is os.fspath and k != "out"]
+            # the manifest hashes every input file the subcommand read, a
+            # pipeline spec's problem document and CSVs too
             specio.write_manifest(out_dir, subcommand, cfg, inputs, seed, list(artifacts))
         return code
     except (ConvergenceError, NumericalError) as exc:

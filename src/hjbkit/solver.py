@@ -230,14 +230,12 @@ class _Stepper:
         # the Howard step's neighbour test: the nodes where it decides the
         # argmax, and per node 4 eps times the largest wm and wp (both >= 0).
         # 4 eps (max wm |a| + max wp |b|) is more than twice the rounding
-        # error of any computed  wm a + wp b  at that node.
-        self.convex = None
+        # error of any computed  wm a + wp b  at that node.  With one or two
+        # controls every cross product is 0, so no node is marked.
         self.searched = 0   # node-iterations of the Howard step that took the full max
-        if dim == 1 and controls.shape[1] == 1 and m >= 3:
-            convex = _convex_polygons(wm, wp)
-            if convex.any():
-                self.convex = convex
-                self.rounding = (4 * _EPS) * wm.max(axis=0), (4 * _EPS) * wp.max(axis=0)
+        if dim == 1:
+            self.convex = _convex_polygons(wm, wp)
+            self.rounding = (4 * _EPS) * wm.max(axis=0), (4 * _EPS) * wp.max(axis=0)
 
     def _generator(self, v, out):
         """L^u v at the interior nodes, one row per control, in difference form:
@@ -294,20 +292,16 @@ class _Stepper:
             # L^u v = 0 exactly, a constant say, then stays bitwise unchanged
             rhs = dt * (lower * down + upper * up)
             full[1:-1] = centre + tridiagonal_substitution(self._elimination(dt, policy, lower, upper), rhs)
-            if self.convex is None:
-                search = cols
-                gen = self._generator(full, self.buf)
-            else:
-                # the products and add of _generator, so every value has its bits
-                w = full[1:-1]
-                a, b = full[:-2] - w, full[2:] - w
-                here = lower * a + upper * b
-                tol = self.rounding[0] * np.abs(a) + self.rounding[1] * np.abs(b) + _TINY
-                kept = self.convex.copy()
-                for u in ((policy - 1) % m, (policy + 1) % m):
-                    kept &= here - (wm[u, cols] * a + wp[u, cols] * b) > tol
-                search = np.flatnonzero(~kept)
-                gen = wm[:, search] * a[search] + wp[:, search] * b[search]
+            # the products and add of _generator, so every value has its bits
+            w = full[1:-1]
+            a, b = full[:-2] - w, full[2:] - w
+            here = lower * a + upper * b
+            tol = self.rounding[0] * np.abs(a) + self.rounding[1] * np.abs(b) + _TINY
+            kept = self.convex.copy()
+            for u in ((policy - 1) % m, (policy + 1) % m):
+                kept &= here - (wm[u, cols] * a + wp[u, cols] * b) > tol
+            search = np.flatnonzero(~kept)
+            gen = wm[:, search] * a[search] + wp[:, search] * b[search]
             self.searched += search.size
             found = np.argmax(gen, axis=0)
             best = policy.copy()

@@ -10,6 +10,7 @@ sufficient to reproduce the outputs bitwise.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -204,8 +205,7 @@ def solution_from_csv(text: str) -> SpaceTimeSolution:
 
 
 def load_solution(path: str) -> SpaceTimeSolution:
-    with open(path) as fh:
-        return solution_from_csv(fh.read())
+    return solution_from_csv(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +247,7 @@ def candidate_from_spec(spec: dict, base_dir: str = ".", side: str | None = None
         return constant_candidate(read("value", spec["value"], finite), side, growth, policy)
     path = os.path.join(base_dir, spec["csv"])
     if kind == "grid-table":
-        with open(path) as fh:
-            gf = grid_function_from_csv(fh.read())
+        gf = grid_function_from_csv(read_text(path))
         if gf.grid.dim != 1:
             raise ConfigurationError("grid-table candidates are one-dimensional")
         return companion_candidate(lambda t, X: gf.interpolate(X), side, growth, policy, "grid-table")
@@ -313,5 +312,27 @@ def write_manifest(out_dir: str, subcommand: str, config: dict, inputs, seed, ou
 
 def load_json(path: str):
     """A JSON document: a manifest, or a problem, grid, policy, candidate or pipeline document."""
+    return json.loads(read_text(path))
+
+
+_reads = None   # the paths read_text has read inside a recording_reads block
+
+
+@contextlib.contextmanager
+def recording_reads():
+    """The paths of the input files read in the block, in order: what a manifest hashes."""
+    global _reads
+    _reads = []
+    try:
+        yield _reads
+    finally:
+        _reads = None
+
+
+def read_text(path: str) -> str:
+    """The text of an input file, the one reader of every document, CSV and points file."""
     with open(path) as fh:
-        return json.load(fh)
+        text = fh.read()
+    if _reads is not None:
+        _reads.append(path)
+    return text

@@ -224,6 +224,18 @@ class TestBracket:
             bracket_report(sub, sup, merton_problem, [(0.0, [1.0])], BracketConfig(),
                            bad_rep, sup_rep)
 
+    @pytest.mark.parametrize("slot", ["sub", "super"])
+    @pytest.mark.parametrize("swapped", ["candidate", "report"])
+    def test_a_candidate_or_report_of_the_other_side_is_refused(self, merton_problem, slot, swapped):
+        """A super candidate or report in the sub slot, or the reverse, made a
+        sandwich that bounds nothing, or died in the sub side's policy factory."""
+        side = {s: ("super" if s == "sub" else "sub") if s == slot else s for s in ("sub", "super")}
+        candidates = [constant_candidate(1.0, side[s] if swapped == "candidate" else s, 2.0) for s in side]
+        reports = [CertificationReport(s, side[s] if swapped == "report" else s, (), 4.0, 0.0, 1, 0) for s in side]
+        with pytest.raises(ValueError, match=f"the {slot} side needs a {slot} candidate and report"):
+            bracket_report(*candidates, merton_problem, [(0.0, [1.0])], BracketConfig(n_paths=10, n_steps=2),
+                           *reports)
+
 
 class TestOrderingInvariant:
     def test_certified_sub_below_certified_super(self, merton_problem, cert_config):
@@ -656,7 +668,7 @@ class TestSandwichAtZ:
     def test_the_half_width_is_the_reports_z_standard_errors(self, merton_problem, sub_z, super_z):
         """Each comparison with the estimate allows the larger of the two
         batteries' z times its standard error; it allowed 1.96 whatever they used."""
-        # bracket_report reads only the verdicts and the z of the two reports
+        # bracket_report reads only the sides, the verdicts and the z of the two reports
         reports = [CertificationReport(side, side, (), z, 0.0, 1, 0)
                    for side, z in (("sub", sub_z), ("super", super_z))]
         sup = constant_candidate(3.0, "super", growth_constant=5.0)

@@ -353,6 +353,17 @@ MALFORMED_PROBLEMS = {
     "document-list": [KINK_SPEC],
 }
 GOOD_GRID = {"box": [[0.0, 2.0]], "n": [21]}
+PLANE_SPEC = {"family": "constant", "params": {"b0": [0.0, 0.0], "s0": [[1.0, 0.0], [0.0, 1.0]]},
+              "control_bound": 0.0, "state_domain": [[None, None], [None, None]], "horizon": 0.5,
+              "payoff": {"family": "abs", "params": {"center": 0.0}},
+              "gauge": {"family": "one_plus_square"}, "constraint": {"family": "neg_trace"}}
+PLANE_GRID = {"box": [[0.5, 2.0], [0.5, 2.0]], "n": [9, 11]}
+# documents each well formed alone, refused by what the solve needs: (problem, grid, message)
+MALFORMED_SOLVES = {
+    "two-d-non-diagonal-diffusion": (dict(PLANE_SPEC, params={"b0": [0.0, 0.0], "s0": [[1.0, 0.5], [0.0, 1.0]]}),
+                                     PLANE_GRID, "2-D solver supports diagonal diffusion only"),
+    "two-d-log-spacing": (PLANE_SPEC, dict(PLANE_GRID, spacing="log"), "log spacing is one-dimensional"),
+}
 # "x", 5 and [[2, 0]] exited 2 naming no key; [[0, 2, 3]] built on [0, 2] and [[true, 2]] on [1, 2]
 MALFORMED_GRID_BOXES = {"string": "x", "int": 5, "inverted": [[2.0, 0.0]], "null-edge": [[None, 2.0]],
                         "infinite-edge": [[0.0, math.inf]], "three-numbers": [[0.0, 2.0, 3.0]],
@@ -362,8 +373,9 @@ MALFORMED_GRID_BOXES = {"string": "x", "int": 5, "inverted": [[2.0, 0.0]], "null
 @pytest.mark.parametrize(
     "problem, grid, named",
     [(doc, GOOD_GRID, "") for doc in MALFORMED_PROBLEMS.values()]
-    + [(KINK_SPEC, {"box": box, "n": [21]}, f"box {box!r}: ") for box in MALFORMED_GRID_BOXES.values()],
-    ids=list(MALFORMED_PROBLEMS) + [f"grid-box-{name}" for name in MALFORMED_GRID_BOXES],
+    + [(KINK_SPEC, {"box": box, "n": [21]}, f"box {box!r}: ") for box in MALFORMED_GRID_BOXES.values()]
+    + list(MALFORMED_SOLVES.values()),
+    ids=list(MALFORMED_PROBLEMS) + [f"grid-box-{name}" for name in MALFORMED_GRID_BOXES] + list(MALFORMED_SOLVES),
 )
 def test_malformed_document_exits_2(tmp_path, capsys, problem, grid, named):
     prob = write(tmp_path / "prob.json", problem)
@@ -656,11 +668,7 @@ def test_manifest_with_a_removed_setting_exits_2(tmp_path, capsys, subcommand, a
 
 # documents whose G does not read the 1-D second difference, so cli._facelift calls facelift_general
 GENERAL_ROUTE = {
-    "neg_trace-2d": ({"family": "constant", "params": {"b0": [0.0, 0.0], "s0": [[1.0, 0.0], [0.0, 1.0]]},
-                      "control_bound": 0.0, "state_domain": [[None, None], [None, None]], "horizon": 0.5,
-                      "payoff": {"family": "abs", "params": {"center": 0.0}},
-                      "gauge": {"family": "one_plus_square"}, "constraint": {"family": "neg_trace"}},
-                     {"box": [[-1.0, 1.0], [-1.0, 1.0]], "n": [9, 11]}),
+    "neg_trace-2d": (PLANE_SPEC, {"box": [[-1.0, 1.0], [-1.0, 1.0]], "n": [9, 11]}),
     "positive_const-1d": ({"family": "constant", "params": {"b0": [0.0], "s0": [[1.0]]},
                            "control_bound": 0.0, "state_domain": [[None, None]], "horizon": 0.5,
                            "payoff": {"family": "abs", "params": {"center": 0.0}},
@@ -822,6 +830,25 @@ def test_bracket_reads_the_files_of_a_candidate_certified_into_another_directory
     assert main(["--out-dir", str(d / "out" / "bracket"), "bracket", "--problem", str(d / "prob.json"),
                  "--sub", str(report), "--super", super_, "--points", str(d / "points.csv"),
                  "--paths", "500", "--steps", "8"]) in (0, 4)
+
+
+def test_pipeline_manifest_hashes_the_problem_and_csv_files_its_spec_names(merton_solution_csv, monkeypatch):
+    """The manifest hashed the spec alone, so an edit of the problem document
+    it names, or of a candidate's CSV, left the manifest as it was."""
+    monkeypatch.setattr("hjbkit.cli._facelift", _raise(ConfigurationError("stopped")))
+    d = merton_solution_csv
+    spec = small_pipeline(d, sub_candidate={"kind": "from-solution", "csv": "solution.csv", "side": "sub",
+                                            "growth_constant": 10.0})
+    prob, csv = str(d / "prob.json"), str(d / "solution.csv")
+
+    def inputs():
+        assert main(["--out-dir", str(d / "out"), "pipeline", "--spec", spec]) == 2
+        return json.loads((d / "out" / "manifest.json").read_text())["inputs"]
+
+    before = inputs()
+    assert before == {p: specio.sha256_file(p) for p in (spec, prob, csv)}
+    (d / "prob.json").write_text(json.dumps(MERTON_SPEC, indent=1))
+    assert inputs() == dict(before, **{prob: specio.sha256_file(prob)}) != before
 
 
 def test_rebased_names_each_csv_path_from_the_new_directory():
@@ -1088,6 +1115,7 @@ MALFORMED_MANIFESTS = {
     "config-missing": ({"subcommand": "simulate"}, "'config'"),
     "subcommand-list": ({"subcommand": ["x"], "config": {}}, "'subcommand'"),
     "subcommand-unknown": ({"subcommand": "simulat", "config": {}}, "'subcommand'"),
+    "solve-without-grid": ({"subcommand": "solve", "config": {"problem": "prob.json"}}, "key 'grid' is missing"),
 }
 
 
@@ -1124,22 +1152,29 @@ def test_certify_report_roundtrips_through_its_dataclasses(tmp_path):
     assert older.records == report.records
 
 
-@pytest.mark.parametrize("defect", ["list", "no-records", "record-without-tau"])
+@pytest.mark.parametrize("defect", ["list", "no-records", "record-without-tau", "sub-on-both", "super-on-both"])
 def test_bracket_malformed_certify_report_exits_2(tmp_path, capsys, defect):
     argv = _bracket_inputs(tmp_path, "0.0,1.0\n")
     path = tmp_path / "super-report.json"
     doc = json.loads(path.read_text())
+    problem = "malformed certify report document"
     if defect == "list":
         doc = ["x"]
     elif defect == "no-records":
         del doc["records"]
-    else:
+    elif defect == "record-without-tau":
         doc["records"] = [{"kind": "martingale", "rho": "terminal", "start": [1.0], "adversary": "corner",
                            "margin": 0.0, "stderr": 0.0, "n_paths": 10, "passed": True}]
+    else:
+        # one report on both flags: a sub pair passed with gap 0, a super pair died with a TypeError
+        side, other = defect.split("-")[0], "super" if defect.startswith("sub") else "sub"
+        argv[argv.index(f"--{other}") + 1] = argv[argv.index(f"--{side}") + 1]
+        problem = f"the {other} side needs a {other} candidate and report"
     write(path, doc)
     assert main(argv) == 2
-    assert "malformed certify report document" in capsys.readouterr().err
-    assert not (tmp_path / "bracket.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and problem in err
+    assert not (tmp_path / "bracket.json").exists() and not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("flag, value, field", [
@@ -1430,6 +1465,27 @@ def test_pipeline_start_box_with_an_infinite_edge_or_outside_the_domain_exits_2_
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     assert capsys.readouterr().err.startswith("configuration error: start_box")
     assert not (tmp_path / "pipeline-report.json").exists()
+
+
+@pytest.mark.parametrize("domain, box", [
+    ([0.0, None], [0.25, 0.75]), ([None, None], [-0.5, 0.5]), ([-5.0, None], [-3.5, -0.5]),
+    ([5.0, None], [5.5, 6.5]), ([1.0, None], [1.5, 2.5]), ([None, -1.0], [-2.5, -1.5]), ([None, -5.0], [-6.5, -5.5]),
+], ids=["zero-up", "line", "minus-five-up", "five-up", "one-up", "down-to-minus-one", "down-to-minus-five"])
+def test_certify_default_start_box_lies_inside_the_domain(tmp_path, monkeypatch, domain, box):
+    """With no start box, a half-line from 5 up exited 2 on the inverted box
+    [5, 1] -> [4, 2], and one from 1 up gave the box [1, 1] on its edge; the
+    boxes that were valid keep their bytes."""
+    seen = []
+
+    def battery(candidate, problem, config):
+        seen.append(config.start_box)
+        return hk.CertificationReport(candidate.name, candidate.kind, (), config.z, config.tol, config.budget, 0)
+
+    monkeypatch.setattr("hjbkit.cli.certify_supersolution", battery)
+    prob = write(tmp_path / "prob.json", dict(KINK_SPEC, state_domain=[domain]))
+    cand = write(tmp_path / "cand.json", {"kind": "constant", "side": "super", "value": 1.0, "growth_constant": 1.0})
+    assert main(["--out-dir", str(tmp_path), "certify", "--problem", prob, "--candidate", cand]) == 0
+    assert [(list(b.lo), list(b.hi)) for b in seen] == [([box[0]], [box[1]])]
 
 
 NAN_MU = dict(MERTON_SPEC, params={"mu": math.nan, "sigma": 0.2})
