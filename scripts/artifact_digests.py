@@ -13,9 +13,14 @@ directory and runs there:
   and one refined in time on Merton, a 2-D solve with a given --dt, simulate,
   certify a sub and a super candidate (and, on Merton, the solver's own
   candidate), bracket, a --fast pipeline whose sub candidate is not
-  certified (exit 4, bracket skipped), and a --fast pipeline spec that names
+  certified (exit 4, bracket skipped), a --fast pipeline spec that names
   the removed setting "certify_solver_candidate": true, which exits 2 and
-  writes nothing;
+  writes nothing, and a --fast pipeline spec with a fourth point (0, 8.0)
+  outside its grid's box [0.2, 5];
+- a 2-D neg_trace pipeline on the heat document (21x21 grid on [-1, 1]^2,
+  6 time nodes, 3 controls, the point (0, 0.1, 0.2), the constant candidates
+  -1 and 10 of the heat session): face-lift by policy iteration, a penalized
+  solve and a 2-D extracted policy;
 - two bracket runs on the Merton document with one report on both flags,
   the sub report and then the super report: a sandwich of one side, which
   exits 2 and writes nothing;
@@ -74,6 +79,9 @@ HEAT_2D = {
     "gauge": {"family": "one_plus_square", "constant": 2.0},
     "constraint": {"family": "neg_trace"},
 }
+
+HEAT_CANDIDATES = {"certify-sub": {"kind": "constant", "value": -1.0, "side": "sub", "growth_constant": 1.0},
+                   "certify-super": {"kind": "constant", "value": 10.0, "side": "super", "growth_constant": 10.0}}
 
 NEG_TRACE_1D = {
     "family": "proportional_control",
@@ -163,9 +171,7 @@ def sessions(merton_problem, pipeline_spec) -> list:
         # 25 internal steps per interval below the CFL bound's 20
         {"solve-dt": ["solve", "--mode", "penalize", "--time-nodes", "6", "--control-res", "3", "--dt", "0.004"]},
         {"kind": "constant", "value": [0.0]}, [0.1, 0.2],
-        {"certify-sub": {"kind": "constant", "value": -1.0, "side": "sub", "growth_constant": 1.0},
-         "certify-super": {"kind": "constant", "value": 10.0, "side": "super", "growth_constant": 10.0}},
-        "-0.5,0.5;-0.5,0.5", "t,x0,x1\n0.0,0.1,0.2\n",
+        HEAT_CANDIDATES, "-0.5,0.5;-0.5,0.5", "t,x0,x1\n0.0,0.1,0.2\n",
     )
     # the bracket is skipped, but the simulate stage still runs the sub candidate's companion
     inp = "inputs/pipeline-uncertified"
@@ -187,14 +193,32 @@ def sessions(merton_problem, pipeline_spec) -> list:
     _write(f"{inp}/{pipeline_spec['problem']}", merton_problem)
     solver_spec = {**pipeline_spec, "certify_solver_candidate": True}
     solver = ("out/pipeline-solver-candidate", ["pipeline", "--spec", _write(f"{inp}/pipeline.json", solver_spec)])
+    # a point past the grid's box, where the solve has no value to read
+    inp = "inputs/pipeline-out-of-box"
+    _write(f"{inp}/{pipeline_spec['problem']}", merton_problem)
+    far_spec = {**pipeline_spec, "points": [*pipeline_spec["points"], [0.0, 8.0]]}
+    far = ("out/pipeline-out-of-box", ["pipeline", "--spec", _write(f"{inp}/pipeline.json", far_spec)])
     # one report on both flags: refused before any path is drawn, and the replay finds no manifest
     report = "out/merton/certify-{}/report.json".format
     one_side = [(f"out/merton/bracket-{side}-on-both",
                  ["bracket", "--problem", "inputs/merton/prob.json", "--sub", report(side), "--super", report(side),
                   "--points", "inputs/merton/points.csv", "--paths", "4000", "--steps", "16"])
                 for side in ("sub", "super")]
-    return (merton + [minimal_run, boxed_run] + one_side + heat + [uncertified, solver] + _long_only(merton_problem)
-            + _cross_directory() + _neg_trace_1d())
+    return (merton + [minimal_run, boxed_run] + one_side + heat + [_heat_pipeline(), uncertified, solver, far]
+            + _long_only(merton_problem) + _cross_directory() + _neg_trace_1d())
+
+
+def _heat_pipeline():
+    """The (run directory, argv) of the 2-D neg_trace pipeline on the heat
+    document and the heat session's constant candidates."""
+    spec = {
+        "problem": HEAT_2D, "grid": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "n": [21, 21]},
+        "points": [[0.0, 0.1, 0.2]],
+        "sub_candidate": HEAT_CANDIDATES["certify-sub"], "super_candidate": HEAT_CANDIDATES["certify-super"],
+        "time_nodes": 6, "control_res": 3, "budget": 3000, "tol": 0.005,
+        "start_box": [[-0.5, 0.5], [-0.5, 0.5]], "mc_paths": 4000, "mc_steps": 16, "seed": 7,
+    }
+    return "out/pipeline-heat2d", ["pipeline", "--spec", _write("inputs/pipeline-heat2d/pipeline.json", spec)]
 
 
 def _long_only(merton_problem) -> list:

@@ -6,7 +6,8 @@ resolved configuration, input hashes and the seed; re-running a subcommand
 with --manifest pointing at that file reproduces the outputs (bitwise for
 simulation and solves).  Exit codes: 0 success, 2 configuration/usage error,
 3 numerical or convergence failure, 4 certification FAIL (a rejected
-hypothesis, not a tool failure).
+hypothesis, not a tool failure).  The pipeline subcommand reads its spec and
+writes the report of hjbkit.pipeline.run_pipeline, which runs the stages.
 """
 
 from __future__ import annotations
@@ -17,29 +18,30 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, asdict, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from . import specio
+from . import facelift, pipeline, specio
 from .certify import (
     BracketConfig,
     CertificationReport,
     CertifyConfig,
     TestRecord,
-    bracket_ensemble,
     bracket_report,
     certify_subsolution,
     certify_supersolution,
     _require_start_box,
 )
 from .errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
-from .facelift import concave_envelope, facelift_general
-from .grids import Box, GridFunction, box_from_pairs, finite, integer, number
+from .grids import Box, box_from_pairs, finite, integer, number
 from .oracles import heat_value, merton_value
 from .simulate import estimate_value, simulate_paths
-from .solver import CONSTRAINT_MODES, SchemeConfig, convergence_study, extract_policy, solve_hjb
+from .solver import CONSTRAINT_MODES, SchemeConfig, convergence_study, solve_hjb
+# perfbench/tracer.py reads and rebinds these names here too: keep them imported
+from .facelift import concave_envelope, facelift_general  # noqa: F401
+from .solver import extract_policy  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,32 +55,12 @@ def _parse_params(text: str) -> dict:
     return {key.strip(): float(val) for key, val in pairs}
 
 
-def _payoff_values(problem, grid) -> GridFunction:
-    return GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
-
-
 def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _report_to_json(report: CertificationReport, candidate_spec) -> dict:
     return {**asdict(report), "candidate": candidate_spec, "certified": report.certified, "verdict": report.verdict}
-
-
-def _bracket_to_json(rep) -> dict:
-    return {
-        "ok": rep.ok,
-        "max_gap": rep.max_gap,
-        "z": rep.z,
-        "points": [
-            {
-                "t": p.t, "x": list(p.x), "sub": p.sub_value, "super": p.super_value,
-                "mc_mean": p.mc.mean, "mc_half_width": p.half_width, "lower": p.lower,
-                "lower_reason": p.lower_reason, "gap": p.gap, "ok": p.ok,
-            }
-            for p in rep.points
-        ],
-    }
 
 
 def _from_fields(cls, doc: dict, **given):
@@ -122,19 +104,11 @@ def _run_oracle(s, out_dir):
     return EXIT_OK, {}, s["seed"]
 
 
-def _facelift(problem, g):
-    """Face-lift of the payoff g: the exact hull on a 1-D grid where G reads the
-    second difference (G = -M), facelift_general otherwise."""
-    if g.grid.dim == 1 and problem.constraint.second_difference_axes(1):
-        return concave_envelope(g)
-    return facelift_general(g, problem)
-
-
 def _run_facelift(s, out_dir):
     problem = specio.load_problem(s["problem"])
     grid = specio.load_grid(s["grid"])
-    g = _payoff_values(problem, grid)
-    ghat = _facelift(problem, g)
+    g = pipeline._payoff_values(problem, grid)
+    ghat = facelift.lift(g, problem)
     print(f"facelift written to {os.path.join(out_dir, s['out'])}; "
           f"sup distance to payoff = {np.max(ghat.values - g.values).item()!r}")
     return EXIT_OK, {s["out"]: ghat.to_csv()}, s["seed"]
@@ -144,20 +118,12 @@ def _run_solve(s, out_dir):
     problem = specio.load_problem(s["problem"])
     grid = specio.load_grid(s["grid"])
     config = _config(SchemeConfig, "solve", s)
-    g = _payoff_values(problem, grid)
-    terminal = _facelift(problem, g) if s["terminal"] == "facelift" else g
+    g = pipeline._payoff_values(problem, grid)
+    terminal = facelift.lift(g, problem) if s["terminal"] == "facelift" else g
     sol = solve_hjb(problem, terminal, config)
-    sidecar = {
-        "scheme": {
-            "n_time_nodes": config.n_time_nodes,
-            "dt_internal": sol.metadata["dt_internal"],
-            "substeps_per_interval": sol.metadata["substeps_per_interval"],
-            "cfl_dt_max": sol.metadata["cfl_dt_max"],
-            "control_grid_size": sol.metadata["control_grid_size"],
-            "mode": sol.metadata["mode"],
-        },
-        "terminal": s["terminal"],
-    }
+    scheme = ("dt_internal", "substeps_per_interval", "cfl_dt_max", "control_grid_size", "mode")
+    sidecar = {"scheme": {"n_time_nodes": config.n_time_nodes, **{k: sol.metadata[k] for k in scheme}},
+               "terminal": s["terminal"]}
     print(f"solution written to {os.path.join(out_dir, s['out'])} "
           f"({sol.metadata['substeps_per_interval']} substeps/interval)")
     artifacts = {s["out"]: sol.to_csv(), s["out"] + ".config.json": json.dumps(sidecar, indent=2) + "\n"}
@@ -228,7 +194,7 @@ def _run_bracket(s, out_dir):
     rep = bracket_report(sub, super_, problem, pts, _config(BracketConfig, "bracket", s, seed=s["seed"]),
                          sub_rep, super_rep)
     print(f"bracket ok={rep.ok} max gap={rep.max_gap!r}")
-    return EXIT_OK if rep.ok else EXIT_CERTIFY_FAIL, {s["out"]: _json(_bracket_to_json(rep))}, s["seed"]
+    return EXIT_OK if rep.ok else EXIT_CERTIFY_FAIL, {s["out"]: _json(pipeline._bracket_to_json(rep))}, s["seed"]
 
 
 def _require_points(problem, points):
@@ -264,28 +230,19 @@ def _read_points(path):
 def _run_convergence(s, out_dir):
     problem = specio.load_problem(s["problem"])
     grid = specio.load_grid(s["grid"])
-    study = convergence_study(
-        problem, _payoff_values(problem, grid), s["refinements"], _config(SchemeConfig, "convergence", s),
-        mode=s["refine"],
-    )
+    study = convergence_study(problem, pipeline._payoff_values(problem, grid), s["refinements"],
+                              _config(SchemeConfig, "convergence", s), mode=s["refine"])
     doc = {"shapes": [list(sh) for sh in study.shapes], "diffs": list(study.diffs), "orders": list(study.orders)}
     print(f"diffs={study.diffs} orders={study.orders}")
     return EXIT_OK, {s["out"]: json.dumps(doc, indent=2) + "\n"}, s["seed"]
-
-
-# what a pipeline stage reports in the partial report instead of raising
-_STAGE_ERRORS = (ConfigurationError, DomainError, ConvergenceError, NumericalError)
 
 
 @specio._document("pipeline spec")
 def _pipeline_inputs(spec, base: str):
     """The problem, grid and evaluation points of a pipeline spec; a key the spec does not take is refused."""
     specio.refuse_unknown(spec, _TABLE[_SPEC], f"{_SPEC} key")
-    problem = (
-        specio.load_problem(os.path.join(base, spec["problem"]))
-        if isinstance(spec["problem"], str)
-        else specio.problem_from_spec(spec["problem"])
-    )
+    problem = (specio.load_problem(os.path.join(base, spec["problem"])) if isinstance(spec["problem"], str)
+               else specio.problem_from_spec(spec["problem"]))
     grid = specio.grid_from_spec(spec["grid"])
     points = specio.read("points", spec["points"], lambda pts: [(p[0], p[1:]) for p in map(_floats, pts)])
     if not points:
@@ -304,19 +261,6 @@ def _candidate(s, key, side, base):
     return candidate
 
 
-def _first_point(sub, problem, point, bc, box):
-    """The estimates of bracket point 0's blocks, companion first, and the share
-    of the extracted policy's paths that left `box`.  The ensemble does not
-    outlive the call."""
-
-    def left_box(x, start):
-        # a diagnostic of the truncation, not a stopping rule
-        return np.any((x < box.lo) | (x > box.hi), axis=1)
-
-    blocks = bracket_ensemble(sub, problem, 0, *point, bc, stops=(left_box,)).blocks()
-    return [estimate_value(b, problem.payoff) for b in blocks], np.mean(blocks[-1].stop_step[:, 0] >= 0).item()
-
-
 def _run_pipeline(run, out_dir):
     base = os.path.dirname(run["spec"]) or "."
     spec = specio.load_json(run["spec"])
@@ -325,70 +269,19 @@ def _run_pipeline(run, out_dir):
     # exits 2 naming its key before any stage runs
     s = _settings(_SPEC, spec)
     sub, super_ = _candidate(s, "sub_candidate", "sub", base), _candidate(s, "super_candidate", "super", base)
-    config, ccfg = _config(SchemeConfig, _SPEC, s), _certify_config(_SPEC, s, problem)
-    seed = s["seed"]
-    mc = _config(BracketConfig, _SPEC, s, seed=seed)
-    report: dict = {"stages": {}}
-    g = _payoff_values(problem, grid)
-    stage = "facelift"
-    try:
-        ghat = _facelift(problem, g)
-        report["facelift_sup_distance"] = np.max(ghat.values - g.values).item()
-        report["stages"][stage] = "ok"
-
-        stage = "solve"
-        terminal = ghat if s["terminal"] == "facelift" else g
-        sol = solve_hjb(problem, terminal, config)
-        report["solver_value_at_points"] = [sol.value_at(t, x) for t, x in points]
-        report["stages"][stage] = "ok"
-
-        # the bracket's point-0 run, made here once and reused by the bracket:
-        # the sub candidate's companion and the extracted policy, simulated on
-        # the state domain, since stopping at the truncation box would price
-        # another policy.  Only the estimates are kept, not the ensemble.
-        stage = "simulate"
-        # an absent candidate fails the first stage that needs one
-        for key, candidate in (("sub_candidate", sub), ("super_candidate", super_)):
-            if candidate is None:
-                raise ConfigurationError(f"the pipeline spec has no {key!r}")
-        policy = extract_policy(sol)
-        bc = replace(mc, extra_policies=(policy,))
-        first, left_box_fraction = _first_point(sub, problem, points[0], bc, grid.box)
-        est = first[-1]
-        report["mc_estimate_at_first_point"] = {
-            "mean": est.mean, "half_width_95": est.half_width_95, "exit_fraction": est.exit_fraction,
-            "left_box_fraction": left_box_fraction,
-        }
-        report["stages"][stage] = "ok"
-
-        stage = "certify"
-        sub_rep = certify_subsolution(sub, problem, ccfg)
-        super_rep = certify_supersolution(super_, problem, ccfg, (policy,))
-        report["certify_sub"] = {"verdict": sub_rep.verdict, "certified": sub_rep.certified}
-        report["certify_super"] = {"verdict": super_rep.verdict, "certified": super_rep.certified}
-        report["stages"][stage] = "ok"
-
-        # sandwich, only between certified candidates
-        uncertified = [side for side, rep in (("sub", sub_rep), ("super", super_rep)) if not rep.certified]
-        if uncertified:
-            report["bracket"] = f"skipped: {' and '.join(uncertified)} candidate not certified"
-            report["stages"]["bracket"] = "skipped"
-            print(f"pipeline complete; bracket {report['bracket']}")
-            return EXIT_CERTIFY_FAIL, {s["out"]: _json(report)}, seed
-        stage = "bracket"
-        brep = bracket_report(sub, super_, problem, points, bc, sub_rep, super_rep, estimates=(first,))
-    except _STAGE_ERRORS as exc:
-        # the partial report; exit 2 for a configuration fault, 3 for a numerical one
-        report["stages"][stage] = f"failed: {exc}"
-        print(f"pipeline failed at stage {stage}: {exc}")
+    doc, exc = pipeline.run_pipeline(problem, grid, points, sub, super_, _config(SchemeConfig, _SPEC, s),
+                                     _certify_config(_SPEC, s, problem),
+                                     _config(BracketConfig, _SPEC, s, seed=s["seed"]), s["terminal"])
+    if exc is not None:
+        print(f"pipeline failed at stage {next(reversed(doc['stages']))}: {exc}")
         code = EXIT_CONFIG if isinstance(exc, (ConfigurationError, DomainError)) else EXIT_NUMERIC
-        return code, {s["out"]: _json(report)}, seed
-    report["bracket"] = _bracket_to_json(brep)
-    for doc, p in zip(report["bracket"]["points"], brep.points):
-        doc["gap_fraction"] = p.gap / max(abs(p.mc.mean), 1e-300)
-    report["stages"]["bracket"] = "ok"
-    print(f"pipeline complete; certification gap at first point = {brep.points[0].gap!r}")
-    return EXIT_OK if brep.ok else EXIT_CERTIFY_FAIL, {s["out"]: _json(report)}, seed
+    elif doc["stages"]["bracket"] == "skipped":
+        print(f"pipeline complete; bracket {doc['bracket']}")
+        code = EXIT_CERTIFY_FAIL
+    else:
+        print(f"pipeline complete; certification gap at first point = {doc['bracket']['points'][0]['gap']!r}")
+        code = EXIT_OK if doc["bracket"]["ok"] else EXIT_CERTIFY_FAIL
+    return code, {s["out"]: _json(doc)}, s["seed"]
 
 
 _HANDLERS = {

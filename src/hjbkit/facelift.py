@@ -34,6 +34,7 @@ from .grids import GridFunction, solve_tridiagonal
 __all__ = [
     "concave_envelope",
     "facelift_general",
+    "lift",
     "upper_hull_indices",
     "exact_concavity_repair",
 ]
@@ -300,3 +301,11 @@ def facelift_general(
     if max_iters is None:
         max_iters = math.prod(n - 2 for n in grid.shape) + 1
     return _policy_iteration(g_grid, problem, axes, max_iters)
+
+
+def lift(g_grid: GridFunction, problem) -> GridFunction:
+    """Face-lift of the payoff g: the exact hull on a 1-D grid where G reads the
+    second difference (G = -M), facelift_general otherwise."""
+    if g_grid.grid.dim == 1 and problem.constraint.second_difference_axes(1):
+        return concave_envelope(g_grid)
+    return facelift_general(g_grid, problem)

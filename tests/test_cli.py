@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import hjbkit as hk
-from hjbkit import cli, grids, simulate, specio
+from hjbkit import certify, cli, grids, simulate, specio
 from hjbkit.certify import bracket_ensemble
 from hjbkit.cli import _load_report, _report_to_json, main
 from hjbkit.errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
@@ -506,16 +506,16 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("stage, target, exc, code", [
-    ("simulate", "bracket_ensemble", NumericalError("non-finite values"), 3),
-    ("simulate", "extract_policy", DomainError("outside the domain"), 2),
-    ("certify", "certify_subsolution", ConvergenceError("no convergence"), 3),
-    ("certify", "certify_supersolution", ConfigurationError("bad box"), 2),
-    ("bracket", "bracket_report", NumericalError("non-finite values"), 3),
-    ("bracket", "bracket_report", DomainError("outside the domain"), 2),
+    ("simulate", "certify.bracket_ensemble", NumericalError("non-finite values"), 3),
+    ("simulate", "solver.extract_policy", DomainError("outside the domain"), 2),
+    ("certify", "certify.certify_subsolution", ConvergenceError("no convergence"), 3),
+    ("certify", "certify.certify_supersolution", ConfigurationError("bad box"), 2),
+    ("bracket", "certify.bracket_report", NumericalError("non-finite values"), 3),
+    ("bracket", "certify.bracket_report", DomainError("outside the domain"), 2),
 ])
 def test_pipeline_late_stage_failure_writes_partial_report(tmp_path, monkeypatch, capsys,
                                                            stage, target, exc, code):
-    monkeypatch.setattr(f"hjbkit.cli.{target}", _raise(exc))
+    monkeypatch.setattr(f"hjbkit.{target}", _raise(exc))
     spath = small_pipeline(tmp_path, mc_paths=200, budget=500)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == code
     stages = json.loads((tmp_path / "pipeline-report.json").read_text())["stages"]
@@ -532,7 +532,7 @@ def test_pipeline_late_stage_failure_writes_partial_report(tmp_path, monkeypatch
 def test_pipeline_malformed_candidate_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key, doc, message):
     """The simulate stage runs the sub candidate's companion policy, so both
     candidates are read before the face-lift."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: doc})
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     err = capsys.readouterr().err
@@ -584,13 +584,13 @@ def test_fast_pipeline_draws_27_times(tmp_path, noise_draws):
 
 def test_pipeline_first_point_estimate_is_the_brackets_point_0(tmp_path, monkeypatch):
     calls = []
-    original = cli.bracket_report
+    original = certify.bracket_report
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr("hjbkit.cli.bracket_report", spy)
+    monkeypatch.setattr("hjbkit.certify.bracket_report", spy)
     spath = small_pipeline(tmp_path)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 0
     doc = json.loads((tmp_path / "pipeline-report.json").read_text())
@@ -611,7 +611,7 @@ def test_pipeline_first_point_estimate_is_the_brackets_point_0(tmp_path, monkeyp
 def test_pipeline_integer_key_that_is_not_an_integer_exits_2_before_any_stage(tmp_path, monkeypatch, capsys,
                                                                               key, value):
     """int() used to run "seed": 1.5, true and "7" as seeds 1, 1 and 7."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: value})
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     err = capsys.readouterr().err
@@ -666,7 +666,7 @@ def test_manifest_with_a_removed_setting_exits_2(tmp_path, capsys, subcommand, a
     assert "configuration error:" in err and key in err
 
 
-# documents whose G does not read the 1-D second difference, so cli._facelift calls facelift_general
+# documents whose G does not read the 1-D second difference, so facelift.lift calls facelift_general
 GENERAL_ROUTE = {
     "neg_trace-2d": (PLANE_SPEC, {"box": [[-1.0, 1.0], [-1.0, 1.0]], "n": [9, 11]}),
     "positive_const-1d": ({"family": "constant", "params": {"b0": [0.0], "s0": [[1.0]]},
@@ -724,7 +724,7 @@ def test_facelift_has_no_method_flag(tmp_path, capsys):
         "point-outside-domain", "point-infinite-state",
         "terminal-face-lift", "mode-outside-its-choices", "solver-candidate-string", "solver-candidate-integer"])
 def test_malformed_pipeline_spec_exits_2(tmp_path, monkeypatch, capsys, changes, message):
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **changes)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     err = capsys.readouterr().err
@@ -741,7 +741,7 @@ def test_pipeline_spec_document_list_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("seed", ["5", "0"])
 def test_pipeline_with_a_top_level_seed_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, seed):
     """The spec's seed key seeds a pipeline; --seed would be recorded in the manifest and not used."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path)
     assert main(["--seed", seed, "--out-dir", str(tmp_path / "out"), "pipeline", "--spec", spath]) == 2
     assert "--seed does not seed a pipeline; the spec's 'seed' key does" in capsys.readouterr().err
@@ -835,7 +835,7 @@ def test_bracket_reads_the_files_of_a_candidate_certified_into_another_directory
 def test_pipeline_manifest_hashes_the_problem_and_csv_files_its_spec_names(merton_solution_csv, monkeypatch):
     """The manifest hashed the spec alone, so an edit of the problem document
     it names, or of a candidate's CSV, left the manifest as it was."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(ConfigurationError("stopped")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(ConfigurationError("stopped")))
     d = merton_solution_csv
     spec = small_pipeline(d, sub_candidate={"kind": "from-solution", "csv": "solution.csv", "side": "sub",
                                             "growth_constant": 10.0})
@@ -965,7 +965,7 @@ def test_pipeline_budget_of_one_runs_without_the_solver_candidate(tmp_path):
 def test_pipeline_certify_solver_candidate_true_exits_2_naming_the_key(tmp_path, monkeypatch, capsys):
     """The solver candidate's half-budget sub battery is gone, since the bracket's
     own estimates give the lower side; a spec that asks for it exits 2 before any stage runs."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, certify_solver_candidate=True)
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     assert capsys.readouterr().err.startswith("configuration error: key 'certify_solver_candidate': True")
@@ -987,7 +987,7 @@ def test_pipeline_certify_solver_candidate_false_is_taken_and_not_read(tmp_path)
 
 @pytest.mark.parametrize("key, value", [("solver_growth_constant", 10.0), ("solver_candidate_tol", 0.005)])
 def test_pipeline_solver_candidate_settings_are_unknown_keys(tmp_path, monkeypatch, capsys, key, value):
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: value})
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     assert f"unknown pipeline-spec key(s) {key!r}" in capsys.readouterr().err
@@ -1020,7 +1020,7 @@ def test_bracket_points_header_is_skipped(tmp_path):
 @pytest.mark.parametrize("key", ["mc_paths", "mc_steps", "seed", "budget", "z", "tol", "n_starts", "steps",
                                  "time_nodes", "control_res", "dt", "start_box"])
 def test_pipeline_non_numeric_key_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key):
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: "many"})
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     err = capsys.readouterr().err
@@ -1197,7 +1197,7 @@ def test_solve_out_of_range_scheme_number_exits_2(tmp_path, capsys, flag, value,
     ("z", -1, "z must be finite and at least 0"), ("tol", math.inf, "tol must be finite and at least 0"),
 ])
 def test_pipeline_out_of_range_number_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, key, value, field):
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, **{key: value})
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     err = capsys.readouterr().err
@@ -1571,11 +1571,11 @@ pipeline_points = st.lists(
 @given(pipeline_points)
 def test_pipeline_points_exit_2_or_run(tmp_path, monkeypatch, capsys, points):
     """Any list of 0-3 floats per point, NaN and inf included: the pipeline either
-    refuses the spec with exit 2 before any stage or starts its first stage."""
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(_StageStarted()))
+    refuses the spec with exit 2 before any stage or starts its first stage.  A
+    valid point lies in the domain and the grid's closed box [0.2, 5]."""
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(_StageStarted()))
     spath = small_pipeline(tmp_path, points=points)
-    valid = bool(points) and all(
-        len(p) == 2 and 0.0 <= p[0] < 1.0 and 0.0 < p[1] < math.inf for p in points)
+    valid = bool(points) and all(len(p) == 2 and 0.0 <= p[0] < 1.0 and 0.2 <= p[1] <= 5.0 for p in points)
     event("valid points" if valid else "refused points")
     try:
         rc = main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath])
@@ -1584,6 +1584,24 @@ def test_pipeline_points_exit_2_or_run(tmp_path, monkeypatch, capsys, points):
     else:
         assert rc == 2 and not valid
         assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_pipeline_point_outside_the_grid_box_exits_2_writing_nothing(tmp_path, capsys):
+    """The report gave the solve's clamped edge value there (2.2361 = g(5) at
+    (0, 8.0) on the --fast spec) and the run exited 0."""
+    out = tmp_path / "out"
+    spath = small_pipeline(tmp_path, points=[[0.0, 1.0], [0.0, 8.0]])
+    assert main(["--out-dir", str(out), "pipeline", "--spec", spath]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: point at t=0.0: state [8.0] outside the grid's box [[0.2, 5.0]]\n")
+    assert not out.exists()
+
+
+def test_pipeline_points_on_the_grid_box_edges_run(tmp_path, monkeypatch):
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(_StageStarted()))
+    spath = small_pipeline(tmp_path, points=[[0.0, 0.2], [0.5, 5.0]])
+    with pytest.raises(_StageStarted):
+        main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath])
 
 
 # the long-only Merton problem: the proportion at risk lies in [0, 1]
@@ -1673,7 +1691,7 @@ def test_solve_grid_node_count_that_is_not_an_integer_exits_2(tmp_path, monkeypa
 
 @pytest.mark.parametrize("n", NOT_NODE_COUNTS, ids=repr)
 def test_pipeline_grid_node_count_that_is_not_an_integer_exits_2_before_any_stage(tmp_path, monkeypatch, capsys, n):
-    monkeypatch.setattr("hjbkit.cli._facelift", _raise(AssertionError("a stage ran")))
+    monkeypatch.setattr("hjbkit.facelift.lift", _raise(AssertionError("a stage ran")))
     spath = small_pipeline(tmp_path, grid={"box": [[0.2, 5.0]], "n": n, "spacing": "log"})
     assert main(["--out-dir", str(tmp_path), "pipeline", "--spec", spath]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: grid key 'n': {n!r} is not a node count")
@@ -1703,8 +1721,8 @@ def test_manifest_value_outside_its_choices_exits_2_before_any_stage(tmp_path, m
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["config"][key] = value
     mpath = write(tmp_path / "edited-manifest.json", manifest)
-    for stage in ("_facelift", "solve_hjb", "convergence_study"):
-        monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
+    for stage in ("facelift.lift", "cli.solve_hjb", "cli.convergence_study"):
+        monkeypatch.setattr(f"hjbkit.{stage}", _raise(AssertionError("a stage ran")))
     capsys.readouterr()
     assert main(["--out-dir", str(tmp_path / "replay"), "--manifest", mpath]) == 2
     err = capsys.readouterr().err
@@ -1813,9 +1831,9 @@ def test_document_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, monke
     document, key = data.draw(st.sampled_from(TYPED_KEYS))
     value = data.draw(st.sampled_from(wrong_values(key, cli._TABLE[document][key][0])))
     event(document)
-    for stage in ("_facelift", "solve_hjb", "simulate_paths", "certify_subsolution", "certify_supersolution",
-                  "bracket_report", "convergence_study"):
-        monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
+    for stage in ("facelift.lift", "cli.solve_hjb", "cli.simulate_paths", "cli.certify_subsolution",
+                  "cli.certify_supersolution", "cli.bracket_report", "cli.convergence_study"):
+        monkeypatch.setattr(f"hjbkit.{stage}", _raise(AssertionError("a stage ran")))
     for family, (_, names) in list(cli._ORACLES.items()):
         monkeypatch.setitem(cli._ORACLES, family, (_raise(AssertionError("a stage ran")), names))
     d, configs, spec = documents
@@ -1866,9 +1884,9 @@ DOCUMENTS = {
 
 @pytest.fixture
 def no_stage(monkeypatch):
-    for stage in ("_facelift", "solve_hjb", "simulate_paths", "certify_subsolution", "certify_supersolution",
-                  "bracket_report"):
-        monkeypatch.setattr(f"hjbkit.cli.{stage}", _raise(AssertionError("a stage ran")))
+    for stage in ("facelift.lift", "cli.solve_hjb", "cli.simulate_paths", "cli.certify_subsolution",
+                  "cli.certify_supersolution", "cli.bracket_report"):
+        monkeypatch.setattr(f"hjbkit.{stage}", _raise(AssertionError("a stage ran")))
 
 
 def run_document(tmp_path, name, doc, inline):

@@ -5,6 +5,7 @@ subclasses Constraint; a refactor that breaks either should fail here rather
 than in a traced benchmark run.
 """
 
+import collections
 import importlib
 import importlib.util
 import pathlib
@@ -132,7 +133,10 @@ def test_pipeline_fast_spec_passes_the_unknown_key_check(workloads_module):
 
 def test_pipeline_batteries_run_under_their_traced_names(tracer_module, workloads_module, tmp_path):
     """One certify_pipeline op under Tracer.install records a span for each battery
-    and the bracket, so no wrapper routes them around the names tracer.py rebinds."""
+    and the bracket, the face-lift, the solve and the extracted policy, and for
+    each simulation and estimate, so no wrapper routes a stage around the names
+    tracer.py rebinds: 4 simulations a battery and one a bracket point, and an
+    estimate for each of the 2 blocks of the 3 bracket points."""
     workload = workloads_module.CertifyPipeline(42, str(tmp_path))
     tracer = tracer_module.Tracer()
     try:
@@ -141,5 +145,9 @@ def test_pipeline_batteries_run_under_their_traced_names(tracer_module, workload
     finally:
         tracer.uninstall()
     assert rc in (0, 4)
-    names = {span["name"] for span in tracer.spans}
-    assert {"certify.certify_subsolution", "certify.certify_supersolution", "certify.bracket_report"} <= names
+    names = collections.Counter(span["name"] for span in tracer.spans)
+    assert {"certify.certify_subsolution", "certify.certify_supersolution", "certify.bracket_report"} <= set(names)
+    assert {name: names[name] for name in ("facelift.concave_envelope", "solver.solve_hjb", "solver.extract_policy",
+                                           "simulate.simulate_paths", "simulate.estimate_value")} == {
+        "facelift.concave_envelope": 1, "solver.solve_hjb": 1, "solver.extract_policy": 1,
+        "simulate.simulate_paths": 11, "simulate.estimate_value": 6}

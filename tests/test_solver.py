@@ -12,7 +12,7 @@ from hjbkit import specio
 from hjbkit.errors import ConfigurationError
 from hjbkit.facelift import _SWITCH_ULPS, _constraint_on_grid
 from hjbkit.oracles import heat_value, merton_value
-from hjbkit.cli import _facelift
+from hjbkit.facelift import lift
 from hjbkit.problem import (
     ControlProblem,
     abs_payoff,
@@ -945,7 +945,7 @@ def test_a_one_d_neg_trace_problem_solves_as_its_neg_second_twin():
         problem = hk.proportional_control_problem(mu=0.0, sigma=1.0, bound=1.0, payoff=abs_payoff(1.0),
                                                   constraint=constraint)
         g = hk.GridFunction(grid, problem.payoff(grid.nodes()).reshape(grid.shape))
-        ghat = _facelift(problem, g)
+        ghat = lift(g, problem)
         runs.append((ghat, [hk.solve_hjb(problem, terminal, config) for terminal in (g, ghat)]))
     (lifted, sols), (lifted_twin, twins) = runs
     np.testing.assert_array_equal(lifted.values, lifted_twin.values)
